@@ -37,7 +37,8 @@ from .errors import (
 #: Largest permitted absolute degree of an extension tower.
 MAX_TOWER_DEGREE = 16
 
-#: Cap on exhaustive enumerations (field elements, divisor candidates).
+#: Cap on exhaustive enumerations: the elements of a finite field
+#: (:meth:`FieldSpec.elements`) and the trial divisors of ``_factor_finite``.
 ENUMERATION_CAP = 10**6
 
 
@@ -83,11 +84,11 @@ class FieldSpec:
         """Extend ``base`` by a monic modulus (coefficients low to high).
 
         The modulus must be monic of degree >= 2 and irreducible over
-        ``base``.  Irreducibility is decided by exhaustive divisor search
-        over finite fields, by the rational-root test (complete through
-        degree 3) over Q, and by a discriminant square test for quadratics
-        over the supported Q-extensions; outside those regimes the caller
-        must vouch with ``assume_irreducible=True``.
+        ``base``.  Irreducibility is decided by Ben-Or's gcd test over
+        finite fields, by the rational-root test (complete through degree
+        3) over Q, and by a discriminant square test for quadratics over
+        the supported Q-extensions; outside those regimes the caller must
+        vouch with ``assume_irreducible=True``.
         """
         coeffs = tuple(base.element(c) for c in modulus)
         coeffs = _poly_trim(coeffs)
@@ -504,11 +505,12 @@ def poly_divmod(base, f, g):
     g = _poly_trim(g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = g[-1].inverse()
+    # a monic divisor needs no inverse (in a tower that would be a full xgcd)
+    lead_inv = None if g[-1] == base.one() else g[-1].inverse()
     dg = len(g) - 1
     quot = [base.zero()] * max(len(f) - dg, 0)
     while len(f) - 1 >= dg and f:
-        c = f[-1] * lead_inv
+        c = f[-1] if lead_inv is None else f[-1] * lead_inv
         k = len(f) - 1 - dg
         quot[k] = c
         for i in range(len(g)):
@@ -519,6 +521,19 @@ def poly_divmod(base, f, g):
 
 def _poly_mod(base, f, g):
     return poly_divmod(base, f, g)[1]
+
+
+def _poly_powmod(base, f, n, mod):
+    """f^n mod ``mod`` by square-and-multiply (n >= 0)."""
+    result = (base.one(),)
+    square = _poly_mod(base, f, mod)
+    while n:
+        if n & 1:
+            result = _poly_mod(base, _poly_mul(base, result, square), mod)
+        n >>= 1
+        if n:
+            square = _poly_mod(base, _poly_mul(base, square, square), mod)
+    return result
 
 
 def _poly_xgcd(base, f, g):
@@ -571,19 +586,22 @@ def _monic_candidates(field, degree):
         yield tail[::-1] + (field.one(),)
 
 
-def _divisor_search_irreducible(base, coeffs):
-    """Exhaustive divisor search up to half the degree (finite base)."""
+def _ben_or_irreducible(base, coeffs):
+    """Ben-Or's test over a finite base of order q.
+
+    A polynomial f of degree n is irreducible iff gcd(x^(q^i) - x, f) = 1
+    for i = 1 .. n // 2: a reducible f has an irreducible factor of some
+    degree k <= n // 2, and every such factor divides x^(q^k) - x.  Most
+    reducible candidates have a small factor, so they stop at a small i.
+    """
     deg = len(coeffs) - 1
     q = base.order()
-    budget = sum(q**k for k in range(1, deg // 2 + 1))
-    if budget > ENUMERATION_CAP:
-        raise BoundsExceeded(
-            f"divisor search over a field of order {q} needs {budget} candidates"
-        )
-    for k in range(1, deg // 2 + 1):
-        for cand in _monic_candidates(base, k):
-            if not _poly_mod(base, coeffs, cand):
-                return False
+    minus_x = (base.zero(), base.from_int(-1))
+    power = (base.zero(), base.one())  # x, then x^(q^i) mod f
+    for _ in range(deg // 2):
+        power = _poly_powmod(base, power, q, coeffs)
+        if len(poly_gcd(base, poly_add(base, power, minus_x), coeffs)) > 1:
+            return False
     return True
 
 
@@ -619,7 +637,7 @@ def _is_irreducible(base, coeffs):
     if deg == 1:
         return True
     if base.is_finite:
-        return _divisor_search_irreducible(base, coeffs)
+        return _ben_or_irreducible(base, coeffs)
     if base.kind == "Q":
         if rational_roots([c.payload for c in coeffs]):
             return False
@@ -644,17 +662,22 @@ def _is_irreducible(base, coeffs):
 
 @lru_cache(maxsize=None)
 def find_irreducible(field, degree):
-    """Lexicographically first monic irreducible of ``degree`` (finite field)."""
+    """Lexicographically first monic irreducible of ``degree`` (finite field).
+
+    The tower-degree cap is checked before the search, since a modulus past
+    it could never become an extension.
+    """
     if not field.is_finite:
         raise UnsupportedField("deterministic modulus search needs a finite field")
+    if field.absolute_degree() * degree > MAX_TOWER_DEGREE:
+        raise BoundsExceeded(
+            f"tower degree {field.absolute_degree() * degree} exceeds {MAX_TOWER_DEGREE}"
+        )
     if degree == 1:
         return (field.zero(), field.one())
     for cand in _monic_candidates(field, degree):
-        try:
-            if _is_irreducible(field, cand):
-                return cand
-        except BoundsExceeded:
-            raise
+        if _is_irreducible(field, cand):
+            return cand
     raise NotAField(f"no irreducible of degree {degree}?")  # unreachable
 
 
@@ -662,12 +685,13 @@ def factor_univariate(coeffs, field):
     """Factor a monic squarefree polynomial into monic irreducibles over ``field``.
 
     ``coeffs`` are coercible into ``field`` (low to high).  Over finite
-    fields the factorization is complete (exhaustive divisor search under
-    the enumeration cap).  In characteristic 0 the supported regime is
-    degree <= 6 with rational coefficients: rational roots are stripped,
-    quadratics are decided by a discriminant square test in ``field``, and
-    cubics that survive root stripping are certified irreducible by degree
-    count.  Anything else raises :class:`FactorizationUnsupported`.
+    fields the factorization is complete: trial division by the monic
+    polynomials of each degree up to half the remaining degree, while their
+    number stays under :data:`ENUMERATION_CAP`.  In characteristic 0 the
+    supported regime is degree <= 6 with rational coefficients: rational
+    roots are stripped, quadratics are decided by a discriminant square test
+    in ``field``, and cubics that survive root stripping are certified
+    irreducible by degree count.  Anything else raises :class:`FactorizationUnsupported`.
     """
     f = _poly_trim(tuple(field.element(c) for c in coeffs))
     if len(f) < 2:
@@ -983,7 +1007,3 @@ def frobenius(x):
         raise UnsupportedField("Frobenius needs positive characteristic")
     return x ** x.spec.char
 
-
-def element_from_json(spec, obj):
-    """Inverse of FieldElement.to_json for the wire formats."""
-    return spec.element(obj)

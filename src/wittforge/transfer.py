@@ -34,7 +34,7 @@ class ExtensionDatum:
     invertibility of its coordinate matrix.
     """
 
-    __slots__ = ("top", "bottom", "basis", "_to_custom", "_one_coords")
+    __slots__ = ("top", "bottom", "basis", "_to_custom", "_one_coords", "_basis_traces")
 
     def __init__(self, top, bottom, basis=None):
         if not spec_extends(top, bottom):
@@ -59,6 +59,7 @@ class ExtensionDatum:
             self.basis = basis
             self._to_custom = inv
         self._one_coords = self.coordinates(top.one())
+        self._basis_traces = None
 
     @property
     def degree(self):
@@ -85,14 +86,21 @@ class ExtensionDatum:
         return linalg.transpose(cols)
 
     def trace(self, e):
-        """Trace of multiplication-by-e: an F-element; conjugate sum if separable."""
+        """Trace of multiplication-by-e: an F-element; conjugate sum if separable.
+
+        By linearity Tr(e) = sum_k coords(e)_k * Tr(b_k); the basis traces
+        are the diagonal sums of the basis multiplication matrices, computed
+        on first use.
+        """
         if e.spec != self.top:
             raise FieldMismatch(f"element of {e.spec}, expected {self.top}")
-        m = self.mult_matrix(e)
-        total = self.bottom.zero()
-        for i in range(self.degree):
-            total = total + m[i][i]
-        return total
+        zero = self.bottom.zero()
+        if self._basis_traces is None:
+            mats = [self.mult_matrix(b) for b in self.basis]
+            self._basis_traces = [
+                sum((m[i][i] for i in range(self.degree)), zero) for m in mats
+            ]
+        return sum((c * t for c, t in zip(self.coordinates(e), self._basis_traces)), zero)
 
     def __eq__(self, other):
         if not isinstance(other, ExtensionDatum):

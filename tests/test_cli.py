@@ -160,6 +160,13 @@ def test_out_of_bounds_is_usage(capsys):
     assert "out of bounds" in err
 
 
+def test_field_past_the_tower_cap_is_usage(capsys):
+    # F_{3^17}: rejected by the degree cap before any modulus search
+    code, _, err = run(capsys, "witt", "diag", "--field", "F129140163", "--form", "1,1")
+    assert code == 2
+    assert "out of bounds" in err
+
+
 def test_bad_field_is_usage(capsys):
     code, _, err = run(capsys, "witt", "diag", "--field", "F4", "--form", "1,1")
     assert code == 2

@@ -10,7 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittforge.errors import (
@@ -21,7 +22,9 @@ from wittforge.errors import (
     UnsupportedCharacteristic,
 )
 from wittforge.fields import (
+    MAX_TOWER_DEGREE,
     FieldSpec,
+    _is_irreducible,
     embed,
     factor_univariate,
     find_irreducible,
@@ -41,6 +44,7 @@ F3 = FieldSpec.Fp(3)
 F5 = FieldSpec.Fp(5)
 F7 = FieldSpec.Fp(7)
 F9 = FieldSpec.extension(F3, [1, 0, 1])  # x^2 + 1
+F25 = FieldSpec.extension(F5, [2, 0, 1])  # x^2 + 2
 QSQRT2 = FieldSpec.extension(Q, [-2, 0, 1])
 
 
@@ -80,6 +84,13 @@ def test_tower_degree_cap():
     f81 = FieldSpec.extension(F3, find_irreducible(F3, 4))
     with pytest.raises(BoundsExceeded):
         FieldSpec.extension(f81, find_irreducible(f81, 5))
+
+
+def test_find_irreducible_checks_the_cap_before_searching():
+    with pytest.raises(BoundsExceeded):
+        find_irreducible(F3, MAX_TOWER_DEGREE + 1)
+    with pytest.raises(BoundsExceeded):
+        find_irreducible(F9, MAX_TOWER_DEGREE // 2 + 1)
 
 
 def test_quartic_over_q_needs_certificate():
@@ -377,6 +388,94 @@ def test_find_irreducible_lex_first():
         if expected:
             break
     assert mod == expected
+
+
+# moduli returned by the former exhaustive divisor search: Ben-Or's test
+# must keep the lexicographically first choice, so towers keep their bytes
+FROZEN_MODULI = {
+    (3, 2): [1, 0, 1],
+    (3, 3): [1, 2, 0, 1],
+    (3, 4): [2, 1, 0, 0, 1],
+    (3, 5): [1, 2, 0, 0, 0, 1],
+    (3, 6): [2, 1, 0, 0, 0, 0, 1],
+    (3, 7): [2, 0, 1, 0, 0, 0, 0, 1],
+    (3, 8): [2, 0, 1, 0, 0, 0, 0, 0, 1],
+    (3, 9): [1, 0, 1, 2, 0, 0, 0, 0, 0, 1],
+    (5, 2): [2, 0, 1],
+    (5, 3): [1, 1, 0, 1],
+    (5, 4): [2, 0, 0, 0, 1],
+    (5, 5): [1, 4, 0, 0, 0, 1],
+    (5, 6): [2, 1, 0, 0, 0, 0, 1],
+    (5, 7): [1, 1, 0, 0, 0, 0, 0, 1],
+    (5, 8): [2, 0, 0, 0, 0, 0, 0, 0, 1],
+    (5, 9): [3, 2, 1, 0, 0, 0, 0, 0, 0, 1],
+    (7, 2): [1, 0, 1],
+    (7, 3): [2, 0, 0, 1],
+    (7, 4): [1, 1, 0, 0, 1],
+    (7, 5): [3, 1, 0, 0, 0, 1],
+    (7, 6): [2, 0, 0, 0, 0, 0, 1],
+    (7, 7): [1, 6, 0, 0, 0, 0, 0, 1],
+    (7, 8): [3, 1, 0, 0, 0, 0, 0, 0, 1],
+    (7, 9): [2, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+}
+
+
+@pytest.mark.parametrize("p,degree", sorted(FROZEN_MODULI))
+def test_find_irreducible_frozen_moduli(p, degree):
+    modulus = find_irreducible(FieldSpec.Fp(p), degree)
+    assert [c.payload for c in modulus] == FROZEN_MODULI[(p, degree)]
+
+
+def sympy_is_irreducible(p, coeffs):
+    """Oracle: sympy's irreducibility test over F_p (coefficients low to high)."""
+    return sympy.Poly(coeffs[::-1], sympy.Symbol("x"), modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("p,max_degree", [(3, 5), (5, 3), (7, 3)])
+def test_is_irreducible_matches_sympy_exhaustively(p, max_degree):
+    field = FieldSpec.Fp(p)
+    for degree in range(1, max_degree + 1):
+        for tail in itertools.product(range(p), repeat=degree):
+            coeffs = list(tail) + [1]
+            f = tuple(field.from_int(c) for c in coeffs)
+            assert _is_irreducible(field, f) == sympy_is_irreducible(p, coeffs), coeffs
+
+
+@st.composite
+def monic_over_small_prime(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    degree = draw(st.integers(1, 12))
+    tail = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+    return p, tail + [1]
+
+
+@settings(deadline=None)
+@given(monic_over_small_prime())
+def test_is_irreducible_matches_sympy_random(case):
+    p, coeffs = case
+    field = FieldSpec.Fp(p)
+    f = tuple(field.from_int(c) for c in coeffs)
+    assert _is_irreducible(field, f) == sympy_is_irreducible(p, coeffs)
+
+
+@pytest.mark.parametrize("field,max_degree", [(F9, 3), (F25, 2)])
+def test_is_irreducible_matches_products_over_extensions(field, max_degree):
+    # oracle: a monic polynomial is reducible iff it is a product of two
+    # monic polynomials of lower degree
+    elems = list(field.elements())
+    monic = {
+        d: [tail + (field.one(),) for tail in itertools.product(elems, repeat=d)]
+        for d in range(1, max_degree + 1)
+    }
+    for degree in range(2, max_degree + 1):
+        products = {
+            poly_mul(field, g, h)
+            for k in range(1, degree // 2 + 1)
+            for g in monic[k]
+            for h in monic[degree - k]
+        }
+        for f in monic[degree]:
+            assert _is_irreducible(field, f) == (f not in products)
 
 
 def test_poly_eval():

@@ -435,6 +435,29 @@ def test_custom_basis_changes_gram_but_not_class():
     assert witt_equal(trace_form(custom), trace_form(D93))
 
 
+@pytest.mark.parametrize(
+    "ext",
+    [
+        ExtensionDatum(F27, F3),
+        ExtensionDatum(F81, F9),
+        DS2,
+        ExtensionDatum(F9, F3, basis=[F9.one(), F9.one() + F9.generator()]),
+        ExtensionDatum(QS2, Q, basis=[QS2.element([1, 1]), QS2.element([2, -1])]),
+    ],
+    ids=["F27/F3", "F81/F9", "Qsqrt2/Q", "F9/F3-custom", "Qsqrt2/Q-custom"],
+)
+def test_trace_is_diagonal_sum_of_mult_matrix(ext):
+    # oracle: the trace of multiplication-by-e read off its full matrix
+    rng = random.Random(17)
+    samples = list(ext.basis) + [ext.top.random_element(rng) for _ in range(10)]
+    for e in samples:
+        m = ext.mult_matrix(e)
+        diagonal = ext.bottom.zero()
+        for i in range(ext.degree):
+            diagonal = diagonal + m[i][i]
+        assert ext.trace(e) == diagonal
+
+
 def test_custom_basis_coordinates_roundtrip():
     alpha = F9.generator()
     custom = ExtensionDatum(F9, F3, basis=[F9.one(), F9.one() + alpha])
