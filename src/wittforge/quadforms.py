@@ -70,9 +70,16 @@ class Place:
 
 
 class QuadraticForm:
-    """A symmetric bilinear form given by its Gram matrix."""
+    """A symmetric bilinear form given by its Gram matrix.
 
-    __slots__ = ("field", "gram")
+    Forms are immutable.  The diagonal entries of a congruence
+    diagonalization (see :func:`diagonalize`) are computed on first use by
+    the nondegeneracy checks, :func:`witt_equal`, the discriminant and the
+    signature, and then kept in the private ``_entries`` slot, which takes
+    no part in equality, hashing or JSON.
+    """
+
+    __slots__ = ("field", "gram", "_entries")
 
     def __init__(self, field, gram):
         rows = [tuple(field.element(x) for x in row) for row in gram]
@@ -85,6 +92,7 @@ class QuadraticForm:
                     raise ValueError("Gram matrix must be symmetric")
         self.field = field
         self.gram = tuple(rows)
+        self._entries = None
 
     @classmethod
     def diagonal(cls, field, entries):
@@ -176,37 +184,62 @@ def diagonalize(form):
     """Diagonalize by congruence: returns (entries, basis) with basis^T G basis diagonal.
 
     Works over any supported field (characteristic != 2).  When the form is
-    degenerate the trailing entries are zero.  The pivot trick for a zero
-    diagonal uses e_i <- e_i + e_j, which needs 2 invertible.
+    degenerate the trailing entries are zero.  Pivot k clears row and column
+    k with one symmetric Schur-complement update of the trailing block; a
+    zero diagonal is first repaired by e_i <- e_i + e_j, which needs 2
+    invertible.  Callers that need only the entries use
+    :func:`_diagonal_entries`, which skips the basis and caches them.
     """
-    field = form.field
+    basis = linalg.identity(form.field, form.dim)
+    return _eliminate(form, basis), basis
+
+
+def _diagonal_entries(form):
+    """The entries of :func:`diagonalize`, computed once per form without a basis."""
+    if form._entries is None:
+        form._entries = tuple(_eliminate(form))
+    return form._entries
+
+
+def _eliminate(form, basis=None):
+    """Diagonal entries of the form by symmetric Gaussian elimination.
+
+    When ``basis`` (an n x n matrix) is given, every congruence step is also
+    applied to its columns.  At pivot k the rows and columns before k are
+    finished (zero off the diagonal of the congruent matrix) and never read
+    again, so only the trailing block (indices >= k) is updated.  With
+    c_a = -g[k][a] / g[k][k], clearing row and column k adds c_a * g[k][b]
+    to g[a][b] for every pair of nonzero positions a, b of row k, computed
+    once per unordered pair.
+    """
     n = form.dim
     g = form.gram_rows()
-    basis = linalg.identity(field, n)
 
-    def add_col(dst, src, c):
-        # e_dst <- e_dst + c * e_src  (congruence: column then row)
-        for i in range(n):
-            g[i][dst] = g[i][dst] + c * g[i][src]
-        for j in range(n):
-            g[dst][j] = g[dst][j] + c * g[src][j]
-        for i in range(n):
-            basis[i][dst] = basis[i][dst] + c * basis[i][src]
+    def add_col(dst, src, k):
+        # e_dst <- e_dst + e_src on the trailing block (column then row)
+        for r in range(k, n):
+            g[r][dst] = g[r][dst] + g[r][src]
+        for c in range(k, n):
+            g[dst][c] = g[dst][c] + g[src][c]
+        if basis is not None:
+            for row in basis:
+                row[dst] = row[dst] + row[src]
 
-    def swap(i, j):
+    def swap(i, j, k):
         if i == j:
             return
-        for r in range(n):
+        for r in range(k, n):
             g[r][i], g[r][j] = g[r][j], g[r][i]
         g[i], g[j] = g[j], g[i]
-        for r in range(n):
-            basis[r][i], basis[r][j] = basis[r][j], basis[r][i]
+        if basis is not None:
+            for row in basis:
+                row[i], row[j] = row[j], row[i]
 
     for k in range(n):
         if g[k][k].is_zero():
             pivot = next((j for j in range(k + 1, n) if not g[j][j].is_zero()), None)
             if pivot is not None:
-                swap(k, pivot)
+                swap(k, pivot, k)
             else:
                 pair = next(
                     (
@@ -220,21 +253,29 @@ def diagonalize(form):
                 if pair is None:
                     break  # the remaining block is identically zero
                 i, j = pair
-                add_col(i, j, field.one())  # now g[i][i] = 2*g[i][j] != 0
-                swap(k, i)
-        pivot_val = g[k][k]
-        if pivot_val.is_zero():
+                add_col(i, j, k)  # now g[i][i] = 2*g[i][j] != 0
+                swap(k, i, k)
+        pivot_row = g[k]
+        support = [j for j in range(k + 1, n) if not pivot_row[j].is_zero()]
+        if not support:
             continue
-        inv = pivot_val.inverse()
-        for j in range(k + 1, n):
-            if not g[k][j].is_zero():
-                add_col(j, k, -(inv * g[k][j]))
-    entries = [g[i][i] for i in range(n)]
-    return entries, basis
+        inv = pivot_row[k].inverse()
+        coeffs = [-(inv * pivot_row[a]) for a in support]
+        for pos, (a, c_a) in enumerate(zip(support, coeffs)):
+            row_a = g[a]
+            for b in support[pos:]:
+                row_a[b] = g[b][a] = row_a[b] + c_a * pivot_row[b]
+        if basis is not None:
+            for row in basis:
+                x = row[k]
+                if not x.is_zero():
+                    for a, c_a in zip(support, coeffs):
+                        row[a] = row[a] + c_a * x
+    return [g[i][i] for i in range(n)]
 
 
 def _check_nondegenerate(form):
-    entries, _ = diagonalize(form)
+    entries = _diagonal_entries(form)
     if any(e.is_zero() for e in entries):
         raise DegenerateForm("the Gram matrix is singular")
     return entries
@@ -293,10 +334,7 @@ def _as_diagonal_entries(x):
     form = _as_form(x)
     if form.dim == 0:
         return form.field, []
-    entries, _ = diagonalize(form)
-    if any(e.is_zero() for e in entries):
-        raise DegenerateForm("the Gram matrix is singular")
-    return form.field, entries
+    return form.field, list(_check_nondegenerate(form))
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +819,6 @@ def witt_zero(field):
     return WittClass(field, QuadraticForm(field, []), 0)
 
 
-def witt_class_of(form):
-    return witt_decompose(form)
-
-
 def witt_add(a, b):
     fa, fb = _as_form(a), _as_form(b)
     return witt_decompose(fa.perp(fb))
@@ -792,10 +826,6 @@ def witt_add(a, b):
 
 def witt_neg(a):
     return witt_decompose(_as_form(a).neg())
-
-
-def witt_sub(a, b):
-    return witt_add(a, witt_neg(b))
 
 
 def witt_mul(a, b):

@@ -22,7 +22,12 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import FieldSpec, embed, factor_univariate, poly_eval, spec_extends
-from .quadforms import QuadraticForm, diagonalize, signed_discriminant, witt_equal
+from .quadforms import (
+    QuadraticForm,
+    _diagonal_entries,
+    signed_discriminant,
+    witt_equal,
+)
 
 
 class ExtensionDatum:
@@ -31,10 +36,19 @@ class ExtensionDatum:
     The default basis is the flattened power basis of the tower: for
     E = K[y]/(m) over F it is ``{b * y^j}`` with ``b`` running through the
     basis of K/F (inner index fastest).  A custom basis is certified by the
-    invertibility of its coordinate matrix.
+    invertibility of its coordinate matrix.  The basis traces and the trace
+    form are derived on first use and kept in private slots.
     """
 
-    __slots__ = ("top", "bottom", "basis", "_to_custom", "_one_coords", "_basis_traces")
+    __slots__ = (
+        "top",
+        "bottom",
+        "basis",
+        "_to_custom",
+        "_one_coords",
+        "_basis_traces",
+        "_trace_form",
+    )
 
     def __init__(self, top, bottom, basis=None):
         if not spec_extends(top, bottom):
@@ -60,6 +74,7 @@ class ExtensionDatum:
             self._to_custom = inv
         self._one_coords = self.coordinates(top.one())
         self._basis_traces = None
+        self._trace_form = None
 
     @property
     def degree(self):
@@ -157,18 +172,27 @@ def trace(ext, e):
 
 
 def trace_form(ext):
-    """Gram[i][j] = Tr(b_i * b_j); nondegenerate exactly when E/F is separable."""
-    n = ext.degree
-    gram = [
-        [ext.trace(ext.basis[i] * ext.basis[j]) for j in range(n)] for i in range(n)
-    ]
-    form = QuadraticForm(ext.bottom, gram)
-    entries, _ = diagonalize(form)
-    if any(e.is_zero() for e in entries):
-        raise DegenerateTraceForm(
-            f"trace form of {ext.top}/{ext.bottom} is degenerate (inseparable?)"
-        )
-    return form
+    """Gram[i][j] = Tr(b_i * b_j); nondegenerate exactly when E/F is separable.
+
+    Only the upper triangle is traced (the Gram is symmetric).  The form is
+    built once per datum and kept only after its diagonal entries show it
+    nondegenerate, so a degenerate datum raises on every call; the returned
+    form carries those cached entries.
+    """
+    if ext._trace_form is None:
+        n = ext.degree
+        basis = ext.basis
+        gram = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = ext.trace(basis[i] * basis[j])
+        form = QuadraticForm(ext.bottom, gram)
+        if any(e.is_zero() for e in _diagonal_entries(form)):
+            raise DegenerateTraceForm(
+                f"trace form of {ext.top}/{ext.bottom} is degenerate (inseparable?)"
+            )
+        ext._trace_form = form
+    return ext._trace_form
 
 
 def scharlau_transfer(ext, q):
@@ -180,8 +204,7 @@ def scharlau_transfer(ext, q):
     """
     if q.field != ext.top:
         raise FieldMismatch(f"form over {q.field}, expected {ext.top}")
-    ent, _ = diagonalize(q)
-    if any(e.is_zero() for e in ent):
+    if any(e.is_zero() for e in _diagonal_entries(q)):
         raise DegenerateForm("cannot transfer a degenerate form")
     t_gram = trace_form(ext).gram_rows()
     n = ext.degree
@@ -433,11 +456,7 @@ def _mat_json(m):
 
 
 def _class_summary(form):
-    try:
-        d = signed_discriminant(form)
-        return {"dim": form.dim, "signed_disc": d.to_json()}
-    except Exception:  # pragma: no cover - diagnostics only
-        return {"dim": form.dim}
+    return {"dim": form.dim, "signed_disc": signed_discriminant(form).to_json()}
 
 
 def transfer_compose_check(outer, inner, q):

@@ -27,7 +27,7 @@ from .polynomials import PolyRing
 from .projspace import ProjLineBundleQuery, closed_formula_dims, cohomology, pushforward_phi_r
 from .quadforms import (
     QuadraticForm,
-    diagonalize,
+    _diagonal_entries,
     hilbert_symbol,
     relevant_places,
     witt_add,
@@ -145,9 +145,12 @@ def extension_of(base, degree):
     """A deterministic degree-``degree`` extension of ``base`` (cached)."""
     key = (base, degree)
     if key not in _EXT_CACHE:
-        _EXT_CACHE[key] = (
-            base if degree == 1 else FieldSpec.extension(base, find_irreducible(base, degree))
-        )
+        if degree == 1:
+            _EXT_CACHE[key] = base
+        else:
+            # find_irreducible has just proven the modulus with the same test
+            modulus = find_irreducible(base, degree)
+            _EXT_CACHE[key] = FieldSpec.extension(base, modulus, assume_irreducible=True)
     return _EXT_CACHE[key]
 
 
@@ -163,8 +166,7 @@ def random_nondegenerate(field, rng, dim):
             for j in range(i):
                 g[i][j] = g[j][i]
         form = QuadraticForm(field, g)
-        entries, _ = diagonalize(form)
-        if all(not e.is_zero() for e in entries):
+        if all(not e.is_zero() for e in _diagonal_entries(form)):
             return form
 
 

@@ -173,6 +173,13 @@ def test_bad_field_is_usage(capsys):
     assert "usage error" in err
 
 
+def test_reducible_user_modulus_is_usage(capsys):
+    # x^3 - 8 = (x - 2)(x^2 + 2x + 4): the user's modulus is still checked
+    code, _, err = run(capsys, "witt", "diag", "--field", "Qcbrt8", "--form", "1,1")
+    assert code == 2
+    assert "reducible" in err
+
+
 def test_unknown_suite_is_usage(capsys):
     code, _, err = run(capsys, "verify", "nosuch")
     assert code == 2
@@ -190,6 +197,18 @@ def test_witt_decompose_four_units(capsys):
     payload = json.loads(out)
     assert payload["hyperbolic"] == 2
     assert payload["is_zero"] is True
+
+
+def test_witt_diag_json_pinned(capsys):
+    code, out, _ = run(
+        capsys, "--json", "witt", "diag", "--field", "F3", "--form", "[[0,1,2],[1,0,1],[2,1,0]]"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "basis": [[1, 1, 2], [1, 2, 1], [0, 0, 1]],
+        "entries": [2, 1, 2],
+        "field": {"kind": "Fp", "p": 3},
+    }
 
 
 def test_witt_diag_antidiagonal(capsys):

@@ -23,6 +23,7 @@ from wittforge.quadforms import (
     Place,
     QuadraticForm,
     WittClass,
+    _diagonal_entries,
     diagonalize,
     hilbert_symbol,
     hyperbolic_plane,
@@ -236,6 +237,99 @@ def test_diagonalize_is_a_congruence(field):
         lhs = linalg.mat_mul(field, linalg.mat_mul(field, bt, form.gram_rows()), basis)
         assert linalg.mat_eq(lhs, d)
         assert linalg.inverse(field, basis) is not None
+
+
+def random_symmetric(field, rng, n, zero_share=0.4, zero_diagonal=False):
+    """A symmetric Gram matrix with many zero entries (often degenerate)."""
+    g = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i == j and zero_diagonal) or rng.random() < zero_share:
+                continue
+            g[i][j] = g[j][i] = field.random_element(rng)
+    return QuadraticForm(field, g)
+
+
+@pytest.mark.parametrize("field", [F3, F9, Q], ids=str)
+def test_diagonal_entries_match_diagonalize(field):
+    rng = random.Random(1103)
+    seen_degenerate = 0
+    for k in range(60):
+        form = random_symmetric(field, rng, rng.randint(0, 6), zero_diagonal=k % 3 == 0)
+        entries = _diagonal_entries(form)
+        assert entries == tuple(diagonalize(form)[0])
+        seen_degenerate += any(e.is_zero() for e in entries)
+    assert seen_degenerate > 0
+
+
+a9 = F9.generator()
+
+#: diagonalize's (entries, basis) for fixed forms, zero diagonals and
+#: degenerate forms included: the elimination must keep its pivot choices,
+#: since `witt diag` prints both
+PINNED_DIAGONALIZATIONS = [
+    (F3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [2, 1, 2], [[1, 1, 2], [1, 2, 1], [0, 0, 1]]),
+    (F3, [[1, 1], [1, 1]], [1, 0], [[1, 2], [0, 1]]),
+    (
+        F3,
+        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+        [2, 1, 2, 1],
+        [[1, 1, 0, 0], [0, 0, 1, 1], [1, 2, 0, 0], [0, 0, 1, 2]],
+    ),
+    (F3, [[0, 0, 0], [0, 1, 2], [0, 2, 2]], [1, 1, 0], [[0, 0, 1], [1, 1, 0], [0, 1, 0]]),
+    (
+        F9,
+        [[0, a9], [a9, F9.one() + a9]],
+        [[1, 1], [2, 1]],
+        [[[0, 0], [1, 0]], [[1, 0], [1, 1]]],
+    ),
+    (
+        Q,
+        [[0, 2, 1], [2, 0, 3], [1, 3, 0]],
+        ["4", "-1", "-3"],
+        [["1", "-1/2", "-3/2"], ["1", "1/2", "-1/2"], ["0", "0", "1"]],
+    ),
+    (
+        Q,
+        [[1, 2, 3], [2, 4, 6], [3, 6, 9]],
+        ["1", "0", "0"],
+        [["1", "-2", "-3"], ["0", "1", "0"], ["0", "0", "1"]],
+    ),
+    (
+        Q,
+        [[1, Fraction(1, 2)], [Fraction(1, 2), -3]],
+        ["1", "-13/4"],
+        [["1", "-1/2"], ["0", "1"]],
+    ),
+]
+
+
+@pytest.mark.parametrize("field, gram, entries, basis", PINNED_DIAGONALIZATIONS)
+def test_diagonalize_pinned(field, gram, entries, basis):
+    got_entries, got_basis = diagonalize(QuadraticForm(field, gram))
+    assert [e.to_json() for e in got_entries] == entries
+    assert [[x.to_json() for x in row] for row in got_basis] == basis
+
+
+def test_diagonal_entries_cached_per_form():
+    form = QuadraticForm(F5, [[1, 2, 0], [2, 0, 1], [0, 1, 3]])
+    entries = _diagonal_entries(form)
+    assert _diagonal_entries(form) is entries
+    signed_discriminant(form)
+    witt_equal(form, form)
+    assert _diagonal_entries(form) is entries
+    # derived forms are new objects with entries of their own
+    for derived in (form.perp(hyperbolic_plane(F5)), form.scale(2), form.tensor(form)):
+        assert derived._entries is None
+        assert _diagonal_entries(derived) == tuple(diagonalize(derived)[0])
+    # the slot takes no part in equality, hashing or JSON
+    other = QuadraticForm(F5, form.gram)
+    assert other._entries is None
+    assert other == form and hash(other) == hash(form)
+    assert other.to_json() == form.to_json()
+    # diagonalize neither reads nor fills the slot
+    diagonalize(other)
+    assert other._entries is None
 
 
 def test_degenerate_form_rejected():

@@ -13,7 +13,12 @@ import random
 import pytest
 
 from wittforge import linalg
-from wittforge.errors import DegenerateForm, FieldMismatch, UnsupportedField
+from wittforge.errors import (
+    DegenerateForm,
+    DegenerateTraceForm,
+    FieldMismatch,
+    UnsupportedField,
+)
 from wittforge.fields import FieldSpec, find_irreducible
 from wittforge.quadforms import (
     QuadraticForm,
@@ -24,6 +29,7 @@ from wittforge.quadforms import (
 )
 from wittforge.transfer import (
     ExtensionDatum,
+    _class_summary,
     adjunction_data,
     base_change_check,
     cartan_isomorphism,
@@ -130,6 +136,60 @@ def test_trace_form_frozen():
 def test_trace_form_nondegenerate(ext):
     entries, _ = diagonalize(trace_form(ext))
     assert all(not e.is_zero() for e in entries)
+
+
+@pytest.mark.parametrize(
+    "ext",
+    [
+        ExtensionDatum(F27, F3),
+        ExtensionDatum(F81, F9),
+        DS2,
+        ExtensionDatum(F9, F3, basis=[F9.one(), F9.one() + F9.generator()]),
+        ExtensionDatum(QS2, Q, basis=[QS2.element([1, 1]), QS2.element([2, -1])]),
+    ],
+    ids=["F27/F3", "F81/F9", "Qsqrt2/Q", "F9/F3-custom", "Qsqrt2/Q-custom"],
+)
+def test_trace_form_is_full_trace_matrix(ext):
+    # oracle: every entry Tr(b_i b_j), read off the diagonal of its full
+    # multiplication matrix, lower triangle included
+    n = ext.degree
+    expected = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            m = ext.mult_matrix(ext.basis[i] * ext.basis[j])
+            row.append(sum((m[k][k] for k in range(n)), ext.bottom.zero()))
+        expected.append(row)
+    form = trace_form(ext)
+    assert form == QuadraticForm(ext.bottom, expected)
+    assert trace_form(ext) is form
+    assert form._entries is not None  # nondegeneracy was decided on these
+
+
+class _DegenerateTraceDatum(ExtensionDatum):
+    """A datum whose trace vanishes, as for an inseparable extension."""
+
+    __slots__ = ()
+
+    def trace(self, e):
+        return self.bottom.zero()
+
+
+def test_degenerate_trace_form_raises_on_every_call():
+    ext = _DegenerateTraceDatum(F9, F3)
+    for _ in range(2):
+        with pytest.raises(DegenerateTraceForm):
+            trace_form(ext)
+        with pytest.raises(DegenerateTraceForm):
+            scharlau_transfer(ext, QuadraticForm.diagonal(F9, [1]))
+    assert ext._trace_form is None
+
+
+def test_trace_form_cached_per_datum_not_per_field_pair():
+    ext = ExtensionDatum(F27, F3)
+    twin = ExtensionDatum(F27, F3)
+    assert twin == ext and trace_form(twin) is not trace_form(ext)
+    assert trace_form(twin) == trace_form(ext)
 
 
 def test_trace_field_mismatch():
@@ -492,6 +552,12 @@ def test_check_report_shape():
     blob = report.to_json()
     assert list(blob.keys()) == ["claim", "lhs", "rhs", "equal", "witness"]
     assert blob["equal"] is True
+
+
+def test_class_summary_surfaces_degenerate_forms():
+    assert _class_summary(QuadraticForm.diagonal(F3, [1, 1])) == {"dim": 2, "signed_disc": 2}
+    with pytest.raises(DegenerateForm):
+        _class_summary(QuadraticForm(F3, [[1, 1], [1, 1]]))
 
 
 def test_restrict_form():

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from wittforge.fields import FieldSpec
+from wittforge.errors import NotAField
+from wittforge.fields import FieldSpec, find_irreducible
 from wittforge.verify import (
     SUITES,
     VerificationReport,
@@ -103,3 +104,20 @@ def test_field_labels():
     assert field_label(F5) == "F5"
     assert field_label(extension_of(F5, 2)) == "F25"
     assert field_label(qsqrt(2)).startswith("Q[")  # falls back to the structural repr
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_extension_of_matches_the_checked_extension(p):
+    base = FieldSpec.Fp(p)
+    for d in range(2, 5):
+        assert extension_of(base, d) == FieldSpec.extension(base, find_irreducible(base, d))
+
+
+def test_reducible_user_modulus_still_rejected():
+    # only the searched moduli skip the irreducibility test
+    with pytest.raises(NotAField):
+        FieldSpec.extension(F5, [-1, 0, 1])
+    ext = FieldSpec.extension(F5, find_irreducible(F5, 2)).to_json()
+    ext["modulus"] = [4, 0, 1]  # x^2 - 1
+    with pytest.raises(NotAField):
+        FieldSpec.from_json(ext)
