@@ -21,14 +21,15 @@ paths.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
 from math import comb
 
-from . import linalg
 from .complexes import (
     ChainComplex,
     ChainMap,
     DualityDatum,
+    _transpose,
     adjunction_unit,
     associator,
     bidual_map,
@@ -130,17 +131,17 @@ def koszul_complex(k):
     """Contraction with the section; the term in degree i has rank C(d, i)."""
     ring, d = k.ring, k.rank
     terms = {i: comb(d, i) for i in range(d + 1)}
-    diffs = {}
+    mats = {}
     for i in range(1, d + 1):
         rows = _subset_index(d, i - 1)
-        mat = linalg.zeros(ring, comb(d, i - 1), comb(d, i))
+        mat = defaultdict(dict)
         for c, subset in enumerate(_subsets(d, i)):
             for pos, j in enumerate(subset):
                 rest = subset[:pos] + subset[pos + 1 :]
                 entry = k.section[j - 1]
                 mat[rows[rest]][c] = entry if pos % 2 == 0 else -entry
-        diffs[i] = mat
-    return ChainComplex(ring, terms, diffs)
+        mats[i] = mat
+    return ChainComplex._trusted(ring, terms, mats)
 
 
 class SymmetricSpace:
@@ -193,15 +194,15 @@ def koszul_form(k, kos=None):
         kos = koszul_complex(k)
     datum = k.duality()
     everything = set(range(1, d + 1))
-    comps = {}
+    mats = {}
     for i in range(d + 1):
         rows = _subset_index(d, d - i)
-        mat = linalg.zeros(ring, comb(d, d - i), comb(d, i))
+        mat = {}
         for u, subset in enumerate(_subsets(d, i)):
             other = tuple(sorted(everything - set(subset)))
-            mat[rows[other]][u] = ring.from_int(_shuffle_sign(subset, other))
-        comps[i] = mat
-    form = ChainMap(kos, dualize(kos, datum), comps)
+            mat[rows[other]] = {u: ring.from_int(_shuffle_sign(subset, other))}
+        mats[i] = mat
+    form = ChainMap._trusted(kos, dualize(kos, datum), mats)
     return SymmetricSpace(kos, datum, form)
 
 
@@ -212,9 +213,9 @@ def delta_map(k, kos=None, t=None):
         kos = koszul_complex(k)
     if t is None:
         t = tensor(kos, kos)
-    comps = {}
+    mats = {}
     for n in kos.terms:
-        mat = linalg.zeros(ring, kos.rank(n), t.rank(n))
+        mat = defaultdict(dict)
         rows = _subset_index(d, n)
         for i, j, _, rb, off in tensor_layout(kos, kos, n):
             for p, left in enumerate(_subsets(d, i)):
@@ -223,8 +224,8 @@ def delta_map(k, kos=None, t=None):
                     if sign:
                         merged = tuple(sorted(left + right))
                         mat[rows[merged]][off + p * rb + q] = ring.from_int(sign)
-        comps[n] = mat
-    return ChainMap(t, kos, comps)
+        mats[n] = mat
+    return ChainMap._trusted(t, kos, mats)
 
 
 def sigma_map(k, kos=None):
@@ -299,9 +300,10 @@ def split_iso(k, head, kos=None):
     a = koszul_complex(first)
     b = koszul_complex(second)
     t = tensor(a, b)
-    comps = {}
+    one = ring.one()
+    mats = {}
     for n in kos.terms:
-        mat = linalg.zeros(ring, t.rank(n), comb(d, n))
+        mat = {}
         offs = {(i, j): (off, rb) for i, j, _, rb, off in tensor_layout(a, b, n)}
         for u, subset in enumerate(_subsets(d, n)):
             low = tuple(x for x in subset if x <= head)
@@ -309,9 +311,9 @@ def split_iso(k, head, kos=None):
             off, rb = offs[(len(low), len(high))]
             p = _subset_index(head, len(low))[low]
             q = _subset_index(d - head, len(high))[high]
-            mat[off + p * rb + q][u] = ring.one()
-        comps[n] = mat
-    return ChainMap(kos, t, comps)
+            mat[off + p * rb + q] = {u: one}
+        mats[n] = mat
+    return ChainMap._trusted(kos, t, mats)
 
 
 def theta_multiplicative(k, head):
@@ -335,10 +337,10 @@ def theta_multiplicative(k, head):
 
 
 def _wedge_matrix(k, i):
-    """Wedging with the section, from the i-th to the (i+1)-st power."""
-    ring, d = k.ring, k.rank
+    """Wedging with the section, from the i-th to the (i+1)-st power (sparse)."""
+    d = k.rank
     rows = _subset_index(d, i + 1)
-    mat = linalg.zeros(ring, comb(d, i + 1), comb(d, i))
+    mat = defaultdict(dict)
     for c, subset in enumerate(_subsets(d, i)):
         for j in range(1, d + 1):
             if j in subset:
@@ -376,12 +378,12 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
     degree -d; anything else raises with the offending dimensions.
     """
     ring, d = k.ring, k.rank
-    middle = ChainComplex(
+    middle = ChainComplex._trusted(
         ring,
         {-i: comb(d, i) for i in range(d + 1)},
         {-i: _wedge_matrix(k, i) for i in range(d)},
     )
-    truncated = ChainComplex(
+    truncated = ChainComplex._trusted(
         ring,
         {-i: comb(d, i + 1) for i in range(d)},
         {-i: _wedge_matrix(k, i + 1) for i in range(d - 1)},
@@ -501,10 +503,8 @@ def split_factorization(k):
         split = (1,)
     else:
         iso = split_iso(k, d - 1, kos=kos)
-        inverse = ChainMap(
-            iso.target,
-            iso.source,
-            {n: linalg.transpose(iso.component(n)) for n in iso.components},
+        inverse = ChainMap._trusted(
+            iso.target, iso.source, {n: _transpose(iso._mats.get(n, {})) for n in iso.components}
         )
         form_factorizes = theta_multiplicative(k, d - 1)
         _, tail = split_datum(k, d - 1)

@@ -1,11 +1,12 @@
-"""Exact dense matrices as plain lists of lists.
+"""Exact matrix arithmetic over fields and polynomial rings.
 
-Entries are any ring values supporting ``+``, ``-``, ``*``, ``==`` and
-``is_zero()`` (field elements or multivariate polynomials).  Rank, inverse,
-and kernel computations additionally need exact division, so they take the
-field explicitly.  Multiplication skips zero entries: the matrices built by
-the transfer and Koszul modules are very sparse and this keeps the
-acceptance sweeps inside their runtime budgets.
+Matrices are plain lists of lists.  Entries are any ring values supporting
+``+``, ``-``, ``*``, ``==`` and ``is_zero()`` (field elements or multivariate
+polynomials).  Rank and inverse need exact division, so they take the field
+explicitly; :func:`rank` also takes sparse ``{column: entry}`` rows, the form
+in which graded pieces of complexes and Cech coboundaries are built.
+Multiplication skips zero entries: the transfer module's matrices are very
+sparse and this keeps the acceptance sweeps inside their runtime budgets.
 """
 
 from __future__ import annotations
@@ -26,18 +27,6 @@ def identity(ring, n):
 
 def shape(m):
     return (len(m), len(m[0]) if m else 0)
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
 
 
 def mat_scale(c, a):
@@ -80,10 +69,6 @@ def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def is_zero_matrix(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
 def kron(ring, a, b):
     """Kronecker product (used for tensor products of Gram matrices)."""
     ra, ca = shape(a)
@@ -118,40 +103,39 @@ def block_diag(ring, blocks):
 
 
 def rank(field, a):
-    """Rank over a field by sparse Gaussian elimination."""
-    rows = []
-    for row in a:
-        entries = {j: x for j, x in enumerate(row) if not x.is_zero()}
-        if entries:
-            rows.append(entries)
-    rk = 0
-    # eliminate column by column, preferring the sparsest available pivot row
-    while rows:
-        col = min(min(r) for r in rows)
-        pivots = [r for r in rows if col in r]
-        pivot = min(pivots, key=len)
-        rows.remove(pivot)
-        rk += 1
-        inv = pivot[col].inverse()
-        pivot = {j: inv * x for j, x in pivot.items()}
-        new_rows = []
-        for r in rows:
-            if col in r:
-                factor = r[col]
-                merged = dict(r)
-                for j, x in pivot.items():
-                    y = merged.get(j)
-                    val = -factor * x if y is None else y - factor * x
-                    if val.is_zero():
-                        merged.pop(j, None)
+    """Rank over a field by sparse Gaussian elimination.
+
+    Rows are dense lists or ``{column: entry}`` dicts of nonzero entries
+    (dense rows become dicts here; dict rows are copied, never changed).
+    Rows are reduced one at a time, sparsest first, against the pivot rows
+    found so far, which are kept by leading column with a leading 1.
+    """
+    rows = [
+        dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if not x.is_zero()}
+        for row in a
+    ]
+    rows.sort(key=len)
+    pivots = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = row[col].inverse()
+                pivots[col] = {j: inv * x for j, x in row.items()}
+                break
+            factor = row[col]
+            for j, x in pivot.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = -(factor * x)
+                else:
+                    y = y - factor * x
+                    if y.is_zero():
+                        del row[j]
                     else:
-                        merged[j] = val
-                if merged:
-                    new_rows.append(merged)
-            else:
-                new_rows.append(r)
-        rows = new_rows
-    return rk
+                        row[j] = y
+    return len(pivots)
 
 
 def inverse(field, a):
@@ -159,7 +143,7 @@ def inverse(field, a):
     n, m = shape(a)
     if n != m:
         return None
-    aug = [list(row) + list(identity(field, n)[i]) for i, row in enumerate(a)]
+    aug = [list(row) + unit for row, unit in zip(a, identity(field, n))]
     for col in range(n):
         pivot_row = None
         for i in range(col, n):

@@ -120,12 +120,15 @@ def _pattern_cohomology(field, r, negative):
             ranks[p] = 0
             continue
         index = {I: i for i, I in enumerate(cols)}
-        mat = linalg.zeros(field, len(rows), len(cols))
-        for where, I in enumerate(rows):
+        signs = (field.one(), field.from_int(-1))
+        mat = []
+        for I in rows:
+            row = {}
             for k in range(len(I)):
-                dropped = I[:k] + I[k + 1 :]
-                if dropped in index:
-                    mat[where][index[dropped]] = field.from_int(-1 if k % 2 else 1)
+                j = index.get(I[:k] + I[k + 1 :])
+                if j is not None:
+                    row[j] = signs[k % 2]
+            mat.append(row)
         ranks[p] = linalg.rank(field, mat)
     out = {}
     for p in range(r + 1):

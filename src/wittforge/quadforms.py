@@ -566,7 +566,8 @@ def _q_ternary_vector(entries):
     vec = [Fraction(int(s)) for s in sol]
     if all(v == 0 for v in vec):
         return None
-    assert sum(f * v * v for f, v in zip(entries, vec)) == 0
+    if sum(f * v * v for f, v in zip(entries, vec)) != 0:
+        raise Inconclusive(f"ternary descent returned a non-solution {vec} for {entries}")
     return vec
 
 
@@ -697,6 +698,10 @@ def witt_decompose(form):
     field = form.field
     if form.dim == 0:
         return WittClass(field, form, 0, certificate=[], source=form)
+    # one diagonalization serves the nondegeneracy check and the first split
+    entries, diag_basis = diagonalize(form)
+    if form._entries is None:
+        form._entries = tuple(entries)
     _check_nondegenerate(form)
     if field.kind == "Q":
         finder = lambda entries: _q_isotropic_vector([e.payload for e in entries])
@@ -715,16 +720,10 @@ def witt_decompose(form):
     gram = form.gram_rows()
     # current complement basis, as columns in original coordinates
     basis = linalg.identity(field, n)
+    subform = form
     pairs = []
 
     while True:
-        if not basis[0]:
-            break  # nothing left: the form was a sum of hyperbolic planes
-        sub = _restrict_gram(field, gram, basis)
-        subform = QuadraticForm(field, sub)
-        if subform.dim == 0:
-            break
-        entries, diag_basis = diagonalize(subform)
         vec_diag = wrap(finder(entries))
         if vec_diag is None:
             break
@@ -736,6 +735,10 @@ def witt_decompose(form):
             (linalg.mat_vec(field, basis, v), linalg.mat_vec(field, basis, u))
         )
         basis = linalg.mat_mul(field, basis, comp)
+        if not basis[0]:
+            break  # nothing left: the form was a sum of hyperbolic planes
+        subform = QuadraticForm(field, _restrict_gram(field, gram, basis))
+        entries, diag_basis = diagonalize(subform)
 
     if basis and basis[0]:
         aniso_gram = _restrict_gram(field, form.gram_rows(), basis)
@@ -777,7 +780,8 @@ def _hyperbolic_partner(form, v):
         if not b.is_zero():
             u0 = [x / b for x in e]
             break
-    assert u0 is not None, "isotropic vector is in the radical"
+    if u0 is None:
+        raise DegenerateForm("isotropic vector is in the radical")
     qu = form.evaluate(u0)
     half = field.from_int(2).inverse()
     # u = u0 - q(u0)/2 * v keeps b(v,u) = 1 and kills q(u)
@@ -804,7 +808,8 @@ def _orthogonal_complement(field, form, v, u):
     for c in projected:
         if linalg.rank(field, keep + [c]) > len(keep):
             keep.append(c)
-    assert len(keep) == n - 2
+    if len(keep) != n - 2:
+        raise RuntimeError(f"complement of a hyperbolic pair has rank {len(keep)}, not {n - 2}")
     if not keep:
         return [[] for _ in range(n)]  # n x 0
     return linalg.transpose(keep)

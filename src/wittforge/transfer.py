@@ -200,7 +200,8 @@ def scharlau_transfer(ext, q):
 
     The Gram matrix is assembled blockwise: the (a, c) block is
     T * M(G[a][c]) where T is the trace-form Gram and M the multiplication
-    matrix, since (T * M(e))[i][j] = Tr(b_i * e * b_j).
+    matrix, since (T * M(e))[i][j] = Tr(b_i * e * b_j).  G is symmetric, so
+    each block is computed for a <= c and written at (a, c) and (c, a).
     """
     if q.field != ext.top:
         raise FieldMismatch(f"form over {q.field}, expected {ext.top}")
@@ -212,14 +213,14 @@ def scharlau_transfer(ext, q):
     field = ext.bottom
     out = [[field.zero()] * (n * r) for _ in range(n * r)]
     for a in range(r):
-        for c in range(r):
+        for c in range(a, r):
             e = q.gram[a][c]
             if e.is_zero():
                 continue
             block = linalg.mat_mul(field, t_gram, ext.mult_matrix(e))
             for i in range(n):
                 for j in range(n):
-                    out[a * n + i][c * n + j] = block[i][j]
+                    out[a * n + i][c * n + j] = out[c * n + i][a * n + j] = block[i][j]
     return QuadraticForm(field, out)
 
 

@@ -171,12 +171,14 @@ def random_nondegenerate(field, rng, dim):
 
 
 def random_invertible(field, rng, n):
+    """A random invertible n x n matrix with small entries, and its inverse."""
     if n == 0:
-        return []
+        return [], []
     while True:
         m = [[field.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if linalg.inverse(field, m) is not None:
-            return m
+        inv = linalg.inverse(field, m)
+        if inv is not None:
+            return m, inv
 
 
 def random_complex(field, rng, lo=-1, hi=2, max_h=2, max_e=2):
@@ -192,6 +194,7 @@ def random_complex(field, rng, lo=-1, hi=2, max_h=2, max_e=2):
     h[force] = max(1, h[force])
     e = {n: rng.randint(0, max_e) for n in range(lo + 1, hi + 1)}
     terms = {n: h[n] + e.get(n, 0) + e.get(n + 1, 0) for n in range(lo, hi + 1)}
+    # degree n -> (P_n, P_n^-1)
     basis = {n: random_invertible(field, rng, r) for n, r in terms.items()}
     diffs = {}
     for n in range(lo + 1, hi + 1):
@@ -200,8 +203,8 @@ def random_complex(field, rng, lo=-1, hi=2, max_h=2, max_e=2):
         mat = linalg.zeros(field, terms[n - 1], terms[n])
         for k in range(e[n]):
             mat[h[n - 1] + e.get(n - 1, 0) + k][h[n] + k] = field.one()
-        inv = linalg.inverse(field, basis[n])
-        diffs[n] = linalg.mat_mul(field, linalg.mat_mul(field, basis[n - 1], mat), inv)
+        p_out, p_in_inv = basis[n - 1][0], basis[n][1]
+        diffs[n] = linalg.mat_mul(field, linalg.mat_mul(field, p_out, mat), p_in_inv)
     return ChainComplex(field, terms, diffs)
 
 

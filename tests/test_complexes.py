@@ -11,6 +11,8 @@ the frozen-matrix tests and every derived sign (shift, hom, dual, bidual)
 is pinned against them.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -34,18 +36,22 @@ from wittforge.complexes import (
     direct_sum,
     dualize,
     dualize_map,
+    duality_interchange,
     graded_homology_dims,
     graded_piece_dims,
     hom_complex,
+    hom_post,
     homology_dims,
     infer_grading,
     is_exact,
     is_quasi_isomorphism,
     left_unitor,
     right_unitor,
+    scale_map,
     shift,
     single,
     tensor,
+    tensor_map,
     two_term,
     unit_complex,
 )
@@ -60,6 +66,7 @@ from wittforge.errors import (
 )
 from wittforge.fields import FieldSpec
 from wittforge.polynomials import PolyRing
+from wittforge.verify import random_complex
 
 F5 = FieldSpec.Fp(5)
 F7 = FieldSpec.Fp(7)
@@ -186,6 +193,51 @@ def test_d_squared_enforced():
     ChainComplex(F5, {0: 1, 1: 1, 2: 1}, {1: [[1]], 2: [[0]]})
 
 
+def _sparse_of(ring, mat):
+    """{row: {col: entry}} of the nonzero entries, as the trusted constructors take them."""
+    return {
+        i: {j: ring.element(x) for j, x in enumerate(row) if not ring.element(x).is_zero()}
+        for i, row in enumerate(mat)
+    }
+
+
+def test_d_squared_caught_in_last_column_only():
+    # d1 . d2 vanishes on the first two columns of d2 and is 1 on the last
+    terms = {0: 1, 1: 3, 2: 3}
+    d1 = [[1, 1, 0]]
+    d2 = [[1, 0, 1], [-1, 0, 0], [0, 1, 0]]
+    with pytest.raises(NotAChainComplex):
+        ChainComplex(F5, terms, {1: d1, 2: d2})
+    with pytest.raises(NotAChainComplex):
+        ChainComplex._trusted(F5, terms, {1: _sparse_of(F5, d1), 2: _sparse_of(F5, d2)})
+    d2[0][2] = 0
+    ChainComplex(F5, terms, {1: d1, 2: d2})
+    # over a polynomial ring: only the monomial xy of the last column survives
+    x, y = RXY.variable("x"), RXY.variable("y")
+    terms = {0: 1, 1: 2, 2: 2}
+    d1 = [[x, y]]
+    d2 = [[y, y], [-x, 0]]
+    with pytest.raises(NotAChainComplex):
+        ChainComplex(RXY, terms, {1: d1, 2: d2})
+    with pytest.raises(NotAChainComplex):
+        ChainComplex._trusted(RXY, terms, {1: _sparse_of(RXY, d1), 2: _sparse_of(RXY, d2)})
+    d2[0][1] = RXY.zero()
+    ChainComplex(RXY, terms, {1: d1, 2: d2})
+
+
+def test_trusted_constructors_check_shapes():
+    one = F5.one()
+    with pytest.raises(NotAChainComplex):
+        ChainComplex._trusted(F5, {0: 1, 1: 1}, {1: {0: {1: one}}})
+    with pytest.raises(NotAChainComplex):
+        ChainComplex._trusted(F5, {0: 1, 1: 1}, {1: {1: {0: one}}})
+    with pytest.raises(NotAChainComplex):
+        ChainComplex._trusted(F5, {0: 1}, {5: {0: {0: one}}})
+    a = two_term(F5, [[1]])
+    with pytest.raises(NotAChainMap):
+        ChainMap._trusted(a, a, {0: {0: {0: one}}, 1: {0: {2: one}}})
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(NotAChainComplex):
         ChainComplex(F5, {0: 2, 1: 1}, {1: [[1]]})
@@ -215,6 +267,20 @@ def test_chain_map_must_commute():
     with pytest.raises(NotAChainMap):
         ChainMap(a, b, {0: [[1]], 1: [[1]]})
     ChainMap(a, b, {0: [[2]], 1: [[1]]})
+
+
+def test_chain_map_must_commute_polynomial():
+    x, y = RXY.variable("x"), RXY.variable("y")
+    a = kos1(RXY, "x")
+    b = two_term(RXY, [[x * y]])
+    ChainMap(a, b, {1: [[1]], 0: [[y]]})  # y . x = xy . 1
+    # x + y: the two sides differ in the monomial x^2 alone
+    for f0 in (x, x + y, 2 * y, RXY.zero()):
+        with pytest.raises(NotAChainMap):
+            ChainMap(a, b, {1: [[1]], 0: [[f0]]})
+        mats = {1: {0: {0: RXY.one()}}, 0: {0: {0: f0}} if not f0.is_zero() else {}}
+        with pytest.raises(NotAChainMap):
+            ChainMap._trusted(a, b, mats)
 
 
 def test_chain_map_identity_and_compose():
@@ -526,7 +592,7 @@ def test_cone_triangle_maps():
     # the composite B -> C(f) -> TA is zero
     comp = proj.compose(inc)
     for n in comp.components:
-        assert linalg.is_zero_matrix(comp.component(n))
+        assert all(x.is_zero() for row in comp.component(n) for x in row)
 
 
 def test_quasi_iso_iff_acyclic_cone():
@@ -624,6 +690,105 @@ def test_graded_euler_characteristic_conserved():
 def test_graded_needs_polynomial_ring():
     with pytest.raises(NotHomogeneous):
         infer_grading(unit_complex(F5))
+
+
+# ---------------------------------------------------------------------------
+# the sparse view and the public matrices
+# ---------------------------------------------------------------------------
+
+
+def _constructions():
+    """Complexes and maps from every construction, over F7 and Q[x, y]."""
+    rng = random.Random(2024)
+    a, b = random_complex(F7, rng), random_complex(F7, rng)
+    x, y = RXY.variable("x"), RXY.variable("y")
+    kx, ky = kos1(RXY, "x"), kos1(RXY, "y")
+    kxy = tensor(kx, ky)
+    datum = DualityDatum(F7, 3, 1)
+    f = ChainMap(kx, two_term(RXY, [[x * y]]), {1: [[1]], 0: [[y]]})
+    unit_line = DualityDatum(RXY, 1, 1)
+    return {
+        "tensor": tensor(a, b),
+        "hom": hom_complex(a, b),
+        "shift": shift(a, 3),
+        "sum": direct_sum(a, b),
+        "dual": dualize(a, datum),
+        "cone_id": cone(ChainMap.identity(a)),
+        "kxy": kxy,
+        "hom_kxy": hom_complex(kxy, kxy),
+        "assoc": associator(kx, ky, kx),
+        "tensor_map": tensor_map(f, ChainMap.identity(ky)),
+        "unit": adjunction_unit(kx, ky),
+        "counit": adjunction_counit(kx, ky),
+        "hom_post": hom_post(ky, f),
+        "bidual": bidual_map(a, datum),
+        "dual_map": dualize_map(bidual_map(a, datum), datum),
+        "interchange": duality_interchange(kx, ky, unit_line, unit_line),
+        "cone_f": cone(f),
+        "cone_maps": cone_with_maps(f)[1:],
+        "unitors": (left_unitor(kxy), right_unitor(kxy)),
+        "scale": scale_map(f, 0),
+        "compose": f.compose(ChainMap.identity(kx)),
+    }
+
+
+#: sha256 prefixes of the JSON of each construction: the public dense form,
+#: zero chain-map components included, must not change with the internals
+CONSTRUCTION_DIGESTS = {
+    "tensor": "b9a485b77fd107b4",
+    "hom": "ae85c26ee4631278",
+    "shift": "065b04639ab21425",
+    "sum": "efc06f04d140cd09",
+    "dual": "f7f6d3f64d66ef95",
+    "cone_id": "06d199a8aea96273",
+    "kxy": "7506489e6074fef8",
+    "hom_kxy": "6c92370c31175042",
+    "assoc": "ca66c2157c64c3f3",
+    "tensor_map": "4ed5fc37f93a7640",
+    "unit": "9d44653121a342fa",
+    "counit": "14790c973604a0dd",
+    "hom_post": "7346b1e00c3bfac8",
+    "bidual": "4c9bef6ffc0d6bb5",
+    "dual_map": "162b235cfcf3f8c0",
+    "interchange": "39b5cad3ac8905e5",
+    "cone_f": "4f1acee9045610d1",
+    "cone_maps": "4b83044f36765fb0",
+    "unitors": "cbd9f030565c32ee",
+    "scale": "f69c94beb825d3f3",
+    "compose": "e8595a5fe3f37edd",
+}
+
+
+def _digest(obj):
+    j = [o.to_json() for o in obj] if isinstance(obj, tuple) else obj.to_json()
+    return hashlib.sha256(json.dumps(j, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _nonzeros(mat):
+    out = {}
+    for i, row in enumerate(mat):
+        entries = {j: x for j, x in enumerate(row) if not x.is_zero()}
+        if entries:
+            out[i] = entries
+    return out
+
+
+def test_constructions_keep_their_public_form():
+    built = _constructions()
+    assert {name: _digest(obj) for name, obj in built.items()} == CONSTRUCTION_DIGESTS
+
+
+def test_sparse_view_is_the_nonzeros_of_the_public_matrices():
+    for obj in _constructions().values():
+        for item in obj if isinstance(obj, tuple) else (obj,):
+            if isinstance(item, ChainComplex):
+                assert item._mats == {n: _nonzeros(m) for n, m in item.diffs.items()}
+                assert ChainComplex(item.ring, item.terms, item.diffs)._mats == item._mats
+            else:
+                nonzero = {n: _nonzeros(m) for n, m in item.components.items()}
+                assert item._mats == {n: m for n, m in nonzero.items() if m}
+                rebuilt = ChainMap(item.source, item.target, item.components)
+                assert rebuilt == item and rebuilt.components == item.components
 
 
 # ---------------------------------------------------------------------------

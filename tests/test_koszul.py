@@ -8,12 +8,15 @@ rather than sliding through.  Sections need not be regular for any of the
 algebra; regularity only enters the graded exactness certificates.
 """
 
+import hashlib
+import json
 import random
 from math import comb
 
 import pytest
 
 from wittforge import linalg
+from wittforge.cli import parse_poly
 from wittforge.complexes import (
     ChainMap,
     cone,
@@ -218,7 +221,7 @@ def test_sigma_is_top_projection():
         sigma = sigma_map(k)
         assert sigma.component(d) == [[RINGS[d].one()]]
         for n in range(d):
-            assert linalg.is_zero_matrix(sigma.component(n))
+            assert all(x.is_zero() for row in sigma.component(n) for x in row)
 
 
 def test_sigma_delta_top_pairing_matches_form():
@@ -401,6 +404,78 @@ def test_augmented_complex_exact_over_prime_field():
     k = KoszulDatum(ring, [ring.variable("x"), ring.variable("y")])
     socle = trace_diagram(k, bound=4).certificate["socle_dims"]
     assert socle == {-2: 1}
+
+
+R3 = PolyRing(Q, ("x", "y", "z"))
+
+#: graded_homology_dims(Kos(section), 6) by section: a regular one and
+#: dependent ones, whose homology spreads over both homological degrees
+PINNED_GRADED_HOMOLOGY = {
+    "x,x": [
+        ((0, 0), 1), ((0, 1), 2), ((0, 2), 3), ((0, 3), 4), ((0, 4), 5), ((0, 5), 6),
+        ((0, 6), 7), ((1, 1), 1), ((1, 2), 2), ((1, 3), 3), ((1, 4), 4), ((1, 5), 5),
+        ((1, 6), 6),
+    ],
+    "x*y,x*z": [
+        ((0, 0), 1), ((0, 1), 3), ((0, 2), 4), ((0, 3), 5), ((0, 4), 6), ((0, 5), 7),
+        ((0, 6), 8), ((1, 3), 1), ((1, 4), 2), ((1, 5), 3), ((1, 6), 4),
+    ],
+    "x,y,x": [((0, t), 1) for t in range(7)] + [((1, t), 1) for t in range(1, 7)],
+    "x^2,x*y,y^2": [
+        ((0, 0), 1), ((0, 1), 3), ((0, 2), 3), ((0, 3), 3), ((0, 4), 3), ((0, 5), 3),
+        ((0, 6), 3), ((1, 3), 2), ((1, 4), 3), ((1, 5), 3), ((1, 6), 3),
+    ],
+    "x,y,z,x+y": [((0, 0), 1), ((1, 1), 1)],
+}
+
+
+@pytest.mark.parametrize("section", sorted(PINNED_GRADED_HOMOLOGY))
+def test_graded_homology_pinned(section):
+    kos = koszul_complex(KoszulDatum(R3, [parse_poly(R3, s) for s in section.split(",")]))
+    assert sorted(graded_homology_dims(kos, 6).items()) == PINNED_GRADED_HOMOLOGY[section]
+
+
+def test_graded_homology_pinned_over_prime_field():
+    ring = PolyRing(F5, ("x", "y"))
+    x, y = ring.variable("x"), ring.variable("y")
+    kos = koszul_complex(KoszulDatum(ring, [x * x, x * y, 3 * y]))
+    expected = [((0, 0), 1), ((0, 1), 1), ((1, 2), 1), ((1, 3), 1)]
+    assert sorted(graded_homology_dims(kos, 5).items()) == expected
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_graded_homology_of_coordinate_koszul_pinned(d):
+    k = coordinates(d)
+    assert graded_homology_dims(koszul_complex(k), 6) == {(0, 0): 1}
+    assert graded_homology_dims(trace_diagram(k).middle, 6) == {(-d, -d): 1}
+
+
+#: sha256 prefixes of the JSON of the Koszul constructions
+KOSZUL_DIGESTS = {
+    "kos2": "24b148cf580f9405",
+    "form2": "591d7725edd8a55d",
+    "delta2": "9f8c8891be96d2df",
+    "split3": "a851ba215ba1a8be",
+    "xmap2": "591d7725edd8a55d",
+    "middle3": "2374d0813081e85d",
+}
+
+
+def test_koszul_constructions_keep_their_public_form():
+    k2 = coordinates(2)
+    built = {
+        "kos2": koszul_complex(k2),
+        "form2": koszul_form(k2).form,
+        "delta2": delta_map(k2),
+        "split3": split_iso(coordinates(3), 1),
+        "xmap2": x_map(k2),
+        "middle3": trace_diagram(coordinates(3)).middle,
+    }
+    digests = {
+        name: hashlib.sha256(json.dumps(obj.to_json(), sort_keys=True).encode()).hexdigest()[:16]
+        for name, obj in built.items()
+    }
+    assert digests == KOSZUL_DIGESTS
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,57 @@ def test_witt_decompose_certificates_finite(field):
         assert again.anisotropic.dim == wc.anisotropic.dim
 
 
+#: witt_decompose's anisotropic Gram, hyperbolic count and certificate for
+#: fixed forms: `witt decompose --json` prints the certificate
+PINNED_DECOMPOSITIONS = [
+    (F3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [[2]], 1, [[2, 0, 2], [0, 2, 1], [0, 0, 1]]),
+    (
+        F7,
+        [[1, 2, 0, 3], [2, 0, 1, 0], [0, 1, 3, 5], [3, 0, 5, 6]],
+        [[5, 0], [0, 6]],
+        1,
+        [[0, 1, 3, 0], [4, 5, 2, 2], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ),
+    (
+        Q,
+        [[0, 2, 1], [2, 0, 3], [1, 3, 0]],
+        [["-3"]],
+        1,
+        [["0", "1/4", "-3/2"], ["2", "0", "-1/2"], ["0", "0", "1"]],
+    ),
+    (
+        Q,
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+        [],
+        2,
+        [
+            ["1", "1/2", "0", "0"],
+            ["0", "0", "1", "1/2"],
+            ["1", "-1/2", "0", "0"],
+            ["0", "0", "1", "-1/2"],
+        ],
+    ),
+    (
+        Q,
+        [[2, 1, 0], [1, -3, 1], [0, 1, 5]],
+        [["37"]],
+        1,
+        [["-4", "9/98", "46/7"], ["22", "-11/98", "-92/7"], ["14", "-1/14", "-9"]],
+    ),
+]
+
+
+@pytest.mark.parametrize("field, gram, aniso, hyperbolic, certificate", PINNED_DECOMPOSITIONS)
+def test_witt_decompose_pinned(field, gram, aniso, hyperbolic, certificate):
+    form = QuadraticForm(field, gram)
+    wc = witt_decompose(form)
+    assert wc.to_json()["anisotropic"]["gram"] == aniso
+    assert wc.hyperbolic == hyperbolic
+    assert [[x.to_json() for x in row] for row in wc.certificate] == certificate
+    # the first diagonalization doubles as the nondegeneracy check and is kept
+    assert form._entries == tuple(diagonalize(form)[0])
+
+
 def test_hyperbolic_plane_is_trivial():
     for field in (F3, F5, F9):
         wc = witt_decompose(hyperbolic_plane(field))

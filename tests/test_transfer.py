@@ -244,6 +244,22 @@ def test_transfer_preserves_nondegeneracy(ext):
         assert all(not e.is_zero() for e in entries)
 
 
+@pytest.mark.parametrize("ext", [D93, ExtensionDatum(F27, F3), D813, DS2], ids=repr)
+def test_transfer_gram_is_the_trace_of_each_pair(ext):
+    # on the basis b_i e_a the transfer's Gram is Tr(b_i b_j G[a][c]); a full
+    # symmetric G puts the same block at (a, c) and (c, a)
+    rng = random.Random(57)
+    q = random_nondegenerate(ext.top, rng, 3)
+    assert any(not q.gram[a][c].is_zero() for a in range(3) for c in range(a + 1, 3))
+    n = ext.degree
+    t = scharlau_transfer(ext, q)
+    for a in range(3):
+        for c in range(3):
+            for i, bi in enumerate(ext.basis):
+                for j, bj in enumerate(ext.basis):
+                    assert t.gram[a * n + i][c * n + j] == ext.trace(bi * bj * q.gram[a][c])
+
+
 def test_transfer_is_additive_blockwise():
     rng = random.Random(33)
     q1 = random_nondegenerate(F9, rng, 2)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wittforge import linalg
 from wittforge.errors import NotAField
 from wittforge.fields import FieldSpec, find_irreducible
 from wittforge.verify import (
@@ -14,6 +15,7 @@ from wittforge.verify import (
     field_label,
     qsqrt,
     random_complex,
+    random_invertible,
     run_all,
     run_suite,
 )
@@ -92,6 +94,15 @@ def test_random_complex_varies_and_is_valid():
         assert any(cx.terms.values())
         shapes.add(tuple(sorted(cx.terms.items())))
     assert len(shapes) > 5
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_random_invertible_returns_its_inverse(field):
+    rng = random.Random(41)
+    assert random_invertible(field, rng, 0) == ([], [])
+    for n in (1, 2, 4):
+        m, inv = random_invertible(field, rng, n)
+        assert linalg.mat_eq(linalg.mat_mul(field, m, inv), linalg.identity(field, n))
 
 
 def test_extension_cache_returns_identical_objects():
