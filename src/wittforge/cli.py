@@ -56,7 +56,6 @@ from .transfer import (
     base_change_check,
     projection_formula_check,
     scharlau_transfer,
-    trace,
     trace_form,
     transfer_compose_check,
 )
@@ -338,7 +337,7 @@ def cmd_witt_hilbert(args):
 def cmd_transfer_trace(args):
     ext = parse_extension(args.ext)
     value = parse_element(ext.top, args.value)
-    out = trace(ext, value)
+    out = ext.trace(value)
     _emit(
         args,
         {"ext": args.ext, "value": value.to_json(), "trace": out.to_json()},

@@ -5,13 +5,22 @@ prime field ``Fp``, or a simple extension ``ext`` of another spec by a monic
 irreducible modulus.  Extensions may be stacked into towers; the absolute
 degree of a tower is capped at :data:`MAX_TOWER_DEGREE`.
 
-Elements are immutable :class:`FieldElement` values carrying their spec.
-The payload conventions are:
+Elements are immutable :class:`FieldElement` values carrying their spec and
+a raw payload:
 
 * ``Q``    -- a ``fractions.Fraction``
 * ``Fp``   -- an ``int`` in ``[0, p)``
-* ``ext``  -- a tuple of base-field elements ``(c0, ..., c_{n-1})``, the
+* ``ext``  -- a tuple ``(c0, ..., c_{n-1})`` of the base field's *raw*
+  payloads (nested tuples in a tower, never boxed elements), the
   coordinates in the power basis ``1, a, ..., a^{n-1}`` of the generator.
+
+Every payload is canonical (reduced ints, fixed-length tuples), so payloads
+compare and hash by value.  Each spec derives one arithmetic kernel for its
+kind when it is built (private slot ``_kernel``); element operations run the
+kernel on payloads and box only their result.  Extension products are
+schoolbook products reduced once by the monic modulus (over F_p the integer
+sums are reduced mod p once, at the end), and inverses run the extended
+Euclidean algorithm on raw coefficient lists.
 
 Characteristic 2 is rejected at construction time: every quadratic-form
 routine downstream assumes ``2`` is invertible.
@@ -20,6 +29,7 @@ routine downstream assumes ``2`` is invertible.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,7 +60,7 @@ class FieldSpec:
     :meth:`extension` rather than the constructor.
     """
 
-    __slots__ = ("kind", "p", "base", "modulus", "_hash")
+    __slots__ = ("kind", "p", "base", "modulus", "_hash", "_kernel")
 
     is_field = True
 
@@ -60,6 +70,16 @@ class FieldSpec:
         self.base = base
         self.modulus = modulus
         self._hash = None
+        if kind == "Q":
+            self._kernel = _rational_kernel()
+        elif kind == "Fp":
+            self._kernel = _prime_kernel(p)
+        else:
+            self._kernel = _extension_kernel(base._kernel, tuple(c.payload for c in modulus))
+
+    def __reduce__(self):
+        # the kernel holds closures, so pickle and copy rebuild it
+        return (FieldSpec, (self.kind, self.p, self.base, self.modulus))
 
     # -- construction -------------------------------------------------
 
@@ -139,19 +159,13 @@ class FieldSpec:
     # -- elements -----------------------------------------------------
 
     def zero(self):
-        return self.from_int(0)
+        return FieldElement(self, self._kernel.zero)
 
     def one(self):
-        return self.from_int(1)
+        return FieldElement(self, self._kernel.one)
 
     def from_int(self, n):
-        if self.kind == "Q":
-            return FieldElement(self, Fraction(n))
-        if self.kind == "Fp":
-            return FieldElement(self, n % self.p)
-        payload = [self.base.from_int(n)]
-        payload += [self.base.zero()] * (self.degree - 1)
-        return FieldElement(self, tuple(payload))
+        return FieldElement(self, self._kernel.from_int(n))
 
     def element(self, value):
         """Coerce ``value`` (element, int, Fraction, str, coefficient list)."""
@@ -160,8 +174,7 @@ class FieldSpec:
                 return value
             if self.kind == "ext":
                 # constants lift from anywhere in the tower below
-                lifted = embed(value, self)
-                return lifted
+                return embed(value, self)
             raise FieldMismatch(f"cannot coerce element of {value.spec} into {self}")
         if isinstance(value, bool):
             raise TypeError("bool is not a field element")
@@ -184,18 +197,16 @@ class FieldSpec:
                 raise TypeError(f"coefficient arrays only coerce into extensions, not {self}")
             if len(value) > self.degree:
                 raise ValueError("coefficient array longer than extension degree")
-            payload = [self.base.element(c) for c in value]
-            payload += [self.base.zero()] * (self.degree - len(payload))
-            return FieldElement(self, tuple(payload))
+            payload = tuple([self.base.element(c).payload for c in value])
+            return FieldElement(self, payload + self._kernel.zero[len(payload) :])
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def generator(self):
         """The class of x in base[x]/(modulus)."""
         if self.kind != "ext":
             raise UnsupportedField(f"{self} has no generator")
-        payload = [self.base.zero()] * self.degree
-        payload[1] = self.base.one()
-        return FieldElement(self, tuple(payload))
+        zero = self._kernel.zero
+        return FieldElement(self, zero[:1] + (self.base._kernel.one,) + zero[2:])
 
     def elements(self):
         """Iterate every element (finite fields only, deterministic order)."""
@@ -207,7 +218,8 @@ class FieldSpec:
             for n in range(self.p):
                 yield self.from_int(n)
         else:
-            for payload in itertools.product(self.base.elements(), repeat=self.degree):
+            coefficients = [x.payload for x in self.base.elements()]
+            for payload in itertools.product(coefficients, repeat=self.degree):
                 yield FieldElement(self, payload)
 
     def random_element(self, rng):
@@ -216,7 +228,7 @@ class FieldSpec:
         if self.kind == "Fp":
             return self.from_int(rng.randrange(self.p))
         return FieldElement(
-            self, tuple(self.base.random_element(rng) for _ in range(self.degree))
+            self, tuple([self.base.random_element(rng).payload for _ in range(self.degree)])
         )
 
     def random_nonzero(self, rng):
@@ -232,22 +244,13 @@ class FieldSpec:
             return True
         if not isinstance(other, FieldSpec):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "Q":
-            return True
-        if self.kind == "Fp":
-            return self.p == other.p
-        return self.base == other.base and self.modulus == other.modulus
+        return (self.kind, self.p, self.base, self.modulus) == (
+            other.kind, other.p, other.base, other.modulus
+        )
 
     def __hash__(self):
         if self._hash is None:
-            if self.kind == "Q":
-                self._hash = hash(("Q",))
-            elif self.kind == "Fp":
-                self._hash = hash(("Fp", self.p))
-            else:
-                self._hash = hash(("ext", self.base, self.modulus))
+            self._hash = hash((self.kind, self.p, self.base, self.modulus))
         return self._hash
 
     def __repr__(self):
@@ -303,7 +306,9 @@ class FieldElement:
     """An immutable element of a :class:`FieldSpec`.
 
     Arithmetic mixes freely with ``int``; everything else must already live
-    over the same spec (a :class:`FieldMismatch` is raised otherwise).
+    over the same spec (a :class:`FieldMismatch` is raised otherwise).  Each
+    operator runs its spec's kernel on the raw payloads; ``_mixed`` coerces
+    only when the other operand is not an element of the same spec object.
     """
 
     __slots__ = ("spec", "payload")
@@ -313,136 +318,91 @@ class FieldElement:
         self.payload = payload
 
     def is_zero(self):
-        if self.spec.kind == "Q":
-            return self.payload == 0
-        if self.spec.kind == "Fp":
-            return self.payload == 0
-        return all(c.is_zero() for c in self.payload)
+        return self.spec._kernel.is_zero(self.payload)
 
-    def _coerce(self, other):
+    def _mixed(self, other, op, reflected=False):
+        """``op`` after coercing ``other`` into this spec: every operator's slow path."""
         if isinstance(other, FieldElement):
             if other.spec != self.spec:
                 raise FieldMismatch(f"{self.spec} vs {other.spec}")
-            return other
-        if isinstance(other, int):
-            return self.spec.from_int(other)
-        return NotImplemented
+            other = FieldElement(self.spec, other.payload)
+        elif isinstance(other, int):
+            other = self.spec.from_int(other)
+        else:
+            return NotImplemented
+        return op(other, self) if reflected else op(self, other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        k = self.spec.kind
-        if k == "Q":
-            return FieldElement(self.spec, self.payload + other.payload)
-        if k == "Fp":
-            return FieldElement(self.spec, (self.payload + other.payload) % self.spec.p)
-        return FieldElement(
-            self.spec, tuple(a + b for a, b in zip(self.payload, other.payload))
-        )
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            return self._mixed(other, operator.add)
+        return FieldElement(spec, spec._kernel.add(self.payload, other.payload))
 
     __radd__ = __add__
 
     def __neg__(self):
-        k = self.spec.kind
-        if k == "Q":
-            return FieldElement(self.spec, -self.payload)
-        if k == "Fp":
-            return FieldElement(self.spec, (-self.payload) % self.spec.p)
-        return FieldElement(self.spec, tuple(-c for c in self.payload))
+        return FieldElement(self.spec, self.spec._kernel.neg(self.payload))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            return self._mixed(other, operator.sub)
+        return FieldElement(spec, spec._kernel.sub(self.payload, other.payload))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return self._mixed(other, operator.sub, reflected=True)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        k = self.spec.kind
-        if k == "Q":
-            return FieldElement(self.spec, self.payload * other.payload)
-        if k == "Fp":
-            return FieldElement(self.spec, (self.payload * other.payload) % self.spec.p)
-        prod = _poly_mul(self.spec.base, self.payload, other.payload)
-        rem = _poly_mod(self.spec.base, prod, self.spec.modulus)
-        return FieldElement(self.spec, _pad(self.spec.base, rem, self.spec.degree))
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            return self._mixed(other, operator.mul)
+        return FieldElement(spec, spec._kernel.mul(self.payload, other.payload))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError(f"zero has no inverse in {self.spec}")
-        k = self.spec.kind
-        if k == "Q":
-            return FieldElement(self.spec, 1 / self.payload)
-        if k == "Fp":
-            return FieldElement(self.spec, pow(self.payload, -1, self.spec.p))
-        # extended Euclid in base[x] against the (irreducible) modulus
-        base, mod = self.spec.base, self.spec.modulus
-        g, s, _ = _poly_xgcd(base, _poly_trim(self.payload), mod)
-        # g is a unit (degree 0) because the modulus is irreducible
-        lead_inv = g[0].inverse()
-        inv = tuple(c * lead_inv for c in s)
-        inv = _poly_mod(base, inv, mod)
-        return FieldElement(self.spec, _pad(base, inv, self.spec.degree))
+        return FieldElement(self.spec, self.spec._kernel.inv(self.payload))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldElement or other.spec is not self.spec:
+            return self._mixed(other, operator.truediv)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        return self._mixed(other, operator.truediv, reflected=True)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.spec.one()
-        square = self
+        kernel = self.spec._kernel
+        result, square = kernel.one, self.payload
         while n:
             if n & 1:
-                result = result * square
-            square = square * square
+                result = kernel.mul(result, square)
             n >>= 1
-        return result
+            if n:
+                square = kernel.mul(square, square)
+        return FieldElement(self.spec, result)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.spec.from_int(other)
+            return self.payload == self.spec._kernel.from_int(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self.payload == other.payload
+        return self.payload == other.payload and self.spec == other.spec
 
     def __hash__(self):
         return hash((self.spec, self.payload))
 
     def __repr__(self):
         if self.spec.kind == "ext":
-            return "[" + ", ".join(repr(c) for c in self.payload) + "]"
+            base = self.spec.base
+            return "[" + ", ".join(repr(FieldElement(base, c)) for c in self.payload) + "]"
         return str(self.payload)
-
-    def sort_key(self):
-        """A deterministic total order key (used for canonical choices)."""
-        if self.spec.kind == "Q":
-            return (self.payload.numerator, self.payload.denominator)
-        if self.spec.kind == "Fp":
-            return (self.payload,)
-        return tuple(c.sort_key() for c in self.payload)
 
     def to_json(self):
         if self.spec.kind == "Q":
@@ -450,7 +410,128 @@ class FieldElement:
             return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
         if self.spec.kind == "Fp":
             return self.payload
-        return [c.to_json() for c in self.payload]
+        return [FieldElement(self.spec.base, c).to_json() for c in self.payload]
+
+
+# ---------------------------------------------------------------------------
+# arithmetic kernels on raw payloads, one per field kind
+# ---------------------------------------------------------------------------
+
+
+class _Kernel:
+    """The arithmetic of one field on raw payloads.
+
+    The operations are callables stored on the instance (builtins, or
+    closures over p and the modulus), so a call is one attribute load and no
+    method binding.
+    """
+
+    __slots__ = ("zero", "one", "is_zero", "from_int", "add", "sub", "mul", "neg", "inv")
+
+
+def _rational_kernel():
+    """Arithmetic on ``Fraction`` payloads."""
+    k = _Kernel()
+    k.zero, k.one, k.from_int = Fraction(0), Fraction(1), Fraction
+    # a truth test: Fraction.__bool__ is far cheaper than == against Fraction(0)
+    k.is_zero = operator.not_
+    k.add, k.sub, k.mul, k.neg = operator.add, operator.sub, operator.mul, operator.neg
+    k.inv = Fraction(1).__truediv__
+    return k
+
+
+def _prime_kernel(p):
+    """Arithmetic on ``int`` payloads in ``[0, p)``."""
+    k = _Kernel()
+    k.zero, k.one, k.is_zero = 0, 1, operator.not_
+    k.from_int = p.__rmod__  # n -> n % p
+    k.add = lambda a, b: (a + b) % p
+    k.sub = lambda a, b: (a - b) % p
+    k.mul = lambda a, b: a * b % p
+    k.neg = lambda a: -a % p
+    k.inv = lambda a: pow(a, -1, p)
+    return k
+
+
+def _extension_kernel(base, modulus):
+    """Arithmetic on coefficient tuples of ``base`` payloads modulo a monic modulus.
+
+    Products accumulate with ``acc_add``/``acc_mul`` and pass each
+    coefficient through ``settle`` once: over a prime base (int payloads)
+    these are plain int operations and a single reduction mod p; over any
+    other base they are the base kernel's own operations.
+
+    Payload tuples are built from lists: ``tuple()`` of a bare iterator
+    over-allocates and then resizes, bypassing CPython's per-size tuple free
+    lists, which the freed payloads then fill and keep allocated.
+    """
+    n = len(modulus) - 1
+    is_zero = base.is_zero
+    # x^n = -(m_0 + m_1 x + ... + m_{n-1} x^{n-1}): the nonzero terms of that tail
+    tail = tuple((i, base.neg(c)) for i, c in enumerate(modulus[:n]) if not is_zero(c))
+    if type(base.zero) is int:
+        acc_add, acc_mul, settle = operator.add, operator.mul, base.from_int
+    else:
+        acc_add, acc_mul, settle = base.add, base.mul, None
+
+    def mul(a, b):
+        """Schoolbook product, then one reduction by the monic modulus."""
+        prod = [base.zero] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if not is_zero(x):
+                for j, y in enumerate(b, i):
+                    prod[j] = acc_add(prod[j], acc_mul(x, y))
+        for j in range(2 * n - 2, n - 1, -1):
+            c = prod[j] if settle is None else settle(prod[j])
+            if not is_zero(c):
+                for i, t in tail:
+                    prod[j - n + i] = acc_add(prod[j - n + i], acc_mul(c, t))
+        return tuple(prod[:n] if settle is None else list(map(settle, prod[:n])))
+
+    def inv(a):
+        """Extended Euclid against the modulus, on raw coefficient lists.
+
+        Both remainders keep r = s*a (mod modulus); once r1 is a nonzero
+        constant, s1 / r1 is the inverse.
+        """
+        r0, r1 = list(modulus), _trim_raw(list(a), is_zero)
+        s0, s1 = [], [base.one]
+        while len(r1) > 1:
+            lead_inv = base.inv(r1[-1])
+            while len(r0) >= len(r1):
+                c, k = base.mul(r0[-1], lead_inv), len(r0) - len(r1)
+                r0, s0 = _sub_shifted(base, r0, c, k, r1), _sub_shifted(base, s0, c, k, s1)
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        if not r1:
+            raise ZeroDivisionError("not invertible: the modulus is reducible")
+        c = base.inv(r1[0])
+        return tuple([base.mul(c, x) for x in s1]) + kernel.zero[len(s1) :]
+
+    kernel = _Kernel()
+    kernel.zero = (base.zero,) * n
+    kernel.one = (base.one,) + kernel.zero[1:]
+    kernel.is_zero = lambda a: all(map(is_zero, a))
+    kernel.from_int = lambda m: (base.from_int(m),) + kernel.zero[1:]
+    kernel.add = lambda a, b: tuple(list(map(base.add, a, b)))
+    kernel.sub = lambda a, b: tuple(list(map(base.sub, a, b)))
+    kernel.neg = lambda a: tuple(list(map(base.neg, a)))
+    kernel.mul, kernel.inv = mul, inv
+    return kernel
+
+
+def _sub_shifted(base, f, c, k, g):
+    """f - c * x^k * g on lists of raw coefficients over ``base``, trimmed."""
+    f = f + [base.zero] * (k + len(g) - len(f))
+    for i, y in enumerate(g, k):
+        f[i] = base.sub(f[i], base.mul(c, y))
+    return _trim_raw(f, base.is_zero)
+
+
+def _trim_raw(coeffs, is_zero):
+    """Drop trailing zero payloads from a list, in place."""
+    while coeffs and is_zero(coeffs[-1]):
+        coeffs.pop()
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +547,8 @@ def _poly_trim(coeffs):
     return coeffs[:n]
 
 
-def _pad(base, coeffs, length):
-    coeffs = tuple(coeffs)
-    return coeffs + (base.zero(),) * (length - len(coeffs))
-
-
 def poly_add(base, f, g):
-    n = max(len(f), len(g))
-    f = _pad(base, f, n)
-    g = _pad(base, g, n)
-    return _poly_trim(a + b for a, b in zip(f, g))
+    return _poly_trim(a + b for a, b in itertools.zip_longest(f, g, fillvalue=base.zero()))
 
 
 def poly_scale(base, c, f):
@@ -494,10 +567,6 @@ def _poly_mul(base, f, g):
         for j, b in enumerate(g):
             out[i + j] = out[i + j] + a * b
     return _poly_trim(out)
-
-
-def poly_mul(base, f, g):
-    return _poly_mul(base, f, g)
 
 
 def poly_divmod(base, f, g):
@@ -534,19 +603,6 @@ def _poly_powmod(base, f, n, mod):
         if n:
             square = _poly_mod(base, _poly_mul(base, square, square), mod)
     return result
-
-
-def _poly_xgcd(base, f, g):
-    """Extended gcd: returns (gcd, s, t) with s*f + t*g = gcd."""
-    r0, r1 = _poly_trim(f), _poly_trim(g)
-    s0, s1 = (base.one(),), ()
-    t0, t1 = (), (base.one(),)
-    while r1:
-        q, r = poly_divmod(base, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_add(base, s0, poly_scale(base, base.from_int(-1), _poly_mul(base, q, s1)))
-        t0, t1 = t1, poly_add(base, t0, poly_scale(base, base.from_int(-1), _poly_mul(base, q, t1)))
-    return r0, s0, t0
 
 
 def poly_gcd(base, f, g):
@@ -772,13 +828,12 @@ def _factor_char0(field, f):
 
 def _rational_preimage(x):
     """The Fraction under a tower constant, or None if x is not rational."""
-    if x.spec.kind == "Q":
-        return x.payload
-    if x.spec.kind == "ext":
-        if any(not c.is_zero() for c in x.payload[1:]):
+    spec, raw = x.spec, x.payload
+    while spec.kind == "ext":
+        if raw[1:] != spec._kernel.zero[1:]:
             return None
-        return _rational_preimage(x.payload[0])
-    return None
+        spec, raw = spec.base, raw[0]
+    return raw if spec.kind == "Q" else None
 
 
 def _factor_rational_poly(f):
@@ -829,55 +884,51 @@ def _split_quadratic(field, g):
 
 
 def is_square(x):
-    """Decide whether ``x`` is a square in its field."""
+    """Decide whether ``x`` is a square in its field (Euler's criterion if finite)."""
+    spec = x.spec
     if x.is_zero():
         return True
-    spec = x.spec
-    if spec.kind == "Q":
-        f = x.payload
-        if f < 0:
-            return False
-        rn, okn = sympy.integer_nthroot(f.numerator, 2)
-        rd, okd = sympy.integer_nthroot(f.denominator, 2)
-        return okn and okd
     if spec.is_finite:
-        q = spec.order()
-        return (x ** ((q - 1) // 2)) == spec.one()
-    if spec.kind == "ext" and spec.base.kind == "Q" and spec.degree == 2:
-        return _quadratic_ext_sqrt(x) is not None
-    raise UnsupportedField(f"no square test over {spec}")
+        return x ** ((spec.order() - 1) // 2) == spec.one()
+    return _char0_sqrt(x) is not None
 
 
 def sqrt(x):
     """An exact square root, or raise ValueError when ``x`` is not a square."""
-    spec = x.spec
     if x.is_zero():
         return x
+    root = _finite_sqrt(x) if x.spec.is_finite else _char0_sqrt(x)
+    if root is None:
+        raise ValueError(f"{x!r} is not a square in {x.spec}")
+    return root
+
+
+def _char0_sqrt(x):
+    """A square root in Q or in a quadratic extension of Q, or None."""
+    spec = x.spec
     if spec.kind == "Q":
-        f = x.payload
-        if f < 0:
-            raise ValueError("negative rational is not a square")
-        rn, okn = sympy.integer_nthroot(f.numerator, 2)
-        rd, okd = sympy.integer_nthroot(f.denominator, 2)
-        if not (okn and okd):
-            raise ValueError(f"{f} is not a square in Q")
-        return spec.element(Fraction(rn, rd))
-    if spec.is_finite:
-        return _finite_sqrt(x)
+        root = _rational_sqrt(x.payload)
+        return None if root is None else spec.element(root)
     if spec.kind == "ext" and spec.base.kind == "Q" and spec.degree == 2:
-        root = _quadratic_ext_sqrt(x)
-        if root is None:
-            raise ValueError(f"{x!r} is not a square in {spec}")
-        return root
+        return _quadratic_ext_sqrt(x)
     raise UnsupportedField(f"no square root over {spec}")
 
 
+def _rational_sqrt(f):
+    """The nonnegative square root of a Fraction, or None when it has none in Q."""
+    if f < 0:
+        return None
+    rn, okn = sympy.integer_nthroot(f.numerator, 2)
+    rd, okd = sympy.integer_nthroot(f.denominator, 2)
+    return Fraction(rn, rd) if okn and okd else None
+
+
 def _finite_sqrt(x):
-    """Tonelli-Shanks with field arithmetic only (any odd prime power)."""
+    """Tonelli-Shanks with field arithmetic only (any odd prime power), or None."""
     spec = x.spec
     q = spec.order()
     if (x ** ((q - 1) // 2)) != spec.one():
-        raise ValueError(f"{x!r} is not a square in {spec}")
+        return None
     if q % 4 == 3:
         return x ** ((q + 1) // 4)
     # write q-1 = 2^s * t with t odd, then walk the 2-Sylow tower
@@ -906,27 +957,21 @@ def _finite_sqrt(x):
 
 
 def _first_nonsquare(spec):
-    q = spec.order()
+    """The first nonsquare of a finite field in the canonical element order.
+
+    The payloads are walked lazily: no order cap, and a nonsquare shows up
+    within a handful of candidates (half of all nonzero elements qualify).
+    """
     if spec.kind == "Fp":
-        for n in range(2, spec.p):
-            x = spec.from_int(n)
-            if (x ** ((q - 1) // 2)) != spec.one():
-                return x
+        payloads = range(spec.p)
     else:
-        # lazy payload walk: no order cap, and a nonsquare shows up within
-        # a handful of candidates (half of all nonzero elements qualify)
-        for payload in itertools.product(spec.base.elements(), repeat=spec.degree):
-            x = FieldElement(spec, payload)
-            if x.is_zero():
-                continue
-            if (x ** ((q - 1) // 2)) != spec.one():
-                return x
+        coefficients = [c.payload for c in spec.base.elements()]
+        payloads = itertools.product(coefficients, repeat=spec.degree)
+    for payload in payloads:
+        x = FieldElement(spec, payload)
+        if not is_square(x):
+            return x
     raise NotAField("every element is a square?")  # unreachable for odd q
-
-
-def nonsquare(spec):
-    """A canonical non-square (finite fields), for square-class normal forms."""
-    return _first_nonsquare(spec)
 
 
 def _quadratic_ext_sqrt(x):
@@ -936,26 +981,17 @@ def _quadratic_ext_sqrt(x):
     rational quadratic in w = e^2 whose solvability is decided exactly.
     """
     spec = x.spec
-    Q = FieldSpec.Q()
     v, u, _ = (c.payload for c in spec.modulus)  # a^2 = -v - u*a
-    p, q = (c.payload for c in x.payload)
-
-    def _rat_sqrt(f):
-        if f < 0:
-            return None
-        rn, okn = sympy.integer_nthroot(f.numerator, 2)
-        rd, okd = sympy.integer_nthroot(f.denominator, 2)
-        return Fraction(rn, rd) if (okn and okd) else None
-
+    p, q = x.payload
     candidates = []
     if q == 0:
-        r = _rat_sqrt(p)
+        r = _rational_sqrt(p)
         if r is not None:
             candidates.append((r, Fraction(0)))
         # p may also be the square of a purely "irrational" element:
         # (e*a)^2 = e^2 * a^2 only stays rational when u = 0
         if u == 0:
-            r = _rat_sqrt(p / Fraction(-v)) if v != 0 else None
+            r = _rational_sqrt(p / Fraction(-v)) if v != 0 else None
             if r is not None:
                 candidates.append((Fraction(0), r))
     if not candidates:
@@ -964,11 +1000,11 @@ def _quadratic_ext_sqrt(x):
         B = 2 * u * q - 4 * p
         C = q * q
         disc = B * B - 4 * A * C
-        root = _rat_sqrt(disc) if disc >= 0 else None
+        root = _rational_sqrt(disc)
         if root is not None and A != 0:
             for sign in (1, -1):
                 w = (-B + sign * root) / (2 * A)
-                e = _rat_sqrt(w)
+                e = _rational_sqrt(w)
                 if e is None or e == 0:
                     continue
                 c = (q / e + u * e) / 2
@@ -986,8 +1022,7 @@ def embed(x, target):
         return x
     if target.kind == "ext":
         inner = embed(x, target.base)
-        payload = [inner] + [target.base.zero()] * (target.degree - 1)
-        return FieldElement(target, tuple(payload))
+        return FieldElement(target, (inner.payload,) + target._kernel.zero[1:])
     raise FieldMismatch(f"{x.spec} does not embed into {target}")
 
 

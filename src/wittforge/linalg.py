@@ -3,8 +3,9 @@
 Matrices are plain lists of lists.  Entries are any ring values supporting
 ``+``, ``-``, ``*``, ``==`` and ``is_zero()`` (field elements or multivariate
 polynomials).  Rank and inverse need exact division, so they take the field
-explicitly; :func:`rank` also takes sparse ``{column: entry}`` rows, the form
-in which graded pieces of complexes and Cech coboundaries are built.
+explicitly and eliminate on sparse ``{column: entry}`` rows; :func:`rank` also
+takes such rows, the form in which graded pieces of complexes and Cech
+coboundaries are built.
 Multiplication skips zero entries: the transfer module's matrices are very
 sparse and this keeps the acceptance sweeps inside their runtime budgets.
 """
@@ -124,42 +125,47 @@ def rank(field, a):
                 inv = row[col].inverse()
                 pivots[col] = {j: inv * x for j, x in row.items()}
                 break
-            factor = row[col]
-            for j, x in pivot.items():
-                y = row.get(j)
-                if y is None:
-                    row[j] = -(factor * x)
-                else:
-                    y = y - factor * x
-                    if y.is_zero():
-                        del row[j]
-                    else:
-                        row[j] = y
+            _subtract_multiple(row, row[col], pivot)
     return len(pivots)
 
 
+def _subtract_multiple(row, factor, pivot):
+    """row -= factor * pivot on ``{column: entry}`` rows, dropping new zeros."""
+    for j, x in pivot.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = -(factor * x)
+        else:
+            y = y - factor * x
+            if y.is_zero():
+                del row[j]
+            else:
+                row[j] = y
+
+
 def inverse(field, a):
-    """Exact inverse over a field, or None when singular."""
+    """Exact inverse over a field, or None when singular.
+
+    Gauss-Jordan on the augmented rows [a | 1] kept as ``{column: entry}``
+    dicts of nonzero entries, so zeros are never multiplied or subtracted.
+    """
     n, m = shape(a)
     if n != m:
         return None
-    aug = [list(row) + unit for row, unit in zip(a, identity(field, n))]
+    one = field.one()
+    rows = [
+        {j: x for j, x in enumerate(row) if not x.is_zero()} | {n + i: one}
+        for i, row in enumerate(a)
+    ]
     for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if not aug[i][col].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(col, n) if col in rows[i]), None)
         if pivot_row is None:
             return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [inv * x for x in aug[col]]
-        for i in range(n):
-            if i == col:
-                continue
-            f = aug[i][col]
-            if f.is_zero():
-                continue
-            aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        inv = rows[col][col].inverse()
+        pivot = rows[col] = {j: inv * x for j, x in rows[col].items()}
+        for i, row in enumerate(rows):
+            if i != col and col in row:
+                _subtract_multiple(row, row[col], pivot)
+    zero = field.zero()
+    return [[row.get(n + j, zero) for j in range(n)] for row in rows]

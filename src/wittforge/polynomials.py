@@ -10,7 +10,7 @@ needs ring arithmetic, homogeneity checks, and graded-piece extraction.
 from __future__ import annotations
 
 from .errors import FieldMismatch, RingMismatch
-from .fields import FieldSpec, factor_univariate
+from .fields import FieldSpec
 
 
 class PolyRing:
@@ -231,25 +231,3 @@ class MultiPolynomial:
             terms[e] = ring.field.element(t["coef"])
         return cls(ring, terms)
 
-
-def factor_over_extension(poly, target_field):
-    """Factor a univariate monic squarefree polynomial over a larger field.
-
-    ``poly`` is a :class:`MultiPolynomial` in one variable over a base field
-    F; ``target_field`` is a :class:`FieldSpec` extending F.  Returns the
-    monic irreducible factors over the target as polynomials in the same
-    variable.  The heavy lifting (and the feasibility regime) lives in
-    :func:`wittforge.fields.factor_univariate`.
-    """
-    if len(poly.ring.vars) != 1:
-        raise ValueError("factorization expects a univariate polynomial")
-    degree = poly.total_degree()
-    coeffs = [poly.coefficient((i,)) for i in range(degree + 1)]
-    factors = factor_univariate(coeffs, target_field)
-    out_ring = PolyRing(target_field, poly.ring.vars)
-    result = []
-    for f in factors:
-        result.append(
-            MultiPolynomial(out_ring, {(i,): c for i, c in enumerate(f)})
-        )
-    return result

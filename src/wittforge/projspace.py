@@ -15,6 +15,7 @@ the binomial closed forms.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 
 from . import linalg
@@ -99,17 +100,21 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
+@lru_cache(maxsize=None)
 def _pattern_cohomology(field, r, negative):
-    """Exact cochain homology of the Cech summand of one support pattern.
+    """Exact cochain homology (h^0, .., h^r) of the Cech summand of one support pattern.
 
-    Faces are the index sets I of the cover with negative ⊆ I, graded by
-    p = |I| - 1; the coboundary drops one index with the alternating sign.
+    ``negative`` is the sorted tuple of the pattern's indices.  Faces are the
+    index sets I of the cover with negative ⊆ I, graded by p = |I| - 1; the
+    coboundary drops one index with the alternating sign.  The summand does
+    not depend on the twist, so each (field, r, pattern) is computed once.
     """
+    pattern = set(negative)
     faces = {
         p: [
             I
             for I in itertools.combinations(range(r + 1), p + 1)
-            if negative <= set(I)
+            if pattern <= set(I)
         ]
         for p in range(r + 1)
     }
@@ -130,12 +135,7 @@ def _pattern_cohomology(field, r, negative):
                     row[j] = signs[k % 2]
             mat.append(row)
         ranks[p] = linalg.rank(field, mat)
-    out = {}
-    for p in range(r + 1):
-        incoming = ranks.get(p, 0)
-        outgoing = ranks.get(p + 1, 0)
-        out[p] = len(faces[p]) - incoming - outgoing
-    return out
+    return tuple(len(faces[p]) - ranks.get(p, 0) - ranks.get(p + 1, 0) for p in range(r + 1))
 
 
 def _pattern_count_and_witnesses(r, m, negative):
@@ -183,8 +183,8 @@ def cohomology(q):
     for size in range(r + 2):
         for negative in itertools.combinations(range(r + 1), size):
             pattern = set(negative)
-            homology = _pattern_cohomology(field, r, pattern)
-            if not any(homology.values()):
+            homology = _pattern_cohomology(field, r, negative)
+            if not any(homology):
                 continue
             count, mons = _pattern_count_and_witnesses(r, m, pattern)
             if count is None:
@@ -194,7 +194,7 @@ def cohomology(q):
                 )
             if count == 0:
                 continue
-            for p, h in homology.items():
+            for p, h in enumerate(homology):
                 if h:
                     dims[p] += count * h
                     witnesses.setdefault(p, []).extend(mons)

@@ -21,7 +21,7 @@ from .errors import (
     FieldMismatch,
     UnsupportedField,
 )
-from .fields import FieldSpec, embed, factor_univariate, poly_eval, spec_extends
+from .fields import FieldElement, FieldSpec, embed, factor_univariate, poly_eval, spec_extends
 from .quadforms import (
     QuadraticForm,
     _diagonal_entries,
@@ -161,14 +161,11 @@ def _flattened_basis(top, bottom):
 def _canonical_coords(x, bottom):
     if x.spec == bottom:
         return [x]
+    base = x.spec.base
     out = []
     for component in x.payload:
-        out.extend(_canonical_coords(component, bottom))
+        out.extend(_canonical_coords(FieldElement(base, component), bottom))
     return out
-
-
-def trace(ext, e):
-    return ext.trace(e)
 
 
 def trace_form(ext):
@@ -515,7 +512,7 @@ def split_algebra(ext, L):
 
 def _evaluate_into(e, target, x_image, bottom):
     """Apply the F-algebra map E -> target sending the generator to x_image."""
-    coeffs = [embed(bottom.element(c), target) for c in e.payload]
+    coeffs = [embed(FieldElement(bottom, c), target) for c in e.payload]
     return poly_eval(target, coeffs, x_image)
 
 

@@ -5,7 +5,10 @@ the bottom of this file (exhaustive products of monic candidates) and the
 expected values are frozen into the assertions.
 """
 
+import copy
 import itertools
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,6 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittforge import linalg
 from wittforge.errors import (
     BoundsExceeded,
     FactorizationUnsupported,
@@ -24,20 +28,21 @@ from wittforge.errors import (
 from wittforge.fields import (
     MAX_TOWER_DEGREE,
     FieldSpec,
+    _first_nonsquare,
     _is_irreducible,
+    _poly_mul,
     embed,
     factor_univariate,
     find_irreducible,
     frobenius,
     is_square,
-    nonsquare,
     poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_mul,
     rational_roots,
     sqrt,
 )
+from wittforge.transfer import ExtensionDatum
 
 Q = FieldSpec.Q()
 F3 = FieldSpec.Fp(3)
@@ -228,7 +233,7 @@ def test_finite_sqrt_roundtrip():
 
 def test_nonsquare_is_not_a_square():
     for spec in [F3, F5, F7, F9]:
-        assert not is_square(nonsquare(spec))
+        assert not is_square(_first_nonsquare(spec))
 
 
 def test_rational_squares():
@@ -264,7 +269,7 @@ def test_poly_divmod_identity():
         if all(c.is_zero() for c in g):
             continue
         q, r = poly_divmod(F7, f, g)
-        recon = poly_mul(F7, q, g)
+        recon = _poly_mul(F7, q, g)
         n = max(len(recon), len(r), len(f), 1)
         pad = lambda cs: tuple(cs) + (F7.zero(),) * (n - len(cs))
         total = tuple(a + b for a, b in zip(pad(recon), pad(r)))
@@ -284,7 +289,7 @@ def test_rational_roots_oracle():
     lin1 = (Q.element(-2), Q.one())
     lin2 = (Q.element(Fraction(1, 3)), Q.one())
     quad = (Q.one(), Q.zero(), Q.one())
-    poly = poly_mul(Q, poly_mul(Q, lin1, lin2), quad)
+    poly = _poly_mul(Q, _poly_mul(Q, lin1, lin2), quad)
     roots = rational_roots([c.payload for c in poly])
     assert set(r.payload for r in roots) == {Fraction(2), Fraction(-1, 3)}
 
@@ -321,7 +326,7 @@ def test_x4_plus_1_over_f5_oracle_and_frozen():
     assert {tuple(g) for g in factors} == frozen
     prod = (F5.one(),)
     for g in factors:
-        prod = poly_mul(F5, prod, g)
+        prod = _poly_mul(F5, prod, g)
     assert prod == f
 
 
@@ -347,7 +352,7 @@ def test_factor_remultiplication_random():
             prod = (spec.one(),)
             for g in factors:
                 assert g[-1] == spec.one()
-                prod = poly_mul(spec, prod, g)
+                prod = _poly_mul(spec, prod, g)
             assert prod == tuple(coeffs)
             # no factor admits a further root (degree <= 3 pieces certified)
             for g in factors:
@@ -469,7 +474,7 @@ def test_is_irreducible_matches_products_over_extensions(field, max_degree):
     }
     for degree in range(2, max_degree + 1):
         products = {
-            poly_mul(field, g, h)
+            _poly_mul(field, g, h)
             for k in range(1, degree // 2 + 1)
             for g in monic[k]
             for h in monic[degree - k]
@@ -501,8 +506,191 @@ def test_element_json_roundtrip():
             assert spec.element(x.to_json()) == x
 
 
+def test_specs_and_elements_survive_pickle_and_copy():
+    # a spec's kernel holds closures, so pickling rebuilds the spec
+    rng = random.Random(5)
+    for spec in sample_fields():
+        x = spec.random_nonzero(rng)
+        for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert clone == x and clone.spec == spec
+            assert clone * clone.inverse() == spec.one()
+
+
 def test_element_string_coercions():
     assert Q.element("3/4").payload == Fraction(3, 4)
     assert Q.element("-2").payload == Fraction(-2)
     assert F7.element(10) == F7.from_int(3)
     assert F9.element([1, 2]) == F9.one() + 2 * F9.generator()
+
+
+# ---------------------------------------------------------------------------
+# the raw-payload kernel against independent oracles
+# ---------------------------------------------------------------------------
+
+X, Y = sympy.symbols("x y")
+
+
+def _sympy_mod_p(payload, p):
+    return sympy.Poly(list(payload)[::-1], X, modulus=p)
+
+
+def _coeffs_mod_p(poly, n):
+    coeffs = [int(c) % poly.get_modulus() for c in poly.all_coeffs()[::-1]]
+    return tuple(coeffs + [0] * (n - len(coeffs)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("degree", range(2, 10))
+def test_prime_extension_kernel_matches_sympy(p, degree):
+    base = FieldSpec.Fp(p)
+    spec = FieldSpec.extension(base, find_irreducible(base, degree))
+    modulus = _sympy_mod_p([c.payload for c in spec.modulus], p)
+    rng = random.Random(p * 100 + degree)
+    for _ in range(6):
+        a, b = spec.random_nonzero(rng), spec.random_element(rng)
+        fa, fb = _sympy_mod_p(a.payload, p), _sympy_mod_p(b.payload, p)
+        assert (a * b).payload == _coeffs_mod_p((fa * fb).rem(modulus), degree)
+        assert a.inverse().payload == _coeffs_mod_p(fa.invert(modulus), degree)
+        assert all(isinstance(c, int) and 0 <= c < p for c in (a * b).payload)
+
+
+def _tower_expr(x):
+    """A tower element over F_p as a sympy polynomial in x (inner) and y (outer)."""
+    return sum(
+        (c * X**i * Y**j for j, inner in enumerate(x.payload) for i, c in enumerate(inner)),
+        sympy.Integer(0),
+    )
+
+
+def _tower_payload(expr, p, d_inner, d_outer):
+    poly = sympy.Poly(expr, Y, X, modulus=p)
+    return tuple(
+        tuple(int(poly.coeff_monomial(Y**j * X**i)) % p for i in range(d_inner))
+        for j in range(d_outer)
+    )
+
+
+TOWERS = ("F3^2-cubic", "F81/F9/F3", "F27^3")
+
+
+def _tower(name):
+    """A tower over F3, built when a test runs rather than at collection."""
+    f27 = FieldSpec.extension(F3, find_irreducible(F3, 3))
+    base, degree = {"F3^2-cubic": (F9, 3), "F81/F9/F3": (F9, 2), "F27^3": (f27, 3)}[name]
+    return FieldSpec.extension(base, find_irreducible(base, degree))
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_tower_kernel_matches_flattened_matrices(name):
+    # the F3-linear route: coordinates of a*b are M(a) times those of b, and
+    # the inverse has the coordinates M(a)^-1 (1), by Gauss-Jordan over F3
+    top = _tower(name)
+    ext = ExtensionDatum(top, F3)
+    rng = random.Random(len(name))
+    for _ in range(6):
+        a, b = top.random_nonzero(rng), top.random_element(rng)
+        m = ext.mult_matrix(a)
+        assert ext.coordinates(a * b) == linalg.mat_vec(F3, m, ext.coordinates(b))
+        one = ext.coordinates(top.one())
+        assert ext.coordinates(a.inverse()) == linalg.mat_vec(F3, linalg.inverse(F3, m), one)
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_tower_kernel_matches_sympy_reduction(name):
+    # {m_inner(x), m_outer(x, y)} is a lex Groebner basis (y > x), so the
+    # normal form of a product is the product in the tower
+    top = _tower(name)
+    mid = top.base
+    d_inner, d_outer = mid.degree, top.degree
+    m_inner = sum(c.payload * X**i for i, c in enumerate(mid.modulus))
+    m_outer = _tower_expr(top.element(list(top.modulus[:-1]))) + Y**d_outer
+    rng = random.Random(7 * len(name))
+    for _ in range(6):
+        a, b = top.random_element(rng), top.random_element(rng)
+        _, rem = sympy.reduced(
+            _tower_expr(a) * _tower_expr(b), [m_outer, m_inner], Y, X, modulus=3, order="lex"
+        )
+        assert (a * b).payload == _tower_payload(rem, 3, d_inner, d_outer)
+
+
+def test_qsqrt2_kernel_matches_sympy():
+    r = sympy.sqrt(2)
+    rng = random.Random(41)
+    for _ in range(20):
+        a, b = QSQRT2.random_nonzero(rng), QSQRT2.random_element(rng)
+        ea = a.payload[0] + a.payload[1] * r
+        eb = b.payload[0] + b.payload[1] * r
+        for got, expr in ((a * b, ea * eb), (a.inverse(), sympy.radsimp(1 / ea))):
+            expr = sympy.expand(expr)
+            assert got.payload == (expr.subs(r, 0), expr.coeff(r))
+            assert all(isinstance(c, Fraction) for c in got.payload)
+
+
+def test_payloads_are_raw():
+    assert F7.from_int(9).payload == 2
+    assert F9.element([1, 2]).payload == (1, 2)
+    top = _tower("F27^3")
+    assert top.one().payload == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert embed(F3.from_int(2), top).payload == ((2, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert QSQRT2.generator().payload == (Fraction(0), Fraction(1))
+
+
+# to_json and repr of seeded elements, taken from the boxed implementation
+PINNED_ELEMENTS = {
+    "F9": [[1, 0], [2, 2], [1, 0], [0, 1], [1, 0], [0, 0], [2, 2], [0, 2]],
+    "F27^3": [
+        [[2, 1, 2], [1, 2, 0], [2, 2, 1]],
+        [[1, 1, 2], [2, 2, 0], [1, 2, 2]],
+        [[1, 2, 0], [2, 0, 2], [2, 1, 2]],
+        [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [1, 0, 2], [0, 1, 2]],
+        [[1, 0, 0], [0, 0, 0], [2, 1, 1]],
+    ],
+    "Qsqrt2": [
+        ["-5/9", "-3/7"], ["-4/3", "1/2"], ["-2", "1/7"], ["0", "1"],
+        ["1", "0"], ["0", "0"], ["59/189", "37/126"], ["0", "1/2"],
+    ],
+}
+
+
+def test_element_json_and_repr_pinned():
+    rng = random.Random(2024)
+    for name, spec in (("F9", F9), ("F27^3", _tower("F27^3")), ("Qsqrt2", QSQRT2)):
+        xs = [spec.random_element(rng) for _ in range(3)]
+        xs += [spec.generator(), spec.one(), spec.zero()]
+        xs += [xs[0] * xs[1], xs[3].inverse()]
+        assert [x.to_json() for x in xs] == PINNED_ELEMENTS[name]
+        assert [repr(x) for x in xs] == [
+            json.dumps(j).replace('"', "") for j in PINNED_ELEMENTS[name]
+        ]
+    assert repr(_tower("F27^3")) == (
+        "F3[x]/(1+2*x+1*x^3)[x]/([0, 0, 1]+[0, 0, 2]*x+[1, 0, 0]*x^3)"
+    )
+
+
+@st.composite
+def squarefree_monic_over_prime(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    degree = draw(st.integers(2, 7))
+    tail = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+    return p, tail + [1]
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@settings(max_examples=150, deadline=None)
+@given(squarefree_monic_over_prime())
+def test_factor_univariate_matches_sympy(case):
+    p, coeffs = case
+    poly = sympy.Poly(coeffs[::-1], X, modulus=p)
+    if sympy.degree(sympy.gcd(poly, poly.diff(X))) > 0:
+        return  # factor_univariate takes squarefree input only
+    field = FieldSpec.Fp(p)
+    got = sorted(tuple(c.payload for c in g) for g in factor_univariate(coeffs, field))
+    _, factors = sympy.factor_list(poly.as_expr(), X, modulus=p)
+    expected = sorted(
+        _coeffs_mod_p(sympy.Poly(f, X, modulus=p).monic(), sympy.degree(f, X) + 1)
+        for f, _ in factors
+    )
+    assert got == expected

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from wittforge import linalg
 from wittforge.fields import FieldSpec
@@ -40,12 +41,16 @@ def matrices(draw):
     return FieldSpec.Q(), QQ, mat
 
 
-def _sympy_rank(domain, values, cols):
+def _domain_matrix(domain, values, cols):
     if domain == QQ:
         rows = [[QQ(x.numerator, x.denominator) for x in row] for row in values]
     else:
         rows = [[domain(x) for x in row] for row in values]
-    return DomainMatrix(rows, (len(values), cols), domain).rank()
+    return DomainMatrix(rows, (len(values), cols), domain)
+
+
+def _sympy_rank(domain, values, cols):
+    return _domain_matrix(domain, values, cols).rank()
 
 
 @settings(max_examples=300, deadline=None)
@@ -85,3 +90,25 @@ def test_inverse_is_two_sided_or_none(case):
     one = linalg.identity(field, n)
     assert linalg.mat_eq(linalg.mat_mul(field, square, inv), one)
     assert linalg.mat_eq(linalg.mat_mul(field, inv, square), one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_inverse_matches_sympy(case):
+    # square corners of the drawn matrices: zero rows and dependent rows
+    # make many of them singular
+    field, domain, values = case
+    n = min(len(values), len(values[0]) if values else 0)
+    values = [row[:n] for row in values[:n]]
+    inv = linalg.inverse(field, [[field.element(x) for x in row] for row in values])
+    try:
+        expected = _domain_matrix(domain, values, n).inv().to_list()
+    except DMNonInvertibleMatrixError:
+        assert inv is None
+        return
+    if domain == QQ:
+        expected = [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in expected]
+    else:
+        expected = [[int(x) % field.p for x in row] for row in expected]
+    assert inv is not None
+    assert [[field.element(x) for x in row] for row in expected] == inv

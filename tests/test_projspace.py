@@ -7,10 +7,13 @@ all-negative witness monomial, the vanishing window, the half-canonical
 parity obstruction), and exercise the bounds.
 """
 
+import hashlib
+import json
 from math import comb
 
 import pytest
 
+from wittforge import linalg, projspace, verify
 from wittforge.errors import BoundsExceeded, ParityError
 from wittforge.fields import FieldSpec
 from wittforge.projspace import (
@@ -161,3 +164,36 @@ def test_pushforward_even_rejected():
     for r in (2, 4):
         with pytest.raises(ParityError):
             pushforward_phi_r(r, Q)
+
+
+# ---------------------------------------------------------------------------
+# each Cech summand computed once
+# ---------------------------------------------------------------------------
+
+
+def test_cohomology_suite_ranks_each_summand_once(monkeypatch):
+    # the summand of a support pattern does not depend on the twist m, so one
+    # suite run ranks each graded differential of each distinct
+    # (field, r, pattern) summand at most once, however many twists share it
+    rank_calls = []
+    summands = set()
+    rank, pattern_cohomology = linalg.rank, projspace._pattern_cohomology
+
+    def counting_rank(field, rows):
+        rank_calls.append(len(rows))
+        return rank(field, rows)
+
+    def recording(field, r, negative):
+        summands.add((field, r, negative))
+        return pattern_cohomology(field, r, negative)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    monkeypatch.setattr(projspace, "_pattern_cohomology", recording)
+    pattern_cohomology.cache_clear()
+    report = verify.run_suite("cohomology")
+    assert len(summands) == 120
+    assert 0 < len(rank_calls) <= sum(r for _, r, _ in summands)
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "66fdcd0262763a75e1abb27a6f8757e4dba7d5a1df29eec59978708202ff88b0"
+    )

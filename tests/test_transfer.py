@@ -37,7 +37,6 @@ from wittforge.transfer import (
     pushforward_via_cartan,
     restrict_form,
     scharlau_transfer,
-    trace,
     trace_form,
     transfer_compose_check,
     triangle_identities_check,
@@ -196,7 +195,7 @@ def test_trace_field_mismatch():
     with pytest.raises(FieldMismatch):
         D93.trace(F3.one())
     with pytest.raises(FieldMismatch):
-        trace(D93, F81.one())
+        D93.trace(F81.one())
 
 
 # ---------------------------------------------------------------------------
