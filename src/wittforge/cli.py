@@ -15,6 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
+from . import linalg
 from .complexes import (
     ChainComplex,
     DualityDatum,
@@ -203,7 +204,11 @@ def parse_poly(ring, text):
                 for _ in range(power):
                     value = value * ring.variable(name)
             else:
-                value = value * ring.constant(ring.field.element(Fraction(factor)))
+                try:
+                    coeff = Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"{factor!r} has a zero denominator") from None
+                value = value * ring.constant(ring.field.element(coeff))
         total = total + value
     return total
 
@@ -286,7 +291,9 @@ def cmd_witt_diag(args):
     payload = {
         "field": field.to_json(),
         "entries": [e.to_json() for e in entries],
-        "basis": [[x.to_json() for x in row] for row in basis],
+        "basis": [
+            [x.to_json() for x in row] for row in linalg.dense(field, basis, (form.dim,) * 2)
+        ],
     }
     human = "diagonal entries: " + ", ".join(repr(e) for e in entries)
     _emit(args, payload, human)

@@ -14,11 +14,12 @@ and dual chain maps are plain (unsigned) precomposition.  These choices are
 mutually coherent; the tests pin each one so a change anywhere breaks
 loudly.
 
-Each matrix of a complex or a chain map is kept as public dense tuples
-(``diffs``, ``components``) and, derived once at construction, as a private
-sparse matrix ``{row: {col: nonzero entry}}`` (``_mats``) that every check,
-equality test and construction reads.  Constructions pass the sparse
-matrices they build to ``_trusted``, which skips entry coercion only.
+Each matrix of a complex or a chain map is stored once, as a
+:mod:`~wittforge.linalg` sparse matrix ``{row: {col: nonzero entry}}``
+(``_mats``) that every check, equality test and construction reads.  The
+public dense tuples (``diffs``, ``components``) are read-only views derived
+from it on access.  Constructions pass the sparse matrices they build to
+``_trusted``, which skips entry coercion only.
 """
 
 from __future__ import annotations
@@ -44,25 +45,16 @@ RANK_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
-# sparse matrices: {row: {col: nonzero entry}}, no empty rows
+# checked sparse matrices
 # ---------------------------------------------------------------------------
 
 
 def _sparse(ring, mat, shape, error, what):
-    """The nonzero entries of a dense matrix, coerced into ``ring``."""
+    """The sparse form of a dense matrix, its entries coerced into ``ring``."""
     rows, cols = shape
     if len(mat) != rows or any(len(row) != cols for row in mat):
         raise error(f"{what} has shape {linalg.shape(mat)}, expected {shape}")
-    out = {}
-    for i, row in enumerate(mat):
-        entries = {}
-        for j, x in enumerate(row):
-            x = ring.element(x)
-            if not x.is_zero():
-                entries[j] = x
-        if entries:
-            out[i] = entries
-    return out
+    return linalg.sparse([map(ring.element, row) for row in mat])
 
 
 def _fitted(mat, shape, error, what):
@@ -78,81 +70,9 @@ def _fitted(mat, shape, error, what):
     return mat
 
 
-def _dense(ring, mat, shape):
-    """The public form: a tuple of row tuples, zeros included."""
-    rows, cols = shape
-    zero_row = (ring.zero(),) * cols
-    out = [zero_row] * rows
-    for i, entries in mat.items():
-        row = list(zero_row)
-        for j, x in entries.items():
-            row[j] = x
-        out[i] = tuple(row)
-    return tuple(out)
-
-
-def _product(ring, a, b):
-    """a . b on sparse matrices, zeros dropped.
-
-    Polynomial entries are summed per (column, monomial), so a vanishing
-    product (a d . d = 0 check) builds no polynomial.  Constructions share
-    entry objects, so each pair of (live) factors is multiplied once.
-    """
-    poly = isinstance(ring, PolyRing)
-    term_products = {}
-    out = {}
-    for i, arow in a.items():
-        acc = {}
-        for k, y in arow.items():
-            brow = b.get(k)
-            if brow is None:
-                continue
-            if poly:
-                for j, x in brow.items():
-                    terms = term_products.get((id(y), id(x)))
-                    if terms is None:
-                        terms = term_products[id(y), id(x)] = [
-                            (tuple(map(add, e1, e2)), c1 * c2)
-                            for e1, c1 in y.terms.items()
-                            for e2, c2 in x.terms.items()
-                        ]
-                    for e, c in terms:
-                        s = acc.get((j, e))
-                        acc[j, e] = c if s is None else s + c
-            else:
-                for j, x in brow.items():
-                    s = acc.get(j)
-                    acc[j] = y * x if s is None else s + y * x
-        if poly:
-            by_col = defaultdict(dict)
-            for (j, e), c in acc.items():
-                if not c.is_zero():
-                    by_col[j][e] = c
-            row = {j: MultiPolynomial(ring, t) for j, t in by_col.items()}
-        else:
-            row = {j: x for j, x in acc.items() if not x.is_zero()}
-        if row:
-            out[i] = row
-    return out
-
-
-def _scaled(c, mat):
-    """c . mat for a scalar c that is not a zero divisor."""
-    return {i: {j: c * x for j, x in row.items()} for i, row in mat.items()}
-
-
-def _transpose(mat):
-    out = defaultdict(dict)
-    for i, row in mat.items():
-        for j, x in row.items():
-            out[j][i] = x
-    return out
-
-
 def _identities(a):
     """The identity of A, degree by degree."""
-    one = a.ring.one()
-    return {n: {i: {i: one} for i in range(r)} for n, r in a.terms.items()}
+    return {n: linalg.identity(a.ring, r) for n, r in a.terms.items()}
 
 
 def _same_ring(a, b):
@@ -166,7 +86,7 @@ class ChainComplex:
     Zero differentials are absent from ``diffs`` and ``_mats``.
     """
 
-    __slots__ = ("ring", "terms", "diffs", "_mats")
+    __slots__ = ("ring", "terms", "_mats")
 
     def __init__(self, ring, terms, diffs):
         self.ring = ring
@@ -217,13 +137,18 @@ class ChainComplex:
             if mat:  # canonical form: zero differentials are absent
                 clean[n] = mat
         self._mats = clean
-        self.diffs = {
-            n: _dense(self.ring, mat, (self.rank(n - 1), self.rank(n)))
-            for n, mat in clean.items()
-        }
         for n, mat in clean.items():
-            if n - 1 in clean and _product(self.ring, clean[n - 1], mat):
+            if n - 1 in clean and linalg.product(self.ring, clean[n - 1], mat):
                 raise NotAChainComplex(f"d_{n-1} . d_{n} != 0")
+
+    @property
+    def diffs(self):
+        """degree n -> the nonzero differential at n as dense row tuples."""
+        return {n: self._dense(n) for n in self._mats}
+
+    def _dense(self, n):
+        shape = (self.rank(n - 1), self.rank(n))
+        return linalg.dense(self.ring, self._mats.get(n, {}), shape)
 
     # -- inspection ----------------------------------------------------
 
@@ -246,10 +171,8 @@ class ChainComplex:
         return max(self.terms) if self.terms else 0
 
     def diff(self, n):
-        """The matrix A_n -> A_{n-1} (zeros when absent)."""
-        if n in self.diffs:
-            return [list(row) for row in self.diffs[n]]
-        return linalg.zeros(self.ring, self.rank(n - 1), self.rank(n))
+        """The matrix A_n -> A_{n-1} as dense rows (zeros when absent)."""
+        return [list(row) for row in self._dense(n)]
 
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
@@ -315,11 +238,11 @@ def two_term(ring, matrix, top=1):
 class ChainMap:
     """Degreewise matrices commuting with the differentials.
 
-    ``components`` keeps each given component between nonzero terms, zero
+    ``_degrees`` lists each given component between nonzero terms, zero
     ones included; ``_mats`` keeps the nonzero ones.
     """
 
-    __slots__ = ("source", "target", "components", "_mats")
+    __slots__ = ("source", "target", "_degrees", "_mats")
 
     def __init__(self, source, target, components):
         _same_ring(source, target)
@@ -345,27 +268,35 @@ class ChainMap:
         self.source = source
         self.target = target
         ring = source.ring
-        comps, clean = {}, {}
+        degrees, clean = [], {}
         for n, mat in mats.items():
             shape = (target.rank(n), source.rank(n))
             if 0 in shape:
                 continue
+            degrees.append(n)
             mat = _fitted(mat, shape, NotAChainMap, f"component at degree {n}")
-            comps[n] = _dense(ring, mat, shape)
             if mat:
                 clean[n] = mat
-        self.components = comps
+        self._degrees = tuple(degrees)
         self._mats = clean
         for n in set(source.terms) | set(target.terms):
-            left = _product(ring, clean.get(n - 1, {}), source._mats.get(n, {}))
-            right = _product(ring, target._mats.get(n, {}), clean.get(n, {}))
+            left = linalg.product(ring, clean.get(n - 1, {}), source._mats.get(n, {}))
+            right = linalg.product(ring, target._mats.get(n, {}), clean.get(n, {}))
             if left != right:
                 raise NotAChainMap(f"does not commute with d at degree {n}")
 
+    @property
+    def components(self):
+        """degree n -> each given component as dense row tuples, zeros included."""
+        return {n: self._dense(n) for n in self._degrees}
+
+    def _dense(self, n):
+        shape = (self.target.rank(n), self.source.rank(n))
+        return linalg.dense(self.source.ring, self._mats.get(n, {}), shape)
+
     def component(self, n):
-        if n in self.components:
-            return [list(row) for row in self.components[n]]
-        return linalg.zeros(self.source.ring, self.target.rank(n), self.source.rank(n))
+        """The component at degree n as dense rows (zeros when absent)."""
+        return [list(row) for row in self._dense(n)]
 
     @classmethod
     def identity(cls, complex_):
@@ -381,8 +312,8 @@ class ChainMap:
             raise NotAChainMap("composition mismatch")
         ring = self.source.ring
         mats = {
-            n: _product(ring, self._mats.get(n, {}), other._mats.get(n, {}))
-            for n in set(self.components) | set(other.components)
+            n: linalg.product(ring, self._mats.get(n, {}), other._mats.get(n, {}))
+            for n in set(self._degrees) | set(other._degrees)
         }
         return ChainMap._trusted(other.source, self.target, mats)
 
@@ -405,9 +336,9 @@ class ChainMap:
         for n in set(self.source.terms) | set(self.target.terms):
             if self.source.rank(n) != self.target.rank(n):
                 return False
-            if self.source.rank(n) == 0:
-                continue
-            if linalg.inverse(self.source.ring, self.component(n)) is None:
+            mat = self._mats.get(n, {})
+            rows = [mat.get(i, {}) for i in range(self.source.rank(n))]
+            if linalg.inverse(self.source.ring, rows) is None:
                 return False
         return True
 
@@ -430,7 +361,7 @@ def scale_map(f, c):
     c = f.source.ring.element(c)
     mats = {} if c.is_zero() else f._mats
     return ChainMap._trusted(
-        f.source, f.target, {n: _scaled(c, mats.get(n, {})) for n in f.components}
+        f.source, f.target, {n: linalg.scaled(c, mats.get(n, {})) for n in f._degrees}
     )
 
 
@@ -457,7 +388,7 @@ def shift(a, k):
     """(T^k A)_n = A_{n-k}, differential scaled by (-1)^k."""
     sign = a.ring.from_int(-1 if k % 2 else 1)
     terms = {n + k: r for n, r in a.terms.items()}
-    mats = {n + k: _scaled(sign, mat) for n, mat in a._mats.items()}
+    mats = {n + k: linalg.scaled(sign, mat) for n, mat in a._mats.items()}
     return ChainComplex._trusted(a.ring, terms, mats)
 
 
@@ -483,7 +414,7 @@ def tensor(a, b):
         n: sum(ra * rb for _, _, ra, rb, _ in tensor_layout(a, b, n)) for n in degrees
     }
     # d_B with either sign, built once and shared by every summand
-    signed_b = (b._mats, {j: _scaled(ring.from_int(-1), m) for j, m in b._mats.items()})
+    signed_b = (b._mats, {j: linalg.scaled(ring.from_int(-1), m) for j, m in b._mats.items()})
     mats = {}
     for n in sorted(degrees):
         src = tensor_layout(a, b, n)
@@ -535,7 +466,7 @@ def hom_complex(a, b):
     degrees = {m - i for i in a.terms for m in b.terms}
     terms = {n: sum(ra * rb for _, ra, rb, _ in hom_layout(a, b, n)) for n in degrees}
     # d_A with either sign, built once and shared by every summand
-    signed_a = (a._mats, {i: _scaled(ring.from_int(-1), m) for i, m in a._mats.items()})
+    signed_a = (a._mats, {i: linalg.scaled(ring.from_int(-1), m) for i, m in a._mats.items()})
     mats = {}
     for n in sorted(degrees):
         src = hom_layout(a, b, n)
@@ -767,7 +698,7 @@ def dualize_map(f, datum):
     src = dualize(f.target, datum)
     dst = dualize(f.source, datum)
     d = datum.degree
-    mats = {n: _transpose(f._mats.get(d - n, {})) for n in src.terms}
+    mats = {n: linalg.transpose(f._mats.get(d - n, {})) for n in src.terms}
     return ChainMap._trusted(src, dst, mats)
 
 

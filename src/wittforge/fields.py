@@ -184,12 +184,16 @@ class FieldSpec:
             if self.kind == "Q":
                 return FieldElement(self, value)
             if self.kind == "Fp":
+                if value.denominator % self.p == 0:
+                    raise ValueError(f"{value} has no image in {self}: p divides its denominator")
                 return self.from_int(value.numerator) / self.from_int(value.denominator)
             return self.element(self.base.element(value))
         if isinstance(value, str):
             text = value.strip()
             if "/" in text:
                 num, den = text.split("/")
+                if int(den) == 0:
+                    raise ValueError(f"{text!r} has a zero denominator")
                 return self.element(Fraction(int(num), int(den)))
             return self.from_int(int(text))
         if isinstance(value, (list, tuple)):
@@ -570,6 +574,11 @@ def _poly_mul(base, f, g):
 
 
 def poly_divmod(base, f, g):
+    """(quotient, remainder) of f by g, one elimination pass per quotient coefficient.
+
+    Each pass must cancel its leading term; a term that survives means the
+    field arithmetic is inconsistent, which raises instead of looping.
+    """
     f = list(_poly_trim(f))
     g = _poly_trim(g)
     if not g:
@@ -578,14 +587,18 @@ def poly_divmod(base, f, g):
     lead_inv = None if g[-1] == base.one() else g[-1].inverse()
     dg = len(g) - 1
     quot = [base.zero()] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] if lead_inv is None else f[-1] * lead_inv
-        k = len(f) - 1 - dg
-        quot[k] = c
+    for k in reversed(range(len(quot))):
+        lead = f[k + dg]
+        if lead.is_zero():
+            continue
+        c = quot[k] = lead if lead_inv is None else lead * lead_inv
         for i in range(len(g)):
             f[k + i] = f[k + i] - c * g[i]
-        f = list(_poly_trim(f))
-    return _poly_trim(quot), _poly_trim(f)
+        if not f[k + dg].is_zero():
+            raise RuntimeError(
+                f"division over {base}: the degree-{k + dg} term did not cancel"
+            )
+    return _poly_trim(quot), _poly_trim(f[:dg])
 
 
 def _poly_mod(base, f, g):
@@ -907,14 +920,14 @@ def _char0_sqrt(x):
     """A square root in Q or in a quadratic extension of Q, or None."""
     spec = x.spec
     if spec.kind == "Q":
-        root = _rational_sqrt(x.payload)
+        root = rational_sqrt(x.payload)
         return None if root is None else spec.element(root)
     if spec.kind == "ext" and spec.base.kind == "Q" and spec.degree == 2:
         return _quadratic_ext_sqrt(x)
     raise UnsupportedField(f"no square root over {spec}")
 
 
-def _rational_sqrt(f):
+def rational_sqrt(f):
     """The nonnegative square root of a Fraction, or None when it has none in Q."""
     if f < 0:
         return None
@@ -985,13 +998,13 @@ def _quadratic_ext_sqrt(x):
     p, q = x.payload
     candidates = []
     if q == 0:
-        r = _rational_sqrt(p)
+        r = rational_sqrt(p)
         if r is not None:
             candidates.append((r, Fraction(0)))
         # p may also be the square of a purely "irrational" element:
         # (e*a)^2 = e^2 * a^2 only stays rational when u = 0
         if u == 0:
-            r = _rational_sqrt(p / Fraction(-v)) if v != 0 else None
+            r = rational_sqrt(p / Fraction(-v)) if v != 0 else None
             if r is not None:
                 candidates.append((Fraction(0), r))
     if not candidates:
@@ -1000,11 +1013,11 @@ def _quadratic_ext_sqrt(x):
         B = 2 * u * q - 4 * p
         C = q * q
         disc = B * B - 4 * A * C
-        root = _rational_sqrt(disc)
+        root = rational_sqrt(disc)
         if root is not None and A != 0:
             for sign in (1, -1):
                 w = (-B + sign * root) / (2 * A)
-                e = _rational_sqrt(w)
+                e = rational_sqrt(w)
                 if e is None or e == 0:
                     continue
                 c = (q / e + u * e) / 2

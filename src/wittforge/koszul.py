@@ -25,11 +25,11 @@ from collections import defaultdict
 from functools import lru_cache
 from math import comb
 
+from . import linalg
 from .complexes import (
     ChainComplex,
     ChainMap,
     DualityDatum,
-    _transpose,
     adjunction_unit,
     associator,
     bidual_map,
@@ -503,9 +503,8 @@ def split_factorization(k):
         split = (1,)
     else:
         iso = split_iso(k, d - 1, kos=kos)
-        inverse = ChainMap._trusted(
-            iso.target, iso.source, {n: _transpose(iso._mats.get(n, {})) for n in iso.components}
-        )
+        transposes = {n: linalg.transpose(iso._mats.get(n, {})) for n in iso._degrees}
+        inverse = ChainMap._trusted(iso.target, iso.source, transposes)
         form_factorizes = theta_multiplicative(k, d - 1)
         _, tail = split_datum(k, d - 1)
         cone_matches = cone_factor == koszul_complex(tail)

@@ -1,16 +1,22 @@
-"""Exact matrix arithmetic over fields and polynomial rings.
+"""Exact sparse matrix arithmetic over fields and polynomial rings.
 
-Matrices are plain lists of lists.  Entries are any ring values supporting
+A matrix is a dict ``{row: {column: nonzero entry}}`` with no empty rows, so
+zeros are never stored, multiplied or compared, and two matrices are equal
+exactly when their dicts are.  Entries are any ring values supporting
 ``+``, ``-``, ``*``, ``==`` and ``is_zero()`` (field elements or multivariate
-polynomials).  Rank and inverse need exact division, so they take the field
-explicitly and eliminate on sparse ``{column: entry}`` rows; :func:`rank` also
-takes such rows, the form in which graded pieces of complexes and Cech
-coboundaries are built.
-Multiplication skips zero entries: the transfer module's matrices are very
-sparse and this keeps the acceptance sweeps inside their runtime budgets.
+polynomials).  A dict cannot carry its shape, so the operations that need
+one (:func:`identity`, :func:`block_diag`, :func:`kron`, :func:`dense`) take
+it explicitly.  Dense rows -- lists or tuples, zeros included -- appear only
+at the boundary: :func:`sparse` reads them, :func:`dense` writes them, and
+:func:`rank` and :func:`inverse` accept them as rows.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from operator import add
+
+from .polynomials import MultiPolynomial, PolyRing
 
 
 def zeros(ring, rows, cols):
@@ -18,88 +24,120 @@ def zeros(ring, rows, cols):
     return [[z for _ in range(cols)] for _ in range(rows)]
 
 
-def identity(ring, n):
-    m = zeros(ring, n, n)
-    one = ring.one()
-    for i in range(n):
-        m[i][i] = one
-    return m
-
-
 def shape(m):
+    """The shape of dense rows."""
     return (len(m), len(m[0]) if m else 0)
 
 
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
+def _row(row):
+    """A fresh ``{column: entry}`` dict of the nonzero entries of a dense or dict row."""
+    if isinstance(row, dict):
+        return dict(row)
+    return {j: x for j, x in enumerate(row) if not x.is_zero()}
 
 
-def mat_mul(ring, a, b):
-    rows, inner = shape(a)
-    inner2, cols = shape(b)
-    if inner != inner2:
-        raise ValueError(f"shape mismatch: {shape(a)} * {shape(b)}")
-    out = zeros(ring, rows, cols)
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            x = arow[k]
-            if x.is_zero():
+def sparse(rows):
+    """The matrix of dense (or ``{column: entry}``) rows."""
+    return {i: r for i, r in enumerate(map(_row, rows)) if r}
+
+
+def dense(ring, mat, shape):
+    """The dense form of a matrix: a tuple of row tuples, zeros included."""
+    rows, cols = shape
+    zero_row = (ring.zero(),) * cols
+    out = [zero_row] * rows
+    for i, entries in mat.items():
+        row = list(zero_row)
+        for j, x in entries.items():
+            row[j] = x
+        out[i] = tuple(row)
+    return tuple(out)
+
+
+def identity(ring, n):
+    one = ring.one()
+    return {i: {i: one} for i in range(n)}
+
+
+def product(ring, a, b):
+    """a . b, zeros dropped.
+
+    Polynomial entries are summed per (column, monomial), so a vanishing
+    product (a d . d = 0 check) builds no polynomial.  Constructions share
+    entry objects, so each pair of (live) factors is multiplied once.
+    """
+    poly = isinstance(ring, PolyRing)
+    term_products = {}
+    out = {}
+    for i, arow in a.items():
+        acc = {}
+        for k, y in arow.items():
+            brow = b.get(k)
+            if brow is None:
                 continue
-            brow = b[k]
-            for j in range(cols):
-                y = brow[j]
-                if not y.is_zero():
-                    orow[j] = orow[j] + x * y
+            if poly:
+                for j, x in brow.items():
+                    terms = term_products.get((id(y), id(x)))
+                    if terms is None:
+                        terms = term_products[id(y), id(x)] = [
+                            (tuple(map(add, e1, e2)), c1 * c2)
+                            for e1, c1 in y.terms.items()
+                            for e2, c2 in x.terms.items()
+                        ]
+                    for e, c in terms:
+                        s = acc.get((j, e))
+                        acc[j, e] = c if s is None else s + c
+            else:
+                for j, x in brow.items():
+                    s = acc.get(j)
+                    acc[j] = y * x if s is None else s + y * x
+        if poly:
+            by_col = defaultdict(dict)
+            for (j, e), c in acc.items():
+                if not c.is_zero():
+                    by_col[j][e] = c
+            row = {j: MultiPolynomial(ring, t) for j, t in by_col.items()}
+        else:
+            row = {j: x for j, x in acc.items() if not x.is_zero()}
+        if row:
+            out[i] = row
     return out
-
-
-def mat_vec(ring, a, v):
-    return [row[0] for row in mat_mul(ring, a, [[x] for x in v])]
 
 
 def transpose(a):
-    rows, cols = shape(a)
-    return [[a[i][j] for i in range(rows)] for j in range(cols)]
+    out = defaultdict(dict)
+    for i, row in a.items():
+        for j, x in row.items():
+            out[j][i] = x
+    return dict(out)
 
 
-def mat_eq(a, b):
-    if shape(a) != shape(b):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def scaled(c, a):
+    """c . a for a scalar c that is not a zero divisor."""
+    return {i: {j: c * x for j, x in row.items()} for i, row in a.items()}
 
 
-def kron(ring, a, b):
-    """Kronecker product (used for tensor products of Gram matrices)."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    out = zeros(ring, ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            x = a[i][j]
-            if x.is_zero():
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    y = b[k][l]
-                    if not y.is_zero():
-                        out[i * rb + k][j * cb + l] = x * y
+def block_diag(blocks):
+    """The block-diagonal matrix of ``(matrix, (rows, cols))`` blocks."""
+    out = {}
+    r = c = 0
+    for mat, (rows, cols) in blocks:
+        for i, row in mat.items():
+            out[r + i] = {c + j: x for j, x in row.items()}
+        r += rows
+        c += cols
     return out
 
 
-def block_diag(ring, blocks):
-    n = sum(shape(b)[0] for b in blocks)
-    m = sum(shape(b)[1] for b in blocks)
-    out = zeros(ring, n, m)
-    r = c = 0
-    for b in blocks:
-        rb, cb = shape(b)
-        for i in range(rb):
-            for j in range(cb):
-                out[r + i][c + j] = b[i][j]
-        r += rb
-        c += cb
+def kron(a, b, b_shape):
+    """Kronecker product; ``b_shape`` is the shape of ``b``."""
+    rb, cb = b_shape
+    out = {}
+    for i, arow in a.items():
+        for k, brow in b.items():
+            out[i * rb + k] = {
+                j * cb + l: x * y for j, x in arow.items() for l, y in brow.items()
+            }
     return out
 
 
@@ -111,10 +149,7 @@ def rank(field, a):
     Rows are reduced one at a time, sparsest first, against the pivot rows
     found so far, which are kept by leading column with a leading 1.
     """
-    rows = [
-        dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if not x.is_zero()}
-        for row in a
-    ]
+    rows = [_row(row) for row in a]
     rows.sort(key=len)
     pivots = {}
     for row in rows:
@@ -144,19 +179,22 @@ def _subtract_multiple(row, factor, pivot):
 
 
 def inverse(field, a):
-    """Exact inverse over a field, or None when singular.
+    """Exact inverse over a field as a sparse matrix, or None when singular.
 
-    Gauss-Jordan on the augmented rows [a | 1] kept as ``{column: entry}``
-    dicts of nonzero entries, so zeros are never multiplied or subtracted.
+    ``a`` is the n rows of an n x n matrix, each a dense list or a
+    ``{column: entry}`` dict as for :func:`rank`; a dense row of another
+    length or a column past n makes it non-square, hence not invertible.
+    Gauss-Jordan runs on the augmented rows [a | 1] kept as
+    ``{column: entry}`` dicts of nonzero entries.
     """
-    n, m = shape(a)
-    if n != m:
+    n = len(a)
+    rows = [_row(row) for row in a]
+    if any(len(r) != n for r in a if not isinstance(r, dict)):
+        return None
+    if any(j >= n for row in rows for j in row):
         return None
     one = field.one()
-    rows = [
-        {j: x for j, x in enumerate(row) if not x.is_zero()} | {n + i: one}
-        for i, row in enumerate(a)
-    ]
+    rows = [row | {n + i: one} for i, row in enumerate(rows)]
     for col in range(n):
         pivot_row = next((i for i in range(col, n) if col in rows[i]), None)
         if pivot_row is None:
@@ -167,5 +205,4 @@ def inverse(field, a):
         for i, row in enumerate(rows):
             if i != col and col in row:
                 _subtract_multiple(row, row[col], pivot)
-    zero = field.zero()
-    return [[row.get(n + j, zero) for j in range(n)] for row in rows]
+    return {i: {j - n: x for j, x in row.items() if j >= n} for i, row in enumerate(rows)}

@@ -224,6 +224,8 @@ def pushforward_phi_r(r, field):
     cohomology report of the intermediate twist.
     """
     r = int(r)
+    if not 1 <= r <= MAX_R:
+        raise BoundsExceeded(f"projective dimension r={r} outside 1..{MAX_R}")
     if r % 2 == 0:
         raise ParityError(
             f"r={r}: the half-canonical twist -(r+1)/2 is not integral for even r"

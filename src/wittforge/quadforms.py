@@ -21,7 +21,7 @@ import sympy
 
 from . import linalg
 from .errors import DegenerateForm, FieldMismatch, Inconclusive, UnsupportedField
-from .fields import FieldSpec, is_square, sqrt
+from .fields import FieldSpec, is_square, rational_sqrt, sqrt
 
 #: cap on brute-force vector searches over Q (number of evaluations)
 SEARCH_CAP = 2 * 10**6
@@ -74,7 +74,7 @@ class QuadraticForm:
 
     Forms are immutable.  The diagonal entries of a congruence
     diagonalization (see :func:`diagonalize`) are computed on first use by
-    the nondegeneracy checks, :func:`witt_equal`, the discriminant and the
+    :meth:`is_degenerate`, :func:`witt_equal`, the discriminant and the
     signature, and then kept in the private ``_entries`` slot, which takes
     no part in equality, hashing or JSON.
     """
@@ -108,49 +108,45 @@ class QuadraticForm:
     def gram_rows(self):
         return [list(r) for r in self.gram]
 
+    def is_degenerate(self):
+        """Whether the form has a radical: a zero entry of its diagonalization."""
+        return any(e.is_zero() for e in _diagonal_entries(self))
+
     def perp(self, other):
         """Orthogonal sum."""
         if other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
-        block = linalg.block_diag(self.field, [self.gram_rows(), other.gram_rows()])
-        return QuadraticForm(self.field, block)
+        n, m = self.dim, other.dim
+        block = linalg.block_diag(
+            [(linalg.sparse(self.gram), (n, n)), (linalg.sparse(other.gram), (m, m))]
+        )
+        return _from_sparse(self.field, block, n + m)
 
     def tensor(self, other):
         """Tensor (Kronecker) product of forms."""
         if other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
-        if self.dim == 0 or other.dim == 0:
-            return QuadraticForm(self.field, [])
-        return QuadraticForm(
-            self.field, linalg.kron(self.field, self.gram_rows(), other.gram_rows())
-        )
+        n, m = self.dim, other.dim
+        product = linalg.kron(linalg.sparse(self.gram), linalg.sparse(other.gram), (m, m))
+        return _from_sparse(self.field, product, n * m)
 
     def scale(self, c):
         c = self.field.element(c)
-        return QuadraticForm(self.field, linalg.mat_scale(c, self.gram_rows()))
+        return _from_sparse(self.field, linalg.scaled(c, linalg.sparse(self.gram)), self.dim)
 
     def neg(self):
         return self.scale(self.field.from_int(-1))
 
     def evaluate(self, vector):
         """q(v) = v^T G v."""
-        v = [self.field.element(x) for x in vector]
-        total = self.field.zero()
-        for i, row in enumerate(self.gram):
-            for j, g in enumerate(row):
-                if not g.is_zero():
-                    total = total + v[i] * g * v[j]
-        return total
+        return self.bilinear(vector, vector)
 
     def bilinear(self, u, v):
         u = [self.field.element(x) for x in u]
         v = [self.field.element(x) for x in v]
-        total = self.field.zero()
-        for i, row in enumerate(self.gram):
-            for j, g in enumerate(row):
-                if not g.is_zero():
-                    total = total + u[i] * g * v[j]
-        return total
+        gram = linalg.sparse(self.gram)
+        terms = (u[i] * g * v[j] for i, row in gram.items() for j, g in row.items())
+        return sum(terms, self.field.zero())
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
@@ -175,6 +171,11 @@ class QuadraticForm:
         return cls(field, obj["gram"])
 
 
+def _from_sparse(field, mat, n):
+    """The form of an n x n sparse Gram matrix."""
+    return QuadraticForm(field, linalg.dense(field, mat, (n, n)))
+
+
 def hyperbolic_plane(field):
     z, o = field.zero(), field.one()
     return QuadraticForm(field, [[z, o], [o, z]])
@@ -183,15 +184,17 @@ def hyperbolic_plane(field):
 def diagonalize(form):
     """Diagonalize by congruence: returns (entries, basis) with basis^T G basis diagonal.
 
-    Works over any supported field (characteristic != 2).  When the form is
-    degenerate the trailing entries are zero.  Pivot k clears row and column
-    k with one symmetric Schur-complement update of the trailing block; a
-    zero diagonal is first repaired by e_i <- e_i + e_j, which needs 2
-    invertible.  Callers that need only the entries use
-    :func:`_diagonal_entries`, which skips the basis and caches them.
+    ``basis`` is a sparse matrix.  Works over any supported field
+    (characteristic != 2).  When the form is degenerate the trailing entries
+    are zero.  Pivot k clears row and column k with one symmetric
+    Schur-complement update of the trailing block; a zero diagonal is first
+    repaired by e_i <- e_i + e_j, which needs 2 invertible.  Callers that
+    need only the entries use :func:`_diagonal_entries`, which skips the
+    basis and caches them.
     """
-    basis = linalg.identity(form.field, form.dim)
-    return _eliminate(form, basis), basis
+    n = form.dim
+    basis = [list(row) for row in linalg.dense(form.field, linalg.identity(form.field, n), (n, n))]
+    return _eliminate(form, basis), linalg.sparse(basis)
 
 
 def _diagonal_entries(form):
@@ -204,7 +207,7 @@ def _diagonal_entries(form):
 def _eliminate(form, basis=None):
     """Diagonal entries of the form by symmetric Gaussian elimination.
 
-    When ``basis`` (an n x n matrix) is given, every congruence step is also
+    When ``basis`` (n x n dense rows) is given, every congruence step is also
     applied to its columns.  At pivot k the rows and columns before k are
     finished (zero off the diagonal of the congruent matrix) and never read
     again, so only the trailing block (indices >= k) is updated.  With
@@ -275,18 +278,17 @@ def _eliminate(form, basis=None):
 
 
 def _check_nondegenerate(form):
-    entries = _diagonal_entries(form)
-    if any(e.is_zero() for e in entries):
+    if form.is_degenerate():
         raise DegenerateForm("the Gram matrix is singular")
-    return entries
+    return _diagonal_entries(form)
 
 
 class WittClass:
     """anisotropic part + number of split hyperbolic planes.
 
     ``certificate`` (when produced by :func:`witt_decompose`) is a change of
-    basis P with P^T G P = H + ... + H + A, recorded together with the
-    original form; tests re-multiply it.
+    basis P, a sparse matrix, with P^T G P = H + ... + H + A, recorded
+    together with the original form; tests re-multiply it.
     """
 
     __slots__ = ("field", "anisotropic", "hyperbolic", "certificate", "source")
@@ -603,13 +605,18 @@ def _q_isotropic_vector(entries):
     n = len(entries)
     if n == 2:
         ratio = -entries[0] / entries[1]
-        root = _rational_sqrt(ratio)
+        root = rational_sqrt(ratio)
+        if root is None:
+            raise RuntimeError(f"invariants certify isotropy, but -d0/d1 = {ratio} is no square")
         return [Fraction(1), root]
     # pairs
     for i in range(n):
         for j in range(i + 1, n):
             if _squarefree_int(-entries[i] * entries[j]) == 1:
-                root = _rational_sqrt(-entries[i] / entries[j])
+                ratio = -entries[i] / entries[j]
+                root = rational_sqrt(ratio)
+                if root is None:
+                    raise RuntimeError(f"-d{i}/d{j} = {ratio} has square class 1 but is no square")
                 vec = [Fraction(0)] * n
                 vec[i], vec[j] = Fraction(1), root
                 return vec
@@ -672,15 +679,6 @@ def _q_represent(entries, value):
     return [a + t * b for a, b in zip(u, head)]
 
 
-def _rational_sqrt(f):
-    f = Fraction(f)
-    rn, okn = sympy.integer_nthroot(f.numerator, 2)
-    rd, okd = sympy.integer_nthroot(f.denominator, 2)
-    if not (okn and okd):
-        raise ValueError(f"{f} is not a rational square")
-    return Fraction(int(rn), int(rd))
-
-
 # ---------------------------------------------------------------------------
 # Witt decomposition
 # ---------------------------------------------------------------------------
@@ -697,7 +695,7 @@ def witt_decompose(form):
     form = _as_form(form)
     field = form.field
     if form.dim == 0:
-        return WittClass(field, form, 0, certificate=[], source=form)
+        return WittClass(field, form, 0, certificate={}, source=form)
     # one diagonalization serves the nondegeneracy check and the first split
     entries, diag_basis = diagonalize(form)
     if form._entries is None:
@@ -717,71 +715,62 @@ def witt_decompose(form):
         raise UnsupportedField(f"no Witt decomposition over {field}")
 
     n = form.dim
-    gram = form.gram_rows()
-    # current complement basis, as columns in original coordinates
+    gram = linalg.sparse(form.gram)
+    # rows: the current complement's basis in original coordinates
     basis = linalg.identity(field, n)
     subform = form
-    pairs = []
+    cert_rows = []  # v_1, u_1, v_2, u_2, ... in original coordinates
 
     while True:
         vec_diag = wrap(finder(entries))
         if vec_diag is None:
             break
         # everything below happens inside the current complement's coordinates
-        v = linalg.mat_vec(field, diag_basis, vec_diag)
+        m = subform.dim
+        v = linalg.product(field, linalg.sparse([vec_diag]), linalg.transpose(diag_basis))
+        v = list(linalg.dense(field, v, (1, m))[0])
         u = _hyperbolic_partner(subform, v)
-        comp = _orthogonal_complement(field, subform, v, u)
-        pairs.append(
-            (linalg.mat_vec(field, basis, v), linalg.mat_vec(field, basis, u))
-        )
-        basis = linalg.mat_mul(field, basis, comp)
-        if not basis[0]:
+        # the change of basis: rows v, u, then the pair's orthogonal complement
+        change = linalg.sparse([v, u] + _orthogonal_complement(field, subform, v, u))
+        rows = linalg.product(field, change, basis)
+        cert_rows += [rows[0], rows[1]]
+        basis = {k - 2: row for k, row in rows.items() if k >= 2}
+        if not basis:
             break  # nothing left: the form was a sum of hyperbolic planes
-        subform = QuadraticForm(field, _restrict_gram(field, gram, basis))
+        subform = _from_sparse(field, _restrict_gram(field, gram, basis), m - 2)
         entries, diag_basis = diagonalize(subform)
 
-    if basis and basis[0]:
-        aniso_gram = _restrict_gram(field, form.gram_rows(), basis)
-        aniso_entries, aniso_diag = diagonalize(QuadraticForm(field, aniso_gram))
-        aniso = QuadraticForm.diagonal(field, aniso_entries)
-        aniso_cols = linalg.mat_mul(field, basis, aniso_diag)
+    hyperbolic = len(cert_rows) // 2
+    if basis:
+        aniso = QuadraticForm.diagonal(field, entries)
+        aniso_rows = linalg.product(field, linalg.transpose(diag_basis), basis)
+        cert_rows += [aniso_rows[k] for k in range(len(entries))]
     else:
         aniso = QuadraticForm(field, [])
-        aniso_cols = [[] for _ in range(n)]
-
-    cert_cols = []
-    for v, u in pairs:
-        cert_cols.append(v)
-        cert_cols.append(u)
-    cert = [
-        [
-            (cert_cols[j][i] if j < len(cert_cols) else aniso_cols[i][j - len(cert_cols)])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return WittClass(field, aniso, len(pairs), certificate=cert, source=form)
+    cert = linalg.transpose(dict(enumerate(cert_rows)))
+    return WittClass(field, aniso, hyperbolic, certificate=cert, source=form)
 
 
-def _restrict_gram(field, gram, basis_cols):
-    bt = linalg.transpose(basis_cols)
-    return linalg.mat_mul(field, linalg.mat_mul(field, bt, gram), basis_cols)
+def _restrict_gram(field, gram, basis_rows):
+    """The Gram matrix of ``gram`` on the span of the rows of ``basis_rows``."""
+    restricted = linalg.product(field, basis_rows, gram)
+    return linalg.product(field, restricted, linalg.transpose(basis_rows))
+
+
+def _pairings(form, w):
+    """b(w, e_k) for every standard basis vector e_k, as a sparse row."""
+    return linalg.product(form.field, linalg.sparse([w]), linalg.sparse(form.gram)).get(0, {})
 
 
 def _hyperbolic_partner(form, v):
     """Complete isotropic v to a hyperbolic pair (v, u): q(u)=0, b(v,u)=1."""
     field = form.field
-    n = form.dim
-    u0 = None
-    for k in range(n):
-        e = [field.zero()] * n
-        e[k] = field.one()
-        b = form.bilinear(v, e)
-        if not b.is_zero():
-            u0 = [x / b for x in e]
-            break
-    if u0 is None:
+    bv = _pairings(form, v)
+    if not bv:
         raise DegenerateForm("isotropic vector is in the radical")
+    k = min(bv)
+    u0 = [field.zero()] * form.dim
+    u0[k] = bv[k].inverse()
     qu = form.evaluate(u0)
     half = field.from_int(2).inverse()
     # u = u0 - q(u0)/2 * v keeps b(v,u) = 1 and kills q(u)
@@ -789,30 +778,26 @@ def _hyperbolic_partner(form, v):
 
 
 def _orthogonal_complement(field, form, v, u):
-    """Columns spanning the orthogonal complement of the hyperbolic pair.
+    """Dense vectors spanning the orthogonal complement of the hyperbolic pair.
 
     ``(v, u)`` is a hyperbolic pair for ``form``; projecting the standard
     basis along the pair spans its complement, from which an independent
     subset of size dim - 2 is kept.
     """
     n = form.dim
-    projected = []
-    for k in range(n):
-        c = [field.zero()] * n
-        c[k] = field.one()
-        bv = form.bilinear(c, v)
-        bu = form.bilinear(c, u)
-        # subtract the H-components: x - b(x,u) v - b(x,v) u
-        projected.append([x - bu * a - bv * b for x, a, b in zip(c, v, u)])
+    zero = field.zero()
+    bv, bu = _pairings(form, v), _pairings(form, u)
     keep = []
-    for c in projected:
+    for k in range(n):
+        c = [zero] * n
+        c[k] = field.one()
+        # subtract the H-components: x - b(x,u) v - b(x,v) u
+        c = [x - bu.get(k, zero) * a - bv.get(k, zero) * b for x, a, b in zip(c, v, u)]
         if linalg.rank(field, keep + [c]) > len(keep):
             keep.append(c)
     if len(keep) != n - 2:
         raise RuntimeError(f"complement of a hyperbolic pair has rank {len(keep)}, not {n - 2}")
-    if not keep:
-        return [[] for _ in range(n)]  # n x 0
-    return linalg.transpose(keep)
+    return keep
 
 
 # ---------------------------------------------------------------------------

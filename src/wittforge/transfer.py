@@ -22,12 +22,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import FieldElement, FieldSpec, embed, factor_univariate, poly_eval, spec_extends
-from .quadforms import (
-    QuadraticForm,
-    _diagonal_entries,
-    signed_discriminant,
-    witt_equal,
-)
+from .quadforms import QuadraticForm, signed_discriminant, witt_equal
 
 
 class ExtensionDatum:
@@ -37,7 +32,8 @@ class ExtensionDatum:
     E = K[y]/(m) over F it is ``{b * y^j}`` with ``b`` running through the
     basis of K/F (inner index fastest).  A custom basis is certified by the
     invertibility of its coordinate matrix.  The basis traces and the trace
-    form are derived on first use and kept in private slots.
+    form are derived on first use and kept in private slots.  Matrices are
+    :mod:`~wittforge.linalg` sparse matrices.
     """
 
     __slots__ = (
@@ -65,14 +61,14 @@ class ExtensionDatum:
                 raise ValueError(
                     f"basis has length {len(basis)}, expected {len(canonical)}"
                 )
-            cols = [_canonical_coords(b, bottom) for b in basis]
-            mat = linalg.transpose(cols)
-            inv = linalg.inverse(bottom, mat)
+            # rows: canonical coordinates of the basis, so the inverse maps
+            # canonical coordinate rows to custom ones
+            inv = linalg.inverse(bottom, [_canonical_coords(b, bottom) for b in basis])
             if inv is None:
                 raise ValueError("proposed basis is not F-linearly independent")
             self.basis = basis
             self._to_custom = inv
-        self._one_coords = self.coordinates(top.one())
+        self._one_coords = linalg.sparse([self.coordinates(top.one())])[0]
         self._basis_traces = None
         self._trace_form = None
 
@@ -87,7 +83,8 @@ class ExtensionDatum:
         coords = _canonical_coords(x, self.bottom)
         if self._to_custom is None:
             return coords
-        return linalg.mat_vec(self.bottom, self._to_custom, coords)
+        row = linalg.product(self.bottom, linalg.sparse([coords]), self._to_custom)
+        return list(linalg.dense(self.bottom, row, (1, self.degree))[0])
 
     def from_coordinates(self, coords):
         x = self.top.zero()
@@ -97,8 +94,7 @@ class ExtensionDatum:
 
     def mult_matrix(self, e):
         """Matrix of multiplication by e on E as an F-space (columns = images)."""
-        cols = [self.coordinates(e * b) for b in self.basis]
-        return linalg.transpose(cols)
+        return linalg.transpose(linalg.sparse([self.coordinates(e * b) for b in self.basis]))
 
     def trace(self, e):
         """Trace of multiplication-by-e: an F-element; conjugate sum if separable.
@@ -111,9 +107,9 @@ class ExtensionDatum:
             raise FieldMismatch(f"element of {e.spec}, expected {self.top}")
         zero = self.bottom.zero()
         if self._basis_traces is None:
-            mats = [self.mult_matrix(b) for b in self.basis]
             self._basis_traces = [
-                sum((m[i][i] for i in range(self.degree)), zero) for m in mats
+                sum((self.coordinates(b * c)[i] for i, c in enumerate(self.basis)), zero)
+                for b in self.basis
             ]
         return sum((c * t for c, t in zip(self.coordinates(e), self._basis_traces)), zero)
 
@@ -184,7 +180,7 @@ def trace_form(ext):
             for j in range(i, n):
                 gram[i][j] = gram[j][i] = ext.trace(basis[i] * basis[j])
         form = QuadraticForm(ext.bottom, gram)
-        if any(e.is_zero() for e in _diagonal_entries(form)):
+        if form.is_degenerate():
             raise DegenerateTraceForm(
                 f"trace form of {ext.top}/{ext.bottom} is degenerate (inseparable?)"
             )
@@ -202,22 +198,19 @@ def scharlau_transfer(ext, q):
     """
     if q.field != ext.top:
         raise FieldMismatch(f"form over {q.field}, expected {ext.top}")
-    if any(e.is_zero() for e in _diagonal_entries(q)):
+    if q.is_degenerate():
         raise DegenerateForm("cannot transfer a degenerate form")
-    t_gram = trace_form(ext).gram_rows()
+    t_gram = linalg.sparse(trace_form(ext).gram)
     n = ext.degree
-    r = q.dim
     field = ext.bottom
-    out = [[field.zero()] * (n * r) for _ in range(n * r)]
-    for a in range(r):
-        for c in range(a, r):
-            e = q.gram[a][c]
-            if e.is_zero():
+    out = linalg.zeros(field, n * q.dim, n * q.dim)
+    for a, row in linalg.sparse(q.gram).items():
+        for c, e in row.items():
+            if c < a:
                 continue
-            block = linalg.mat_mul(field, t_gram, ext.mult_matrix(e))
-            for i in range(n):
-                for j in range(n):
-                    out[a * n + i][c * n + j] = out[c * n + i][a * n + j] = block[i][j]
+            for i, block_row in linalg.product(field, t_gram, ext.mult_matrix(e)).items():
+                for j, x in block_row.items():
+                    out[a * n + i][c * n + j] = out[c * n + i][a * n + j] = x
     return QuadraticForm(field, out)
 
 
@@ -235,7 +228,7 @@ def restrict_form(q, target):
 
 
 class LinearMapOverF:
-    """A matrix over F together with descriptors of its domain and codomain.
+    """A dense matrix over F together with descriptors of its domain and codomain.
 
     Descriptors are dicts with at least ``space`` (a label) and
     ``dim_over_base``; matrices act on column vectors.
@@ -262,7 +255,7 @@ class LinearMapOverF:
         return {
             "domain": self.domain,
             "codomain": self.codomain,
-            "matrix": [[x.to_json() for x in row] for row in self.matrix],
+            "matrix": _mat_json(self.matrix),
         }
 
 
@@ -272,14 +265,14 @@ def _space(label, dim):
 
 def module_action(ext, rank, e):
     """Action of e on E^rank viewed over F (basis b_i v_a at index a*n+i)."""
-    m = ext.mult_matrix(e)
-    return linalg.block_diag(ext.bottom, [m] * rank)
+    n = ext.degree
+    return linalg.block_diag([(ext.mult_matrix(e), (n, n))] * rank)
 
 
 def hom_action(ext, dim_w, e):
     """Action of e on Hom_F(E, W): (e.phi)(x) = phi(x e); per-block M(e)^T."""
-    mt = linalg.transpose(ext.mult_matrix(e))
-    return linalg.block_diag(ext.bottom, [mt] * dim_w)
+    n = ext.degree
+    return linalg.block_diag([(linalg.transpose(ext.mult_matrix(e)), (n, n))] * dim_w)
 
 
 def unit_matrix(ext, action_of):
@@ -287,49 +280,47 @@ def unit_matrix(ext, action_of):
 
     ``action_of(e)`` is the F-matrix of multiplication by e on the module;
     the unit lands in Hom_F(E, V|_F) with basis index k*n + l for the
-    functional b_l -> w_k.
+    functional b_l -> w_k: row k*n + l is row k of the action of b_l.
     """
-    field = ext.bottom
     n = ext.degree
-    actions = [action_of(b) for b in ext.basis]
-    s = linalg.shape(actions[0])[0]
-    out = [[field.zero()] * s for _ in range(s * n)]
-    for l in range(n):
-        a = actions[l]
-        for k in range(s):
-            out[k * n + l] = list(a[k])
-    return out
+    return {
+        k * n + l: row
+        for l, b in enumerate(ext.basis)
+        for k, row in action_of(b).items()
+    }
 
 
 def counit_matrix(ext, dim_w):
     """Counit phi -> phi(1) on Hom_F(E, F^dim_w) (basis index k*n + i)."""
-    field = ext.bottom
     n = ext.degree
-    one = ext._one_coords
-    out = [[field.zero()] * (dim_w * n) for _ in range(dim_w)]
-    for k in range(dim_w):
-        for i in range(n):
-            out[k][k * n + i] = one[i]
-    return out
+    return {
+        k: {k * n + i: x for i, x in ext._one_coords.items()} for k in range(dim_w)
+    }
 
 
 def hom_on_map(ext, g):
     """Hom_F(E, -) applied to an F-linear map g (post-composition)."""
-    return linalg.kron(ext.bottom, g, linalg.identity(ext.bottom, ext.degree))
+    n = ext.degree
+    return linalg.kron(g, linalg.identity(ext.bottom, n), (n, n))
 
 
 def adjunction_data(ext, dim_e, dim_f):
     """The unit for V = E^dim_e and the counit for W = F^dim_f, as matrices."""
     n = ext.degree
+    field = ext.bottom
     unit = LinearMapOverF(
-        ext.bottom,
-        unit_matrix(ext, lambda e: module_action(ext, dim_e, e)),
+        field,
+        linalg.dense(
+            field,
+            unit_matrix(ext, lambda e: module_action(ext, dim_e, e)),
+            (dim_e * n * n, dim_e * n),
+        ),
         _space(f"E^{dim_e} over F", dim_e * n),
         _space(f"Hom_F(E, E^{dim_e}|_F) over F", dim_e * n * n),
     )
     counit = LinearMapOverF(
-        ext.bottom,
-        counit_matrix(ext, dim_f),
+        field,
+        linalg.dense(field, counit_matrix(ext, dim_f), (dim_f, dim_f * n)),
         _space(f"Hom_F(E, F^{dim_f}) over F", dim_f * n),
         _space(f"F^{dim_f}", dim_f),
     )
@@ -347,24 +338,24 @@ def triangle_identities_check(ext, dim_e, dim_f):
     n = ext.degree
     # first triangle, on V = E^dim_e: counit_{V|_F} . (unit_V)|_F = id
     unit_v = unit_matrix(ext, lambda e: module_action(ext, dim_e, e))
-    t1 = linalg.mat_mul(field, counit_matrix(ext, dim_e * n), unit_v)
-    ok1 = linalg.mat_eq(t1, linalg.identity(field, dim_e * n))
+    t1 = linalg.product(field, counit_matrix(ext, dim_e * n), unit_v)
+    ok1 = t1 == linalg.identity(field, dim_e * n)
     # second triangle, on W = F^dim_f: Hom(E, counit_W) . unit_{Hom(E,W)} = id
     unit_hw = unit_matrix(ext, lambda e: hom_action(ext, dim_f, e))
-    t2 = linalg.mat_mul(field, hom_on_map(ext, counit_matrix(ext, dim_f)), unit_hw)
-    ok2 = linalg.mat_eq(t2, linalg.identity(field, dim_f * n))
+    t2 = linalg.product(field, hom_on_map(ext, counit_matrix(ext, dim_f)), unit_hw)
+    ok2 = t2 == linalg.identity(field, dim_f * n)
     # E-linearity of the units
     ok3 = True
     for b in ext.basis:
-        lhs_lin = linalg.mat_mul(field, unit_v, module_action(ext, dim_e, b))
-        rhs_lin = linalg.mat_mul(field, hom_action(ext, dim_e * n, b), unit_v)
-        if not linalg.mat_eq(lhs_lin, rhs_lin):
+        lhs_lin = linalg.product(field, unit_v, module_action(ext, dim_e, b))
+        rhs_lin = linalg.product(field, hom_action(ext, dim_e * n, b), unit_v)
+        if lhs_lin != rhs_lin:
             ok3 = False
     return CheckReport(
         claim=f"triangle identities for {ext.top}/{ext.bottom}, "
         f"dims ({dim_e}, {dim_f})",
-        lhs={"first_triangle": _mat_json(t1)},
-        rhs={"second_triangle": _mat_json(t2)},
+        lhs={"first_triangle": _mat_json(linalg.dense(field, t1, (dim_e * n, dim_e * n)))},
+        rhs={"second_triangle": _mat_json(linalg.dense(field, t2, (dim_f * n, dim_f * n)))},
         equal=ok1 and ok2 and ok3,
         witness={"unit_E_linear": ok3},
     )
@@ -378,11 +369,10 @@ def cartan_isomorphism(ext, dim_e):
     phi -> (a -> phi(a)(1)) is the identity permutation; returning it as a
     matrix keeps the composition with the duality route basis-explicit.
     """
-    n = ext.degree
-    size = dim_e * n
+    size = dim_e * ext.degree
     return LinearMapOverF(
         ext.bottom,
-        linalg.identity(ext.bottom, size),
+        linalg.dense(ext.bottom, linalg.identity(ext.bottom, size), (size, size)),
         _space(f"Hom_E(E^{dim_e}, Hom_F(E,F)) over F", size),
         _space(f"Hom_F(E^{dim_e}|_F, F)", size),
     )
@@ -410,9 +400,9 @@ def pushforward_via_cartan(ext, q):
                 e = q.gram[a][c] * ext.basis[k]
                 for i in range(n):
                     psi[a * n + i][c * n + k] = ext.trace(ext.basis[i] * e)
-    cartan = cartan_isomorphism(ext, r).matrix
-    gram = linalg.mat_mul(field, cartan, psi)
-    return QuadraticForm(field, gram)
+    cartan = linalg.sparse(cartan_isomorphism(ext, r).matrix)
+    gram = linalg.product(field, cartan, linalg.sparse(psi))
+    return QuadraticForm(field, linalg.dense(field, gram, (r * n, r * n)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +467,7 @@ def transfer_compose_check(outer, inner, q):
         lhs=_class_summary(lhs),
         rhs=_class_summary(rhs),
         equal=equal,
-        witness={"lhs_gram": _mat_json(lhs.gram_rows()), "rhs_gram": _mat_json(rhs.gram_rows())}
+        witness={"lhs_gram": _mat_json(lhs.gram), "rhs_gram": _mat_json(rhs.gram)}
         if not equal
         else None,
     )

@@ -27,7 +27,6 @@ from .polynomials import PolyRing
 from .projspace import ProjLineBundleQuery, closed_formula_dims, cohomology, pushforward_phi_r
 from .quadforms import (
     QuadraticForm,
-    _diagonal_entries,
     hilbert_symbol,
     relevant_places,
     witt_add,
@@ -166,19 +165,17 @@ def random_nondegenerate(field, rng, dim):
             for j in range(i):
                 g[i][j] = g[j][i]
         form = QuadraticForm(field, g)
-        if all(not e.is_zero() for e in _diagonal_entries(form)):
+        if not form.is_degenerate():
             return form
 
 
 def random_invertible(field, rng, n):
-    """A random invertible n x n matrix with small entries, and its inverse."""
-    if n == 0:
-        return [], []
+    """A random invertible n x n matrix with small entries, and its inverse (sparse)."""
     while True:
         m = [[field.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         inv = linalg.inverse(field, m)
         if inv is not None:
-            return m, inv
+            return linalg.sparse(m), inv
 
 
 def random_complex(field, rng, lo=-1, hi=2, max_h=2, max_e=2):
@@ -196,16 +193,14 @@ def random_complex(field, rng, lo=-1, hi=2, max_h=2, max_e=2):
     terms = {n: h[n] + e.get(n, 0) + e.get(n + 1, 0) for n in range(lo, hi + 1)}
     # degree n -> (P_n, P_n^-1)
     basis = {n: random_invertible(field, rng, r) for n, r in terms.items()}
-    diffs = {}
+    mats = {}
     for n in range(lo + 1, hi + 1):
         if not (terms[n - 1] and terms[n] and e.get(n)):
             continue
-        mat = linalg.zeros(field, terms[n - 1], terms[n])
-        for k in range(e[n]):
-            mat[h[n - 1] + e.get(n - 1, 0) + k][h[n] + k] = field.one()
+        mat = {h[n - 1] + e.get(n - 1, 0) + k: {h[n] + k: field.one()} for k in range(e[n])}
         p_out, p_in_inv = basis[n - 1][0], basis[n][1]
-        diffs[n] = linalg.mat_mul(field, linalg.mat_mul(field, p_out, mat), p_in_inv)
-    return ChainComplex(field, terms, diffs)
+        mats[n] = linalg.product(field, linalg.product(field, p_out, mat), p_in_inv)
+    return ChainComplex._trusted(field, terms, mats)
 
 
 def coordinate_datum(d):
@@ -700,6 +695,8 @@ def run_suite(name, seed=0, size=None, bound=None):
     fn = SUITES[name]
     kwargs = {"seed": seed}
     if size is not None:
+        if size < 0:
+            raise ValueError(f"size {size} must be >= 0")
         kwargs["size"] = size
     if bound is not None:
         kwargs["bound"] = bound

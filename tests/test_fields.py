@@ -278,6 +278,17 @@ def test_poly_divmod_identity():
         assert len(r) <= g_degree  # deg r < deg g
 
 
+def test_poly_divmod_raises_on_inconsistent_arithmetic():
+    # a throwaway spec whose products are off by one: no pass can cancel
+    # its leading term, so division must stop instead of looping
+    spec = FieldSpec.Fp(7)
+    spec._kernel.mul = lambda a, b: (a * b + 1) % 7
+    f = [spec.from_int(c) for c in (1, 2, 3, 4)]
+    g = [spec.from_int(c) for c in (1, 1)]
+    with pytest.raises(RuntimeError, match="did not cancel"):
+        poly_divmod(spec, f, g)
+
+
 def test_poly_gcd_of_coprime():
     # gcd(x^2+1, x) = 1 over F3
     g = poly_gcd(F3, (F3.one(), F3.zero(), F3.one()), (F3.zero(), F3.one()))
@@ -580,6 +591,11 @@ def _tower(name):
     return FieldSpec.extension(base, find_irreducible(base, degree))
 
 
+def column(vector):
+    """A dense vector as a sparse one-column matrix."""
+    return linalg.transpose(linalg.sparse([vector]))
+
+
 @pytest.mark.parametrize("name", TOWERS)
 def test_tower_kernel_matches_flattened_matrices(name):
     # the F3-linear route: coordinates of a*b are M(a) times those of b, and
@@ -590,9 +606,10 @@ def test_tower_kernel_matches_flattened_matrices(name):
     for _ in range(6):
         a, b = top.random_nonzero(rng), top.random_element(rng)
         m = ext.mult_matrix(a)
-        assert ext.coordinates(a * b) == linalg.mat_vec(F3, m, ext.coordinates(b))
+        assert column(ext.coordinates(a * b)) == linalg.product(F3, m, column(ext.coordinates(b)))
         one = ext.coordinates(top.one())
-        assert ext.coordinates(a.inverse()) == linalg.mat_vec(F3, linalg.inverse(F3, m), one)
+        inv = linalg.inverse(F3, linalg.dense(F3, m, (ext.degree, ext.degree)))
+        assert column(ext.coordinates(a.inverse())) == linalg.product(F3, inv, column(one))
 
 
 @pytest.mark.parametrize("name", TOWERS)

@@ -1,14 +1,17 @@
-"""Exact rank and inverse, against sympy's DomainMatrix as an oracle.
+"""Sparse matrix arithmetic, rank and inverse, against sympy as an oracle.
 
-``linalg.rank`` takes dense rows or sparse ``{column: entry}`` rows; both
-forms of the same matrix must give sympy's rank over GF(p) and QQ.
+The product, transpose, block sum and Kronecker product are compared with
+sympy's ``Matrix`` over QQ and GF(p), empty shapes included.  ``linalg.rank``
+takes dense rows or sparse ``{column: entry}`` rows; both forms of the same
+matrix must give sympy's rank over GF(p) and QQ, and the inverse must be
+``DomainMatrix``'s.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, QQ
+from sympy import GF, QQ, Matrix, diag, kronecker_product
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
@@ -70,6 +73,15 @@ def test_rank_matches_sympy_dense_and_sparse(case):
     assert sparse == snapshot
 
 
+def test_inverse_of_non_square_rows_is_none():
+    F5 = FieldSpec.Fp(5)
+    one = F5.one()
+    assert linalg.inverse(F5, [[one, one]]) is None
+    # a dict row reaching past column n would meet the augmented identity
+    assert linalg.inverse(F5, [{0: one, 1: one}]) is None
+    assert linalg.inverse(F5, [{0: one}]) == {0: {0: one}}
+
+
 def test_rank_of_empty_rows():
     F5 = FieldSpec.Fp(5)
     assert linalg.rank(F5, []) == 0
@@ -88,8 +100,8 @@ def test_inverse_is_two_sided_or_none(case):
         assert inv is None
         return
     one = linalg.identity(field, n)
-    assert linalg.mat_eq(linalg.mat_mul(field, square, inv), one)
-    assert linalg.mat_eq(linalg.mat_mul(field, inv, square), one)
+    assert linalg.product(field, linalg.sparse(square), inv) == one
+    assert linalg.product(field, inv, linalg.sparse(square)) == one
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,4 +123,53 @@ def test_inverse_matches_sympy(case):
     else:
         expected = [[int(x) % field.p for x in row] for row in expected]
     assert inv is not None
-    assert [[field.element(x) for x in row] for row in expected] == inv
+    assert linalg.sparse([[field.element(x) for x in row] for row in expected]) == inv
+
+
+@st.composite
+def operands(draw):
+    """A field and three small matrices of ints or Fractions: a (r x k),
+    b (k x c) and c (s x t), any dimension possibly 0."""
+    p = draw(st.sampled_from((0, 3, 5, 7)))
+    r, k, c, s, t = (draw(st.integers(0, 4)) for _ in range(5))
+    density = draw(st.sampled_from((0.2, 0.6, 1.0)))
+    cell = st.tuples(st.floats(0, 1), st.integers(-4, 4), st.integers(1, 1 if p else 3))
+
+    def values(rows, cols):
+        return [
+            [
+                Fraction(num, den) if u < density else Fraction(0)
+                for u, num, den in draw(st.lists(cell, min_size=cols, max_size=cols))
+            ]
+            for _ in range(rows)
+        ]
+
+    field = FieldSpec.Fp(p) if p else FieldSpec.Q()
+    mats = [Matrix(rows, cols, [x for row in values(rows, cols) for x in row])
+            for rows, cols in ((r, k), (k, c), (s, t))]
+    return field, mats
+
+
+def _ours(field, m):
+    """The linalg form of a sympy Matrix, entries reduced into ``field``."""
+    return linalg.sparse([[field.element(Fraction(str(x))) for x in row] for row in m.tolist()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands())
+def test_sparse_operations_match_sympy(case):
+    field, (a, b, c) = case
+    sa, sb, sc = (_ours(field, m) for m in (a, b, c))
+    assert linalg.product(field, sa, sb) == _ours(field, a * b)
+    assert linalg.transpose(sa) == _ours(field, a.T)
+    assert linalg.scaled(field.from_int(-2), sa) == _ours(field, -2 * a)
+    blocks = [(sa, a.shape), (sc, c.shape)]
+    assert linalg.block_diag(blocks) == _ours(field, diag(a, c))
+    # sympy's Kronecker product fails on empty shapes, which have no entries
+    expected = _ours(field, kronecker_product(a, c)) if 0 not in a.shape + c.shape else {}
+    assert linalg.kron(sa, sc, c.shape) == expected
+    n = a.shape[0]
+    assert linalg.identity(field, n) == _ours(field, Matrix.eye(n))
+    assert linalg.dense(field, sa, a.shape) == tuple(
+        tuple(field.element(Fraction(str(x))) for x in row) for row in a.tolist()
+    )

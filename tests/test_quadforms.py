@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wittforge import linalg
+from wittforge import linalg, quadforms
 from wittforge.errors import DegenerateForm, FieldMismatch, UnsupportedField
 from wittforge.fields import FieldSpec, find_irreducible, is_square
 from wittforge.quadforms import (
@@ -104,15 +104,13 @@ def assert_certificate(form, wc):
     """P^T G P must be hyperbolic planes followed by the anisotropic Gram."""
     field = form.field
     p = wc.certificate
-    g = form.gram_rows()
-    ptgp = linalg.mat_mul(field, linalg.mat_mul(field, linalg.transpose(p), g), p)
-    k = wc.hyperbolic
-    blocks = [hyperbolic_plane(field).gram_rows() for _ in range(k)]
-    if wc.anisotropic.dim:
-        blocks.append(wc.anisotropic.gram_rows())
-    expected = linalg.block_diag(field, blocks)
-    assert linalg.mat_eq(ptgp, expected)
-    assert linalg.inverse(field, p) is not None
+    g = linalg.sparse(form.gram)
+    ptgp = linalg.product(field, linalg.product(field, linalg.transpose(p), g), p)
+    blocks = [(linalg.sparse(hyperbolic_plane(field).gram), (2, 2))] * wc.hyperbolic
+    aniso = wc.anisotropic
+    blocks.append((linalg.sparse(aniso.gram), (aniso.dim, aniso.dim)))
+    assert ptgp == linalg.block_diag(blocks)
+    assert linalg.inverse(field, linalg.dense(field, p, (form.dim, form.dim))) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +202,7 @@ def test_place_parse_and_json():
 def test_diagonalize_f3_example():
     entries, basis = diagonalize(QuadraticForm(F3, [[1, 1], [1, 2]]))
     assert [e.to_json() for e in entries] == [1, 1]
-    assert linalg.inverse(F3, basis) is not None
+    assert linalg.inverse(F3, linalg.dense(F3, basis, (2, 2))) is not None
 
 
 def sample_forms(field, rng, count, max_dim=4, allow_degenerate=False):
@@ -229,14 +227,11 @@ def test_diagonalize_is_a_congruence(field):
     rng = random.Random(802)
     for form in sample_forms(field, rng, 12, allow_degenerate=True):
         entries, basis = diagonalize(form)
-        d = [
-            [entries[i] if i == j else field.zero() for j in range(form.dim)]
-            for i in range(form.dim)
-        ]
+        d = {i: {i: e} for i, e in enumerate(entries) if not e.is_zero()}
         bt = linalg.transpose(basis)
-        lhs = linalg.mat_mul(field, linalg.mat_mul(field, bt, form.gram_rows()), basis)
-        assert linalg.mat_eq(lhs, d)
-        assert linalg.inverse(field, basis) is not None
+        lhs = linalg.product(field, linalg.product(field, bt, linalg.sparse(form.gram)), basis)
+        assert lhs == d
+        assert linalg.inverse(field, linalg.dense(field, basis, (form.dim,) * 2)) is not None
 
 
 def random_symmetric(field, rng, n, zero_share=0.4, zero_diagonal=False):
@@ -308,7 +303,25 @@ PINNED_DIAGONALIZATIONS = [
 def test_diagonalize_pinned(field, gram, entries, basis):
     got_entries, got_basis = diagonalize(QuadraticForm(field, gram))
     assert [e.to_json() for e in got_entries] == entries
+    got_basis = linalg.dense(field, got_basis, (len(gram), len(gram)))
     assert [[x.to_json() for x in row] for row in got_basis] == basis
+
+
+def test_is_degenerate_reads_the_cached_entries():
+    singular = QuadraticForm(F3, [[1, 1], [1, 1]])
+    assert singular.is_degenerate()
+    assert singular._entries == (F3.one(), F3.zero())
+    assert not hyperbolic_plane(F3).is_degenerate()
+    assert not QuadraticForm(F3, []).is_degenerate()
+
+
+@pytest.mark.parametrize("entries", [[1, -1], [1, -4, 3]], ids=["binary", "pair"])
+def test_isotropic_vector_without_a_root_is_an_internal_fault(monkeypatch, entries):
+    # the invariants promise a rational square root; its absence is a
+    # broken invariant, raised as such rather than as bad input
+    monkeypatch.setattr(quadforms, "rational_sqrt", lambda f: None)
+    with pytest.raises(RuntimeError, match="no square"):
+        quadforms._q_isotropic_vector([Fraction(e) for e in entries])
 
 
 def test_diagonal_entries_cached_per_form():
@@ -392,8 +405,8 @@ def test_witt_decompose_certificates_finite(field):
         assert again.anisotropic.dim == wc.anisotropic.dim
 
 
-#: witt_decompose's anisotropic Gram, hyperbolic count and certificate for
-#: fixed forms: `witt decompose --json` prints the certificate
+#: witt_decompose's anisotropic Gram, hyperbolic count and certificate (as
+#: dense rows) for fixed forms
 PINNED_DECOMPOSITIONS = [
     (F3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [[2]], 1, [[2, 0, 2], [0, 2, 1], [0, 0, 1]]),
     (
@@ -438,7 +451,8 @@ def test_witt_decompose_pinned(field, gram, aniso, hyperbolic, certificate):
     wc = witt_decompose(form)
     assert wc.to_json()["anisotropic"]["gram"] == aniso
     assert wc.hyperbolic == hyperbolic
-    assert [[x.to_json() for x in row] for row in wc.certificate] == certificate
+    cert = linalg.dense(field, wc.certificate, (form.dim, form.dim))
+    assert [[x.to_json() for x in row] for row in cert] == certificate
     # the first diagonalization doubles as the nondegeneracy check and is kept
     assert form._entries == tuple(diagonalize(form)[0])
 

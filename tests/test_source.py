@@ -58,3 +58,18 @@ def test_no_pass_through_aliases():
             if isinstance(node, ast.FunctionDef) and _is_pass_through(node)
         ]
     assert not found, f"pass-through aliases: {found}"
+
+
+def test_no_private_imports_from_sibling_modules():
+    """A module reaches a sibling only through its public names."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}: {node.module or ''}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert not found, f"private names imported from sibling modules: {found}"
