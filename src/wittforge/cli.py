@@ -101,15 +101,19 @@ def parse_field(text):
         if q < 3 or q % 2 == 0:
             raise ValueError(f"no odd finite field of order {q}")
         p = next(d for d in range(3, q + 1) if q % d == 0)
-        k = 0
-        power = 1
-        while power < q:
-            power *= p
-            k += 1
-        if power != q:
+        k = _exponent(q, p)
+        if k is None:
             raise ValueError(f"{q} is not a prime power")
         return extension_of(FieldSpec.Fp(p), k)
     raise ValueError(f"unknown field shorthand {text!r}")
+
+
+def _exponent(q, base):
+    """The k with base**k == q, or None."""
+    k, power = 0, 1
+    while power < q:
+        power, k = power * base, k + 1
+    return k if power == q else None
 
 
 def parse_extension(text):
@@ -131,14 +135,9 @@ def parse_extension(text):
 def _step_over(bottom, top_text):
     top_text = top_text.strip()
     if bottom.is_finite and top_text.startswith("F"):
-        q_top = int(top_text[1:])
-        q_bot = bottom.order()
-        degree = 0
-        power = 1
-        while power < q_top:
-            power *= q_bot
-            degree += 1
-        if power != q_top or degree == 0:
+        q_top, q_bot = int(top_text[1:]), bottom.order()
+        degree = _exponent(q_top, q_bot)
+        if not degree:
             raise ValueError(f"{top_text} is not an extension of F{q_bot}")
         return extension_of(bottom, degree)
     top = parse_field(top_text)
@@ -167,6 +166,11 @@ def parse_form(field, text):
     if text.startswith("["):
         return QuadraticForm(field, json.loads(text))
     return QuadraticForm.diagonal(field, [e.strip() for e in text.split(",")])
+
+
+def _form_or_unit(field, text):
+    """The form ``text`` gives, or the unit form <1> when its flag was omitted."""
+    return QuadraticForm.diagonal(field, [1]) if text is None else parse_form(field, text)
 
 
 _FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(\d+))?$")
@@ -233,8 +237,16 @@ def _split_top_level(text):
 
 
 def parse_complex(text):
+    """A complex from a JSON object: ``ring`` and ``terms`` objects, optional ``diffs``."""
     obj = json.loads(_resolve(text))
-    return ChainComplex.from_json(obj)
+    if not isinstance(obj, dict) or any(
+        not isinstance(obj.get(key, {}), dict) for key in ("ring", "terms", "diffs")
+    ):
+        raise ValueError("a complex is a JSON object with 'ring', 'terms' and 'diffs' objects")
+    try:
+        return ChainComplex.from_json(obj)
+    except KeyError as err:
+        raise ValueError(f"the complex JSON has no {err.args[0]!r} key") from None
 
 
 def parse_element(field, text):
@@ -374,37 +386,21 @@ def cmd_transfer_push(args):
 
 def cmd_transfer_check_compose(args):
     outer, inner = parse_tower(args.tower)
-    form = (
-        QuadraticForm.diagonal(inner.top, [1])
-        if args.form is None
-        else parse_form(inner.top, args.form)
-    )
+    form = _form_or_unit(inner.top, args.form)
     return _emit_check(args, transfer_compose_check(outer, inner, form))
 
 
 def cmd_transfer_check_basechange(args):
     ext = parse_extension(args.ext)
     other = parse_field(args.scalars)
-    form = (
-        QuadraticForm.diagonal(ext.top, [1])
-        if args.form is None
-        else parse_form(ext.top, args.form)
-    )
+    form = _form_or_unit(ext.top, args.form)
     return _emit_check(args, base_change_check(ext, other, form))
 
 
 def cmd_transfer_check_projection(args):
     ext = parse_extension(args.ext)
-    x = (
-        QuadraticForm.diagonal(ext.top, [1])
-        if args.top_form is None
-        else parse_form(ext.top, args.top_form)
-    )
-    y = (
-        QuadraticForm.diagonal(ext.bottom, [1])
-        if args.bottom_form is None
-        else parse_form(ext.bottom, args.bottom_form)
-    )
+    x = _form_or_unit(ext.top, args.top_form)
+    y = _form_or_unit(ext.bottom, args.bottom_form)
     return _emit_check(args, projection_formula_check(ext, x, y))
 
 

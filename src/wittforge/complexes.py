@@ -164,12 +164,6 @@ class ChainComplex:
     def is_zero(self):
         return not self.terms
 
-    def min_degree(self):
-        return min(self.terms) if self.terms else 0
-
-    def max_degree(self):
-        return max(self.terms) if self.terms else 0
-
     def diff(self, n):
         """The matrix A_n -> A_{n-1} as dense rows (zeros when absent)."""
         return [list(row) for row in self._dense(n)]

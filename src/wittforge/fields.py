@@ -8,19 +8,19 @@ degree of a tower is capped at :data:`MAX_TOWER_DEGREE`.
 Elements are immutable :class:`FieldElement` values carrying their spec and
 a raw payload:
 
-* ``Q``    -- a ``fractions.Fraction``
+* ``Q``    -- an ``int`` when integral, else a ``fractions.Fraction``
 * ``Fp``   -- an ``int`` in ``[0, p)``
 * ``ext``  -- a tuple ``(c0, ..., c_{n-1})`` of the base field's *raw*
   payloads (nested tuples in a tower, never boxed elements), the
   coordinates in the power basis ``1, a, ..., a^{n-1}`` of the generator.
 
-Every payload is canonical (reduced ints, fixed-length tuples), so payloads
-compare and hash by value.  Each spec derives one arithmetic kernel for its
-kind when it is built (private slot ``_kernel``); element operations run the
-kernel on payloads and box only their result.  Extension products are
-schoolbook products reduced once by the monic modulus (over F_p the integer
-sums are reduced mod p once, at the end), and inverses run the extended
-Euclidean algorithm on raw coefficient lists.
+Payloads compare and hash by value (reduced ints, fixed-length tuples, and
+``n == Fraction(n)`` with equal hashes).  Each spec derives one arithmetic
+kernel for its kind when it is built (private slot ``_kernel``); element
+operations run the kernel on payloads and box only their result.  Extension
+products are schoolbook products reduced once by the monic modulus (over F_p
+the integer sums are reduced mod p once, at the end), and inverses run the
+extended Euclidean algorithm on raw coefficient lists.
 
 Characteristic 2 is rejected at construction time: every quadratic-form
 routine downstream assumes ``2`` is invertible.
@@ -29,6 +29,7 @@ routine downstream assumes ``2`` is invertible.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -75,7 +76,7 @@ class FieldSpec:
         elif kind == "Fp":
             self._kernel = _prime_kernel(p)
         else:
-            self._kernel = _extension_kernel(base._kernel, tuple(c.payload for c in modulus))
+            self._kernel = _extension_kernel(base, tuple(c.payload for c in modulus))
 
     def __reduce__(self):
         # the kernel holds closures, so pickle and copy rebuild it
@@ -182,7 +183,7 @@ class FieldSpec:
             return self.from_int(value)
         if isinstance(value, Fraction):
             if self.kind == "Q":
-                return FieldElement(self, value)
+                return FieldElement(self, _rational(value))
             if self.kind == "Fp":
                 if value.denominator % self.p == 0:
                     raise ValueError(f"{value} has no image in {self}: p divides its denominator")
@@ -228,7 +229,7 @@ class FieldSpec:
 
     def random_element(self, rng):
         if self.kind == "Q":
-            return FieldElement(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            return FieldElement(self, _rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
         if self.kind == "Fp":
             return self.from_int(rng.randrange(self.p))
         return FieldElement(
@@ -410,8 +411,7 @@ class FieldElement:
 
     def to_json(self):
         if self.spec.kind == "Q":
-            f = self.payload
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+            return str(self.payload)  # "n" or "n/d"
         if self.spec.kind == "Fp":
             return self.payload
         return [FieldElement(self.spec.base, c).to_json() for c in self.payload]
@@ -434,14 +434,22 @@ class _Kernel:
 
 
 def _rational_kernel():
-    """Arithmetic on ``Fraction`` payloads."""
+    """Arithmetic on rational payloads: an ``int`` when integral, else a ``Fraction``.
+
+    The bare ``operator`` builtins keep integral work (every Koszul sign) on
+    machine ints, with no Fraction gcd and no per-operation renormalising.
+    """
     k = _Kernel()
-    k.zero, k.one, k.from_int = Fraction(0), Fraction(1), Fraction
-    # a truth test: Fraction.__bool__ is far cheaper than == against Fraction(0)
+    k.zero, k.one, k.from_int = 0, 1, operator.index  # index: a Fraction raises, never truncates
     k.is_zero = operator.not_
     k.add, k.sub, k.mul, k.neg = operator.add, operator.sub, operator.mul, operator.neg
-    k.inv = Fraction(1).__truediv__
+    k.inv = lambda a: _rational(Fraction(1, a))
     return k
+
+
+def _rational(f):
+    """The Q payload of a Fraction: its numerator when it is integral."""
+    return f.numerator if f.denominator == 1 else f
 
 
 def _prime_kernel(p):
@@ -457,23 +465,25 @@ def _prime_kernel(p):
     return k
 
 
-def _extension_kernel(base, modulus):
-    """Arithmetic on coefficient tuples of ``base`` payloads modulo a monic modulus.
+def _extension_kernel(spec, modulus):
+    """Arithmetic on coefficient tuples of ``spec`` payloads modulo a monic modulus.
 
     Products accumulate with ``acc_add``/``acc_mul`` and pass each
-    coefficient through ``settle`` once: over a prime base (int payloads)
-    these are plain int operations and a single reduction mod p; over any
-    other base they are the base kernel's own operations.
+    coefficient through ``settle`` once: over a prime base these are plain
+    int operations and a single reduction mod p; over any other base
+    (Q included, whose payloads may be ints too) they are the base kernel's
+    own operations.
 
     Payload tuples are built from lists: ``tuple()`` of a bare iterator
     over-allocates and then resizes, bypassing CPython's per-size tuple free
     lists, which the freed payloads then fill and keep allocated.
     """
     n = len(modulus) - 1
+    base = spec._kernel
     is_zero = base.is_zero
     # x^n = -(m_0 + m_1 x + ... + m_{n-1} x^{n-1}): the nonzero terms of that tail
     tail = tuple((i, base.neg(c)) for i, c in enumerate(modulus[:n]) if not is_zero(c))
-    if type(base.zero) is int:
+    if spec.kind == "Fp":
         acc_add, acc_mul, settle = operator.add, operator.mul, base.from_int
     else:
         acc_add, acc_mul, settle = base.add, base.mul, None
@@ -687,16 +697,13 @@ def rational_roots(coeffs):
             f = f[1:]
     if len(f) <= 1:
         return roots
-    denom = 1
-    for c in f:
-        denom = sympy.ilcm(denom, c.payload.denominator)
+    denom = math.lcm(*(c.payload.denominator for c in f))
     ints = [int(c.payload * denom) for c in f]
-    poly = [Q.element(Fraction(i)) for i in ints]
     for num in sympy.divisors(abs(ints[0])):
         for den in sympy.divisors(abs(ints[-1])):
             for sign in (1, -1):
                 cand = Q.element(Fraction(sign * num, den))
-                if cand not in roots and poly_eval(Q, poly, cand).is_zero():
+                if cand not in roots and poly_eval(Q, f, cand).is_zero():
                     roots.append(cand)
     return roots
 
@@ -928,7 +935,7 @@ def _char0_sqrt(x):
 
 
 def rational_sqrt(f):
-    """The nonnegative square root of a Fraction, or None when it has none in Q."""
+    """The nonnegative square root of a rational (int or Fraction) as a Fraction, or None."""
     if f < 0:
         return None
     rn, okn = sympy.integer_nthroot(f.numerator, 2)

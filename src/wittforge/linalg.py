@@ -146,22 +146,27 @@ def rank(field, a):
 
     Rows are dense lists or ``{column: entry}`` dicts of nonzero entries
     (dense rows become dicts here; dict rows are copied, never changed).
-    Rows are reduced one at a time, sparsest first, against the pivot rows
-    found so far, which are kept by leading column with a leading 1.
+    Rows are reduced one at a time, sparsest first, by :func:`extend_pivots`.
     """
-    rows = [_row(row) for row in a]
-    rows.sort(key=len)
     pivots = {}
-    for row in rows:
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = row[col].inverse()
-                pivots[col] = {j: inv * x for j, x in row.items()}
-                break
-            _subtract_multiple(row, row[col], pivot)
+    for row in sorted(map(_row, a), key=len):
+        extend_pivots(pivots, row)
     return len(pivots)
+
+
+def extend_pivots(pivots, row):
+    """Reduce the ``{column: entry}`` row in place against ``pivots``, rows
+    with a leading 1 kept by leading column; a nonzero remainder becomes a
+    new pivot, and the result says whether one did."""
+    while row:
+        col = min(row)
+        pivot = pivots.get(col)
+        if pivot is None:
+            inv = row[col].inverse()
+            pivots[col] = {j: inv * x for j, x in row.items()}
+            return True
+        _subtract_multiple(row, row[col], pivot)
+    return False
 
 
 def _subtract_multiple(row, factor, pivot):

@@ -15,6 +15,7 @@ than guessing.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import sympy
@@ -104,9 +105,6 @@ class QuadraticForm:
     @property
     def dim(self):
         return len(self.gram)
-
-    def gram_rows(self):
-        return [list(r) for r in self.gram]
 
     def is_degenerate(self):
         """Whether the form has a radical: a zero entry of its diagonalization."""
@@ -216,7 +214,7 @@ def _eliminate(form, basis=None):
     once per unordered pair.
     """
     n = form.dim
-    g = form.gram_rows()
+    g = [list(r) for r in form.gram]
 
     def add_col(dst, src, k):
         # e_dst <- e_dst + e_src on the trailing block (column then row)
@@ -558,10 +556,8 @@ def _q_ternary_vector(entries):
     from sympy.abc import x, y, z
     from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
 
-    denom = 1
-    for e in entries:
-        denom = sympy.ilcm(denom, Fraction(e).denominator)
-    ints = [int(Fraction(e) * denom) for e in entries]
+    denom = math.lcm(*(e.denominator for e in entries))
+    ints = [int(e * denom) for e in entries]
     sol = diop_ternary_quadratic(ints[0] * x**2 + ints[1] * y**2 + ints[2] * z**2)
     if sol is None or any(s is None for s in sol):
         return None
@@ -594,11 +590,13 @@ def _q_bounded_search(entries, cap=SEARCH_CAP):
 def _q_isotropic_vector(entries):
     """An explicit nonzero zero of the diagonal form, or None when anisotropic.
 
-    ``entries`` are nonzero Fractions.  The decision is always by invariants;
-    the witness search escalates: square-split pairs, isotropic ternary
-    subforms (complete via Legendre descent), a locally-filtered common value
-    for the 2 + (n-2) block split, and a bounded lattice search as backstop.
+    ``entries`` are nonzero rationals, made Fractions here so ``/`` is exact.
+    The decision is always by invariants; the witness search escalates:
+    square-split pairs, isotropic ternary subforms (complete via Legendre
+    descent), a locally-filtered common value for the 2 + (n-2) block split,
+    and a bounded lattice search as backstop.
     """
+    entries = [Fraction(e) for e in entries]
     inv = _QInvariants(entries)
     if not inv.is_isotropic():
         return None
@@ -787,13 +785,13 @@ def _orthogonal_complement(field, form, v, u):
     n = form.dim
     zero = field.zero()
     bv, bu = _pairings(form, v), _pairings(form, u)
-    keep = []
+    keep, pivots = [], {}
     for k in range(n):
         c = [zero] * n
         c[k] = field.one()
         # subtract the H-components: x - b(x,u) v - b(x,v) u
         c = [x - bu.get(k, zero) * a - bv.get(k, zero) * b for x, a, b in zip(c, v, u)]
-        if linalg.rank(field, keep + [c]) > len(keep):
+        if linalg.extend_pivots(pivots, linalg.sparse([c]).get(0, {})):
             keep.append(c)
     if len(keep) != n - 2:
         raise RuntimeError(f"complement of a hyperbolic pair has rank {len(keep)}, not {n - 2}")

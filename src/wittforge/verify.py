@@ -103,15 +103,10 @@ class VerificationReport:
 
 
 def _case(cid, law, inputs, ok, witness=None):
-    if ok:
-        return {"id": cid, "law": law, "inputs": inputs, "status": "pass"}
-    return {
-        "id": cid,
-        "law": law,
-        "inputs": inputs,
-        "status": "fail",
-        "witness": witness if witness is not None else {"detail": "claimed equality fails"},
-    }
+    case = {"id": cid, "law": law, "inputs": inputs, "status": "pass" if ok else "fail"}
+    if not ok:
+        case["witness"] = witness if witness is not None else {"detail": "claimed equality fails"}
+    return case
 
 
 def _inconclusive(cid, law, inputs, witness):

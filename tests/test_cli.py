@@ -309,6 +309,24 @@ def test_complex_roundtrip_through_files(capsys, tmp_path):
     assert json.loads(out)["terms"] == {"-1": 2, "0": 5, "1": 2}
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"terms": {"0": 1}}', "the complex JSON has no 'ring' key"),
+        ('[{"kind": "Q"}, {"0": 1}]', "a complex is a JSON object"),
+        ('{"ring": {"kind": "Q"}, "terms": [1, 2]}', "'terms' and 'diffs' objects"),
+    ],
+    ids=["missing-ring", "list", "terms-list"],
+)
+def test_malformed_complex_is_one_line_usage(capsys, tmp_path, text, message):
+    path = tmp_path / "cx.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "complex", "homology", "--a", f"@{path}")
+    assert code == 2 and not out
+    assert err.startswith("usage error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
 def test_form_file_input(capsys, tmp_path):
     path = tmp_path / "form.json"
     path.write_text("[[1]]")

@@ -27,6 +27,7 @@ from wittforge.errors import (
 )
 from wittforge.fields import (
     MAX_TOWER_DEGREE,
+    FieldElement,
     FieldSpec,
     _first_nonsquare,
     _is_irreducible,
@@ -640,7 +641,92 @@ def test_qsqrt2_kernel_matches_sympy():
         for got, expr in ((a * b, ea * eb), (a.inverse(), sympy.radsimp(1 / ea))):
             expr = sympy.expand(expr)
             assert got.payload == (expr.subs(r, 0), expr.coeff(r))
-            assert all(isinstance(c, Fraction) for c in got.payload)
+            assert all(isinstance(c, (int, Fraction)) for c in got.payload)
+
+
+# ---------------------------------------------------------------------------
+# the rational kernel: an int payload when integral, a Fraction otherwise
+# ---------------------------------------------------------------------------
+
+rationals = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.fractions(max_denominator=60).filter(lambda f: f.denominator != 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals)
+def test_rational_kernel_matches_fraction_arithmetic(a, b):
+    k, fa, fb = Q._kernel, Fraction(a), Fraction(b)
+    for got, expected in ((k.add(a, b), fa + fb), (k.sub(a, b), fa - fb), (k.mul(a, b), fa * fb)):
+        assert got == expected and isinstance(got, (int, Fraction))
+        if type(a) is type(b) is int:
+            assert type(got) is int  # integral work stays on machine ints
+    assert k.neg(a) == -fa and type(k.neg(a)) is type(a)
+    if a:
+        inv = k.inv(a)
+        assert inv == 1 / fa
+        assert (type(inv) is int) == ((1 / fa).denominator == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals)
+def test_rational_payload_is_int_exactly_when_integral(x):
+    f = Fraction(x)
+    integral = f.denominator == 1
+    for el in (Q.element(f), Q.element(x), Q.element(str(f))):
+        assert el.payload == f and (type(el.payload) is int) == integral
+    if integral:
+        assert type(Q.from_int(f.numerator).payload) is int
+    if f:
+        inv = Q.element(f).inverse()
+        assert inv.payload == 1 / f
+        assert (type(inv.payload) is int) == ((1 / f).denominator == 1)
+    # the same value with a Fraction payload: equal, same hash, same wire form
+    el, boxed = Q.element(f), FieldElement(Q, f)
+    assert el == boxed and hash(el) == hash(boxed)
+    assert el.to_json() == boxed.to_json() and repr(el) == repr(boxed)
+    back = pickle.loads(pickle.dumps(el))
+    assert back == boxed and type(back.payload) is type(el.payload)
+
+
+def test_random_rationals_are_int_exactly_when_integral():
+    rng, oracle = random.Random(7), random.Random(7)
+    for _ in range(300):
+        x = Q.random_element(rng)
+        f = Fraction(oracle.randint(-9, 9), oracle.randint(1, 9))  # the same draws
+        assert x.payload == f and (type(x.payload) is int) == (f.denominator == 1)
+    assert rng.random() == oracle.random()
+
+
+def test_rational_from_int_refuses_fractions():
+    for value in (Fraction(1, 2), Fraction(3)):
+        with pytest.raises(TypeError):
+            Q.from_int(value)
+    assert Q.from_int(-4).payload == -4
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_quadratic_rational_extension_keeps_fractional_coordinates(n):
+    # coordinates over Q may be ints or Fractions; neither may be truncated
+    spec = FieldSpec.extension(Q, [-n, 0, 1])
+    r = sympy.sqrt(n)
+    half, third = spec.element([Fraction(1, 2)]), spec.element([0, Fraction(1, 3)])
+    assert (half * third).payload == (0, Fraction(1, 6))
+    assert (third * third).payload == (Fraction(n, 9), 0)
+    rng = random.Random(n)
+    for _ in range(25):
+        a, b = (
+            spec.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)])
+            for _ in range(2)
+        )
+        ea, eb = (x.payload[0] + x.payload[1] * r for x in (a, b))
+        pairs = [(a * b, ea * eb), (a + b, ea + eb), (a - b, ea - eb)]
+        if not a.is_zero():
+            pairs.append((a.inverse(), sympy.radsimp(1 / ea)))
+        for got, expr in pairs:
+            expr = sympy.expand(expr)
+            assert got.payload == (expr.subs(r, 0), expr.coeff(r))
 
 
 def test_payloads_are_raw():

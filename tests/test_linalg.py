@@ -73,6 +73,22 @@ def test_rank_matches_sympy_dense_and_sparse(case):
     assert sparse == snapshot
 
 
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_extend_pivots_keeps_exactly_the_rows_outside_the_span(case):
+    # the incremental test agrees with re-ranking every prefix from scratch
+    field, domain, values = case
+    cols = len(values[0]) if values else 0
+    pivots, kept = {}, []
+    for k, row in enumerate(values):
+        sparse_row = {j: field.element(x) for j, x in enumerate(row) if x}
+        grows = _sympy_rank(domain, kept + [row], cols) > len(kept)
+        assert linalg.extend_pivots(pivots, sparse_row) == grows
+        if grows:
+            kept.append(row)
+    assert len(pivots) == len(kept) == _sympy_rank(domain, values, cols)
+
+
 def test_inverse_of_non_square_rows_is_none():
     F5 = FieldSpec.Fp(5)
     one = F5.one()

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittforge import linalg, quadforms
 from wittforge.errors import DegenerateForm, FieldMismatch, UnsupportedField
@@ -522,6 +524,28 @@ def test_witt_decompose_rational_random():
         )
         again = witt_decompose(wc.anisotropic)
         assert again.hyperbolic == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=4),
+    st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=3),
+)
+def test_integral_diagonal_forms_over_q(entries, others):
+    # int payloads all the way into the isotropic-vector search, whose
+    # divisions must stay exact rationals
+    form, other = QuadraticForm.diagonal(Q, entries), QuadraticForm.diagonal(Q, others)
+    assert all(type(x.payload) is int for row in form.gram for x in row)
+    wc = witt_decompose(form)
+    assert_certificate(form, wc)
+    assert all(
+        isinstance(x.payload, (int, Fraction)) for row in wc.certificate.values() for x in row.values()
+    )
+    assert is_isotropic(form) == (wc.hyperbolic > 0)
+    assert witt_equal(form, wc.anisotropic)
+    assert witt_equal(form.perp(form.neg()), QuadraticForm(Q, []))
+    assert witt_equal(form.perp(other), other.perp(form))
+    assert witt_equal(form, other) == witt_equal(form.perp(other.neg()), QuadraticForm(Q, []))
 
 
 def test_rational_dense_gram_decomposes():
