@@ -443,6 +443,109 @@ def test_find_irreducible_frozen_moduli(p, degree):
     assert [c.payload for c in modulus] == FROZEN_MODULI[(p, degree)]
 
 
+# moduli over extension bases (the second step of every tower), taken from
+# the boxed polynomial implementation; each base is find_irreducible's own
+FROZEN_EXTENSION_MODULI = {
+    ("F9", 2): [(1, 1), (0, 0), (1, 0)],
+    ("F9", 3): [(0, 1), (0, 1), (0, 0), (1, 0)],
+    ("F9", 4): [(1, 1), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("F9", 5): [(1, 1), (1, 0), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("F9", 6): [(1, 2), (0, 0), (0, 1), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("F9", 7): [(0, 1), (0, 1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("F9", 8): [(1, 1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("F25", 2): [(0, 1), (0, 0), (1, 0)],
+    ("F25", 3): [(1, 1), (0, 0), (0, 0), (1, 0)],
+    ("F25", 4): [(0, 1), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("F25", 5): [(0, 1), (1, 0), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("F27", 2): [(0, 0, 1), (0, 0, 0), (1, 0, 0)],
+    ("F27", 3): [(0, 0, 1), (0, 0, 2), (0, 0, 0), (1, 0, 0)],
+    ("F27", 4): [(0, 0, 2), (0, 0, 1), (0, 0, 0), (0, 0, 0), (1, 0, 0)],
+    ("F27", 5): [(0, 1, 1), (0, 0, 1), (0, 0, 0), (0, 0, 0), (0, 0, 0), (1, 0, 0)],
+    ("F49", 2): [(1, 2), (0, 0), (1, 0)],
+    ("F49", 3): [(0, 2), (0, 0), (0, 0), (1, 0)],
+    ("F49", 4): [(1, 2), (0, 0), (0, 0), (0, 0), (1, 0)],
+}
+
+
+def _prime_power_field(name):
+    p, degree = {"F9": (3, 2), "F25": (5, 2), "F27": (3, 3), "F49": (7, 2)}[name]
+    base = FieldSpec.Fp(p)
+    return FieldSpec.extension(base, find_irreducible(base, degree))
+
+
+@pytest.mark.parametrize("name,degree", sorted(FROZEN_EXTENSION_MODULI))
+def test_find_irreducible_frozen_extension_moduli(name, degree):
+    modulus = find_irreducible(_prime_power_field(name), degree)
+    assert [c.payload for c in modulus] == FROZEN_EXTENSION_MODULI[(name, degree)]
+
+
+# (field, monic squarefree input, factors in the order returned), taken from
+# the boxed polynomial implementation: trial division finds the factors in
+# candidate order, and rational roots come in divisor-then-sign order
+FROZEN_FACTORIZATIONS = [
+    ("F3", [0, 2, 2, 1], [[0, 1], [2, 2, 1]]),
+    ("F3", [0, 1, 0, 2, 1, 1], [[0, 1], [1, 1], [1, 2, 0, 1]]),
+    ("F3", [0, 1, 1, 1, 1, 1], [[0, 1], [1, 1, 1, 1, 1]]),
+    ("F3", [1, 1, 0, 0, 1], [[2, 1], [2, 1, 1, 1]]),
+    ("F3", [1, 0, 2, 1, 1, 1, 1, 1], [[1, 0, 2, 1, 1, 1, 1, 1]]),
+    ("F9", [[1, 2], [2, 1], [0, 1], [1, 0]], [[[1, 1], [1, 0]], [[0, 2], [2, 0], [1, 0]]]),
+    (
+        "F9",
+        [[2, 1], [1, 2], [1, 1], [2, 1], [2, 2], [1, 0]],
+        [[[1, 1], [1, 0]], [[0, 1], [1, 0], [2, 2], [1, 1], [1, 0]]],
+    ),
+    (
+        "F9",
+        [[0, 2], [2, 1], [1, 0], [1, 0], [0, 2], [1, 0]],
+        [[[1, 0], [1, 0]], [[1, 2], [1, 0]], [[2, 1], [1, 2], [1, 0], [1, 0]]],
+    ),
+    (
+        "F9",
+        [[2, 2], [1, 1], [2, 1], [1, 0], [0, 2], [0, 2], [1, 0]],
+        [[[1, 1], [1, 0]], [[1, 1], [0, 1], [1, 0]], [[1, 2], [1, 2], [2, 0], [1, 0]]],
+    ),
+    ("F9", [1, 0, 1], [[[0, 1], [1, 0]], [[0, 2], [1, 0]]]),  # F9's own modulus splits
+    ("F9", [1, 2, 0, 1], [[[1, 0], [2, 0], [0, 0], [1, 0]]]),  # F27's modulus stays whole
+    ("F25", [2, 0, 1], [[[0, 1], [1, 0]], [[0, 4], [1, 0]]]),
+    ("Q", [6, -5, -2, 1], [["-1", "1"], ["2", "1"], ["-3", "1"]]),
+    ("Q", [4, 0, -5, 0, 1], [["-1", "1"], ["1", "1"], ["-2", "1"], ["2", "1"]]),
+    ("Q", [0, -2, 0, 1], [["0", "1"], ["-2", "0", "1"]]),
+    ("Q", ["-1/3", "1/2", 0, 1], [["-1/3", "1/2", "0", "1"]]),
+    ("Qsqrt2", [-2, 0, 1], [[["0", "-1"], ["1", "0"]], [["0", "1"], ["1", "0"]]]),
+    (
+        "Qsqrt2",
+        [0, -2, 0, 1],
+        [[["0", "0"], ["1", "0"]], [["0", "-1"], ["1", "0"]], [["0", "1"], ["1", "0"]]],
+    ),
+    (
+        "Qsqrt2",
+        [6, -5, -2, 1],
+        [[["-1", "0"], ["1", "0"]], [["2", "0"], ["1", "0"]], [["-3", "0"], ["1", "0"]]],
+    ),
+]
+
+
+@pytest.mark.parametrize("name,coeffs,expected", FROZEN_FACTORIZATIONS)
+def test_factor_univariate_frozen_order(name, coeffs, expected):
+    fields = {"F3": F3, "Q": Q, "Qsqrt2": QSQRT2}
+    field = fields[name] if name in fields else _prime_power_field(name)
+    factors = factor_univariate([field.element(c) for c in coeffs], field)
+    assert [[c.to_json() for c in g] for g in factors] == expected
+
+
+@pytest.mark.parametrize(
+    "coeffs,expected",
+    [
+        ([6, -5, -2, 1], ["1", "-2", "3"]),
+        ([0, Fraction(-2, 3), Fraction(1, 3), 1], ["0", "-1", "2/3"]),
+        ([4, 0, -5, 0, 1], ["1", "-1", "2", "-2"]),
+        ([Fraction(1, 4), 0, -1], ["1/2", "-1/2"]),
+    ],
+)
+def test_rational_roots_frozen_order(coeffs, expected):
+    assert [r.to_json() for r in rational_roots(coeffs)] == expected
+
+
 def sympy_is_irreducible(p, coeffs):
     """Oracle: sympy's irreducibility test over F_p (coefficients low to high)."""
     return sympy.Poly(coeffs[::-1], sympy.Symbol("x"), modulus=p).is_irreducible
