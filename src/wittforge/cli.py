@@ -243,6 +243,11 @@ def parse_complex(text):
         not isinstance(obj.get(key, {}), dict) for key in ("ring", "terms", "diffs")
     ):
         raise ValueError("a complex is a JSON object with 'ring', 'terms' and 'diffs' objects")
+    for degree, rows in obj.get("diffs", {}).items():
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(
+                f"the differential at degree {degree} must be a list of rows, each a list of entries"
+            )
     try:
         return ChainComplex.from_json(obj)
     except KeyError as err:

@@ -19,8 +19,16 @@ Payloads compare and hash by value (reduced ints, fixed-length tuples, and
 kernel for its kind when it is built (private slot ``_kernel``); element
 operations run the kernel on payloads and box only their result.  Extension
 products are schoolbook products reduced once by the monic modulus (over F_p
-the integer sums are reduced mod p once, at the end), and inverses run the
-extended Euclidean algorithm on raw coefficient lists.
+the integer sums are reduced mod p once, at the end).
+
+Univariate polynomials have one representation: lists of a field's raw
+payloads, low to high, driven by its kernel.  One checked division step
+(which raises when a leading term fails to cancel) underlies one extended
+Euclid loop, shared by extension inverses, Ben-Or's irreducibility test and
+the squarefree test of :func:`factor_univariate`; Ben-Or's powers x^(q^i)
+mod f are taken in the extension kernel of f itself.  Only results
+(moduli, factors, roots) are boxed; :func:`poly_eval` is the boxed Horner
+step that callers outside this module use.
 
 Characteristic 2 is rejected at construction time: every quadratic-form
 routine downstream assumes ``2`` is invertible.
@@ -49,7 +57,8 @@ from .errors import (
 MAX_TOWER_DEGREE = 16
 
 #: Cap on exhaustive enumerations: the elements of a finite field
-#: (:meth:`FieldSpec.elements`) and the trial divisors of ``_factor_finite``.
+#: (:meth:`FieldSpec.elements`), the coefficients of the modulus candidates
+#: of :func:`find_irreducible`, and the trial divisors of ``_factor_finite``.
 ENUMERATION_CAP = 10**6
 
 
@@ -111,12 +120,11 @@ class FieldSpec:
         the supported Q-extensions; outside those regimes the caller must
         vouch with ``assume_irreducible=True``.
         """
-        coeffs = tuple(base.element(c) for c in modulus)
-        coeffs = _poly_trim(coeffs)
+        coeffs = _trim_raw([base.element(c).payload for c in modulus], base._kernel.is_zero)
         deg = len(coeffs) - 1
         if deg < 2:
             raise NotAField("extension modulus must have degree >= 2")
-        if coeffs[-1] != base.one():
+        if coeffs[-1] != base._kernel.one:
             raise NotAField("extension modulus must be monic")
         if base.absolute_degree() * deg > MAX_TOWER_DEGREE:
             raise BoundsExceeded(
@@ -125,7 +133,7 @@ class FieldSpec:
             )
         if not assume_irreducible and not _is_irreducible(base, coeffs):
             raise NotAField("extension modulus is reducible")
-        return cls("ext", base=base, modulus=coeffs)
+        return cls("ext", base=base, modulus=tuple([FieldElement(base, c) for c in coeffs]))
 
     # -- structural data ----------------------------------------------
 
@@ -219,13 +227,8 @@ class FieldSpec:
             raise UnsupportedField("cannot enumerate an infinite field")
         if self.order() > ENUMERATION_CAP:
             raise BoundsExceeded(f"field of order {self.order()} exceeds enumeration cap")
-        if self.kind == "Fp":
-            for n in range(self.p):
-                yield self.from_int(n)
-        else:
-            coefficients = [x.payload for x in self.base.elements()]
-            for payload in itertools.product(coefficients, repeat=self.degree):
-                yield FieldElement(self, payload)
+        for payload in _payloads(self):
+            yield FieldElement(self, payload)
 
     def random_element(self, rng):
         if self.kind == "Q":
@@ -383,15 +386,7 @@ class FieldElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        kernel = self.spec._kernel
-        result, square = kernel.one, self.payload
-        while n:
-            if n & 1:
-                result = kernel.mul(result, square)
-            n >>= 1
-            if n:
-                square = kernel.mul(square, square)
-        return FieldElement(self.spec, result)
+        return FieldElement(self.spec, _power(self.spec._kernel, self.payload, n))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -503,23 +498,12 @@ def _extension_kernel(spec, modulus):
         return tuple(prod[:n] if settle is None else list(map(settle, prod[:n])))
 
     def inv(a):
-        """Extended Euclid against the modulus, on raw coefficient lists.
-
-        Both remainders keep r = s*a (mod modulus); once r1 is a nonzero
-        constant, s1 / r1 is the inverse.
-        """
-        r0, r1 = list(modulus), _trim_raw(list(a), is_zero)
-        s0, s1 = [], [base.one]
-        while len(r1) > 1:
-            lead_inv = base.inv(r1[-1])
-            while len(r0) >= len(r1):
-                c, k = base.mul(r0[-1], lead_inv), len(r0) - len(r1)
-                r0, s0 = _sub_shifted(base, r0, c, k, r1), _sub_shifted(base, s0, c, k, s1)
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        if not r1:
+        """Extended Euclid against the modulus: s * a = r (mod modulus), then s / r."""
+        r, s = _euclid(base, list(modulus), _trim_raw(list(a), is_zero))
+        if len(r) != 1:
             raise ZeroDivisionError("not invertible: the modulus is reducible")
-        c = base.inv(r1[0])
-        return tuple([base.mul(c, x) for x in s1]) + kernel.zero[len(s1) :]
+        c = base.inv(r[0])
+        return tuple([base.mul(c, x) for x in s]) + kernel.zero[len(s) :]
 
     kernel = _Kernel()
     kernel.zero = (base.zero,) * n
@@ -533,12 +517,28 @@ def _extension_kernel(spec, modulus):
     return kernel
 
 
-def _sub_shifted(base, f, c, k, g):
-    """f - c * x^k * g on lists of raw coefficients over ``base``, trimmed."""
-    f = f + [base.zero] * (k + len(g) - len(f))
-    for i, y in enumerate(g, k):
-        f[i] = base.sub(f[i], base.mul(c, y))
-    return _trim_raw(f, base.is_zero)
+def _power(kernel, a, n):
+    """a^n (n >= 0) on payloads, by square-and-multiply."""
+    result, square = kernel.one, a
+    while n:
+        if n & 1:
+            result = kernel.mul(result, square)
+        n >>= 1
+        if n:
+            square = kernel.mul(square, square)
+    return result
+
+
+def _payloads(spec):
+    """Every payload of a finite field, lazily, in the canonical element order."""
+    if spec.kind == "Fp":
+        return range(spec.p)
+    return itertools.product(list(_payloads(spec.base)), repeat=spec.degree)
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials: lists of raw payloads over a kernel, low to high
+# ---------------------------------------------------------------------------
 
 
 def _trim_raw(coeffs, is_zero):
@@ -548,104 +548,61 @@ def _trim_raw(coeffs, is_zero):
     return coeffs
 
 
-# ---------------------------------------------------------------------------
-# dense univariate polynomial helpers (coefficient tuples, low to high)
-# ---------------------------------------------------------------------------
+def _divmod_raw(k, f, g):
+    """(quotient, remainder), trimmed, of f by a trimmed nonzero g over the kernel ``k``.
 
-
-def _poly_trim(coeffs):
-    coeffs = tuple(coeffs)
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1].is_zero():
-        n -= 1
-    return coeffs[:n]
-
-
-def poly_add(base, f, g):
-    return _poly_trim(a + b for a, b in itertools.zip_longest(f, g, fillvalue=base.zero()))
-
-
-def poly_scale(base, c, f):
-    return _poly_trim(c * a for a in f)
-
-
-def _poly_mul(base, f, g):
-    f = _poly_trim(f)
-    g = _poly_trim(g)
-    if not f or not g:
-        return ()
-    out = [base.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return _poly_trim(out)
-
-
-def poly_divmod(base, f, g):
-    """(quotient, remainder) of f by g, one elimination pass per quotient coefficient.
-
-    Each pass must cancel its leading term; a term that survives means the
-    field arithmetic is inconsistent, which raises instead of looping.
+    One elimination pass per quotient coefficient.  Each pass must cancel its
+    leading term; a term that survives means the field arithmetic is
+    inconsistent, which raises instead of looping.
     """
-    f = list(_poly_trim(f))
-    g = _poly_trim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    # a monic divisor needs no inverse (in a tower that would be a full xgcd)
-    lead_inv = None if g[-1] == base.one() else g[-1].inverse()
+    is_zero, sub, mul = k.is_zero, k.sub, k.mul
+    f = list(f)
     dg = len(g) - 1
-    quot = [base.zero()] * max(len(f) - dg, 0)
-    for k in reversed(range(len(quot))):
-        lead = f[k + dg]
-        if lead.is_zero():
+    # a monic divisor needs no inverse (in a tower that would be a full Euclid)
+    lead_inv = None if g[-1] == k.one else k.inv(g[-1])
+    quot = [k.zero] * max(len(f) - dg, 0)
+    for i in reversed(range(len(quot))):
+        lead = f[i + dg]
+        if is_zero(lead):
             continue
-        c = quot[k] = lead if lead_inv is None else lead * lead_inv
-        for i in range(len(g)):
-            f[k + i] = f[k + i] - c * g[i]
-        if not f[k + dg].is_zero():
-            raise RuntimeError(
-                f"division over {base}: the degree-{k + dg} term did not cancel"
-            )
-    return _poly_trim(quot), _poly_trim(f[:dg])
+        c = quot[i] = lead if lead_inv is None else mul(lead, lead_inv)
+        for j, y in enumerate(g, i):
+            f[j] = sub(f[j], mul(c, y))
+        if not is_zero(f[i + dg]):
+            raise RuntimeError(f"polynomial division: the degree-{i + dg} term did not cancel")
+    return _trim_raw(quot, is_zero), _trim_raw(f[:dg], is_zero)
 
 
-def _poly_mod(base, f, g):
-    return poly_divmod(base, f, g)[1]
+def _sub_product(k, f, g, h):
+    """f - g*h on payload lists, trimmed."""
+    is_zero, sub, mul = k.is_zero, k.sub, k.mul
+    out = f + [k.zero] * (len(g) + len(h) - 1 - len(f))
+    for i, x in enumerate(g):
+        if not is_zero(x):
+            for j, y in enumerate(h, i):
+                out[j] = sub(out[j], mul(x, y))
+    return _trim_raw(out, is_zero)
 
 
-def _poly_powmod(base, f, n, mod):
-    """f^n mod ``mod`` by square-and-multiply (n >= 0)."""
-    result = (base.one(),)
-    square = _poly_mod(base, f, mod)
-    while n:
-        if n & 1:
-            result = _poly_mod(base, _poly_mul(base, result, square), mod)
-        n >>= 1
-        if n:
-            square = _poly_mod(base, _poly_mul(base, square, square), mod)
-    return result
+def _euclid(k, r0, r1):
+    """Extended Euclid on trimmed payload lists, until a remainder is constant.
 
-
-def poly_gcd(base, f, g):
-    r0, r1 = _poly_trim(f), _poly_trim(g)
-    while r1:
-        r0, r1 = r1, _poly_mod(base, r0, r1)
-    if r0:
-        r0 = poly_scale(base, r0[-1].inverse(), r0)
-    return r0
+    Returns ``(r, s)``: r is a gcd of r0 and r1 up to a unit (a nonzero
+    constant exactly when they are coprime), and s * r1 = r modulo r0.
+    """
+    s0, s1 = [], [k.one]
+    while len(r1) > 1:
+        quot, rem = _divmod_raw(k, r0, r1)
+        r0, r1, s0, s1 = r1, rem, s1, _sub_product(k, s0, quot, s1)
+    return (r1, s1) if r1 else (r0, s0)
 
 
 def poly_eval(base, f, x):
+    """f(x) by Horner's rule on boxed elements of ``base``."""
     acc = base.zero()
-    for c in reversed(_poly_trim(f)):
+    for c in reversed(f):
         acc = acc * x + c
     return acc
-
-
-def poly_derivative(base, f):
-    return _poly_trim(base.from_int(i) * c for i, c in enumerate(f) if i > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -654,68 +611,71 @@ def poly_derivative(base, f):
 
 
 def _monic_candidates(field, degree):
-    """Monic polynomials of the given degree, lexicographically smallest first.
+    """Monic payload lists of the given degree, lexicographically smallest first.
 
     The order is lexicographic on the coefficient tuple (c_{k-1}, ..., c_0)
-    with field elements in their canonical enumeration order, which makes
-    every "first irreducible found" choice deterministic.
+    with payloads in the canonical element order, which makes every "first
+    irreducible found" choice deterministic.
     """
-    elems = list(field.elements())
-    for tail in itertools.product(elems, repeat=degree):
-        yield tail[::-1] + (field.one(),)
+    payloads, one = list(_payloads(field)), [field._kernel.one]
+    for tail in itertools.product(payloads, repeat=degree):
+        yield list(tail[::-1]) + one
 
 
-def _ben_or_irreducible(base, coeffs):
-    """Ben-Or's test over a finite base of order q.
+def _ben_or_irreducible(base, f):
+    """Ben-Or's test over a finite base of order q (f: a monic payload list).
 
     A polynomial f of degree n is irreducible iff gcd(x^(q^i) - x, f) = 1
     for i = 1 .. n // 2: a reducible f has an irreducible factor of some
     degree k <= n // 2, and every such factor divides x^(q^k) - x.  Most
     reducible candidates have a small factor, so they stop at a small i.
+    The powers are taken in the kernel of base[x]/(f), whose product is
+    multiplication modulo the monic f whether or not f is irreducible.
     """
-    deg = len(coeffs) - 1
-    q = base.order()
-    minus_x = (base.zero(), base.from_int(-1))
-    power = (base.zero(), base.one())  # x, then x^(q^i) mod f
-    for _ in range(deg // 2):
-        power = _poly_powmod(base, power, q, coeffs)
-        if len(poly_gcd(base, poly_add(base, power, minus_x), coeffs)) > 1:
+    k, q = base._kernel, base.order()
+    ring = _extension_kernel(base, tuple(f))
+    x = ring.zero[:1] + (k.one,) + ring.zero[2:]
+    power = x  # then x^(q^i) mod f
+    for _ in range((len(f) - 1) // 2):
+        power = _power(ring, power, q)
+        gcd, _ = _euclid(k, list(f), _trim_raw(list(ring.sub(power, x)), k.is_zero))
+        if len(gcd) > 1:
             return False
     return True
 
 
 def rational_roots(coeffs):
-    """All rational roots of a polynomial with Fraction coefficients."""
+    """All rational roots of a polynomial with rational (int or Fraction) coefficients."""
     Q = FieldSpec.Q()
-    f = _poly_trim(tuple(Q.element(c) for c in coeffs))
+    f = _trim_raw([Q.element(c).payload for c in coeffs], operator.not_)
     if not f:
         raise ValueError("zero polynomial")
     roots = []
-    if f[0].is_zero():
-        roots.append(Q.zero())
-        while f and f[0].is_zero():
+    if not f[0]:
+        roots.append(0)
+        while not f[0]:
             f = f[1:]
-    if len(f) <= 1:
-        return roots
-    denom = math.lcm(*(c.payload.denominator for c in f))
-    ints = [int(c.payload * denom) for c in f]
-    for num in sympy.divisors(abs(ints[0])):
-        for den in sympy.divisors(abs(ints[-1])):
-            for sign in (1, -1):
-                cand = Q.element(Fraction(sign * num, den))
-                if cand not in roots and poly_eval(Q, f, cand).is_zero():
-                    roots.append(cand)
-    return roots
+    if len(f) > 1:
+        denom = math.lcm(*(c.denominator for c in f))
+        ints = [int(c * denom) for c in f]
+        numerators, denominators = sympy.divisors(abs(ints[0])), sympy.divisors(abs(ints[-1]))
+        for num, den, sign in itertools.product(numerators, denominators, (1, -1)):
+            cand = _rational(Fraction(sign * num, den))
+            # f(cand) is the remainder of f by x - cand
+            if cand not in roots and not _divmod_raw(Q._kernel, f, [-cand, 1])[1]:
+                roots.append(cand)
+    return [FieldElement(Q, r) for r in roots]
 
 
 def _is_irreducible(base, coeffs):
+    """Decide irreducibility of a monic payload list over ``base`` (see ``extension``)."""
     deg = len(coeffs) - 1
     if deg == 1:
         return True
     if base.is_finite:
         return _ben_or_irreducible(base, coeffs)
     if base.kind == "Q":
-        if rational_roots([c.payload for c in coeffs]):
+        if rational_roots(coeffs):
             return False
         if deg <= 3:
             return True  # no root: degree 2 and 3 cannot factor at all
@@ -725,9 +685,9 @@ def _is_irreducible(base, coeffs):
         )
     # char-0 extension base: quadratics via the discriminant square test
     if deg == 2:
-        disc = coeffs[1] * coeffs[1] - 4 * coeffs[0] * coeffs[2]
+        c0, c1, c2 = (FieldElement(base, c) for c in coeffs)
         try:
-            return not is_square(disc)
+            return not is_square(c1 * c1 - 4 * c0 * c2)
         except UnsupportedField:
             pass
     raise NotAField(
@@ -740,8 +700,8 @@ def _is_irreducible(base, coeffs):
 def find_irreducible(field, degree):
     """Lexicographically first monic irreducible of ``degree`` (finite field).
 
-    The tower-degree cap is checked before the search, since a modulus past
-    it could never become an extension.
+    The tower-degree cap and the enumeration cap are checked before the
+    search, since a modulus past the first could never become an extension.
     """
     if not field.is_finite:
         raise UnsupportedField("deterministic modulus search needs a finite field")
@@ -751,9 +711,11 @@ def find_irreducible(field, degree):
         )
     if degree == 1:
         return (field.zero(), field.one())
+    if field.order() > ENUMERATION_CAP:
+        raise BoundsExceeded(f"field of order {field.order()} exceeds enumeration cap")
     for cand in _monic_candidates(field, degree):
         if _is_irreducible(field, cand):
-            return cand
+            return tuple([FieldElement(field, c) for c in cand])
     raise NotAField(f"no irreducible of degree {degree}?")  # unreachable
 
 
@@ -769,21 +731,23 @@ def factor_univariate(coeffs, field):
     in ``field``, and cubics that survive root stripping are certified
     irreducible by degree count.  Anything else raises :class:`FactorizationUnsupported`.
     """
-    f = _poly_trim(tuple(field.element(c) for c in coeffs))
+    k = field._kernel
+    f = _trim_raw([field.element(c).payload for c in coeffs], k.is_zero)
     if len(f) < 2:
         raise FactorizationUnsupported("constant polynomial")
-    if f[-1] != field.one():
+    if f[-1] != k.one:
         raise FactorizationUnsupported("polynomial must be monic")
-    der = poly_derivative(field, f)
-    if len(poly_gcd(field, f, der)) != 1:
+    der = _trim_raw([k.mul(k.from_int(i), c) for i, c in enumerate(f) if i], k.is_zero)
+    if len(_euclid(k, f, der)[0]) != 1:
         raise FactorizationUnsupported("polynomial must be squarefree")
 
     if field.is_finite:
-        return _factor_finite(field, f)
+        return [tuple([FieldElement(field, c) for c in g]) for g in _factor_finite(field, f)]
     return _factor_char0(field, f)
 
 
 def _factor_finite(field, f):
+    """Monic irreducible payload lists of f, by trial division in candidate order."""
     q = field.order()
     factors = []
     work = f
@@ -793,15 +757,13 @@ def _factor_finite(field, f):
             raise FactorizationUnsupported(
                 f"divisor enumeration of size {q**k} exceeds the cap"
             )
-        found = False
         for cand in _monic_candidates(field, k):
-            quot, rem = poly_divmod(field, work, cand)
+            quot, rem = _divmod_raw(field._kernel, work, cand)
             if not rem:
                 factors.append(cand)
                 work = quot
-                found = True
                 break
-        if not found:
+        else:
             k += 1
     if len(work) > 1:
         factors.append(work)
@@ -816,18 +778,16 @@ def _factor_char0(field, f):
     # with rational coefficients over Q or over a quadratic extension of Q
     rational = []
     for c in f:
-        r = _rational_preimage(c)
+        r = _rational_preimage(field, c)
         if r is None:
             raise FactorizationUnsupported(
                 "characteristic-0 factorization needs rational coefficients"
             )
         rational.append(r)
 
-    Q = FieldSpec.Q()
-    over_q = _factor_rational_poly(tuple(Q.element(r) for r in rational))
     factors = []
-    for g in over_q:
-        g_emb = tuple(field.element(c.payload) for c in g)
+    for g in _factor_rational_poly(rational):
+        g_emb = tuple(field.element(c) for c in g)
         dg = len(g_emb) - 1
         if dg == 1 or field.kind == "Q":
             factors.append(g_emb)
@@ -846,9 +806,8 @@ def _factor_char0(field, f):
     return factors
 
 
-def _rational_preimage(x):
-    """The Fraction under a tower constant, or None if x is not rational."""
-    spec, raw = x.spec, x.payload
+def _rational_preimage(spec, raw):
+    """The rational under the payload of a tower constant, or None if it is not rational."""
     while spec.kind == "ext":
         if raw[1:] != spec._kernel.zero[1:]:
             return None
@@ -857,31 +816,28 @@ def _rational_preimage(x):
 
 
 def _factor_rational_poly(f):
-    """Monic squarefree factorization over Q: roots + quadratic/cubic logic."""
+    """Monic squarefree factorization over Q, on payload lists.
+
+    Every rational root splits off a linear factor.  What remains has no
+    rational root, so up to degree 3 it is irreducible over Q.
+    """
     Q = FieldSpec.Q()
     work = f
     factors = []
-    roots = rational_roots([c.payload for c in work])
-    for r in roots:
-        lin = (-r, Q.one())
-        quot, rem = poly_divmod(Q, work, lin)
+    for r in rational_roots(work):
+        lin = [-r.payload, 1]
+        quot, rem = _divmod_raw(Q._kernel, work, lin)
         if rem:
             continue
         factors.append(lin)
         work = quot
     deg = len(work) - 1
-    if deg == 0:
-        return factors
-    if deg == 1:
-        factors.append(work)
-    elif deg == 2:
-        factors.extend(_split_quadratic(Q, work))
-    elif deg == 3:
-        factors.append(work)  # no rational root: an irreducible cubic
-    else:
+    if deg > 3:
         raise FactorizationUnsupported(
             f"residual degree {deg} over Q needs methods beyond roots and quadratics"
         )
+    if deg > 0:
+        factors.append(work)
     return factors
 
 
@@ -982,12 +938,7 @@ def _first_nonsquare(spec):
     The payloads are walked lazily: no order cap, and a nonsquare shows up
     within a handful of candidates (half of all nonzero elements qualify).
     """
-    if spec.kind == "Fp":
-        payloads = range(spec.p)
-    else:
-        coefficients = [c.payload for c in spec.base.elements()]
-        payloads = itertools.product(coefficients, repeat=spec.degree)
-    for payload in payloads:
+    for payload in _payloads(spec):
         x = FieldElement(spec, payload)
         if not is_square(x):
             return x

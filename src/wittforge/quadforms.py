@@ -552,21 +552,29 @@ def _finite_isotropic_vector(field, entries):
 
 
 def _q_ternary_vector(entries):
-    """Nonzero rational zero of a x^2 + b y^2 + c z^2 via Legendre descent."""
+    """Nonzero rational zero of a x^2 + b y^2 + c z^2 via Legendre descent, or None.
+
+    sympy's descent depends on the order of the coefficients: on the
+    isotropic 6x^2 - y^2 + 3z^2 it finds nothing, and on 3x^2 - y^2 + 6z^2
+    it returns a non-solution.  So the orders are tried in turn, the given
+    one first, and only a checked zero is returned.
+    """
     from sympy.abc import x, y, z
     from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
 
     denom = math.lcm(*(e.denominator for e in entries))
     ints = [int(e * denom) for e in entries]
-    sol = diop_ternary_quadratic(ints[0] * x**2 + ints[1] * y**2 + ints[2] * z**2)
-    if sol is None or any(s is None for s in sol):
-        return None
-    vec = [Fraction(int(s)) for s in sol]
-    if all(v == 0 for v in vec):
-        return None
-    if sum(f * v * v for f, v in zip(entries, vec)) != 0:
-        raise Inconclusive(f"ternary descent returned a non-solution {vec} for {entries}")
-    return vec
+    for order in itertools.permutations(range(3)):
+        a, b, c = (ints[i] for i in order)
+        sol = diop_ternary_quadratic(a * x**2 + b * y**2 + c * z**2)
+        if sol is None or any(s is None for s in sol):
+            continue
+        vec = [Fraction(0)] * 3
+        for i, s in zip(order, sol):
+            vec[i] = Fraction(int(s))
+        if any(vec) and sum(f * v * v for f, v in zip(entries, vec)) == 0:
+            return vec
+    return None
 
 
 def _q_bounded_search(entries, cap=SEARCH_CAP):

@@ -315,8 +315,16 @@ def test_complex_roundtrip_through_files(capsys, tmp_path):
         ('{"terms": {"0": 1}}', "the complex JSON has no 'ring' key"),
         ('[{"kind": "Q"}, {"0": 1}]', "a complex is a JSON object"),
         ('{"ring": {"kind": "Q"}, "terms": [1, 2]}', "'terms' and 'diffs' objects"),
+        (
+            '{"ring": {"kind": "Q"}, "terms": {"0": 1}, "diffs": {"1": 3}}',
+            "the differential at degree 1 must be a list of rows",
+        ),
+        (
+            '{"ring": {"kind": "Q"}, "terms": {"0": 1, "1": 1}, "diffs": {"1": [3]}}',
+            "the differential at degree 1 must be a list of rows",
+        ),
     ],
-    ids=["missing-ring", "list", "terms-list"],
+    ids=["missing-ring", "list", "terms-list", "diff-int", "diff-flat-row"],
 )
 def test_malformed_complex_is_one_line_usage(capsys, tmp_path, text, message):
     path = tmp_path / "cx.json"

@@ -29,17 +29,16 @@ from wittforge.fields import (
     MAX_TOWER_DEGREE,
     FieldElement,
     FieldSpec,
+    _divmod_raw,
+    _euclid,
     _first_nonsquare,
     _is_irreducible,
-    _poly_mul,
     embed,
     factor_univariate,
     find_irreducible,
     frobenius,
     is_square,
-    poly_divmod,
     poly_eval,
-    poly_gcd,
     rational_roots,
     sqrt,
 )
@@ -258,25 +257,46 @@ def test_sqrt2_field_squares():
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers
+# univariate polynomials on raw payload lists
 # ---------------------------------------------------------------------------
+
+
+def schoolbook_product(field, f, g):
+    """Oracle: the product of two boxed coefficient sequences, term by term."""
+    out = [field.zero()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return tuple(out)
+
+
+def product_payloads(field, factors):
+    """Oracle: the payloads of a product of boxed factors (sympy over F_p, else schoolbook)."""
+    if field.kind != "Fp":
+        prod = (field.one(),)
+        for g in factors:
+            prod = schoolbook_product(field, prod, g)
+        return tuple(c.payload for c in prod)
+    prod = sympy.Poly(1, X, modulus=field.p)
+    for g in factors:
+        prod *= _sympy_mod_p([c.payload for c in g], field.p)
+    return _coeffs_mod_p(prod, prod.degree() + 1)
 
 
 def test_poly_divmod_identity():
     rng = random.Random(5)
     for _ in range(50):
-        f = tuple(F7.random_element(rng) for _ in range(6))
-        g = tuple(F7.random_element(rng) for _ in range(3))
-        if all(c.is_zero() for c in g):
+        f = [F7.random_element(rng).payload for _ in range(6)]
+        g = [F7.random_element(rng).payload for _ in range(3)]
+        while g and g[-1] == 0:
+            g.pop()
+        if not g:
             continue
-        q, r = poly_divmod(F7, f, g)
-        recon = _poly_mul(F7, q, g)
-        n = max(len(recon), len(r), len(f), 1)
-        pad = lambda cs: tuple(cs) + (F7.zero(),) * (n - len(cs))
-        total = tuple(a + b for a, b in zip(pad(recon), pad(r)))
-        assert total == pad(f)
-        g_degree = max(i for i, c in enumerate(g) if not c.is_zero())
-        assert len(r) <= g_degree  # deg r < deg g
+        q, r = _divmod_raw(F7._kernel, f, g)
+        recon = _sympy_mod_p(q, 7) * _sympy_mod_p(g, 7) + _sympy_mod_p(r, 7)
+        assert recon == _sympy_mod_p(f, 7)
+        assert len(r) < len(g)  # deg r < deg g
+        assert 0 not in q[-1:] + r[-1:]  # both trimmed
 
 
 def test_poly_divmod_raises_on_inconsistent_arithmetic():
@@ -284,25 +304,33 @@ def test_poly_divmod_raises_on_inconsistent_arithmetic():
     # its leading term, so division must stop instead of looping
     spec = FieldSpec.Fp(7)
     spec._kernel.mul = lambda a, b: (a * b + 1) % 7
-    f = [spec.from_int(c) for c in (1, 2, 3, 4)]
-    g = [spec.from_int(c) for c in (1, 1)]
     with pytest.raises(RuntimeError, match="did not cancel"):
-        poly_divmod(spec, f, g)
+        _divmod_raw(spec._kernel, [1, 2, 3, 4], [1, 1])
+
+
+def test_extension_inverse_raises_on_inconsistent_arithmetic():
+    # the same fault under F7[x]/(x^2 + 1): the inverse's Euclid loop runs the
+    # checked division step, so it raises instead of looping
+    spec = FieldSpec.Fp(7)
+    spec._kernel.mul = lambda a, b: (a * b + 1) % 7
+    ext = FieldSpec.extension(spec, [1, 0, 1], assume_irreducible=True)
+    with pytest.raises(RuntimeError, match="did not cancel"):
+        ext.element([1, 2]).inverse()
 
 
 def test_poly_gcd_of_coprime():
-    # gcd(x^2+1, x) = 1 over F3
-    g = poly_gcd(F3, (F3.one(), F3.zero(), F3.one()), (F3.zero(), F3.one()))
-    assert len(g) == 1
+    # gcd(x^2+1, x) = 1 over F3, and the cofactor s has s*x = 1 mod x^2+1
+    r, s = _euclid(F3._kernel, [1, 0, 1], [0, 1])
+    assert len(r) == 1
+    assert (_sympy_mod_p(s, 3) * _sympy_mod_p([0, 1], 3)).rem(
+        _sympy_mod_p([1, 0, 1], 3)
+    ) == _sympy_mod_p(r, 3)
 
 
 def test_rational_roots_oracle():
     # (x - 2)(x + 1/3)(x^2 + 1) has rational roots 2 and -1/3
-    lin1 = (Q.element(-2), Q.one())
-    lin2 = (Q.element(Fraction(1, 3)), Q.one())
-    quad = (Q.one(), Q.zero(), Q.one())
-    poly = _poly_mul(Q, _poly_mul(Q, lin1, lin2), quad)
-    roots = rational_roots([c.payload for c in poly])
+    poly = sympy.Poly((X - 2) * (X + sympy.Rational(1, 3)) * (X**2 + 1), X)
+    roots = rational_roots([Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()[::-1]])
     assert set(r.payload for r in roots) == {Fraction(2), Fraction(-1, 3)}
 
 
@@ -314,10 +342,11 @@ def test_rational_roots_oracle():
 def brute_force_monic_factors(field, coeffs, degree):
     """Oracle: all monic divisors of the given degree, by exhaustion."""
     elems = list(field.elements())
+    f = [c.payload for c in coeffs]
     found = []
     for tail in itertools.product(elems, repeat=degree):
         cand = tuple(tail) + (field.one(),)
-        _, rem = poly_divmod(field, coeffs, cand)
+        _, rem = _divmod_raw(field._kernel, f, [c.payload for c in cand])
         if not rem:
             found.append(cand)
     return found
@@ -336,10 +365,7 @@ def test_x4_plus_1_over_f5_oracle_and_frozen():
 
     factors = factor_univariate([1, 0, 0, 0, 1], F5)
     assert {tuple(g) for g in factors} == frozen
-    prod = (F5.one(),)
-    for g in factors:
-        prod = _poly_mul(F5, prod, g)
-    assert prod == f
+    assert product_payloads(F5, factors) == (1, 0, 0, 0, 1)
 
 
 def test_factor_linear_split():
@@ -357,15 +383,14 @@ def test_factor_remultiplication_random():
         for _ in range(20):
             deg = rng.randint(2, 5)
             coeffs = [spec.random_element(rng) for _ in range(deg)] + [spec.one()]
-            der = [spec.from_int(i) * c for i, c in enumerate(coeffs)][1:]
-            if len(poly_gcd(spec, tuple(coeffs), tuple(der))) != 1:
+            der = [(spec.from_int(i) * c).payload for i, c in enumerate(coeffs)][1:]
+            while der and der[-1] == spec.zero().payload:
+                der.pop()
+            if len(_euclid(spec._kernel, [c.payload for c in coeffs], der)[0]) != 1:
                 continue  # oracle needs squarefree input
             factors = factor_univariate(coeffs, spec)
-            prod = (spec.one(),)
-            for g in factors:
-                assert g[-1] == spec.one()
-                prod = _poly_mul(spec, prod, g)
-            assert prod == tuple(coeffs)
+            assert all(g[-1] == spec.one() for g in factors)
+            assert product_payloads(spec, factors) == tuple(c.payload for c in coeffs)
             # no factor admits a further root (degree <= 3 pieces certified)
             for g in factors:
                 if len(g) == 3:
@@ -557,8 +582,7 @@ def test_is_irreducible_matches_sympy_exhaustively(p, max_degree):
     for degree in range(1, max_degree + 1):
         for tail in itertools.product(range(p), repeat=degree):
             coeffs = list(tail) + [1]
-            f = tuple(field.from_int(c) for c in coeffs)
-            assert _is_irreducible(field, f) == sympy_is_irreducible(p, coeffs), coeffs
+            assert _is_irreducible(field, coeffs) == sympy_is_irreducible(p, coeffs), coeffs
 
 
 @st.composite
@@ -573,9 +597,7 @@ def monic_over_small_prime(draw):
 @given(monic_over_small_prime())
 def test_is_irreducible_matches_sympy_random(case):
     p, coeffs = case
-    field = FieldSpec.Fp(p)
-    f = tuple(field.from_int(c) for c in coeffs)
-    assert _is_irreducible(field, f) == sympy_is_irreducible(p, coeffs)
+    assert _is_irreducible(FieldSpec.Fp(p), coeffs) == sympy_is_irreducible(p, coeffs)
 
 
 @pytest.mark.parametrize("field,max_degree", [(F9, 3), (F25, 2)])
@@ -589,13 +611,13 @@ def test_is_irreducible_matches_products_over_extensions(field, max_degree):
     }
     for degree in range(2, max_degree + 1):
         products = {
-            _poly_mul(field, g, h)
+            schoolbook_product(field, g, h)
             for k in range(1, degree // 2 + 1)
             for g in monic[k]
             for h in monic[degree - k]
         }
         for f in monic[degree]:
-            assert _is_irreducible(field, f) == (f not in products)
+            assert _is_irreducible(field, [c.payload for c in f]) == (f not in products)
 
 
 def test_poly_eval():

@@ -548,6 +548,16 @@ def test_integral_diagonal_forms_over_q(entries, others):
     assert witt_equal(form, other) == witt_equal(form.perp(other.neg()), QuadraticForm(Q, []))
 
 
+@pytest.mark.parametrize("entries", [[6, -1, 3], [3, -1, 6]])
+def test_isotropic_ternary_found_in_any_coefficient_order(entries):
+    # both forms are isotropic (6 - 9 + 3 = 0); sympy's descent finds no zero
+    # of the first in its given order and returns a non-solution for the second
+    form = QuadraticForm.diagonal(Q, entries)
+    wc = witt_decompose(form)
+    assert_certificate(form, wc)
+    assert wc.hyperbolic == 1 and is_isotropic(form)
+
+
 def test_rational_dense_gram_decomposes():
     form = QuadraticForm(
         Q,

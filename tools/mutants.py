@@ -1,0 +1,143 @@
+"""Mutation check: every listed fault in ``src/wittforge`` must fail a test.
+
+Each mutant rewrites one function of a fresh copy of ``src/`` in a temporary
+directory.  The function is located through ``ast`` and the edit is made on
+its ``ast.unparse`` text, so comments and formatting in the real source do
+not matter; an edit that does not match exactly once is an error, not a
+survivor.  The test modules then run against the copy, with a time limit.
+A mutant is killed when they fail or run out of time.
+
+Run it from the repository root (stdlib only, nothing is written outside
+the temporary directory)::
+
+    python3 tools/mutants.py
+
+It exits 0 when every mutant is killed, 1 when any survives (they are
+listed), and 2 when the unmutated copy fails or an edit site is missing.
+"""
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ("tests/test_fields.py", "tests/test_transfer.py")
+TIMEOUT_S = 300
+
+#: (description, module under src/wittforge, function name, old text, new text)
+MUTANTS = [
+    (
+        "Ben-Or loop one short",
+        "fields.py",
+        "_ben_or_irreducible",
+        "range((len(f) - 1) // 2)",
+        "range((len(f) - 1) // 2 - 1)",
+    ),
+    (
+        "division without its cancellation raise",
+        "fields.py",
+        "_divmod_raw",
+        "if not is_zero(f[i + dg]):\n            raise",
+        "if False:\n            raise",
+    ),
+    (
+        "extension inverse skips its final scale by 1/r",
+        "fields.py",
+        "inv",
+        "[base.mul(c, x) for x in s]",
+        "[x for x in s]",
+    ),
+    (
+        "trial division starts at degree 2",
+        "fields.py",
+        "_factor_finite",
+        "k = 1",
+        "k = 2",
+    ),
+    (
+        "rational_roots tries only sign +1",
+        "fields.py",
+        "rational_roots",
+        "(1, -1)",
+        "(1,)",
+    ),
+]
+
+
+def mutate(source, function, old, new):
+    """``source`` with ``old`` replaced by ``new`` inside the one def named ``function``."""
+    tree = ast.parse(source)
+    defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function]
+    if len(defs) != 1:
+        raise LookupError(f"{len(defs)} functions named {function!r}")
+    text = ast.unparse(defs[0])
+    if text.count(old) != 1:
+        raise LookupError(f"{old!r} occurs {text.count(old)} times in {function}")
+    replacement = ast.parse(text.replace(old, new)).body[0]
+    for parent in ast.walk(tree):
+        for _, value in ast.iter_fields(parent):
+            if isinstance(value, list) and defs[0] in value:
+                value[value.index(defs[0])] = replacement
+    return ast.unparse(tree)
+
+
+def run(workdir, *args, timeout=None):
+    """Run Python in ``workdir`` with ``workdir/src`` on the import path."""
+    env = {**os.environ, "PYTHONPATH": str(workdir / "src")}
+    return subprocess.run(
+        [sys.executable, *args], cwd=workdir, env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+def run_tests(workdir):
+    """'passed', 'failed' or 'timeout' for the test modules against ``workdir/src``."""
+    try:
+        result = run(workdir, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "passed" if result.returncode == 0 else "failed"
+
+
+def main():
+    with tempfile.TemporaryDirectory(prefix="wittforge-mutants-") as tmp:
+        workdir = Path(tmp)
+        shutil.copytree(ROOT / "src", workdir / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", workdir / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        package = workdir / "src" / "wittforge"
+        imported = run(workdir, "-c", "import wittforge; print(wittforge.__file__)").stdout.strip()
+        if Path(imported).parent != package:
+            print(f"the tests would import {imported or 'nothing'}, not the copy", file=sys.stderr)
+            return 2
+        if run_tests(workdir) != "passed":
+            print("the unmutated copy does not pass its tests", file=sys.stderr)
+            return 2
+        survivors = []
+        for description, module, function, old, new in MUTANTS:
+            path = package / module
+            original = path.read_text(encoding="utf-8")
+            try:
+                path.write_text(mutate(original, function, old, new), encoding="utf-8")
+            except LookupError as err:
+                print(f"mutation site missing for {description!r}: {err}", file=sys.stderr)
+                return 2
+            start = time.perf_counter()
+            outcome = run_tests(workdir)
+            path.write_text(original, encoding="utf-8")
+            killed = outcome != "passed"
+            verdict = f"killed ({outcome})" if killed else "SURVIVED"
+            print(f"{verdict:18} {time.perf_counter() - start:6.1f} s  {description}")
+            if not killed:
+                survivors.append(description)
+        print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed")
+        for description in survivors:
+            print(f"survivor: {description}")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
