@@ -412,12 +412,15 @@ def test_verify_json_is_reproducible(capsys):
 
 
 #: sha256 of the full ``--json verify <suite>`` stdout at the default seed,
-#: as printed when these checks still ran on dense list-of-lists matrices
+#: each captured from the implementation before the routines it exercises
+#: were rewritten (dense list-of-lists matrices, boxed polynomials, dense Grams)
 VERIFY_DIGESTS = {
     "adjunction": "1dd1f338384659a2d4838b49c5a8989140a3f304ddd4f2691c09cfd9b2a12f8b",
     "scharlau": "de6085c285ba07d414d97ddfc0bdbca20a4f71a23a9f15934b5870c8637d5793",
     "towers": "4de72fa1aba83cd0061b6b1b4ebca73776ff27905fb97469941aa775449f96a6",
     "base-change": "2cc8e7d00d47756fe47ca5c1d6c600fc35076074993f13fbcbdbde22f615b6b7",
+    "witt": "ac6c90577de4ee9e2ab97d51536435796a7c41fa5f99aafcc96a0362d7f60ee6",
+    "projection": "0ca227d772b92a762e842305a4618b1b55044911c2322f65634fc98d14af5ed8",
 }
 
 

@@ -355,6 +355,13 @@ def test_degenerate_form_rejected():
         witt_equal(q, QuadraticForm.diagonal(F3, [1]))
 
 
+def test_scale_by_zero_is_the_zero_form():
+    form = QuadraticForm(F5, [[1, 2, 0], [2, 0, 1], [0, 1, 3]])
+    zero = form.scale(0)
+    assert zero == QuadraticForm(F5, [[0] * 3] * 3)
+    assert zero.dim == 3 and zero.is_degenerate()
+
+
 def test_asymmetric_gram_rejected():
     with pytest.raises(ValueError):
         QuadraticForm(F3, [[1, 1], [2, 1]])
