@@ -69,7 +69,6 @@ _USAGE_ERRORS = (
     TypeError,
     KeyError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -275,10 +274,6 @@ def _effective_bound(args):
 # ---------------------------------------------------------------------------
 
 
-def _gram_json(form):
-    return [[x.to_json() for x in row] for row in form.gram]
-
-
 def _emit(args, payload, human):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -308,9 +303,7 @@ def cmd_witt_diag(args):
     payload = {
         "field": field.to_json(),
         "entries": [e.to_json() for e in entries],
-        "basis": [
-            [x.to_json() for x in row] for row in linalg.dense(field, basis, (form.dim,) * 2)
-        ],
+        "basis": linalg.dense_json(field, basis, (form.dim,) * 2),
     }
     human = "diagonal entries: " + ", ".join(repr(e) for e in entries)
     _emit(args, payload, human)
@@ -338,8 +331,8 @@ def cmd_witt_equal(args):
     equal = witt_equal(left, right)
     payload = {
         "equal": equal,
-        "left": _gram_json(left),
-        "right": _gram_json(right),
+        "left": left.to_json()["gram"],
+        "right": right.to_json()["gram"],
     }
     _emit(args, payload, "equal in the Witt group" if equal else "NOT equal in the Witt group")
     return EXIT_PASS if equal else EXIT_FAIL
@@ -372,19 +365,19 @@ def cmd_transfer_trace(args):
 
 def cmd_transfer_form(args):
     ext = parse_extension(args.ext)
-    form = trace_form(ext)
-    _emit(args, {"ext": args.ext, "gram": _gram_json(form)}, json.dumps(_gram_json(form)))
+    gram = trace_form(ext).to_json()["gram"]
+    _emit(args, {"ext": args.ext, "gram": gram}, json.dumps(gram))
     return EXIT_PASS
 
 
 def cmd_transfer_push(args):
     ext = parse_extension(args.ext)
     form = parse_form(ext.top, args.form)
-    pushed = scharlau_transfer(ext, form)
+    pushed = scharlau_transfer(ext, form).to_json()["gram"]
     _emit(
         args,
-        {"ext": args.ext, "form": _gram_json(form), "pushed": _gram_json(pushed)},
-        json.dumps(_gram_json(pushed)),
+        {"ext": args.ext, "form": form.to_json()["gram"], "pushed": pushed},
+        json.dumps(pushed),
     )
     return EXIT_PASS
 

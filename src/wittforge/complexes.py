@@ -60,12 +60,7 @@ def _sparse(ring, mat, shape, error, what):
 def _fitted(mat, shape, error, what):
     """``mat`` without empty rows, once every index is checked against ``shape``."""
     mat = {i: row for i, row in mat.items() if row}
-    rows, cols = shape
-    if mat and (
-        min(mat) < 0
-        or max(mat) >= rows
-        or any(min(row) < 0 or max(row) >= cols for row in mat.values())
-    ):
+    if not linalg.fits(mat, shape):
         raise error(f"{what} does not fit the shape {shape}")
     return mat
 
@@ -94,7 +89,7 @@ class ChainComplex:
         mats = {}
         for n, mat in diffs.items():
             n = int(n)
-            shape = (self.rank(n - 1), self.rank(n))
+            shape = self._shape(n)
             if 0 in shape:
                 if mat and mat[0] and any(
                     not ring.element(x).is_zero() for row in mat for x in row
@@ -132,8 +127,7 @@ class ChainComplex:
     def _set_mats(self, mats):
         clean = {}
         for n, mat in mats.items():
-            shape = (self.rank(n - 1), self.rank(n))
-            mat = _fitted(mat, shape, NotAChainComplex, f"differential at degree {n}")
+            mat = _fitted(mat, self._shape(n), NotAChainComplex, f"differential at degree {n}")
             if mat:  # canonical form: zero differentials are absent
                 clean[n] = mat
         self._mats = clean
@@ -147,8 +141,10 @@ class ChainComplex:
         return {n: self._dense(n) for n in self._mats}
 
     def _dense(self, n):
-        shape = (self.rank(n - 1), self.rank(n))
-        return linalg.dense(self.ring, self._mats.get(n, {}), shape)
+        return linalg.dense(self.ring, self._mats.get(n, {}), self._shape(n))
+
+    def _shape(self, n):
+        return (self.rank(n - 1), self.rank(n))
 
     # -- inspection ----------------------------------------------------
 
@@ -186,8 +182,8 @@ class ChainComplex:
             "ring": self.ring.to_json(),
             "terms": {str(n): r for n, r in sorted(self.terms.items())},
             "diffs": {
-                str(n): [[x.to_json() for x in row] for row in mat]
-                for n, mat in sorted(self.diffs.items())
+                str(n): linalg.dense_json(self.ring, self._mats[n], self._shape(n))
+                for n in sorted(self._mats)
             },
         }
 
@@ -264,7 +260,7 @@ class ChainMap:
         ring = source.ring
         degrees, clean = [], {}
         for n, mat in mats.items():
-            shape = (target.rank(n), source.rank(n))
+            shape = self._shape(n)
             if 0 in shape:
                 continue
             degrees.append(n)
@@ -285,8 +281,10 @@ class ChainMap:
         return {n: self._dense(n) for n in self._degrees}
 
     def _dense(self, n):
-        shape = (self.target.rank(n), self.source.rank(n))
-        return linalg.dense(self.source.ring, self._mats.get(n, {}), shape)
+        return linalg.dense(self.source.ring, self._mats.get(n, {}), self._shape(n))
+
+    def _shape(self, n):
+        return (self.target.rank(n), self.source.rank(n))
 
     def component(self, n):
         """The component at degree n as dense rows (zeros when absent)."""
@@ -344,8 +342,8 @@ class ChainMap:
             "source": self.source.to_json(),
             "target": self.target.to_json(),
             "components": {
-                str(n): [[x.to_json() for x in row] for row in mat]
-                for n, mat in sorted(self.components.items())
+                str(n): linalg.dense_json(self.source.ring, self._mats.get(n, {}), self._shape(n))
+                for n in sorted(self._degrees)
             },
         }
 

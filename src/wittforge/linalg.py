@@ -5,10 +5,10 @@ zeros are never stored, multiplied or compared, and two matrices are equal
 exactly when their dicts are.  Entries are any ring values supporting
 ``+``, ``-``, ``*``, ``==`` and ``is_zero()`` (field elements or multivariate
 polynomials).  A dict cannot carry its shape, so the operations that need
-one (:func:`identity`, :func:`block_diag`, :func:`kron`, :func:`dense`) take
-it explicitly.  Dense rows -- lists or tuples, zeros included -- appear only
-at the boundary: :func:`sparse` reads them, :func:`dense` writes them, and
-:func:`rank` and :func:`inverse` accept them as rows.
+one (:func:`identity`, :func:`block_diag`, :func:`kron`, :func:`dense`, :func:`fits`)
+take it explicitly.  Dense rows -- lists or tuples, zeros included -- appear only
+at the boundary: :func:`sparse` reads them, :func:`dense` and :func:`dense_json`
+write them, and :func:`rank` and :func:`inverse` accept them as rows.
 """
 
 from __future__ import annotations
@@ -52,6 +52,17 @@ def dense(ring, mat, shape):
             row[j] = x
         out[i] = tuple(row)
     return tuple(out)
+
+
+def dense_json(ring, mat, shape):
+    """The JSON rows of :func:`dense`: each entry's ``to_json()``, zeros included."""
+    return [[x.to_json() for x in row] for row in dense(ring, mat, shape)]
+
+
+def fits(mat, shape):
+    """Whether every index of ``mat`` (a matrix with no empty rows) lies inside ``shape``."""
+    rows, cols = shape
+    return all(0 <= i < rows and min(row) >= 0 and max(row) < cols for i, row in mat.items())
 
 
 def identity(ring, n):

@@ -1,15 +1,15 @@
 """Quadratic forms, Witt decomposition, and Witt-group arithmetic.
 
 Forms are symmetric Gram matrices over a :class:`~wittforge.fields.FieldSpec`
-of characteristic != 2.  The Witt-group machinery is complete over finite
-fields (exhaustive isotropy searches with explicit caps) and over Q
-(Hasse-Minkowski invariants decide isotropy and Witt equality; explicit
-isotropic vectors come from exact square detection, Legendre-style ternary
-solving, and a locally-filtered common-value search).  Anisotropy over Q is
-always certified by invariants, never by a search running out of patience;
-conversely, if the invariants promise a vector that the bounded searches
-cannot exhibit, :class:`~wittforge.errors.Inconclusive` is raised rather
-than guessing.
+of characteristic != 2, stored as :mod:`~wittforge.linalg` sparse matrices.
+The Witt-group machinery is complete over finite fields (exhaustive isotropy
+searches with explicit caps) and over Q (Hasse-Minkowski invariants decide
+isotropy and Witt equality; explicit isotropic vectors come from exact square
+detection, Legendre-style ternary solving, and a locally-filtered
+common-value search).  Anisotropy over Q is always certified by invariants,
+never by a search running out of patience; conversely, if the invariants
+promise a vector that the bounded searches cannot exhibit,
+:class:`~wittforge.errors.Inconclusive` is raised rather than guessing.
 """
 
 from __future__ import annotations
@@ -73,38 +73,50 @@ class Place:
 class QuadraticForm:
     """A symmetric bilinear form given by its Gram matrix.
 
-    Forms are immutable.  The diagonal entries of a congruence
-    diagonalization (see :func:`diagonalize`) are computed on first use by
-    :meth:`is_degenerate`, :func:`witt_equal`, the discriminant and the
-    signature, and then kept in the private ``_entries`` slot, which takes
-    no part in equality, hashing or JSON.
+    Forms are immutable.  The Gram matrix is stored once, as a
+    :mod:`~wittforge.linalg` sparse matrix (``_mat``); ``gram`` is a dense
+    view derived on access.  The constructor coerces dense rows, and
+    constructions pass their sparse matrices to ``_trusted``, which skips
+    coercion only.  The diagonal entries of a congruence diagonalization
+    (:func:`diagonalize`) are computed on first use and kept in the private
+    ``_entries`` slot, which takes no part in equality, hashing or JSON.
     """
 
-    __slots__ = ("field", "gram", "_entries")
+    __slots__ = ("field", "dim", "_mat", "_entries")
 
     def __init__(self, field, gram):
-        rows = [tuple(field.element(x) for x in row) for row in gram]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        rows = list(gram)
+        if not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ValueError("a Gram matrix is a list of rows, each a list of entries")
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        self.field = field
-        self.gram = tuple(rows)
-        self._entries = None
+        self._set(field, linalg.sparse([map(field.element, row) for row in rows]), len(rows))
+
+    @classmethod
+    def _trusted(cls, field, mat, dim):
+        """The form of a dim x dim sparse Gram matrix whose entries are already
+        nonzero elements of ``field``; indices and symmetry are still checked."""
+        self = cls.__new__(cls)
+        self._set(field, mat, dim)
+        return self
+
+    def _set(self, field, mat, dim):
+        if not linalg.fits(mat, (dim, dim)):
+            raise ValueError(f"Gram matrix does not fit the shape {(dim, dim)}")
+        if mat != linalg.transpose(mat):
+            raise ValueError("Gram matrix must be symmetric")
+        self.field, self.dim, self._mat, self._entries = field, dim, mat, None
 
     @classmethod
     def diagonal(cls, field, entries):
         entries = [field.element(e) for e in entries]
-        n = len(entries)
-        gram = [[entries[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
-        return cls(field, gram)
+        mat = {i: {i: e} for i, e in enumerate(entries) if not e.is_zero()}
+        return cls._trusted(field, mat, len(entries))
 
     @property
-    def dim(self):
-        return len(self.gram)
+    def gram(self):
+        """The Gram matrix as dense row tuples, zeros included."""
+        return linalg.dense(self.field, self._mat, (self.dim, self.dim))
 
     def is_degenerate(self):
         """Whether the form has a radical: a zero entry of its diagonalization."""
@@ -115,22 +127,21 @@ class QuadraticForm:
         if other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         n, m = self.dim, other.dim
-        block = linalg.block_diag(
-            [(linalg.sparse(self.gram), (n, n)), (linalg.sparse(other.gram), (m, m))]
-        )
-        return _from_sparse(self.field, block, n + m)
+        block = linalg.block_diag([(self._mat, (n, n)), (other._mat, (m, m))])
+        return QuadraticForm._trusted(self.field, block, n + m)
 
     def tensor(self, other):
         """Tensor (Kronecker) product of forms."""
         if other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
-        n, m = self.dim, other.dim
-        product = linalg.kron(linalg.sparse(self.gram), linalg.sparse(other.gram), (m, m))
-        return _from_sparse(self.field, product, n * m)
+        m = other.dim
+        product = linalg.kron(self._mat, other._mat, (m, m))
+        return QuadraticForm._trusted(self.field, product, self.dim * m)
 
     def scale(self, c):
         c = self.field.element(c)
-        return _from_sparse(self.field, linalg.scaled(c, linalg.sparse(self.gram)), self.dim)
+        mat = {} if c.is_zero() else linalg.scaled(c, self._mat)
+        return QuadraticForm._trusted(self.field, mat, self.dim)
 
     def neg(self):
         return self.scale(self.field.from_int(-1))
@@ -142,17 +153,16 @@ class QuadraticForm:
     def bilinear(self, u, v):
         u = [self.field.element(x) for x in u]
         v = [self.field.element(x) for x in v]
-        gram = linalg.sparse(self.gram)
-        terms = (u[i] * g * v[j] for i, row in gram.items() for j, g in row.items())
+        terms = (u[i] * g * v[j] for i, row in self._mat.items() for j, g in row.items())
         return sum(terms, self.field.zero())
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
             return NotImplemented
-        return self.field == other.field and self.gram == other.gram
+        return (self.field, self.dim, self._mat) == (other.field, other.dim, other._mat)
 
     def __hash__(self):
-        return hash((self.field, self.gram))
+        return hash((self.field, self.dim))
 
     def __repr__(self):
         return f"QuadraticForm({self.field!r}, dim={self.dim})"
@@ -160,7 +170,7 @@ class QuadraticForm:
     def to_json(self):
         return {
             "field": self.field.to_json(),
-            "gram": [[x.to_json() for x in row] for row in self.gram],
+            "gram": linalg.dense_json(self.field, self._mat, (self.dim, self.dim)),
         }
 
     @classmethod
@@ -169,14 +179,8 @@ class QuadraticForm:
         return cls(field, obj["gram"])
 
 
-def _from_sparse(field, mat, n):
-    """The form of an n x n sparse Gram matrix."""
-    return QuadraticForm(field, linalg.dense(field, mat, (n, n)))
-
-
 def hyperbolic_plane(field):
-    z, o = field.zero(), field.one()
-    return QuadraticForm(field, [[z, o], [o, z]])
+    return QuadraticForm._trusted(field, {0: {1: field.one()}, 1: {0: field.one()}}, 2)
 
 
 def diagonalize(form):
@@ -284,9 +288,9 @@ def _check_nondegenerate(form):
 class WittClass:
     """anisotropic part + number of split hyperbolic planes.
 
-    ``certificate`` (when produced by :func:`witt_decompose`) is a change of
-    basis P, a sparse matrix, with P^T G P = H + ... + H + A, recorded
-    together with the original form; tests re-multiply it.
+    ``certificate`` (when produced by :func:`witt_decompose`, which checks it)
+    is a change of basis P, a sparse matrix, with P^T G P = H + ... + H + A,
+    recorded together with the original form.
     """
 
     __slots__ = ("field", "anisotropic", "hyperbolic", "certificate", "source")
@@ -694,9 +698,9 @@ def witt_decompose(form):
     """q = (anisotropic part) + k * H with an explicit congruence certificate.
 
     The certificate is a basis matrix P with P^T G P block-diagonal: k copies
-    of [[0,1],[1,0]] followed by the anisotropic Gram matrix.  Anisotropy of
-    the residual part is certified by exhaustive search over finite fields
-    and by Hasse-Minkowski invariants over Q.
+    of [[0,1],[1,0]] followed by the anisotropic Gram matrix, re-multiplied
+    before returning.  Anisotropy of the residual part is certified by
+    exhaustive search over finite fields and by Hasse-Minkowski invariants over Q.
     """
     form = _as_form(form)
     field = form.field
@@ -708,42 +712,37 @@ def witt_decompose(form):
         form._entries = tuple(entries)
     _check_nondegenerate(form)
     if field.kind == "Q":
-        finder = lambda entries: _q_isotropic_vector([e.payload for e in entries])
-        wrap = lambda vec: [field.element(v) for v in vec] if vec is not None else None
+        def finder(entries):
+            vec = _q_isotropic_vector([e.payload for e in entries])
+            return None if vec is None else [field.element(x) for x in vec]
     elif field.is_finite:
         def finder(entries):
-            if not _finite_isotropy_decision(field, entries):
-                return None
-            return _finite_isotropic_vector(field, entries)
-
-        wrap = lambda vec: vec
+            if _finite_isotropy_decision(field, entries):
+                return _finite_isotropic_vector(field, entries)
     else:
         raise UnsupportedField(f"no Witt decomposition over {field}")
 
-    n = form.dim
-    gram = linalg.sparse(form.gram)
     # rows: the current complement's basis in original coordinates
-    basis = linalg.identity(field, n)
+    basis = linalg.identity(field, form.dim)
     subform = form
     cert_rows = []  # v_1, u_1, v_2, u_2, ... in original coordinates
 
     while True:
-        vec_diag = wrap(finder(entries))
+        vec_diag = finder(entries)
         if vec_diag is None:
             break
         # everything below happens inside the current complement's coordinates
-        m = subform.dim
-        v = linalg.product(field, linalg.sparse([vec_diag]), linalg.transpose(diag_basis))
-        v = list(linalg.dense(field, v, (1, m))[0])
+        v = linalg.product(field, linalg.sparse([vec_diag]), linalg.transpose(diag_basis))[0]
         u = _hyperbolic_partner(subform, v)
         # the change of basis: rows v, u, then the pair's orthogonal complement
-        change = linalg.sparse([v, u] + _orthogonal_complement(field, subform, v, u))
+        change = dict(enumerate([v, u] + _orthogonal_complement(field, subform, v, u)))
         rows = linalg.product(field, change, basis)
         cert_rows += [rows[0], rows[1]]
         basis = {k - 2: row for k, row in rows.items() if k >= 2}
         if not basis:
             break  # nothing left: the form was a sum of hyperbolic planes
-        subform = _from_sparse(field, _restrict_gram(field, gram, basis), m - 2)
+        restricted = _restrict_gram(field, form._mat, basis)
+        subform = QuadraticForm._trusted(field, restricted, subform.dim - 2)
         entries, diag_basis = diagonalize(subform)
 
     hyperbolic = len(cert_rows) // 2
@@ -753,8 +752,12 @@ def witt_decompose(form):
         cert_rows += [aniso_rows[k] for k in range(len(entries))]
     else:
         aniso = QuadraticForm(field, [])
-    cert = linalg.transpose(dict(enumerate(cert_rows)))
-    return WittClass(field, aniso, hyperbolic, certificate=cert, source=form)
+    # the certificate P, re-multiplied: P^T G P must be H + ... + H + A
+    pt, one = dict(enumerate(cert_rows)), field.one()
+    blocks = [({0: {1: one}, 1: {0: one}}, (2, 2))] * hyperbolic + [(aniso._mat, (aniso.dim,) * 2)]
+    if _restrict_gram(field, form._mat, pt) != linalg.block_diag(blocks):
+        raise RuntimeError("witt_decompose: the certificate P^T G P is not H + ... + H + A")
+    return WittClass(field, aniso, hyperbolic, certificate=linalg.transpose(pt), source=form)
 
 
 def _restrict_gram(field, gram, basis_rows):
@@ -764,42 +767,39 @@ def _restrict_gram(field, gram, basis_rows):
 
 
 def _pairings(form, w):
-    """b(w, e_k) for every standard basis vector e_k, as a sparse row."""
-    return linalg.product(form.field, linalg.sparse([w]), linalg.sparse(form.gram)).get(0, {})
+    """b(w, e_k) for every standard basis vector e_k, for a sparse row w, as a sparse row."""
+    return linalg.product(form.field, {0: w}, form._mat).get(0, {})
 
 
 def _hyperbolic_partner(form, v):
-    """Complete isotropic v to a hyperbolic pair (v, u): q(u)=0, b(v,u)=1."""
+    """Complete isotropic v to a hyperbolic pair (v, u): q(u)=0, b(v,u)=1 (sparse rows)."""
     field = form.field
     bv = _pairings(form, v)
     if not bv:
         raise DegenerateForm("isotropic vector is in the radical")
     k = min(bv)
-    u0 = [field.zero()] * form.dim
-    u0[k] = bv[k].inverse()
-    qu = form.evaluate(u0)
-    half = field.from_int(2).inverse()
-    # u = u0 - q(u0)/2 * v keeps b(v,u) = 1 and kills q(u)
-    return [a - half * qu * b for a, b in zip(u0, v)]
+    c = bv[k].inverse()
+    # u = c e_k - q(c e_k)/2 * v keeps b(v,u) = 1 and kills q(u)
+    t = -(field.from_int(2).inverse() * c * c * form._mat[k].get(k, field.zero()))
+    return linalg.product(field, linalg.sparse([[c, t]]), {0: {k: field.one()}, 1: v})[0]
 
 
 def _orthogonal_complement(field, form, v, u):
-    """Dense vectors spanning the orthogonal complement of the hyperbolic pair.
+    """Sparse rows spanning the orthogonal complement of the hyperbolic pair.
 
     ``(v, u)`` is a hyperbolic pair for ``form``; projecting the standard
     basis along the pair spans its complement, from which an independent
     subset of size dim - 2 is kept.
     """
     n = form.dim
-    zero = field.zero()
+    zero, one = field.zero(), field.one()
     bv, bu = _pairings(form, v), _pairings(form, u)
     keep, pivots = [], {}
     for k in range(n):
-        c = [zero] * n
-        c[k] = field.one()
-        # subtract the H-components: x - b(x,u) v - b(x,v) u
-        c = [x - bu.get(k, zero) * a - bv.get(k, zero) * b for x, a, b in zip(c, v, u)]
-        if linalg.extend_pivots(pivots, linalg.sparse([c]).get(0, {})):
+        # subtract the H-components: x - b(x,u) v - b(x,v) u for x = e_k
+        coeffs = linalg.sparse([[one, -bu.get(k, zero), -bv.get(k, zero)]])
+        c = linalg.product(field, coeffs, {0: {k: one}, 1: v, 2: u}).get(0, {})
+        if linalg.extend_pivots(pivots, dict(c)):
             keep.append(c)
     if len(keep) != n - 2:
         raise RuntimeError(f"complement of a hyperbolic pair has rank {len(keep)}, not {n - 2}")

@@ -155,13 +155,11 @@ def _flattened_basis(top, bottom):
 
 
 def _canonical_coords(x, bottom):
-    if x.spec == bottom:
-        return [x]
-    base = x.spec.base
-    out = []
-    for component in x.payload:
-        out.extend(_canonical_coords(FieldElement(base, component), bottom))
-    return out
+    """The coordinates of x over ``bottom``: its nested payload flattened level by level."""
+    spec, payloads = x.spec, [x.payload]
+    while spec != bottom:
+        spec, payloads = spec.base, [c for p in payloads for c in p]
+    return [FieldElement(bottom, c) for c in payloads]
 
 
 def trace_form(ext):
@@ -174,12 +172,13 @@ def trace_form(ext):
     """
     if ext._trace_form is None:
         n = ext.degree
-        basis = ext.basis
-        gram = [[None] * n for _ in range(n)]
+        gram = {}
         for i in range(n):
             for j in range(i, n):
-                gram[i][j] = gram[j][i] = ext.trace(basis[i] * basis[j])
-        form = QuadraticForm(ext.bottom, gram)
+                t = ext.trace(ext.basis[i] * ext.basis[j])
+                if not t.is_zero():
+                    gram.setdefault(i, {})[j] = gram.setdefault(j, {})[i] = t
+        form = QuadraticForm._trusted(ext.bottom, gram, n)
         if form.is_degenerate():
             raise DegenerateTraceForm(
                 f"trace form of {ext.top}/{ext.bottom} is degenerate (inseparable?)"
@@ -200,26 +199,32 @@ def scharlau_transfer(ext, q):
         raise FieldMismatch(f"form over {q.field}, expected {ext.top}")
     if q.is_degenerate():
         raise DegenerateForm("cannot transfer a degenerate form")
-    t_gram = linalg.sparse(trace_form(ext).gram)
+    t_gram = trace_form(ext)._mat
     n = ext.degree
     field = ext.bottom
-    out = linalg.zeros(field, n * q.dim, n * q.dim)
-    for a, row in linalg.sparse(q.gram).items():
+    out = {}
+    for a, row in q._mat.items():
         for c, e in row.items():
             if c < a:
                 continue
             for i, block_row in linalg.product(field, t_gram, ext.mult_matrix(e)).items():
                 for j, x in block_row.items():
-                    out[a * n + i][c * n + j] = out[c * n + i][a * n + j] = x
-    return QuadraticForm(field, out)
+                    out.setdefault(a * n + i, {})[c * n + j] = x
+                    out.setdefault(c * n + i, {})[a * n + j] = x
+    return QuadraticForm._trusted(field, out, n * q.dim)
 
 
 def restrict_form(q, target):
     """Base-change a form along F -> target (entrywise lift of the Gram)."""
     if not spec_extends(target, q.field):
         raise FieldMismatch(f"{target} does not extend {q.field}")
-    gram = [[embed(x, target) for x in row] for row in q.gram]
-    return QuadraticForm(target, gram)
+    return _mapped(q, target, lambda x: embed(x, target))
+
+
+def _mapped(q, target, hom):
+    """q with each Gram entry sent into ``target`` by the field homomorphism ``hom``."""
+    mat = {i: {j: hom(x) for j, x in row.items()} for i, row in q._mat.items()}
+    return QuadraticForm._trusted(target, mat, q.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +233,29 @@ def restrict_form(q, target):
 
 
 class LinearMapOverF:
-    """A dense matrix over F together with descriptors of its domain and codomain.
+    """A sparse matrix over F together with descriptors of its domain and codomain.
 
     Descriptors are dicts with at least ``space`` (a label) and
-    ``dim_over_base``; matrices act on column vectors.
+    ``dim_over_base``; matrices act on column vectors.  The matrix is stored
+    once, as a :mod:`~wittforge.linalg` sparse matrix (``_mat``) checked
+    against the descriptors; ``matrix`` is a dense view derived on access.
     """
 
-    __slots__ = ("field", "matrix", "domain", "codomain")
+    __slots__ = ("field", "_mat", "domain", "codomain")
 
-    def __init__(self, field, matrix, domain, codomain):
-        rows, cols = linalg.shape(matrix)
-        if rows != codomain["dim_over_base"] or cols != domain["dim_over_base"]:
-            raise ValueError(
-                f"matrix is {rows}x{cols}, expected "
-                f"{codomain['dim_over_base']}x{domain['dim_over_base']}"
-            )
-        self.field = field
-        self.matrix = matrix
-        self.domain = dict(domain)
-        self.codomain = dict(codomain)
+    def __init__(self, field, mat, domain, codomain):
+        self.field, self.domain, self.codomain = field, dict(domain), dict(codomain)
+        if not linalg.fits(mat, self._shape()):
+            raise ValueError(f"matrix does not fit the shape {self._shape()}")
+        self._mat = mat
+
+    def _shape(self):
+        return (self.codomain["dim_over_base"], self.domain["dim_over_base"])
+
+    @property
+    def matrix(self):
+        """The matrix as dense row tuples, zeros included."""
+        return linalg.dense(self.field, self._mat, self._shape())
 
     def __repr__(self):
         return f"LinearMapOverF({self.domain['space']} -> {self.codomain['space']})"
@@ -255,7 +264,7 @@ class LinearMapOverF:
         return {
             "domain": self.domain,
             "codomain": self.codomain,
-            "matrix": _mat_json(self.matrix),
+            "matrix": linalg.dense_json(self.field, self._mat, self._shape()),
         }
 
 
@@ -310,17 +319,13 @@ def adjunction_data(ext, dim_e, dim_f):
     field = ext.bottom
     unit = LinearMapOverF(
         field,
-        linalg.dense(
-            field,
-            unit_matrix(ext, lambda e: module_action(ext, dim_e, e)),
-            (dim_e * n * n, dim_e * n),
-        ),
+        unit_matrix(ext, lambda e: module_action(ext, dim_e, e)),
         _space(f"E^{dim_e} over F", dim_e * n),
         _space(f"Hom_F(E, E^{dim_e}|_F) over F", dim_e * n * n),
     )
     counit = LinearMapOverF(
         field,
-        linalg.dense(field, counit_matrix(ext, dim_f), (dim_f, dim_f * n)),
+        counit_matrix(ext, dim_f),
         _space(f"Hom_F(E, F^{dim_f}) over F", dim_f * n),
         _space(f"F^{dim_f}", dim_f),
     )
@@ -345,17 +350,16 @@ def triangle_identities_check(ext, dim_e, dim_f):
     t2 = linalg.product(field, hom_on_map(ext, counit_matrix(ext, dim_f)), unit_hw)
     ok2 = t2 == linalg.identity(field, dim_f * n)
     # E-linearity of the units
-    ok3 = True
-    for b in ext.basis:
-        lhs_lin = linalg.product(field, unit_v, module_action(ext, dim_e, b))
-        rhs_lin = linalg.product(field, hom_action(ext, dim_e * n, b), unit_v)
-        if lhs_lin != rhs_lin:
-            ok3 = False
+    ok3 = all(
+        linalg.product(field, unit_v, module_action(ext, dim_e, b))
+        == linalg.product(field, hom_action(ext, dim_e * n, b), unit_v)
+        for b in ext.basis
+    )
     return CheckReport(
         claim=f"triangle identities for {ext.top}/{ext.bottom}, "
         f"dims ({dim_e}, {dim_f})",
-        lhs={"first_triangle": _mat_json(linalg.dense(field, t1, (dim_e * n, dim_e * n)))},
-        rhs={"second_triangle": _mat_json(linalg.dense(field, t2, (dim_f * n, dim_f * n)))},
+        lhs={"first_triangle": linalg.dense_json(field, t1, (dim_e * n, dim_e * n))},
+        rhs={"second_triangle": linalg.dense_json(field, t2, (dim_f * n, dim_f * n))},
         equal=ok1 and ok2 and ok3,
         witness={"unit_E_linear": ok3},
     )
@@ -372,7 +376,7 @@ def cartan_isomorphism(ext, dim_e):
     size = dim_e * ext.degree
     return LinearMapOverF(
         ext.bottom,
-        linalg.dense(ext.bottom, linalg.identity(ext.bottom, size), (size, size)),
+        linalg.identity(ext.bottom, size),
         _space(f"Hom_E(E^{dim_e}, Hom_F(E,F)) over F", size),
         _space(f"Hom_F(E^{dim_e}|_F, F)", size),
     )
@@ -392,17 +396,18 @@ def pushforward_via_cartan(ext, q):
     n = ext.degree
     r = q.dim
     field = ext.bottom
-    psi = [[field.zero()] * (r * n) for _ in range(r * n)]
-    for c in range(r):
-        for k in range(n):
-            # psi(b_k v_c) sends v_a to the functional x -> Tr(x * b_k * G[a][c])
-            for a in range(r):
-                e = q.gram[a][c] * ext.basis[k]
+    psi = {}
+    for a, row in q._mat.items():
+        for c, g in row.items():
+            for k in range(n):
+                # psi(b_k v_c) sends v_a to the functional x -> Tr(x * b_k * G[a][c])
+                e = g * ext.basis[k]
                 for i in range(n):
-                    psi[a * n + i][c * n + k] = ext.trace(ext.basis[i] * e)
-    cartan = linalg.sparse(cartan_isomorphism(ext, r).matrix)
-    gram = linalg.product(field, cartan, linalg.sparse(psi))
-    return QuadraticForm(field, linalg.dense(field, gram, (r * n, r * n)))
+                    t = ext.trace(ext.basis[i] * e)
+                    if not t.is_zero():
+                        psi.setdefault(a * n + i, {})[c * n + k] = t
+    gram = linalg.product(field, cartan_isomorphism(ext, r)._mat, psi)
+    return QuadraticForm._trusted(field, gram, r * n)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +444,6 @@ class CheckReport:
         }
 
 
-def _mat_json(m):
-    return [[x.to_json() for x in row] for row in m]
-
-
 def _class_summary(form):
     return {"dim": form.dim, "signed_disc": signed_discriminant(form).to_json()}
 
@@ -467,7 +468,7 @@ def transfer_compose_check(outer, inner, q):
         lhs=_class_summary(lhs),
         rhs=_class_summary(rhs),
         equal=equal,
-        witness={"lhs_gram": _mat_json(lhs.gram), "rhs_gram": _mat_json(rhs.gram)}
+        witness={"lhs_gram": lhs.to_json()["gram"], "rhs_gram": rhs.to_json()["gram"]}
         if not equal
         else None,
     )
@@ -515,11 +516,7 @@ def base_change_check(ext, L, q):
     rhs = QuadraticForm(L, [])
     pieces = []
     for target, x_image in factors:
-        gram = [
-            [_evaluate_into(x, target, x_image, ext.bottom) for x in row]
-            for row in q.gram
-        ]
-        q_i = QuadraticForm(target, gram)
+        q_i = _mapped(q, target, lambda x: _evaluate_into(x, target, x_image, ext.bottom))
         piece = scharlau_transfer(ExtensionDatum(target, L), q_i)
         pieces.append(piece.dim)
         rhs = rhs.perp(piece)

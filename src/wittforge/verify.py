@@ -272,7 +272,7 @@ def verify_adjunction(seed=0, size=None, bound=None):
                 "the comparison map between the two internal-hom descriptions is invertible",
                 {"ext": label, "dim": 1},
                 invertible,
-                witness=None if invertible else {"matrix": [[x.to_json() for x in r] for r in cartan.matrix]},
+                witness=None if invertible else {"matrix": cartan.to_json()["matrix"]},
             )
         )
     return cases

@@ -204,8 +204,12 @@ def test_unknown_suite_is_usage(capsys):
             ("koszul", "form", "--vars", "x", "--section", "1/0*x"),
             "usage error: '1/0' has a zero denominator",
         ),
+        (
+            ("witt", "diag", "--field", "F5", "--form", "[1,2]"),
+            "usage error: a Gram matrix is a list of rows, each a list of entries",
+        ),
     ],
-    ids=["negative-size", "phi-r-zero", "q-zero-den", "fp-zero-den", "poly-zero-den"],
+    ids=["negative-size", "phi-r-zero", "q-zero-den", "fp-zero-den", "poly-zero-den", "flat-gram"],
 )
 def test_bad_bounds_are_one_line_usage_errors(capsys, argv, message):
     # rejected before any work: no stdout, exit 2, one line on stderr

@@ -367,6 +367,33 @@ def test_asymmetric_gram_rejected():
         QuadraticForm(F3, [[1, 1], [2, 1]])
 
 
+def test_trusted_checks_indices_and_symmetry():
+    one = F5.one()
+    assert QuadraticForm._trusted(F5, {0: {1: one}, 1: {0: one}}, 2) == hyperbolic_plane(F5)
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticForm._trusted(F5, {0: {1: one}}, 2)
+    with pytest.raises(ValueError, match="does not fit"):
+        QuadraticForm._trusted(F5, {0: {0: one}, 2: {2: one}}, 2)
+
+
+def test_malformed_gram_is_named():
+    with pytest.raises(ValueError, match="a Gram matrix is a list of rows"):
+        QuadraticForm(F5, [1, 2])
+    with pytest.raises(ValueError, match="square"):
+        QuadraticForm(F5, [[1, 2], [2]])
+
+
+def test_sparse_form_views():
+    rows = [[1, 0, 2], [0, 0, 0], [2, 0, 3]]
+    form = QuadraticForm(F5, rows)
+    one, two, three = map(F5.from_int, (1, 2, 3))
+    assert form._mat == {0: {0: one, 2: two}, 2: {0: two, 2: three}}
+    assert form.dim == 3 and form.gram == tuple(tuple(map(F5.element, row)) for row in rows)
+    assert form.to_json()["gram"] == rows
+    zero_row = [0, 0, 0]
+    assert QuadraticForm.diagonal(F5, [1, 0, 5]) == QuadraticForm(F5, [[1, 0, 0], zero_row, zero_row])
+
+
 # ---------------------------------------------------------------------------
 # isotropy and Witt decomposition: finite fields
 # ---------------------------------------------------------------------------
@@ -412,6 +439,25 @@ def test_witt_decompose_certificates_finite(field):
         again = witt_decompose(wc.anisotropic)
         assert again.hyperbolic == 0
         assert again.anisotropic.dim == wc.anisotropic.dim
+
+
+def test_witt_certificate_is_checked_at_runtime(monkeypatch):
+    # a complement row that picks up u is no longer orthogonal to v, so
+    # P^T G P leaves the block-diagonal shape and the runtime check raises
+    complement = quadforms._orthogonal_complement
+
+    def corrupted(field, form, v, u):
+        rows = complement(field, form, v, u)
+        if rows:  # the last split has no complement left
+            one = field.one()
+            rows[0] = linalg.product(field, {0: {0: one, 1: one}}, {0: rows[0], 1: u})[0]
+        return rows
+
+    form = QuadraticForm.diagonal(F5, [1, 1, 1, 1])
+    assert_certificate(form, witt_decompose(form))
+    monkeypatch.setattr(quadforms, "_orthogonal_complement", corrupted)
+    with pytest.raises(RuntimeError, match="witt_decompose: the certificate"):
+        witt_decompose(form)
 
 
 #: witt_decompose's anisotropic Gram, hyperbolic count and certificate (as

@@ -31,6 +31,7 @@ from wittforge.quadforms import (
 )
 from wittforge.transfer import (
     ExtensionDatum,
+    LinearMapOverF,
     _class_summary,
     adjunction_data,
     base_change_check,
@@ -339,6 +340,16 @@ def test_adjunction_shapes():
     assert unit.codomain["dim_over_base"] == 8
     assert counit.domain["dim_over_base"] == 6
     assert counit.codomain["dim_over_base"] == 3
+
+
+def test_linear_map_keeps_its_sparse_matrix():
+    unit, counit = adjunction_data(D93, 2, 3)
+    assert counit._mat == {k: {2 * k: F3.one()} for k in range(3)}
+    assert counit.matrix == linalg.dense(F3, counit._mat, (3, 6))
+    assert counit.to_json()["matrix"] == [[x.to_json() for x in row] for row in counit.matrix]
+    assert linalg.sparse(unit.matrix) == unit._mat
+    with pytest.raises(ValueError, match="does not fit the shape"):
+        LinearMapOverF(F3, {3: {0: F3.one()}}, counit.domain, counit.codomain)
 
 
 def test_triangle_report_pinned():

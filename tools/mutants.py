@@ -4,8 +4,9 @@ Each mutant rewrites one function of a fresh copy of ``src/`` in a temporary
 directory.  The function is located through ``ast`` and the edit is made on
 its ``ast.unparse`` text, so comments and formatting in the real source do
 not matter; an edit that does not match exactly once is an error, not a
-survivor.  The test modules then run against the copy, with a time limit.
-A mutant is killed when they fail or run out of time.
+survivor.  The test modules listed with the mutant then run against the
+copy, with a time limit.  A mutant is killed when they fail or run out of
+time.
 
 Run it from the repository root (stdlib only, nothing is written outside
 the temporary directory)::
@@ -26,10 +27,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ("tests/test_fields.py", "tests/test_transfer.py")
+FIELD_TESTS = ("tests/test_fields.py", "tests/test_transfer.py")
+FORM_TESTS = ("tests/test_quadforms.py", "tests/test_transfer.py")
 TIMEOUT_S = 300
 
-#: (description, module under src/wittforge, function name, old text, new text)
+#: (description, module under src/wittforge, function name, old text, new text, test modules)
 MUTANTS = [
     (
         "Ben-Or loop one short",
@@ -37,6 +39,7 @@ MUTANTS = [
         "_ben_or_irreducible",
         "range((len(f) - 1) // 2)",
         "range((len(f) - 1) // 2 - 1)",
+        FIELD_TESTS,
     ),
     (
         "division without its cancellation raise",
@@ -44,6 +47,7 @@ MUTANTS = [
         "_divmod_raw",
         "if not is_zero(f[i + dg]):\n            raise",
         "if False:\n            raise",
+        FIELD_TESTS,
     ),
     (
         "extension inverse skips its final scale by 1/r",
@@ -51,6 +55,7 @@ MUTANTS = [
         "inv",
         "[base.mul(c, x) for x in s]",
         "[x for x in s]",
+        FIELD_TESTS,
     ),
     (
         "trial division starts at degree 2",
@@ -58,6 +63,7 @@ MUTANTS = [
         "_factor_finite",
         "k = 1",
         "k = 2",
+        FIELD_TESTS,
     ),
     (
         "rational_roots tries only sign +1",
@@ -65,6 +71,47 @@ MUTANTS = [
         "rational_roots",
         "(1, -1)",
         "(1,)",
+        FIELD_TESTS,
+    ),
+    (
+        "perp places the second block at offset 0",
+        "quadforms.py",
+        "perp",
+        "(self._mat, (n, n))",
+        "(self._mat, (0, 0))",
+        FORM_TESTS,
+    ),
+    (
+        "_trusted (and the constructor) without the symmetry check of _set",
+        "quadforms.py",
+        "_set",
+        "if mat != linalg.transpose(mat):",
+        "if False:",
+        FORM_TESTS,
+    ),
+    (
+        "scharlau_transfer writes only the (a, c) block",
+        "transfer.py",
+        "scharlau_transfer",
+        "out.setdefault(c * n + i, {})[a * n + j] = x",
+        "pass",
+        FORM_TESTS,
+    ),
+    (
+        "_orthogonal_complement flips the sign of the b(x,v) u term",
+        "quadforms.py",
+        "_orthogonal_complement",
+        "-bv.get(k, zero)",
+        "bv.get(k, zero)",
+        FORM_TESTS,
+    ),
+    (
+        "witt_decompose skips its certificate check",
+        "quadforms.py",
+        "witt_decompose",
+        "if _restrict_gram(field, form._mat, pt) != linalg.block_diag(blocks):",
+        "if False:",
+        FORM_TESTS,
     ),
 ]
 
@@ -94,10 +141,10 @@ def run(workdir, *args, timeout=None):
     )
 
 
-def run_tests(workdir):
+def run_tests(workdir, tests):
     """'passed', 'failed' or 'timeout' for the test modules against ``workdir/src``."""
     try:
-        result = run(workdir, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS, timeout=TIMEOUT_S)
+        result = run(workdir, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if result.returncode == 0 else "failed"
@@ -113,11 +160,11 @@ def main():
         if Path(imported).parent != package:
             print(f"the tests would import {imported or 'nothing'}, not the copy", file=sys.stderr)
             return 2
-        if run_tests(workdir) != "passed":
+        if run_tests(workdir, sorted({t for *_, tests in MUTANTS for t in tests})) != "passed":
             print("the unmutated copy does not pass its tests", file=sys.stderr)
             return 2
         survivors = []
-        for description, module, function, old, new in MUTANTS:
+        for description, module, function, old, new, tests in MUTANTS:
             path = package / module
             original = path.read_text(encoding="utf-8")
             try:
@@ -126,7 +173,7 @@ def main():
                 print(f"mutation site missing for {description!r}: {err}", file=sys.stderr)
                 return 2
             start = time.perf_counter()
-            outcome = run_tests(workdir)
+            outcome = run_tests(workdir, tests)
             path.write_text(original, encoding="utf-8")
             killed = outcome != "passed"
             verdict = f"killed ({outcome})" if killed else "SURVIVED"
