@@ -903,20 +903,24 @@ def graded_homology_dims(a, degree_bound):
     Each internal degree is a finite complex over the coefficient field;
     homology is computed by exact ranks, and zero dimensions are omitted.
     Each graded piece of each differential is built once, straight into
-    sparse rows, and ranked once.
+    sparse rows, and ranked once.  A bound below the lowest internal degree
+    of the complex leaves an empty window, which raises before any rank.
     """
     grading = infer_grading(a)
     ring = a.ring
     out = {}
     if not a.terms:
         return out
+    low = min(grading.values())
+    if degree_bound < low:
+        raise BoundsExceeded(f"bound {degree_bound} is below the lowest internal degree {low}")
     columns = {}
     for n, mat in a._mats.items():
         columns[n] = cols = defaultdict(list)
         for v, row in mat.items():
             for u, x in row.items():
                 cols[u].append((v, x))
-    for t in range(min(grading.values()), degree_bound + 1):
+    for t in range(low, degree_bound + 1):
         bases = {n: _graded_basis(ring, grading, a, n, t) for n in a.terms}
         ranks = {
             n: linalg.rank(ring.field, _graded_rows(cols, bases[n], bases[n - 1]))

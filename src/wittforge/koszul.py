@@ -42,6 +42,7 @@ from .complexes import (
     graded_homology_dims,
     hom_complex,
     hom_post,
+    infer_grading,
     left_unitor,
     ring_from_json,
     scale_map,
@@ -51,7 +52,7 @@ from .complexes import (
     tensor_map,
     unit_complex,
 )
-from .errors import NotAChainMap, NotRegularSequence
+from .errors import BoundsExceeded, NotAChainMap, NotRegularSequence
 
 #: default internal-degree bound for graded exactness certificates
 DEFAULT_BOUND = 6
@@ -375,7 +376,8 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
     map from the ring into the rank-d term; ``down`` includes the rank-one
     socle in degree -d.  The certificate records the graded homology
     through the internal-degree bound, which must be concentrated in
-    degree -d; anything else raises with the offending dimensions.
+    degree -d; anything else raises with the offending dimensions.  A bound
+    below every internal degree of the other terms checks nothing: it raises.
     """
     ring, d = k.ring, k.rank
     middle = ChainComplex._trusted(
@@ -390,6 +392,12 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
     )
     up = ChainMap(unit_complex(ring), truncated, {0: [[s] for s in k.section]})
     down = ChainMap(single(ring, -d, 1), middle, {-d: [[ring.one()]]})
+    low = min(t for (n, _), t in infer_grading(middle).items() if n != -d)
+    if bound < low:
+        raise BoundsExceeded(
+            f"internal-degree bound {bound} is below {low}, the lowest at which "
+            f"homology away from degree {-d} can live"
+        )
     homology = graded_homology_dims(middle, bound)
     stray = {key: v for key, v in homology.items() if key[0] != -d}
     if stray:

@@ -791,14 +791,14 @@ def _orthogonal_complement(field, form, v, u):
     basis along the pair spans its complement, from which an independent
     subset of size dim - 2 is kept.
     """
-    n = form.dim
-    zero, one = field.zero(), field.one()
+    n, one = form.dim, field.one()
     bv, bu = _pairings(form, v), _pairings(form, u)
+    # subtract the H-components, x - b(x,u) v - b(x,v) u for every x = e_k, as
+    # one product [1 | -b(e_k,u) | -b(e_k,v)] . [1; v; u]
+    minus = linalg.transpose(linalg.scaled(-one, {n: bu, n + 1: bv}))
+    coeffs = {k: {k: one, **minus.get(k, {})} for k in range(n)}
     keep, pivots = [], {}
-    for k in range(n):
-        # subtract the H-components: x - b(x,u) v - b(x,v) u for x = e_k
-        coeffs = linalg.sparse([[one, -bu.get(k, zero), -bv.get(k, zero)]])
-        c = linalg.product(field, coeffs, {0: {k: one}, 1: v, 2: u}).get(0, {})
+    for c in linalg.product(field, coeffs, {**linalg.identity(field, n), n: v, n + 1: u}).values():
         if linalg.extend_pivots(pivots, dict(c)):
             keep.append(c)
     if len(keep) != n - 2:

@@ -31,9 +31,9 @@ class ExtensionDatum:
     The default basis is the flattened power basis of the tower: for
     E = K[y]/(m) over F it is ``{b * y^j}`` with ``b`` running through the
     basis of K/F (inner index fastest).  A custom basis is certified by the
-    invertibility of its coordinate matrix.  The basis traces and the trace
-    form are derived on first use and kept in private slots.  Matrices are
-    :mod:`~wittforge.linalg` sparse matrices.
+    invertibility of its coordinate matrix.  The multiplication table, the
+    basis traces and the trace form are derived on first use and kept in
+    private slots.  Matrices are :mod:`~wittforge.linalg` sparse matrices.
     """
 
     __slots__ = (
@@ -42,6 +42,7 @@ class ExtensionDatum:
         "basis",
         "_to_custom",
         "_one_coords",
+        "_table",
         "_basis_traces",
         "_trace_form",
     )
@@ -69,8 +70,7 @@ class ExtensionDatum:
             self.basis = basis
             self._to_custom = inv
         self._one_coords = linalg.sparse([self.coordinates(top.one())])[0]
-        self._basis_traces = None
-        self._trace_form = None
+        self._table = self._basis_traces = self._trace_form = None
 
     @property
     def degree(self):
@@ -96,20 +96,25 @@ class ExtensionDatum:
         """Matrix of multiplication by e on E as an F-space (columns = images)."""
         return linalg.transpose(linalg.sparse([self.coordinates(e * b) for b in self.basis]))
 
+    def _mult_table(self):
+        """The multiplication table [M(b_0), ..., M(b_{n-1})], built on first use."""
+        if self._table is None:
+            self._table = [self.mult_matrix(b) for b in self.basis]
+        return self._table
+
     def trace(self, e):
         """Trace of multiplication-by-e: an F-element; conjugate sum if separable.
 
         By linearity Tr(e) = sum_k coords(e)_k * Tr(b_k); the basis traces
-        are the diagonal sums of the basis multiplication matrices, computed
-        on first use.
+        are the diagonal sums of the multiplication table.
         """
         if e.spec != self.top:
             raise FieldMismatch(f"element of {e.spec}, expected {self.top}")
         zero = self.bottom.zero()
         if self._basis_traces is None:
             self._basis_traces = [
-                sum((self.coordinates(b * c)[i] for i, c in enumerate(self.basis)), zero)
-                for b in self.basis
+                sum((m.get(i, {}).get(i, zero) for i in range(self.degree)), zero)
+                for m in self._mult_table()
             ]
         return sum((c * t for c, t in zip(self.coordinates(e), self._basis_traces)), zero)
 
@@ -165,20 +170,17 @@ def _canonical_coords(x, bottom):
 def trace_form(ext):
     """Gram[i][j] = Tr(b_i * b_j); nondegenerate exactly when E/F is separable.
 
-    Only the upper triangle is traced (the Gram is symmetric).  The form is
-    built once per datum and kept only after its diagonal entries show it
-    nondegenerate, so a degenerate datum raises on every call; the returned
-    form carries those cached entries.
+    Row i is (Tr b_0, ..., Tr b_{n-1}) * M(b_i), read off the multiplication
+    table: no basis pair is multiplied in E, and the Gram's symmetry check
+    tests Tr(b_i b_j) = Tr(b_j b_i).  The form is built once per datum and kept
+    only after its diagonal entries show it nondegenerate, so a degenerate
+    datum raises on every call; the returned form carries those cached entries.
     """
     if ext._trace_form is None:
-        n = ext.degree
-        gram = {}
-        for i in range(n):
-            for j in range(i, n):
-                t = ext.trace(ext.basis[i] * ext.basis[j])
-                if not t.is_zero():
-                    gram.setdefault(i, {})[j] = gram.setdefault(j, {})[i] = t
-        form = QuadraticForm._trusted(ext.bottom, gram, n)
+        traces = linalg.sparse([[ext.trace(b) for b in ext.basis]])
+        rows = (linalg.product(ext.bottom, traces, m).get(0) for m in ext._mult_table())
+        gram = {i: row for i, row in enumerate(rows) if row}
+        form = QuadraticForm._trusted(ext.bottom, gram, ext.degree)
         if form.is_degenerate():
             raise DegenerateTraceForm(
                 f"trace form of {ext.top}/{ext.bottom} is degenerate (inseparable?)"
@@ -272,54 +274,37 @@ def _space(label, dim):
     return {"space": label, "dim_over_base": dim}
 
 
-def module_action(ext, rank, e):
-    """Action of e on E^rank viewed over F (basis b_i v_a at index a*n+i)."""
+def _actions(ext, blocks, copies):
+    """The action of each b_l on ``copies`` copies of an n-dimensional module,
+    from its action ``blocks[l]`` on one: M(b_l) on E (b_i v_a at index a*n+i),
+    M(b_l)^T on Hom_F(E, F), where (e.phi)(x) = phi(x e)."""
     n = ext.degree
-    return linalg.block_diag([(ext.mult_matrix(e), (n, n))] * rank)
+    return [linalg.block_diag([(m, (n, n))] * copies) for m in blocks]
 
 
-def hom_action(ext, dim_w, e):
-    """Action of e on Hom_F(E, W): (e.phi)(x) = phi(x e); per-block M(e)^T."""
-    n = ext.degree
-    return linalg.block_diag([(linalg.transpose(ext.mult_matrix(e)), (n, n))] * dim_w)
+def unit_matrix(ext, actions):
+    """Unit v -> (e -> e.v) of an E-module presented by the actions of the basis.
 
-
-def unit_matrix(ext, action_of):
-    """Unit v -> (e -> e.v) of an E-module presented by its action matrices.
-
-    ``action_of(e)`` is the F-matrix of multiplication by e on the module;
+    ``actions[l]`` is the F-matrix of multiplication by b_l on the module;
     the unit lands in Hom_F(E, V|_F) with basis index k*n + l for the
-    functional b_l -> w_k: row k*n + l is row k of the action of b_l.
+    functional b_l -> w_k: row k*n + l is row k of ``actions[l]``.
     """
     n = ext.degree
-    return {
-        k * n + l: row
-        for l, b in enumerate(ext.basis)
-        for k, row in action_of(b).items()
-    }
+    return {k * n + l: row for l, action in enumerate(actions) for k, row in action.items()}
 
 
 def counit_matrix(ext, dim_w):
     """Counit phi -> phi(1) on Hom_F(E, F^dim_w) (basis index k*n + i)."""
     n = ext.degree
-    return {
-        k: {k * n + i: x for i, x in ext._one_coords.items()} for k in range(dim_w)
-    }
-
-
-def hom_on_map(ext, g):
-    """Hom_F(E, -) applied to an F-linear map g (post-composition)."""
-    n = ext.degree
-    return linalg.kron(g, linalg.identity(ext.bottom, n), (n, n))
+    return {k: {k * n + i: x for i, x in ext._one_coords.items()} for k in range(dim_w)}
 
 
 def adjunction_data(ext, dim_e, dim_f):
     """The unit for V = E^dim_e and the counit for W = F^dim_f, as matrices."""
-    n = ext.degree
-    field = ext.bottom
+    n, field = ext.degree, ext.bottom
     unit = LinearMapOverF(
         field,
-        unit_matrix(ext, lambda e: module_action(ext, dim_e, e)),
+        unit_matrix(ext, _actions(ext, ext._mult_table(), dim_e)),
         _space(f"E^{dim_e} over F", dim_e * n),
         _space(f"Hom_F(E, E^{dim_e}|_F) over F", dim_e * n * n),
     )
@@ -337,23 +322,25 @@ def triangle_identities_check(ext, dim_e, dim_f):
 
     Also certifies that the unit matrices are E-linear (they commute with
     every basis action), which is what makes the identity-check over F
-    conclusive for maps of E-spaces.
+    conclusive for maps of E-spaces.  Every action is read off the table.
     """
-    field = ext.bottom
-    n = ext.degree
+    n, field = ext.degree, ext.bottom
+    transposed = [linalg.transpose(m) for m in ext._mult_table()]
     # first triangle, on V = E^dim_e: counit_{V|_F} . (unit_V)|_F = id
-    unit_v = unit_matrix(ext, lambda e: module_action(ext, dim_e, e))
+    on_v = _actions(ext, ext._mult_table(), dim_e)
+    unit_v = unit_matrix(ext, on_v)
     t1 = linalg.product(field, counit_matrix(ext, dim_e * n), unit_v)
     ok1 = t1 == linalg.identity(field, dim_e * n)
-    # second triangle, on W = F^dim_f: Hom(E, counit_W) . unit_{Hom(E,W)} = id
-    unit_hw = unit_matrix(ext, lambda e: hom_action(ext, dim_f, e))
-    t2 = linalg.product(field, hom_on_map(ext, counit_matrix(ext, dim_f)), unit_hw)
+    # second triangle, on W = F^dim_f: Hom(E, counit_W) . unit_{Hom(E,W)} = id,
+    # Hom(E, g) being post-composition with g, the matrix g (x) 1_n
+    unit_hw = unit_matrix(ext, _actions(ext, transposed, dim_f))
+    hom_counit = linalg.kron(counit_matrix(ext, dim_f), linalg.identity(field, n), (n, n))
+    t2 = linalg.product(field, hom_counit, unit_hw)
     ok2 = t2 == linalg.identity(field, dim_f * n)
-    # E-linearity of the units
+    # E-linearity of the unit of V: it intertwines every b_l on V and on Hom_F(E, V|_F)
     ok3 = all(
-        linalg.product(field, unit_v, module_action(ext, dim_e, b))
-        == linalg.product(field, hom_action(ext, dim_e * n, b), unit_v)
-        for b in ext.basis
+        linalg.product(field, unit_v, a) == linalg.product(field, h, unit_v)
+        for a, h in zip(on_v, _actions(ext, transposed, dim_e * n))
     )
     return CheckReport(
         claim=f"triangle identities for {ext.top}/{ext.bottom}, "

@@ -392,6 +392,38 @@ def test_bound_env_wins(capsys, monkeypatch):
     assert json.loads(out)["certificate"]["bound"] == 4
 
 
+XX_TRACE = ("koszul", "verify-trace", "--vars", "x,y", "--section", "x,x")
+XX_OUT_OF_BOUNDS = (
+    "out of bounds: internal-degree bound {} is below -1, the lowest at which "
+    "homology away from degree -2 can live"
+)
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        (None, ("--bound", "-2", *XX_TRACE), XX_OUT_OF_BOUNDS.format(-2)),
+        (None, ("--bound", "-5", *XX_TRACE), XX_OUT_OF_BOUNDS.format(-5)),
+        ("-5", XX_TRACE, XX_OUT_OF_BOUNDS.format(-5)),
+        (
+            None,
+            ("--bound", "-3", "verify", "trace"),
+            "out of bounds: internal-degree bound -3 is below 0, the lowest at which "
+            "homology away from degree -1 can live",
+        ),
+    ],
+    ids=["xx-bound-2", "xx-bound-5", "xx-env-5", "verify-trace-bound-3"],
+)
+def test_empty_bound_window_is_one_line_usage(capsys, monkeypatch, env, argv, message):
+    # a window that holds none of the checked homology certifies nothing:
+    # exit 2 with one line on stderr, never a pass
+    if env is None:
+        monkeypatch.delenv("WITTFORGE_BOUND", raising=False)
+    else:
+        monkeypatch.setenv("WITTFORGE_BOUND", env)
+    assert run(capsys, *argv) == (2, "", message)
+
+
 # ---------------------------------------------------------------------------
 # the verifier
 # ---------------------------------------------------------------------------

@@ -649,6 +649,15 @@ def test_graded_homology_regular_element():
     assert out == {(0, 0): 1}
 
 
+def test_graded_homology_rejects_an_empty_window():
+    # [R -x-> R] lives in internal degrees 0 and 1: a bound below 0 reads no
+    # graded piece at all, so it raises instead of returning no homology
+    cx = kos1(RX, "x")
+    with pytest.raises(BoundsExceeded, match="bound -1 is below the lowest internal degree 0"):
+        graded_homology_dims(cx, -1)
+    assert graded_homology_dims(cx, 0) == {(0, 0): 1}
+
+
 def test_graded_homology_regular_pair():
     t = tensor(kos1(RXY, "x"), kos1(RXY, "y"))
     out = graded_homology_dims(t, 6)

@@ -26,7 +26,7 @@ from wittforge.complexes import (
     tensor_layout,
     unit_complex,
 )
-from wittforge.errors import NotAChainMap, NotRegularSequence
+from wittforge.errors import BoundsExceeded, NotAChainMap, NotRegularSequence
 from wittforge.fields import FieldSpec
 from wittforge.koszul import (
     KoszulDatum,
@@ -369,6 +369,21 @@ def test_trace_up_map_is_the_section():
     diagram = trace_diagram(coordinates(3))
     assert diagram.up.source == unit_complex(ring)
     assert diagram.up.component(0) == [[ring.variable(v)] for v in ("x", "y", "z")]
+
+
+def test_trace_bound_below_the_checked_window_raises():
+    # away from the socle the terms of Kos(x, x) start at internal degree -1;
+    # a lower bound checks only the socle term and would certify nothing
+    ring = RINGS[2]
+    x = ring.variable("x")
+    for bound in (-2, -5):
+        with pytest.raises(BoundsExceeded, match=f"bound {bound} is below -1"):
+            trace_diagram(KoszulDatum(ring, [x, x]), bound=bound)
+    with pytest.raises(NotRegularSequence):
+        trace_diagram(KoszulDatum(ring, [x, x]), bound=-1)
+    with pytest.raises(BoundsExceeded, match="bound -3 is below -2"):
+        trace_diagram(coordinates(3), bound=-3)
+    assert trace_diagram(coordinates(3), bound=-2).certificate["socle_dims"] == {-3: 1}
 
 
 def test_trace_rejects_repeated_coordinate():

@@ -148,8 +148,9 @@ def test_trace_form_nondegenerate(ext):
         DS2,
         ExtensionDatum(F9, F3, basis=[F9.one(), F9.one() + F9.generator()]),
         ExtensionDatum(QS2, Q, basis=[QS2.element([1, 1]), QS2.element([2, -1])]),
+        D813,
     ],
-    ids=["F27/F3", "F81/F9", "Qsqrt2/Q", "F9/F3-custom", "Qsqrt2/Q-custom"],
+    ids=["F27/F3", "F81/F9", "Qsqrt2/Q", "F9/F3-custom", "Qsqrt2/Q-custom", "F81/F3"],
 )
 def test_trace_form_is_full_trace_matrix(ext):
     # oracle: every entry Tr(b_i b_j), read off the diagonal of its full
@@ -186,6 +187,40 @@ def test_degenerate_trace_form_raises_on_every_call():
         with pytest.raises(DegenerateTraceForm):
             scharlau_transfer(ext, QuadraticForm.diagonal(F9, [1]))
     assert ext._trace_form is None
+
+
+class _CountingDatum(ExtensionDatum):
+    """A datum that counts its calls of ``mult_matrix``."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, top, bottom, basis=None):
+        self.calls = 0
+        super().__init__(top, bottom, basis=basis)
+
+    def mult_matrix(self, e):
+        self.calls += 1
+        return super().mult_matrix(e)
+
+
+@pytest.mark.parametrize(
+    "top, bottom, basis",
+    [
+        (F9, F3, None),
+        (F81, F3, None),
+        (F729, F27, None),
+        (QS2, Q, [QS2.element([1, 1]), QS2.element([2, -1])]),
+    ],
+    ids=["F9/F3", "F81/F3", "F729/F27", "Qsqrt2/Q-custom"],
+)
+def test_trace_form_and_adjunction_read_one_multiplication_table(top, bottom, basis):
+    # one matrix per basis element, built once, serves the trace, the trace
+    # form and every action of the triangle check
+    ext = _CountingDatum(top, bottom, basis=basis)
+    ext.trace(top.generator())
+    trace_form(ext)
+    assert triangle_identities_check(ext, 2, 3)
+    assert ext.calls == ext.degree
 
 
 def test_trace_form_cached_per_datum_not_per_field_pair():

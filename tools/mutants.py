@@ -101,8 +101,8 @@ MUTANTS = [
         "_orthogonal_complement flips the sign of the b(x,v) u term",
         "quadforms.py",
         "_orthogonal_complement",
-        "-bv.get(k, zero)",
-        "bv.get(k, zero)",
+        "{n: bu, n + 1: bv}",
+        "{n: bu, n + 1: {k: -x for k, x in bv.items()}}",
         FORM_TESTS,
     ),
     (
@@ -112,6 +112,30 @@ MUTANTS = [
         "if _restrict_gram(field, form._mat, pt) != linalg.block_diag(blocks):",
         "if False:",
         FORM_TESTS,
+    ),
+    (
+        "every row of the trace form reads M(b_0)",
+        "transfer.py",
+        "trace_form",
+        "for m in ext._mult_table()",
+        "for m in [ext._mult_table()[0]] * ext.degree",
+        FIELD_TESTS,
+    ),
+    (
+        "the Hom side of the E-linearity check uses the untransposed actions",
+        "transfer.py",
+        "triangle_identities_check",
+        "_actions(ext, transposed, dim_e * n)",
+        "_actions(ext, ext._mult_table(), dim_e * n)",
+        FIELD_TESTS,
+    ),
+    (
+        "the unit uses b_0's action for every l",
+        "transfer.py",
+        "unit_matrix",
+        "enumerate(actions)",
+        "enumerate([actions[0]] * n)",
+        FIELD_TESTS,
     ),
 ]
 
