@@ -42,7 +42,7 @@ from .koszul import (
     trace_diagram,
     x_map,
 )
-from .polynomials import PolyRing
+from .polynomials import MultiPolynomial, PolyRing
 from .projspace import ProjLineBundleQuery, cohomology, pushforward_phi_r
 from .quadforms import (
     Place,
@@ -204,8 +204,9 @@ def parse_poly(ring, text):
                 name, power = hit.group(1), int(hit.group(2) or 1)
                 if name not in ring.vars:
                     raise ValueError(f"unknown variable {name!r} (have {ring.vars})")
-                for _ in range(power):
-                    value = value * ring.variable(name)
+                exp = [0] * len(ring.vars)
+                exp[ring.vars.index(name)] = power
+                value = value * MultiPolynomial(ring, {tuple(exp): ring.field.one()})
             else:
                 try:
                     coeff = Fraction(factor)

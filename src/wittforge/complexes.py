@@ -81,7 +81,7 @@ class ChainComplex:
     Zero differentials are absent from ``diffs`` and ``_mats``.
     """
 
-    __slots__ = ("ring", "terms", "_mats")
+    __slots__ = ("ring", "terms", "_mats", "_grading")
 
     def __init__(self, ring, terms, diffs):
         self.ring = ring
@@ -131,6 +131,7 @@ class ChainComplex:
             if mat:  # canonical form: zero differentials are absent
                 clean[n] = mat
         self._mats = clean
+        self._grading = None
         for n, mat in clean.items():
             if n - 1 in clean and linalg.product(self.ring, clean[n - 1], mat):
                 raise NotAChainComplex(f"d_{n-1} . d_{n} != 0")
@@ -385,14 +386,13 @@ def shift(a, k):
 
 
 def tensor_layout(a, b, n):
-    """Ordered summands of (A (x) B)_n: (i, j, rank_a, rank_b, offset)."""
-    out = []
+    """Summands of (A (x) B)_n in basis order: (i, j) -> (offset, rank_a, rank_b)."""
+    out = {}
     offset = 0
-    for i in sorted(a.terms):
-        j = n - i
-        ra, rb = a.rank(i), b.rank(j)
-        if ra and rb:
-            out.append((i, j, ra, rb, offset))
+    for i, ra in sorted(a.terms.items()):
+        rb = b.rank(n - i)
+        if rb:
+            out[(i, n - i)] = (offset, ra, rb)
             offset += ra * rb
     return out
 
@@ -401,32 +401,27 @@ def tensor(a, b):
     """A (x) B with the Koszul sign rule; basis (a_p (x) b_q), p major."""
     _same_ring(a, b)
     ring = a.ring
-    degrees = {i + j for i in a.terms for j in b.terms}
-    terms = {
-        n: sum(ra * rb for _, _, ra, rb, _ in tensor_layout(a, b, n)) for n in degrees
-    }
+    layouts = {n: tensor_layout(a, b, n) for n in {i + j for i in a.terms for j in b.terms}}
+    terms = {n: sum(ra * rb for _, ra, rb in layout.values()) for n, layout in layouts.items()}
     # d_B with either sign, built once and shared by every summand
     signed_b = (b._mats, {j: linalg.scaled(ring.from_int(-1), m) for j, m in b._mats.items()})
     mats = {}
-    for n in sorted(degrees):
-        src = tensor_layout(a, b, n)
-        dst = tensor_layout(a, b, n - 1)
-        if not src or not dst:
+    for n in sorted(layouts):
+        src, dst = layouts[n], layouts.get(n - 1)
+        if not dst:
             continue
-        dst_offset = {(i, j): off for i, j, _, _, off in dst}
         mat = defaultdict(dict)
-        for i, j, ra, rb, off in src:
+        for (i, j), (off, ra, rb) in src.items():
             # d_A (x) id : (i, j) -> (i - 1, j)
-            if (i - 1, j) in dst_offset and i in a._mats:
-                roff = dst_offset[(i - 1, j)]
+            if (i - 1, j) in dst and i in a._mats:
+                roff = dst[(i - 1, j)][0]
                 for p2, row in a._mats[i].items():
                     for p, x in row.items():
                         for q in range(rb):
                             mat[roff + p2 * rb + q][off + p * rb + q] = x
             # (-1)^i id (x) d_B : (i, j) -> (i, j - 1)
-            if (i, j - 1) in dst_offset and j in b._mats:
-                roff = dst_offset[(i, j - 1)]
-                rb2 = b.rank(j - 1)
+            if (i, j - 1) in dst and j in b._mats:
+                roff, _, rb2 = dst[(i, j - 1)]
                 for q2, row in signed_b[i % 2][j].items():
                     for q, x in row.items():
                         for p in range(ra):
@@ -436,17 +431,17 @@ def tensor(a, b):
 
 
 def hom_layout(a, b, n):
-    """Ordered summands of Hom(A, B)_n: (i, rank_a_i, rank_b_{i+n}, offset).
+    """Summands of Hom(A, B)_n in basis order: i -> (offset, rank_a_i, rank_b_{i+n}).
 
     The summand Hom(A_i, B_{i+n}) is spanned by elementary maps a_v -> b_u,
     flattened v-major (index v * rank_b + u).
     """
-    out = []
+    out = {}
     offset = 0
-    for i in sorted(a.terms):
-        ra, rb = a.rank(i), b.rank(i + n)
-        if ra and rb:
-            out.append((i, ra, rb, offset))
+    for i, ra in sorted(a.terms.items()):
+        rb = b.rank(i + n)
+        if rb:
+            out[i] = (offset, ra, rb)
             offset += ra * rb
     return out
 
@@ -455,29 +450,27 @@ def hom_complex(a, b):
     """Hom(A, B) with (df)(x) = d(f(x)) - (-1)^{|f|} f(dx)."""
     _same_ring(a, b)
     ring = a.ring
-    degrees = {m - i for i in a.terms for m in b.terms}
-    terms = {n: sum(ra * rb for _, ra, rb, _ in hom_layout(a, b, n)) for n in degrees}
+    layouts = {n: hom_layout(a, b, n) for n in {m - i for i in a.terms for m in b.terms}}
+    terms = {n: sum(ra * rb for _, ra, rb in layout.values()) for n, layout in layouts.items()}
     # d_A with either sign, built once and shared by every summand
     signed_a = (a._mats, {i: linalg.scaled(ring.from_int(-1), m) for i, m in a._mats.items()})
     mats = {}
-    for n in sorted(degrees):
-        src = hom_layout(a, b, n)
-        dst = hom_layout(a, b, n - 1)
-        if not src or not dst:
+    for n in sorted(layouts):
+        src, dst = layouts[n], layouts.get(n - 1)
+        if not dst:
             continue
-        dst_offset = {i: (off, rb) for i, _, rb, off in dst}
         mat = defaultdict(dict)
-        for i, ra, rb, off in src:
+        for i, (off, ra, rb) in src.items():
             # post-composition with d_B : summand i -> summand i
-            if i in dst_offset and (i + n) in b._mats:
-                roff, rb2 = dst_offset[i]
+            if i in dst and (i + n) in b._mats:
+                roff, _, rb2 = dst[i]
                 for u2, row in b._mats[i + n].items():
                     for u, x in row.items():
                         for v in range(ra):
                             mat[roff + v * rb2 + u2][off + v * rb + u] = x
             # pre-composition with d_A : summand i -> summand i + 1
-            if (i + 1) in dst_offset and (i + 1) in a._mats:
-                roff, rb2 = dst_offset[i + 1]
+            if (i + 1) in dst and (i + 1) in a._mats:
+                roff, _, rb2 = dst[i + 1]
                 for v, row in signed_a[1 - n % 2][i + 1].items():  # -(-1)^n
                     for v2, x in row.items():
                         for u in range(rb):
@@ -511,24 +504,23 @@ def associator(a, b, c):
     mats = {}
     for n in src.terms:
         mat = defaultdict(dict)
-        # where (i, (j, k)) starts inside A (x) (B (x) C)
-        dst_off = {i: (off, r_bc) for i, _, _, r_bc, off in tensor_layout(a, bc, n)}
-        for m, k, r_ab, r_c, off_src in tensor_layout(ab, c, n):
+        dst_layout = tensor_layout(a, bc, n)
+        for (m, k), (off_src, _, r_c) in tensor_layout(ab, c, n).items():
             # split the (A (x) B)_m factor into its own summands
-            for i, j, ra, rb, off_in_ab in tensor_layout(a, b, m):
-                # where (j, k) starts inside (B (x) C)_{j+k}
-                jk_off = {j2: off for j2, _, _, _, off in tensor_layout(b, c, j + k)}
-                if i not in dst_off or j not in jk_off:
+            for (i, j), (off_in_ab, ra, rb) in tensor_layout(a, b, m).items():
+                # (i, (j, k)) inside A (x) (B (x) C), and (j, k) inside (B (x) C)_{j+k}
+                jk_layout = tensor_layout(b, c, j + k)
+                if (i, j + k) not in dst_layout or (j, k) not in jk_layout:
                     raise RuntimeError(
                         f"summand ({i}, ({j}, {k})) missing from A (x) (B (x) C)"
                     )
-                off_dst, r_bc_total = dst_off[i]
-                off_jk = jk_off[j]
+                off_dst, _, r_bc = dst_layout[(i, j + k)]
+                off_jk = jk_layout[(j, k)][0]
                 for p in range(ra):
                     for q in range(rb):
                         for s in range(r_c):
                             col = off_src + (off_in_ab + p * rb + q) * r_c + s
-                            row = off_dst + p * r_bc_total + off_jk + q * c.rank(k) + s
+                            row = off_dst + p * r_bc + off_jk + q * r_c + s
                             mat[row][col] = one
         mats[n] = mat
     return ChainMap._trusted(src, dst, mats)
@@ -541,14 +533,11 @@ def tensor_map(f, g):
     mats = {}
     for n in src.terms:
         mat = defaultdict(dict)
-        dst_off = {
-            (i, j): (off, rb)
-            for i, j, _, rb, off in tensor_layout(f.target, g.target, n)
-        }
-        for i, j, _, rb, off in tensor_layout(f.source, g.source, n):
-            if (i, j) not in dst_off or i not in f._mats or j not in g._mats:
+        dst_layout = tensor_layout(f.target, g.target, n)
+        for (i, j), (off, _, rb) in tensor_layout(f.source, g.source, n).items():
+            if (i, j) not in dst_layout or i not in f._mats or j not in g._mats:
                 continue
-            off2, rb2 = dst_off[(i, j)]
+            off2, _, rb2 = dst_layout[(i, j)]
             for p2, frow in f._mats[i].items():
                 for p, x in frow.items():
                     for q2, grow in g._mats[j].items():
@@ -572,11 +561,11 @@ def hom_post(b, g, src=None, dst=None):
     mats = {}
     for n in src.terms:
         mat = defaultdict(dict)
-        dst_off = {j: (off, rc) for j, _, rc, off in hom_layout(b, g.target, n)}
-        for j, rb, rcs, off in hom_layout(b, g.source, n):
-            if j not in dst_off or j + n not in g._mats:
+        dst_layout = hom_layout(b, g.target, n)
+        for j, (off, rb, rcs) in hom_layout(b, g.source, n).items():
+            if j not in dst_layout or j + n not in g._mats:
                 continue
-            off2, rct = dst_off[j]
+            off2, _, rct = dst_layout[j]
             for w, row in g._mats[j + n].items():
                 for u, x in row.items():
                     for v in range(rb):
@@ -597,11 +586,8 @@ def adjunction_unit(a, b, t=None, h=None):
         if not h.rank(i):
             continue
         mat = defaultdict(dict)
-        for j, rb, rt, off_h in hom_layout(b, t, i):
-            layout = tensor_layout(a, b, i + j)
-            off_t = {(i2, j2): off for i2, j2, _, _, off in layout}.get((i, j))
-            if off_t is None:
-                continue
+        for j, (off_h, rb, rt) in hom_layout(b, t, i).items():
+            off_t = tensor_layout(a, b, i + j)[(i, j)][0]
             for p in range(ra):
                 for q in range(rb):
                     mat[off_h + q * rt + (off_t + p * rb + q)][p] = one
@@ -617,13 +603,14 @@ def adjunction_counit(b, c):
     mats = {}
     for n in t.terms:
         mat = defaultdict(dict)
-        for i, j, rh, rb, off in tensor_layout(h, b, n):
-            for j2, rb2, rc, off_h in hom_layout(b, c, i):
-                if j2 != j:
-                    continue
-                for q in range(rb):
-                    for u in range(rc):
-                        mat[u][off + (off_h + q * rc + u) * rb + q] = one
+        for (i, j), (off, _, rb) in tensor_layout(h, b, n).items():
+            summand = hom_layout(b, c, i).get(j)
+            if summand is None:
+                continue
+            off_h, _, rc = summand
+            for q in range(rb):
+                for u in range(rc):
+                    mat[u][off + (off_h + q * rc + u) * rb + q] = one
         mats[n] = mat
     return ChainMap._trusted(t, c, mats)
 
@@ -738,15 +725,10 @@ def duality_interchange(a, b, da, db):
     mats = {}
     for n in src.terms:
         mat = defaultdict(dict)
-        row_off = {
-            (p, q): (off, rq)
-            for p, q, _, rq, off in tensor_layout(a, b, datum.degree - n)
-        }
-        for i, j, ria, rjb, off in tensor_layout(dual_a, dual_b, n):
+        dst_layout = tensor_layout(a, b, datum.degree - n)
+        for (i, j), (off, ria, rjb) in tensor_layout(dual_a, dual_b, n).items():
             p, q = da.degree - i, db.degree - j
-            if (p, q) not in row_off:
-                continue
-            off_t, rq = row_off[(p, q)]
+            off_t, _, rq = dst_layout[(p, q)]
             sign = ring.from_int(-1 if (j * p) % 2 else 1)
             for u in range(ria):
                 for v in range(rjb):
@@ -823,8 +805,11 @@ def infer_grading(a):
     Every nonzero differential entry must be homogeneous; an entry of degree
     e from generator (n, u) to (n-1, v) forces deg(n, u) = deg(n-1, v) + e.
     Disconnected blocks are anchored at internal degree 0 (preferring
-    homological degree 0 anchors).
+    homological degree 0 anchors).  The grading is inferred on first use and
+    kept on the complex; callers must not modify the returned dict.
     """
+    if a._grading is not None:
+        return a._grading
     if not isinstance(a.ring, PolyRing):
         raise NotHomogeneous("graded pieces need a polynomial ring")
     edges = {}  # (n, u) -> list of ((n-1, v), entry degree)
@@ -864,6 +849,7 @@ def infer_grading(a):
                 else:
                     grading[neigh] = expected
                     queue.append(neigh)
+    a._grading = grading
     return grading
 
 

@@ -65,7 +65,7 @@ class KoszulDatum:
     it never enters a matrix, only the duality bookkeeping.
     """
 
-    __slots__ = ("ring", "rank", "section", "twist")
+    __slots__ = ("ring", "rank", "section", "twist", "_complex")
 
     def __init__(self, ring, section, twist=None):
         section = tuple(ring.element(s) for s in section)
@@ -78,6 +78,7 @@ class KoszulDatum:
         self.rank = len(section)
         self.section = section
         self.twist = twist
+        self._complex = None
         self.duality()  # rejects non-unit twists
 
     def duality(self):
@@ -129,7 +130,13 @@ def _shuffle_sign(s, t):
 
 
 def koszul_complex(k):
-    """Contraction with the section; the term in degree i has rank C(d, i)."""
+    """Contraction with the section; the term in degree i has rank C(d, i).
+
+    Built on first use and kept on the datum, so every construction from
+    ``k`` shares one complex.
+    """
+    if k._complex is not None:
+        return k._complex
     ring, d = k.ring, k.rank
     terms = {i: comb(d, i) for i in range(d + 1)}
     mats = {}
@@ -142,7 +149,8 @@ def koszul_complex(k):
                 entry = k.section[j - 1]
                 mat[rows[rest]][c] = entry if pos % 2 == 0 else -entry
         mats[i] = mat
-    return ChainComplex._trusted(ring, terms, mats)
+    k._complex = ChainComplex._trusted(ring, terms, mats)
+    return k._complex
 
 
 class SymmetricSpace:
@@ -184,15 +192,14 @@ class SymmetricSpace:
         }
 
 
-def koszul_form(k, kos=None):
+def koszul_form(k):
     """The pairing Kos -> Hom(Kos, twist[d]): wedge onto the top power.
 
     Component i sends the basis vector of a subset S to the functional
     picking out the complementary subset, weighted by the merge sign.
     """
     ring, d = k.ring, k.rank
-    if kos is None:
-        kos = koszul_complex(k)
+    kos = koszul_complex(k)
     datum = k.duality()
     everything = set(range(1, d + 1))
     mats = {}
@@ -207,18 +214,17 @@ def koszul_form(k, kos=None):
     return SymmetricSpace(kos, datum, form)
 
 
-def delta_map(k, kos=None, t=None):
+def delta_map(k, t=None):
     """Exterior multiplication Kos (x) Kos -> Kos with merge signs."""
     ring, d = k.ring, k.rank
-    if kos is None:
-        kos = koszul_complex(k)
+    kos = koszul_complex(k)
     if t is None:
         t = tensor(kos, kos)
     mats = {}
     for n in kos.terms:
         mat = defaultdict(dict)
         rows = _subset_index(d, n)
-        for i, j, _, rb, off in tensor_layout(kos, kos, n):
+        for (i, j), (off, _, rb) in tensor_layout(kos, kos, n).items():
             for p, left in enumerate(_subsets(d, i)):
                 for q, right in enumerate(_subsets(d, j)):
                     sign = _shuffle_sign(left, right)
@@ -229,39 +235,34 @@ def delta_map(k, kos=None, t=None):
     return ChainMap._trusted(t, kos, mats)
 
 
-def sigma_map(k, kos=None):
+def sigma_map(k):
     """Projection onto the top exterior power: the identity in degree d."""
-    if kos is None:
-        kos = koszul_complex(k)
-    return ChainMap(kos, single(k.ring, k.rank, 1), {k.rank: [[k.ring.one()]]})
+    return ChainMap(koszul_complex(k), single(k.ring, k.rank, 1), {k.rank: [[k.ring.one()]]})
 
 
-def unit_inclusion(k, kos=None):
+def unit_inclusion(k):
     """The ring into degree 0 of the Koszul complex; the unit for delta."""
-    if kos is None:
-        kos = koszul_complex(k)
-    return ChainMap(unit_complex(k.ring), kos, {0: [[k.ring.one()]]})
+    return ChainMap(unit_complex(k.ring), koszul_complex(k), {0: [[k.ring.one()]]})
 
 
 def delta_unital(k):
     """delta . (unit (x) id) agrees with the left unitor, matrix-exactly."""
     kos = koszul_complex(k)
-    inc = unit_inclusion(k, kos=kos)
-    via_delta = delta_map(k, kos=kos).compose(tensor_map(inc, ChainMap.identity(kos)))
+    via_delta = delta_map(k).compose(tensor_map(unit_inclusion(k), ChainMap.identity(kos)))
     return via_delta == left_unitor(kos)
 
 
 def delta_associative(k):
     """delta . (delta (x) id) = delta . (id (x) delta) . associator."""
     kos = koszul_complex(k)
-    delta = delta_map(k, kos=kos)
+    delta = delta_map(k)
     one = ChainMap.identity(kos)
     lhs = delta.compose(tensor_map(delta, one))
     rhs = delta.compose(tensor_map(one, delta)).compose(associator(kos, kos, kos))
     return lhs == rhs
 
 
-def x_map(k, kos=None):
+def x_map(k):
     """The adjoint of (top-power projection) . (wedge multiplication).
 
     Built entirely from the tensor-hom adjunction: the unit sends a to the
@@ -269,12 +270,11 @@ def x_map(k, kos=None):
     twisted dual.  Shares no code with ``koszul_form``, which is the point:
     the two are compared matrix-exactly.
     """
-    if kos is None:
-        kos = koszul_complex(k)
+    kos = koszul_complex(k)
     t = tensor(kos, kos)
     h = hom_complex(kos, t)
     unit = adjunction_unit(kos, kos, t=t, h=h)
-    collapse = sigma_map(k, kos=kos).compose(delta_map(k, kos=kos, t=t))
+    collapse = sigma_map(k).compose(delta_map(k, t=t))
     dual = dualize(kos, k.duality())
     return hom_post(kos, collapse, src=h, dst=dual).compose(unit)
 
@@ -288,7 +288,7 @@ def split_datum(k, head):
     return first, second
 
 
-def split_iso(k, head, kos=None):
+def split_iso(k, head):
     """Kos_F -> Kos_head (x) Kos_tail: split each subset at ``head``.
 
     The plain subset split is already a chain map: elements of the head
@@ -296,8 +296,7 @@ def split_iso(k, head, kos=None):
     """
     first, second = split_datum(k, head)
     ring, d = k.ring, k.rank
-    if kos is None:
-        kos = koszul_complex(k)
+    kos = koszul_complex(k)
     a = koszul_complex(first)
     b = koszul_complex(second)
     t = tensor(a, b)
@@ -305,11 +304,11 @@ def split_iso(k, head, kos=None):
     mats = {}
     for n in kos.terms:
         mat = {}
-        offs = {(i, j): (off, rb) for i, j, _, rb, off in tensor_layout(a, b, n)}
+        layout = tensor_layout(a, b, n)
         for u, subset in enumerate(_subsets(d, n)):
             low = tuple(x for x in subset if x <= head)
             high = tuple(x - head for x in subset if x > head)
-            off, rb = offs[(len(low), len(high))]
+            off, _, rb = layout[(len(low), len(high))]
             p = _subset_index(head, len(low))[low]
             q = _subset_index(d - head, len(high))[high]
             mat[off + p * rb + q] = {u: one}
@@ -335,22 +334,6 @@ def theta_multiplicative(k, head):
 # ---------------------------------------------------------------------------
 # the trace diagram and the push-forward form
 # ---------------------------------------------------------------------------
-
-
-def _wedge_matrix(k, i):
-    """Wedging with the section, from the i-th to the (i+1)-st power (sparse)."""
-    d = k.rank
-    rows = _subset_index(d, i + 1)
-    mat = defaultdict(dict)
-    for c, subset in enumerate(_subsets(d, i)):
-        for j in range(1, d + 1):
-            if j in subset:
-                continue
-            merged = tuple(sorted(subset + (j,)))
-            below = sum(1 for x in subset if x < j)
-            entry = k.section[j - 1]
-            mat[rows[merged]][c] = entry if below % 2 == 0 else -entry
-    return mat
 
 
 class TraceDiagram:
@@ -380,15 +363,12 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
     below every internal degree of the other terms checks nothing: it raises.
     """
     ring, d = k.ring, k.rank
-    middle = ChainComplex._trusted(
-        ring,
-        {-i: comb(d, i) for i in range(d + 1)},
-        {-i: _wedge_matrix(k, i) for i in range(d)},
-    )
+    # wedging with the section is the transpose of contracting with it
+    contraction = koszul_complex(k)._mats
+    wedge = {-i: linalg.transpose(contraction[i + 1]) for i in range(d)}
+    middle = ChainComplex._trusted(ring, {-i: comb(d, i) for i in range(d + 1)}, wedge)
     truncated = ChainComplex._trusted(
-        ring,
-        {-i: comb(d, i + 1) for i in range(d)},
-        {-i: _wedge_matrix(k, i + 1) for i in range(d - 1)},
+        ring, {-i: comb(d, i + 1) for i in range(d)}, {-i: wedge[-i - 1] for i in range(d - 1)}
     )
     up = ChainMap(unit_complex(ring), truncated, {0: [[s] for s in k.section]})
     down = ChainMap(single(ring, -d, 1), middle, {-d: [[ring.one()]]})
@@ -510,7 +490,7 @@ def split_factorization(k):
         cone_matches = cone_factor == kos
         split = (1,)
     else:
-        iso = split_iso(k, d - 1, kos=kos)
+        iso = split_iso(k, d - 1)
         transposes = {n: linalg.transpose(iso._mats.get(n, {})) for n in iso._degrees}
         inverse = ChainMap._trusted(iso.target, iso.source, transposes)
         form_factorizes = theta_multiplicative(k, d - 1)

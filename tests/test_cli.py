@@ -13,7 +13,7 @@ from wittforge.cli import (
     parse_tower,
 )
 from wittforge.fields import FieldSpec
-from wittforge.polynomials import PolyRing
+from wittforge.polynomials import MultiPolynomial, PolyRing
 
 Q = FieldSpec.Q()
 
@@ -76,6 +76,22 @@ def test_parse_poly_terms():
     assert parse_poly(ring, "x+y") == x + y
     assert parse_poly(ring, "-x") == -x
     assert parse_poly(ring, "1/2*x") == ring.constant(Q.element("1/2")) * x
+
+
+def test_parse_poly_builds_each_power_in_one_product(monkeypatch):
+    ring = PolyRing(Q, ("x", "y"))
+    calls = []
+    mul = MultiPolynomial.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPolynomial, "__mul__", counting_mul)
+    value = parse_poly(ring, "x^50*y^3")
+    monkeypatch.undo()
+    assert value == MultiPolynomial(ring, {(50, 3): Q.one()})
+    assert len(calls) <= 2
 
 
 def test_parse_poly_rejects():

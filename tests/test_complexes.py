@@ -40,6 +40,7 @@ from wittforge.complexes import (
     graded_homology_dims,
     graded_piece_dims,
     hom_complex,
+    hom_layout,
     hom_post,
     homology_dims,
     infer_grading,
@@ -51,6 +52,7 @@ from wittforge.complexes import (
     shift,
     single,
     tensor,
+    tensor_layout,
     tensor_map,
     two_term,
     unit_complex,
@@ -620,6 +622,13 @@ def test_infer_grading_koszul():
     assert grading[(2, 0)] == 2
 
 
+def test_infer_grading_is_kept_on_the_complex():
+    t = tensor(kos1(RXY, "x"), kos1(RXY, "y"))
+    grading = infer_grading(t)
+    assert graded_homology_dims(t, 3) == {(0, 0): 1}
+    assert infer_grading(t) is grading
+
+
 def test_infer_grading_disconnected_blocks_anchor_at_zero():
     cx = ChainComplex(RX, {0: 1, 5: 1}, {})
     grading = infer_grading(cx)
@@ -705,15 +714,21 @@ def test_graded_needs_polynomial_ring():
 # ---------------------------------------------------------------------------
 
 
-def _constructions():
-    """Complexes and maps from every construction, over F7 and Q[x, y]."""
+def _construction_inputs():
+    """The complexes over F7, the Koszul lines over Q[x, y], and a map between two."""
     rng = random.Random(2024)
     a, b = random_complex(F7, rng), random_complex(F7, rng)
     x, y = RXY.variable("x"), RXY.variable("y")
     kx, ky = kos1(RXY, "x"), kos1(RXY, "y")
+    f = ChainMap(kx, two_term(RXY, [[x * y]]), {1: [[1]], 0: [[y]]})
+    return a, b, kx, ky, f
+
+
+def _constructions():
+    """Complexes and maps from every construction, over F7 and Q[x, y]."""
+    a, b, kx, ky, f = _construction_inputs()
     kxy = tensor(kx, ky)
     datum = DualityDatum(F7, 3, 1)
-    f = ChainMap(kx, two_term(RXY, [[x * y]]), {1: [[1]], 0: [[y]]})
     unit_line = DualityDatum(RXY, 1, 1)
     return {
         "tensor": tensor(a, b),
@@ -765,6 +780,26 @@ CONSTRUCTION_DIGESTS = {
     "scale": "f69c94beb825d3f3",
     "compose": "e8595a5fe3f37edd",
 }
+
+
+def test_layouts_tile_each_term():
+    # in basis order, each summand starts where the one before it ends, has
+    # the ranks of its two factors, and the summands fill the term exactly
+    a, b, kx, ky, f = _construction_inputs()
+    over_f7 = (a, b, single(F7, 1))
+    over_rxy = (kx, ky, tensor(kx, ky), f.target, unit_complex(RXY))
+    pairs = [(s, t) for group in (over_f7, over_rxy) for s in group for t in group]
+    for s, t in pairs:
+        for layout, built in ((tensor_layout, tensor(s, t)), (hom_layout, hom_complex(s, t))):
+            for n in range(min(built.terms) - 1, max(built.terms) + 2):
+                summands = layout(s, t, n)
+                assert list(summands) == sorted(summands)
+                end = 0
+                for key, (off, ra, rb) in summands.items():
+                    i, j = key if layout is tensor_layout else (key, key + n)
+                    assert (off, ra, rb) == (end, s.rank(i), t.rank(j))
+                    end += ra * rb
+                assert end == built.rank(n)
 
 
 def _digest(obj):

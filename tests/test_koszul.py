@@ -9,6 +9,7 @@ algebra; regularity only enters the graded exactness certificates.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from math import comb
@@ -43,6 +44,7 @@ from wittforge.koszul import (
     split_iso,
     theta_multiplicative,
     trace_diagram,
+    unit_inclusion,
     x_map,
 )
 from wittforge.polynomials import PolyRing
@@ -224,15 +226,27 @@ def test_sigma_is_top_projection():
             assert all(x.is_zero() for row in sigma.component(n) for x in row)
 
 
+def test_one_koszul_complex_per_datum():
+    k = coordinates(3)
+    kos = koszul_complex(k)
+    assert koszul_complex(k) is kos
+    assert koszul_form(k).carrier is kos
+    assert delta_map(k).target is kos
+    assert sigma_map(k).source is kos
+    assert unit_inclusion(k).target is kos
+    assert x_map(k).source is kos
+    assert split_iso(k, 1).source is kos
+
+
 def test_sigma_delta_top_pairing_matches_form():
     # in the top degree, multiply-then-project reads off the same signed
     # complement pairing the form is built from
     for d in (2, 3):
         k = coordinates(d)
         kos = koszul_complex(k)
-        space = koszul_form(k, kos=kos)
-        top = sigma_map(k, kos=kos).compose(delta_map(k, kos=kos)).component(d)
-        for i, j, ra, rb, off in tensor_layout(kos, kos, d):
+        space = koszul_form(k)
+        top = sigma_map(k).compose(delta_map(k)).component(d)
+        for (i, j), (off, ra, rb) in tensor_layout(kos, kos, d).items():
             theta = space.form.component(i)
             for p in range(ra):
                 column = [theta[v][p] for v in range(rb)]
@@ -345,6 +359,47 @@ def test_split_certificate_inverse_composes_to_identity():
 # ---------------------------------------------------------------------------
 # the trace diagram and regularity certificates
 # ---------------------------------------------------------------------------
+
+
+def _wedge(k, i):
+    """Wedging with the section, from the i-th to the (i+1)-st power (sparse).
+
+    Built straight from the exterior-algebra rule, with no reference to the
+    Koszul contraction it is the transpose of.
+    """
+    d = k.rank
+    rows = {s: r for r, s in enumerate(itertools.combinations(range(1, d + 1), i + 1))}
+    mat = {}
+    for c, subset in enumerate(itertools.combinations(range(1, d + 1), i)):
+        for j in range(1, d + 1):
+            if j in subset:
+                continue
+            merged = tuple(sorted(subset + (j,)))
+            below = sum(1 for x in subset if x < j)
+            entry = k.section[j - 1]
+            mat.setdefault(rows[merged], {})[c] = entry if below % 2 == 0 else -entry
+    return mat
+
+
+#: name -> (ring, section, bound); x*y, z+w, x is not regular, and the bound
+#: -3 keeps the checked window below its stray homology so the diagram is built
+WEDGE_CASES = {
+    **{f"coordinates{d}": (RINGS[d], ",".join(RINGS[d].vars), 6) for d in (1, 2, 3, 4)},
+    "x*y,z+w,x": (RINGS[4], "x*y,z+w,x", -3),
+    "over F5": (PolyRing(F5, ("x", "y")), "2*x^2,x+3*y", 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEDGE_CASES))
+def test_trace_rows_are_the_wedge_with_the_section(case):
+    ring, section, bound = WEDGE_CASES[case]
+    k = KoszulDatum(ring, [parse_poly(ring, s) for s in section.split(",")])
+    d = k.rank
+    diagram = trace_diagram(k, bound=bound)
+    assert diagram.middle._mats == {-i: _wedge(k, i) for i in range(d)}
+    truncated = diagram.up.target
+    assert truncated.terms == {-i: comb(d, i + 1) for i in range(d)}
+    assert truncated._mats == {-i: _wedge(k, i + 1) for i in range(d - 1)}
 
 
 def test_trace_length_one():

@@ -29,9 +29,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIELD_TESTS = ("tests/test_fields.py", "tests/test_transfer.py")
 FORM_TESTS = ("tests/test_quadforms.py", "tests/test_transfer.py")
+COMPLEX_TESTS = ("tests/test_complexes.py", "tests/test_koszul.py")
 TIMEOUT_S = 300
 
-#: (description, module under src/wittforge, function name, old text, new text, test modules)
+#: (description, module under src/wittforge, function name (``Class.method`` for
+#: a method), old text, new text, test modules)
 MUTANTS = [
     (
         "Ben-Or loop one short",
@@ -137,13 +139,55 @@ MUTANTS = [
         "enumerate([actions[0]] * n)",
         FIELD_TESTS,
     ),
+    (
+        "tensor_layout advances the offset by ra + rb",
+        "complexes.py",
+        "tensor_layout",
+        "offset += ra * rb",
+        "offset += ra + rb",
+        COMPLEX_TESTS,
+    ),
+    (
+        "a complex without its d . d = 0 check",
+        "complexes.py",
+        "ChainComplex._set_mats",
+        "if n - 1 in clean and linalg.product(self.ring, clean[n - 1], mat):",
+        "if False:",
+        COMPLEX_TESTS,
+    ),
+    (
+        "a chain map without its commutation check",
+        "complexes.py",
+        "ChainMap._set_mats",
+        "if left != right:",
+        "if False:",
+        COMPLEX_TESTS,
+    ),
+    (
+        "the merge sign with its parity flipped",
+        "koszul.py",
+        "_shuffle_sign",
+        "return -1 if inversions % 2 else 1",
+        "return 1 if inversions % 2 else -1",
+        COMPLEX_TESTS,
+    ),
+    (
+        "the truncated row of the trace diagram not shifted by one degree",
+        "koszul.py",
+        "trace_diagram",
+        "wedge[-i - 1]",
+        "wedge[-i]",
+        COMPLEX_TESTS,
+    ),
 ]
 
 
 def mutate(source, function, old, new):
     """``source`` with ``old`` replaced by ``new`` inside the one def named ``function``."""
     tree = ast.parse(source)
-    defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function]
+    scope, _, name = function.rpartition(".")
+    roots = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == scope] if scope else [tree]
+    defs = [n for root in roots for n in ast.walk(root) if isinstance(n, ast.FunctionDef) and n.name == name]
     if len(defs) != 1:
         raise LookupError(f"{len(defs)} functions named {function!r}")
     text = ast.unparse(defs[0])
