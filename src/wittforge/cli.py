@@ -60,7 +60,7 @@ from .transfer import (
     trace_form,
     transfer_compose_check,
 )
-from .verify import SUITES, extension_of, field_label, qsqrt, run_suite
+from .verify import SUITES, extension_of, field_label, qsqrt, run_all, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -525,14 +525,13 @@ def cmd_proj_phi_r(args):
 
 
 def cmd_verify(args):
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    reports = [
-        run_suite(name, seed=args.seed, size=args.size, bound=_effective_bound(args))
-        for name in names
-    ]
+    kwargs = {"seed": args.seed, "size": args.size, "bound": _effective_bound(args)}
+    if args.suite == "all":
+        reports = run_all(**kwargs)
+    elif args.suite in SUITES:
+        reports = [run_suite(args.suite, **kwargs)]
+    else:
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)} or 'all'")
     all_pass = all(r.passed for r in reports)
     if args.json:
         payload = [r.to_json() for r in reports]

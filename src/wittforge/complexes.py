@@ -10,9 +10,10 @@ scheme everything else derives from is
 Duality against a rank-one twist in a fixed degree is Hom into a one-term
 complex, so its signs are instances of the Hom rule, the bidual morphism
 carries (-1)^{|a| |phi|}, shifting negates the differential once per step,
-and dual chain maps are plain (unsigned) precomposition.  These choices are
-mutually coherent; the tests pin each one so a change anywhere breaks
-loudly.
+and dual chain maps are plain (unsigned) precomposition.  The twist never
+enters a matrix, so a complex keeps its dual per twist degree, built on
+first use.  These choices are mutually coherent; the tests pin each one so
+a change anywhere breaks loudly.
 
 Each matrix of a complex or a chain map is stored once, as a
 :mod:`~wittforge.linalg` sparse matrix ``{row: {col: nonzero entry}}``
@@ -81,7 +82,7 @@ class ChainComplex:
     Zero differentials are absent from ``diffs`` and ``_mats``.
     """
 
-    __slots__ = ("ring", "terms", "_mats", "_grading")
+    __slots__ = ("ring", "terms", "_mats", "_grading", "_duals")
 
     def __init__(self, ring, terms, diffs):
         self.ring = ring
@@ -132,6 +133,7 @@ class ChainComplex:
                 clean[n] = mat
         self._mats = clean
         self._grading = None
+        self._duals = {}
         for n, mat in clean.items():
             if n - 1 in clean and linalg.product(self.ring, clean[n - 1], mat):
                 raise NotAChainComplex(f"d_{n-1} . d_{n} != 0")
@@ -648,9 +650,6 @@ class DualityDatum:
         self.twist = twist
         self.degree = int(degree)
 
-    def twist_complex(self):
-        return single(self.ring, self.degree, 1)
-
     def __repr__(self):
         return f"DualityDatum(twist={self.twist!r}, degree={self.degree})"
 
@@ -664,12 +663,13 @@ def _is_unit(ring, x):
     return x.total_degree() == 0  # nonzero constants over the coefficient field
 
 
-
-
 def dualize(a, datum):
-    """D_K(A) = Hom(A, K): ranks flip around the twist degree, signed transposes."""
+    """D_K(A) = Hom(A, K): ranks flip around the twist degree, signed transposes.
+    Kept on ``a`` per degree, the one part of the datum a matrix sees."""
     _same_ring(a, datum)
-    return hom_complex(a, datum.twist_complex())
+    if datum.degree not in a._duals:
+        a._duals[datum.degree] = hom_complex(a, single(a.ring, datum.degree))
+    return a._duals[datum.degree]
 
 
 def dualize_map(f, datum):

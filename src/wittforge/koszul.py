@@ -65,7 +65,7 @@ class KoszulDatum:
     it never enters a matrix, only the duality bookkeeping.
     """
 
-    __slots__ = ("ring", "rank", "section", "twist", "_complex")
+    __slots__ = ("ring", "rank", "section", "twist", "_complex", "_splits")
 
     def __init__(self, ring, section, twist=None):
         section = tuple(ring.element(s) for s in section)
@@ -79,11 +79,28 @@ class KoszulDatum:
         self.section = section
         self.twist = twist
         self._complex = None
+        self._splits = {}
         self.duality()  # rejects non-unit twists
 
     def duality(self):
         """Duality against the inverse determinant line, shifted by the rank."""
         return DualityDatum(self.ring, twist=_unit_inverse(self.ring, self.twist), degree=self.rank)
+
+    def _trace_middle_row(self, bound):
+        """The trace diagram's middle row and its differentials, once ``bound`` is
+        checked: below every degree where homology off the socle lives, it raises."""
+        ring, d = self.ring, self.rank
+        # wedging with the section is the transpose of contracting with it
+        contraction = koszul_complex(self)._mats
+        wedge = {-i: linalg.transpose(contraction[i + 1]) for i in range(d)}
+        middle = ChainComplex._trusted(ring, {-i: comb(d, i) for i in range(d + 1)}, wedge)
+        low = min(t for (n, _), t in infer_grading(middle).items() if n != -d)
+        if bound < low:
+            raise BoundsExceeded(
+                f"internal-degree bound {bound} is below {low}, the lowest at which "
+                f"homology away from degree {-d} can live"
+            )
+        return middle, wedge
 
     def __repr__(self):
         return f"KoszulDatum(rank={self.rank}, section={list(self.section)!r})"
@@ -280,12 +297,14 @@ def x_map(k):
 
 
 def split_datum(k, head):
-    """Split the section after position ``head``; the head keeps the twist."""
+    """Split the section after position ``head``; the head keeps the twist.
+    The pair is kept on ``k`` per head, so one split shares its Koszul complexes."""
     if not 1 <= head < k.rank:
         raise ValueError(f"split position must satisfy 1 <= head < {k.rank}")
-    first = KoszulDatum(k.ring, k.section[:head], twist=k.twist)
-    second = KoszulDatum(k.ring, k.section[head:])
-    return first, second
+    if head not in k._splits:
+        first = KoszulDatum(k.ring, k.section[:head], twist=k.twist)
+        k._splits[head] = (first, KoszulDatum(k.ring, k.section[head:]))
+    return k._splits[head]
 
 
 def split_iso(k, head):
@@ -363,21 +382,12 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
     below every internal degree of the other terms checks nothing: it raises.
     """
     ring, d = k.ring, k.rank
-    # wedging with the section is the transpose of contracting with it
-    contraction = koszul_complex(k)._mats
-    wedge = {-i: linalg.transpose(contraction[i + 1]) for i in range(d)}
-    middle = ChainComplex._trusted(ring, {-i: comb(d, i) for i in range(d + 1)}, wedge)
+    middle, wedge = k._trace_middle_row(bound)
     truncated = ChainComplex._trusted(
         ring, {-i: comb(d, i + 1) for i in range(d)}, {-i: wedge[-i - 1] for i in range(d - 1)}
     )
     up = ChainMap(unit_complex(ring), truncated, {0: [[s] for s in k.section]})
     down = ChainMap(single(ring, -d, 1), middle, {-d: [[ring.one()]]})
-    low = min(t for (n, _), t in infer_grading(middle).items() if n != -d)
-    if bound < low:
-        raise BoundsExceeded(
-            f"internal-degree bound {bound} is below {low}, the lowest at which "
-            f"homology away from degree {-d} can live"
-        )
     homology = graded_homology_dims(middle, bound)
     stray = {key: v for key, v in homology.items() if key[0] != -d}
     if stray:
@@ -484,8 +494,7 @@ def split_factorization(k):
     line = single(ring, 0, 1)
     cone_factor = cone(ChainMap(line, line, {0: [[k.section[-1]]]}))
     if d == 1:
-        iso = ChainMap.identity(kos)
-        inverse = iso
+        iso = inverse = ChainMap.identity(kos)
         form_factorizes = True
         cone_matches = cone_factor == kos
         split = (1,)
@@ -494,12 +503,9 @@ def split_factorization(k):
         transposes = {n: linalg.transpose(iso._mats.get(n, {})) for n in iso._degrees}
         inverse = ChainMap._trusted(iso.target, iso.source, transposes)
         form_factorizes = theta_multiplicative(k, d - 1)
-        _, tail = split_datum(k, d - 1)
-        cone_matches = cone_factor == koszul_complex(tail)
+        cone_matches = cone_factor == koszul_complex(split_datum(k, d - 1)[1])
         split = (d - 1, 1)
-    invertible = (
-        inverse.compose(iso).is_identity() and iso.compose(inverse).is_identity()
-    )
+    invertible = inverse.compose(iso).is_identity() and iso.compose(inverse).is_identity()
     return SplitCertificate(
         rank=d,
         split=split,

@@ -2,13 +2,14 @@
 
 A matrix is a dict ``{row: {column: nonzero entry}}`` with no empty rows, so
 zeros are never stored, multiplied or compared, and two matrices are equal
-exactly when their dicts are.  Entries are any ring values supporting
-``+``, ``-``, ``*``, ``==`` and ``is_zero()`` (field elements or multivariate
-polynomials).  A dict cannot carry its shape, so the operations that need
-one (:func:`identity`, :func:`block_diag`, :func:`kron`, :func:`dense`, :func:`fits`)
-take it explicitly.  Dense rows -- lists or tuples, zeros included -- appear only
-at the boundary: :func:`sparse` reads them, :func:`dense` and :func:`dense_json`
-write them, and :func:`rank` and :func:`inverse` accept them as rows.
+exactly when their dicts are.  Entries are field elements or multivariate
+polynomials over a field; :func:`product` runs on that field's kernel payloads
+and boxes only its results.  A dict cannot carry its shape, so the operations
+that need one (:func:`identity`, :func:`block_diag`, :func:`kron`,
+:func:`dense`, :func:`fits`) take it explicitly.  Dense rows -- lists or
+tuples, zeros included -- appear only at the boundary: :func:`sparse` reads
+them, :func:`dense` and :func:`dense_json` write them, and :func:`rank` and
+:func:`inverse` accept them as rows.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from operator import add
 
+from .fields import FieldElement
 from .polynomials import MultiPolynomial, PolyRing
 
 
@@ -71,45 +73,49 @@ def identity(ring, n):
 
 
 def product(ring, a, b):
-    """a . b, zeros dropped.
+    """a . b, zeros dropped, on the coefficient field's kernel payloads.
 
-    Polynomial entries are summed per (column, monomial), so a vanishing
-    product (a d . d = 0 check) builds no polynomial.  Constructions share
-    entry objects, so each pair of (live) factors is multiplied once.
+    Each row sums payloads per column, or per (column, monomial) over a
+    polynomial ring, and boxes each nonzero sum once, so a vanishing product
+    (a d . d = 0 check) boxes nothing.  Only the rows of ``b`` that ``a``
+    reaches are read, each once.
     """
     poly = isinstance(ring, PolyRing)
-    term_products = {}
+    field = ring.field if poly else ring
+    plus, times, is_zero = field._kernel.add, field._kernel.mul, field._kernel.is_zero
+    raw = {}  # the rows of b that a reaches, as (column, [exponent,] payload) tuples
     out = {}
     for i, arow in a.items():
         acc = {}
         for k, y in arow.items():
-            brow = b.get(k)
-            if brow is None:
-                continue
+            if k not in raw:
+                if k not in b:
+                    continue
+                raw[k] = (
+                    [(j, e, c.payload) for j, x in b[k].items() for e, c in x.terms.items()]
+                    if poly
+                    else [(j, x.payload) for j, x in b[k].items()]
+                )
             if poly:
-                for j, x in brow.items():
-                    terms = term_products.get((id(y), id(x)))
-                    if terms is None:
-                        terms = term_products[id(y), id(x)] = [
-                            (tuple(map(add, e1, e2)), c1 * c2)
-                            for e1, c1 in y.terms.items()
-                            for e2, c2 in x.terms.items()
-                        ]
-                    for e, c in terms:
-                        s = acc.get((j, e))
-                        acc[j, e] = c if s is None else s + c
+                for e1, c1 in y.terms.items():
+                    c1 = c1.payload
+                    for j, e2, c2 in raw[k]:
+                        key = (j, tuple(map(add, e1, e2)))
+                        s = acc.get(key)
+                        acc[key] = times(c1, c2) if s is None else plus(s, times(c1, c2))
             else:
-                for j, x in brow.items():
+                y = y.payload
+                for j, x in raw[k]:
                     s = acc.get(j)
-                    acc[j] = y * x if s is None else s + y * x
+                    acc[j] = times(y, x) if s is None else plus(s, times(y, x))
         if poly:
             by_col = defaultdict(dict)
             for (j, e), c in acc.items():
-                if not c.is_zero():
-                    by_col[j][e] = c
+                if not is_zero(c):
+                    by_col[j][e] = FieldElement(field, c)
             row = {j: MultiPolynomial(ring, t) for j, t in by_col.items()}
         else:
-            row = {j: x for j, x in acc.items() if not x.is_zero()}
+            row = {j: FieldElement(field, x) for j, x in acc.items() if not is_zero(x)}
         if row:
             out[i] = row
     return out

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from wittforge import verify
 from wittforge.cli import (
     main,
     parse_extension,
@@ -438,6 +439,30 @@ def test_empty_bound_window_is_one_line_usage(capsys, monkeypatch, env, argv, me
     else:
         monkeypatch.setenv("WITTFORGE_BOUND", env)
     assert run(capsys, *argv) == (2, "", message)
+
+
+def test_verify_all_checks_the_bound_before_any_suite(capsys, monkeypatch):
+    # every trace datum is checked first, so an empty window runs no suite
+    # (it used to run every suite sorted before trace, about 1.9 s of work)
+    monkeypatch.delenv("WITTFORGE_BOUND", raising=False)
+    suites = []
+    run_suite = verify.run_suite
+
+    def counted(name, **kwargs):
+        suites.append(name)
+        return run_suite(name, **kwargs)
+
+    monkeypatch.setattr(verify, "run_suite", counted)
+    message = (
+        "out of bounds: internal-degree bound -3 is below 0, the lowest at which "
+        "homology away from degree -1 can live"
+    )
+    assert run(capsys, "--bound", "-3", "verify", "all") == (2, "", message)
+    assert suites == []
+    # a valid bound reaches the suites through the counted path
+    monkeypatch.setattr(verify, "SUITES", {"trace": verify.SUITES["trace"]})
+    assert run(capsys, "verify", "all")[0] == 0
+    assert suites == ["trace"]
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,20 @@ def test_dual_of_two_term_frozen_signs():
     assert bid.component(1) == [[-RX.one()]]
 
 
+def test_dual_is_kept_per_degree():
+    # the twist never enters a matrix: one dual per complex and degree
+    kx = kos1(RX, "x")
+    d0 = dualize(kx, DualityDatum(RX))
+    assert dualize(kx, DualityDatum(RX, twist=3)) is d0
+    d2 = dualize(kx, DualityDatum(RX, twist=2, degree=2))
+    assert d2 is not d0 and d2.terms == {2: 1, 1: 1}
+    assert dualize(kx, DualityDatum(RX, degree=2)) is d2
+    assert dualize(kx, DualityDatum(RX)) is d0
+    # the ring is still checked on every call
+    with pytest.raises(RingMismatch):
+        dualize(kx, DualityDatum(RXY))
+
+
 def test_bidual_is_degreewise_iso():
     rng = random.Random(61)
     for d in (-1, 0, 2):

@@ -16,7 +16,7 @@ from math import comb
 
 import pytest
 
-from wittforge import linalg
+from wittforge import complexes, koszul, linalg
 from wittforge.cli import parse_poly
 from wittforge.complexes import (
     ChainMap,
@@ -24,6 +24,7 @@ from wittforge.complexes import (
     duality_interchange,
     graded_homology_dims,
     single,
+    tensor,
     tensor_layout,
     unit_complex,
 )
@@ -236,6 +237,49 @@ def test_one_koszul_complex_per_datum():
     assert unit_inclusion(k).target is kos
     assert x_map(k).source is kos
     assert split_iso(k, 1).source is kos
+
+
+def test_one_split_per_datum_and_head():
+    k = coordinates(4)
+    first, second = split_datum(k, 1)
+    assert split_datum(k, 1)[0] is first and split_datum(k, 1)[1] is second
+    other = split_datum(k, 2)
+    assert other[0] is not first and (other[0].rank, other[1].rank) == (2, 2)
+    assert split_datum(k, 2)[0] is other[0]
+    assert split_iso(k, 1).target == tensor(koszul_complex(first), koszul_complex(second))
+
+
+def test_theta_split_builds_each_dual_once(monkeypatch):
+    # the duals and biduals of the three Koszul complexes, and the duals of
+    # the two tensor products of the factors; 23 when every dualize built one
+    built = []
+    hom = complexes.hom_complex
+
+    def counted(a, b):
+        built.append(a)
+        return hom(a, b)
+
+    monkeypatch.setattr(complexes, "hom_complex", counted)
+    monkeypatch.setattr(koszul, "hom_complex", counted)
+    assert theta_multiplicative(coordinates(4), 1)
+    assert len(built) == 8
+    assert len({id(a) for a in built}) == 8
+
+
+def test_split_factorization_builds_one_complex_per_datum(monkeypatch):
+    # the datum and its two factors; 8 (ranks 3, 2, 1, 2, 1, 2, 1, 1) when
+    # every split made fresh data
+    built = []
+    build = koszul.koszul_complex
+
+    def counted(k):
+        if k._complex is None:
+            built.append(k.rank)
+        return build(k)
+
+    monkeypatch.setattr(koszul, "koszul_complex", counted)
+    assert split_factorization(coordinates(3))
+    assert sorted(built) == [1, 2, 3]
 
 
 def test_sigma_delta_top_pairing_matches_form():

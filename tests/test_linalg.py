@@ -1,7 +1,10 @@
 """Sparse matrix arithmetic, rank and inverse, against sympy as an oracle.
 
 The product, transpose, block sum and Kronecker product are compared with
-sympy's ``Matrix`` over QQ and GF(p), empty shapes included.  ``linalg.rank``
+sympy's ``Matrix`` over QQ, GF(p), F9 and Q(sqrt 2) (entries as polynomials in
+the generator, reduced by its modulus), empty shapes included; the product
+over polynomial rings is compared with a schoolbook sum of
+``MultiPolynomial`` products, including draws that cancel.  ``linalg.rank``
 takes dense rows or sparse ``{column: entry}`` rows; both forms of the same
 matrix must give sympy's rank over GF(p) and QQ, and the inverse must be
 ``DomainMatrix``'s.
@@ -11,12 +14,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, QQ, Matrix, diag, kronecker_product
+from sympy import GF, QQ, Matrix, Poly, Rational, Symbol, diag, kronecker_product
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from wittforge import linalg
 from wittforge.fields import FieldSpec
+from wittforge.polynomials import MultiPolynomial, PolyRing
 
 PRIMES = (3, 5, 7, 11)
 
@@ -142,33 +146,58 @@ def test_inverse_matches_sympy(case):
     assert linalg.sparse([[field.element(x) for x in row] for row in expected]) == inv
 
 
+#: the extension fields of the operand draws: F9 = F3[a]/(a^2 + 1) and
+#: Q(sqrt 2) = Q[a]/(a^2 - 2), with sympy's polynomial in the same symbol
+ALPHA = Symbol("a")
+EXTENSIONS = {
+    "F9": (FieldSpec.extension(FieldSpec.Fp(3), [1, 0, 1]), ALPHA**2 + 1),
+    "Qsqrt2": (FieldSpec.extension(FieldSpec.Q(), [-2, 0, 1]), ALPHA**2 - 2),
+}
+
+
 @st.composite
 def operands(draw):
-    """A field and three small matrices of ints or Fractions: a (r x k),
-    b (k x c) and c (s x t), any dimension possibly 0."""
-    p = draw(st.sampled_from((0, 3, 5, 7)))
+    """A field and three small matrices of sympy numbers (c0 + c1*a over an
+    extension): a (r x k), b (k x c) and c (s x t), any dimension possibly 0."""
+    p = draw(st.sampled_from((0, 3, 5, 7, "F9", "Qsqrt2")))
+    ext = isinstance(p, str)
     r, k, c, s, t = (draw(st.integers(0, 4)) for _ in range(5))
     density = draw(st.sampled_from((0.2, 0.6, 1.0)))
-    cell = st.tuples(st.floats(0, 1), st.integers(-4, 4), st.integers(1, 1 if p else 3))
+    rational = p in (0, "Qsqrt2")
+    cell = st.tuples(st.floats(0, 1), st.integers(-4, 4), st.integers(1, 3 if rational else 1))
+    top = st.integers(-2, 2) if ext else st.just(0)
 
     def values(rows, cols):
         return [
             [
-                Fraction(num, den) if u < density else Fraction(0)
+                Rational(num, den) + draw(top) * ALPHA if u < density else 0
                 for u, num, den in draw(st.lists(cell, min_size=cols, max_size=cols))
             ]
             for _ in range(rows)
         ]
 
-    field = FieldSpec.Fp(p) if p else FieldSpec.Q()
+    if ext:
+        field = EXTENSIONS[p][0]
+    else:
+        field = FieldSpec.Fp(p) if p else FieldSpec.Q()
     mats = [Matrix(rows, cols, [x for row in values(rows, cols) for x in row])
             for rows, cols in ((r, k), (k, c), (s, t))]
     return field, mats
 
 
+def _element(field, x):
+    """A sympy number, or a polynomial in ``ALPHA`` reduced by the field's
+    modulus, as an element of ``field``."""
+    if field.kind != "ext":
+        return field.element(Fraction(str(x)))
+    modulus = next(m for f, m in EXTENSIONS.values() if f == field)
+    rem = Poly(x, ALPHA, domain=QQ).rem(Poly(modulus, ALPHA, domain=QQ))
+    return field.element([Fraction(str(c)) for c in reversed(rem.all_coeffs())])
+
+
 def _ours(field, m):
     """The linalg form of a sympy Matrix, entries reduced into ``field``."""
-    return linalg.sparse([[field.element(Fraction(str(x))) for x in row] for row in m.tolist()])
+    return linalg.sparse([[_element(field, x) for x in row] for row in m.tolist()])
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,16 +205,76 @@ def _ours(field, m):
 def test_sparse_operations_match_sympy(case):
     field, (a, b, c) = case
     sa, sb, sc = (_ours(field, m) for m in (a, b, c))
-    assert linalg.product(field, sa, sb) == _ours(field, a * b)
+    assert linalg.product(field, sa, sb) == _ours(field, (a * b).expand())
     assert linalg.transpose(sa) == _ours(field, a.T)
     assert linalg.scaled(field.from_int(-2), sa) == _ours(field, -2 * a)
     blocks = [(sa, a.shape), (sc, c.shape)]
     assert linalg.block_diag(blocks) == _ours(field, diag(a, c))
     # sympy's Kronecker product fails on empty shapes, which have no entries
-    expected = _ours(field, kronecker_product(a, c)) if 0 not in a.shape + c.shape else {}
+    expected = _ours(field, kronecker_product(a, c).expand()) if 0 not in a.shape + c.shape else {}
     assert linalg.kron(sa, sc, c.shape) == expected
     n = a.shape[0]
     assert linalg.identity(field, n) == _ours(field, Matrix.eye(n))
     assert linalg.dense(field, sa, a.shape) == tuple(
-        tuple(field.element(Fraction(str(x))) for x in row) for row in a.tolist()
+        tuple(_element(field, x) for x in row) for row in a.tolist()
     )
+
+
+@st.composite
+def polynomial_operands(draw):
+    """A polynomial ring in 2-3 variables over Q or F5 and matrices a (r x k),
+    b (k x c) of small polynomials.  Half the draws make column 0 of a . b
+    cancel: every row of a is a multiple of one row (p, q, ...) and column 0
+    of b is (q, -p, 0, ...), as in a d . d check; with c = 1 every row
+    of a . b cancels."""
+    field = draw(st.sampled_from((FieldSpec.Q(), FieldSpec.Fp(5))))
+    ring = PolyRing(field, ("x", "y", "z")[: draw(st.integers(2, 3))])
+    n = len(ring.vars)
+    monomial = st.tuples(*[st.integers(0, 2)] * n)
+    term = st.tuples(monomial, st.integers(-3, 3))
+
+    def poly():
+        terms = draw(st.lists(term, max_size=3))
+        out = ring.zero()
+        for e, coef in terms:
+            out = out + MultiPolynomial(ring, {e: field.from_int(coef)})
+        return out
+
+    cancel = draw(st.booleans())
+    r, c = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    k = draw(st.integers(2, 3)) if cancel else draw(st.integers(0, 3))
+    if cancel:
+        base = [poly() for _ in range(k)]
+        a = [[m * x for x in base] for m in (poly() for _ in range(r))]
+        first = [base[1], -base[0]] + [ring.zero()] * (k - 2)
+        b = [[first[i]] + [poly() for _ in range(c - 1)] for i in range(k)]
+    else:
+        a = [[poly() for _ in range(k)] for _ in range(r)]
+        b = [[poly() for _ in range(c)] for _ in range(k)]
+    return ring, a, b, cancel
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_operands())
+def test_polynomial_product_matches_schoolbook(case):
+    ring, a, b, cancel = case
+    product = linalg.product(ring, linalg.sparse(a), linalg.sparse(b))
+    cols = len(b[0]) if b else 0
+    expected = {}
+    for i, row in enumerate(a):
+        entries = {}
+        for j in range(cols):
+            total = ring.zero()
+            for x, brow in zip(row, b):
+                total = total + x * brow[j]
+            if not total.is_zero():
+                entries[j] = total
+        if entries:
+            expected[i] = entries
+    assert product == expected
+    # cancelled entries and rows are absent, never stored as zero polynomials
+    assert all(product.values())
+    assert all(x.terms and all(not c.is_zero() for c in x.terms.values())
+               for row in product.values() for x in row.values())
+    if cancel:
+        assert all(0 not in row for row in product.values())

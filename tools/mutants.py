@@ -179,6 +179,40 @@ MUTANTS = [
         "wedge[-i]",
         COMPLEX_TESTS,
     ),
+    (
+        "the dual kept on a complex ignores the degree",
+        "complexes.py",
+        "dualize",
+        "if datum.degree not in a._duals:\n"
+        "        a._duals[datum.degree] = hom_complex(a, single(a.ring, datum.degree))\n"
+        "    return a._duals[datum.degree]",
+        "if None not in a._duals:\n"
+        "        a._duals[None] = hom_complex(a, single(a.ring, datum.degree))\n"
+        "    return a._duals[None]",
+        COMPLEX_TESTS,
+    ),
+    (
+        "the polynomial product keeps a cancelled coefficient",
+        "linalg.py",
+        "product",
+        "if not is_zero(c):",
+        "if True:",
+        COMPLEX_TESTS + ("tests/test_linalg.py",),
+    ),
+    (
+        "the split kept on a datum ignores the head",
+        "koszul.py",
+        "split_datum",
+        "if head not in k._splits:\n"
+        "        first = KoszulDatum(k.ring, k.section[:head], twist=k.twist)\n"
+        "        k._splits[head] = (first, KoszulDatum(k.ring, k.section[head:]))\n"
+        "    return k._splits[head]",
+        "if None not in k._splits:\n"
+        "        first = KoszulDatum(k.ring, k.section[:head], twist=k.twist)\n"
+        "        k._splits[None] = (first, KoszulDatum(k.ring, k.section[head:]))\n"
+        "    return k._splits[None]",
+        COMPLEX_TESTS,
+    ),
 ]
 
 
