@@ -894,9 +894,8 @@ def rational_sqrt(f):
     """The nonnegative square root of a rational (int or Fraction) as a Fraction, or None."""
     if f < 0:
         return None
-    rn, okn = sympy.integer_nthroot(f.numerator, 2)
-    rd, okd = sympy.integer_nthroot(f.denominator, 2)
-    return Fraction(rn, rd) if okn and okd else None
+    rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
+    return Fraction(rn, rd) if rn * rn == f.numerator and rd * rd == f.denominator else None
 
 
 def _finite_sqrt(x):

@@ -6,10 +6,13 @@ The Witt-group machinery is complete over finite fields (exhaustive isotropy
 searches with explicit caps) and over Q (Hasse-Minkowski invariants decide
 isotropy and Witt equality; explicit isotropic vectors come from exact square
 detection, Legendre-style ternary solving, and a locally-filtered
-common-value search).  Anisotropy over Q is always certified by invariants,
-never by a search running out of patience; conversely, if the invariants
-promise a vector that the bounded searches cannot exhibit,
-:class:`~wittforge.errors.Inconclusive` is raised rather than guessing.
+common-value search).  Over Q each rational is factored once, into its
+square class (a squarefree integer, with the primes dividing it), and the
+Hasse symbols are taken one Hilbert symbol per entry and place.  Anisotropy
+over Q is always certified by invariants, never by a search running out of
+patience; conversely, if the invariants promise a vector that the bounded
+searches cannot exhibit, :class:`~wittforge.errors.Inconclusive` is raised
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -346,64 +349,61 @@ def _as_diagonal_entries(x):
 # ---------------------------------------------------------------------------
 
 
-def _squarefree_int(value):
-    """The squarefree integer representing value's square class in Q*."""
+def _square_class(value):
+    """(d, primes): the squarefree integer d in value's class in Q*/Q*^2 and
+    the primes dividing d; the one place a rational is factored.  Inside this
+    module a square class is its squarefree int, whose valuation at a prime
+    is 0 or 1."""
     f = Fraction(value)
     if f == 0:
         raise ValueError("0 has no square class")
     n = f.numerator * f.denominator  # same class as n/d
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in sympy.factorint(abs(n)).items():
-        if e % 2:
-            out *= p
-    return out
+    primes = [p for p, e in sympy.factorint(abs(n)).items() if e % 2]
+    return math.prod(primes) * (-1 if n < 0 else 1), primes
+
+
+def _class_product(a, b):
+    """The square class of a*b, for squarefree integers a and b."""
+    return a * b // math.gcd(a, b) ** 2
 
 
 def hilbert_symbol(a, b, place):
     """The Hilbert symbol (a, b)_v over Q, computed by the local formulas.
 
-    At the real place: -1 iff both arguments are negative.  At an odd prime
-    p, with a = p^alpha * u and b = p^beta * w (u, w prime to p):
+    At the real place: -1 iff both arguments are negative.  At a finite
+    place see :func:`_hilbert`, which takes the square classes of a and b.
+    """
+    (a, _), (b, _) = _square_class(a), _square_class(b)
+    if place.is_infinite:
+        return -1 if (a < 0 and b < 0) else 1
+    return _hilbert(a, b, place.p)
+
+
+def _hilbert(a, b, p):
+    """(a, b)_p for squarefree integers a, b and a prime p.
+
+    With a = p^alpha * u and b = p^beta * w (u, w prime to p, alpha and beta
+    0 or 1), at an odd prime
 
         (a,b)_p = (-1)^(alpha*beta*(p-1)/2) * (u|p)^beta * (w|p)^alpha
 
-    using Legendre symbols.  At p = 2, with odd parts u and w:
+    using Legendre symbols, and at p = 2
 
         (a,b)_2 = (-1)^(eps(u)eps(w) + alpha*omega(w) + beta*omega(u))
 
     where eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
     """
-    a = _squarefree_int(a)
-    b = _squarefree_int(b)
-    if place.is_infinite:
-        return -1 if (a < 0 and b < 0) else 1
-    p = place.p
-    alpha, u = _padic_split(a, p)
-    beta, w = _padic_split(b, p)
+    alpha, beta = int(a % p == 0), int(b % p == 0)
+    u, w = a // p**alpha, b // p**beta
     if p != 2:
-        sign = 1
-        if (alpha * beta) % 2 and (p - 1) // 2 % 2:
-            sign = -sign
-        if beta % 2:
-            sign *= _legendre(u, p)
-        if alpha % 2:
-            sign *= _legendre(w, p)
-        return sign
+        sign = -1 if alpha * beta and (p - 1) // 2 % 2 else 1
+        return sign * (_legendre(u, p) if beta else 1) * (_legendre(w, p) if alpha else 1)
     eps_u = ((u - 1) // 2) % 2
     eps_w = ((w - 1) // 2) % 2
     omega_u = ((u * u - 1) // 8) % 2
     omega_w = ((w * w - 1) // 8) % 2
     exp = eps_u * eps_w + alpha * omega_w + beta * omega_u
     return -1 if exp % 2 else 1
-
-
-def _padic_split(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
 
 
 def _legendre(u, p):
@@ -413,10 +413,7 @@ def _legendre(u, p):
 
 def relevant_places(values):
     """oo, 2, and every odd prime dividing a square class of the values."""
-    primes = {2}
-    for v in values:
-        sf = _squarefree_int(v)
-        primes.update(sympy.factorint(abs(sf)).keys())
+    primes = {2}.union(*(_square_class(v)[1] for v in values))
     return [Place.infinity()] + [Place.finite(p) for p in sorted(primes)]
 
 
@@ -426,82 +423,61 @@ def relevant_places(values):
 
 
 class _QInvariants:
-    """dim, square-class of det, signature, and Hasse symbols of a diagonal form."""
+    """dim, square class of det, signature, and Hasse symbols of a diagonal form.
 
-    __slots__ = ("n", "det", "sig", "hasse", "places")
+    Each entry is factored once, into its square class.  ``classes`` are
+    those classes, ``det`` is the class of their product, and ``hasse`` maps
+    2 and every prime dividing an entry to the Hasse symbol
+    prod_{i<j} (d_i, d_j)_p, taken one symbol per entry as the running
+    product prod_j (d_1...d_{j-1}, d_j)_p (bimultiplicativity).
+    """
 
-    def __init__(self, entries=None, places=None):
-        if entries is None:
-            return
-        sf = [_squarefree_int(e) for e in entries]
-        self.n = len(sf)
-        det = 1
-        for d in sf:
-            det *= d
-        self.det = _squarefree_int(det) if sf else 1
-        self.sig = sum(1 if d > 0 else -1 for d in sf)
-        self.places = places if places is not None else relevant_places(sf)
-        self.hasse = {}
-        for v in self.places:
-            if v.is_infinite:
-                continue
-            eps = 1
-            for i in range(len(sf)):
-                for j in range(i + 1, len(sf)):
-                    eps *= hilbert_symbol(sf[i], sf[j], v)
-            self.hasse[v] = eps
+    __slots__ = ("n", "classes", "det", "sig", "hasse")
 
-    def split_hyperbolic(self):
-        """Invariants of q' where q = q' + H (valid only when isotropic)."""
-        out = _QInvariants()
-        out.n = self.n - 2
-        out.det = _squarefree_int(-self.det)
-        out.sig = self.sig
-        out.places = self.places
-        out.hasse = {
-            v: eps * hilbert_symbol(out.det, -1, v) for v, eps in self.hasse.items()
-        }
-        return out
+    def __init__(self, entries):
+        squares = [_square_class(e) for e in entries]
+        self.classes = [d for d, _ in squares]
+        self.n = len(self.classes)
+        self.sig = sum(1 if d > 0 else -1 for d in self.classes)
+        self.hasse = dict.fromkeys({2}.union(*(primes for _, primes in squares)), 1)
+        prefix = 1
+        for d in self.classes:
+            for p in self.hasse:
+                self.hasse[p] *= _hilbert(prefix, d, p)
+            prefix = _class_product(prefix, d)
+        self.det = prefix
 
     def is_isotropic(self):
         """Hasse-Minkowski: local isotropy at every place."""
-        n, d, sig = self.n, self.det, self.sig
-        if n <= 1:
-            return False
-        if abs(sig) == n:
-            return False  # definite over R
+        n, d = self.n, self.det
+        if n <= 1 or abs(self.sig) == n:
+            return False  # a line, or definite over R
         if n == 2:
-            return _squarefree_int(-d) == 1
+            return d == -1
         if n == 3:
-            return all(
-                hilbert_symbol(-1, -d, v) == eps for v, eps in self.hasse.items()
-            )
+            return all(_hilbert(-1, -d, p) == eps for p, eps in self.hasse.items())
         if n == 4:
-            for v, eps in self.hasse.items():
-                if not _is_local_square(d, v) or eps == hilbert_symbol(-1, -1, v):
-                    continue
-                return False
-            return True
+            hasse = self.hasse.items()
+            return all(not _is_local_square(d, p) or eps == _hilbert(-1, -1, p) for p, eps in hasse)
         return True  # indefinite of dimension >= 5
 
     def is_witt_trivial(self):
-        inv = self
-        while inv.n > 0 and inv.is_isotropic():
-            inv = inv.split_hyperbolic()
-        return inv.n == 0
+        """Whether the form is hyperbolic.  Hyperbolic planes are split off
+        in place while the form is isotropic: q = q' + H takes n to n - 2,
+        det to -det and each Hasse symbol eps_p to eps_p * (det(q'), -1)_p."""
+        while self.n > 0 and self.is_isotropic():
+            self.n -= 2
+            self.det = -self.det
+            for p in self.hasse:
+                self.hasse[p] *= _hilbert(self.det, -1, p)
+        return self.n == 0
 
 
-def _is_local_square(d, place):
-    d = _squarefree_int(d)
-    if place.is_infinite:
-        return d > 0
-    p = place.p
-    v, u = _padic_split(d, p)
-    if v % 2:
+def _is_local_square(d, p):
+    """Whether the squarefree integer d is a square in Q_p."""
+    if d % p == 0:
         return False
-    if p == 2:
-        return u % 8 == 1
-    return _legendre(u, p) == 1
+    return d % 8 == 1 if p == 2 else _legendre(d, p) == 1
 
 
 def is_isotropic(form):
@@ -620,9 +596,10 @@ def _q_isotropic_vector(entries):
             raise RuntimeError(f"invariants certify isotropy, but -d0/d1 = {ratio} is no square")
         return [Fraction(1), root]
     # pairs
+    d = inv.classes
     for i in range(n):
         for j in range(i + 1, n):
-            if _squarefree_int(-entries[i] * entries[j]) == 1:
+            if d[i] == -d[j]:
                 ratio = -entries[i] / entries[j]
                 root = rational_sqrt(ratio)
                 if root is None:
@@ -645,14 +622,10 @@ def _q_isotropic_vector(entries):
     # common represented value between the first pair and the rest
     head, tail = entries[:2], entries[2:]
     for t in _candidate_values():
-        if not _QInvariants([head[0], head[1], Fraction(-t)]).is_isotropic():
-            continue
-        if not _QInvariants(list(tail) + [Fraction(t)]).is_isotropic():
-            continue
-        head_vec = _q_represent(list(head), Fraction(t))
-        tail_vec = _q_represent(list(tail), Fraction(-t))
-        if head_vec is not None and tail_vec is not None:
-            return head_vec + tail_vec
+        if _QInvariants(head + [-t]).is_isotropic() and _QInvariants(tail + [t]).is_isotropic():
+            head_vec, tail_vec = _q_represent(head, Fraction(t)), _q_represent(tail, Fraction(-t))
+            if head_vec is not None and tail_vec is not None:
+                return head_vec + tail_vec
     vec = _q_bounded_search(entries)
     if vec is not None:
         return vec
@@ -662,13 +635,11 @@ def _q_isotropic_vector(entries):
 
 
 def _candidate_values():
-    seen = set()
+    """The squarefree integers 0 < |t| < 400, by absolute value, positive first."""
     for m in range(1, 400):
-        sf = _squarefree_int(m)
-        for t in (sf, -sf):
-            if t not in seen:
-                seen.add(t)
-                yield t
+        if _square_class(m)[0] == m:
+            yield m
+            yield -m
 
 
 def _q_represent(entries, value):
@@ -873,8 +844,5 @@ def witt_equal(a, b):
     if field.kind == "Q":
         _, ea = _as_diagonal_entries(fa)
         _, eb = _as_diagonal_entries(fb)
-        diff = [e.payload for e in ea] + [(-e).payload for e in eb]
-        if not diff:
-            return True
-        return _QInvariants(diff).is_witt_trivial()
+        return _QInvariants([e.payload for e in ea] + [-e.payload for e in eb]).is_witt_trivial()
     raise UnsupportedField(f"no Witt equality decision over {field}")

@@ -7,12 +7,13 @@ sweeps draw from a caller-supplied seed, and case ids are stable, so a
 report is reproducible byte for byte in JSON mode.
 """
 
+import inspect
 import random
 import time
 
 from . import linalg
 from .complexes import ChainComplex, DualityDatum, bidual_involution_check
-from .errors import Inconclusive, NotRegularSequence, ParityError
+from .errors import BoundsExceeded, Inconclusive, NotRegularSequence, ParityError
 from .fields import FieldSpec, find_irreducible
 from .koszul import (
     DEFAULT_BOUND,
@@ -688,14 +689,34 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=0, size=None, bound=None):
+def _default_size(name):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    return inspect.signature(SUITES[name]).parameters["size"].default
+
+
+def _check_size(name, size):
+    """A size is given only to a suite with a default one, is at least 0, and
+    is at most ten times that default (:class:`BoundsExceeded` above it)."""
+    default = _default_size(name)
+    if size is None:
+        return
+    if default is None:
+        raise ValueError(f"suite {name!r} runs a fixed set of cases and takes no size")
+    if size < 0:
+        raise ValueError(f"size {size} must be >= 0")
+    if size > 10 * default:
+        raise BoundsExceeded(
+            f"size {size} is above {10 * default}, ten times the {name} suite's default"
+        )
+
+
+def run_suite(name, seed=0, size=None, bound=None):
+    """One suite's report; ``size`` is checked by :func:`_check_size` before any case runs."""
+    _check_size(name, size)
     fn = SUITES[name]
     kwargs = {"seed": seed}
     if size is not None:
-        if size < 0:
-            raise ValueError(f"size {size} must be >= 0")
         kwargs["size"] = size
     if bound is not None:
         kwargs["bound"] = bound
@@ -715,8 +736,12 @@ def run_suite(name, seed=0, size=None, bound=None):
 
 
 def run_all(seed=0, size=None, bound=None):
-    """Every suite, in name order.  A bound that leaves the checked window of
-    a trace datum empty raises before the first suite runs."""
+    """Every suite, in name order, with ``size`` given to the suites that take
+    one.  A size that one of them rejects, or a bound that leaves the checked
+    window of a trace datum empty, raises before the first suite runs."""
+    sizes = {name: None if _default_size(name) is None else size for name in sorted(SUITES)}
+    for name, n in sizes.items():
+        _check_size(name, n)
     for k in _trace_data():
         k._trace_middle_row(DEFAULT_BOUND if bound is None else bound)
-    return [run_suite(name, seed=seed, size=size, bound=bound) for name in sorted(SUITES)]
+    return [run_suite(name, seed=seed, size=n, bound=bound) for name, n in sizes.items()]

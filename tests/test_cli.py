@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import functools
 import hashlib
 import json
 
@@ -506,6 +507,45 @@ def test_verify_json_digest_pinned(capsys, suite):
     assert main(["--json", "verify", suite]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("verify", "towers", "--size", "100000"),
+            "out of bounds: size 100000 is above 500, ten times the towers suite's default",
+        ),
+        (
+            ("verify", "all", "--size", "61"),
+            "out of bounds: size 61 is above 60, ten times the witt suite's default",
+        ),
+        (
+            ("verify", "theta", "--size", "100000000"),
+            "usage error: suite 'theta' runs a fixed set of cases and takes no size",
+        ),
+    ],
+    ids=["towers-above-bound", "all-above-witt-bound", "theta-takes-none"],
+)
+def test_verify_size_is_checked_before_any_suite(capsys, monkeypatch, argv, message):
+    # a size above ten times a suite's default, or given to a suite without
+    # one, is exit 2 with one line; no suite function is entered
+    entered = []
+
+    def counted(fn):
+        @functools.wraps(fn)
+        def suite(**kwargs):
+            entered.append(fn.__name__)
+            return fn(**kwargs)
+
+        return suite
+
+    monkeypatch.setattr(verify, "SUITES", {name: counted(fn) for name, fn in verify.SUITES.items()})
+    assert run(capsys, *argv) == (2, "", message)
+    assert entered == []
+    # the counted suites still run when the size is in bounds
+    assert run(capsys, "verify", "towers", "--size", "1")[0] == 0
+    assert entered == ["verify_towers"]
 
 
 def test_verify_size_override(capsys):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wittforge import linalg
@@ -40,6 +40,7 @@ from wittforge.fields import (
     is_square,
     poly_eval,
     rational_roots,
+    rational_sqrt,
     sqrt,
 )
 from wittforge.transfer import ExtensionDatum
@@ -241,6 +242,39 @@ def test_rational_squares():
     assert sqrt(Q.element(Fraction(9, 4))) == Q.element(Fraction(3, 2))
     assert not is_square(Q.element(Fraction(-9, 4)))
     assert not is_square(Q.element(Fraction(2)))
+
+
+def _near_square(root):
+    return st.integers(-1, 1).map(lambda k: root * root + k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.integers(0, 2**80).flatmap(_near_square),
+        st.fractions(),
+        st.builds(
+            lambda a, b, sign: sign * Fraction(a, b),
+            st.integers(0, 2**80).flatmap(_near_square),
+            st.integers(1, 2**80).flatmap(_near_square).filter(bool),
+            st.sampled_from([1, -1]),
+        ),
+    )
+)
+@example(0)
+@example(Fraction(0))
+@example(-4)
+@example(2**64)
+@example((2**64 + 1) ** 2)
+@example(Fraction((2**70 + 3) ** 2, (2**65 - 1) ** 2))
+def test_rational_sqrt_matches_integer_nthroot(f):
+    # oracle: sympy's integer square root of numerator and denominator
+    rn, okn = sympy.integer_nthroot(f.numerator, 2) if f >= 0 else (0, False)
+    rd, okd = sympy.integer_nthroot(f.denominator, 2)
+    root = rational_sqrt(f)
+    assert root == (Fraction(rn, rd) if okn and okd else None)
+    assert root is None or (type(root) is Fraction and root >= 0 and root * root == f)
 
 
 def test_sqrt2_field_squares():

@@ -15,8 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.factor_ import core
 
 from wittforge import linalg, quadforms
 from wittforge.errors import DegenerateForm, FieldMismatch, UnsupportedField
@@ -184,6 +186,75 @@ def test_hilbert_product_formula():
         for v in relevant_places([a, b]):
             prod *= hilbert_symbol(a, b, v)
         assert prod == 1, (a, b)
+
+
+def _class_oracle(f):
+    """The squarefree integer in the square class of a nonzero rational, by sympy."""
+    n = f.numerator * f.denominator
+    return (1 if n > 0 else -1) * core(abs(n))
+
+
+nonzero_rationals = st.fractions(min_value=-60, max_value=60, max_denominator=40).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(nonzero_rationals, st.integers(1, 6)), max_size=9))
+def test_q_invariants_match_pairwise_hilbert_symbols(scaled):
+    # some entries multiplied by squares; the invariants see square classes only
+    entries = [e * s * s for e, s in scaled]
+    inv = quadforms._QInvariants(entries)
+    det = _class_oracle(math.prod(entries, start=Fraction(1)))
+    assert (inv.n, inv.det) == (len(entries), det)
+    assert inv.classes == [_class_oracle(e) for e in entries]
+    primes = {2}.union(*(sympy.primefactors(_class_oracle(e)) for e in entries))
+    assert set(inv.hasse) == primes
+    for p in primes:
+        pairs = itertools.combinations(entries, 2)
+        expected = math.prod(hilbert_symbol(a, b, Place.finite(p)) for a, b in pairs)
+        assert inv.hasse[p] == expected, (entries, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_local_squares_match_residues(p):
+    # a squarefree d is a square in Q_p iff it is a unit with a square
+    # root mod p (odd p) or mod 8 (p = 2)
+    modulus = 8 if p == 2 else p
+    for d in range(-80, 81):
+        if d == 0 or core(abs(d)) != abs(d):
+            continue
+        expected = d % p != 0 and any((x * x - d) % modulus == 0 for x in range(modulus))
+        assert quadforms._is_local_square(d, p) == expected, (d, p)
+
+
+@pytest.mark.parametrize(
+    "entries, vector",
+    [([1, 1, 1, -3], [1, 1, 1, 1]), ([1, 1, -3, -7], [3, 1, 1, 1]), ([1, 2, 2, -3], [1, 1, 0, 1])],
+)
+def test_quaternary_with_det_five_mod_eight_is_isotropic(entries, vector):
+    # det is 1 mod 4 but 5 mod 8, so no square in Q_2: isotropic at 2
+    # although the Hasse symbol there differs from (-1,-1)_2
+    inv = quadforms._QInvariants(entries)
+    assert inv.det % 8 == 5 and inv.hasse[2] != hilbert_symbol(-1, -1, Place.finite(2))
+    form = QuadraticForm.diagonal(Q, entries)
+    assert form.evaluate(vector) == Q.zero()
+    assert is_isotropic(form)
+
+
+def test_witt_equal_over_q_factors_each_entry_once(monkeypatch):
+    # the 16-entry difference form is factored once per entry, and the
+    # primes come with each class
+    calls = []
+    factorint = quadforms.sympy.factorint
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return factorint(n, *args, **kwargs)
+
+    monkeypatch.setattr(quadforms.sympy, "factorint", counted)
+    a = QuadraticForm.diagonal(Q, [1, 2, 3, 5, 7, 11, 13, 17])
+    b = QuadraticForm.diagonal(Q, [2, 3, 5, 7, 11, 13, 17, 1])
+    assert witt_equal(a, b)
+    assert len(calls) <= 16
 
 
 def test_place_parse_and_json():

@@ -116,6 +116,30 @@ MUTANTS = [
         FORM_TESTS,
     ),
     (
+        "the Hasse running product never advances its prefix",
+        "quadforms.py",
+        "_QInvariants.__init__",
+        "_hilbert(prefix, d, p)",
+        "_hilbert(1, d, p)",
+        FORM_TESTS,
+    ),
+    (
+        "the product of two square classes skips the gcd reduction",
+        "quadforms.py",
+        "_class_product",
+        "a * b // math.gcd(a, b) ** 2",
+        "a * b",
+        FORM_TESTS,
+    ),
+    (
+        "the local-square test at p = 2 reads d % 4",
+        "quadforms.py",
+        "_is_local_square",
+        "d % 8 == 1",
+        "d % 4 == 1",
+        FORM_TESTS,
+    ),
+    (
         "every row of the trace form reads M(b_0)",
         "transfer.py",
         "trace_form",
