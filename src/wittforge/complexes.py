@@ -41,7 +41,8 @@ from .errors import (
 from .fields import FieldSpec
 from .polynomials import MultiPolynomial, PolyRing
 
-#: total-rank cap: exact arithmetic over Q can blow up on bigger complexes
+#: cap on the total rank of a complex and on the internal degrees of a graded
+#: window: exact arithmetic over Q can blow up on bigger ones
 RANK_CAP = 4096
 
 
@@ -69,6 +70,11 @@ def _fitted(mat, shape, error, what):
 def _identities(a):
     """The identity of A, degree by degree."""
     return {n: linalg.identity(a.ring, r) for n, r in a.terms.items()}
+
+
+def _negated(mats):
+    """Each matrix of ``mats`` with its entries negated (no ring product)."""
+    return {n: {i: {j: -x for j, x in r.items()} for i, r in m.items()} for n, m in mats.items()}
 
 
 def _same_ring(a, b):
@@ -222,10 +228,10 @@ def single(ring, degree, rank=1):
     return ChainComplex(ring, {degree: rank}, {})
 
 
-def two_term(ring, matrix, top=1):
-    """[A_top -> A_{top-1}] given by one matrix."""
+def two_term(ring, matrix):
+    """[A_1 -> A_0] given by one matrix."""
     rows, cols = linalg.shape(matrix)
-    return ChainComplex(ring, {top: cols, top - 1: rows}, {top: matrix})
+    return ChainComplex(ring, {1: cols, 0: rows}, {1: matrix})
 
 
 class ChainMap:
@@ -372,19 +378,16 @@ def direct_sum(a, b):
     mats = {}
     for n in set(a._mats) | set(b._mats):
         mat = dict(a._mats.get(n, {}))
-        r0, c0 = a.rank(n - 1), a.rank(n)
-        for i, row in b._mats.get(n, {}).items():
-            mat[r0 + i] = {c0 + j: x for j, x in row.items()}
-        mats[n] = mat
+        corner = (a.rank(n - 1), a.rank(n))
+        mats[n] = linalg.kron(1, b._mats.get(n, {}), b._shape(n), mat, corner)
     return ChainComplex._trusted(a.ring, terms, mats)
 
 
 def shift(a, k):
     """(T^k A)_n = A_{n-k}, differential scaled by (-1)^k."""
-    sign = a.ring.from_int(-1 if k % 2 else 1)
+    mats = _negated(a._mats) if k % 2 else a._mats
     terms = {n + k: r for n, r in a.terms.items()}
-    mats = {n + k: linalg.scaled(sign, mat) for n, mat in a._mats.items()}
-    return ChainComplex._trusted(a.ring, terms, mats)
+    return ChainComplex._trusted(a.ring, terms, {n + k: m for n, m in mats.items()})
 
 
 def tensor_layout(a, b, n):
@@ -402,34 +405,23 @@ def tensor_layout(a, b, n):
 def tensor(a, b):
     """A (x) B with the Koszul sign rule; basis (a_p (x) b_q), p major."""
     _same_ring(a, b)
-    ring = a.ring
     layouts = {n: tensor_layout(a, b, n) for n in {i + j for i in a.terms for j in b.terms}}
     terms = {n: sum(ra * rb for _, ra, rb in layout.values()) for n, layout in layouts.items()}
     # d_B with either sign, built once and shared by every summand
-    signed_b = (b._mats, {j: linalg.scaled(ring.from_int(-1), m) for j, m in b._mats.items()})
+    signed_b = (b._mats, _negated(b._mats))
     mats = {}
     for n in sorted(layouts):
         src, dst = layouts[n], layouts.get(n - 1)
         if not dst:
             continue
-        mat = defaultdict(dict)
+        mats[n] = mat = {}
         for (i, j), (off, ra, rb) in src.items():
-            # d_A (x) id : (i, j) -> (i - 1, j)
-            if (i - 1, j) in dst and i in a._mats:
-                roff = dst[(i - 1, j)][0]
-                for p2, row in a._mats[i].items():
-                    for p, x in row.items():
-                        for q in range(rb):
-                            mat[roff + p2 * rb + q][off + p * rb + q] = x
-            # (-1)^i id (x) d_B : (i, j) -> (i, j - 1)
-            if (i, j - 1) in dst and j in b._mats:
+            if (i - 1, j) in dst and i in a._mats:  # d_A (x) 1 : (i, j) -> (i - 1, j)
+                linalg.kron(a._mats[i], rb, (rb, rb), mat, (dst[(i - 1, j)][0], off))
+            if (i, j - 1) in dst and j in b._mats:  # (-1)^i 1 (x) d_B : (i, j) -> (i, j - 1)
                 roff, _, rb2 = dst[(i, j - 1)]
-                for q2, row in signed_b[i % 2][j].items():
-                    for q, x in row.items():
-                        for p in range(ra):
-                            mat[roff + p * rb2 + q2][off + p * rb + q] = x
-        mats[n] = mat
-    return ChainComplex._trusted(ring, terms, mats)
+                linalg.kron(ra, signed_b[i % 2][j], (rb2, rb), mat, (roff, off))
+    return ChainComplex._trusted(a.ring, terms, mats)
 
 
 def hom_layout(a, b, n):
@@ -451,34 +443,25 @@ def hom_layout(a, b, n):
 def hom_complex(a, b):
     """Hom(A, B) with (df)(x) = d(f(x)) - (-1)^{|f|} f(dx)."""
     _same_ring(a, b)
-    ring = a.ring
     layouts = {n: hom_layout(a, b, n) for n in {m - i for i in a.terms for m in b.terms}}
     terms = {n: sum(ra * rb for _, ra, rb in layout.values()) for n, layout in layouts.items()}
-    # d_A with either sign, built once and shared by every summand
-    signed_a = (a._mats, {i: linalg.scaled(ring.from_int(-1), m) for i, m in a._mats.items()})
+    # d_A transposed, with either sign, built once and shared by every summand
+    transposed = {i: linalg.transpose(m) for i, m in a._mats.items()}
+    signed_at = (transposed, _negated(transposed))
     mats = {}
     for n in sorted(layouts):
         src, dst = layouts[n], layouts.get(n - 1)
         if not dst:
             continue
-        mat = defaultdict(dict)
+        mats[n] = mat = {}
         for i, (off, ra, rb) in src.items():
-            # post-composition with d_B : summand i -> summand i
-            if i in dst and (i + n) in b._mats:
+            if i in dst and (i + n) in b._mats:  # 1 (x) d_B : summand i -> summand i
                 roff, _, rb2 = dst[i]
-                for u2, row in b._mats[i + n].items():
-                    for u, x in row.items():
-                        for v in range(ra):
-                            mat[roff + v * rb2 + u2][off + v * rb + u] = x
-            # pre-composition with d_A : summand i -> summand i + 1
-            if (i + 1) in dst and (i + 1) in a._mats:
-                roff, _, rb2 = dst[i + 1]
-                for v, row in signed_a[1 - n % 2][i + 1].items():  # -(-1)^n
-                    for v2, x in row.items():
-                        for u in range(rb):
-                            mat[roff + v2 * rb2 + u][off + v * rb + u] = x
-        mats[n] = mat
-    return ChainComplex._trusted(ring, terms, mats)
+                linalg.kron(ra, b._mats[i + n], (rb2, rb), mat, (roff, off))
+            if (i + 1) in dst and (i + 1) in a._mats:  # -(-1)^n d_A^T (x) 1 : i -> i + 1
+                pre = signed_at[1 - n % 2][i + 1]
+                linalg.kron(pre, rb, (rb, rb), mat, (dst[i + 1][0], off))
+    return ChainComplex._trusted(a.ring, terms, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -534,18 +517,12 @@ def tensor_map(f, g):
     dst = tensor(f.target, g.target)
     mats = {}
     for n in src.terms:
-        mat = defaultdict(dict)
+        mats[n] = mat = {}
         dst_layout = tensor_layout(f.target, g.target, n)
         for (i, j), (off, _, rb) in tensor_layout(f.source, g.source, n).items():
-            if (i, j) not in dst_layout or i not in f._mats or j not in g._mats:
-                continue
-            off2, _, rb2 = dst_layout[(i, j)]
-            for p2, frow in f._mats[i].items():
-                for p, x in frow.items():
-                    for q2, grow in g._mats[j].items():
-                        for q, y in grow.items():
-                            mat[off2 + p2 * rb2 + q2][off + p * rb + q] = x * y
-        mats[n] = mat
+            if (i, j) in dst_layout and i in f._mats and j in g._mats:
+                off2, _, rb2 = dst_layout[(i, j)]
+                linalg.kron(f._mats[i], g._mats[j], (rb2, rb), mat, (off2, off))
     return ChainMap._trusted(src, dst, mats)
 
 
@@ -562,17 +539,12 @@ def hom_post(b, g, src=None, dst=None):
         dst = hom_complex(b, g.target)
     mats = {}
     for n in src.terms:
-        mat = defaultdict(dict)
+        mats[n] = mat = {}
         dst_layout = hom_layout(b, g.target, n)
         for j, (off, rb, rcs) in hom_layout(b, g.source, n).items():
-            if j not in dst_layout or j + n not in g._mats:
-                continue
-            off2, _, rct = dst_layout[j]
-            for w, row in g._mats[j + n].items():
-                for u, x in row.items():
-                    for v in range(rb):
-                        mat[off2 + v * rct + w][off + v * rcs + u] = x
-        mats[n] = mat
+            if j in dst_layout and j + n in g._mats:  # 1 (x) g
+                off2, _, rct = dst_layout[j]
+                linalg.kron(rb, g._mats[j + n], (rct, rcs), mat, (off2, off))
     return ChainMap._trusted(src, dst, mats)
 
 
@@ -721,19 +693,16 @@ def duality_interchange(a, b, da, db):
     datum = combine_duality(da, db)
     t = tensor(a, b)
     dst = dualize(t, datum)
-    ring = a.ring
+    signs = ({0: {0: a.ring.one()}}, {0: {0: -a.ring.one()}})
     mats = {}
     for n in src.terms:
-        mat = defaultdict(dict)
+        mats[n] = mat = {}
         dst_layout = tensor_layout(a, b, datum.degree - n)
         for (i, j), (off, ria, rjb) in tensor_layout(dual_a, dual_b, n).items():
+            # onto the summand (p, q) of A (x) B, as (-1)^{jp} times its identity
             p, q = da.degree - i, db.degree - j
-            off_t, _, rq = dst_layout[(p, q)]
-            sign = ring.from_int(-1 if (j * p) % 2 else 1)
-            for u in range(ria):
-                for v in range(rjb):
-                    mat[off_t + u * rq + v][off + u * rjb + v] = sign
-        mats[n] = mat
+            size = ria * rjb
+            linalg.kron(signs[j * p % 2], size, (size, size), mat, (dst_layout[(p, q)][0], off))
     return ChainMap._trusted(src, dst, mats)
 
 
@@ -890,7 +859,9 @@ def graded_homology_dims(a, degree_bound):
     homology is computed by exact ranks, and zero dimensions are omitted.
     Each graded piece of each differential is built once, straight into
     sparse rows, and ranked once.  A bound below the lowest internal degree
-    of the complex leaves an empty window, which raises before any rank.
+    of the complex leaves an empty window, and a window of more than
+    ``RANK_CAP`` internal degrees is too large: both raise before any piece
+    is built.
     """
     grading = infer_grading(a)
     ring = a.ring
@@ -900,6 +871,11 @@ def graded_homology_dims(a, degree_bound):
     low = min(grading.values())
     if degree_bound < low:
         raise BoundsExceeded(f"bound {degree_bound} is below the lowest internal degree {low}")
+    if degree_bound - low >= RANK_CAP:
+        raise BoundsExceeded(
+            f"internal-degree window {low}..{degree_bound} holds {degree_bound - low + 1} "
+            f"degrees, above the cap {RANK_CAP}"
+        )
     columns = {}
     for n, mat in a._mats.items():
         columns[n] = cols = defaultdict(list)

@@ -27,8 +27,7 @@ payloads, low to high, driven by its kernel.  One checked division step
 Euclid loop, shared by extension inverses, Ben-Or's irreducibility test and
 the squarefree test of :func:`factor_univariate`; Ben-Or's powers x^(q^i)
 mod f are taken in the extension kernel of f itself.  Only results
-(moduli, factors, roots) are boxed; :func:`poly_eval` is the boxed Horner
-step that callers outside this module use.
+(moduli, factors, roots) are boxed.
 
 Characteristic 2 is rejected at construction time: every quadratic-form
 routine downstream assumes ``2`` is invertible.
@@ -595,14 +594,6 @@ def _euclid(k, r0, r1):
         quot, rem = _divmod_raw(k, r0, r1)
         r0, r1, s0, s1 = r1, rem, s1, _sub_product(k, s0, quot, s1)
     return (r1, s1) if r1 else (r0, s0)
-
-
-def poly_eval(base, f, x):
-    """f(x) by Horner's rule on boxed elements of ``base``."""
-    acc = base.zero()
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

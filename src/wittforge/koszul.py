@@ -297,14 +297,8 @@ def x_map(k):
 
 
 def split_datum(k, head):
-    """Split the section after position ``head``; the head keeps the twist.
-    The pair is kept on ``k`` per head, so one split shares its Koszul complexes."""
-    if not 1 <= head < k.rank:
-        raise ValueError(f"split position must satisfy 1 <= head < {k.rank}")
-    if head not in k._splits:
-        first = KoszulDatum(k.ring, k.section[:head], twist=k.twist)
-        k._splits[head] = (first, KoszulDatum(k.ring, k.section[head:]))
-    return k._splits[head]
+    """Split the section after position ``head``; the head keeps the twist."""
+    return _split(k, head)[:2]
 
 
 def split_iso(k, head):
@@ -313,7 +307,18 @@ def split_iso(k, head):
     The plain subset split is already a chain map: elements of the head
     block precede the tail block, so no inversions appear.
     """
-    first, second = split_datum(k, head)
+    return _split(k, head)[2]
+
+
+def _split(k, head):
+    """The head and tail data of a split and its isomorphism, kept on ``k`` per
+    head, so one split shares its Koszul complexes and builds its iso once."""
+    if not 1 <= head < k.rank:
+        raise ValueError(f"split position must satisfy 1 <= head < {k.rank}")
+    if head in k._splits:
+        return k._splits[head]
+    first = KoszulDatum(k.ring, k.section[:head], twist=k.twist)
+    second = KoszulDatum(k.ring, k.section[head:])
     ring, d = k.ring, k.rank
     kos = koszul_complex(k)
     a = koszul_complex(first)
@@ -332,7 +337,8 @@ def split_iso(k, head):
             q = _subset_index(d - head, len(high))[high]
             mat[off + p * rb + q] = {u: one}
         mats[n] = mat
-    return ChainMap._trusted(kos, t, mats)
+    k._splits[head] = (first, second, ChainMap._trusted(kos, t, mats))
+    return k._splits[head]
 
 
 def theta_multiplicative(k, head):

@@ -6,8 +6,9 @@ exactly when their dicts are.  Entries are field elements or multivariate
 polynomials over a field; :func:`product` runs on that field's kernel payloads
 and boxes only its results.  A dict cannot carry its shape, so the operations
 that need one (:func:`identity`, :func:`block_diag`, :func:`kron`,
-:func:`dense`, :func:`fits`) take it explicitly.  Dense rows -- lists or
-tuples, zeros included -- appear only at the boundary: :func:`sparse` reads
+:func:`dense`, :func:`fits`) take it explicitly.  :func:`kron` is the one
+layout of a (x) b, placed into a matrix the caller passes.  Dense rows -- lists
+or tuples, zeros included -- appear only at the boundary: :func:`sparse` reads
 them, :func:`dense` and :func:`dense_json` write them, and :func:`rank` and
 :func:`inverse` accept them as rows.
 """
@@ -139,22 +140,43 @@ def block_diag(blocks):
     out = {}
     r = c = 0
     for mat, (rows, cols) in blocks:
-        for i, row in mat.items():
-            out[r + i] = {c + j: x for j, x in row.items()}
+        kron(1, mat, (rows, cols), out, (r, c))
         r += rows
         c += cols
     return out
 
 
-def kron(a, b, b_shape):
-    """Kronecker product; ``b_shape`` is the shape of ``b``."""
+def kron(a, b, b_shape, out, corner):
+    """a (x) b written into ``out`` with its top-left entry at ``corner``; returns ``out``.
+
+    ``b_shape`` is the shape of ``b``.  An int factor n is the n x n identity,
+    whose ones are placed, never multiplied.  Entries of ``out`` outside the
+    block are left as they are.
+    """
+    r0, c0 = corner
     rb, cb = b_shape
-    out = {}
-    for i, arow in a.items():
-        for k, brow in b.items():
-            out[i * rb + k] = {
-                j * cb + l: x * y for j, x in arow.items() for l, y in brow.items()
-            }
+    if isinstance(a, int):  # b repeated down the diagonal
+        for p in range(a):
+            r, c = r0 + p * rb, c0 + p * cb
+            for k, brow in b.items():
+                row = out.setdefault(r + k, {})
+                for l, y in brow.items():
+                    row[c + l] = y
+    elif isinstance(b, int):  # each entry x of a spread over a diagonal of x's
+        for i, arow in a.items():
+            r = r0 + i * rb
+            entries = [(c0 + j * cb, x) for j, x in arow.items()]
+            for q in range(b):
+                row = out.setdefault(r + q, {})
+                for c, x in entries:
+                    row[c + q] = x
+    else:
+        for i, arow in a.items():
+            for k, brow in b.items():
+                row = out.setdefault(r0 + i * rb + k, {})
+                for j, x in arow.items():
+                    for l, y in brow.items():
+                        row[c0 + j * cb + l] = x * y
     return out
 
 

@@ -138,7 +138,7 @@ class QuadraticForm:
         if other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         m = other.dim
-        product = linalg.kron(self._mat, other._mat, (m, m))
+        product = linalg.kron(self._mat, other._mat, (m, m), {}, (0, 0))
         return QuadraticForm._trusted(self.field, product, self.dim * m)
 
     def scale(self, c):
@@ -557,14 +557,14 @@ def _q_ternary_vector(entries):
     return None
 
 
-def _q_bounded_search(entries, cap=SEARCH_CAP):
+def _q_bounded_search(entries):
     n = len(entries)
     evals = 0
     for height in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32):
         rng = range(-height, height + 1)
         for vec in itertools.product(rng, repeat=n):
             evals += 1
-            if evals > cap:
+            if evals > SEARCH_CAP:
                 return None
             if all(v == 0 for v in vec):
                 continue

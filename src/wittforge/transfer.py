@@ -21,7 +21,7 @@ from .errors import (
     FieldMismatch,
     UnsupportedField,
 )
-from .fields import FieldElement, FieldSpec, embed, factor_univariate, poly_eval, spec_extends
+from .fields import FieldElement, FieldSpec, embed, factor_univariate, spec_extends
 from .quadforms import QuadraticForm, signed_discriminant, witt_equal
 
 
@@ -167,20 +167,24 @@ def _canonical_coords(x, bottom):
     return [FieldElement(bottom, c) for c in payloads]
 
 
+def _trace_gram(ext):
+    """The matrix [Tr(b_i b_k)]: row i is (Tr b_0, ..., Tr b_{n-1}) * M(b_i),
+    read off the multiplication table, so no basis pair is multiplied in E."""
+    traces = linalg.sparse([[ext.trace(b) for b in ext.basis]])
+    rows = (linalg.product(ext.bottom, traces, m).get(0) for m in ext._mult_table())
+    return {i: row for i, row in enumerate(rows) if row}
+
+
 def trace_form(ext):
     """Gram[i][j] = Tr(b_i * b_j); nondegenerate exactly when E/F is separable.
 
-    Row i is (Tr b_0, ..., Tr b_{n-1}) * M(b_i), read off the multiplication
-    table: no basis pair is multiplied in E, and the Gram's symmetry check
-    tests Tr(b_i b_j) = Tr(b_j b_i).  The form is built once per datum and kept
+    The Gram is :func:`_trace_gram`, whose symmetry check tests
+    Tr(b_i b_j) = Tr(b_j b_i).  The form is built once per datum and kept
     only after its diagonal entries show it nondegenerate, so a degenerate
     datum raises on every call; the returned form carries those cached entries.
     """
     if ext._trace_form is None:
-        traces = linalg.sparse([[ext.trace(b) for b in ext.basis]])
-        rows = (linalg.product(ext.bottom, traces, m).get(0) for m in ext._mult_table())
-        gram = {i: row for i, row in enumerate(rows) if row}
-        form = QuadraticForm._trusted(ext.bottom, gram, ext.degree)
+        form = QuadraticForm._trusted(ext.bottom, _trace_gram(ext), ext.degree)
         if form.is_degenerate():
             raise DegenerateTraceForm(
                 f"trace form of {ext.top}/{ext.bottom} is degenerate (inseparable?)"
@@ -209,10 +213,9 @@ def scharlau_transfer(ext, q):
         for c, e in row.items():
             if c < a:
                 continue
-            for i, block_row in linalg.product(field, t_gram, ext.mult_matrix(e)).items():
-                for j, x in block_row.items():
-                    out.setdefault(a * n + i, {})[c * n + j] = x
-                    out.setdefault(c * n + i, {})[a * n + j] = x
+            block = linalg.product(field, t_gram, ext.mult_matrix(e))
+            linalg.kron(1, block, (n, n), out, (a * n, c * n))
+            linalg.kron(1, block, (n, n), out, (c * n, a * n))
     return QuadraticForm._trusted(field, out, n * q.dim)
 
 
@@ -279,7 +282,7 @@ def _actions(ext, blocks, copies):
     from its action ``blocks[l]`` on one: M(b_l) on E (b_i v_a at index a*n+i),
     M(b_l)^T on Hom_F(E, F), where (e.phi)(x) = phi(x e)."""
     n = ext.degree
-    return [linalg.block_diag([(m, (n, n))] * copies) for m in blocks]
+    return [linalg.kron(copies, m, (n, n), {}, (0, 0)) for m in blocks]
 
 
 def unit_matrix(ext, actions):
@@ -295,8 +298,7 @@ def unit_matrix(ext, actions):
 
 def counit_matrix(ext, dim_w):
     """Counit phi -> phi(1) on Hom_F(E, F^dim_w) (basis index k*n + i)."""
-    n = ext.degree
-    return {k: {k * n + i: x for i, x in ext._one_coords.items()} for k in range(dim_w)}
+    return linalg.kron(dim_w, {0: ext._one_coords}, (1, ext.degree), {}, (0, 0))
 
 
 def adjunction_data(ext, dim_e, dim_f):
@@ -334,7 +336,7 @@ def triangle_identities_check(ext, dim_e, dim_f):
     # second triangle, on W = F^dim_f: Hom(E, counit_W) . unit_{Hom(E,W)} = id,
     # Hom(E, g) being post-composition with g, the matrix g (x) 1_n
     unit_hw = unit_matrix(ext, _actions(ext, transposed, dim_f))
-    hom_counit = linalg.kron(counit_matrix(ext, dim_f), linalg.identity(field, n), (n, n))
+    hom_counit = linalg.kron(counit_matrix(ext, dim_f), n, (n, n), {}, (0, 0))
     t2 = linalg.product(field, hom_counit, unit_hw)
     ok2 = t2 == linalg.identity(field, dim_f * n)
     # E-linearity of the unit of V: it intertwines every b_l on V and on Hom_F(E, V|_F)
@@ -353,30 +355,30 @@ def triangle_identities_check(ext, dim_e, dim_f):
 
 
 def cartan_isomorphism(ext, dim_e):
-    """Hom_E(V, Hom_F(E,F))|_F ~ Hom_F(V|_F, F), as an explicit matrix.
+    """Hom_E(V, Hom_F(E,F))|_F -> Hom_F(V|_F, F), phi -> (x -> phi(x)(1)), as a matrix.
 
-    In the bases chosen here -- functionals determined by their values on
-    the module basis, indexed compatibly on both sides -- the map
-    phi -> (a -> phi(a)(1)) is the identity permutation; returning it as a
-    matrix keeps the composition with the duality route basis-explicit.
+    For V = E^dim_e with basis v_a, take the F-basis phi_{a,i} of the source
+    with phi_{a,i}(v_a) = b_i . Tr; its image sends b_k v_a to Tr(b_i b_k).
+    So the matrix is 1_{dim_e} (x) [Tr(b_i b_k)], invertible exactly when Tr
+    generates Hom_F(E, F) over E: a degenerate trace gives a singular matrix.
     """
-    size = dim_e * ext.degree
+    n = ext.degree
     return LinearMapOverF(
         ext.bottom,
-        linalg.identity(ext.bottom, size),
-        _space(f"Hom_E(E^{dim_e}, Hom_F(E,F)) over F", size),
-        _space(f"Hom_F(E^{dim_e}|_F, F)", size),
+        linalg.kron(dim_e, _trace_gram(ext), (n, n), {}, (0, 0)),
+        _space(f"Hom_E(E^{dim_e}, Hom_F(E,F)) over F", dim_e * n),
+        _space(f"Hom_F(E^{dim_e}|_F, F)", dim_e * n),
     )
 
 
 def pushforward_via_cartan(ext, q):
     """The transfer computed through the duality pairing and Cartan matrix.
 
-    Independently of :func:`scharlau_transfer`, build the matrix of the
-    E-linear pairing map psi: V -> Hom_E(V, Hom_F(E,F)) by literal
-    functional evaluation (the coefficient of a functional on the dual
-    basis is its value on the basis), then push through the Cartan matrix
-    to land in Hom_F(V|_F, F) and read off the Gram.
+    The E-linear pairing map psi: V -> Hom_E(V, Hom_F(E,F)) sends b_k v_c to
+    the map v_a -> G[a][c] b_k . Tr, whose coordinates on the basis
+    phi_{a,i} of :func:`cartan_isomorphism` are the E-coordinates of
+    G[a][c] b_k: no trace is taken here.  The Cartan matrix then carries psi
+    to Hom_F(V|_F, F), where its matrix is the Gram of the transfer.
     """
     if q.field != ext.top:
         raise FieldMismatch(f"form over {q.field}, expected {ext.top}")
@@ -386,13 +388,10 @@ def pushforward_via_cartan(ext, q):
     psi = {}
     for a, row in q._mat.items():
         for c, g in row.items():
-            for k in range(n):
-                # psi(b_k v_c) sends v_a to the functional x -> Tr(x * b_k * G[a][c])
-                e = g * ext.basis[k]
-                for i in range(n):
-                    t = ext.trace(ext.basis[i] * e)
-                    if not t.is_zero():
-                        psi.setdefault(a * n + i, {})[c * n + k] = t
+            for k, b in enumerate(ext.basis):
+                for i, x in enumerate(ext.coordinates(g * b)):
+                    if not x.is_zero():
+                        psi.setdefault(a * n + i, {})[c * n + k] = x
     gram = linalg.product(field, cartan_isomorphism(ext, r)._mat, psi)
     return QuadraticForm._trusted(field, gram, r * n)
 
@@ -490,8 +489,10 @@ def split_algebra(ext, L):
 
 def _evaluate_into(e, target, x_image, bottom):
     """Apply the F-algebra map E -> target sending the generator to x_image."""
-    coeffs = [embed(FieldElement(bottom, c), target) for c in e.payload]
-    return poly_eval(target, coeffs, x_image)
+    acc = target.zero()
+    for c in reversed(e.payload):  # Horner's rule
+        acc = acc * x_image + embed(FieldElement(bottom, c), target)
+    return acc
 
 
 def base_change_check(ext, L, q):

@@ -174,18 +174,19 @@ def random_invertible(field, rng, n):
             return linalg.sparse(m), inv
 
 
-def random_complex(field, rng, lo=-1, hi=2, max_h=2, max_e=2):
-    """A random bounded complex of free modules over a field.
+def random_complex(field, rng):
+    """A random bounded complex of free modules over a field, in degrees -1..2.
 
     Built as a direct sum of zero-differential homology blocks and
-    contractible identity pairs, then conjugated degreewise by random
-    invertible matrices, so it is free, bounded, and never degenerate by
-    construction.
+    contractible identity pairs (at most two of each per degree), then
+    conjugated degreewise by random invertible matrices, so it is free,
+    bounded, and never degenerate by construction.
     """
-    h = {n: rng.randint(0, max_h) for n in range(lo, hi + 1)}
+    lo, hi = -1, 2
+    h = {n: rng.randint(0, 2) for n in range(lo, hi + 1)}
     force = rng.randint(lo, hi)
     h[force] = max(1, h[force])
-    e = {n: rng.randint(0, max_e) for n in range(lo + 1, hi + 1)}
+    e = {n: rng.randint(0, 2) for n in range(lo + 1, hi + 1)}
     terms = {n: h[n] + e.get(n, 0) + e.get(n + 1, 0) for n in range(lo, hi + 1)}
     # degree n -> (P_n, P_n^-1)
     basis = {n: random_invertible(field, rng, r) for n, r in terms.items()}

@@ -442,6 +442,19 @@ def test_empty_bound_window_is_one_line_usage(capsys, monkeypatch, env, argv, me
     assert run(capsys, *argv) == (2, "", message)
 
 
+def test_graded_window_past_the_cap_is_one_line_usage(capsys, monkeypatch):
+    # the window -2000000..6 would be walked degree by degree (about 10 s,
+    # one socle entry per degree); it is refused before any graded piece
+    monkeypatch.delenv("WITTFORGE_BOUND", raising=False)
+    argv = ("--json", "koszul", "verify-trace", "--vars", "x", "--section", "x^2000000")
+    assert run(capsys, *argv) == (
+        2,
+        "",
+        "out of bounds: internal-degree window -2000000..6 holds 2000007 degrees, "
+        "above the cap 4096",
+    )
+
+
 def test_verify_all_checks_the_bound_before_any_suite(capsys, monkeypatch):
     # every trace datum is checked first, so an empty window runs no suite
     # (it used to run every suite sorted before trace, about 1.9 s of work)

@@ -38,7 +38,6 @@ from wittforge.fields import (
     find_irreducible,
     frobenius,
     is_square,
-    poly_eval,
     rational_roots,
     rational_sqrt,
     sqrt,
@@ -652,11 +651,6 @@ def test_is_irreducible_matches_products_over_extensions(field, max_degree):
         }
         for f in monic[degree]:
             assert _is_irreducible(field, [c.payload for c in f]) == (f not in products)
-
-
-def test_poly_eval():
-    f = (F7.from_int(1), F7.from_int(2), F7.one())  # 1 + 2x + x^2
-    assert poly_eval(F7, f, F7.from_int(3)) == F7.from_int(1 + 6 + 9)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,29 @@ def test_split_factorization_builds_one_complex_per_datum(monkeypatch):
     assert sorted(built) == [1, 2, 3]
 
 
+def test_split_factorization_builds_its_iso_once(monkeypatch):
+    # the iso is kept with its split, so the certificate and the theta check
+    # share it: 5 tensor complexes where rebuilding the iso made 6
+    tensors, isos = [], []
+    build_tensor, build_iso = complexes.tensor, koszul.split_iso
+
+    def counted_tensor(a, b):
+        tensors.append((a, b))
+        return build_tensor(a, b)
+
+    def counted_iso(k, head):
+        isos.append(build_iso(k, head))
+        return isos[-1]
+
+    monkeypatch.setattr(complexes, "tensor", counted_tensor)
+    monkeypatch.setattr(koszul, "tensor", counted_tensor)
+    monkeypatch.setattr(koszul, "split_iso", counted_iso)
+    cert = split_factorization(coordinates(3))
+    assert cert
+    assert len(tensors) == 5
+    assert len(isos) == 2 and isos[0] is isos[1] is cert.iso
+
+
 def test_sigma_delta_top_pairing_matches_form():
     # in the top degree, multiply-then-project reads off the same signed
     # complement pairing the form is built from

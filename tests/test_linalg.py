@@ -2,12 +2,13 @@
 
 The product, transpose, block sum and Kronecker product are compared with
 sympy's ``Matrix`` over QQ, GF(p), F9 and Q(sqrt 2) (entries as polynomials in
-the generator, reduced by its modulus), empty shapes included; the product
-over polynomial rings is compared with a schoolbook sum of
-``MultiPolynomial`` products, including draws that cancel.  ``linalg.rank``
-takes dense rows or sparse ``{column: entry}`` rows; both forms of the same
-matrix must give sympy's rank over GF(p) and QQ, and the inverse must be
-``DomainMatrix``'s.
+the generator, reduced by its modulus), empty shapes included; the Kronecker
+product also with an int identity on either side, into a pre-filled matrix
+at a nonzero corner, and over Q[x, y].  The product over polynomial rings
+is compared with a schoolbook sum of ``MultiPolynomial`` products, including
+draws that cancel.  ``linalg.rank`` takes dense rows or sparse
+``{column: entry}`` rows; both forms of the same matrix must give sympy's
+rank over GF(p) and QQ, and the inverse must be ``DomainMatrix``'s.
 """
 
 from fractions import Fraction
@@ -210,14 +211,68 @@ def test_sparse_operations_match_sympy(case):
     assert linalg.scaled(field.from_int(-2), sa) == _ours(field, -2 * a)
     blocks = [(sa, a.shape), (sc, c.shape)]
     assert linalg.block_diag(blocks) == _ours(field, diag(a, c))
-    # sympy's Kronecker product fails on empty shapes, which have no entries
-    expected = _ours(field, kronecker_product(a, c).expand()) if 0 not in a.shape + c.shape else {}
-    assert linalg.kron(sa, sc, c.shape) == expected
+    _check_kron(lambda m: _ours(field, m), a, c)
     n = a.shape[0]
     assert linalg.identity(field, n) == _ours(field, Matrix.eye(n))
     assert linalg.dense(field, sa, a.shape) == tuple(
         tuple(_element(field, x) for x in row) for row in a.tolist()
     )
+
+
+def _kron_oracle(a, c):
+    """sympy's Kronecker product, which fails on empty shapes (they have no entries)."""
+    if 0 in a.shape + c.shape:
+        return Matrix.zeros(a.shape[0] * c.shape[0], a.shape[1] * c.shape[1])
+    return kronecker_product(a, c).expand()
+
+
+def _check_kron(ours, a, c):
+    """``linalg.kron`` of two sympy matrices, read into linalg form by ``ours``,
+    with an int identity on either side and into a pre-filled matrix at a
+    nonzero corner, against sympy."""
+    sa, sc = ours(a), ours(c)
+    assert linalg.kron(sa, sc, c.shape, {}, (0, 0)) == ours(_kron_oracle(a, c))
+    n = a.shape[0]
+    assert linalg.kron(n, sc, c.shape, {}, (0, 0)) == ours(_kron_oracle(Matrix.eye(n), c))
+    assert linalg.kron(sa, n, (n, n), {}, (0, 0)) == ours(_kron_oracle(a, Matrix.eye(n)))
+    # a beside the block 1_2 (x) c, sharing its rows: entries of a stay as they are
+    (r, k), (s, t) = a.shape, c.shape
+    out = {i: dict(row) for i, row in sa.items()}
+    filled = linalg.kron(2, sc, c.shape, out, (1, k + 1))
+    assert filled is out
+    expected = Matrix.zeros(max(r, 1 + 2 * s), k + 1 + 2 * t)
+    expected[:r, :k] = a
+    expected[1 : 1 + 2 * s, k + 1 :] = _kron_oracle(Matrix.eye(2), c)
+    assert out == ours(expected)
+
+
+X, Y = Symbol("x"), Symbol("y")
+QXY = PolyRing(FieldSpec.Q(), ("x", "y"))
+
+
+def _ours_poly(m):
+    """The linalg form of a sympy Matrix of polynomials in x, y over QQ."""
+
+    def element(x):
+        terms = Poly(x, X, Y, domain=QQ).terms()
+        return MultiPolynomial(QXY, {e: QXY.field.element(Fraction(str(c))) for e, c in terms if c})
+
+    return linalg.sparse([[element(x) for x in row] for row in m.tolist()])
+
+
+@st.composite
+def polynomial_matrix(draw):
+    """A sympy Matrix, up to 3 x 3, of sparse polynomials in x, y of degree <= 2."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    term = st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2))
+    entry = st.lists(term, max_size=2).map(lambda ts: sum(c * X**i * Y**j for c, i, j in ts))
+    return Matrix(rows, cols, draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomial_matrix(), polynomial_matrix())
+def test_kron_over_polynomials_matches_sympy(a, c):
+    _check_kron(_ours_poly, a, c)
 
 
 @st.composite

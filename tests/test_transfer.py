@@ -345,6 +345,13 @@ def test_cartan_matrix_invertible():
             assert linalg.inverse(ext.bottom, c.matrix) is not None
 
 
+def test_cartan_matrix_is_singular_when_the_trace_vanishes():
+    # a zero trace generates nothing: the comparison map is singular, not an error
+    ext = _DegenerateTraceDatum(F9, F3)
+    c = cartan_isomorphism(ext, 2)
+    assert c._mat == {} and linalg.inverse(ext.bottom, c.matrix) is None
+
+
 def test_tautological_pairing_gives_trace_functional():
     # pushing <1> through the duality route lands exactly on the trace form
     assert pushforward_via_cartan(D93, QuadraticForm.diagonal(F9, [1])) == trace_form(

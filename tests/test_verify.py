@@ -8,6 +8,7 @@ import pytest
 from wittforge import linalg
 from wittforge.errors import NotAField
 from wittforge.fields import FieldSpec, find_irreducible
+from wittforge.transfer import ExtensionDatum
 from wittforge.verify import (
     SUITES,
     VerificationReport,
@@ -84,6 +85,18 @@ def test_every_case_names_its_law_and_inputs():
 def test_run_all_covers_every_suite():
     reports = run_all(seed=9, size=2)
     assert sorted(r.suite for r in reports) == sorted(SUITES)
+
+
+def test_adjunction_comparison_fails_when_the_basis_traces_vanish(monkeypatch):
+    # Tr = 0 generates nothing: every comparison case fails with its singular
+    # Cartan matrix as the witness instead of raising, and the triangles hold
+    monkeypatch.setattr(ExtensionDatum, "trace", lambda self, e: self.bottom.zero())
+    cases = run_suite("adjunction").to_json()["cases"]
+    cartan = [c for c in cases if c["id"].startswith("adjunction/cartan/")]
+    assert cartan and all(c["status"] == "fail" for c in cartan)
+    for case in cartan:  # zeros are 0 over F_p and "0" over Q
+        assert {str(x) for row in case["witness"]["matrix"] for x in row} == {"0"}
+    assert all(c["status"] == "pass" for c in cases if c not in cartan)
 
 
 def test_random_complex_varies_and_is_valid():

@@ -95,7 +95,7 @@ MUTANTS = [
         "scharlau_transfer writes only the (a, c) block",
         "transfer.py",
         "scharlau_transfer",
-        "out.setdefault(c * n + i, {})[a * n + j] = x",
+        "linalg.kron(1, block, (n, n), out, (c * n, a * n))",
         "pass",
         FORM_TESTS,
     ),
@@ -142,7 +142,7 @@ MUTANTS = [
     (
         "every row of the trace form reads M(b_0)",
         "transfer.py",
-        "trace_form",
+        "_trace_gram",
         "for m in ext._mult_table()",
         "for m in [ext._mult_table()[0]] * ext.degree",
         FIELD_TESTS,
@@ -226,16 +226,34 @@ MUTANTS = [
     (
         "the split kept on a datum ignores the head",
         "koszul.py",
-        "split_datum",
-        "if head not in k._splits:\n"
-        "        first = KoszulDatum(k.ring, k.section[:head], twist=k.twist)\n"
-        "        k._splits[head] = (first, KoszulDatum(k.ring, k.section[head:]))\n"
-        "    return k._splits[head]",
-        "if None not in k._splits:\n"
-        "        first = KoszulDatum(k.ring, k.section[:head], twist=k.twist)\n"
-        "        k._splits[None] = (first, KoszulDatum(k.ring, k.section[head:]))\n"
-        "    return k._splits[None]",
+        "_split",
+        "if head in k._splits:\n        return k._splits[head]",
+        "if k._splits:\n        return next(iter(k._splits.values()))",
         COMPLEX_TESTS,
+    ),
+    (
+        "kron's identity branch steps its columns by the row count",
+        "linalg.py",
+        "kron",
+        "r, c = (r0 + p * rb, c0 + p * cb)",
+        "r, c = (r0 + p * rb, c0 + p * rb)",
+        COMPLEX_TESTS + ("tests/test_linalg.py",),
+    ),
+    (
+        "the Cartan map is the identity again",
+        "transfer.py",
+        "cartan_isomorphism",
+        "linalg.kron(dim_e, _trace_gram(ext), (n, n), {}, (0, 0))",
+        "linalg.identity(ext.bottom, size)",
+        FIELD_TESTS,
+    ),
+    (
+        "psi with the coordinate index i and the basis index k swapped",
+        "transfer.py",
+        "pushforward_via_cartan",
+        "psi.setdefault(a * n + i, {})[c * n + k] = x",
+        "psi.setdefault(a * n + k, {})[c * n + i] = x",
+        FIELD_TESTS,
     ),
 ]
 
