@@ -9,11 +9,10 @@ scheme everything else derives from is
 
 Duality against a rank-one twist in a fixed degree is Hom into a one-term
 complex, so its signs are instances of the Hom rule, the bidual morphism
-carries (-1)^{|a| |phi|}, shifting negates the differential once per step,
-and dual chain maps are plain (unsigned) precomposition.  The twist never
-enters a matrix, so a complex keeps its dual per twist degree, built on
-first use.  These choices are mutually coherent; the tests pin each one so
-a change anywhere breaks loudly.
+carries (-1)^{|a| |phi|}, and dual chain maps are plain (unsigned)
+precomposition.  The twist never enters a matrix, so a complex keeps its
+dual per twist degree, built on first use.  These choices are mutually
+coherent; the tests pin each one so a change anywhere breaks loudly.
 
 Each matrix of a complex or a chain map is stored once, as a
 :mod:`~wittforge.linalg` sparse matrix ``{row: {col: nonzero entry}}``
@@ -160,12 +159,6 @@ class ChainComplex:
     def rank(self, n):
         return self.terms.get(n, 0)
 
-    def degrees(self):
-        return sorted(self.terms)
-
-    def total_rank(self):
-        return sum(self.terms.values())
-
     def is_zero(self):
         return not self.terms
 
@@ -226,12 +219,6 @@ def unit_complex(ring):
 
 def single(ring, degree, rank=1):
     return ChainComplex(ring, {degree: rank}, {})
-
-
-def two_term(ring, matrix):
-    """[A_1 -> A_0] given by one matrix."""
-    rows, cols = linalg.shape(matrix)
-    return ChainComplex(ring, {1: cols, 0: rows}, {1: matrix})
 
 
 class ChainMap:
@@ -303,10 +290,6 @@ class ChainMap:
     def identity(cls, complex_):
         return cls._trusted(complex_, complex_, _identities(complex_))
 
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target, {})
-
     def compose(self, other):
         """self . other (apply ``other`` first)."""
         if other.target != self.source:
@@ -367,27 +350,8 @@ def scale_map(f, c):
 
 
 # ---------------------------------------------------------------------------
-# shift, tensor, hom
+# tensor, hom
 # ---------------------------------------------------------------------------
-
-
-def direct_sum(a, b):
-    """A + B degreewise, block-diagonal differentials, A's basis first."""
-    _same_ring(a, b)
-    terms = {n: a.rank(n) + b.rank(n) for n in set(a.terms) | set(b.terms)}
-    mats = {}
-    for n in set(a._mats) | set(b._mats):
-        mat = dict(a._mats.get(n, {}))
-        corner = (a.rank(n - 1), a.rank(n))
-        mats[n] = linalg.kron(1, b._mats.get(n, {}), b._shape(n), mat, corner)
-    return ChainComplex._trusted(a.ring, terms, mats)
-
-
-def shift(a, k):
-    """(T^k A)_n = A_{n-k}, differential scaled by (-1)^k."""
-    mats = _negated(a._mats) if k % 2 else a._mats
-    terms = {n + k: r for n, r in a.terms.items()}
-    return ChainComplex._trusted(a.ring, terms, {n + k: m for n, m in mats.items()})
 
 
 def tensor_layout(a, b, n):
@@ -472,11 +436,6 @@ def hom_complex(a, b):
 def left_unitor(a):
     """unit (x) A -> A (identity on entries)."""
     return ChainMap._trusted(tensor(unit_complex(a.ring), a), a, _identities(a))
-
-
-def right_unitor(a):
-    """A (x) unit -> A."""
-    return ChainMap._trusted(tensor(a, unit_complex(a.ring)), a, _identities(a))
 
 
 def associator(a, b, c):
@@ -727,21 +686,6 @@ def cone(f):
     return ChainComplex._trusted(a.ring, terms, mats)
 
 
-def cone_with_maps(f):
-    """The cone plus its canonical triangle maps B -> C(f) -> T(A)."""
-    c = cone(f)
-    a, b = f.source, f.target
-    include = ChainMap._trusted(b, c, _identities(b))
-    one = a.ring.one()
-    proj = {
-        n: {i: {b.rank(n) + i: one} for i in range(a.rank(n - 1))}
-        for n in c.terms
-        if a.rank(n - 1)
-    }
-    project = ChainMap._trusted(c, shift(a, 1), proj)
-    return c, include, project
-
-
 def homology_dims(a):
     """degree -> dim H_n, by exact ranks; the ring must be a field."""
     if not getattr(a.ring, "is_field", False):
@@ -753,14 +697,6 @@ def homology_dims(a):
         if h:
             out[n] = h
     return out
-
-
-def is_quasi_isomorphism(f):
-    return not homology_dims(cone(f))
-
-
-def is_exact(a):
-    return not homology_dims(a)
 
 
 # ---------------------------------------------------------------------------
@@ -893,19 +829,4 @@ def graded_homology_dims(a, degree_bound):
             h = len(basis) - ranks.get(n + 1, 0) - ranks.get(n, 0)
             if h:
                 out[(n, t)] = h
-    return out
-
-
-def graded_piece_dims(a, degree_bound):
-    """(homological degree, internal degree) -> dimension of the graded piece."""
-    grading = infer_grading(a)
-    out = {}
-    if not a.terms:
-        return out
-    min_t = min(grading.values())
-    for t in range(min_t, degree_bound + 1):
-        for n in a.terms:
-            dim = len(_graded_basis(a.ring, grading, a, n, t))
-            if dim:
-                out[(n, t)] = dim
     return out

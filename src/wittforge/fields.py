@@ -995,11 +995,3 @@ def spec_extends(top, bottom):
         if top.kind != "ext":
             return False
         top = top.base
-
-
-def frobenius(x):
-    """The Frobenius power x -> x^p (finite fields)."""
-    if not x.spec.is_finite:
-        raise UnsupportedField("Frobenius needs positive characteristic")
-    return x ** x.spec.char
-

@@ -15,7 +15,9 @@ differential write the same space with components (-1, 1); the two differ
 by a unit change of basis, not in substance.  The flagship check below
 (``x_map`` against ``koszul_form``) is convention-independent either way:
 both sides are built from the same frozen rules through disjoint code
-paths.
+paths.  ``verify``'s theta cases run it together with the laws it rests
+on: the multiplication ``delta_map`` is unital and associative, and the
+tensor-hom adjunction satisfies its triangle identities.
 """
 
 from __future__ import annotations
@@ -357,7 +359,7 @@ def theta_multiplicative(k, head):
 
 
 # ---------------------------------------------------------------------------
-# the trace diagram and the push-forward form
+# the trace diagram and the split certificate
 # ---------------------------------------------------------------------------
 
 
@@ -409,27 +411,6 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
     return TraceDiagram(middle, up, down, certificate)
 
 
-def pushforward_unit_form(k, bound=DEFAULT_BOUND):
-    """The Koszul space as the push-forward of the unit form on the zero locus.
-
-    Requires the regularity certificate from the trace diagram; attaches
-    it, together with the measured graded quasi-isomorphism property of
-    the pairing, as metadata on the returned space.
-    """
-    diagram = trace_diagram(k, bound=bound)
-    space = koszul_form(k)
-    acyclic = not graded_homology_dims(cone(space.form), bound)
-    space.metadata.update(
-        {
-            "pushforward_of": "unit form on the zero locus",
-            "regularity_bound": bound,
-            "socle_dims": diagram.certificate["socle_dims"],
-            "form_graded_quasi_iso": acyclic,
-        }
-    )
-    return space
-
-
 class SplitCertificate:
     """Certified splitting of a Koszul space along its last section entry."""
 
@@ -442,7 +423,6 @@ class SplitCertificate:
         "form_factorizes",
         "cone_factor",
         "cone_matches",
-        "witt_trivial_factor",
     )
 
     def __init__(
@@ -464,9 +444,6 @@ class SplitCertificate:
         self.form_factorizes = form_factorizes
         self.cone_factor = cone_factor
         self.cone_matches = cone_matches
-        # a factor exhibited as the cone of a map of line complexes is
-        # hyperbolic up to homotopy, hence trivial in the Witt group
-        self.witt_trivial_factor = cone_matches
 
     def __bool__(self):
         return self.iso_invertible and self.form_factorizes and self.cone_matches
@@ -482,7 +459,9 @@ class SplitCertificate:
             "iso_invertible": self.iso_invertible,
             "form_factorizes": self.form_factorizes,
             "cone_matches": self.cone_matches,
-            "witt_trivial_factor": self.witt_trivial_factor,
+            # a factor exhibited as the cone of a map of line complexes is
+            # hyperbolic up to homotopy, hence trivial in the Witt group
+            "witt_trivial_factor": self.cone_matches,
         }
 
 

@@ -181,9 +181,6 @@ class MultiPolynomial:
             return degrees.pop()
         return None
 
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), self.ring.field.zero())
-
     def constant_value(self):
         """The field value of a constant polynomial (raises otherwise)."""
         if self.is_zero():
@@ -230,4 +227,3 @@ class MultiPolynomial:
             e = tuple(t["exp"])
             terms[e] = ring.field.element(t["coef"])
         return cls(ring, terms)
-

@@ -207,14 +207,6 @@ def cohomology(q):
     return CohomologyReport(r, m, dims, witnesses)
 
 
-def canonical_twist(r):
-    """The twist of the relative canonical bundle of P^r over a point."""
-    r = int(r)
-    if r < 1:
-        raise BoundsExceeded(f"projective dimension r={r} must be at least 1")
-    return -r - 1
-
-
 def pushforward_phi_r(r, field):
     """Certificate that the half-canonical form on P^r pushes forward to zero.
 

@@ -480,16 +480,6 @@ def _is_local_square(d, p):
     return d % 8 == 1 if p == 2 else _legendre(d, p) == 1
 
 
-def is_isotropic(form):
-    """Does the (nondegenerate) form represent zero nontrivially?"""
-    field, entries = _as_diagonal_entries(form)
-    if field.kind == "Q":
-        return _QInvariants([e.payload for e in entries]).is_isotropic()
-    if field.is_finite:
-        return _finite_isotropy_decision(field, entries)
-    raise UnsupportedField(f"no isotropy decision over {field}")
-
-
 def _finite_isotropy_decision(field, entries):
     n = len(entries)
     if n <= 1:
@@ -809,15 +799,6 @@ def signed_discriminant(x):
         det = det * e
     sign = field.from_int(-1) if (n * (n - 1) // 2) % 2 else field.one()
     return sign * det
-
-
-def signature(x):
-    """(positives, negatives) over Q."""
-    field, entries = _as_diagonal_entries(x)
-    if field.kind != "Q":
-        raise UnsupportedField("signature needs an ordered field")
-    pos = sum(1 for e in entries if e.payload > 0)
-    return pos, len(entries) - pos
 
 
 def witt_equal(a, b):

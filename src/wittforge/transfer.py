@@ -7,7 +7,9 @@ form, the Scharlau transfer on Gram matrices, the unit/counit of the
 restriction / Hom_F(E,-) adjunction with machine-checked triangle
 identities, and a second, independently-computed route to the transfer that
 goes through the duality pairing and the explicit change-of-basis between
-functional spaces.  The module also packages executable checks of the
+functional spaces (the Cartan matrix); ``verify``'s adjunction suite checks
+that the matrix is invertible and that this route equals the Scharlau
+transfer.  The module also packages executable checks of the
 composition, base-change, and projection formulas, each returning a
 :class:`CheckReport` {claim, lhs, rhs, equal, witness}.
 """
@@ -299,24 +301,6 @@ def unit_matrix(ext, actions):
 def counit_matrix(ext, dim_w):
     """Counit phi -> phi(1) on Hom_F(E, F^dim_w) (basis index k*n + i)."""
     return linalg.kron(dim_w, {0: ext._one_coords}, (1, ext.degree), {}, (0, 0))
-
-
-def adjunction_data(ext, dim_e, dim_f):
-    """The unit for V = E^dim_e and the counit for W = F^dim_f, as matrices."""
-    n, field = ext.degree, ext.bottom
-    unit = LinearMapOverF(
-        field,
-        unit_matrix(ext, _actions(ext, ext._mult_table(), dim_e)),
-        _space(f"E^{dim_e} over F", dim_e * n),
-        _space(f"Hom_F(E, E^{dim_e}|_F) over F", dim_e * n * n),
-    )
-    counit = LinearMapOverF(
-        field,
-        counit_matrix(ext, dim_f),
-        _space(f"Hom_F(E, F^{dim_f}) over F", dim_f * n),
-        _space(f"F^{dim_f}", dim_f),
-    )
-    return unit, counit
 
 
 def triangle_identities_check(ext, dim_e, dim_f):

@@ -12,12 +12,21 @@ import random
 import time
 
 from . import linalg
-from .complexes import ChainComplex, DualityDatum, bidual_involution_check
+from .complexes import (
+    ChainComplex,
+    DualityDatum,
+    adjunction_triangle_check,
+    bidual_involution_check,
+    single,
+)
 from .errors import BoundsExceeded, Inconclusive, NotRegularSequence, ParityError
 from .fields import FieldSpec, find_irreducible
 from .koszul import (
     DEFAULT_BOUND,
     KoszulDatum,
+    delta_associative,
+    delta_unital,
+    koszul_complex,
     koszul_form,
     split_factorization,
     theta_multiplicative,
@@ -42,6 +51,7 @@ from .transfer import (
     base_change_check,
     cartan_isomorphism,
     projection_formula_check,
+    pushforward_via_cartan,
     scharlau_transfer,
     trace_form,
     transfer_compose_check,
@@ -243,8 +253,26 @@ def verify_scharlau(seed=0, size=None, bound=None):
     return cases
 
 
+def _route_mismatch(ext):
+    """A witness to the Cartan route and the Scharlau transfer differing on
+    <1> or, above degree 1, on <generator>; None when both agree."""
+    for a in [1] if ext.degree == 1 else [1, ext.top.generator()]:
+        q = QuadraticForm.diagonal(ext.top, [a])
+        via_cartan, scharlau = pushforward_via_cartan(ext, q), scharlau_transfer(ext, q)
+        if via_cartan != scharlau:
+            return {
+                "form": q.to_json(),
+                "via_cartan": via_cartan.to_json(),
+                "scharlau": scharlau.to_json(),
+            }
+    return None
+
+
 def verify_adjunction(seed=0, size=None, bound=None):
-    """Triangle identities and comparison-map invertibility, degree by degree."""
+    """Triangle identities, and comparison-map invertibility followed by the
+    Cartan route against the Scharlau transfer, degree by degree.  The route
+    is compared only once the matrix is invertible, since a degenerate trace
+    form has no Scharlau transfer."""
     cases = []
     bottoms = [(FieldSpec.Fp(p), range(1, 10)) for p in PRIMES]
     bottoms += [(Q, ())]
@@ -267,14 +295,17 @@ def verify_adjunction(seed=0, size=None, bound=None):
             )
         )
         cartan = cartan_isomorphism(ext, 1)
-        invertible = linalg.inverse(ext.bottom, cartan.matrix) is not None
+        if linalg.inverse(ext.bottom, cartan.matrix) is None:
+            witness = {"matrix": cartan.to_json()["matrix"]}
+        else:
+            witness = _route_mismatch(ext)
         cases.append(
             _case(
                 f"adjunction/cartan/{label}",
                 "the comparison map between the two internal-hom descriptions is invertible",
                 {"ext": label, "dim": 1},
-                invertible,
-                witness=None if invertible else {"matrix": cartan.to_json()["matrix"]},
+                witness is None,
+                witness=witness,
             )
         )
     return cases
@@ -378,17 +409,26 @@ def verify_projection(seed=0, size=50, bound=None):
 
 
 def verify_theta(seed=0, size=None, bound=None):
-    """The unit adjunct of the Koszul multiplication against the pairing."""
+    """The unit adjunct of the Koszul multiplication against the pairing,
+    with the laws it is built from: delta is unital, and up to rank 2 it is
+    associative and the tensor-hom adjunction satisfies its triangle
+    identities (at rank 3 the triangle check alone outweighs the suite)."""
     cases = []
     for d in range(1, 5):
         k = coordinate_datum(d)
-        ok = x_map(k) == koszul_form(k).form
+        laws = {"x_map": x_map(k) == koszul_form(k).form, "delta_unital": delta_unital(k)}
+        if d <= 2:
+            kos = koszul_complex(k)
+            laws["delta_associative"] = delta_associative(k)
+            laws["tensor_hom_triangles"] = adjunction_triangle_check(kos, kos, single(k.ring, d))
+        failed = [name for name, ok in laws.items() if not ok]
         cases.append(
             _case(
                 f"theta/xmap-d{d}",
                 "the adjunct of multiplication into the shifted line equals the duality pairing",
                 {"rank": d, "section": "coordinates"},
-                ok,
+                not failed,
+                witness={"failed": failed},
             )
         )
     for d in range(2, 5):

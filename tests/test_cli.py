@@ -504,7 +504,10 @@ def test_verify_json_is_reproducible(capsys):
 
 #: sha256 of the full ``--json verify <suite>`` stdout at the default seed,
 #: each captured from the implementation before the routines it exercises
-#: were rewritten (dense list-of-lists matrices, boxed polynomials, dense Grams)
+#: were rewritten (dense list-of-lists matrices, boxed polynomials, dense Grams).
+#: The adjunction and theta pins also guard the conjuncts added to their cases
+#: later (the Cartan route; the laws of delta and the tensor-hom triangles),
+#: which write nothing on a pass and a witness on a failure.
 VERIFY_DIGESTS = {
     "adjunction": "1dd1f338384659a2d4838b49c5a8989140a3f304ddd4f2691c09cfd9b2a12f8b",
     "scharlau": "de6085c285ba07d414d97ddfc0bdbca20a4f71a23a9f15934b5870c8637d5793",
@@ -512,6 +515,7 @@ VERIFY_DIGESTS = {
     "base-change": "2cc8e7d00d47756fe47ca5c1d6c600fc35076074993f13fbcbdbde22f615b6b7",
     "witt": "ac6c90577de4ee9e2ab97d51536435796a7c41fa5f99aafcc96a0362d7f60ee6",
     "projection": "0ca227d772b92a762e842305a4618b1b55044911c2322f65634fc98d14af5ed8",
+    "theta": "7142dc6883a8be780f4d3c91c8587af26e222ad0288cee59dddd11ba2b311b03",
 }
 
 

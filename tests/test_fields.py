@@ -36,7 +36,6 @@ from wittforge.fields import (
     embed,
     factor_univariate,
     find_irreducible,
-    frobenius,
     is_square,
     rational_roots,
     rational_sqrt,
@@ -183,14 +182,15 @@ def test_frobenius_is_additive_and_multiplicative():
         for _ in range(50):
             a = spec.random_element(rng)
             b = spec.random_element(rng)
-            assert frobenius(a + b) == frobenius(a) + frobenius(b)
-            assert frobenius(a * b) == frobenius(a) * frobenius(b)
+            p = spec.char
+            assert (a + b) ** p == a**p + b**p
+            assert (a * b) ** p == a**p * b**p
 
 
 def test_frobenius_fixes_prime_field():
     for n in range(3):
         x = embed(F3.from_int(n), F9)
-        assert frobenius(x) == x
+        assert x**3 == x
 
 
 def test_embed_tower_is_ring_homomorphism():

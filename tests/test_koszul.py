@@ -38,7 +38,6 @@ from wittforge.koszul import (
     delta_unital,
     koszul_complex,
     koszul_form,
-    pushforward_unit_form,
     sigma_map,
     split_datum,
     split_factorization,
@@ -107,7 +106,7 @@ def test_datum_json_roundtrip():
 def test_length_one_is_the_section_arrow():
     ring = RINGS[1]
     kos = koszul_complex(coordinates(1))
-    assert kos.degrees() == [0, 1]
+    assert sorted(kos.terms) == [0, 1]
     assert kos.diff(1) == [[ring.variable("x")]]
 
 
@@ -388,7 +387,7 @@ def test_split_factorization_length_one_is_a_cone():
     cert = split_factorization(coordinates(1))
     assert cert
     assert cert.split == (1,)
-    assert cert.cone_matches and cert.witt_trivial_factor
+    assert cert.cone_matches
     line = single(ring, 0, 1)
     expected = cone(ChainMap(line, line, {0: [[ring.variable("x")]]}))
     assert cert.cone_factor == expected
@@ -472,7 +471,7 @@ def test_trace_rows_are_the_wedge_with_the_section(case):
 def test_trace_length_one():
     ring = RINGS[1]
     diagram = trace_diagram(coordinates(1))
-    assert diagram.middle.degrees() == [-1, 0]
+    assert sorted(diagram.middle.terms) == [-1, 0]
     assert diagram.middle.diff(0) == [[ring.variable("x")]]
     assert diagram.certificate["socle_dims"] == {-1: 1}
     assert diagram.down.component(-1) == [[ring.one()]]
@@ -620,27 +619,32 @@ def test_koszul_constructions_keep_their_public_form():
 # ---------------------------------------------------------------------------
 
 
+# The Koszul space is the push-forward of the unit form on the zero locus
+# when the section is regular (the trace diagram certifies it) and its form
+# is a graded quasi-isomorphism (the cone of the form is acyclic).
+
+
 def test_pushforward_length_one():
-    space = pushforward_unit_form(coordinates(1))
+    space = koszul_form(coordinates(1))
     assert space.symmetry_sign == 1
-    assert space.metadata["form_graded_quasi_iso"] is True
-    assert space.metadata["regularity_bound"] == 6
+    assert graded_homology_dims(cone(space.form), 6) == {}
 
 
 def test_pushforward_length_two_certificate():
-    space = pushforward_unit_form(coordinates(2), bound=5)
+    k = coordinates(2)
+    space = koszul_form(k)
     assert [space.carrier.rank(i) for i in (0, 1, 2)] == [1, 2, 1]
-    assert space.metadata["socle_dims"] == {-2: 1}
-    assert space.metadata["form_graded_quasi_iso"] is True
+    assert trace_diagram(k, bound=5).certificate["socle_dims"] == {-2: 1}
+    assert graded_homology_dims(cone(space.form), 5) == {}
 
 
 def test_pushforward_requires_regularity():
     ring = RINGS[2]
     x = ring.variable("x")
     with pytest.raises(NotRegularSequence):
-        pushforward_unit_form(KoszulDatum(ring, [x, x]))
+        trace_diagram(KoszulDatum(ring, [x, x]))
 
 
 def test_pushforward_form_cone_checked_gradedwise():
-    space = pushforward_unit_form(coordinates(2))
+    space = koszul_form(coordinates(2))
     assert graded_homology_dims(cone(space.form), 4) == {}

@@ -19,7 +19,6 @@ from wittforge.fields import FieldSpec
 from wittforge.projspace import (
     CohomologyReport,
     ProjLineBundleQuery,
-    canonical_twist,
     closed_formula_dims,
     cohomology,
     pushforward_phi_r,
@@ -138,15 +137,10 @@ def test_field_does_not_change_dimensions():
 # ---------------------------------------------------------------------------
 
 
-def test_canonical_twist_values():
-    assert [canonical_twist(r) for r in (1, 2, 3)] == [-2, -3, -4]
-    with pytest.raises(BoundsExceeded):
-        canonical_twist(0)
-
-
 def test_canonical_twist_has_one_dimensional_top():
+    # the canonical bundle of P^r is O(-r-1)
     for r in (1, 2, 3):
-        assert dims(r, canonical_twist(r))[r] == 1
+        assert dims(r, -r - 1)[r] == 1
 
 
 def test_pushforward_certificates():

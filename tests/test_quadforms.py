@@ -31,9 +31,7 @@ from wittforge.quadforms import (
     diagonalize,
     hilbert_symbol,
     hyperbolic_plane,
-    is_isotropic,
     relevant_places,
-    signature,
     signed_discriminant,
     witt_add,
     witt_decompose,
@@ -237,7 +235,7 @@ def test_quaternary_with_det_five_mod_eight_is_isotropic(entries, vector):
     assert inv.det % 8 == 5 and inv.hasse[2] != hilbert_symbol(-1, -1, Place.finite(2))
     form = QuadraticForm.diagonal(Q, entries)
     assert form.evaluate(vector) == Q.zero()
-    assert is_isotropic(form)
+    assert inv.is_isotropic()
 
 
 def test_witt_equal_over_q_factors_each_entry_once(monkeypatch):
@@ -475,7 +473,7 @@ def test_isotropy_matches_exhaustive_search(field):
     rng = random.Random(31)
     for form in sample_forms(field, rng, 10, max_dim=3):
         found = exhaustive_isotropic_vectors(form)
-        assert is_isotropic(form) == bool(found)
+        assert quadforms._finite_isotropy_decision(field, _diagonal_entries(form)) == bool(found)
         wc = witt_decompose(form)
         assert (wc.hyperbolic > 0) == bool(found)
 
@@ -610,7 +608,8 @@ def test_rational_ternary_isotropy_matches_bounded_search():
     tested = 0
     for a, b, c in coprime_squarefree_triples():
         form = QuadraticForm.diagonal(Q, [a, b, c])
-        assert is_isotropic(form) == ternary_search_oracle(a, b, c), (a, b, c)
+        isotropic = quadforms._QInvariants([a, b, c]).is_isotropic()
+        assert isotropic == ternary_search_oracle(a, b, c), (a, b, c)
         tested += 1
     assert tested >= 50
 
@@ -643,9 +642,10 @@ def test_witt_decompose_rational_random():
         assert wc.anisotropic.dim + 2 * wc.hyperbolic == n
         assert_certificate(form, wc)
         # signature is blind to hyperbolic planes
-        assert signature(form) [0] - signature(form)[1] == (
-            signature(wc.anisotropic)[0] - signature(wc.anisotropic)[1]
-        )
+        def signature(f):
+            return sum(1 if e.payload > 0 else -1 for e in _diagonal_entries(f))
+
+        assert signature(form) == signature(wc.anisotropic)
         again = witt_decompose(wc.anisotropic)
         assert again.hyperbolic == 0
 
@@ -665,7 +665,7 @@ def test_integral_diagonal_forms_over_q(entries, others):
     assert all(
         isinstance(x.payload, (int, Fraction)) for row in wc.certificate.values() for x in row.values()
     )
-    assert is_isotropic(form) == (wc.hyperbolic > 0)
+    assert quadforms._QInvariants(entries).is_isotropic() == (wc.hyperbolic > 0)
     assert witt_equal(form, wc.anisotropic)
     assert witt_equal(form.perp(form.neg()), QuadraticForm(Q, []))
     assert witt_equal(form.perp(other), other.perp(form))
@@ -679,7 +679,7 @@ def test_isotropic_ternary_found_in_any_coefficient_order(entries):
     form = QuadraticForm.diagonal(Q, entries)
     wc = witt_decompose(form)
     assert_certificate(form, wc)
-    assert wc.hyperbolic == 1 and is_isotropic(form)
+    assert wc.hyperbolic == 1 and quadforms._QInvariants(entries).is_isotropic()
 
 
 def test_rational_dense_gram_decomposes():
@@ -700,7 +700,7 @@ def test_definite_forms_are_anisotropic():
     for entries in ([1, 1], [2, 3, 5], [1, 1, 1, 1], [-1, -2, -7]):
         wc = witt_decompose(QuadraticForm.diagonal(Q, entries))
         assert wc.hyperbolic == 0
-        assert not is_isotropic(QuadraticForm.diagonal(Q, entries))
+        assert not quadforms._QInvariants(entries).is_isotropic()
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +791,9 @@ def test_signed_discriminant():
 
 
 def test_signature():
-    assert signature(QuadraticForm.diagonal(Q, [1, 1, 1, 1, -7])) == (4, 1)
-    with pytest.raises(UnsupportedField):
-        signature(QuadraticForm.diagonal(F3, [1]))
+    # the invariants keep positives minus negatives of the square classes
+    assert quadforms._QInvariants([1, 1, 1, 1, -7]).sig == 3
+    assert quadforms._QInvariants([Fraction(-1, 2), 3, Fraction(-5, 7)]).sig == -1
 
 
 # ---------------------------------------------------------------------------

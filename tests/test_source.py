@@ -73,3 +73,41 @@ def test_no_private_imports_from_sibling_modules():
             if alias.name.startswith("_")
         ]
     assert not found, f"private names imported from sibling modules: {found}"
+
+
+def _references(tree):
+    """(enclosing top-level name or None, reference) for every bare name,
+    imported name and ``<name>.<attribute>`` in ``tree``."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.alias):
+                yield owner, node.name
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                yield owner, f"{node.value.id}.{node.attr}"
+
+
+def test_every_top_level_name_is_reached():
+    """Each module-level def or class is referenced outside its own body, by
+    the package (``__init__`` aside) or the benchmark: no name exists only for
+    the tests or the exports."""
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    bench = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in modules + bench
+    }
+    references = {(path, owner, ref) for path, tree in trees.items() for owner, ref in _references(tree)}
+    found = []
+    for path in modules:
+        for top in trees[path].body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = {top.name, f"{path.stem}.{top.name}"}
+                if not any(
+                    ref in names and (where, owner) != (path, top.name)
+                    for where, owner, ref in references
+                ):
+                    found.append(f"{path.stem}.{top.name}")
+    assert not found, f"top-level names no module or benchmark reaches: {found}"

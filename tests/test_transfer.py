@@ -32,10 +32,11 @@ from wittforge.quadforms import (
 from wittforge.transfer import (
     ExtensionDatum,
     LinearMapOverF,
+    _actions,
     _class_summary,
-    adjunction_data,
     base_change_check,
     cartan_isomorphism,
+    counit_matrix,
     projection_formula_check,
     pushforward_via_cartan,
     restrict_form,
@@ -43,6 +44,7 @@ from wittforge.transfer import (
     trace_form,
     transfer_compose_check,
     triangle_identities_check,
+    unit_matrix,
 )
 
 F3 = FieldSpec.Fp(3)
@@ -360,38 +362,41 @@ def test_tautological_pairing_gives_trace_functional():
 
 
 # ---------------------------------------------------------------------------
-# adjunction data
+# adjunction matrices
 # ---------------------------------------------------------------------------
+
+
+def _unit(ext, dim_e):
+    """The unit for V = E^dim_e, as the triangle check builds it."""
+    return unit_matrix(ext, _actions(ext, ext._mult_table(), dim_e))
 
 
 def test_adjunction_trivial_extension_is_identity():
     ext = ExtensionDatum(F3, F3)
-    unit, counit = adjunction_data(ext, 1, 1)
-    assert linalg.sparse(unit.matrix) == linalg.identity(F3, 1)
-    assert linalg.sparse(counit.matrix) == linalg.identity(F3, 1)
+    assert _unit(ext, 1) == linalg.identity(F3, 1)
+    assert counit_matrix(ext, 1) == linalg.identity(F3, 1)
 
 
 def test_counit_picks_coefficient_of_one():
-    _, counit = adjunction_data(D93, 1, 1)
-    assert [[x.to_json() for x in row] for row in counit.matrix] == [[1, 0]]
+    assert counit_matrix(D93, 1) == {0: {0: F3.one()}}
+    assert counit_matrix(D93, 3) == {k: {2 * k: F3.one()} for k in range(3)}
 
 
 def test_adjunction_shapes():
-    unit, counit = adjunction_data(D93, 2, 3)
-    assert unit.domain["dim_over_base"] == 4
-    assert unit.codomain["dim_over_base"] == 8
-    assert counit.domain["dim_over_base"] == 6
-    assert counit.codomain["dim_over_base"] == 3
+    # over F9/F3 the unit of E^2 maps F^4 into F^8 and the counit of F^3
+    # maps F^6 onto F^3; each reaches its last row
+    unit, counit = _unit(D93, 2), counit_matrix(D93, 3)
+    assert linalg.fits(unit, (8, 4)) and not linalg.fits(unit, (7, 4))
+    assert linalg.fits(counit, (3, 6)) and not linalg.fits(counit, (2, 6))
 
 
 def test_linear_map_keeps_its_sparse_matrix():
-    unit, counit = adjunction_data(D93, 2, 3)
-    assert counit._mat == {k: {2 * k: F3.one()} for k in range(3)}
-    assert counit.matrix == linalg.dense(F3, counit._mat, (3, 6))
-    assert counit.to_json()["matrix"] == [[x.to_json() for x in row] for row in counit.matrix]
-    assert linalg.sparse(unit.matrix) == unit._mat
+    c = cartan_isomorphism(D93, 3)
+    assert c.matrix == linalg.dense(F3, c._mat, (6, 6))
+    assert c.to_json()["matrix"] == [[x.to_json() for x in row] for row in c.matrix]
+    assert linalg.sparse(c.matrix) == c._mat
     with pytest.raises(ValueError, match="does not fit the shape"):
-        LinearMapOverF(F3, {3: {0: F3.one()}}, counit.domain, counit.codomain)
+        LinearMapOverF(F3, {6: {0: F3.one()}}, c.domain, c.codomain)
 
 
 def test_triangle_report_pinned():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from wittforge import linalg
+from wittforge import linalg, verify
 from wittforge.errors import NotAField
 from wittforge.fields import FieldSpec, find_irreducible
 from wittforge.transfer import ExtensionDatum
@@ -97,6 +97,40 @@ def test_adjunction_comparison_fails_when_the_basis_traces_vanish(monkeypatch):
     for case in cartan:  # zeros are 0 over F_p and "0" over Q
         assert {str(x) for row in case["witness"]["matrix"] for x in row} == {"0"}
     assert all(c["status"] == "pass" for c in cases if c not in cartan)
+
+
+def test_cartan_case_fails_when_the_route_and_the_transfer_differ(monkeypatch):
+    # a Cartan route that doubles every form disagrees on <1> already: each
+    # cartan case fails with the form and both transfers as its witness
+    route = verify.pushforward_via_cartan
+
+    def doubled(ext, q):
+        return route(ext, q).perp(route(ext, q))
+
+    monkeypatch.setattr(verify, "pushforward_via_cartan", doubled)
+    cases = run_suite("adjunction").to_json()["cases"]
+    cartan = [c for c in cases if c["id"].startswith("adjunction/cartan/")]
+    assert cartan and all(c["status"] == "fail" for c in cartan)
+    for case in cartan:
+        witness = case["witness"]
+        assert sorted(witness) == ["form", "scharlau", "via_cartan"]
+        assert len(witness["form"]["gram"]) == 1
+        assert len(witness["via_cartan"]["gram"]) == 2 * len(witness["scharlau"]["gram"])
+    assert all(c["status"] == "pass" for c in cases if c not in cartan)
+
+
+def test_theta_case_names_the_laws_that_fail(monkeypatch):
+    # the triangle identities are checked at ranks 1 and 2 only; delta's
+    # unitality at every rank
+    monkeypatch.setattr(verify, "adjunction_triangle_check", lambda a, b, c: False)
+    monkeypatch.setattr(verify, "delta_unital", lambda k: k.rank != 4)
+    cases = {c["id"]: c for c in run_suite("theta").to_json()["cases"]}
+    failed = {cid: c["witness"]["failed"] for cid, c in cases.items() if c["status"] != "pass"}
+    assert failed == {
+        "theta/xmap-d1": ["tensor_hom_triangles"],
+        "theta/xmap-d2": ["tensor_hom_triangles"],
+        "theta/xmap-d4": ["delta_unital"],
+    }
 
 
 def test_random_complex_varies_and_is_valid():

@@ -13,7 +13,8 @@ the temporary directory)::
 
     python3 tools/mutants.py
 
-It exits 0 when every mutant is killed, 1 when any survives (they are
+It prints each mutant's outcome and time, then the kills per module.  It
+exits 0 when every mutant is killed, 1 when any survives (they are
 listed), and 2 when the unmutated copy fails or an edit site is missing.
 """
 
@@ -29,6 +30,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIELD_TESTS = ("tests/test_fields.py", "tests/test_transfer.py")
 FORM_TESTS = ("tests/test_quadforms.py", "tests/test_transfer.py")
+#: the field tests with ``test_transfer`` first: under ``-x`` a mutant it
+#: kills stops there, before the slower ``test_fields`` runs
+TRANSFER_FIRST = ("tests/test_transfer.py", "tests/test_fields.py")
 COMPLEX_TESTS = ("tests/test_complexes.py", "tests/test_koszul.py")
 TIMEOUT_S = 300
 
@@ -81,7 +85,9 @@ MUTANTS = [
         "perp",
         "(self._mat, (n, n))",
         "(self._mat, (0, 0))",
-        FORM_TESTS,
+        # test_quadforms catches it only after a hypothesis search and shrink,
+        # over ten times as long as test_transfer takes
+        ("tests/test_transfer.py",),
     ),
     (
         "_trusted (and the constructor) without the symmetry check of _set",
@@ -145,7 +151,7 @@ MUTANTS = [
         "_trace_gram",
         "for m in ext._mult_table()",
         "for m in [ext._mult_table()[0]] * ext.degree",
-        FIELD_TESTS,
+        TRANSFER_FIRST,
     ),
     (
         "the Hom side of the E-linearity check uses the untransposed actions",
@@ -153,7 +159,7 @@ MUTANTS = [
         "triangle_identities_check",
         "_actions(ext, transposed, dim_e * n)",
         "_actions(ext, ext._mult_table(), dim_e * n)",
-        FIELD_TESTS,
+        TRANSFER_FIRST,
     ),
     (
         "the unit uses b_0's action for every l",
@@ -161,7 +167,7 @@ MUTANTS = [
         "unit_matrix",
         "enumerate(actions)",
         "enumerate([actions[0]] * n)",
-        FIELD_TESTS,
+        TRANSFER_FIRST,
     ),
     (
         "tensor_layout advances the offset by ra + rb",
@@ -244,8 +250,8 @@ MUTANTS = [
         "transfer.py",
         "cartan_isomorphism",
         "linalg.kron(dim_e, _trace_gram(ext), (n, n), {}, (0, 0))",
-        "linalg.identity(ext.bottom, size)",
-        FIELD_TESTS,
+        "linalg.identity(ext.bottom, dim_e * n)",
+        TRANSFER_FIRST,
     ),
     (
         "psi with the coordinate index i and the basis index k swapped",
@@ -253,7 +259,23 @@ MUTANTS = [
         "pushforward_via_cartan",
         "psi.setdefault(a * n + i, {})[c * n + k] = x",
         "psi.setdefault(a * n + k, {})[c * n + i] = x",
-        FIELD_TESTS,
+        TRANSFER_FIRST,
+    ),
+    (
+        "the counit reads phi's basis index transposed",
+        "complexes.py",
+        "adjunction_counit",
+        "(off_h + q * rc + u) * rb + q",
+        "(off_h + u * rb + q) * rb + q",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "the associator without the offset of (j, k) inside B (x) C",
+        "complexes.py",
+        "associator",
+        "off_jk + q * r_c",
+        "q * r_c",
+        ("tests/test_cli.py",),
     ),
 ]
 
@@ -307,7 +329,7 @@ def main():
         if run_tests(workdir, sorted({t for *_, tests in MUTANTS for t in tests})) != "passed":
             print("the unmutated copy does not pass its tests", file=sys.stderr)
             return 2
-        survivors = []
+        survivors, kills = [], {}
         for description, module, function, old, new, tests in MUTANTS:
             path = package / module
             original = path.read_text(encoding="utf-8")
@@ -320,10 +342,15 @@ def main():
             outcome = run_tests(workdir, tests)
             path.write_text(original, encoding="utf-8")
             killed = outcome != "passed"
+            tally = kills.setdefault(module, [0, 0])
+            tally[0] += killed
+            tally[1] += 1
             verdict = f"killed ({outcome})" if killed else "SURVIVED"
             print(f"{verdict:18} {time.perf_counter() - start:6.1f} s  {description}")
             if not killed:
                 survivors.append(description)
+        for module, (killed, total) in sorted(kills.items()):
+            print(f"{module:14} {killed}/{total} killed")
         print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed")
         for description in survivors:
             print(f"survivor: {description}")
