@@ -388,8 +388,16 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
     through the internal-degree bound, which must be concentrated in
     degree -d; anything else raises with the offending dimensions.  A bound
     below every internal degree of the other terms checks nothing: it raises.
+    A nonzero constant entry makes R/(s) = 0, so s is not regular (Matsumura,
+    Sec. 16): it raises first, with the constant entries by position as witness.
     """
     ring, d = k.ring, k.rank
+    units = {i: repr(s) for i, s in enumerate(k.section, 1) if s.total_degree() == 0}
+    if units:
+        raise NotRegularSequence(
+            f"section entries that are nonzero constants make R/(s) = 0: {sorted(units.items())}",
+            witness=units,
+        )
     middle, wedge = k._trace_middle_row(bound)
     truncated = ChainComplex._trusted(
         ring, {-i: comb(d, i + 1) for i in range(d)}, {-i: wedge[-i - 1] for i in range(d - 1)}

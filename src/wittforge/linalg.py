@@ -10,7 +10,8 @@ that need one (:func:`identity`, :func:`block_diag`, :func:`kron`,
 layout of a (x) b, placed into a matrix the caller passes.  Dense rows -- lists
 or tuples, zeros included -- appear only at the boundary: :func:`sparse` reads
 them, :func:`dense` and :func:`dense_json` write them, and :func:`rank` and
-:func:`inverse` accept them as rows.
+:func:`inverse` accept them as rows.  The three eliminations, :func:`rank`,
+:func:`inverse` and :func:`congruence`, share one row operation.
 """
 
 from __future__ import annotations
@@ -220,6 +221,51 @@ def _subtract_multiple(row, factor, pivot):
                 del row[j]
             else:
                 row[j] = y
+
+
+def congruence(field, mat, n, with_basis):
+    """Diagonalize the symmetric n x n ``mat`` by congruence: (entries, vectors).
+
+    Pivots are taken in the order of the position list ``order``, so a swap
+    exchanges two labels and no row moves.  Pivot p clears its column from
+    every later row with :func:`_subtract_multiple`: the Schur-complement
+    update, since later rows hold no earlier column.  A zero diagonal is first
+    repaired by e_a <- e_a + e_b (the columns, then the row), which needs 2
+    invertible.  The entries come in pivot order, zeros trailing on a
+    degenerate form.  With ``with_basis``, ``vectors`` is the matrix whose
+    k-th row is the k-th basis vector, P^T for P^T mat P diagonal; else None.
+    """
+    one = field.one()
+    g = {i: dict(mat.get(i, ())) for i in range(n)}
+    vectors = {i: {i: one} for i in range(n)} if with_basis else None
+    order, entries = list(range(n)), []
+    for k in range(n):
+        if order[k] not in g[order[k]]:
+            i = next((i for i in range(k + 1, n) if order[i] in g[order[i]]), None)
+            if i is None:
+                # no later diagonal: pair the first nonzero row a with its first later column b
+                i = next((i for i in range(k, n) if g[order[i]]), None)
+                if i is None:
+                    break  # the remaining block is identically zero
+                a = order[i]
+                b = next(b for b in order[i + 1 :] if b in g[a])
+                for r, x in g[b].items():  # the rows holding column b, by symmetry
+                    _subtract_multiple(g[r], -one, {a: x})
+                _subtract_multiple(g[a], -one, g[b])  # now g[a][a] = 2 g[a][b] != 0
+                if with_basis:
+                    _subtract_multiple(vectors[a], -one, vectors[b])
+            order[k], order[i] = order[i], order[k]
+        p = order[k]
+        entries.append(g[p].pop(p))
+        inv = entries[-1].inverse()
+        for a in order[k + 1 :]:
+            if p in g[a]:
+                factor = g[a].pop(p) * inv
+                _subtract_multiple(g[a], factor, g[p])
+                if with_basis:
+                    _subtract_multiple(vectors[a], factor, vectors[p])
+    entries += [field.zero()] * (n - len(entries))
+    return entries, {k: vectors[p] for k, p in enumerate(order)} if with_basis else None
 
 
 def inverse(field, a):

@@ -1,7 +1,8 @@
 """Quadratic forms, Witt decomposition, and Witt-group arithmetic.
 
 Forms are symmetric Gram matrices over a :class:`~wittforge.fields.FieldSpec`
-of characteristic != 2, stored as :mod:`~wittforge.linalg` sparse matrices.
+of characteristic != 2, stored as :mod:`~wittforge.linalg` sparse matrices
+and diagonalized by :func:`~wittforge.linalg.congruence`.
 The Witt-group machinery is complete over finite fields (exhaustive isotropy
 searches with explicit caps) and over Q (Hasse-Minkowski invariants decide
 isotropy and Witt equality; explicit isotropic vectors come from exact square
@@ -189,97 +190,20 @@ def hyperbolic_plane(field):
 def diagonalize(form):
     """Diagonalize by congruence: returns (entries, basis) with basis^T G basis diagonal.
 
-    ``basis`` is a sparse matrix.  Works over any supported field
-    (characteristic != 2).  When the form is degenerate the trailing entries
-    are zero.  Pivot k clears row and column k with one symmetric
-    Schur-complement update of the trailing block; a zero diagonal is first
-    repaired by e_i <- e_i + e_j, which needs 2 invertible.  Callers that
-    need only the entries use :func:`_diagonal_entries`, which skips the
-    basis and caches them.
+    ``basis`` is a sparse matrix whose columns are the vectors of
+    :func:`linalg.congruence`, over any supported field (characteristic != 2);
+    the trailing entries of a degenerate form are zero.  Callers that need
+    only the entries use :func:`_diagonal_entries`, which skips the basis.
     """
-    n = form.dim
-    basis = [list(row) for row in linalg.dense(form.field, linalg.identity(form.field, n), (n, n))]
-    return _eliminate(form, basis), linalg.sparse(basis)
+    entries, vectors = linalg.congruence(form.field, form._mat, form.dim, True)
+    return entries, linalg.transpose(vectors)
 
 
 def _diagonal_entries(form):
     """The entries of :func:`diagonalize`, computed once per form without a basis."""
     if form._entries is None:
-        form._entries = tuple(_eliminate(form))
+        form._entries = tuple(linalg.congruence(form.field, form._mat, form.dim, False)[0])
     return form._entries
-
-
-def _eliminate(form, basis=None):
-    """Diagonal entries of the form by symmetric Gaussian elimination.
-
-    When ``basis`` (n x n dense rows) is given, every congruence step is also
-    applied to its columns.  At pivot k the rows and columns before k are
-    finished (zero off the diagonal of the congruent matrix) and never read
-    again, so only the trailing block (indices >= k) is updated.  With
-    c_a = -g[k][a] / g[k][k], clearing row and column k adds c_a * g[k][b]
-    to g[a][b] for every pair of nonzero positions a, b of row k, computed
-    once per unordered pair.
-    """
-    n = form.dim
-    g = [list(r) for r in form.gram]
-
-    def add_col(dst, src, k):
-        # e_dst <- e_dst + e_src on the trailing block (column then row)
-        for r in range(k, n):
-            g[r][dst] = g[r][dst] + g[r][src]
-        for c in range(k, n):
-            g[dst][c] = g[dst][c] + g[src][c]
-        if basis is not None:
-            for row in basis:
-                row[dst] = row[dst] + row[src]
-
-    def swap(i, j, k):
-        if i == j:
-            return
-        for r in range(k, n):
-            g[r][i], g[r][j] = g[r][j], g[r][i]
-        g[i], g[j] = g[j], g[i]
-        if basis is not None:
-            for row in basis:
-                row[i], row[j] = row[j], row[i]
-
-    for k in range(n):
-        if g[k][k].is_zero():
-            pivot = next((j for j in range(k + 1, n) if not g[j][j].is_zero()), None)
-            if pivot is not None:
-                swap(k, pivot, k)
-            else:
-                pair = next(
-                    (
-                        (i, j)
-                        for i in range(k, n)
-                        for j in range(i + 1, n)
-                        if not g[i][j].is_zero()
-                    ),
-                    None,
-                )
-                if pair is None:
-                    break  # the remaining block is identically zero
-                i, j = pair
-                add_col(i, j, k)  # now g[i][i] = 2*g[i][j] != 0
-                swap(k, i, k)
-        pivot_row = g[k]
-        support = [j for j in range(k + 1, n) if not pivot_row[j].is_zero()]
-        if not support:
-            continue
-        inv = pivot_row[k].inverse()
-        coeffs = [-(inv * pivot_row[a]) for a in support]
-        for pos, (a, c_a) in enumerate(zip(support, coeffs)):
-            row_a = g[a]
-            for b in support[pos:]:
-                row_a[b] = g[b][a] = row_a[b] + c_a * pivot_row[b]
-        if basis is not None:
-            for row in basis:
-                x = row[k]
-                if not x.is_zero():
-                    for a, c_a in zip(support, coeffs):
-                        row[a] = row[a] + c_a * x
-    return [g[i][i] for i in range(n)]
 
 
 def _check_nondegenerate(form):
@@ -292,18 +216,16 @@ class WittClass:
     """anisotropic part + number of split hyperbolic planes.
 
     ``certificate`` (when produced by :func:`witt_decompose`, which checks it)
-    is a change of basis P, a sparse matrix, with P^T G P = H + ... + H + A,
-    recorded together with the original form.
+    is a change of basis P, a sparse matrix, with P^T G P = H + ... + H + A.
     """
 
-    __slots__ = ("field", "anisotropic", "hyperbolic", "certificate", "source")
+    __slots__ = ("field", "anisotropic", "hyperbolic", "certificate")
 
-    def __init__(self, field, anisotropic, hyperbolic, certificate=None, source=None):
+    def __init__(self, field, anisotropic, hyperbolic, certificate=None):
         self.field = field
         self.anisotropic = anisotropic
         self.hyperbolic = hyperbolic
         self.certificate = certificate
-        self.source = source
 
     @property
     def dim(self):
@@ -666,9 +588,9 @@ def witt_decompose(form):
     form = _as_form(form)
     field = form.field
     if form.dim == 0:
-        return WittClass(field, form, 0, certificate={}, source=form)
+        return WittClass(field, form, 0, certificate={})
     # one diagonalization serves the nondegeneracy check and the first split
-    entries, diag_basis = diagonalize(form)
+    entries, vectors = linalg.congruence(field, form._mat, form.dim, True)
     if form._entries is None:
         form._entries = tuple(entries)
     _check_nondegenerate(form)
@@ -693,7 +615,7 @@ def witt_decompose(form):
         if vec_diag is None:
             break
         # everything below happens inside the current complement's coordinates
-        v = linalg.product(field, linalg.sparse([vec_diag]), linalg.transpose(diag_basis))[0]
+        v = linalg.product(field, linalg.sparse([vec_diag]), vectors)[0]
         u = _hyperbolic_partner(subform, v)
         # the change of basis: rows v, u, then the pair's orthogonal complement
         change = dict(enumerate([v, u] + _orthogonal_complement(field, subform, v, u)))
@@ -704,12 +626,12 @@ def witt_decompose(form):
             break  # nothing left: the form was a sum of hyperbolic planes
         restricted = _restrict_gram(field, form._mat, basis)
         subform = QuadraticForm._trusted(field, restricted, subform.dim - 2)
-        entries, diag_basis = diagonalize(subform)
+        entries, vectors = linalg.congruence(field, subform._mat, subform.dim, True)
 
     hyperbolic = len(cert_rows) // 2
     if basis:
         aniso = QuadraticForm.diagonal(field, entries)
-        aniso_rows = linalg.product(field, linalg.transpose(diag_basis), basis)
+        aniso_rows = linalg.product(field, vectors, basis)
         cert_rows += [aniso_rows[k] for k in range(len(entries))]
     else:
         aniso = QuadraticForm(field, [])
@@ -718,7 +640,7 @@ def witt_decompose(form):
     blocks = [({0: {1: one}, 1: {0: one}}, (2, 2))] * hyperbolic + [(aniso._mat, (aniso.dim,) * 2)]
     if _restrict_gram(field, form._mat, pt) != linalg.block_diag(blocks):
         raise RuntimeError("witt_decompose: the certificate P^T G P is not H + ... + H + A")
-    return WittClass(field, aniso, hyperbolic, certificate=linalg.transpose(pt), source=form)
+    return WittClass(field, aniso, hyperbolic, certificate=linalg.transpose(pt))
 
 
 def _restrict_gram(field, gram, basis_rows):

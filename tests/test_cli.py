@@ -173,6 +173,28 @@ def test_non_regular_section_fails_with_witness(capsys):
     assert payload["witness"]["homology"]  # nonzero homology dimensions listed
 
 
+@pytest.mark.parametrize(
+    "variables, section, constants",
+    [("x", "1", {"1": "1"}), ("x,y", "3,y", {"1": "3"}), ("x", "x^7", None)],
+    ids=["unit", "constant-first", "x^7"],
+)
+def test_constant_section_entry_is_not_regular(capsys, variables, section, constants):
+    # a nonzero constant entry makes R/(s) = 0: refused before any graded
+    # piece is built; x^7 is regular, with R/(x^7) in internal degrees -7..-1
+    argv = ("--vars", variables, "--section", section)
+    code, out, _ = run(capsys, "--json", "koszul", "verify-trace", *argv)
+    payload = json.loads(out)
+    if constants is None:
+        assert code == 0 and payload["status"] == "pass"
+        assert payload["certificate"]["socle_dims"] == {str(-t): 1 for t in range(1, 8)}
+    else:
+        assert code == 1
+        assert payload["error"] == "NotRegularSequence"
+        assert payload["witness"]["homology"] == constants
+    for command in ("build", "form", "verify-xmap", "verify-split"):
+        assert run(capsys, "koszul", command, *argv)[0] == 0
+
+
 def test_out_of_bounds_is_usage(capsys):
     code, _, err = run(capsys, "proj", "cohomology", "--r", "9", "--m", "1")
     assert code == 2

@@ -328,6 +328,95 @@ def test_diagonal_entries_match_diagonalize(field):
     assert seen_degenerate > 0
 
 
+# the dense symmetric elimination that linalg.congruence replaced, kept
+# verbatim as the reference for its pivot choices
+def _eliminate(form, basis=None):
+    """Diagonal entries of the form by symmetric Gaussian elimination.
+
+    When ``basis`` (n x n dense rows) is given, every congruence step is also
+    applied to its columns.  At pivot k the rows and columns before k are
+    finished (zero off the diagonal of the congruent matrix) and never read
+    again, so only the trailing block (indices >= k) is updated.  With
+    c_a = -g[k][a] / g[k][k], clearing row and column k adds c_a * g[k][b]
+    to g[a][b] for every pair of nonzero positions a, b of row k, computed
+    once per unordered pair.
+    """
+    n = form.dim
+    g = [list(r) for r in form.gram]
+
+    def add_col(dst, src, k):
+        # e_dst <- e_dst + e_src on the trailing block (column then row)
+        for r in range(k, n):
+            g[r][dst] = g[r][dst] + g[r][src]
+        for c in range(k, n):
+            g[dst][c] = g[dst][c] + g[src][c]
+        if basis is not None:
+            for row in basis:
+                row[dst] = row[dst] + row[src]
+
+    def swap(i, j, k):
+        if i == j:
+            return
+        for r in range(k, n):
+            g[r][i], g[r][j] = g[r][j], g[r][i]
+        g[i], g[j] = g[j], g[i]
+        if basis is not None:
+            for row in basis:
+                row[i], row[j] = row[j], row[i]
+
+    for k in range(n):
+        if g[k][k].is_zero():
+            pivot = next((j for j in range(k + 1, n) if not g[j][j].is_zero()), None)
+            if pivot is not None:
+                swap(k, pivot, k)
+            else:
+                pair = next(
+                    (
+                        (i, j)
+                        for i in range(k, n)
+                        for j in range(i + 1, n)
+                        if not g[i][j].is_zero()
+                    ),
+                    None,
+                )
+                if pair is None:
+                    break  # the remaining block is identically zero
+                i, j = pair
+                add_col(i, j, k)  # now g[i][i] = 2*g[i][j] != 0
+                swap(k, i, k)
+        pivot_row = g[k]
+        support = [j for j in range(k + 1, n) if not pivot_row[j].is_zero()]
+        if not support:
+            continue
+        inv = pivot_row[k].inverse()
+        coeffs = [-(inv * pivot_row[a]) for a in support]
+        for pos, (a, c_a) in enumerate(zip(support, coeffs)):
+            row_a = g[a]
+            for b in support[pos:]:
+                row_a[b] = g[b][a] = row_a[b] + c_a * pivot_row[b]
+        if basis is not None:
+            for row in basis:
+                x = row[k]
+                if not x.is_zero():
+                    for a, c_a in zip(support, coeffs):
+                        row[a] = row[a] + c_a * x
+    return [g[i][i] for i in range(n)]
+
+
+@pytest.mark.parametrize("field", [F3, F9, Q], ids=str)
+def test_congruence_matches_the_dense_oracle(field):
+    rng = random.Random(2207)
+    for k in range(80):
+        form = random_symmetric(field, rng, rng.randint(0, 7), zero_diagonal=k % 3 == 0)
+        n = form.dim
+        basis = [list(row) for row in linalg.dense(field, linalg.identity(field, n), (n, n))]
+        expected = _eliminate(form, basis)
+        entries, got_basis = diagonalize(form)
+        assert entries == expected
+        assert got_basis == linalg.sparse(basis)
+        assert _diagonal_entries(form) == tuple(_eliminate(form))
+
+
 a9 = F9.generator()
 
 #: diagonalize's (entries, basis) for fixed forms, zero diagonals and

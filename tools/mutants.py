@@ -246,6 +246,33 @@ MUTANTS = [
         COMPLEX_TESTS + ("tests/test_linalg.py",),
     ),
     (
+        "the congruence's zero-diagonal repair updates the row but not the columns",
+        "linalg.py",
+        "congruence",
+        "_subtract_multiple(g[r], -one, {a: x})",
+        "pass",
+        FORM_TESTS,
+    ),
+    (
+        "the congruence's pivot search takes the last later nonzero diagonal",
+        "linalg.py",
+        "congruence",
+        "for i in range(k + 1, n) if",
+        "for i in reversed(range(k + 1, n)) if",
+        FORM_TESTS,
+    ),
+    (
+        # the other branch, y + factor * x, never clears a pivot column, so
+        # extend_pivots would loop until the time limit.  test_linalg kills
+        # this one too, but only after a hypothesis shrink of about 30 s
+        "_subtract_multiple adds factor * x where the row had no entry",
+        "linalg.py",
+        "_subtract_multiple",
+        "row[j] = -(factor * x)",
+        "row[j] = factor * x",
+        FORM_TESTS + ("tests/test_linalg.py",),
+    ),
+    (
         "the Cartan map is the identity again",
         "transfer.py",
         "cartan_isomorphism",
