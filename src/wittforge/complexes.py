@@ -162,10 +162,6 @@ class ChainComplex:
     def is_zero(self):
         return not self.terms
 
-    def diff(self, n):
-        """The matrix A_n -> A_{n-1} as dense rows (zeros when absent)."""
-        return [list(row) for row in self._dense(n)]
-
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
             return NotImplemented
@@ -281,10 +277,6 @@ class ChainMap:
 
     def _shape(self, n):
         return (self.target.rank(n), self.source.rank(n))
-
-    def component(self, n):
-        """The component at degree n as dense rows (zeros when absent)."""
-        return [list(row) for row in self._dense(n)]
 
     @classmethod
     def identity(cls, complex_):

@@ -69,6 +69,12 @@ RX = PolyRing(Q, ("x",))
 RXY = PolyRing(Q, ("x", "y"))
 
 
+def dense_rows(x, n):
+    """A complex's differential, or a chain map's component, at degree n as
+    dense lists (zeros when absent)."""
+    return [list(row) for row in x._dense(n)]
+
+
 def two_term(ring, matrix):
     """[A_1 -> A_0] given by one matrix."""
     rows, cols = linalg.shape(matrix)
@@ -92,7 +98,7 @@ def direct_sum(a, b):
     zero = a.ring.zero()
     diffs = {}
     for n in set(a.diffs) | set(b.diffs):
-        da, db = a.diff(n), b.diff(n)
+        da, db = dense_rows(a, n), dense_rows(b, n)
         top = [row + [zero] * b.rank(n) for row in da]
         bottom = [[zero] * a.rank(n) + row for row in db]
         diffs[n] = top + bottom
@@ -332,9 +338,9 @@ def test_ring_mismatch():
 def test_shift_negates_differential():
     kx = kos1(RX, "x")
     x = RX.variable("x")
-    assert shift(kx, 1).diff(2) == [[-x]]
-    assert shift(kx, 2).diff(3) == [[x]]
-    assert shift(kx, -1).diff(0) == [[-x]]
+    assert dense_rows(shift(kx, 1), 2) == [[-x]]
+    assert dense_rows(shift(kx, 2), 3) == [[x]]
+    assert dense_rows(shift(kx, -1), 0) == [[-x]]
 
 
 def test_shift_agrees_with_tensor_by_shifted_unit():
@@ -360,7 +366,7 @@ def test_tensor_unit_is_identity():
         assert tensor(cx, unit_complex(field)) == cx
         assert l.is_degreewise_invertible()
         for n in cx.terms:
-            assert linalg.sparse(l.component(n)) == linalg.identity(field, cx.rank(n))
+            assert linalg.sparse(dense_rows(l, n)) == linalg.identity(field, cx.rank(n))
 
 
 def test_tensor_two_term_ranks():
@@ -373,12 +379,12 @@ def test_tensor_sign_rule_frozen():
     # [R -x-> R] (x) [R -y-> R]; degree-1 basis is (1 (x) b, a (x) 1)
     x, y = RXY.variable("x"), RXY.variable("y")
     t = tensor(kos1(RXY, "x"), kos1(RXY, "y"))
-    assert t.diff(2) == [[x], [-y]]
-    assert t.diff(1) == [[y, x]]
+    assert dense_rows(t, 2) == [[x], [-y]]
+    assert dense_rows(t, 1) == [[y, x]]
     # tensoring in the other order puts the sign on x
     s = tensor(kos1(RXY, "y"), kos1(RXY, "x"))
-    assert s.diff(2) == [[y], [-x]]
-    assert s.diff(1) == [[x, y]]
+    assert dense_rows(s, 2) == [[y], [-x]]
+    assert dense_rows(s, 1) == [[x, y]]
 
 
 def test_associator_is_invertible_chain_map():
@@ -422,8 +428,8 @@ def test_hom_into_unit_is_signed_transpose():
     for n in list(d.diffs):
         # (df)(a) = -(-1)^{|f|} f(da): the only surviving block
         sign = F5.from_int(1 if n % 2 else -1)
-        expected = linalg.scaled(sign, linalg.transpose(linalg.sparse(cx.diff(1 - n))))
-        assert linalg.sparse(d.diff(n)) == expected
+        expected = linalg.scaled(sign, linalg.transpose(linalg.sparse(dense_rows(cx, 1 - n))))
+        assert linalg.sparse(dense_rows(d, n)) == expected
 
 
 def test_adjunction_triangles_small_frozen():
@@ -475,7 +481,7 @@ def test_bidual_of_point_is_identity():
     datum = DualityDatum(F5)
     a = unit_complex(F5)
     bid = bidual_map(a, datum)
-    assert bid.component(0) == [[F5.one()]]
+    assert dense_rows(bid, 0) == [[F5.one()]]
     assert dualize(dualize(a, datum), datum) == a
 
 
@@ -487,13 +493,13 @@ def test_dual_of_two_term_frozen_signs():
     kx = kos1(RX, "x")
     d = dualize(kx, datum)
     assert d.terms == {0: 1, -1: 1}
-    assert d.diff(0) == [[-x]]
+    assert dense_rows(d, 0) == [[-x]]
     dd = dualize(d, datum)
     assert dd.terms == {0: 1, 1: 1}
-    assert dd.diff(1) == [[-x]]
+    assert dense_rows(dd, 1) == [[-x]]
     bid = bidual_map(kx, datum)
-    assert bid.component(0) == [[RX.one()]]
-    assert bid.component(1) == [[-RX.one()]]
+    assert dense_rows(bid, 0) == [[RX.one()]]
+    assert dense_rows(bid, 1) == [[-RX.one()]]
 
 
 def test_dual_is_kept_per_degree():
@@ -618,7 +624,7 @@ def test_cone_triangle_maps():
     # the composite B -> C(f) -> TA is zero
     comp = proj.compose(inc)
     for n in comp.components:
-        assert all(x.is_zero() for row in comp.component(n) for x in row)
+        assert all(x.is_zero() for row in dense_rows(comp, n) for x in row)
 
 
 def test_quasi_iso_iff_acyclic_cone():

@@ -410,22 +410,78 @@ def test_triangle_report_pinned():
     )
 
 
+def _intertwines_every_basis_element(ext, dim_e):
+    """Oracle: the unit of E^dim_e intertwines the action of every basis
+    element on V and on Hom_F(E, V|_F), two products per basis element."""
+    n, field = ext.degree, ext.bottom
+    table = ext._mult_table()
+    on_v = _actions(ext, table, dim_e)
+    unit_v = unit_matrix(ext, on_v)
+    on_hom = _actions(ext, [linalg.transpose(m) for m in table], dim_e * n)
+    return all(
+        linalg.product(field, unit_v, a) == linalg.product(field, h, unit_v)
+        for a, h in zip(on_v, on_hom)
+    )
+
+
+F3_9 = FieldSpec.extension(F27, find_irreducible(F27, 3))  # degree 9 over F3, through F27
+
+
 @pytest.mark.parametrize(
     "ext",
     [
         D93,
         ExtensionDatum(F27, F3),
         D813,
-        ExtensionDatum(FieldSpec.extension(F27, find_irreducible(F27, 3)), F3),  # degree 9
+        ExtensionDatum(F3_9, F3),
         DS2,
+        ExtensionDatum(QS2, Q, basis=[QS2.element([1, 1]), QS2.element([2, -1])]),
     ],
-    ids=lambda e: f"deg{e.degree}",
+    ids=lambda e: f"deg{e.degree}" + ("-custom" if e._to_custom is not None else ""),
 )
 @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (3, 2)])
 def test_triangle_identities(ext, dims):
     report = triangle_identities_check(ext, *dims)
     assert report
     assert report.witness["unit_E_linear"]
+    assert _intertwines_every_basis_element(ext, dims[0])
+
+
+@pytest.mark.parametrize(
+    "top", [F27, F81, F3_9], ids=lambda top: f"deg{top.absolute_degree()}"
+)
+def test_unit_reading_b2_as_b1_is_not_E_linear(top):
+    # b_2 is x^2, no generator, over F27/F3 and the degree-9 tower through
+    # F27, and the top generator y of F81/F9/F3: either way the check must
+    # see the corrupted action
+    ext = ExtensionDatum(top, F3)
+    ext._mult_table()
+    ext._table[2] = ext._table[1]
+    report = triangle_identities_check(ext, 1, 1)
+    assert not report.witness["unit_E_linear"] and not report
+    assert not _intertwines_every_basis_element(ext, 1)
+
+
+@pytest.mark.parametrize(
+    "top, steps",
+    [(FieldSpec.extension(F3, find_irreducible(F3, 9)), 1), (F81, 2), (F3_9, 2)],
+    ids=["F3^9/F3", "F81/F9/F3", "F27^3/F27/F3"],
+)
+def test_triangle_check_makes_two_module_products_per_tower_step(monkeypatch, top, steps):
+    # the products whose left factor has more than n rows are the unit-side
+    # and Hom-side products of the E-linearity check; with one per basis
+    # element there were 2n of them
+    ext = ExtensionDatum(top, F3)
+    n, product, large = ext.degree, linalg.product, []
+
+    def counting(ring, a, b):
+        if len(a) > n:
+            large.append(len(a))
+        return product(ring, a, b)
+
+    monkeypatch.setattr(linalg, "product", counting)
+    assert triangle_identities_check(ext, 1, 1)
+    assert len(large) == 2 * steps
 
 
 # ---------------------------------------------------------------------------

@@ -156,9 +156,28 @@ MUTANTS = [
     (
         "the Hom side of the E-linearity check uses the untransposed actions",
         "transfer.py",
+        "_unit_is_E_linear",
+        "linalg.kron(dim_e * n, a_t, (n, n), {}, (0, 0))",
+        "linalg.kron(dim_e * n, a, (n, n), {}, (0, 0))",
+        TRANSFER_FIRST,
+    ),
+    (
+        # b_2 is no tower generator of a one-step extension
+        "b_2 acts like b_1 in the triangle check's unit",
+        "transfer.py",
         "triangle_identities_check",
-        "_actions(ext, transposed, dim_e * n)",
-        "_actions(ext, ext._mult_table(), dim_e * n)",
+        "_actions(ext, table, dim_e)",
+        "_actions(ext, [table[1] if l == 2 else m for l, m in enumerate(table)], dim_e)",
+        TRANSFER_FIRST,
+    ),
+    (
+        # on a two-step tower the words in the top generator miss E: the span
+        # sub-check fails
+        "only the top step's generator is checked",
+        "transfer.py",
+        "_unit_is_E_linear",
+        "spec = spec.base",
+        "spec = ext.bottom",
         TRANSFER_FIRST,
     ),
     (
