@@ -10,9 +10,13 @@ scheme everything else derives from is
 Duality against a rank-one twist in a fixed degree is Hom into a one-term
 complex, so its signs are instances of the Hom rule, the bidual morphism
 carries (-1)^{|a| |phi|}, and dual chain maps are plain (unsigned)
-precomposition.  The twist never enters a matrix, so a complex keeps its
-dual per twist degree, built on first use.  These choices are mutually
-coherent; the tests pin each one so a change anywhere breaks loudly.
+precomposition.  These choices are mutually coherent; the tests pin each one
+so a change anywhere breaks loudly.
+
+A complex is immutable, so what is derived from it is built once, d . d check
+included, and kept in its one ``_memo``: its grading, its dual per twist degree
+(the twist never enters a matrix), and ``tensor(a, b)`` and ``hom_complex(a, b)``
+per second factor, kept on the first factor ``a``.
 
 Each matrix of a complex or a chain map is stored once, as a
 :mod:`~wittforge.linalg` sparse matrix ``{row: {col: nonzero entry}}``
@@ -25,6 +29,7 @@ from it on access.  Constructions pass the sparse matrices they build to
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import wraps
 from operator import add
 
 from . import linalg
@@ -87,7 +92,7 @@ class ChainComplex:
     Zero differentials are absent from ``diffs`` and ``_mats``.
     """
 
-    __slots__ = ("ring", "terms", "_mats", "_grading", "_duals")
+    __slots__ = ("ring", "terms", "_mats", "_memo")
 
     def __init__(self, ring, terms, diffs):
         self.ring = ring
@@ -137,8 +142,7 @@ class ChainComplex:
             if mat:  # canonical form: zero differentials are absent
                 clean[n] = mat
         self._mats = clean
-        self._grading = None
-        self._duals = {}
+        self._memo = {}
         for n, mat in clean.items():
             if n - 1 in clean and linalg.product(self.ring, clean[n - 1], mat):
                 raise NotAChainComplex(f"d_{n-1} . d_{n} != 0")
@@ -208,13 +212,9 @@ def element_from_ring_json(ring, obj):
     return ring.element(obj)
 
 
-def unit_complex(ring):
-    """The tensor unit: the ring itself in degree 0."""
-    return ChainComplex(ring, {0: 1}, {})
-
-
-def single(ring, degree, rank=1):
-    return ChainComplex(ring, {degree: rank}, {})
+def single(ring, degree):
+    """The ring itself in one degree; in degree 0 it is the tensor unit."""
+    return ChainComplex(ring, {degree: 1}, {})
 
 
 class ChainMap:
@@ -346,6 +346,23 @@ def scale_map(f, c):
 # ---------------------------------------------------------------------------
 
 
+def _kept_on_first(build):
+    """``build(a, b)``, kept in ``a._memo`` per operation and second factor.
+
+    ``b`` is stored with its result, so its id is not reused while the entry
+    lives; ``tensor(a, a)`` stores ``None`` instead, which would be a cycle.
+    """
+
+    @wraps(build)
+    def kept(a, b):
+        key = (build, id(b))
+        if key not in a._memo:
+            a._memo[key] = (None if b is a else b, build(a, b))
+        return a._memo[key][1]
+
+    return kept
+
+
 def tensor_layout(a, b, n):
     """Summands of (A (x) B)_n in basis order: (i, j) -> (offset, rank_a, rank_b)."""
     out = {}
@@ -358,6 +375,7 @@ def tensor_layout(a, b, n):
     return out
 
 
+@_kept_on_first
 def tensor(a, b):
     """A (x) B with the Koszul sign rule; basis (a_p (x) b_q), p major."""
     _same_ring(a, b)
@@ -396,6 +414,7 @@ def hom_layout(a, b, n):
     return out
 
 
+@_kept_on_first
 def hom_complex(a, b):
     """Hom(A, B) with (df)(x) = d(f(x)) - (-1)^{|f|} f(dx)."""
     _same_ring(a, b)
@@ -427,7 +446,7 @@ def hom_complex(a, b):
 
 def left_unitor(a):
     """unit (x) A -> A (identity on entries)."""
-    return ChainMap._trusted(tensor(unit_complex(a.ring), a), a, _identities(a))
+    return ChainMap._trusted(tensor(single(a.ring, 0), a), a, _identities(a))
 
 
 def associator(a, b, c):
@@ -477,17 +496,14 @@ def tensor_map(f, g):
     return ChainMap._trusted(src, dst, mats)
 
 
-def hom_post(b, g, src=None, dst=None):
+def hom_post(b, g):
     """Hom(B, g): post-composition with a degree-0 chain map, sign-free.
 
-    ``src``/``dst`` accept the already-built Hom complexes so callers that
-    hold them (the Koszul pairings do) skip rebuilding rank-thousands
-    complexes.
+    Its source and target are kept on ``b``, the first factor, as every product
+    and dual is: ``x_map``'s unit and post-composition share Hom(B, B (x) B).
     """
-    if src is None:
-        src = hom_complex(b, g.source)
-    if dst is None:
-        dst = hom_complex(b, g.target)
+    src = hom_complex(b, g.source)
+    dst = hom_complex(b, g.target)
     mats = {}
     for n in src.terms:
         mats[n] = mat = {}
@@ -499,12 +515,10 @@ def hom_post(b, g, src=None, dst=None):
     return ChainMap._trusted(src, dst, mats)
 
 
-def adjunction_unit(a, b, t=None, h=None):
+def adjunction_unit(a, b):
     """The unit of (- (x) B) -| Hom(B, -): a -> (b -> a (x) b)."""
-    if t is None:
-        t = tensor(a, b)
-    if h is None:
-        h = hom_complex(b, t)
+    t = tensor(a, b)
+    h = hom_complex(b, t)
     one = a.ring.one()
     mats = {}
     for i, ra in a.terms.items():
@@ -546,12 +560,10 @@ def adjunction_triangle_check(a, b, c):
     T1: counit_{A(x)B} . (unit_A (x) id_B) = id_{A(x)B}
     T2: Hom(B, counit_C) . unit_{Hom(B,C)} = id_{Hom(B,C)}
     """
-    t = tensor(a, b)
-    first = adjunction_counit(b, t).compose(
+    first = adjunction_counit(b, tensor(a, b)).compose(
         tensor_map(adjunction_unit(a, b), ChainMap.identity(b))
     )
-    h = hom_complex(b, c)
-    second = hom_post(b, adjunction_counit(b, c)).compose(adjunction_unit(h, b))
+    second = hom_post(b, adjunction_counit(b, c)).compose(adjunction_unit(hom_complex(b, c), b))
     return first.is_identity() and second.is_identity()
 
 
@@ -590,9 +602,10 @@ def dualize(a, datum):
     """D_K(A) = Hom(A, K): ranks flip around the twist degree, signed transposes.
     Kept on ``a`` per degree, the one part of the datum a matrix sees."""
     _same_ring(a, datum)
-    if datum.degree not in a._duals:
-        a._duals[datum.degree] = hom_complex(a, single(a.ring, datum.degree))
-    return a._duals[datum.degree]
+    key = ("dual", datum.degree)
+    if key not in a._memo:
+        a._memo[key] = hom_complex(a, single(a.ring, datum.degree))
+    return a._memo[key]
 
 
 def dualize_map(f, datum):
@@ -642,8 +655,7 @@ def duality_interchange(a, b, da, db):
     dual_a, dual_b = dualize(a, da), dualize(b, db)
     src = tensor(dual_a, dual_b)
     datum = combine_duality(da, db)
-    t = tensor(a, b)
-    dst = dualize(t, datum)
+    dst = dualize(tensor(a, b), datum)
     signs = ({0: {0: a.ring.one()}}, {0: {0: -a.ring.one()}})
     mats = {}
     for n in src.terms:
@@ -705,8 +717,8 @@ def infer_grading(a):
     homological degree 0 anchors).  The grading is inferred on first use and
     kept on the complex; callers must not modify the returned dict.
     """
-    if a._grading is not None:
-        return a._grading
+    if "grading" in a._memo:
+        return a._memo["grading"]
     if not isinstance(a.ring, PolyRing):
         raise NotHomogeneous("graded pieces need a polynomial ring")
     edges = {}  # (n, u) -> list of ((n-1, v), entry degree)
@@ -746,7 +758,7 @@ def infer_grading(a):
                 else:
                     grading[neigh] = expected
                     queue.append(neigh)
-    a._grading = grading
+    a._memo["grading"] = grading
     return grading
 
 

@@ -42,7 +42,6 @@ from .complexes import (
     duality_interchange,
     element_from_ring_json,
     graded_homology_dims,
-    hom_complex,
     hom_post,
     infer_grading,
     left_unitor,
@@ -52,7 +51,6 @@ from .complexes import (
     tensor,
     tensor_layout,
     tensor_map,
-    unit_complex,
 )
 from .errors import BoundsExceeded, NotAChainMap, NotRegularSequence
 
@@ -233,12 +231,10 @@ def koszul_form(k):
     return SymmetricSpace(kos, datum, form)
 
 
-def delta_map(k, t=None):
+def delta_map(k):
     """Exterior multiplication Kos (x) Kos -> Kos with merge signs."""
     ring, d = k.ring, k.rank
     kos = koszul_complex(k)
-    if t is None:
-        t = tensor(kos, kos)
     mats = {}
     for n in kos.terms:
         mat = defaultdict(dict)
@@ -251,17 +247,17 @@ def delta_map(k, t=None):
                         merged = tuple(sorted(left + right))
                         mat[rows[merged]][off + p * rb + q] = ring.from_int(sign)
         mats[n] = mat
-    return ChainMap._trusted(t, kos, mats)
+    return ChainMap._trusted(tensor(kos, kos), kos, mats)
 
 
 def sigma_map(k):
     """Projection onto the top exterior power: the identity in degree d."""
-    return ChainMap(koszul_complex(k), single(k.ring, k.rank, 1), {k.rank: [[k.ring.one()]]})
+    return ChainMap(koszul_complex(k), single(k.ring, k.rank), {k.rank: [[k.ring.one()]]})
 
 
 def unit_inclusion(k):
     """The ring into degree 0 of the Koszul complex; the unit for delta."""
-    return ChainMap(unit_complex(k.ring), koszul_complex(k), {0: [[k.ring.one()]]})
+    return ChainMap(single(k.ring, 0), koszul_complex(k), {0: [[k.ring.one()]]})
 
 
 def delta_unital(k):
@@ -290,12 +286,7 @@ def x_map(k):
     the two are compared matrix-exactly.
     """
     kos = koszul_complex(k)
-    t = tensor(kos, kos)
-    h = hom_complex(kos, t)
-    unit = adjunction_unit(kos, kos, t=t, h=h)
-    collapse = sigma_map(k).compose(delta_map(k, t=t))
-    dual = dualize(kos, k.duality())
-    return hom_post(kos, collapse, src=h, dst=dual).compose(unit)
+    return hom_post(kos, sigma_map(k).compose(delta_map(k))).compose(adjunction_unit(kos, kos))
 
 
 def split_datum(k, head):
@@ -325,7 +316,6 @@ def _split(k, head):
     kos = koszul_complex(k)
     a = koszul_complex(first)
     b = koszul_complex(second)
-    t = tensor(a, b)
     one = ring.one()
     mats = {}
     for n in kos.terms:
@@ -339,7 +329,7 @@ def _split(k, head):
             q = _subset_index(d - head, len(high))[high]
             mat[off + p * rb + q] = {u: one}
         mats[n] = mat
-    k._splits[head] = (first, second, ChainMap._trusted(kos, t, mats))
+    k._splits[head] = (first, second, ChainMap._trusted(kos, tensor(a, b), mats))
     return k._splits[head]
 
 
@@ -402,8 +392,8 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
     truncated = ChainComplex._trusted(
         ring, {-i: comb(d, i + 1) for i in range(d)}, {-i: wedge[-i - 1] for i in range(d - 1)}
     )
-    up = ChainMap(unit_complex(ring), truncated, {0: [[s] for s in k.section]})
-    down = ChainMap(single(ring, -d, 1), middle, {-d: [[ring.one()]]})
+    up = ChainMap(single(ring, 0), truncated, {0: [[s] for s in k.section]})
+    down = ChainMap(single(ring, -d), middle, {-d: [[ring.one()]]})
     homology = graded_homology_dims(middle, bound)
     stray = {key: v for key, v in homology.items() if key[0] != -d}
     if stray:
@@ -484,7 +474,7 @@ def split_factorization(k):
     """
     ring, d = k.ring, k.rank
     kos = koszul_complex(k)
-    line = single(ring, 0, 1)
+    line = single(ring, 0)
     cone_factor = cone(ChainMap(line, line, {0: [[k.section[-1]]]}))
     if d == 1:
         iso = inverse = ChainMap.identity(kos)

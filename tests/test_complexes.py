@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from wittforge import linalg
+from wittforge import complexes, linalg
 from wittforge.complexes import (
     RANK_CAP,
     ChainComplex,
@@ -47,7 +47,6 @@ from wittforge.complexes import (
     tensor,
     tensor_layout,
     tensor_map,
-    unit_complex,
 )
 from wittforge.errors import (
     BoundsExceeded,
@@ -320,8 +319,8 @@ def test_chain_map_identity_and_compose():
 
 
 def test_ring_mismatch():
-    a = unit_complex(F5)
-    b = unit_complex(Q)
+    a = single(F5, 0)
+    b = single(Q, 0)
     with pytest.raises(RingMismatch):
         tensor(a, b)
     with pytest.raises(RingMismatch):
@@ -349,7 +348,7 @@ def test_shift_agrees_with_tensor_by_shifted_unit():
     rng = random.Random(17)
     for _ in range(5):
         cx, _ = split_complex(F5, rng, lo=0, hi=2)
-        assert tensor(single(F5, 1, 1), cx) == shift(cx, 1)
+        assert tensor(single(F5, 1), cx) == shift(cx, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +361,8 @@ def test_tensor_unit_is_identity():
     for field in (F5, Q):
         cx, _ = split_complex(field, rng, lo=-1, hi=2)
         l = left_unitor(cx)
-        assert l.source == tensor(unit_complex(field), cx)
-        assert tensor(cx, unit_complex(field)) == cx
+        assert l.source == tensor(single(field, 0), cx)
+        assert tensor(cx, single(field, 0)) == cx
         assert l.is_degreewise_invertible()
         for n in cx.terms:
             assert linalg.sparse(dense_rows(l, n)) == linalg.identity(field, cx.rank(n))
@@ -416,13 +415,13 @@ def test_associator_polynomial_ring():
 def test_hom_from_unit_is_identity():
     rng = random.Random(23)
     cx, _ = split_complex(F5, rng, lo=-1, hi=2)
-    assert hom_complex(unit_complex(F5), cx) == cx
+    assert hom_complex(single(F5, 0), cx) == cx
 
 
 def test_hom_into_unit_is_signed_transpose():
     rng = random.Random(29)
     cx, _ = split_complex(F5, rng, lo=0, hi=3)
-    d = hom_complex(cx, unit_complex(F5))
+    d = hom_complex(cx, single(F5, 0))
     for n in cx.terms:
         assert d.rank(-n) == cx.rank(n)
     for n in list(d.diffs):
@@ -435,7 +434,7 @@ def test_hom_into_unit_is_signed_transpose():
 def test_adjunction_triangles_small_frozen():
     a = kos1(RX, "x")
     b = two_term(RX, [[RX.variable("x") * RX.variable("x")]])
-    c = single(RX, 0, 1)
+    c = single(RX, 0)
     assert adjunction_triangle_check(a, b, c)
 
 
@@ -465,6 +464,65 @@ def test_adjunction_unit_counit_are_chain_maps():
 
 
 # ---------------------------------------------------------------------------
+# products and duals kept on the first factor
+# ---------------------------------------------------------------------------
+
+
+def test_tensor_and_hom_are_kept_on_the_first_factor():
+    a, b = kos1(RXY, "x"), kos1(RXY, "y")
+    assert tensor(a, b) is tensor(a, b)
+    assert hom_complex(a, b) is hom_complex(a, b)
+    assert tensor(b, a) is not tensor(a, b)
+
+
+def test_an_equal_but_distinct_second_factor_gets_a_fresh_product():
+    a, b = kos1(RXY, "x"), kos1(RXY, "y")
+    b2 = kos1(RXY, "y")
+    assert b2 == b and b2 is not b
+    for op in (tensor, hom_complex):
+        first = op(a, b)
+        second = op(a, b2)
+        assert second is not first and second == first
+
+
+def test_tensor_and_hom_never_share_an_entry():
+    a, b = kos1(RXY, "x"), kos1(RXY, "y")
+    fresh_a, fresh_b = kos1(RXY, "x"), kos1(RXY, "y")
+    assert hom_complex(fresh_a, fresh_b) != tensor(fresh_a, fresh_b)
+    assert tensor(a, b) == tensor(fresh_a, fresh_b)
+    assert hom_complex(a, b) == hom_complex(fresh_a, fresh_b)
+    assert tensor(b, a) == tensor(fresh_b, fresh_a)
+    # dualize keeps its dual in the same memo, by degree
+    datum = DualityDatum(RXY, degree=0)
+    assert dualize(a, datum) == hom_complex(fresh_a, single(RXY, 0))
+
+
+def test_instrumented_tensor_and_hom_keep_their_own_entries(monkeypatch):
+    # two wrappers of one name around the two operations: the memo key is the
+    # operation itself, not a name, so the triangle check still composes
+    def instrumented(build):
+        def counted(a, b):
+            return build(a, b)
+
+        return counted
+
+    for name in ("tensor", "hom_complex"):
+        monkeypatch.setattr(complexes, name, instrumented(getattr(complexes, name)))
+    rng = random.Random(53)
+    a, _ = split_complex(F7, rng, lo=0, hi=2, max_h=1, max_e=1)
+    b, _ = split_complex(F7, rng, lo=0, hi=1, max_h=1, max_e=1)
+    assert adjunction_triangle_check(a, b, single(F7, 1))
+
+
+def test_a_square_does_not_keep_its_factor():
+    # tensor(a, a) lives in a's own memo: storing a there would be a cycle
+    a = kos1(RXY, "x")
+    square = tensor(a, a)
+    assert tensor(a, a) is square
+    assert not any(part is a for entry in a._memo.values() for part in entry)
+
+
+# ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
 
@@ -479,7 +537,7 @@ def test_duality_datum_requires_unit():
 
 def test_bidual_of_point_is_identity():
     datum = DualityDatum(F5)
-    a = unit_complex(F5)
+    a = single(F5, 0)
     bid = bidual_map(a, datum)
     assert dense_rows(bid, 0) == [[F5.one()]]
     assert dualize(dualize(a, datum), datum) == a
@@ -599,7 +657,7 @@ def test_koszul_as_iterated_cone():
     # complex as its cone, and multiplication by y on that cone rebuilds the
     # two-variable tensor, matrices and signs included
     x = RXY.variable("x")
-    unit = unit_complex(RXY)
+    unit = single(RXY, 0)
     kx = cone(ChainMap(unit, unit, {0: [[x]]}))
     assert kx == kos1(RXY, "x")
     y = RXY.variable("y")
@@ -747,7 +805,7 @@ def test_graded_euler_characteristic_conserved():
 
 def test_graded_needs_polynomial_ring():
     with pytest.raises(NotHomogeneous):
-        infer_grading(unit_complex(F5))
+        infer_grading(single(F5, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +880,7 @@ def test_layouts_tile_each_term():
     # the ranks of its two factors, and the summands fill the term exactly
     a, b, kx, ky, f = _construction_inputs()
     over_f7 = (a, b, single(F7, 1))
-    over_rxy = (kx, ky, tensor(kx, ky), f.target, unit_complex(RXY))
+    over_rxy = (kx, ky, tensor(kx, ky), f.target, single(RXY, 0))
     pairs = [(s, t) for group in (over_f7, over_rxy) for s in group for t in group]
     for s, t in pairs:
         for layout, built in ((tensor_layout, tensor(s, t)), (hom_layout, hom_complex(s, t))):

@@ -20,13 +20,13 @@ from wittforge import complexes, koszul, linalg
 from wittforge.cli import parse_poly
 from wittforge.complexes import (
     ChainMap,
+    adjunction_triangle_check,
     cone,
     duality_interchange,
     graded_homology_dims,
     single,
     tensor,
     tensor_layout,
-    unit_complex,
 )
 from wittforge.errors import BoundsExceeded, NotAChainMap, NotRegularSequence
 from wittforge.fields import FieldSpec
@@ -250,21 +250,36 @@ def test_one_split_per_datum_and_head():
     assert split_iso(k, 1).target == tensor(koszul_complex(first), koszul_complex(second))
 
 
+def record_products(monkeypatch, name):
+    """Every (a, b, result) of ``complexes.<name>`` from here on.  A construction
+    is a memo miss, which returns a complex not returned before; the list keeps
+    each one alive, so distinct ids count constructions."""
+    calls = []
+    build = getattr(complexes, name)
+
+    def recorded(a, b):
+        calls.append((a, b, build(a, b)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(complexes, name, recorded)
+    if hasattr(koszul, name):
+        monkeypatch.setattr(koszul, name, recorded)
+    return calls
+
+
+def built(calls):
+    return len({id(result) for *_, result in calls})
+
+
 def test_theta_split_builds_each_dual_once(monkeypatch):
-    # the duals and biduals of the three Koszul complexes, and the duals of
-    # the two tensor products of the factors; 23 when every dualize built one
-    built = []
-    hom = complexes.hom_complex
-
-    def counted(a, b):
-        built.append(a)
-        return hom(a, b)
-
-    monkeypatch.setattr(complexes, "hom_complex", counted)
-    monkeypatch.setattr(koszul, "hom_complex", counted)
+    # tensor: Kos_head (x) Kos_tail and the tensor of their duals, 5 when
+    # duality_interchange and tensor_map rebuilt them; hom: the duals and
+    # biduals of the three Koszul complexes and the dual of Kos_head (x)
+    # Kos_tail, 8 when the interchange and the dual of the iso each built one
+    tensors = record_products(monkeypatch, "tensor")
+    homs = record_products(monkeypatch, "hom_complex")
     assert theta_multiplicative(coordinates(4), 1)
-    assert len(built) == 8
-    assert len({id(a) for a in built}) == 8
+    assert (built(tensors), built(homs)) == (2, 7)
 
 
 def test_split_factorization_builds_one_complex_per_datum(monkeypatch):
@@ -285,25 +300,52 @@ def test_split_factorization_builds_one_complex_per_datum(monkeypatch):
 
 def test_split_factorization_builds_its_iso_once(monkeypatch):
     # the iso is kept with its split, so the certificate and the theta check
-    # share it: 5 tensor complexes where rebuilding the iso made 6
-    tensors, isos = [], []
-    build_tensor, build_iso = complexes.tensor, koszul.split_iso
-
-    def counted_tensor(a, b):
-        tensors.append((a, b))
-        return build_tensor(a, b)
+    # share it, and its target is the one Kos_head (x) Kos_tail: 2 tensor and
+    # 7 hom complexes built, where 5 and 8 were built before products were kept
+    tensors = record_products(monkeypatch, "tensor")
+    homs = record_products(monkeypatch, "hom_complex")
+    isos = []
+    build_iso = koszul.split_iso
 
     def counted_iso(k, head):
         isos.append(build_iso(k, head))
         return isos[-1]
 
-    monkeypatch.setattr(complexes, "tensor", counted_tensor)
-    monkeypatch.setattr(koszul, "tensor", counted_tensor)
     monkeypatch.setattr(koszul, "split_iso", counted_iso)
     cert = split_factorization(coordinates(3))
     assert cert
-    assert len(tensors) == 5
+    assert (built(tensors), built(homs)) == (2, 7)
     assert len(isos) == 2 and isos[0] is isos[1] is cert.iso
+
+
+def test_triangle_check_builds_each_complex_once(monkeypatch):
+    # tensor: Kos (x) Kos and Hom(Kos, X) (x) Kos for X = Kos (x) Kos and the
+    # line; hom: Hom(Kos, -) of Kos (x) Kos, of the line and of
+    # Hom(Kos, line) (x) Kos: 3 and 3, where 7 and 7 were built before
+    k = coordinates(2)
+    kos = koszul_complex(k)
+    tensors = record_products(monkeypatch, "tensor")
+    homs = record_products(monkeypatch, "hom_complex")
+    assert adjunction_triangle_check(kos, kos, single(k.ring, 2))
+    assert (built(tensors), built(homs)) == (3, 3)
+
+
+def test_delta_associative_builds_each_tensor_once(monkeypatch):
+    # Kos (x) Kos and the two triple products: 3, where 9 were built before
+    tensors = record_products(monkeypatch, "tensor")
+    assert delta_associative(coordinates(2))
+    assert built(tensors) == 3
+
+
+def test_x_map_builds_its_hom_once(monkeypatch):
+    # the unit and the post-composition share Hom(Kos, Kos (x) Kos), and a
+    # second x_map of the same datum reuses it
+    k = coordinates(3)
+    kos = koszul_complex(k)
+    homs = record_products(monkeypatch, "hom_complex")
+    assert x_map(k) == x_map(k) == koszul_form(k).form
+    square = complexes.tensor(kos, kos)
+    assert built([call for call in homs if call[1] is square]) == 1
 
 
 def test_sigma_delta_top_pairing_matches_form():
@@ -390,7 +432,7 @@ def test_split_factorization_length_one_is_a_cone():
     assert cert
     assert cert.split == (1,)
     assert cert.cone_matches
-    line = single(ring, 0, 1)
+    line = single(ring, 0)
     expected = cone(ChainMap(line, line, {0: [[ring.variable("x")]]}))
     assert cert.cone_factor == expected
 
@@ -490,7 +532,7 @@ def test_trace_length_two_passes():
 def test_trace_up_map_is_the_section():
     ring = RINGS[3]
     diagram = trace_diagram(coordinates(3))
-    assert diagram.up.source == unit_complex(ring)
+    assert diagram.up.source == single(ring, 0)
     assert dense_rows(diagram.up, 0) == [[ring.variable(v)] for v in ("x", "y", "z")]
 
 

@@ -232,12 +232,24 @@ MUTANTS = [
         "the dual kept on a complex ignores the degree",
         "complexes.py",
         "dualize",
-        "if datum.degree not in a._duals:\n"
-        "        a._duals[datum.degree] = hom_complex(a, single(a.ring, datum.degree))\n"
-        "    return a._duals[datum.degree]",
-        "if None not in a._duals:\n"
-        "        a._duals[None] = hom_complex(a, single(a.ring, datum.degree))\n"
-        "    return a._duals[None]",
+        "key = ('dual', datum.degree)",
+        "key = ('dual', None)",
+        COMPLEX_TESTS,
+    ),
+    (
+        "the memo key of a product without the second factor",
+        "complexes.py",
+        "_kept_on_first",
+        "key = (build, id(b))",
+        "key = (build,)",
+        COMPLEX_TESTS,
+    ),
+    (
+        "the memo key of a product without the operation",
+        "complexes.py",
+        "_kept_on_first",
+        "key = (build, id(b))",
+        "key = id(b)",
         COMPLEX_TESTS,
     ),
     (
@@ -322,6 +334,22 @@ MUTANTS = [
         "off_jk + q * r_c",
         "q * r_c",
         ("tests/test_cli.py",),
+    ),
+    (
+        "a refuted claim (NotRegularSequence, ParityError, Inconclusive) exits 0",
+        "cli.py",
+        "main",
+        "return EXIT_FAIL",
+        "return EXIT_PASS",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "the closed formula for h^0 off by one",
+        "projspace.py",
+        "closed_formula_dims",
+        "comb(m + r, r)",
+        "comb(m + r - 1, r)",
+        ("tests/test_projspace.py",),
     ),
 ]
 
