@@ -9,158 +9,3 @@ Cech computations.  Everything is exact (no floats) and every theorem-level
 statement is re-verified at runtime as a matrix identity or an invariant
 comparison of Witt classes.
 """
-
-from .errors import (
-    BoundsExceeded,
-    DegenerateForm,
-    DegenerateTraceForm,
-    FactorizationUnsupported,
-    FieldMismatch,
-    GradingInconsistent,
-    Inconclusive,
-    NotAChainComplex,
-    NotAChainMap,
-    NotAField,
-    NotHomogeneous,
-    NotRegularSequence,
-    ParityError,
-    RingMismatch,
-    UnsupportedCharacteristic,
-    UnsupportedField,
-    WittforgeError,
-)
-from .complexes import (
-    ChainComplex,
-    ChainMap,
-    DualityDatum,
-    bidual_map,
-    cone,
-    dualize,
-    graded_homology_dims,
-    hom_complex,
-    homology_dims,
-    tensor,
-)
-from .fields import FieldElement, FieldSpec, embed, factor_univariate
-from .koszul import (
-    KoszulDatum,
-    SymmetricSpace,
-    delta_map,
-    koszul_complex,
-    koszul_form,
-    sigma_map,
-    split_factorization,
-    theta_multiplicative,
-    trace_diagram,
-    x_map,
-)
-from .polynomials import MultiPolynomial, PolyRing
-from .projspace import (
-    CohomologyReport,
-    ProjLineBundleQuery,
-    cohomology,
-    pushforward_phi_r,
-)
-from .transfer import (
-    CheckReport,
-    ExtensionDatum,
-    base_change_check,
-    projection_formula_check,
-    pushforward_via_cartan,
-    restrict_form,
-    scharlau_transfer,
-    trace_form,
-    transfer_compose_check,
-)
-from .quadforms import (
-    Place,
-    QuadraticForm,
-    WittClass,
-    diagonalize,
-    hilbert_symbol,
-    hyperbolic_plane,
-    signed_discriminant,
-    witt_add,
-    witt_decompose,
-    witt_equal,
-    witt_mul,
-    witt_neg,
-    witt_zero,
-)
-from .verify import VerificationReport, random_complex, run_all, run_suite
-
-__all__ = [
-    "FieldSpec",
-    "FieldElement",
-    "MultiPolynomial",
-    "PolyRing",
-    "embed",
-    "factor_univariate",
-    "Place",
-    "QuadraticForm",
-    "WittClass",
-    "diagonalize",
-    "hilbert_symbol",
-    "hyperbolic_plane",
-    "signed_discriminant",
-    "witt_add",
-    "witt_decompose",
-    "witt_equal",
-    "witt_mul",
-    "witt_neg",
-    "witt_zero",
-    "VerificationReport",
-    "random_complex",
-    "run_all",
-    "run_suite",
-    "ExtensionDatum",
-    "CheckReport",
-    "trace_form",
-    "scharlau_transfer",
-    "pushforward_via_cartan",
-    "restrict_form",
-    "transfer_compose_check",
-    "base_change_check",
-    "projection_formula_check",
-    "ChainComplex",
-    "ChainMap",
-    "DualityDatum",
-    "bidual_map",
-    "cone",
-    "dualize",
-    "graded_homology_dims",
-    "hom_complex",
-    "homology_dims",
-    "tensor",
-    "KoszulDatum",
-    "SymmetricSpace",
-    "koszul_complex",
-    "koszul_form",
-    "delta_map",
-    "sigma_map",
-    "x_map",
-    "theta_multiplicative",
-    "trace_diagram",
-    "split_factorization",
-    "ProjLineBundleQuery",
-    "CohomologyReport",
-    "cohomology",
-    "pushforward_phi_r",
-    "WittforgeError",
-    "BoundsExceeded",
-    "DegenerateForm",
-    "DegenerateTraceForm",
-    "FactorizationUnsupported",
-    "FieldMismatch",
-    "GradingInconsistent",
-    "Inconclusive",
-    "NotAChainComplex",
-    "NotAChainMap",
-    "NotAField",
-    "NotHomogeneous",
-    "NotRegularSequence",
-    "ParityError",
-    "RingMismatch",
-    "UnsupportedCharacteristic",
-    "UnsupportedField",
-]

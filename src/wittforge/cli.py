@@ -722,15 +722,9 @@ def main(argv=None):
 
 
 def _witness_of(err):
-    witness = getattr(err, "witness", None)
-    if witness is None:
-        return {"detail": str(err)}
-    return {
-        "detail": str(err),
-        "homology": {str(k): v for k, v in sorted(witness.items())}
-        if isinstance(witness, dict)
-        else witness,
-    }
+    if isinstance(err, NotRegularSequence):
+        return {"detail": str(err), **err.witness_json()}
+    return {"detail": str(err)}
 
 
 if __name__ == "__main__":

@@ -14,16 +14,17 @@ precomposition.  These choices are mutually coherent; the tests pin each one
 so a change anywhere breaks loudly.
 
 A complex is immutable, so what is derived from it is built once, d . d check
-included, and kept in its one ``_memo``: its grading, its dual per twist degree
-(the twist never enters a matrix), and ``tensor(a, b)`` and ``hom_complex(a, b)``
-per second factor, kept on the first factor ``a``.
+included, and kept in its one ``_memo``: its grading, the one-term line its
+duals map into per twist degree (the twist never enters a matrix), and
+``tensor(a, b)`` and ``hom_complex(a, b)`` per second factor, kept on the
+first factor ``a``; the dual is the Hom into that line.
 
 Each matrix of a complex or a chain map is stored once, as a
 :mod:`~wittforge.linalg` sparse matrix ``{row: {col: nonzero entry}}``
 (``_mats``) that every check, equality test and construction reads.  The
-public dense tuples (``diffs``, ``components``) are read-only views derived
-from it on access.  Constructions pass the sparse matrices they build to
-``_trusted``, which skips entry coercion only.
+dense tuples of ``diffs`` are a read-only view derived from it on access.
+Constructions pass the sparse matrices they build to ``_trusted``, which
+skips entry coercion only.
 """
 
 from __future__ import annotations
@@ -267,14 +268,6 @@ class ChainMap:
             if left != right:
                 raise NotAChainMap(f"does not commute with d at degree {n}")
 
-    @property
-    def components(self):
-        """degree n -> each given component as dense row tuples, zeros included."""
-        return {n: self._dense(n) for n in self._degrees}
-
-    def _dense(self, n):
-        return linalg.dense(self.source.ring, self._mats.get(n, {}), self._shape(n))
-
     def _shape(self, n):
         return (self.target.rank(n), self.source.rank(n))
 
@@ -304,19 +297,6 @@ class ChainMap:
 
     def is_identity(self):
         return self.source == self.target and self._mats == _identities(self.source)
-
-    def is_degreewise_invertible(self):
-        """Over a field: every component is a square invertible matrix."""
-        if not getattr(self.source.ring, "is_field", False):
-            raise NotAField("degreewise invertibility test needs a field ring")
-        for n in set(self.source.terms) | set(self.target.terms):
-            if self.source.rank(n) != self.target.rank(n):
-                return False
-            mat = self._mats.get(n, {})
-            rows = [mat.get(i, {}) for i in range(self.source.rank(n))]
-            if linalg.inverse(self.source.ring, rows) is None:
-                return False
-        return True
 
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
@@ -598,14 +578,20 @@ def _is_unit(ring, x):
     return x.total_degree() == 0  # nonzero constants over the coefficient field
 
 
+def dual_line(a, degree):
+    """The one-term complex in ``degree`` that the duals of ``a`` map into,
+    kept on ``a`` so every Hom from ``a`` into it is one memo entry."""
+    key = ("line", degree)
+    if key not in a._memo:
+        a._memo[key] = single(a.ring, degree)
+    return a._memo[key]
+
+
 def dualize(a, datum):
     """D_K(A) = Hom(A, K): ranks flip around the twist degree, signed transposes.
-    Kept on ``a`` per degree, the one part of the datum a matrix sees."""
+    Only the degree of the datum enters a matrix."""
     _same_ring(a, datum)
-    key = ("dual", datum.degree)
-    if key not in a._memo:
-        a._memo[key] = hom_complex(a, single(a.ring, datum.degree))
-    return a._memo[key]
+    return hom_complex(a, dual_line(a, datum.degree))
 
 
 def dualize_map(f, datum):

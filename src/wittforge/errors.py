@@ -67,11 +67,18 @@ class NotAChainMap(WittforgeError):
 
 
 class NotRegularSequence(WittforgeError):
-    """A section is not regular; carries a nonzero-homology witness."""
+    """A section is not regular.  ``witness`` is a dict, filed in JSON under
+    ``key``: ``homology`` for graded homology away from the socle degree,
+    ``constant_entries`` for section entries that are nonzero constants."""
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness, key):
         super().__init__(message)
         self.witness = witness
+        self.key = key
+
+    def witness_json(self):
+        """The witness under its key, each of its keys written as a string."""
+        return {self.key: {str(k): v for k, v in sorted(self.witness.items())}}
 
 
 class ParityError(WittforgeError):

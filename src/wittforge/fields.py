@@ -282,16 +282,15 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj):
+        """The field of :meth:`to_json`.  JSON cannot vouch for a modulus:
+        every extension is checked as :meth:`extension` checks it."""
         kind = obj["kind"]
         if kind == "Q":
             return cls.Q()
         if kind == "Fp":
             return cls.Fp(obj["p"])
         if kind == "ext":
-            base = cls.from_json(obj["base"])
-            return cls.extension(
-                base, obj["modulus"], assume_irreducible=obj.get("irreducible", False)
-            )
+            return cls.extension(cls.from_json(obj["base"]), obj["modulus"])
         raise ValueError(f"unknown field kind {kind!r}")
 
 

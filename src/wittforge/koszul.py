@@ -37,15 +37,14 @@ from .complexes import (
     bidual_map,
     combine_duality,
     cone,
+    dual_line,
     dualize,
     dualize_map,
     duality_interchange,
-    element_from_ring_json,
     graded_homology_dims,
     hom_post,
     infer_grading,
     left_unitor,
-    ring_from_json,
     scale_map,
     single,
     tensor,
@@ -111,15 +110,6 @@ class KoszulDatum:
             "section": [s.to_json() for s in self.section],
             "twist": self.twist.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        ring = ring_from_json(obj["ring"])
-        section = [element_from_ring_json(ring, s) for s in obj["section"]]
-        twist = (
-            element_from_ring_json(ring, obj["twist"]) if "twist" in obj else None
-        )
-        return cls(ring, section, twist=twist)
 
 
 def _unit_inverse(ring, x):
@@ -251,8 +241,10 @@ def delta_map(k):
 
 
 def sigma_map(k):
-    """Projection onto the top exterior power: the identity in degree d."""
-    return ChainMap(koszul_complex(k), single(k.ring, k.rank), {k.rank: [[k.ring.one()]]})
+    """Projection onto the top exterior power: the identity in degree d, into
+    the line the duals of the Koszul complex map into."""
+    kos = koszul_complex(k)
+    return ChainMap(kos, dual_line(kos, k.rank), {k.rank: [[k.ring.one()]]})
 
 
 def unit_inclusion(k):
@@ -387,6 +379,7 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
         raise NotRegularSequence(
             f"section entries that are nonzero constants make R/(s) = 0: {sorted(units.items())}",
             witness=units,
+            key="constant_entries",
         )
     middle, wedge = k._trace_middle_row(bound)
     truncated = ChainComplex._trusted(
@@ -400,6 +393,7 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
         raise NotRegularSequence(
             f"graded homology away from degree {-d}: {sorted(stray.items())}",
             witness=stray,
+            key="homology",
         )
     certificate = {
         "bound": bound,

@@ -20,7 +20,6 @@ from math import comb
 
 from . import linalg
 from .errors import BoundsExceeded, ParityError, WittforgeError
-from .fields import FieldSpec
 
 #: dimension cap: monomial enumeration is exponential in r
 MAX_R = 6
@@ -48,10 +47,6 @@ class ProjLineBundleQuery:
 
     def to_json(self):
         return {"r": self.r, "m": self.m, "field": self.field.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["r"], obj["m"], FieldSpec.from_json(obj["field"]))
 
 
 class CohomologyReport:

@@ -26,7 +26,7 @@ import sympy
 
 from . import linalg
 from .errors import DegenerateForm, FieldMismatch, Inconclusive, UnsupportedField
-from .fields import FieldSpec, is_square, rational_sqrt, sqrt
+from .fields import is_square, rational_sqrt, sqrt
 
 #: cap on brute-force vector searches over Q (number of evaluations)
 SEARCH_CAP = 2 * 10**6
@@ -78,8 +78,8 @@ class QuadraticForm:
     """A symmetric bilinear form given by its Gram matrix.
 
     Forms are immutable.  The Gram matrix is stored once, as a
-    :mod:`~wittforge.linalg` sparse matrix (``_mat``); ``gram`` is a dense
-    view derived on access.  The constructor coerces dense rows, and
+    :mod:`~wittforge.linalg` sparse matrix (``_mat``); ``to_json`` writes
+    it as dense rows.  The constructor coerces dense rows, and
     constructions pass their sparse matrices to ``_trusted``, which skips
     coercion only.  The diagonal entries of a congruence diagonalization
     (:func:`diagonalize`) are computed on first use and kept in the private
@@ -117,11 +117,6 @@ class QuadraticForm:
         mat = {i: {i: e} for i, e in enumerate(entries) if not e.is_zero()}
         return cls._trusted(field, mat, len(entries))
 
-    @property
-    def gram(self):
-        """The Gram matrix as dense row tuples, zeros included."""
-        return linalg.dense(self.field, self._mat, (self.dim, self.dim))
-
     def is_degenerate(self):
         """Whether the form has a radical: a zero entry of its diagonalization."""
         return any(e.is_zero() for e in _diagonal_entries(self))
@@ -150,16 +145,6 @@ class QuadraticForm:
     def neg(self):
         return self.scale(self.field.from_int(-1))
 
-    def evaluate(self, vector):
-        """q(v) = v^T G v."""
-        return self.bilinear(vector, vector)
-
-    def bilinear(self, u, v):
-        u = [self.field.element(x) for x in u]
-        v = [self.field.element(x) for x in v]
-        terms = (u[i] * g * v[j] for i, row in self._mat.items() for j, g in row.items())
-        return sum(terms, self.field.zero())
-
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
             return NotImplemented
@@ -176,11 +161,6 @@ class QuadraticForm:
             "field": self.field.to_json(),
             "gram": linalg.dense_json(self.field, self._mat, (self.dim, self.dim)),
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        field = FieldSpec.from_json(obj["field"])
-        return cls(field, obj["gram"])
 
 
 def hyperbolic_plane(field):
@@ -242,11 +222,6 @@ class WittClass:
 
     def to_json(self):
         return {"anisotropic": self.anisotropic.to_json(), "hyperbolic": self.hyperbolic}
-
-    @classmethod
-    def from_json(cls, obj):
-        aniso = QuadraticForm.from_json(obj["anisotropic"])
-        return cls(aniso.field, aniso, obj["hyperbolic"])
 
 
 def _as_form(x):

@@ -91,12 +91,6 @@ class ExtensionDatum:
         row = linalg.product(self.bottom, linalg.sparse([coords]), self._to_custom)
         return list(linalg.dense(self.bottom, row, (1, self.degree))[0])
 
-    def from_coordinates(self, coords):
-        x = self.top.zero()
-        for c, b in zip(coords, self.basis):
-            x = x + embed(self.bottom.element(c), self.top) * b
-        return x
-
     def mult_matrix(self, e):
         """Matrix of multiplication by e on E as an F-space (columns = images)."""
         return linalg.transpose(linalg.sparse([self.coordinates(e * b) for b in self.basis]))
@@ -141,13 +135,6 @@ class ExtensionDatum:
             "bottom": self.bottom.to_json(),
             "basis": [b.to_json() for b in self.basis],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        top = FieldSpec.from_json(obj["top"])
-        bottom = FieldSpec.from_json(obj["bottom"])
-        basis = [top.element(b) for b in obj["basis"]] if "basis" in obj else None
-        return cls(top, bottom, basis=basis)
 
 
 def _flattened_basis(top, bottom):

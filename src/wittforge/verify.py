@@ -4,7 +4,10 @@ Each suite runs a list of named cases.  A case records the law it checks
 in plain language, the inputs it ran on, a status, and — whenever the
 status is not ``pass`` — a witness a reader can replay.  All randomized
 sweeps draw from a caller-supplied seed, and case ids are stable, so a
-report is reproducible byte for byte in JSON mode.
+report is reproducible byte for byte in JSON mode.  A law that raises a
+package error fails its suite as one ``<suite>/raised`` case, with the
+error's type and message as the witness; only ``BoundsExceeded`` ends the
+run as a refused request.
 """
 
 import inspect
@@ -17,9 +20,9 @@ from .complexes import (
     DualityDatum,
     adjunction_triangle_check,
     bidual_involution_check,
-    single,
+    dual_line,
 )
-from .errors import BoundsExceeded, Inconclusive, NotRegularSequence, ParityError
+from .errors import BoundsExceeded, Inconclusive, NotRegularSequence, ParityError, WittforgeError
 from .fields import FieldSpec, find_irreducible
 from .koszul import (
     DEFAULT_BOUND,
@@ -420,7 +423,7 @@ def verify_theta(seed=0, size=None, bound=None):
         if d <= 2:
             kos = koszul_complex(k)
             laws["delta_associative"] = delta_associative(k)
-            laws["tensor_hom_triangles"] = adjunction_triangle_check(kos, kos, single(k.ring, d))
+            laws["tensor_hom_triangles"] = adjunction_triangle_check(kos, kos, dual_line(kos, d))
         failed = [name for name, ok in laws.items() if not ok]
         cases.append(
             _case(
@@ -461,7 +464,7 @@ def verify_trace(seed=0, size=None, bound=DEFAULT_BOUND):
             ok = diagram.certificate["socle_degree"] == -d
             witness = None if ok else diagram.certificate
         except NotRegularSequence as err:
-            ok, witness = False, {"error": str(err), "homology": _jsonable(err.witness)}
+            ok, witness = False, {"error": str(err), **err.witness_json()}
         cases.append(
             _case(
                 f"trace/exact-d{d}",
@@ -699,16 +702,6 @@ def verify_bidual(seed=0, size=100, bound=None):
     return cases
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
@@ -771,6 +764,19 @@ def run_suite(name, seed=0, size=None, bound=None):
                 "the suite could not decide within its bounds",
                 {"suite": name},
                 {"error": str(err)},
+            )
+        ]
+    except BoundsExceeded:
+        raise
+    except WittforgeError as err:
+        # a law that raises is a failed claim of this suite, not bad input
+        cases = [
+            _case(
+                f"{name}/raised",
+                "every law of the suite reaches a verdict",
+                {"suite": name},
+                False,
+                witness={"error": type(err).__name__, "detail": str(err)},
             )
         ]
     return VerificationReport(name, cases, wall_time=time.perf_counter() - start)

@@ -190,7 +190,8 @@ def test_constant_section_entry_is_not_regular(capsys, variables, section, const
     else:
         assert code == 1
         assert payload["error"] == "NotRegularSequence"
-        assert payload["witness"]["homology"] == constants
+        assert payload["witness"]["constant_entries"] == constants
+        assert "homology" not in payload["witness"]
     for command in ("build", "form", "verify-xmap", "verify-split"):
         assert run(capsys, "koszul", command, *argv)[0] == 0
 
@@ -377,6 +378,47 @@ def test_malformed_complex_is_one_line_usage(capsys, tmp_path, text, message):
     assert code == 2 and not out
     assert err.startswith("usage error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+F3_JSON = {"kind": "Fp", "p": 3}
+#: F3[x]/(x^2 - 1), whose 1 + x is a zero divisor
+REDUCIBLE_JSON = {"kind": "ext", "base": F3_JSON, "modulus": [2, 0, 1]}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # JSON cannot vouch for a modulus: the key is not read, so the
+        # modulus is tested and refused before 1 + x is ever inverted
+        {"ring": {**REDUCIBLE_JSON, "irreducible": True}, "terms": {"0": 1, "1": 1}, "diffs": {"1": [[[1, 1]]]}},
+        {"ring": REDUCIBLE_JSON, "terms": {"0": 1, "1": 1}, "diffs": {"1": [[[1, 1]]]}},
+        # x^4 + 2 is irreducible, but over Q only degrees up to 3 are decided
+        {"ring": {"kind": "ext", "base": {"kind": "Q"}, "modulus": [2, 0, 0, 0, 1]}, "terms": {"0": 1}},
+        {"ring": {"kind": "Fp", "p": 2}, "terms": {"0": 1}},
+        {"ring": {"kind": "Fp", "p": 9}, "terms": {"0": 1}},
+        {"ring": {"kind": "Fp"}, "terms": {"0": 1}},
+        {"ring": F3_JSON},
+        {"ring": F3_JSON, "terms": {"0": 1, "1": 1}, "diffs": {"1": [1]}},
+        {"ring": F3_JSON, "terms": {"0": 1, "1": 1}, "diffs": [[[1]]]},
+    ],
+    ids=[
+        "vouched-reducible",
+        "reducible",
+        "Q-degree-4",
+        "p-2",
+        "p-9",
+        "no-p",
+        "no-terms",
+        "row-not-list",
+        "diffs-list",
+    ],
+)
+def test_near_miss_complex_json_is_one_line_exit_2(capsys, tmp_path, obj):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "complex", "homology", "--a", f"@{path}")
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_form_file_input(capsys, tmp_path):

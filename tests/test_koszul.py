@@ -16,7 +16,7 @@ from math import comb
 
 import pytest
 
-from wittforge import complexes, koszul, linalg
+from wittforge import complexes, koszul, linalg, verify
 from wittforge.cli import parse_poly
 from wittforge.complexes import (
     ChainMap,
@@ -88,16 +88,6 @@ def test_twist_defaults_to_one():
     k = coordinates(2)
     assert k.twist == RINGS[2].one()
     assert k.duality().degree == 2
-
-
-def test_datum_json_roundtrip():
-    ring = RINGS[2]
-    x, y = ring.variable("x"), ring.variable("y")
-    k = KoszulDatum(ring, [x + y, x * y - y], twist=ring.constant(Q.element(3)))
-    back = KoszulDatum.from_json(k.to_json())
-    assert back.ring == ring
-    assert back.section == k.section
-    assert back.twist == k.twist
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +338,16 @@ def test_x_map_builds_its_hom_once(monkeypatch):
     assert built([call for call in homs if call[1] is square]) == 1
 
 
+def test_theta_suite_builds_each_hom_once(monkeypatch):
+    # sigma_map's target, the triangle check's third factor and the line a
+    # dual maps into are the one line kept on Kos per degree, so Hom(Kos, line)
+    # is built once: 50 hom complexes, where 56 were built with a fresh line each
+    tensors = record_products(monkeypatch, "tensor")
+    homs = record_products(monkeypatch, "hom_complex")
+    assert verify.run_suite("theta", seed=42).passed
+    assert (built(tensors), built(homs)) == (32, 50)
+
+
 def test_sigma_delta_top_pairing_matches_form():
     # in the top degree, multiply-then-project reads off the same signed
     # complement pairing the form is built from
@@ -389,7 +389,7 @@ def test_adjoint_comparison_survives_other_sections():
 def test_split_iso_is_permutation():
     k = coordinates(3)
     iso = split_iso(k, 2)
-    for n in iso.components:
+    for n in iso.source.terms:
         mat = dense_rows(iso, n)
         for col in range(len(mat[0])):
             entries = [mat[row][col] for row in range(len(mat))]
@@ -418,7 +418,7 @@ def test_interchange_is_signed_permutation():
     kos = koszul_complex(k1)
     datum = k1.duality()
     lam = duality_interchange(kos, kos, datum, datum)
-    for n in lam.components:
+    for n in lam.source.terms:
         mat = dense_rows(lam, n)
         for col in range(len(mat[0])):
             entries = [e for row in mat for e in [row[col]] if not e.is_zero()]

@@ -56,12 +56,6 @@ def test_report_rejects_intermediate_cohomology():
         CohomologyReport(2, 0, (1, 1, 0), {})
 
 
-def test_query_json_roundtrip():
-    q = ProjLineBundleQuery(3, -5, F7)
-    back = ProjLineBundleQuery.from_json(q.to_json())
-    assert (back.r, back.m, back.field) == (3, -5, F7)
-
-
 # ---------------------------------------------------------------------------
 # pinned values
 # ---------------------------------------------------------------------------

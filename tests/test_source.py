@@ -89,16 +89,29 @@ def _references(tree):
                 yield owner, f"{node.value.id}.{node.attr}"
 
 
-def test_every_top_level_name_is_reached():
-    """Each module-level def or class is referenced outside its own body, by
-    the package (``__init__`` aside) or the benchmark: no name exists only for
-    the tests or the exports."""
+def _reaching_trees():
+    """(package modules other than ``__init__``, {path: tree} for them and the
+    benchmark): the code whose references count as reaching a name."""
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     bench = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in modules + bench
     }
+    return modules, trees
+
+
+def test_package_root_is_its_docstring():
+    """The package root exports nothing: every name is imported from its module."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert len(tree.body) == 1 and ast.get_docstring(tree), "__init__.py holds more than its docstring"
+
+
+def test_every_top_level_name_is_reached():
+    """Each module-level def or class is referenced outside its own body, by
+    the package (``__init__`` aside) or the benchmark: no name exists only for
+    the tests or the exports."""
+    modules, trees = _reaching_trees()
     references = {(path, owner, ref) for path, tree in trees.items() for owner, ref in _references(tree)}
     found = []
     for path in modules:
@@ -111,3 +124,34 @@ def test_every_top_level_name_is_reached():
                 ):
                     found.append(f"{path.stem}.{top.name}")
     assert not found, f"top-level names no module or benchmark reaches: {found}"
+
+
+def test_every_method_is_reached():
+    """Each method or property of a top-level class, dunders aside, is the
+    attribute of some ``x.<name>`` outside its own def, in the package
+    (``__init__`` aside) or the benchmark.  Any ``x`` counts, so a method that
+    shares its name with a reached one passes: delete such a name by name."""
+    modules, trees = _reaching_trees()
+    by_name = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                by_name.setdefault(node.attr, []).append((path, node.lineno))
+    found = []
+    for path in modules:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for func in cls.body:
+                if not isinstance(func, ast.FunctionDef) or (
+                    func.name.startswith("__") and func.name.endswith("__")
+                ):
+                    continue
+                # the def's own lines, its decorators included
+                first = min([func.lineno] + [d.lineno for d in func.decorator_list])
+                if not any(
+                    where != path or not first <= line <= func.end_lineno
+                    for where, line in by_name.get(func.name, ())
+                ):
+                    found.append(f"{path.stem}.{cls.name}.{func.name}")
+    assert not found, f"methods no module or benchmark reaches: {found}"

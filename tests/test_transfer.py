@@ -21,7 +21,7 @@ from wittforge.errors import (
     FieldMismatch,
     UnsupportedField,
 )
-from wittforge.fields import FieldSpec, find_irreducible
+from wittforge.fields import FieldSpec, embed, find_irreducible
 from wittforge.quadforms import (
     QuadraticForm,
     diagonalize,
@@ -106,14 +106,12 @@ def test_trace_equals_frobenius_orbit_sum(ext):
         for _ in range(ext.degree):
             total = total + conj
             conj = conj**q
-        from wittforge.fields import embed
 
         assert embed(ext.trace(e), ext.top) == total
 
 
 def test_trace_is_f_linear():
     rng = random.Random(7)
-    from wittforge.fields import embed
 
     for _ in range(6):
         e1 = F81.random_element(rng)
@@ -124,12 +122,9 @@ def test_trace_is_f_linear():
 
 
 def test_trace_form_frozen():
-    gram = [[x.to_json() for x in row] for row in trace_form(D93).gram]
-    assert gram == [[2, 0], [0, 1]]
-    gram = [[x.to_json() for x in row] for row in trace_form(DS2).gram]
-    assert gram == [["2", "0"], ["0", "4"]]
-    trivial = ExtensionDatum(F5, F5)
-    assert [[x.to_json() for x in r] for r in trace_form(trivial).gram] == [[1]]
+    assert trace_form(D93).to_json()["gram"] == [[2, 0], [0, 1]]
+    assert trace_form(DS2).to_json()["gram"] == [["2", "0"], ["0", "4"]]
+    assert trace_form(ExtensionDatum(F5, F5)).to_json()["gram"] == [[1]]
 
 
 @pytest.mark.parametrize(
@@ -252,7 +247,7 @@ def test_transfer_of_unit_form_is_trace_form():
 def test_transfer_of_generator_form_is_hyperbolic():
     alpha = F9.generator()
     t = scharlau_transfer(D93, QuadraticForm.diagonal(F9, [alpha]))
-    assert [[x.to_json() for x in row] for row in t.gram] == [[0, 1], [1, 0]]
+    assert t.to_json()["gram"] == [[0, 1], [1, 0]]
     assert witt_decompose(t).is_zero()
 
 
@@ -290,14 +285,16 @@ def test_transfer_gram_is_the_trace_of_each_pair(ext):
     # symmetric G puts the same block at (a, c) and (c, a)
     rng = random.Random(57)
     q = random_nondegenerate(ext.top, rng, 3)
-    assert any(not q.gram[a][c].is_zero() for a in range(3) for c in range(a + 1, 3))
+    g = linalg.dense(q.field, q._mat, (3, 3))
+    assert any(not g[a][c].is_zero() for a in range(3) for c in range(a + 1, 3))
     n = ext.degree
     t = scharlau_transfer(ext, q)
+    tg = linalg.dense(t.field, t._mat, (t.dim, t.dim))
     for a in range(3):
         for c in range(3):
             for i, bi in enumerate(ext.basis):
                 for j, bj in enumerate(ext.basis):
-                    assert t.gram[a * n + i][c * n + j] == ext.trace(bi * bj * q.gram[a][c])
+                    assert tg[a * n + i][c * n + j] == ext.trace(bi * bj * g[a][c])
 
 
 def test_transfer_is_additive_blockwise():
@@ -667,7 +664,8 @@ def test_custom_basis_coordinates_roundtrip():
     rng = random.Random(3)
     for _ in range(5):
         x = F9.random_element(rng)
-        assert custom.from_coordinates(custom.coordinates(x)) == x
+        coords = custom.coordinates(x)
+        assert sum((embed(c, F9) * b for c, b in zip(coords, custom.basis)), F9.zero()) == x
 
 
 def test_bad_basis_rejected():
@@ -678,14 +676,6 @@ def test_bad_basis_rejected():
         ExtensionDatum(F9, F3, basis=[F9.one()])  # wrong length
     with pytest.raises(FieldMismatch):
         ExtensionDatum(F3, F9)
-
-
-def test_datum_json_roundtrip():
-    again = ExtensionDatum.from_json(D93.to_json())
-    assert again == D93
-    alpha = F9.generator()
-    custom = ExtensionDatum(F9, F3, basis=[F9.one(), F9.one() + alpha])
-    assert ExtensionDatum.from_json(custom.to_json()) == custom
 
 
 def test_check_report_shape():

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from wittforge import linalg, verify
-from wittforge.errors import NotAField
+from wittforge.cli import main
+from wittforge.errors import NotAChainMap, NotAField
 from wittforge.fields import FieldSpec, find_irreducible
 from wittforge.transfer import ExtensionDatum
 from wittforge.verify import (
@@ -50,6 +51,22 @@ def test_report_counts_and_verdict():
     assert report.summary() == {"pass": 1, "fail": 1, "inconclusive": 1, "total": 3}
     assert not report.passed
     assert [c["id"] for c in report.failures()] == ["b", "c"]
+
+
+def test_a_law_that_raises_fails_its_suite_with_a_witness(monkeypatch, capsys):
+    # a raise inside a theta law is a failed case of that suite, not bad
+    # input: every other suite still runs, and the exit code is 1
+    def raising(k):
+        raise NotAChainMap("does not commute with d at degree 1")
+
+    monkeypatch.setattr(verify, "delta_unital", raising)
+    code = main(["--json", "--seed", "42", "verify", "all"])
+    reports = json.loads(capsys.readouterr().out)
+    assert code == 1 and len(reports) == len(SUITES) == 13
+    failed = [case for report in reports for case in report["cases"] if case["status"] != "pass"]
+    assert [(case["id"], case["witness"]) for case in failed] == [
+        ("theta/raised", {"error": "NotAChainMap", "detail": "does not commute with d at degree 1"})
+    ]
 
 
 def test_report_json_omits_timing():

@@ -229,11 +229,11 @@ MUTANTS = [
         COMPLEX_TESTS,
     ),
     (
-        "the dual kept on a complex ignores the degree",
+        "the line a complex's duals map into ignores the degree",
         "complexes.py",
-        "dualize",
-        "key = ('dual', datum.degree)",
-        "key = ('dual', None)",
+        "dual_line",
+        "key = ('line', degree)",
+        "key = ('line', None)",
         COMPLEX_TESTS,
     ),
     (
@@ -341,6 +341,22 @@ MUTANTS = [
         "main",
         "return EXIT_FAIL",
         "return EXIT_PASS",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "run_suite re-raises a failed law instead of filing it",
+        "verify.py",
+        "run_suite",
+        "except BoundsExceeded:",
+        "except WittforgeError:",
+        ("tests/test_verify.py",),
+    ),
+    (
+        "the constant-entry refusal files its witness under homology",
+        "koszul.py",
+        "trace_diagram",
+        "key='constant_entries'",
+        "key='homology'",
         ("tests/test_cli.py",),
     ),
     (
