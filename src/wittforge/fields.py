@@ -669,10 +669,7 @@ def _is_irreducible(base, coeffs):
             return False
         if deg <= 3:
             return True  # no root: degree 2 and 3 cannot factor at all
-        raise NotAField(
-            "irreducibility over Q is only decided through degree 3; "
-            "pass assume_irreducible=True to vouch for this modulus"
-        )
+        raise NotAField("irreducibility over Q is only decided through degree 3")
     # char-0 extension base: quadratics via the discriminant square test
     if deg == 2:
         c0, c1, c2 = (FieldElement(base, c) for c in coeffs)
@@ -680,10 +677,7 @@ def _is_irreducible(base, coeffs):
             return not is_square(c1 * c1 - 4 * c0 * c2)
         except UnsupportedField:
             pass
-    raise NotAField(
-        "irreducibility over this field is undecided; "
-        "pass assume_irreducible=True to vouch for this modulus"
-    )
+    raise NotAField("irreducibility over this field is undecided")
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,19 @@
 """Batch verification suites behind ``wittforge verify``.
 
-Each suite runs a list of named cases.  A case records the law it checks
-in plain language, the inputs it ran on, a status, and — whenever the
-status is not ``pass`` — a witness a reader can replay.  All randomized
-sweeps draw from a caller-supplied seed, and case ids are stable, so a
-report is reproducible byte for byte in JSON mode.  A law that raises a
-package error fails its suite as one ``<suite>/raised`` case, with the
-error's type and message as the witness; only ``BoundsExceeded`` ends the
-run as a refused request.
+Each suite is a generator of named cases.  A case yields its id, the law it
+checks in plain language, the inputs it runs on, and a check: a thunk that
+returns a witness a reader can replay when the law fails, or ``None`` when it
+holds.  :func:`run_suite` runs each check as soon as it is yielded and files
+the case's status.  All randomized sweeps draw from a caller-supplied seed,
+and case ids are stable, so a report is reproducible byte for byte in JSON
+mode.  A check that raises decides its own case only: ``Inconclusive`` files
+it as inconclusive, any other error fails it with the error's type and
+message as the witness.  A raise while a suite builds its inputs keeps the
+cases filed so far and adds one failed ``<suite>/raised`` case.  Only
+``BoundsExceeded`` ends the run as a refused request.
 """
 
+import functools
 import inspect
 import random
 import time
@@ -22,7 +26,7 @@ from .complexes import (
     bidual_involution_check,
     dual_line,
 )
-from .errors import BoundsExceeded, Inconclusive, NotRegularSequence, ParityError, WittforgeError
+from .errors import BoundsExceeded, Inconclusive, NotRegularSequence, ParityError
 from .fields import FieldSpec, find_irreducible
 from .koszul import (
     DEFAULT_BOUND,
@@ -116,21 +120,27 @@ class VerificationReport:
         return f"VerificationReport({self.suite}: {s['pass']}/{s['total']} pass)"
 
 
-def _case(cid, law, inputs, ok, witness=None):
-    case = {"id": cid, "law": law, "inputs": inputs, "status": "pass" if ok else "fail"}
-    if not ok:
-        case["witness"] = witness if witness is not None else {"detail": "claimed equality fails"}
-    return case
+#: the witness of a claimed equality that fails and has no data of its own
+_FAILS = {"detail": "claimed equality fails"}
 
 
-def _inconclusive(cid, law, inputs, witness):
-    return {"id": cid, "law": law, "inputs": inputs, "status": "inconclusive", "witness": witness}
+def _refuted(report):
+    """The witness of a CheckReport-style object (truthy, with to_json), or None when it holds."""
+    return None if report else report.to_json()
 
 
-def _report_case(cid, law, inputs, report):
-    """Adapt a CheckReport-style object (truthy, with to_json) to a case."""
-    ok = bool(report)
-    return _case(cid, law, inputs, ok, witness=None if ok else report.to_json())
+def _raises(error, call, accepted, judge=lambda err: None):
+    """A check that ``call()`` raises ``error``: the witness is what ``judge``
+    makes of the error, or ``{"detail": accepted}`` when the call returns."""
+
+    def check():
+        try:
+            call()
+        except error as err:
+            return judge(err)
+        return {"detail": accepted}
+
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -224,41 +234,44 @@ def coordinate_datum(d):
 
 
 def verify_scharlau(seed=0, size=None, bound=None):
-    cases = []
     F3 = FieldSpec.Fp(3)
     F9 = extension_of(F3, 2)
     ext = ExtensionDatum(F9, F3)
 
-    pushed = scharlau_transfer(ext, QuadraticForm.diagonal(F9, [1]))
-    expected = QuadraticForm(F3, [[2, 0], [0, 1]])
-    cases.append(
-        _case(
-            "scharlau/unit-is-trace-form",
-            "the transfer of the unit form along F9/F3 is the trace form, matrix-exactly",
-            {"ext": "F9/F3", "form": "<1>"},
-            pushed == expected and pushed == trace_form(ext),
-            witness=None if pushed == expected else pushed.to_json(),
-        )
+    def unit_is_trace_form():
+        pushed = scharlau_transfer(ext, QuadraticForm.diagonal(F9, [1]))
+        if pushed != QuadraticForm(F3, [[2, 0], [0, 1]]):
+            return pushed.to_json()
+        return None if pushed == trace_form(ext) else _FAILS
+
+    yield (
+        "scharlau/unit-is-trace-form",
+        "the transfer of the unit form along F9/F3 is the trace form, matrix-exactly",
+        {"ext": "F9/F3", "form": "<1>"},
+        unit_is_trace_form,
     )
 
-    alpha = F9.generator()
-    pushed = scharlau_transfer(ext, QuadraticForm.diagonal(F9, [alpha]))
-    wc = witt_decompose(pushed)
-    cases.append(
-        _case(
-            "scharlau/generator-is-hyperbolic",
-            "the transfer of the generator form along F9/F3 is hyperbolic",
-            {"ext": "F9/F3", "form": "<alpha>"},
-            wc.is_zero() and wc.hyperbolic == 1,
-            witness=None if wc.is_zero() else wc.to_json(),
-        )
+    def generator_is_hyperbolic():
+        wc = witt_decompose(scharlau_transfer(ext, QuadraticForm.diagonal(F9, [F9.generator()])))
+        if not wc.is_zero():
+            return wc.to_json()
+        return None if wc.hyperbolic == 1 else _FAILS
+
+    yield (
+        "scharlau/generator-is-hyperbolic",
+        "the transfer of the generator form along F9/F3 is hyperbolic",
+        {"ext": "F9/F3", "form": "<alpha>"},
+        generator_is_hyperbolic,
     )
-    return cases
 
 
-def _route_mismatch(ext):
-    """A witness to the Cartan route and the Scharlau transfer differing on
-    <1> or, above degree 1, on <generator>; None when both agree."""
+def _cartan_refuted(ext):
+    """The comparison matrix when it is singular, else a witness to the Cartan
+    route and the Scharlau transfer differing on <1> or, above degree 1, on
+    <generator>; None when the matrix is invertible and both agree."""
+    cartan = cartan_isomorphism(ext, 1)
+    if linalg.inverse(ext.bottom, cartan.matrix) is None:
+        return {"matrix": cartan.to_json()["matrix"]}
     for a in [1] if ext.degree == 1 else [1, ext.top.generator()]:
         q = QuadraticForm.diagonal(ext.top, [a])
         via_cartan, scharlau = pushforward_via_cartan(ext, q), scharlau_transfer(ext, q)
@@ -276,7 +289,6 @@ def verify_adjunction(seed=0, size=None, bound=None):
     Cartan route against the Scharlau transfer, degree by degree.  The route
     is compared only once the matrix is invertible, since a degenerate trace
     form has no Scharlau transfer."""
-    cases = []
     bottoms = [(FieldSpec.Fp(p), range(1, 10)) for p in PRIMES]
     bottoms += [(Q, ())]
     exts = []
@@ -288,36 +300,23 @@ def verify_adjunction(seed=0, size=None, bound=None):
 
     for ext in exts:
         label = f"{field_label(ext.top)}/{field_label(ext.bottom)}"
-        report = triangle_identities_check(ext, 1, 1)
-        cases.append(
-            _report_case(
-                f"adjunction/triangles/{label}",
-                "restriction and transfer satisfy both triangle identities",
-                {"ext": label, "dims": [1, 1]},
-                report,
-            )
+        yield (
+            f"adjunction/triangles/{label}",
+            "restriction and transfer satisfy both triangle identities",
+            {"ext": label, "dims": [1, 1]},
+            lambda: _refuted(triangle_identities_check(ext, 1, 1)),
         )
-        cartan = cartan_isomorphism(ext, 1)
-        if linalg.inverse(ext.bottom, cartan.matrix) is None:
-            witness = {"matrix": cartan.to_json()["matrix"]}
-        else:
-            witness = _route_mismatch(ext)
-        cases.append(
-            _case(
-                f"adjunction/cartan/{label}",
-                "the comparison map between the two internal-hom descriptions is invertible",
-                {"ext": label, "dim": 1},
-                witness is None,
-                witness=witness,
-            )
+        yield (
+            f"adjunction/cartan/{label}",
+            "the comparison map between the two internal-hom descriptions is invertible",
+            {"ext": label, "dim": 1},
+            lambda: _cartan_refuted(ext),
         )
-    return cases
 
 
 def verify_towers(seed=0, size=50, bound=None):
     """Transfer along a two-step tower against the composite of the steps."""
     rng = random.Random(seed)
-    cases = []
     law = "transfer along a tower equals the composite of the stepwise transfers"
     for k in range(size):
         p = rng.choice(PRIMES)
@@ -329,14 +328,11 @@ def verify_towers(seed=0, size=50, bound=None):
         outer = ExtensionDatum(mid, base)
         q = random_nondegenerate(top, rng, rng.randint(1, 2))
         label = f"{field_label(top)}/{field_label(mid)}/{field_label(base)}"
-        report = transfer_compose_check(outer, inner, q)
-        cases.append(
-            _report_case(
-                f"towers/{k:03d}",
-                law,
-                {"tower": label, "dim": q.dim},
-                report,
-            )
+        yield (
+            f"towers/{k:03d}",
+            law,
+            {"tower": label, "dim": q.dim},
+            lambda: _refuted(transfer_compose_check(outer, inner, q)),
         )
     # two rational towers with a trivial step each, for the char-0 path
     r2 = qsqrt(2)
@@ -347,21 +343,17 @@ def verify_towers(seed=0, size=50, bound=None):
         ]
     ):
         label = f"{field_label(inner.top)}/{field_label(inner.bottom)}/{field_label(outer.bottom)}"
-        cases.append(
-            _report_case(
-                f"towers/rational-{k}",
-                law,
-                {"tower": label, "dim": q.dim},
-                transfer_compose_check(outer, inner, q),
-            )
+        yield (
+            f"towers/rational-{k}",
+            law,
+            {"tower": label, "dim": q.dim},
+            lambda: _refuted(transfer_compose_check(outer, inner, q)),
         )
-    return cases
 
 
 def verify_base_change(seed=0, size=50, bound=None):
     """Transfer commutes with extending scalars, split algebra and all."""
     rng = random.Random(seed)
-    cases = []
     law = "transferring then extending scalars matches extending then transferring"
     for k in range(size):
         if k % 10 == 9:
@@ -373,22 +365,17 @@ def verify_base_change(seed=0, size=50, bound=None):
             other = extension_of(base, rng.randint(1, 3))
         q = random_nondegenerate(ext.top, rng, rng.randint(1, 2))
         label = f"{field_label(ext.top)}/{field_label(ext.bottom)}"
-        report = base_change_check(ext, other, q)
-        cases.append(
-            _report_case(
-                f"base-change/{k:03d}",
-                law,
-                {"ext": label, "scalars": field_label(other), "dim": q.dim},
-                report,
-            )
+        yield (
+            f"base-change/{k:03d}",
+            law,
+            {"ext": label, "scalars": field_label(other), "dim": q.dim},
+            lambda: _refuted(base_change_check(ext, other, q)),
         )
-    return cases
 
 
 def verify_projection(seed=0, size=50, bound=None):
     """The projection formula in the Witt ring."""
     rng = random.Random(seed)
-    cases = []
     law = "transfer(x . restricted y) equals transfer(x) . y up to Witt equivalence"
     for k in range(size):
         if k % 10 == 9:
@@ -399,16 +386,12 @@ def verify_projection(seed=0, size=50, bound=None):
         x = random_nondegenerate(ext.top, rng, rng.randint(1, 2))
         y = random_nondegenerate(ext.bottom, rng, rng.randint(1, 2))
         label = f"{field_label(ext.top)}/{field_label(ext.bottom)}"
-        report = projection_formula_check(ext, x, y)
-        cases.append(
-            _report_case(
-                f"projection/{k:03d}",
-                law,
-                {"ext": label, "dims": [x.dim, y.dim]},
-                report,
-            )
+        yield (
+            f"projection/{k:03d}",
+            law,
+            {"ext": label, "dims": [x.dim, y.dim]},
+            lambda: _refuted(projection_formula_check(ext, x, y)),
         )
-    return cases
 
 
 def verify_theta(seed=0, size=None, bound=None):
@@ -416,36 +399,33 @@ def verify_theta(seed=0, size=None, bound=None):
     with the laws it is built from: delta is unital, and up to rank 2 it is
     associative and the tensor-hom adjunction satisfies its triangle
     identities (at rank 3 the triangle check alone outweighs the suite)."""
-    cases = []
     for d in range(1, 5):
         k = coordinate_datum(d)
-        laws = {"x_map": x_map(k) == koszul_form(k).form, "delta_unital": delta_unital(k)}
-        if d <= 2:
-            kos = koszul_complex(k)
-            laws["delta_associative"] = delta_associative(k)
-            laws["tensor_hom_triangles"] = adjunction_triangle_check(kos, kos, dual_line(kos, d))
-        failed = [name for name, ok in laws.items() if not ok]
-        cases.append(
-            _case(
-                f"theta/xmap-d{d}",
-                "the adjunct of multiplication into the shifted line equals the duality pairing",
-                {"rank": d, "section": "coordinates"},
-                not failed,
-                witness={"failed": failed},
-            )
+
+        def laws():
+            held = {"x_map": x_map(k) == koszul_form(k).form, "delta_unital": delta_unital(k)}
+            if d <= 2:
+                kos = koszul_complex(k)
+                held["delta_associative"] = delta_associative(k)
+                held["tensor_hom_triangles"] = adjunction_triangle_check(kos, kos, dual_line(kos, d))
+            failed = [name for name, ok in held.items() if not ok]
+            return {"failed": failed} if failed else None
+
+        yield (
+            f"theta/xmap-d{d}",
+            "the adjunct of multiplication into the shifted line equals the duality pairing",
+            {"rank": d, "section": "coordinates"},
+            laws,
         )
     for d in range(2, 5):
         k = coordinate_datum(d)
         for head in range(1, d):
-            cases.append(
-                _case(
-                    f"theta/split-d{d}h{head}",
-                    "the pairing of a split section is the tensor product of the factor pairings",
-                    {"rank": d, "head": head},
-                    theta_multiplicative(k, head),
-                )
+            yield (
+                f"theta/split-d{d}h{head}",
+                "the pairing of a split section is the tensor product of the factor pairings",
+                {"rank": d, "head": head},
+                lambda: None if theta_multiplicative(k, head) else _FAILS,
             )
-    return cases
 
 
 def _trace_data():
@@ -456,135 +436,104 @@ def _trace_data():
 
 def verify_trace(seed=0, size=None, bound=DEFAULT_BOUND):
     """Exactness of the augmented Koszul complex, and rejection without it."""
-    cases = []
     *coordinates, dependent = _trace_data()
     for d, k in enumerate(coordinates, 1):
-        try:
-            diagram = trace_diagram(k, bound=bound)
-            ok = diagram.certificate["socle_degree"] == -d
-            witness = None if ok else diagram.certificate
-        except NotRegularSequence as err:
-            ok, witness = False, {"error": str(err), **err.witness_json()}
-        cases.append(
-            _case(
-                f"trace/exact-d{d}",
-                "the augmented Koszul complex of a coordinate section has homology "
-                "only in the socle degree",
-                {"rank": d, "section": "coordinates", "bound": bound},
-                ok,
-                witness=witness,
-            )
-        )
 
-    try:
-        trace_diagram(dependent, bound=bound)
-        ok, witness = False, {"detail": "a dependent section was accepted"}
-    except NotRegularSequence as err:
-        stray = err.witness or {}
-        ok = any(v for v in stray.values())
-        witness = None if ok else {"detail": "rejection carried no homology witness"}
-    cases.append(
-        _case(
-            "trace/reject-dependent",
-            "a linearly dependent section is rejected with a nonzero-homology witness",
-            {"rank": 2, "section": "x,x", "bound": bound},
-            ok,
-            witness=witness,
+        def exact():
+            try:
+                certificate = trace_diagram(k, bound=bound).certificate
+            except NotRegularSequence as err:
+                return {"error": str(err), **err.witness_json()}
+            return None if certificate["socle_degree"] == -d else certificate
+
+        yield (
+            f"trace/exact-d{d}",
+            "the augmented Koszul complex of a coordinate section has homology "
+            "only in the socle degree",
+            {"rank": d, "section": "coordinates", "bound": bound},
+            exact,
         )
+    yield (
+        "trace/reject-dependent",
+        "a linearly dependent section is rejected with a nonzero-homology witness",
+        {"rank": 2, "section": "x,x", "bound": bound},
+        _raises(
+            NotRegularSequence,
+            lambda: trace_diagram(dependent, bound=bound),
+            "a dependent section was accepted",
+            lambda err: None
+            if any((err.witness or {}).values())
+            else {"detail": "rejection carried no homology witness"},
+        ),
     )
-    return cases
 
 
 def verify_split(seed=0, size=None, bound=None):
-    cases = []
     for d in range(1, 4):
-        cert = split_factorization(coordinate_datum(d))
-        cases.append(
-            _case(
-                f"split/d{d}",
-                "splitting off the last section entry factors the pairing, "
-                "with the split-off factor a cone (hence trivial in the Witt group)",
-                {"rank": d},
-                bool(cert),
-                witness=None if cert else cert.to_json(),
-            )
+        k = coordinate_datum(d)
+        yield (
+            f"split/d{d}",
+            "splitting off the last section entry factors the pairing, "
+            "with the split-off factor a cone (hence trivial in the Witt group)",
+            {"rank": d},
+            lambda: _refuted(split_factorization(k)),
         )
-    return cases
+
+
+def _formula_mismatch(r, twists, fields, differs):
+    """The last twist and field where ``differs(dims, formula)`` between the
+    monomial decomposition and the closed formulas, as a witness; None if none."""
+    witness = None
+    for m in twists:
+        for field in fields:
+            dims = list(cohomology(ProjLineBundleQuery(r, m, field)).dims)
+            formula = list(closed_formula_dims(r, m))
+            if differs(dims, formula):
+                witness = {"r": r, "m": m, "dims": dims, "formula": formula}
+    return witness
 
 
 def verify_cohomology(seed=0, size=None, bound=None):
     """Line bundles on projective space: decomposition vs closed formulas."""
-    cases = []
     F7 = FieldSpec.Fp(7)
     for r in range(1, 5):
-        window_zero = True
-        witness = None
-        for m in range(-r, 0):
-            for field in (Q, F7):
-                report = cohomology(ProjLineBundleQuery(r, m, field))
-                formula = closed_formula_dims(r, m)
-                if not report.is_zero() or any(formula):
-                    window_zero = False
-                    witness = {"r": r, "m": m, "dims": list(report.dims), "formula": list(formula)}
-        cases.append(
-            _case(
-                f"cohomology/window-r{r}",
-                "every twist in the window -r..-1 has vanishing cohomology, by "
-                "monomial decomposition and by the closed formulas",
-                {"r": r, "window": [-r, -1]},
-                window_zero,
-                witness=witness,
-            )
+        yield (
+            f"cohomology/window-r{r}",
+            "every twist in the window -r..-1 has vanishing cohomology, by "
+            "monomial decomposition and by the closed formulas",
+            {"r": r, "window": [-r, -1]},
+            lambda: _formula_mismatch(
+                r, range(-r, 0), (Q, F7), lambda dims, formula: any(dims) or any(formula)
+            ),
         )
-        agree = True
-        witness = None
-        for m in range(-r - 3, 4):
-            report = cohomology(ProjLineBundleQuery(r, m, Q))
-            formula = closed_formula_dims(r, m)
-            if list(report.dims) != list(formula):
-                agree = False
-                witness = {"r": r, "m": m, "dims": list(report.dims), "formula": list(formula)}
-        cases.append(
-            _case(
-                f"cohomology/sweep-r{r}",
-                "monomial-decomposition dimensions match the closed formulas across the sweep",
-                {"r": r, "m_range": [-r - 3, 3]},
-                agree,
-                witness=witness,
-            )
+        yield (
+            f"cohomology/sweep-r{r}",
+            "monomial-decomposition dimensions match the closed formulas across the sweep",
+            {"r": r, "m_range": [-r - 3, 3]},
+            lambda: _formula_mismatch(r, range(-r - 3, 4), (Q,), lambda dims, formula: dims != formula),
         )
-    return cases
 
 
 def verify_phi(seed=0, size=None, bound=None):
-    cases = []
     for r in (1, 3):
-        report = pushforward_phi_r(r, Q)
-        cases.append(
-            _case(
-                f"phi/odd-r{r}",
-                "the half-canonical form pushes forward to zero: its target twist "
-                "has no cohomology at all",
-                {"r": r, "twist": -(r + 1) // 2},
-                report.is_zero(),
-                witness=None if report.is_zero() else report.to_json(),
-            )
+
+        def pushes_to_zero():
+            report = pushforward_phi_r(r, Q)
+            return None if report.is_zero() else report.to_json()
+
+        yield (
+            f"phi/odd-r{r}",
+            "the half-canonical form pushes forward to zero: its target twist "
+            "has no cohomology at all",
+            {"r": r, "twist": -(r + 1) // 2},
+            pushes_to_zero,
         )
-    try:
-        pushforward_phi_r(2, Q)
-        ok, witness = False, {"detail": "even fiber dimension was accepted"}
-    except ParityError as err:
-        ok, witness = True, None
-    cases.append(
-        _case(
-            "phi/even-r2",
-            "even fiber dimension admits no half-canonical twist and is rejected",
-            {"r": 2},
-            ok,
-            witness=witness,
-        )
+    yield (
+        "phi/even-r2",
+        "even fiber dimension admits no half-canonical twist and is rejected",
+        {"r": 2},
+        _raises(ParityError, lambda: pushforward_phi_r(2, Q), "even fiber dimension was accepted"),
     )
-    return cases
 
 
 _WITT_LAWS = (
@@ -613,93 +562,85 @@ _WITT_LAWS = (
 def verify_witt(seed=0, size=6, bound=None):
     """Ring axioms on random Witt classes, plus the split of <1,1,1,1>."""
     rng = random.Random(seed)
-    cases = []
     for p in PRIMES:
         field = FieldSpec.Fp(p)
         one = QuadraticForm.diagonal(field, [1])
         zero = witt_zero(field)
         for k in range(size):
             a, b, c = (random_nondegenerate(field, rng, rng.randint(1, 2)) for _ in range(3))
-            failed = [name for name, law in _WITT_LAWS if not law(field, a, b, c, one, zero)]
-            cases.append(
-                _case(
-                    f"witt/axioms-F{p}-{k}",
-                    "Witt classes form a commutative ring",
-                    {"field": f"F{p}", "dims": [a.dim, b.dim, c.dim]},
-                    not failed,
-                    witness=None
-                    if not failed
-                    else {"laws": failed, "forms": [f.to_json() for f in (a, b, c)]},
-                )
+
+            def ring_laws():
+                failed = [name for name, law in _WITT_LAWS if not law(field, a, b, c, one, zero)]
+                return {"laws": failed, "forms": [f.to_json() for f in (a, b, c)]} if failed else None
+
+            yield (
+                f"witt/axioms-F{p}-{k}",
+                "Witt classes form a commutative ring",
+                {"field": f"F{p}", "dims": [a.dim, b.dim, c.dim]},
+                ring_laws,
             )
     for p in (3, 5):
         field = FieldSpec.Fp(p)
-        wc = witt_decompose(QuadraticForm.diagonal(field, [1, 1, 1, 1]))
-        ok = wc.is_zero() and wc.hyperbolic == 2
-        cases.append(
-            _case(
-                f"witt/four-units-F{p}",
-                "the four-fold unit form splits into two hyperbolic planes",
-                {"field": f"F{p}", "form": "<1,1,1,1>"},
-                ok,
-                witness=None if ok else wc.to_json(),
-            )
+
+        def splits():
+            wc = witt_decompose(QuadraticForm.diagonal(field, [1, 1, 1, 1]))
+            return None if wc.is_zero() and wc.hyperbolic == 2 else wc.to_json()
+
+        yield (
+            f"witt/four-units-F{p}",
+            "the four-fold unit form splits into two hyperbolic planes",
+            {"field": f"F{p}", "form": "<1,1,1,1>"},
+            splits,
         )
-    return cases
 
 
 def verify_hilbert(seed=0, size=200, bound=None):
     """The product formula for Hilbert symbols over the rationals."""
     rng = random.Random(seed)
     nonzero = [s for s in range(-30, 31) if s != 0]
-    cases = []
     for k in range(size):
         a, b = rng.choice(nonzero), rng.choice(nonzero)
-        prod = 1
-        locals_seen = {}
-        for v in relevant_places([a, b]):
-            sym = hilbert_symbol(a, b, v)
-            locals_seen[str(v)] = sym
-            prod *= sym
-        cases.append(
-            _case(
-                f"hilbert/{k:03d}",
-                "the product of local Hilbert symbols over all relevant places is 1",
-                {"a": a, "b": b},
-                prod == 1,
-                witness=None if prod == 1 else {"locals": locals_seen, "product": prod},
-            )
+
+        def product_formula():
+            prod = 1
+            locals_seen = {}
+            for v in relevant_places([a, b]):
+                sym = hilbert_symbol(a, b, v)
+                locals_seen[str(v)] = sym
+                prod *= sym
+            return None if prod == 1 else {"locals": locals_seen, "product": prod}
+
+        yield (
+            f"hilbert/{k:03d}",
+            "the product of local Hilbert symbols over all relevant places is 1",
+            {"a": a, "b": b},
+            product_formula,
         )
-    return cases
 
 
 def verify_bidual(seed=0, size=100, bound=None):
     """The dual of the bidual map inverts the bidual map of the dual."""
     rng = random.Random(seed)
     F5 = FieldSpec.Fp(5)
-    cases = []
     for k in range(size):
         field = (F5, Q)[k % 2]
         datum = DualityDatum(
             field, twist=field.from_int(rng.choice([1, 2, 3])), degree=rng.randint(-1, 2)
         )
         cx = random_complex(field, rng)
-        ok = bidual_involution_check(cx, datum)
-        cases.append(
-            _case(
-                f"bidual/{k:03d}",
-                "dualizing the bidual map gives a matrix-exact inverse of the "
-                "bidual map of the dual",
-                {
-                    "field": field_label(field),
-                    "degree": datum.degree,
-                    "ranks": {str(n): r for n, r in sorted(cx.terms.items())},
-                },
-                ok,
-                witness=None if ok else {"detail": "composite is not the identity"},
-            )
+        yield (
+            f"bidual/{k:03d}",
+            "dualizing the bidual map gives a matrix-exact inverse of the "
+            "bidual map of the dual",
+            {
+                "field": field_label(field),
+                "degree": datum.degree,
+                "ranks": {str(n): r for n, r in sorted(cx.terms.items())},
+            },
+            lambda: None
+            if bidual_involution_check(cx, datum)
+            else {"detail": "composite is not the identity"},
         )
-    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -745,40 +686,54 @@ def _check_size(name, size):
         )
 
 
+def _filed(cid, law, inputs, check):
+    """The case of one check, run now: ``check()`` returns the failure witness,
+    or None on a pass.  A check that raises decides its own case only:
+    ``Inconclusive`` leaves it inconclusive, any other error fails it with the
+    error's type and message as the witness.  ``BoundsExceeded`` is a refused
+    request and propagates."""
+    try:
+        witness = check()
+    except BoundsExceeded:
+        raise
+    except Inconclusive as err:
+        status, witness = "inconclusive", {"error": str(err)}
+    except Exception as err:
+        status, witness = "fail", {"error": type(err).__name__, "detail": str(err)}
+    else:
+        status = "pass" if witness is None else "fail"
+    case = {"id": cid, "law": law, "inputs": inputs, "status": status}
+    if witness is not None:
+        case["witness"] = witness
+    return case
+
+
+def _reraise(err):
+    raise err
+
+
 def run_suite(name, seed=0, size=None, bound=None):
-    """One suite's report; ``size`` is checked by :func:`_check_size` before any case runs."""
+    """One suite's report; ``size`` is checked by :func:`_check_size` before any
+    case runs.  Each check runs as soon as its case is yielded, before the
+    suite builds the next input."""
     _check_size(name, size)
-    fn = SUITES[name]
     kwargs = {"seed": seed}
     if size is not None:
         kwargs["size"] = size
     if bound is not None:
         kwargs["bound"] = bound
     start = time.perf_counter()
+    cases = []
     try:
-        cases = fn(**kwargs)
-    except Inconclusive as err:
-        cases = [
-            _inconclusive(
-                f"{name}/inconclusive",
-                "the suite could not decide within its bounds",
-                {"suite": name},
-                {"error": str(err)},
-            )
-        ]
+        for cid, law, inputs, check in SUITES[name](**kwargs):
+            cases.append(_filed(cid, law, inputs, check))
     except BoundsExceeded:
         raise
-    except WittforgeError as err:
-        # a law that raises is a failed claim of this suite, not bad input
-        cases = [
-            _case(
-                f"{name}/raised",
-                "every law of the suite reaches a verdict",
-                {"suite": name},
-                False,
-                witness={"error": type(err).__name__, "detail": str(err)},
-            )
-        ]
+    except Exception as err:
+        # building an input raised: the cases filed so far stay
+        raised = functools.partial(_reraise, err)
+        law = "every law of the suite reaches a verdict"
+        cases.append(_filed(f"{name}/raised", law, {"suite": name}, raised))
     return VerificationReport(name, cases, wall_time=time.perf_counter() - start)
 
 

@@ -421,6 +421,28 @@ def test_near_miss_complex_json_is_one_line_exit_2(capsys, tmp_path, obj):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+#: Q(sqrt 2), over which only quadratic moduli are decided
+QSQRT2_JSON = {"kind": "ext", "base": {"kind": "Q"}, "modulus": [-2, 0, 1]}
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        {"kind": "ext", "base": {"kind": "Q"}, "modulus": [2, 0, 0, 0, 1]},
+        {"kind": "ext", "base": QSQRT2_JSON, "modulus": [1, 0, 0, 1]},
+    ],
+    ids=["Q-degree-4", "cubic-over-Q-sqrt2"],
+)
+def test_an_undecided_modulus_names_no_python_keyword(capsys, tmp_path, ring):
+    # an irreducibility test that cannot decide refuses the modulus, naming
+    # nothing that a flag or a JSON key could set
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"ring": ring, "terms": {"0": 1}}))
+    code, out, err = run(capsys, "complex", "homology", "--a", f"@{path}")
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "assume_irreducible" not in err
+
+
 def test_form_file_input(capsys, tmp_path):
     path = tmp_path / "form.json"
     path.write_text("[[1]]")

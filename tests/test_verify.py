@@ -1,5 +1,6 @@
 """The verification-report contract and the suite runners."""
 
+import hashlib
 import json
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 from wittforge import linalg, verify
 from wittforge.cli import main
-from wittforge.errors import NotAChainMap, NotAField
+from wittforge.errors import Inconclusive, NotAChainMap, NotAField, NotRegularSequence
 from wittforge.fields import FieldSpec, find_irreducible
 from wittforge.transfer import ExtensionDatum
 from wittforge.verify import (
@@ -54,8 +55,9 @@ def test_report_counts_and_verdict():
 
 
 def test_a_law_that_raises_fails_its_suite_with_a_witness(monkeypatch, capsys):
-    # a raise inside a theta law is a failed case of that suite, not bad
-    # input: every other suite still runs, and the exit code is 1
+    # a raise inside a theta law fails each case whose check ran it, with the
+    # error as its witness, not bad input: the split cases and every other
+    # suite still pass, and the exit code is 1
     def raising(k):
         raise NotAChainMap("does not commute with d at degree 1")
 
@@ -64,9 +66,95 @@ def test_a_law_that_raises_fails_its_suite_with_a_witness(monkeypatch, capsys):
     reports = json.loads(capsys.readouterr().out)
     assert code == 1 and len(reports) == len(SUITES) == 13
     failed = [case for report in reports for case in report["cases"] if case["status"] != "pass"]
+    witness = {"error": "NotAChainMap", "detail": "does not commute with d at degree 1"}
     assert [(case["id"], case["witness"]) for case in failed] == [
-        ("theta/raised", {"error": "NotAChainMap", "detail": "does not commute with d at degree 1"})
+        (f"theta/xmap-d{d}", witness) for d in range(1, 5)
     ]
+    theta = next(report for report in reports if report["suite"] == "theta")
+    assert theta["summary"] == {"pass": 6, "fail": 4, "inconclusive": 0, "total": 10}
+
+
+def test_a_fault_fails_its_case_and_is_not_a_usage_error(monkeypatch, capsys):
+    # a plain ValueError from a law is a failed case with valid JSON and exit
+    # 1, not exit 2; the other case of the suite still passes
+    def asymmetric(ext):
+        raise ValueError("Gram matrix must be symmetric")
+
+    monkeypatch.setattr(verify, "trace_form", asymmetric)
+    code = main(["--json", "verify", "scharlau"])
+    cases = {case["id"]: case for case in json.loads(capsys.readouterr().out)[0]["cases"]}
+    assert code == 1
+    assert cases["scharlau/unit-is-trace-form"]["status"] == "fail"
+    assert cases["scharlau/unit-is-trace-form"]["witness"] == {
+        "error": "ValueError",
+        "detail": "Gram matrix must be symmetric",
+    }
+    assert cases["scharlau/generator-is-hyperbolic"]["status"] == "pass"
+
+
+def test_each_check_runs_on_the_input_of_its_own_case(monkeypatch):
+    # the fifth tower's check raises and fails that case alone; every check
+    # ran on the tower its case names, before the suite drew the next one
+    real = verify.transfer_compose_check
+    seen = []
+
+    def fifth_raises(outer, inner, q):
+        tower = (inner.top, inner.bottom, outer.bottom)
+        seen.append(("/".join(field_label(field) for field in tower), q.dim))
+        if len(seen) == 5:
+            raise NotAChainMap("the fifth tower")
+        return real(outer, inner, q)
+
+    monkeypatch.setattr(verify, "transfer_compose_check", fifth_raises)
+    report = run_suite("towers")
+    assert report.summary() == {"pass": 51, "fail": 1, "inconclusive": 0, "total": 52}
+    assert [(case["id"], case["witness"]) for case in report.failures()] == [
+        ("towers/004", {"error": "NotAChainMap", "detail": "the fifth tower"})
+    ]
+    # ids sort 000..049, then rational-0 and rational-1: the order of the calls
+    assert seen == [(case["inputs"]["tower"], case["inputs"]["dim"]) for case in report.cases]
+
+
+def test_a_raise_while_building_inputs_keeps_the_cases_filed(monkeypatch):
+    # the third tower's form cannot be drawn: the two towers checked before
+    # it stay filed, and one raised case ends the suite
+    real = verify.random_nondegenerate
+    calls = []
+
+    def third_raises(field, rng, dim):
+        calls.append(dim)
+        if len(calls) == 3:
+            raise ValueError("Gram matrix must be symmetric")
+        return real(field, rng, dim)
+
+    monkeypatch.setattr(verify, "random_nondegenerate", third_raises)
+    cases = run_suite("towers").to_json()["cases"]
+    assert [(case["id"], case["status"]) for case in cases] == [
+        ("towers/000", "pass"),
+        ("towers/001", "pass"),
+        ("towers/raised", "fail"),
+    ]
+    assert cases[-1]["witness"] == {"error": "ValueError", "detail": "Gram matrix must be symmetric"}
+    assert cases[-1]["inputs"] == {"suite": "towers"}
+
+
+def test_an_inconclusive_check_leaves_its_case_inconclusive(monkeypatch):
+    def undecided(a, b, v):
+        raise Inconclusive("the search cap was reached")
+
+    monkeypatch.setattr(verify, "hilbert_symbol", undecided)
+    report = run_suite("hilbert", size=2)
+    assert report.summary() == {"pass": 0, "fail": 0, "inconclusive": 2, "total": 2}
+    assert all(case["witness"] == {"error": "the search cap was reached"} for case in report.cases)
+
+
+def test_a_law_that_must_raise_fails_when_its_call_returns(monkeypatch):
+    # an even fiber dimension that pushes forward is a failed claim
+    _accept_even_r(monkeypatch)
+    cases = {case["id"]: case for case in run_suite("phi").to_json()["cases"]}
+    assert cases["phi/even-r2"]["status"] == "fail"
+    assert cases["phi/even-r2"]["witness"] == {"detail": "even fiber dimension was accepted"}
+    assert cases["phi/odd-r1"]["status"] == cases["phi/odd-r3"]["status"] == "pass"
 
 
 def test_report_json_omits_timing():
@@ -114,6 +202,47 @@ def test_adjunction_comparison_fails_when_the_basis_traces_vanish(monkeypatch):
     for case in cartan:  # zeros are 0 over F_p and "0" over Q
         assert {str(x) for row in case["witness"]["matrix"] for x in row} == {"0"}
     assert all(c["status"] == "pass" for c in cases if c not in cartan)
+
+
+def _zero_traces(monkeypatch):
+    monkeypatch.setattr(ExtensionDatum, "trace", lambda self, e: self.bottom.zero())
+
+
+def _false_theta_laws(monkeypatch):
+    # the split cases fail with the default witness, the xmap cases name delta
+    monkeypatch.setattr(verify, "theta_multiplicative", lambda k, head: False)
+    monkeypatch.setattr(verify, "delta_unital", lambda k: False)
+
+
+def _refuse_every_section(monkeypatch):
+    def refuse(k, bound):
+        raise NotRegularSequence("homology off the socle degree", {(0, 1): 1}, "homology")
+
+    monkeypatch.setattr(verify, "trace_diagram", refuse)
+
+
+def _accept_even_r(monkeypatch):
+    real = verify.pushforward_phi_r
+    monkeypatch.setattr(verify, "pushforward_phi_r", lambda r, f: real(1, f) if r == 2 else real(r, f))
+
+
+#: sha256 of the ``--json verify <suite>`` stdout with a law broken, each
+#: captured while a suite still returned its finished list of cases: every
+#: failure witness keeps its layout, ``claimed equality fails`` included
+FAILURE_DIGESTS = {
+    "adjunction": (_zero_traces, "315841c8e04c6a2c08728f6fcd291ee58f8f80e9d7426ddd5dd8d56edd5b5495"),
+    "theta": (_false_theta_laws, "05f0223809d0418b1d2d4ba117f323a7a371d505ea6d8ce542d58ad6cd4c95cc"),
+    "trace": (_refuse_every_section, "1085b26724c7035d4c1b536990143519418969754eeb57cb8555249500f13994"),
+    "phi": (_accept_even_r, "6c4068b8dc850df253d752a64af5e27c1c6219cb06599d775eb59fe3b2660b6f"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FAILURE_DIGESTS))
+def test_failure_json_digest_pinned(monkeypatch, capsys, suite):
+    breaks, digest = FAILURE_DIGESTS[suite]
+    breaks(monkeypatch)
+    assert main(["--json", "verify", suite]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cartan_case_fails_when_the_route_and_the_transfer_differ(monkeypatch):

@@ -346,9 +346,17 @@ MUTANTS = [
     (
         "run_suite re-raises a failed law instead of filing it",
         "verify.py",
-        "run_suite",
+        "_filed",
         "except BoundsExceeded:",
-        "except WittforgeError:",
+        "except Exception:",
+        ("tests/test_verify.py",),
+    ),
+    (
+        "an expected-raise check accepts a call that returns",
+        "verify.py",
+        "_raises",
+        "return {'detail': accepted}",
+        "return None",
         ("tests/test_verify.py",),
     ),
     (
