@@ -85,22 +85,6 @@ class KoszulDatum:
         """Duality against the inverse determinant line, shifted by the rank."""
         return DualityDatum(self.ring, twist=_unit_inverse(self.ring, self.twist), degree=self.rank)
 
-    def _trace_middle_row(self, bound):
-        """The trace diagram's middle row and its differentials, once ``bound`` is
-        checked: below every degree where homology off the socle lives, it raises."""
-        ring, d = self.ring, self.rank
-        # wedging with the section is the transpose of contracting with it
-        contraction = koszul_complex(self)._mats
-        wedge = {-i: linalg.transpose(contraction[i + 1]) for i in range(d)}
-        middle = ChainComplex._trusted(ring, {-i: comb(d, i) for i in range(d + 1)}, wedge)
-        low = min(t for (n, _), t in infer_grading(middle).items() if n != -d)
-        if bound < low:
-            raise BoundsExceeded(
-                f"internal-degree bound {bound} is below {low}, the lowest at which "
-                f"homology away from degree {-d} can live"
-            )
-        return middle, wedge
-
     def __repr__(self):
         return f"KoszulDatum(rank={self.rank}, section={list(self.section)!r})"
 
@@ -281,23 +265,15 @@ def x_map(k):
     return hom_post(kos, sigma_map(k).compose(delta_map(k))).compose(adjunction_unit(kos, kos))
 
 
-def split_datum(k, head):
-    """Split the section after position ``head``; the head keeps the twist."""
-    return _split(k, head)[:2]
-
-
-def split_iso(k, head):
-    """Kos_F -> Kos_head (x) Kos_tail: split each subset at ``head``.
+def split_section(k, head):
+    """Split the section after position ``head``: the head datum, which keeps
+    the twist, the tail datum, and Kos_F -> Kos_head (x) Kos_tail, which
+    splits each subset at ``head``.
 
     The plain subset split is already a chain map: elements of the head
-    block precede the tail block, so no inversions appear.
+    block precede the tail block, so no inversions appear.  The split is kept
+    on ``k`` per head, so it shares its Koszul complexes and builds its iso once.
     """
-    return _split(k, head)[2]
-
-
-def _split(k, head):
-    """The head and tail data of a split and its isomorphism, kept on ``k`` per
-    head, so one split shares its Koszul complexes and builds its iso once."""
     if not 1 <= head < k.rank:
         raise ValueError(f"split position must satisfy 1 <= head < {k.rank}")
     if head in k._splits:
@@ -327,9 +303,8 @@ def _split(k, head):
 
 def theta_multiplicative(k, head):
     """Whether the pairing of F corresponds to the tensor pairing of a split."""
-    first, second = split_datum(k, head)
+    first, second, c = split_section(k, head)
     s1, s2 = koszul_form(first), koszul_form(second)
-    c = split_iso(k, head)
     lam = duality_interchange(s1.carrier, s2.carrier, s1.duality, s2.duality)
     rhs = (
         dualize_map(c, combine_duality(s1.duality, s2.duality))
@@ -346,14 +321,12 @@ def theta_multiplicative(k, head):
 
 
 class TraceDiagram:
-    """The three maps around the twisted augmented Koszul complex."""
+    """The twisted augmented Koszul complex and its exactness certificate."""
 
-    __slots__ = ("middle", "up", "down", "certificate")
+    __slots__ = ("middle", "certificate")
 
-    def __init__(self, middle, up, down, certificate):
+    def __init__(self, middle, certificate):
         self.middle = middle
-        self.up = up
-        self.down = down
         self.certificate = certificate
 
     def __repr__(self):
@@ -361,14 +334,12 @@ class TraceDiagram:
 
 
 def trace_diagram(k, bound=DEFAULT_BOUND):
-    """The augmented Koszul complex, its two displayed maps, and exactness.
+    """The augmented Koszul complex and its exactness.
 
     The middle row has the i-th exterior power in degree -i with the
-    wedge-by-the-section differential.  ``up`` is the section viewed as a
-    map from the ring into the rank-d term; ``down`` includes the rank-one
-    socle in degree -d.  The certificate records the graded homology
-    through the internal-degree bound, which must be concentrated in
-    degree -d; anything else raises with the offending dimensions.  A bound
+    wedge-by-the-section differential.  The certificate records the graded
+    homology through the internal-degree bound, which must be concentrated
+    in degree -d; anything else raises with the offending dimensions.  A bound
     below every internal degree of the other terms checks nothing: it raises.
     A nonzero constant entry makes R/(s) = 0, so s is not regular (Matsumura,
     Sec. 16): it raises first, with the constant entries by position as witness.
@@ -381,12 +352,16 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
             witness=units,
             key="constant_entries",
         )
-    middle, wedge = k._trace_middle_row(bound)
-    truncated = ChainComplex._trusted(
-        ring, {-i: comb(d, i + 1) for i in range(d)}, {-i: wedge[-i - 1] for i in range(d - 1)}
-    )
-    up = ChainMap(single(ring, 0), truncated, {0: [[s] for s in k.section]})
-    down = ChainMap(single(ring, -d), middle, {-d: [[ring.one()]]})
+    # wedging with the section is the transpose of contracting with it
+    contraction = koszul_complex(k)._mats
+    wedge = {-i: linalg.transpose(contraction[i + 1]) for i in range(d)}
+    middle = ChainComplex._trusted(ring, {-i: comb(d, i) for i in range(d + 1)}, wedge)
+    low = min(t for (n, _), t in infer_grading(middle).items() if n != -d)
+    if bound < low:
+        raise BoundsExceeded(
+            f"internal-degree bound {bound} is below {low}, the lowest at which "
+            f"homology away from degree {-d} can live"
+        )
     homology = graded_homology_dims(middle, bound)
     stray = {key: v for key, v in homology.items() if key[0] != -d}
     if stray:
@@ -400,7 +375,7 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
         "socle_degree": -d,
         "socle_dims": {t: v for (_, t), v in sorted(homology.items())},
     }
-    return TraceDiagram(middle, up, down, certificate)
+    return TraceDiagram(middle, certificate)
 
 
 class SplitCertificate:
@@ -476,11 +451,11 @@ def split_factorization(k):
         cone_matches = cone_factor == kos
         split = (1,)
     else:
-        iso = split_iso(k, d - 1)
+        _, tail, iso = split_section(k, d - 1)
         transposes = {n: linalg.transpose(iso._mats.get(n, {})) for n in iso._degrees}
         inverse = ChainMap._trusted(iso.target, iso.source, transposes)
         form_factorizes = theta_multiplicative(k, d - 1)
-        cone_matches = cone_factor == koszul_complex(split_datum(k, d - 1)[1])
+        cone_matches = cone_factor == koszul_complex(tail)
         split = (d - 1, 1)
     invertible = inverse.compose(iso).is_identity() and iso.compose(inverse).is_identity()
     return SplitCertificate(

@@ -46,10 +46,6 @@ class Place:
     def infinity(cls):
         return cls(None)
 
-    @classmethod
-    def finite(cls, p):
-        return cls(p)
-
     @property
     def is_infinite(self):
         return self.p is None
@@ -59,7 +55,7 @@ class Place:
         text = str(text).strip().lower()
         if text in ("inf", "infinity", "oo", "real"):
             return cls.infinity()
-        return cls.finite(int(text))
+        return cls(int(text))
 
     def __eq__(self, other):
         return isinstance(other, Place) and self.p == other.p
@@ -311,7 +307,7 @@ def _legendre(u, p):
 def relevant_places(values):
     """oo, 2, and every odd prime dividing a square class of the values."""
     primes = {2}.union(*(_square_class(v)[1] for v in values))
-    return [Place.infinity()] + [Place.finite(p) for p in sorted(primes)]
+    return [Place.infinity()] + [Place(p) for p in sorted(primes)]
 
 
 # ---------------------------------------------------------------------------

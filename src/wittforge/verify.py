@@ -428,16 +428,14 @@ def verify_theta(seed=0, size=None, bound=None):
             )
 
 
-def _trace_data():
-    """The data of the trace suite: coordinate sections of rank 1-4, then x, x."""
-    x = PolyRing(Q, ("x", "y")).variable("x")
-    return [coordinate_datum(d) for d in range(1, 5)] + [KoszulDatum(x.ring, [x, x])]
-
-
 def verify_trace(seed=0, size=None, bound=DEFAULT_BOUND):
-    """Exactness of the augmented Koszul complex, and rejection without it."""
-    *coordinates, dependent = _trace_data()
-    for d, k in enumerate(coordinates, 1):
+    """Exactness of the augmented Koszul complex, and rejection without it.
+
+    The rank-1 case comes first: its terms off the socle start at internal
+    degree 0, the highest of the five data, so a bound that leaves any
+    checked window empty is refused there."""
+    for d in range(1, 5):
+        k = coordinate_datum(d)
 
         def exact():
             try:
@@ -453,13 +451,14 @@ def verify_trace(seed=0, size=None, bound=DEFAULT_BOUND):
             {"rank": d, "section": "coordinates", "bound": bound},
             exact,
         )
+    x = PolyRing(Q, ("x", "y")).variable("x")
     yield (
         "trace/reject-dependent",
         "a linearly dependent section is rejected with a nonzero-homology witness",
         {"rank": 2, "section": "x,x", "bound": bound},
         _raises(
             NotRegularSequence,
-            lambda: trace_diagram(dependent, bound=bound),
+            lambda: trace_diagram(KoszulDatum(x.ring, [x, x]), bound=bound),
             "a dependent section was accepted",
             lambda err: None
             if any((err.witness or {}).values())
@@ -738,12 +737,15 @@ def run_suite(name, seed=0, size=None, bound=None):
 
 
 def run_all(seed=0, size=None, bound=None):
-    """Every suite, in name order, with ``size`` given to the suites that take
-    one.  A size that one of them rejects, or a bound that leaves the checked
-    window of a trace datum empty, raises before the first suite runs."""
+    """Every suite's report, in name order, with ``size`` given to the suites
+    that take one.  A size that one of them rejects raises before the first
+    suite runs.  The trace suite runs first, so a bound that it refuses raises
+    before any other suite's work."""
     sizes = {name: None if _default_size(name) is None else size for name in sorted(SUITES)}
     for name, n in sizes.items():
         _check_size(name, n)
-    for k in _trace_data():
-        k._trace_middle_row(DEFAULT_BOUND if bound is None else bound)
-    return [run_suite(name, seed=seed, size=n, bound=bound) for name, n in sizes.items()]
+    reports = {
+        name: run_suite(name, seed=seed, size=sizes[name], bound=bound)
+        for name in sorted(sizes, key=lambda name: name != "trace")
+    }
+    return [reports[name] for name in sizes]

@@ -541,9 +541,25 @@ def test_graded_window_past_the_cap_is_one_line_usage(capsys, monkeypatch):
     )
 
 
-def test_verify_all_checks_the_bound_before_any_suite(capsys, monkeypatch):
-    # every trace datum is checked first, so an empty window runs no suite
-    # (it used to run every suite sorted before trace, about 1.9 s of work)
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        (
+            "-3",
+            "out of bounds: internal-degree bound -3 is below 0, the lowest at which "
+            "homology away from degree -1 can live",
+        ),
+        (
+            "100000",
+            "out of bounds: internal-degree window -1..100000 holds 100002 degrees, "
+            "above the cap 4096",
+        ),
+    ],
+    ids=["empty-window", "past-the-cap"],
+)
+def test_verify_all_checks_the_bound_before_any_suite(capsys, monkeypatch, bound, message):
+    # the trace suite runs first, so an empty window or one past the cap is
+    # refused before any other suite's work
     monkeypatch.delenv("WITTFORGE_BOUND", raising=False)
     suites = []
     run_suite = verify.run_suite
@@ -553,12 +569,9 @@ def test_verify_all_checks_the_bound_before_any_suite(capsys, monkeypatch):
         return run_suite(name, **kwargs)
 
     monkeypatch.setattr(verify, "run_suite", counted)
-    message = (
-        "out of bounds: internal-degree bound -3 is below 0, the lowest at which "
-        "homology away from degree -1 can live"
-    )
-    assert run(capsys, "--bound", "-3", "verify", "all") == (2, "", message)
-    assert suites == []
+    assert run(capsys, "--bound", bound, "verify", "all") == (2, "", message)
+    assert suites == ["trace"]
+    suites.clear()
     # a valid bound reaches the suites through the counted path
     monkeypatch.setattr(verify, "SUITES", {"trace": verify.SUITES["trace"]})
     assert run(capsys, "verify", "all")[0] == 0

@@ -39,9 +39,8 @@ from wittforge.koszul import (
     koszul_complex,
     koszul_form,
     sigma_map,
-    split_datum,
     split_factorization,
-    split_iso,
+    split_section,
     theta_multiplicative,
     trace_diagram,
     unit_inclusion,
@@ -227,17 +226,17 @@ def test_one_koszul_complex_per_datum():
     assert sigma_map(k).source is kos
     assert unit_inclusion(k).target is kos
     assert x_map(k).source is kos
-    assert split_iso(k, 1).source is kos
+    assert split_section(k, 1)[2].source is kos
 
 
 def test_one_split_per_datum_and_head():
     k = coordinates(4)
-    first, second = split_datum(k, 1)
-    assert split_datum(k, 1)[0] is first and split_datum(k, 1)[1] is second
-    other = split_datum(k, 2)
+    first, second, iso = split_section(k, 1)
+    assert all(a is b for a, b in zip(split_section(k, 1), (first, second, iso)))
+    other = split_section(k, 2)
     assert other[0] is not first and (other[0].rank, other[1].rank) == (2, 2)
-    assert split_datum(k, 2)[0] is other[0]
-    assert split_iso(k, 1).target == tensor(koszul_complex(first), koszul_complex(second))
+    assert split_section(k, 2)[0] is other[0]
+    assert iso.target == tensor(koszul_complex(first), koszul_complex(second))
 
 
 def record_products(monkeypatch, name):
@@ -295,13 +294,14 @@ def test_split_factorization_builds_its_iso_once(monkeypatch):
     tensors = record_products(monkeypatch, "tensor")
     homs = record_products(monkeypatch, "hom_complex")
     isos = []
-    build_iso = koszul.split_iso
+    build_split = koszul.split_section
 
-    def counted_iso(k, head):
-        isos.append(build_iso(k, head))
-        return isos[-1]
+    def counted_split(k, head):
+        split = build_split(k, head)
+        isos.append(split[2])
+        return split
 
-    monkeypatch.setattr(koszul, "split_iso", counted_iso)
+    monkeypatch.setattr(koszul, "split_section", counted_split)
     cert = split_factorization(coordinates(3))
     assert cert
     assert (built(tensors), built(homs)) == (2, 7)
@@ -388,7 +388,7 @@ def test_adjoint_comparison_survives_other_sections():
 
 def test_split_iso_is_permutation():
     k = coordinates(3)
-    iso = split_iso(k, 2)
+    iso = split_section(k, 2)[2]
     for n in iso.source.terms:
         mat = dense_rows(iso, n)
         for col in range(len(mat[0])):
@@ -400,7 +400,7 @@ def test_split_keeps_twist_on_head():
     ring = RINGS[2]
     k = KoszulDatum(ring, [ring.variable("x"), ring.variable("y")],
                     twist=ring.constant(Q.element(2)))
-    head, tail = split_datum(k, 1)
+    head, tail, _ = split_section(k, 1)
     assert head.twist == k.twist
     assert tail.twist == ring.one()
 
@@ -507,9 +507,6 @@ def test_trace_rows_are_the_wedge_with_the_section(case):
     d = k.rank
     diagram = trace_diagram(k, bound=bound)
     assert diagram.middle._mats == {-i: _wedge(k, i) for i in range(d)}
-    truncated = diagram.up.target
-    assert truncated.terms == {-i: comb(d, i + 1) for i in range(d)}
-    assert truncated._mats == {-i: _wedge(k, i + 1) for i in range(d - 1)}
 
 
 def test_trace_length_one():
@@ -518,8 +515,6 @@ def test_trace_length_one():
     assert sorted(diagram.middle.terms) == [-1, 0]
     assert dense_rows(diagram.middle, 0) == [[ring.variable("x")]]
     assert diagram.certificate["socle_dims"] == {-1: 1}
-    assert dense_rows(diagram.down, -1) == [[ring.one()]]
-    assert dense_rows(diagram.up, 0) == [[ring.variable("x")]]
 
 
 def test_trace_length_two_passes():
@@ -527,13 +522,6 @@ def test_trace_length_two_passes():
     assert diagram.certificate["socle_degree"] == -2
     assert diagram.certificate["socle_dims"] == {-2: 1}
     assert [diagram.middle.rank(-i) for i in range(3)] == [1, 2, 1]
-
-
-def test_trace_up_map_is_the_section():
-    ring = RINGS[3]
-    diagram = trace_diagram(coordinates(3))
-    assert diagram.up.source == single(ring, 0)
-    assert dense_rows(diagram.up, 0) == [[ring.variable(v)] for v in ("x", "y", "z")]
 
 
 def test_trace_bound_below_the_checked_window_raises():
@@ -647,7 +635,7 @@ def test_koszul_constructions_keep_their_public_form():
         "kos2": koszul_complex(k2),
         "form2": koszul_form(k2).form,
         "delta2": delta_map(k2),
-        "split3": split_iso(coordinates(3), 1),
+        "split3": split_section(coordinates(3), 1)[2],
         "xmap2": x_map(k2),
         "middle3": trace_diagram(coordinates(3)).middle,
     }

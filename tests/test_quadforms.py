@@ -132,12 +132,12 @@ def assert_certificate(form, wc):
 
 
 def test_hilbert_frozen_values():
-    assert hilbert_symbol(2, 3, Place.finite(3)) == -1
+    assert hilbert_symbol(2, 3, Place(3)) == -1
     assert hilbert_symbol(-1, -1, Place.infinity()) == -1
-    assert hilbert_symbol(-1, -1, Place.finite(2)) == -1
-    assert hilbert_symbol(2, -1, Place.finite(2)) == 1  # 1^2*(-1) + 2^2*... : 3^2 = 1 + 2*4
-    assert hilbert_symbol(3, 3, Place.finite(3)) == -1
-    assert hilbert_symbol(5, 7, Place.finite(11)) == 1  # both units at a good odd prime
+    assert hilbert_symbol(-1, -1, Place(2)) == -1
+    assert hilbert_symbol(2, -1, Place(2)) == 1  # 1^2*(-1) + 2^2*... : 3^2 = 1 + 2*4
+    assert hilbert_symbol(3, 3, Place(3)) == -1
+    assert hilbert_symbol(5, 7, Place(11)) == 1  # both units at a good odd prime
 
 
 def test_hilbert_real_place():
@@ -160,7 +160,7 @@ def test_hilbert_matches_local_solubility(p, reps):
     # reps cover every square class of Q_p (and then some)
     for a in reps:
         for b in reps:
-            assert hilbert_symbol(a, b, Place.finite(p)) == hilbert_oracle(a, b, p), (
+            assert hilbert_symbol(a, b, Place(p)) == hilbert_oracle(a, b, p), (
                 a,
                 b,
                 p,
@@ -169,7 +169,7 @@ def test_hilbert_matches_local_solubility(p, reps):
 
 def test_hilbert_bimultiplicative():
     vals = [1, 2, 3, 5, -1, -2, -15]
-    places = [Place.infinity(), Place.finite(2), Place.finite(3), Place.finite(5)]
+    places = [Place.infinity(), Place(2), Place(3), Place(5)]
     for v in places:
         for a, a2, b in itertools.product(vals, repeat=3):
             lhs = hilbert_symbol(a * a2, b, v)
@@ -179,7 +179,7 @@ def test_hilbert_bimultiplicative():
 
 def test_hilbert_symmetric_and_square_invariant():
     vals = [1, 2, 3, 5, 7, -1, -2, -3, -30]
-    places = [Place.infinity(), Place.finite(2), Place.finite(3), Place.finite(7)]
+    places = [Place.infinity(), Place(2), Place(3), Place(7)]
     for v in places:
         for a, b in itertools.product(vals, repeat=2):
             assert hilbert_symbol(a, b, v) == hilbert_symbol(b, a, v)
@@ -219,7 +219,7 @@ def test_q_invariants_match_pairwise_hilbert_symbols(scaled):
     assert set(inv.hasse) == primes
     for p in primes:
         pairs = itertools.combinations(entries, 2)
-        expected = math.prod(hilbert_symbol(a, b, Place.finite(p)) for a, b in pairs)
+        expected = math.prod(hilbert_symbol(a, b, Place(p)) for a, b in pairs)
         assert inv.hasse[p] == expected, (entries, p)
 
 
@@ -243,7 +243,7 @@ def test_quaternary_with_det_five_mod_eight_is_isotropic(entries, vector):
     # det is 1 mod 4 but 5 mod 8, so no square in Q_2: isotropic at 2
     # although the Hasse symbol there differs from (-1,-1)_2
     inv = quadforms._QInvariants(entries)
-    assert inv.det % 8 == 5 and inv.hasse[2] != hilbert_symbol(-1, -1, Place.finite(2))
+    assert inv.det % 8 == 5 and inv.hasse[2] != hilbert_symbol(-1, -1, Place(2))
     form = QuadraticForm.diagonal(Q, entries)
     assert bilinear(form, vector, vector) == Q.zero()
     assert inv.is_isotropic()
@@ -269,11 +269,11 @@ def test_witt_equal_over_q_factors_each_entry_once(monkeypatch):
 def test_place_parse_and_json():
     assert Place.parse("inf").is_infinite
     assert Place.parse("oo") == Place.infinity()
-    assert Place.parse("7") == Place.finite(7)
-    assert Place.finite(3).to_json() == 3
+    assert Place.parse("7") == Place(7)
+    assert Place(3).to_json() == 3
     assert Place.infinity().to_json() == "inf"
     with pytest.raises(ValueError):
-        Place.finite(6)
+        Place(6)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ def test_no_assert_statements():
 def _is_pass_through(func):
     """``func`` only forwards its parameters, unchanged, to another callable.
 
-    Its body (after an optional docstring) is ``return f(p0, p1, ...)`` or
-    ``return p0.m(p1, ...)``: a second name for another function.
+    Its body (after an optional docstring) is ``return f(p0, p1, ...)``,
+    ``return p0.m(p1, ...)`` or, for a classmethod, ``return cls(p1, ...)``:
+    a second name for another function or a constructor.
     """
     body = func.body
     if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
@@ -39,7 +40,7 @@ def _is_pass_through(func):
     args = [a.id if isinstance(a, ast.Name) else None for a in call.args]
     target = call.func
     if isinstance(target, ast.Name):
-        return args == params
+        return args == params or [target.id] + args == params
     return (
         isinstance(target, ast.Attribute)
         and isinstance(target.value, ast.Name)

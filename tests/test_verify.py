@@ -6,9 +6,15 @@ import random
 
 import pytest
 
-from wittforge import linalg, verify
+from wittforge import koszul, linalg, verify
 from wittforge.cli import main
-from wittforge.errors import Inconclusive, NotAChainMap, NotAField, NotRegularSequence
+from wittforge.errors import (
+    Inconclusive,
+    NotAChainComplex,
+    NotAChainMap,
+    NotAField,
+    NotRegularSequence,
+)
 from wittforge.fields import FieldSpec, find_irreducible
 from wittforge.transfer import ExtensionDatum
 from wittforge.verify import (
@@ -72,6 +78,23 @@ def test_a_law_that_raises_fails_its_suite_with_a_witness(monkeypatch, capsys):
     ]
     theta = next(report for report in reports if report["suite"] == "theta")
     assert theta["summary"] == {"pass": 6, "fail": 4, "inconclusive": 0, "total": 10}
+
+
+def test_a_complex_fault_in_the_trace_row_fails_its_cases(monkeypatch, capsys):
+    # the trace row is built inside each trace case, so a complex-layer fault
+    # there fails those five cases in valid JSON with exit 1, not exit 2
+    def raising(cx):
+        raise NotAChainComplex("d_1 . d_2 != 0")
+
+    monkeypatch.setattr(koszul, "infer_grading", raising)
+    code = main(["--json", "--seed", "42", "verify", "all"])
+    reports = json.loads(capsys.readouterr().out)
+    assert code == 1 and len(reports) == len(SUITES) == 13
+    trace = next(report for report in reports if report["suite"] == "trace")
+    witness = {"error": "NotAChainComplex", "detail": "d_1 . d_2 != 0"}
+    assert [(case["status"], case["witness"]) for case in trace["cases"]] == [("fail", witness)] * 5
+    others = [case for report in reports if report is not trace for case in report["cases"]]
+    assert all(case["status"] == "pass" for case in others)
 
 
 def test_a_fault_fails_its_case_and_is_not_a_usage_error(monkeypatch, capsys):

@@ -221,12 +221,12 @@ MUTANTS = [
         COMPLEX_TESTS,
     ),
     (
-        "the truncated row of the trace diagram not shifted by one degree",
+        "the trace bound also counts the socle degree",
         "koszul.py",
         "trace_diagram",
-        "wedge[-i - 1]",
-        "wedge[-i]",
-        COMPLEX_TESTS,
+        " if n != -d",
+        "",
+        COMPLEX_TESTS + ("tests/test_cli.py",),
     ),
     (
         "the line a complex's duals map into ignores the degree",
@@ -263,7 +263,7 @@ MUTANTS = [
     (
         "the split kept on a datum ignores the head",
         "koszul.py",
-        "_split",
+        "split_section",
         "if head in k._splits:\n        return k._splits[head]",
         "if k._splits:\n        return next(iter(k._splits.values()))",
         COMPLEX_TESTS,
@@ -350,6 +350,14 @@ MUTANTS = [
         "except BoundsExceeded:",
         "except Exception:",
         ("tests/test_verify.py",),
+    ),
+    (
+        "`verify all` runs the suites in name order",
+        "verify.py",
+        "run_all",
+        "sorted(sizes, key=lambda name: name != 'trace')",
+        "sizes",
+        ("tests/test_cli.py",),
     ),
     (
         "an expected-raise check accepts a call that returns",
