@@ -24,10 +24,11 @@ the integer sums are reduced mod p once, at the end).
 Univariate polynomials have one representation: lists of a field's raw
 payloads, low to high, driven by its kernel.  One checked division step
 (which raises when a leading term fails to cancel) underlies one extended
-Euclid loop, shared by extension inverses, Ben-Or's irreducibility test and
-the squarefree test of :func:`factor_univariate`; Ben-Or's powers x^(q^i)
-mod f are taken in the extension kernel of f itself.  Only results
-(moduli, factors, roots) are boxed.
+Euclid loop, shared by extension inverses, distinct-degree factorization
+(whose first rung is Ben-Or's irreducibility test) and the squarefree test
+of :func:`factor_univariate`; the powers x^(q^i) mod f are taken in the
+extension kernel of f itself.  Only results (moduli, factors, roots) are
+boxed.
 
 Characteristic 2 is rejected at construction time: every quadratic-form
 routine downstream assumes ``2`` is invertible.
@@ -56,8 +57,8 @@ from .errors import (
 MAX_TOWER_DEGREE = 16
 
 #: Cap on exhaustive enumerations: the elements of a finite field
-#: (:meth:`FieldSpec.elements`), the coefficients of the modulus candidates
-#: of :func:`find_irreducible`, and the trial divisors of ``_factor_finite``.
+#: (:meth:`FieldSpec.elements`), the modulus candidates' coefficients in
+#: :func:`find_irreducible`, and the trial divisors of one equal-degree part.
 ENUMERATION_CAP = 10**6
 
 
@@ -113,11 +114,12 @@ class FieldSpec:
         """Extend ``base`` by a monic modulus (coefficients low to high).
 
         The modulus must be monic of degree >= 2 and irreducible over
-        ``base``.  Irreducibility is decided by Ben-Or's gcd test over
-        finite fields, by the rational-root test (complete through degree
-        3) over Q, and by a discriminant square test for quadratics over
-        the supported Q-extensions; outside those regimes the caller must
-        vouch with ``assume_irreducible=True``.
+        ``base``.  Irreducibility is decided by Ben-Or's gcd test, the first
+        rung of distinct-degree factorization, over finite fields, by the
+        rational-root test (complete through degree 3) over Q, and by a
+        discriminant square test for quadratics over the supported
+        Q-extensions; outside those regimes the caller must vouch with
+        ``assume_irreducible=True``.
         """
         coeffs = _trim_raw([base.element(c).payload for c in modulus], base._kernel.is_zero)
         deg = len(coeffs) - 1
@@ -612,28 +614,6 @@ def _monic_candidates(field, degree):
         yield list(tail[::-1]) + one
 
 
-def _ben_or_irreducible(base, f):
-    """Ben-Or's test over a finite base of order q (f: a monic payload list).
-
-    A polynomial f of degree n is irreducible iff gcd(x^(q^i) - x, f) = 1
-    for i = 1 .. n // 2: a reducible f has an irreducible factor of some
-    degree k <= n // 2, and every such factor divides x^(q^k) - x.  Most
-    reducible candidates have a small factor, so they stop at a small i.
-    The powers are taken in the kernel of base[x]/(f), whose product is
-    multiplication modulo the monic f whether or not f is irreducible.
-    """
-    k, q = base._kernel, base.order()
-    ring = _extension_kernel(base, tuple(f))
-    x = ring.zero[:1] + (k.one,) + ring.zero[2:]
-    power = x  # then x^(q^i) mod f
-    for _ in range((len(f) - 1) // 2):
-        power = _power(ring, power, q)
-        gcd, _ = _euclid(k, list(f), _trim_raw(list(ring.sub(power, x)), k.is_zero))
-        if len(gcd) > 1:
-            return False
-    return True
-
-
 def rational_roots(coeffs):
     """All rational roots of a polynomial with rational (int or Fraction) coefficients."""
     Q = FieldSpec.Q()
@@ -657,13 +637,39 @@ def rational_roots(coeffs):
     return [FieldElement(Q, r) for r in roots]
 
 
+def _distinct_degree(base, f):
+    """Distinct-degree factorization of a monic payload list f over a finite base.
+
+    Yields ``(i, g)`` for i = 1, 2, ...: g = gcd(x^(q^i) - x, what is left of
+    f), divided out, is the product of its degree-i irreducible factors up
+    to a unit (a trivial g is skipped).  Once 2i exceeds the degree left, the
+    rest is one irreducible, yielded with its degree.  The powers stay in the
+    kernel of base[x]/(f) for the f given.  Ben-Or's test is this loop
+    stopped at its first yield, so no g is made monic here: f of degree n,
+    repeated factors or not, is irreducible iff that yield has i = n.
+    """
+    k, q = base._kernel, base.order()
+    ring = _extension_kernel(base, tuple(f))
+    x = ring.zero[:1] + (k.one,) + ring.zero[2:]
+    power, i = x, 1  # then x^(q^i) mod the f given
+    while 2 * i <= len(f) - 1:
+        power = _power(ring, power, q)
+        g, _ = _euclid(k, f, _trim_raw(list(ring.sub(power, x)), k.is_zero))
+        if len(g) > 1:
+            yield i, g
+            f = _divmod_raw(k, f, g)[0]
+        i += 1
+    if len(f) > 1:
+        yield len(f) - 1, f
+
+
 def _is_irreducible(base, coeffs):
     """Decide irreducibility of a monic payload list over ``base`` (see ``extension``)."""
     deg = len(coeffs) - 1
     if deg == 1:
         return True
     if base.is_finite:
-        return _ben_or_irreducible(base, coeffs)
+        return next(_distinct_degree(base, coeffs))[0] == deg
     if base.kind == "Q":
         if rational_roots(coeffs):
             return False
@@ -707,9 +713,10 @@ def factor_univariate(coeffs, field):
     """Factor a monic squarefree polynomial into monic irreducibles over ``field``.
 
     ``coeffs`` are coercible into ``field`` (low to high).  Over finite
-    fields the factorization is complete: trial division by the monic
-    polynomials of each degree up to half the remaining degree, while their
-    number stays under :data:`ENUMERATION_CAP`.  In characteristic 0 the
+    fields the factorization is complete: distinct-degree factorization,
+    then trial division by the monic polynomials of one degree splits each
+    part with more than one factor, while their number stays under
+    :data:`ENUMERATION_CAP`.  In characteristic 0 the
     supported regime is degree <= 6 with rational coefficients: rational
     roots are stripped, quadratics are decided by a discriminant square test
     in ``field``, and cubics that survive root stripping are certified
@@ -731,26 +738,23 @@ def factor_univariate(coeffs, field):
 
 
 def _factor_finite(field, f):
-    """Monic irreducible payload lists of f, by trial division in candidate order."""
-    q = field.order()
+    """Monic irreducible payload lists of f: each distinct-degree part with more
+    than one factor is split by trial division, in candidate order."""
+    k, q = field._kernel, field.order()
     factors = []
-    work = f
-    k = 1
-    while 2 * k <= len(work) - 1:
-        if q**k > ENUMERATION_CAP:
-            raise FactorizationUnsupported(
-                f"divisor enumeration of size {q**k} exceeds the cap"
-            )
-        for cand in _monic_candidates(field, k):
-            quot, rem = _divmod_raw(field._kernel, work, cand)
+    for i, g in _distinct_degree(field, f):
+        lead_inv = k.inv(g[-1])
+        g = [k.mul(lead_inv, c) for c in g]
+        if len(g) - 1 > i and q**i > ENUMERATION_CAP:
+            raise FactorizationUnsupported(f"divisor enumeration of size {q**i} exceeds the cap")
+        candidates = _monic_candidates(field, i)
+        while len(g) - 1 > i:
+            cand = next(candidates)
+            quot, rem = _divmod_raw(k, g, cand)
             if not rem:
                 factors.append(cand)
-                work = quot
-                break
-        else:
-            k += 1
-    if len(work) > 1:
-        factors.append(work)
+                g = quot
+        factors.append(g)
     return factors
 
 
@@ -809,12 +813,8 @@ def _factor_rational_poly(f):
     work = f
     factors = []
     for r in rational_roots(work):
-        lin = [-r.payload, 1]
-        quot, rem = _divmod_raw(Q._kernel, work, lin)
-        if rem:
-            continue
-        factors.append(lin)
-        work = quot
+        factors.append([-r.payload, 1])
+        work = _divmod_raw(Q._kernel, work, factors[-1])[0]
     deg = len(work) - 1
     if deg > 3:
         raise FactorizationUnsupported(

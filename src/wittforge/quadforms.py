@@ -247,12 +247,17 @@ def _square_class(value):
     the primes dividing d; the one place a rational is factored.  Inside this
     module a square class is its squarefree int, whose valuation at a prime
     is 0 or 1."""
+    n = _integer_in_class(value)
+    primes = [p for p, e in sympy.factorint(abs(n)).items() if e % 2]
+    return math.prod(primes) * (-1 if n < 0 else 1), primes
+
+
+def _integer_in_class(value):
+    """n * d for a nonzero rational n/d: an integer in its square class."""
     f = Fraction(value)
     if f == 0:
         raise ValueError("0 has no square class")
-    n = f.numerator * f.denominator  # same class as n/d
-    primes = [p for p, e in sympy.factorint(abs(n)).items() if e % 2]
-    return math.prod(primes) * (-1 if n < 0 else 1), primes
+    return f.numerator * f.denominator
 
 
 def _class_product(a, b):
@@ -264,19 +269,20 @@ def hilbert_symbol(a, b, place):
     """The Hilbert symbol (a, b)_v over Q, computed by the local formulas.
 
     At the real place: -1 iff both arguments are negative.  At a finite
-    place see :func:`_hilbert`, which takes the square classes of a and b.
+    place see :func:`_hilbert`; a rational n/d enters as n * d, so nothing
+    is factored.
     """
-    (a, _), (b, _) = _square_class(a), _square_class(b)
+    a, b = _integer_in_class(a), _integer_in_class(b)
     if place.is_infinite:
         return -1 if (a < 0 and b < 0) else 1
     return _hilbert(a, b, place.p)
 
 
 def _hilbert(a, b, p):
-    """(a, b)_p for squarefree integers a, b and a prime p.
+    """(a, b)_p for nonzero integers a, b and a prime p.
 
-    With a = p^alpha * u and b = p^beta * w (u, w prime to p, alpha and beta
-    0 or 1), at an odd prime
+    With a = p^alpha * u and b = p^beta * w (u, w prime to p; only alpha and
+    beta mod 2 matter), at an odd prime
 
         (a,b)_p = (-1)^(alpha*beta*(p-1)/2) * (u|p)^beta * (w|p)^alpha
 
@@ -284,10 +290,11 @@ def _hilbert(a, b, p):
 
         (a,b)_2 = (-1)^(eps(u)eps(w) + alpha*omega(w) + beta*omega(u))
 
-    where eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
+    where eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2 (Serre, *A Course
+    in Arithmetic*, Ch. III, Thm. 1).  v_p is read by repeated division.
     """
-    alpha, beta = int(a % p == 0), int(b % p == 0)
-    u, w = a // p**alpha, b // p**beta
+    alpha, u = _split_prime(a, p)
+    beta, w = _split_prime(b, p)
     if p != 2:
         sign = -1 if alpha * beta and (p - 1) // 2 % 2 else 1
         return sign * (_legendre(u, p) if beta else 1) * (_legendre(w, p) if alpha else 1)
@@ -297,6 +304,15 @@ def _hilbert(a, b, p):
     omega_w = ((w * w - 1) // 8) % 2
     exp = eps_u * eps_w + alpha * omega_w + beta * omega_u
     return -1 if exp % 2 else 1
+
+
+def _split_prime(a, p):
+    """(v_p(a) mod 2, a / p^v_p(a)) for a nonzero integer a."""
+    parity = 0
+    while a % p == 0:
+        a //= p
+        parity ^= 1
+    return parity, a
 
 
 def _legendre(u, p):
@@ -373,22 +389,15 @@ def _is_local_square(d, p):
     return d % 8 == 1 if p == 2 else _legendre(d, p) == 1
 
 
-def _finite_isotropy_decision(field, entries):
-    n = len(entries)
-    if n <= 1:
-        return False
-    if n == 2:
-        return is_square(-entries[0] * entries[1])
-    return True  # Chevalley-Warning: dim >= 3 over a finite field
-
-
 # ---------------------------------------------------------------------------
 # explicit isotropic vectors
 # ---------------------------------------------------------------------------
 
 
 def _finite_isotropic_vector(field, entries):
-    """A nonzero vector of a diagonal isotropic form over a finite field."""
+    """A nonzero vector of a diagonal form over a finite field, or None exactly
+    when the form is anisotropic: n <= 1, or n = 2 with -d0/d1 not a square
+    (Chevalley-Warning: every form of dimension >= 3 is isotropic)."""
     n = len(entries)
     # pairs split by a square root
     for i in range(n):
@@ -571,8 +580,7 @@ def witt_decompose(form):
             return None if vec is None else [field.element(x) for x in vec]
     elif field.is_finite:
         def finder(entries):
-            if _finite_isotropy_decision(field, entries):
-                return _finite_isotropic_vector(field, entries)
+            return _finite_isotropic_vector(field, entries)
     else:
         raise UnsupportedField(f"no Witt decomposition over {field}")
 

@@ -1,20 +1,19 @@
 """Push-forward of quadratic forms along finite field extensions.
 
 A finite extension E/F is presented by an :class:`ExtensionDatum`: the
-flattened power basis of the tower (or a user-supplied basis) plus the
-multiplication matrices it induces.  On top of that sit the trace, the trace
-form, the Scharlau transfer on Gram matrices, the unit/counit of the
-restriction / Hom_F(E,-) adjunction with machine-checked triangle
-identities (the unit's E-linearity is certified on one generator per tower
-step: an F-linear map that commutes with a generating set of an F-algebra,
-whose words span it, is linear over the algebra), and a second,
-independently-computed route to the transfer that goes through the duality
-pairing and the explicit change-of-basis between functional spaces (the
-Cartan matrix); ``verify``'s adjunction suite checks
-that the matrix is invertible and that this route equals the Scharlau
-transfer.  The module also packages executable checks of the
-composition, base-change, and projection formulas, each returning a
-:class:`CheckReport` {claim, lhs, rhs, equal, witness}.
+flattened power basis of the tower plus the multiplication matrices it
+induces.  On top of that sit the trace, the trace form, the Scharlau
+transfer on Gram matrices, the unit/counit of the restriction / Hom_F(E,-)
+adjunction with machine-checked triangle identities (the unit's E-linearity
+is certified on one generator per tower step: an F-linear map that commutes
+with a generating set of an F-algebra, whose words span it, is linear over
+the algebra), and a second, independently-computed route to the transfer
+that goes through the duality pairing and the explicit change-of-basis
+between functional spaces (the Cartan matrix); ``verify``'s adjunction suite
+checks that the matrix is invertible and that this route equals the Scharlau
+transfer.  The module also packages executable checks of the composition,
+base-change, and projection formulas, each returning a :class:`CheckReport`
+{claim, lhs, rhs, equal, witness}.
 """
 
 from __future__ import annotations
@@ -33,47 +32,30 @@ from .quadforms import QuadraticForm, signed_discriminant, witt_equal
 class ExtensionDatum:
     """A finite extension E/F with an explicit F-basis of E.
 
-    The default basis is the flattened power basis of the tower: for
-    E = K[y]/(m) over F it is ``{b * y^j}`` with ``b`` running through the
-    basis of K/F (inner index fastest).  A custom basis is certified by the
-    invertibility of its coordinate matrix.  The multiplication table, the
-    basis traces and the trace form are derived on first use and kept in
-    private slots.  Matrices are :mod:`~wittforge.linalg` sparse matrices.
+    The basis is the flattened power basis of the tower: for E = K[y]/(m)
+    over F it is ``{b * y^j}`` with ``b`` running through the basis of K/F
+    (inner index fastest), so the coordinates of an element are its nested
+    payload flattened.  The multiplication table, the basis traces and the
+    trace form are derived on first use and kept in private slots.
+    Matrices are :mod:`~wittforge.linalg` sparse matrices.
     """
 
     __slots__ = (
         "top",
         "bottom",
         "basis",
-        "_to_custom",
         "_one_coords",
         "_table",
         "_basis_traces",
         "_trace_form",
     )
 
-    def __init__(self, top, bottom, basis=None):
+    def __init__(self, top, bottom):
         if not spec_extends(top, bottom):
             raise FieldMismatch(f"{top} does not extend {bottom}")
         self.top = top
         self.bottom = bottom
-        canonical = _flattened_basis(top, bottom)
-        if basis is None:
-            self.basis = canonical
-            self._to_custom = None
-        else:
-            basis = [top.element(b) for b in basis]
-            if len(basis) != len(canonical):
-                raise ValueError(
-                    f"basis has length {len(basis)}, expected {len(canonical)}"
-                )
-            # rows: canonical coordinates of the basis, so the inverse maps
-            # canonical coordinate rows to custom ones
-            inv = linalg.inverse(bottom, [_canonical_coords(b, bottom) for b in basis])
-            if inv is None:
-                raise ValueError("proposed basis is not F-linearly independent")
-            self.basis = basis
-            self._to_custom = inv
+        self.basis = _flattened_basis(top, bottom)
         self._one_coords = linalg.sparse([self.coordinates(top.one())])[0]
         self._table = self._basis_traces = self._trace_form = None
 
@@ -82,14 +64,13 @@ class ExtensionDatum:
         return len(self.basis)
 
     def coordinates(self, x):
-        """F-coordinates of x in the datum's basis."""
+        """F-coordinates of x in the datum's basis: its payload flattened level by level."""
         if x.spec != self.top:
             raise FieldMismatch(f"element of {x.spec}, expected {self.top}")
-        coords = _canonical_coords(x, self.bottom)
-        if self._to_custom is None:
-            return coords
-        row = linalg.product(self.bottom, linalg.sparse([coords]), self._to_custom)
-        return list(linalg.dense(self.bottom, row, (1, self.degree))[0])
+        spec, payloads = x.spec, [x.payload]
+        while spec != self.bottom:
+            spec, payloads = spec.base, [c for p in payloads for c in p]
+        return [FieldElement(self.bottom, c) for c in payloads]
 
     def mult_matrix(self, e):
         """Matrix of multiplication by e on E as an F-space (columns = images)."""
@@ -120,11 +101,7 @@ class ExtensionDatum:
     def __eq__(self, other):
         if not isinstance(other, ExtensionDatum):
             return NotImplemented
-        return (
-            self.top == other.top
-            and self.bottom == other.bottom
-            and self.basis == other.basis
-        )
+        return self.top == other.top and self.bottom == other.bottom  # the basis follows
 
     def __repr__(self):
         return f"ExtensionDatum({self.top!r} / {self.bottom!r}, degree {self.degree})"
@@ -149,14 +126,6 @@ def _flattened_basis(top, bottom):
             out.append(embed(b, top) * power)
         power = power * gen
     return out
-
-
-def _canonical_coords(x, bottom):
-    """The coordinates of x over ``bottom``: its nested payload flattened level by level."""
-    spec, payloads = x.spec, [x.payload]
-    while spec != bottom:
-        spec, payloads = spec.base, [c for p in payloads for c in p]
-    return [FieldElement(bottom, c) for c in payloads]
 
 
 def _trace_gram(ext):
@@ -327,11 +296,11 @@ def _unit_is_E_linear(ext, unit_v, dim_e):
     """Whether the unit of V = E^dim_e intertwines E on V and on Hom_F(E, V|_F),
     checked on one generator g per tower step, bottom step first.
 
-    A_g = sum_l coords_l(g) M(b_l) is read off the table (one entry of it in
-    the canonical basis).  Three sub-checks: (1) unit . (1 (x) A_g) =
+    A_g = sum_l coords_l(g) M(b_l) is read off the table (g is a basis
+    element, so it is one entry).  Three sub-checks: (1) unit . (1 (x) A_g) =
     (1 (x) A_g^T) . unit for each g; (2) the A_g commute pairwise; (3) the
-    words in the A_g applied to the coordinates of 1 span F^n (in the
-    canonical basis they are the basis vectors, in basis order).  Why this is
+    words in the A_g applied to the coordinates of 1 span F^n (they are the
+    basis vectors, in basis order).  Why this is
     enough: let Phi(c) = sum_l c_l U_l, U_l the action of b_l that the unit
     reads.  (1) says Phi(A_g x) = Phi(x) A_g, and the first triangle says
     Phi(1) = I, so Phi(w . 1) = w for every word w, its letters in any order

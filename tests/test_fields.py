@@ -33,6 +33,7 @@ from wittforge.fields import (
     _euclid,
     _first_nonsquare,
     _is_irreducible,
+    _monic_candidates,
     embed,
     factor_univariate,
     find_irreducible,
@@ -589,6 +590,68 @@ def test_factor_univariate_frozen_order(name, coeffs, expected):
     field = fields[name] if name in fields else _prime_power_field(name)
     factors = factor_univariate([field.element(c) for c in coeffs], field)
     assert [[c.to_json() for c in g] for g in factors] == expected
+
+
+def trial_division_factors(field, f):
+    """Oracle: the former finite factorization, trial division of a monic
+    payload list by every monic candidate up to half the remaining degree,
+    restarting in candidate order after each factor found."""
+    factors, work, degree = [], f, 1
+    while 2 * degree <= len(work) - 1:
+        for cand in _monic_candidates(field, degree):
+            quot, rem = _divmod_raw(field._kernel, work, cand)
+            if not rem:
+                factors.append(cand)
+                work = quot
+                break
+        else:
+            degree += 1
+    if len(work) > 1:
+        factors.append(work)
+    return factors
+
+
+def _is_squarefree(field, f):
+    k = field._kernel
+    der = [k.mul(k.from_int(i), c) for i, c in enumerate(f) if i]
+    while der and k.is_zero(der[-1]):
+        der.pop()
+    return bool(der) and len(_euclid(k, f, der)[0]) == 1
+
+
+@pytest.mark.parametrize("name", ["F3", "F5", "F7", "F9", "F27"])
+def test_factor_univariate_matches_trial_division(name):
+    # seeded draws of degree <= 8; among them, parts of two and three
+    # factors of one degree (over F27: three quadratics)
+    field = {"F3": F3, "F5": F5, "F7": F7}.get(name) or _prime_power_field(name)
+    rng = random.Random(f"dd-{name}")
+    tested = 0
+    while tested < 12:
+        degree = rng.randint(1, 8)
+        f = [field.random_element(rng).payload for _ in range(degree)] + [field._kernel.one]
+        if not _is_squarefree(field, f):
+            continue
+        tested += 1
+        got = [[c.payload for c in g] for g in factor_univariate(f, field)]
+        assert got == trial_division_factors(field, f), f
+
+
+# F_{3^7}: q^2 = 4,782,969 exceeds the enumeration cap
+F3_7 = FieldSpec.extension(F3, find_irreducible(F3, 7))
+
+
+def test_single_factor_parts_need_no_enumeration():
+    # an F3 quartic stays irreducible over F_{3^7} (4 and 7 are coprime): its
+    # one distinct-degree part is a single factor, so no candidates are listed
+    quartic = tuple(F3_7.element(c) for c in find_irreducible(F3, 4))
+    assert factor_univariate(quartic, F3_7) == [quartic]
+
+
+def test_equal_degree_split_past_the_cap_raises():
+    # (x^2 + 1)(x^2 + x + 2): two quadratics that stay irreducible over the
+    # odd-degree F_{3^7}, so the degree-2 part needs q^2 candidates
+    with pytest.raises(FactorizationUnsupported):
+        factor_univariate([2, 1, 0, 1, 1], F3_7)
 
 
 @pytest.mark.parametrize(

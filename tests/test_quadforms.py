@@ -186,6 +186,26 @@ def test_hilbert_symmetric_and_square_invariant():
             assert hilbert_symbol(a * 9, b * 4, v) == hilbert_symbol(a, b, v)
 
 
+def test_hilbert_symbol_factors_nothing(monkeypatch):
+    # v_p by division agrees with the square-class route, and never factors
+    values = [n for n in range(-100, 101) if n] + [Fraction(3, 4), Fraction(-5, 12), Fraction(98, 27)]
+    classes = {v: quadforms._square_class(v)[0] for v in values}
+    primes = (2, 3, 5, 7, 11)
+    expected = {
+        (a, b, p): quadforms._hilbert(classes[a], classes[b], p)
+        for a, b in itertools.product(values, repeat=2)
+        for p in primes
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hilbert_symbol factored an argument")
+
+    monkeypatch.setattr(quadforms.sympy, "factorint", refuse)
+    places = {p: Place(p) for p in primes}
+    for (a, b, p), symbol in expected.items():
+        assert hilbert_symbol(a, b, places[p]) == symbol, (a, b, p)
+
+
 def test_hilbert_product_formula():
     rng = random.Random(424)
     for _ in range(40):
@@ -573,9 +593,23 @@ def test_isotropy_matches_exhaustive_search(field):
     rng = random.Random(31)
     for form in sample_forms(field, rng, 10, max_dim=3):
         found = exhaustive_isotropic_vectors(form)
-        assert quadforms._finite_isotropy_decision(field, _diagonal_entries(form)) == bool(found)
+        entries = _diagonal_entries(form)
+        vec = quadforms._finite_isotropic_vector(field, entries)
+        assert (vec is not None) == bool(found)
+        if vec is not None:
+            assert sum((e * x * x for e, x in zip(entries, vec)), field.zero()).is_zero()
         wc = witt_decompose(form)
         assert (wc.hyperbolic > 0) == bool(found)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F9], ids=str)
+def test_binary_vector_is_none_iff_minus_det_is_not_a_square(field):
+    # the finder's None is the whole anisotropy decision: for n = 2 it must
+    # agree with the square class of -d0*d1
+    units = [x for x in field.elements() if not x.is_zero()]
+    for d0, d1 in itertools.product(units, repeat=2):
+        vec = quadforms._finite_isotropic_vector(field, [d0, d1])
+        assert (vec is None) == (not is_square(-d0 * d1)), (d0, d1)
 
 
 def test_witt_decompose_four_ones_over_f5():

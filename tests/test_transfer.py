@@ -27,7 +27,6 @@ from wittforge.quadforms import (
     diagonalize,
     hyperbolic_plane,
     witt_decompose,
-    witt_equal,
 )
 from wittforge.transfer import (
     ExtensionDatum,
@@ -143,11 +142,9 @@ def test_trace_form_nondegenerate(ext):
         ExtensionDatum(F27, F3),
         ExtensionDatum(F81, F9),
         DS2,
-        ExtensionDatum(F9, F3, basis=[F9.one(), F9.one() + F9.generator()]),
-        ExtensionDatum(QS2, Q, basis=[QS2.element([1, 1]), QS2.element([2, -1])]),
         D813,
     ],
-    ids=["F27/F3", "F81/F9", "Qsqrt2/Q", "F9/F3-custom", "Qsqrt2/Q-custom", "F81/F3"],
+    ids=["F27/F3", "F81/F9", "Qsqrt2/Q", "F81/F3"],
 )
 def test_trace_form_is_full_trace_matrix(ext):
     # oracle: every entry Tr(b_i b_j), read off the diagonal of its full
@@ -191,9 +188,9 @@ class _CountingDatum(ExtensionDatum):
 
     __slots__ = ("calls",)
 
-    def __init__(self, top, bottom, basis=None):
+    def __init__(self, top, bottom):
         self.calls = 0
-        super().__init__(top, bottom, basis=basis)
+        super().__init__(top, bottom)
 
     def mult_matrix(self, e):
         self.calls += 1
@@ -201,19 +198,14 @@ class _CountingDatum(ExtensionDatum):
 
 
 @pytest.mark.parametrize(
-    "top, bottom, basis",
-    [
-        (F9, F3, None),
-        (F81, F3, None),
-        (F729, F27, None),
-        (QS2, Q, [QS2.element([1, 1]), QS2.element([2, -1])]),
-    ],
-    ids=["F9/F3", "F81/F3", "F729/F27", "Qsqrt2/Q-custom"],
+    "top, bottom",
+    [(F9, F3), (F81, F3), (F729, F27)],
+    ids=["F9/F3", "F81/F3", "F729/F27"],
 )
-def test_trace_form_and_adjunction_read_one_multiplication_table(top, bottom, basis):
+def test_trace_form_and_adjunction_read_one_multiplication_table(top, bottom):
     # one matrix per basis element, built once, serves the trace, the trace
     # form and every action of the triangle check
-    ext = _CountingDatum(top, bottom, basis=basis)
+    ext = _CountingDatum(top, bottom)
     ext.trace(top.generator())
     trace_form(ext)
     assert triangle_identities_check(ext, 2, 3)
@@ -432,9 +424,8 @@ F3_9 = FieldSpec.extension(F27, find_irreducible(F27, 3))  # degree 9 over F3, t
         D813,
         ExtensionDatum(F3_9, F3),
         DS2,
-        ExtensionDatum(QS2, Q, basis=[QS2.element([1, 1]), QS2.element([2, -1])]),
     ],
-    ids=lambda e: f"deg{e.degree}" + ("-custom" if e._to_custom is not None else ""),
+    ids=lambda e: f"deg{e.degree}",
 )
 @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (3, 2)])
 def test_triangle_identities(ext, dims):
@@ -625,26 +616,14 @@ def test_projection_formula_random():
 # ---------------------------------------------------------------------------
 
 
-def test_custom_basis_changes_gram_but_not_class():
-    alpha = F9.generator()
-    custom = ExtensionDatum(F9, F3, basis=[F9.one(), F9.one() + alpha])
-    q = QuadraticForm.diagonal(F9, [alpha])
-    canonical = scharlau_transfer(D93, q)
-    other = scharlau_transfer(custom, q)
-    assert witt_equal(canonical, other)
-    assert witt_equal(trace_form(custom), trace_form(D93))
-
-
 @pytest.mark.parametrize(
     "ext",
     [
         ExtensionDatum(F27, F3),
         ExtensionDatum(F81, F9),
         DS2,
-        ExtensionDatum(F9, F3, basis=[F9.one(), F9.one() + F9.generator()]),
-        ExtensionDatum(QS2, Q, basis=[QS2.element([1, 1]), QS2.element([2, -1])]),
     ],
-    ids=["F27/F3", "F81/F9", "Qsqrt2/Q", "F9/F3-custom", "Qsqrt2/Q-custom"],
+    ids=["F27/F3", "F81/F9", "Qsqrt2/Q"],
 )
 def test_trace_is_diagonal_sum_of_mult_matrix(ext):
     # oracle: the trace of multiplication-by-e read off its full matrix
@@ -658,22 +637,8 @@ def test_trace_is_diagonal_sum_of_mult_matrix(ext):
         assert ext.trace(e) == diagonal
 
 
-def test_custom_basis_coordinates_roundtrip():
-    alpha = F9.generator()
-    custom = ExtensionDatum(F9, F3, basis=[F9.one(), F9.one() + alpha])
-    rng = random.Random(3)
-    for _ in range(5):
-        x = F9.random_element(rng)
-        coords = custom.coordinates(x)
-        assert sum((embed(c, F9) * b for c, b in zip(coords, custom.basis)), F9.zero()) == x
-
-
 def test_bad_basis_rejected():
-    alpha = F9.generator()
-    with pytest.raises(ValueError):
-        ExtensionDatum(F9, F3, basis=[alpha, alpha + alpha])  # dependent
-    with pytest.raises(ValueError):
-        ExtensionDatum(F9, F3, basis=[F9.one()])  # wrong length
+    # the basis of E/F exists only when E extends F
     with pytest.raises(FieldMismatch):
         ExtensionDatum(F3, F9)
 

@@ -40,11 +40,11 @@ TIMEOUT_S = 300
 #: a method), old text, new text, test modules)
 MUTANTS = [
     (
-        "Ben-Or loop one short",
+        "Ben-Or loop one short: the distinct-degree loop stops at i = n // 2 - 1",
         "fields.py",
-        "_ben_or_irreducible",
-        "range((len(f) - 1) // 2)",
-        "range((len(f) - 1) // 2 - 1)",
+        "_distinct_degree",
+        "while 2 * i <= len(f) - 1",
+        "while 2 * (i + 1) <= len(f) - 1",
         FIELD_TESTS,
     ),
     (
@@ -64,11 +64,11 @@ MUTANTS = [
         FIELD_TESTS,
     ),
     (
-        "trial division starts at degree 2",
+        "the distinct-degree loop starts at degree 2",
         "fields.py",
-        "_factor_finite",
-        "k = 1",
-        "k = 2",
+        "_distinct_degree",
+        "power, i = (x, 1)",
+        "power, i = (x, 2)",
         FIELD_TESTS,
     ),
     (
