@@ -160,10 +160,17 @@ def parse_tower(text):
 
 
 def parse_form(field, text):
-    """A Gram matrix as JSON rows, or comma-separated diagonal entries."""
+    """A Gram matrix as JSON rows, or comma-separated diagonal entries:
+    the one reader of dense Gram rows."""
     text = _resolve(text).strip()
     if text.startswith("["):
-        return QuadraticForm(field, json.loads(text))
+        rows = json.loads(text)
+        if not all(isinstance(row, list) for row in rows):
+            raise ValueError("a Gram matrix is a list of rows, each a list of entries")
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("Gram matrix must be square")
+        mat = linalg.sparse([map(field.element, row) for row in rows])
+        return QuadraticForm(field, mat, len(rows))
     return QuadraticForm.diagonal(field, [e.strip() for e in text.split(",")])
 
 

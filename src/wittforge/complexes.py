@@ -22,9 +22,10 @@ first factor ``a``; the dual is the Hom into that line.
 Each matrix of a complex or a chain map is stored once, as a
 :mod:`~wittforge.linalg` sparse matrix ``{row: {col: nonzero entry}}``
 (``_mats``) that every check, equality test and construction reads.  The
-dense tuples of ``diffs`` are a read-only view derived from it on access.
-Constructions pass the sparse matrices they build to ``_trusted``, which
-skips entry coercion only.
+constructors take such matrices, whose entries are already nonzero
+elements of the ring, and check everything but the entries.  Dense rows
+are read in one place, :meth:`ChainComplex.from_json`; the dense tuples of
+``diffs`` are a read-only view derived from ``_mats`` on access.
 """
 
 from __future__ import annotations
@@ -56,12 +57,20 @@ RANK_CAP = 4096
 # ---------------------------------------------------------------------------
 
 
-def _sparse(ring, mat, shape, error, what):
-    """The sparse form of a dense matrix, its entries coerced into ``ring``."""
-    rows, cols = shape
-    if len(mat) != rows or any(len(row) != cols for row in mat):
-        raise error(f"{what} has shape {linalg.shape(mat)}, expected {shape}")
-    return linalg.sparse([map(ring.element, row) for row in mat])
+def _ranks(terms):
+    """degree -> rank without the zero ranks, once no rank is negative and
+    the total is within ``RANK_CAP``."""
+    clean = {}
+    for n, r in terms.items():
+        n, r = int(n), int(r)
+        if r < 0:
+            raise NotAChainComplex(f"negative rank {r} in degree {n}")
+        if r:
+            clean[n] = r
+    total = sum(clean.values())
+    if total > RANK_CAP:
+        raise BoundsExceeded(f"total rank {total} exceeds cap {RANK_CAP}")
+    return clean
 
 
 def _fitted(mat, shape, error, what):
@@ -88,55 +97,18 @@ def _same_ring(a, b):
 
 
 class ChainComplex:
-    """terms: degree -> rank; diffs: degree n -> matrix A_n -> A_{n-1}.
+    """terms: degree -> rank; mats: degree n -> sparse matrix A_n -> A_{n-1}.
 
-    Zero differentials are absent from ``diffs`` and ``_mats``.
+    The entries of ``mats`` are nonzero elements of ``ring``; the ranks,
+    the shapes and d . d = 0 are checked.  Zero differentials are absent
+    from ``diffs`` and ``_mats``.
     """
 
     __slots__ = ("ring", "terms", "_mats", "_memo")
 
-    def __init__(self, ring, terms, diffs):
+    def __init__(self, ring, terms, mats):
         self.ring = ring
-        self._set_terms(terms)
-        mats = {}
-        for n, mat in diffs.items():
-            n = int(n)
-            shape = self._shape(n)
-            if 0 in shape:
-                if mat and mat[0] and any(
-                    not ring.element(x).is_zero() for row in mat for x in row
-                ):
-                    raise NotAChainComplex(
-                        f"differential at degree {n} maps between missing terms"
-                    )
-                continue
-            mats[n] = _sparse(ring, mat, shape, NotAChainComplex, f"differential at degree {n}")
-        self._set_mats(mats)
-
-    @classmethod
-    def _trusted(cls, ring, terms, mats):
-        """A complex from sparse differentials whose entries are already
-        nonzero elements of ``ring``; shapes and d . d = 0 are still checked."""
-        self = cls.__new__(cls)
-        self.ring = ring
-        self._set_terms(terms)
-        self._set_mats(mats)
-        return self
-
-    def _set_terms(self, terms):
-        clean = {}
-        for n, r in terms.items():
-            n, r = int(n), int(r)
-            if r < 0:
-                raise NotAChainComplex(f"negative rank {r} in degree {n}")
-            if r:
-                clean[n] = r
-        total = sum(clean.values())
-        if total > RANK_CAP:
-            raise BoundsExceeded(f"total rank {total} exceeds cap {RANK_CAP}")
-        self.terms = clean
-
-    def _set_mats(self, mats):
+        self.terms = _ranks(terms)
         clean = {}
         for n, mat in mats.items():
             mat = _fitted(mat, self._shape(n), NotAChainComplex, f"differential at degree {n}")
@@ -145,7 +117,7 @@ class ChainComplex:
         self._mats = clean
         self._memo = {}
         for n, mat in clean.items():
-            if n - 1 in clean and linalg.product(self.ring, clean[n - 1], mat):
+            if n - 1 in clean and linalg.product(ring, clean[n - 1], mat):
                 raise NotAChainComplex(f"d_{n-1} . d_{n} != 0")
 
     @property
@@ -192,13 +164,30 @@ class ChainComplex:
 
     @classmethod
     def from_json(cls, obj):
+        """The complex ``to_json`` writes: the one reader of dense differentials.
+
+        The ranks are checked first, then each differential's shape; one
+        between missing terms must be zero, and is dropped.
+        """
         ring = ring_from_json(obj["ring"])
         terms = {int(n): r for n, r in obj["terms"].items()}
         diffs = {
             int(n): [[element_from_ring_json(ring, x) for x in row] for row in mat]
             for n, mat in obj.get("diffs", {}).items()
         }
-        return cls(ring, terms, diffs)
+        terms = _ranks(terms)
+        mats = {}
+        for n, mat in diffs.items():
+            shape = (terms.get(n - 1, 0), terms.get(n, 0))
+            what = f"differential at degree {n}"
+            if 0 in shape:
+                if any(not x.is_zero() for row in mat for x in row):
+                    raise NotAChainComplex(f"{what} maps between missing terms")
+            elif len(mat) != shape[0] or any(len(row) != shape[1] for row in mat):
+                raise NotAChainComplex(f"{what} has shape {linalg.shape(mat)}, expected {shape}")
+            else:
+                mats[n] = linalg.sparse(mat)
+        return cls(ring, terms, mats)
 
 
 def ring_from_json(obj):
@@ -219,35 +208,18 @@ def single(ring, degree):
 
 
 class ChainMap:
-    """Degreewise matrices commuting with the differentials.
+    """Degreewise sparse matrices commuting with the differentials.
 
-    ``_degrees`` lists each given component between nonzero terms, zero
-    ones included; ``_mats`` keeps the nonzero ones.
+    The entries of ``mats`` are nonzero elements of the ring; the rings,
+    the shapes and the commutation are checked.  ``_degrees`` lists each
+    given component between nonzero terms, zero ones included; ``_mats``
+    keeps the nonzero ones.
     """
 
     __slots__ = ("source", "target", "_degrees", "_mats")
 
-    def __init__(self, source, target, components):
+    def __init__(self, source, target, mats):
         _same_ring(source, target)
-        ring = source.ring
-        mats = {}
-        for n, mat in components.items():
-            n = int(n)
-            shape = (target.rank(n), source.rank(n))
-            if 0 not in shape:
-                mats[n] = _sparse(ring, mat, shape, NotAChainMap, f"component at degree {n}")
-        self._set_mats(source, target, mats)
-
-    @classmethod
-    def _trusted(cls, source, target, mats):
-        """A map from sparse components whose entries are already nonzero
-        ring elements; shapes and commutation are still checked."""
-        _same_ring(source, target)
-        self = cls.__new__(cls)
-        self._set_mats(source, target, mats)
-        return self
-
-    def _set_mats(self, source, target, mats):
         self.source = source
         self.target = target
         ring = source.ring
@@ -273,7 +245,7 @@ class ChainMap:
 
     @classmethod
     def identity(cls, complex_):
-        return cls._trusted(complex_, complex_, _identities(complex_))
+        return cls(complex_, complex_, _identities(complex_))
 
     def compose(self, other):
         """self . other (apply ``other`` first)."""
@@ -284,7 +256,7 @@ class ChainMap:
             n: linalg.product(ring, self._mats.get(n, {}), other._mats.get(n, {}))
             for n in set(self._degrees) | set(other._degrees)
         }
-        return ChainMap._trusted(other.source, self.target, mats)
+        return ChainMap(other.source, self.target, mats)
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
@@ -316,7 +288,7 @@ def scale_map(f, c):
     """The chain map c . f for a scalar c of the ring."""
     c = f.source.ring.element(c)
     mats = {} if c.is_zero() else f._mats
-    return ChainMap._trusted(
+    return ChainMap(
         f.source, f.target, {n: linalg.scaled(c, mats.get(n, {})) for n in f._degrees}
     )
 
@@ -375,7 +347,7 @@ def tensor(a, b):
             if (i, j - 1) in dst and j in b._mats:  # (-1)^i 1 (x) d_B : (i, j) -> (i, j - 1)
                 roff, _, rb2 = dst[(i, j - 1)]
                 linalg.kron(ra, signed_b[i % 2][j], (rb2, rb), mat, (roff, off))
-    return ChainComplex._trusted(a.ring, terms, mats)
+    return ChainComplex(a.ring, terms, mats)
 
 
 def hom_layout(a, b, n):
@@ -416,7 +388,7 @@ def hom_complex(a, b):
             if (i + 1) in dst and (i + 1) in a._mats:  # -(-1)^n d_A^T (x) 1 : i -> i + 1
                 pre = signed_at[1 - n % 2][i + 1]
                 linalg.kron(pre, rb, (rb, rb), mat, (dst[i + 1][0], off))
-    return ChainComplex._trusted(a.ring, terms, mats)
+    return ChainComplex(a.ring, terms, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +398,7 @@ def hom_complex(a, b):
 
 def left_unitor(a):
     """unit (x) A -> A (identity on entries)."""
-    return ChainMap._trusted(tensor(single(a.ring, 0), a), a, _identities(a))
+    return ChainMap(tensor(single(a.ring, 0), a), a, _identities(a))
 
 
 def associator(a, b, c):
@@ -458,7 +430,7 @@ def associator(a, b, c):
                             row = off_dst + p * r_bc + off_jk + q * r_c + s
                             mat[row][col] = one
         mats[n] = mat
-    return ChainMap._trusted(src, dst, mats)
+    return ChainMap(src, dst, mats)
 
 
 def tensor_map(f, g):
@@ -473,7 +445,7 @@ def tensor_map(f, g):
             if (i, j) in dst_layout and i in f._mats and j in g._mats:
                 off2, _, rb2 = dst_layout[(i, j)]
                 linalg.kron(f._mats[i], g._mats[j], (rb2, rb), mat, (off2, off))
-    return ChainMap._trusted(src, dst, mats)
+    return ChainMap(src, dst, mats)
 
 
 def hom_post(b, g):
@@ -492,7 +464,7 @@ def hom_post(b, g):
             if j in dst_layout and j + n in g._mats:  # 1 (x) g
                 off2, _, rct = dst_layout[j]
                 linalg.kron(rb, g._mats[j + n], (rct, rcs), mat, (off2, off))
-    return ChainMap._trusted(src, dst, mats)
+    return ChainMap(src, dst, mats)
 
 
 def adjunction_unit(a, b):
@@ -511,7 +483,7 @@ def adjunction_unit(a, b):
                 for q in range(rb):
                     mat[off_h + q * rt + (off_t + p * rb + q)][p] = one
         mats[i] = mat
-    return ChainMap._trusted(a, h, mats)
+    return ChainMap(a, h, mats)
 
 
 def adjunction_counit(b, c):
@@ -531,7 +503,7 @@ def adjunction_counit(b, c):
                 for u in range(rc):
                     mat[u][off + (off_h + q * rc + u) * rb + q] = one
         mats[n] = mat
-    return ChainMap._trusted(t, c, mats)
+    return ChainMap(t, c, mats)
 
 
 def adjunction_triangle_check(a, b, c):
@@ -600,7 +572,7 @@ def dualize_map(f, datum):
     dst = dualize(f.source, datum)
     d = datum.degree
     mats = {n: linalg.transpose(f._mats.get(d - n, {})) for n in src.terms}
-    return ChainMap._trusted(src, dst, mats)
+    return ChainMap(src, dst, mats)
 
 
 def bidual_map(a, datum):
@@ -615,7 +587,7 @@ def bidual_map(a, datum):
     for n, r in a.terms.items():
         s = a.ring.from_int(-1 if (n * (d - n)) % 2 else 1)
         mats[n] = {i: {i: s} for i in range(r)}
-    return ChainMap._trusted(a, dd, mats)
+    return ChainMap(a, dd, mats)
 
 
 def bidual_involution_check(a, datum):
@@ -652,7 +624,7 @@ def duality_interchange(a, b, da, db):
             p, q = da.degree - i, db.degree - j
             size = ria * rjb
             linalg.kron(signs[j * p % 2], size, (size, size), mat, (dst_layout[(p, q)][0], off))
-    return ChainMap._trusted(src, dst, mats)
+    return ChainMap(src, dst, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +645,7 @@ def cone(f):
         for i, row in a._mats.get(n - 1, {}).items():
             mat[rb1 + i] = {rb + j: -x for j, x in row.items()}
         mats[n] = mat
-    return ChainComplex._trusted(a.ring, terms, mats)
+    return ChainComplex(a.ring, terms, mats)
 
 
 def homology_dims(a):

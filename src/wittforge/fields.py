@@ -56,9 +56,10 @@ from .errors import (
 #: Largest permitted absolute degree of an extension tower.
 MAX_TOWER_DEGREE = 16
 
-#: Cap on exhaustive enumerations: the elements of a finite field
-#: (:meth:`FieldSpec.elements`), the modulus candidates' coefficients in
-#: :func:`find_irreducible`, and the trial divisors of one equal-degree part.
+#: Cap on exhaustive enumerations: the modulus candidates' coefficients in
+#: :func:`find_irreducible` and the trial divisors of one equal-degree part.
+#: :meth:`FieldSpec.elements` is lazy and uncapped: its caller stops at its
+#: first hit.
 ENUMERATION_CAP = 10**6
 
 
@@ -223,11 +224,9 @@ class FieldSpec:
         return FieldElement(self, zero[:1] + (self.base._kernel.one,) + zero[2:])
 
     def elements(self):
-        """Iterate every element (finite fields only, deterministic order)."""
+        """Iterate every element, lazily (finite fields only, deterministic order)."""
         if not self.is_finite:
             raise UnsupportedField("cannot enumerate an infinite field")
-        if self.order() > ENUMERATION_CAP:
-            raise BoundsExceeded(f"field of order {self.order()} exceeds enumeration cap")
         for payload in _payloads(self):
             yield FieldElement(self, payload)
 

@@ -140,7 +140,7 @@ def koszul_complex(k):
                 entry = k.section[j - 1]
                 mat[rows[rest]][c] = entry if pos % 2 == 0 else -entry
         mats[i] = mat
-    k._complex = ChainComplex._trusted(ring, terms, mats)
+    k._complex = ChainComplex(ring, terms, mats)
     return k._complex
 
 
@@ -201,7 +201,7 @@ def koszul_form(k):
             other = tuple(sorted(everything - set(subset)))
             mat[rows[other]] = {u: ring.from_int(_shuffle_sign(subset, other))}
         mats[i] = mat
-    form = ChainMap._trusted(kos, dualize(kos, datum), mats)
+    form = ChainMap(kos, dualize(kos, datum), mats)
     return SymmetricSpace(kos, datum, form)
 
 
@@ -221,19 +221,19 @@ def delta_map(k):
                         merged = tuple(sorted(left + right))
                         mat[rows[merged]][off + p * rb + q] = ring.from_int(sign)
         mats[n] = mat
-    return ChainMap._trusted(tensor(kos, kos), kos, mats)
+    return ChainMap(tensor(kos, kos), kos, mats)
 
 
 def sigma_map(k):
     """Projection onto the top exterior power: the identity in degree d, into
     the line the duals of the Koszul complex map into."""
     kos = koszul_complex(k)
-    return ChainMap(kos, dual_line(kos, k.rank), {k.rank: [[k.ring.one()]]})
+    return ChainMap(kos, dual_line(kos, k.rank), {k.rank: {0: {0: k.ring.one()}}})
 
 
 def unit_inclusion(k):
     """The ring into degree 0 of the Koszul complex; the unit for delta."""
-    return ChainMap(single(k.ring, 0), koszul_complex(k), {0: [[k.ring.one()]]})
+    return ChainMap(single(k.ring, 0), koszul_complex(k), {0: {0: {0: k.ring.one()}}})
 
 
 def delta_unital(k):
@@ -297,7 +297,7 @@ def split_section(k, head):
             q = _subset_index(d - head, len(high))[high]
             mat[off + p * rb + q] = {u: one}
         mats[n] = mat
-    k._splits[head] = (first, second, ChainMap._trusted(kos, tensor(a, b), mats))
+    k._splits[head] = (first, second, ChainMap(kos, tensor(a, b), mats))
     return k._splits[head]
 
 
@@ -355,7 +355,7 @@ def trace_diagram(k, bound=DEFAULT_BOUND):
     # wedging with the section is the transpose of contracting with it
     contraction = koszul_complex(k)._mats
     wedge = {-i: linalg.transpose(contraction[i + 1]) for i in range(d)}
-    middle = ChainComplex._trusted(ring, {-i: comb(d, i) for i in range(d + 1)}, wedge)
+    middle = ChainComplex(ring, {-i: comb(d, i) for i in range(d + 1)}, wedge)
     low = min(t for (n, _), t in infer_grading(middle).items() if n != -d)
     if bound < low:
         raise BoundsExceeded(
@@ -444,7 +444,7 @@ def split_factorization(k):
     ring, d = k.ring, k.rank
     kos = koszul_complex(k)
     line = single(ring, 0)
-    cone_factor = cone(ChainMap(line, line, {0: [[k.section[-1]]]}))
+    cone_factor = cone(ChainMap(line, line, {0: {0: {0: k.section[-1]}}}))
     if d == 1:
         iso = inverse = ChainMap.identity(kos)
         form_factorizes = True
@@ -453,7 +453,7 @@ def split_factorization(k):
     else:
         _, tail, iso = split_section(k, d - 1)
         transposes = {n: linalg.transpose(iso._mats.get(n, {})) for n in iso._degrees}
-        inverse = ChainMap._trusted(iso.target, iso.source, transposes)
+        inverse = ChainMap(iso.target, iso.source, transposes)
         form_factorizes = theta_multiplicative(k, d - 1)
         cone_matches = cone_factor == koszul_complex(tail)
         split = (d - 1, 1)

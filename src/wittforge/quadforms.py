@@ -73,34 +73,19 @@ class Place:
 class QuadraticForm:
     """A symmetric bilinear form given by its Gram matrix.
 
-    Forms are immutable.  The Gram matrix is stored once, as a
-    :mod:`~wittforge.linalg` sparse matrix (``_mat``); ``to_json`` writes
-    it as dense rows.  The constructor coerces dense rows, and
-    constructions pass their sparse matrices to ``_trusted``, which skips
-    coercion only.  The diagonal entries of a congruence diagonalization
-    (:func:`diagonalize`) are computed on first use and kept in the private
-    ``_entries`` slot, which takes no part in equality, hashing or JSON.
+    Forms are immutable.  The constructor takes the dim x dim Gram matrix
+    as a :mod:`~wittforge.linalg` sparse matrix whose entries are nonzero
+    elements of ``field``, checks its indices and its symmetry, and stores
+    it once (``_mat``); ``to_json`` writes it as dense rows, and the CLI's
+    ``parse_form`` is the one reader of dense rows.  The diagonal entries
+    of a congruence diagonalization (:func:`diagonalize`) are computed on
+    first use and kept in the private ``_entries`` slot, which takes no
+    part in equality, hashing or JSON.
     """
 
     __slots__ = ("field", "dim", "_mat", "_entries")
 
-    def __init__(self, field, gram):
-        rows = list(gram)
-        if not all(isinstance(row, (list, tuple)) for row in rows):
-            raise ValueError("a Gram matrix is a list of rows, each a list of entries")
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("Gram matrix must be square")
-        self._set(field, linalg.sparse([map(field.element, row) for row in rows]), len(rows))
-
-    @classmethod
-    def _trusted(cls, field, mat, dim):
-        """The form of a dim x dim sparse Gram matrix whose entries are already
-        nonzero elements of ``field``; indices and symmetry are still checked."""
-        self = cls.__new__(cls)
-        self._set(field, mat, dim)
-        return self
-
-    def _set(self, field, mat, dim):
+    def __init__(self, field, mat, dim):
         if not linalg.fits(mat, (dim, dim)):
             raise ValueError(f"Gram matrix does not fit the shape {(dim, dim)}")
         if mat != linalg.transpose(mat):
@@ -111,7 +96,7 @@ class QuadraticForm:
     def diagonal(cls, field, entries):
         entries = [field.element(e) for e in entries]
         mat = {i: {i: e} for i, e in enumerate(entries) if not e.is_zero()}
-        return cls._trusted(field, mat, len(entries))
+        return cls(field, mat, len(entries))
 
     def is_degenerate(self):
         """Whether the form has a radical: a zero entry of its diagonalization."""
@@ -123,7 +108,7 @@ class QuadraticForm:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         n, m = self.dim, other.dim
         block = linalg.block_diag([(self._mat, (n, n)), (other._mat, (m, m))])
-        return QuadraticForm._trusted(self.field, block, n + m)
+        return QuadraticForm(self.field, block, n + m)
 
     def tensor(self, other):
         """Tensor (Kronecker) product of forms."""
@@ -131,12 +116,12 @@ class QuadraticForm:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         m = other.dim
         product = linalg.kron(self._mat, other._mat, (m, m), {}, (0, 0))
-        return QuadraticForm._trusted(self.field, product, self.dim * m)
+        return QuadraticForm(self.field, product, self.dim * m)
 
     def scale(self, c):
         c = self.field.element(c)
         mat = {} if c.is_zero() else linalg.scaled(c, self._mat)
-        return QuadraticForm._trusted(self.field, mat, self.dim)
+        return QuadraticForm(self.field, mat, self.dim)
 
     def neg(self):
         return self.scale(self.field.from_int(-1))
@@ -160,7 +145,7 @@ class QuadraticForm:
 
 
 def hyperbolic_plane(field):
-    return QuadraticForm._trusted(field, {0: {1: field.one()}, 1: {0: field.one()}}, 2)
+    return QuadraticForm(field, {0: {1: field.one()}, 1: {0: field.one()}}, 2)
 
 
 def diagonalize(form):
@@ -481,12 +466,6 @@ def _q_isotropic_vector(entries):
     if not inv.is_isotropic():
         return None
     n = len(entries)
-    if n == 2:
-        ratio = -entries[0] / entries[1]
-        root = rational_sqrt(ratio)
-        if root is None:
-            raise RuntimeError(f"invariants certify isotropy, but -d0/d1 = {ratio} is no square")
-        return [Fraction(1), root]
     # pairs
     d = inv.classes
     for i in range(n):
@@ -604,7 +583,7 @@ def witt_decompose(form):
         if not basis:
             break  # nothing left: the form was a sum of hyperbolic planes
         restricted = _restrict_gram(field, form._mat, basis)
-        subform = QuadraticForm._trusted(field, restricted, subform.dim - 2)
+        subform = QuadraticForm(field, restricted, subform.dim - 2)
         entries, vectors = linalg.congruence(field, subform._mat, subform.dim, True)
 
     hyperbolic = len(cert_rows) // 2
@@ -613,7 +592,7 @@ def witt_decompose(form):
         aniso_rows = linalg.product(field, vectors, basis)
         cert_rows += [aniso_rows[k] for k in range(len(entries))]
     else:
-        aniso = QuadraticForm(field, [])
+        aniso = QuadraticForm(field, {}, 0)
     # the certificate P, re-multiplied: P^T G P must be H + ... + H + A
     pt, one = dict(enumerate(cert_rows)), field.one()
     blocks = [({0: {1: one}, 1: {0: one}}, (2, 2))] * hyperbolic + [(aniso._mat, (aniso.dim,) * 2)]
@@ -674,7 +653,7 @@ def _orthogonal_complement(field, form, v, u):
 
 
 def witt_zero(field):
-    return WittClass(field, QuadraticForm(field, []), 0)
+    return WittClass(field, QuadraticForm(field, {}, 0), 0)
 
 
 def witt_add(a, b):

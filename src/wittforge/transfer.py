@@ -145,7 +145,7 @@ def trace_form(ext):
     datum raises on every call; the returned form carries those cached entries.
     """
     if ext._trace_form is None:
-        form = QuadraticForm._trusted(ext.bottom, _trace_gram(ext), ext.degree)
+        form = QuadraticForm(ext.bottom, _trace_gram(ext), ext.degree)
         if form.is_degenerate():
             raise DegenerateTraceForm(
                 f"trace form of {ext.top}/{ext.bottom} is degenerate (inseparable?)"
@@ -177,7 +177,7 @@ def scharlau_transfer(ext, q):
             block = linalg.product(field, t_gram, ext.mult_matrix(e))
             linalg.kron(1, block, (n, n), out, (a * n, c * n))
             linalg.kron(1, block, (n, n), out, (c * n, a * n))
-    return QuadraticForm._trusted(field, out, n * q.dim)
+    return QuadraticForm(field, out, n * q.dim)
 
 
 def restrict_form(q, target):
@@ -190,7 +190,7 @@ def restrict_form(q, target):
 def _mapped(q, target, hom):
     """q with each Gram entry sent into ``target`` by the field homomorphism ``hom``."""
     mat = {i: {j: hom(x) for j, x in row.items()} for i, row in q._mat.items()}
-    return QuadraticForm._trusted(target, mat, q.dim)
+    return QuadraticForm(target, mat, q.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def pushforward_via_cartan(ext, q):
                     if not x.is_zero():
                         psi.setdefault(a * n + i, {})[c * n + k] = x
     gram = linalg.product(field, cartan_isomorphism(ext, r)._mat, psi)
-    return QuadraticForm._trusted(field, gram, r * n)
+    return QuadraticForm(field, gram, r * n)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +481,7 @@ def base_change_check(ext, L, q):
         raise FieldMismatch(f"form over {q.field}, expected {ext.top}")
     factors = split_algebra(ext, L)
     lhs = restrict_form(scharlau_transfer(ext, q), L)
-    rhs = QuadraticForm(L, [])
+    rhs = QuadraticForm(L, {}, 0)
     pieces = []
     for target, x_image in factors:
         q_i = _mapped(q, target, lambda x: _evaluate_into(x, target, x_image, ext.bottom))

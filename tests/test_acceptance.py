@@ -76,7 +76,7 @@ def test_01_scharlau_transfer_frozen_values():
     ext = ExtensionDatum(extension_of(F3, 2), F3)
 
     unit_pushed = scharlau_transfer(ext, QuadraticForm.diagonal(ext.top, [1]))
-    ok = unit_pushed == QuadraticForm(F3, [[2, 0], [0, 1]])
+    ok = unit_pushed == QuadraticForm.diagonal(F3, [2, 1])
     ok = ok and unit_pushed == trace_form(ext)
 
     alpha = ext.top.generator()

@@ -333,7 +333,7 @@ def test_complex_roundtrip_through_files(capsys, tmp_path):
     from wittforge.complexes import ChainComplex
 
     F5 = FieldSpec.Fp(5)
-    cx = ChainComplex(F5, {0: 1, 1: 2}, {1: [[1, 2]]})
+    cx = ChainComplex(F5, {0: 1, 1: 2}, {1: {0: {0: F5.from_int(1), 1: F5.from_int(2)}}})
     path = tmp_path / "cx.json"
     path.write_text(json.dumps(cx.to_json()))
 
@@ -378,6 +378,38 @@ def test_malformed_complex_is_one_line_usage(capsys, tmp_path, text, message):
     assert code == 2 and not out
     assert err.startswith("usage error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+# the flat rows [1,2] are pinned with the bad bounds above
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        ("[[1,2],[2]]", "usage error: Gram matrix must be square"),
+        ("[[1,2]]", "usage error: Gram matrix must be square"),
+        ("[[1,2],[0,1]]", "usage error: Gram matrix must be symmetric"),
+    ],
+    ids=["ragged", "one-row", "not-symmetric"],
+)
+def test_malformed_gram_is_one_line_usage(capsys, form, message):
+    assert run(capsys, "witt", "diag", "--field", "F5", "--form", form) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "terms, diffs, message",
+    [
+        ({"0": 2, "1": 1}, {"1": [[1]]}, "differential at degree 1 has shape (1, 1), expected (2, 1)"),
+        ({"0": 1}, {"5": [[1]]}, "differential at degree 5 maps between missing terms"),
+        ({"0": 1, "1": 1, "2": 1}, {"1": [[1]], "2": [[1]]}, "d_1 . d_2 != 0"),
+        # the ranks are checked before the shape they give
+        ({"0": -1, "1": 1}, {"1": [[1]]}, "negative rank -1 in degree 0"),
+    ],
+    ids=["wrong-shape", "missing-terms", "d-squared", "negative-rank"],
+)
+def test_invalid_complex_is_one_line_invalid_input(capsys, tmp_path, terms, diffs, message):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"ring": {"kind": "Fp", "p": 5}, "terms": terms, "diffs": diffs}))
+    code, out, err = run(capsys, "complex", "homology", "--a", f"@{path}")
+    assert (code, out, err) == (2, "", f"invalid input: {message}")
 
 
 F3_JSON = {"kind": "Fp", "p": 3}

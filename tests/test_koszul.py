@@ -433,7 +433,7 @@ def test_split_factorization_length_one_is_a_cone():
     assert cert.split == (1,)
     assert cert.cone_matches
     line = single(ring, 0)
-    expected = cone(ChainMap(line, line, {0: [[ring.variable("x")]]}))
+    expected = cone(ChainMap(line, line, {0: {0: {0: ring.variable("x")}}}))
     assert cert.cone_factor == expected
 
 

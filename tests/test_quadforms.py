@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.factor_ import core
 
-from wittforge import linalg, quadforms
+from wittforge import fields, linalg, quadforms
 from wittforge.errors import DegenerateForm, FieldMismatch, UnsupportedField
 from wittforge.fields import FieldSpec, find_irreducible, is_square
 from wittforge.quadforms import (
@@ -75,6 +75,11 @@ def hilbert_oracle(a, b, p):
     prim_xy = (X % p != 0) | (Y % p != 0)
     solvable = sq[C] & (prim_xy | unit_sq[C])
     return 1 if solvable.any() else -1
+
+
+def form_of(field, rows):
+    """The form of dense Gram rows, each entry coerced into ``field``."""
+    return QuadraticForm(field, linalg.sparse([map(field.element, row) for row in rows]), len(rows))
 
 
 def gram(form):
@@ -302,7 +307,7 @@ def test_place_parse_and_json():
 
 
 def test_diagonalize_f3_example():
-    entries, basis = diagonalize(QuadraticForm(F3, [[1, 1], [1, 2]]))
+    entries, basis = diagonalize(form_of(F3, [[1, 1], [1, 2]]))
     assert [e.to_json() for e in entries] == [1, 1]
     assert linalg.inverse(F3, linalg.dense(F3, basis, (2, 2))) is not None
 
@@ -315,7 +320,7 @@ def sample_forms(field, rng, count, max_dim=4, allow_degenerate=False):
             for i in range(n):
                 for j in range(i):
                     g[i][j] = g[j][i]
-            form = QuadraticForm(field, g)
+            form = form_of(field, g)
             if allow_degenerate:
                 break
             ent, _ = diagonalize(form)
@@ -344,7 +349,7 @@ def random_symmetric(field, rng, n, zero_share=0.4, zero_diagonal=False):
             if (i == j and zero_diagonal) or rng.random() < zero_share:
                 continue
             g[i][j] = g[j][i] = field.random_element(rng)
-    return QuadraticForm(field, g)
+    return form_of(field, g)
 
 
 @pytest.mark.parametrize("field", [F3, F9, Q], ids=str)
@@ -492,18 +497,18 @@ PINNED_DIAGONALIZATIONS = [
 
 @pytest.mark.parametrize("field, gram, entries, basis", PINNED_DIAGONALIZATIONS)
 def test_diagonalize_pinned(field, gram, entries, basis):
-    got_entries, got_basis = diagonalize(QuadraticForm(field, gram))
+    got_entries, got_basis = diagonalize(form_of(field, gram))
     assert [e.to_json() for e in got_entries] == entries
     got_basis = linalg.dense(field, got_basis, (len(gram), len(gram)))
     assert [[x.to_json() for x in row] for row in got_basis] == basis
 
 
 def test_is_degenerate_reads_the_cached_entries():
-    singular = QuadraticForm(F3, [[1, 1], [1, 1]])
+    singular = form_of(F3, [[1, 1], [1, 1]])
     assert singular.is_degenerate()
     assert singular._entries == (F3.one(), F3.zero())
     assert not hyperbolic_plane(F3).is_degenerate()
-    assert not QuadraticForm(F3, []).is_degenerate()
+    assert not QuadraticForm(F3, {}, 0).is_degenerate()
 
 
 @pytest.mark.parametrize("entries", [[1, -1], [1, -4, 3]], ids=["binary", "pair"])
@@ -515,8 +520,22 @@ def test_isotropic_vector_without_a_root_is_an_internal_fault(monkeypatch, entri
         quadforms._q_isotropic_vector([Fraction(e) for e in entries])
 
 
+def test_binary_rational_vector_is_one_and_the_root():
+    # <a, b> is isotropic exactly when -a/b is a rational square, and the
+    # witness is (1, sqrt(-a/b)) with the nonnegative root
+    values = [v for v in range(-30, 31) if v]
+    for a, b in itertools.product(values, repeat=2):
+        ratio = Fraction(-a, b)
+        num, den = math.isqrt(max(ratio.numerator, 0)), math.isqrt(ratio.denominator)
+        if Fraction(num * num, den * den) == ratio:
+            expected = [Fraction(1), Fraction(num, den)]
+        else:
+            expected = None
+        assert quadforms._q_isotropic_vector([a, b]) == expected, (a, b)
+
+
 def test_diagonal_entries_cached_per_form():
-    form = QuadraticForm(F5, [[1, 2, 0], [2, 0, 1], [0, 1, 3]])
+    form = form_of(F5, [[1, 2, 0], [2, 0, 1], [0, 1, 3]])
     entries = _diagonal_entries(form)
     assert _diagonal_entries(form) is entries
     signed_discriminant(form)
@@ -527,7 +546,7 @@ def test_diagonal_entries_cached_per_form():
         assert derived._entries is None
         assert _diagonal_entries(derived) == tuple(diagonalize(derived)[0])
     # the slot takes no part in equality, hashing or JSON
-    other = QuadraticForm(F5, gram(form))
+    other = form_of(F5, gram(form))
     assert other._entries is None
     assert other == form and hash(other) == hash(form)
     assert other.to_json() == form.to_json()
@@ -537,7 +556,7 @@ def test_diagonal_entries_cached_per_form():
 
 
 def test_degenerate_form_rejected():
-    q = QuadraticForm(F3, [[1, 1], [1, 1]])
+    q = form_of(F3, [[1, 1], [1, 1]])
     with pytest.raises(DegenerateForm):
         witt_decompose(q)
     with pytest.raises(DegenerateForm):
@@ -545,42 +564,36 @@ def test_degenerate_form_rejected():
 
 
 def test_scale_by_zero_is_the_zero_form():
-    form = QuadraticForm(F5, [[1, 2, 0], [2, 0, 1], [0, 1, 3]])
+    form = form_of(F5, [[1, 2, 0], [2, 0, 1], [0, 1, 3]])
     zero = form.scale(0)
-    assert zero == QuadraticForm(F5, [[0] * 3] * 3)
+    assert zero == form_of(F5, [[0] * 3] * 3)
     assert zero.dim == 3 and zero.is_degenerate()
 
 
 def test_asymmetric_gram_rejected():
-    with pytest.raises(ValueError):
-        QuadraticForm(F3, [[1, 1], [2, 1]])
-
-
-def test_trusted_checks_indices_and_symmetry():
-    one = F5.one()
-    assert QuadraticForm._trusted(F5, {0: {1: one}, 1: {0: one}}, 2) == hyperbolic_plane(F5)
+    one, two = F3.one(), F3.from_int(2)
     with pytest.raises(ValueError, match="symmetric"):
-        QuadraticForm._trusted(F5, {0: {1: one}}, 2)
+        QuadraticForm(F3, {0: {0: one, 1: one}, 1: {0: two, 1: one}}, 2)
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticForm(F3, {0: {1: one}}, 2)
+
+
+def test_gram_indices_checked():
+    one = F5.one()
+    assert QuadraticForm(F5, {0: {1: one}, 1: {0: one}}, 2) == hyperbolic_plane(F5)
     with pytest.raises(ValueError, match="does not fit"):
-        QuadraticForm._trusted(F5, {0: {0: one}, 2: {2: one}}, 2)
-
-
-def test_malformed_gram_is_named():
-    with pytest.raises(ValueError, match="a Gram matrix is a list of rows"):
-        QuadraticForm(F5, [1, 2])
-    with pytest.raises(ValueError, match="square"):
-        QuadraticForm(F5, [[1, 2], [2]])
+        QuadraticForm(F5, {0: {0: one}, 2: {2: one}}, 2)
 
 
 def test_sparse_form_views():
     rows = [[1, 0, 2], [0, 0, 0], [2, 0, 3]]
-    form = QuadraticForm(F5, rows)
+    form = form_of(F5, rows)
     one, two, three = map(F5.from_int, (1, 2, 3))
     assert form._mat == {0: {0: one, 2: two}, 2: {0: two, 2: three}}
     assert form.dim == 3 and gram(form) == tuple(tuple(map(F5.element, row)) for row in rows)
     assert form.to_json()["gram"] == rows
     zero_row = [0, 0, 0]
-    assert QuadraticForm.diagonal(F5, [1, 0, 5]) == QuadraticForm(F5, [[1, 0, 0], zero_row, zero_row])
+    assert QuadraticForm.diagonal(F5, [1, 0, 5]) == form_of(F5, [[1, 0, 0], zero_row, zero_row])
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +641,17 @@ def test_witt_decompose_three_ones_over_f3():
     entry = gram(wc.anisotropic)[0][0]
     assert is_square(entry / F3.from_int(2))
     assert not is_square(entry)
+    assert_certificate(form, wc)
+
+
+def test_witt_decompose_three_ones_over_a_field_too_large_to_enumerate():
+    # F_{3^13} has more elements than ENUMERATION_CAP; the ternary scan
+    # stops at its first hit, so its size must not matter
+    field = FieldSpec.extension(F3, find_irreducible(F3, 13))
+    assert field.order() > fields.ENUMERATION_CAP
+    form = QuadraticForm.diagonal(field, [1, 1, 1])
+    wc = witt_decompose(form)
+    assert (wc.hyperbolic, wc.anisotropic.dim) == (1, 1)
     assert_certificate(form, wc)
 
 
@@ -705,7 +729,7 @@ PINNED_DECOMPOSITIONS = [
 
 @pytest.mark.parametrize("field, gram, aniso, hyperbolic, certificate", PINNED_DECOMPOSITIONS)
 def test_witt_decompose_pinned(field, gram, aniso, hyperbolic, certificate):
-    form = QuadraticForm(field, gram)
+    form = form_of(field, gram)
     wc = witt_decompose(form)
     assert wc.to_json()["anisotropic"]["gram"] == aniso
     assert wc.hyperbolic == hyperbolic
@@ -801,9 +825,9 @@ def test_integral_diagonal_forms_over_q(entries, others):
     )
     assert quadforms._QInvariants(entries).is_isotropic() == (wc.hyperbolic > 0)
     assert witt_equal(form, wc.anisotropic)
-    assert witt_equal(form.perp(form.neg()), QuadraticForm(Q, []))
+    assert witt_equal(form.perp(form.neg()), QuadraticForm(Q, {}, 0))
     assert witt_equal(form.perp(other), other.perp(form))
-    assert witt_equal(form, other) == witt_equal(form.perp(other.neg()), QuadraticForm(Q, []))
+    assert witt_equal(form, other) == witt_equal(form.perp(other.neg()), QuadraticForm(Q, {}, 0))
 
 
 @pytest.mark.parametrize("entries", [[6, -1, 3], [3, -1, 6]])
@@ -817,7 +841,7 @@ def test_isotropic_ternary_found_in_any_coefficient_order(entries):
 
 
 def test_rational_dense_gram_decomposes():
-    form = QuadraticForm(
+    form = form_of(
         Q,
         [
             [0, 1, 2],
@@ -936,7 +960,7 @@ def test_signature():
 
 
 def test_evaluate_and_bilinear():
-    form = QuadraticForm(Q, [[1, 2], [2, -1]])
+    form = form_of(Q, [[1, 2], [2, -1]])
     assert bilinear(form, [1, 1], [1, 1]).payload == Fraction(4)  # 1 + 2*2 - 1
     assert bilinear(form, [1, 0], [0, 1]).payload == Fraction(2)
     assert form.tensor(form).dim == 4

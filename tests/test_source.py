@@ -19,6 +19,22 @@ def test_no_assert_statements():
     assert not found, f"assert statements in {found}"
 
 
+def test_one_constructor_per_class():
+    """An object is built by its ``__init__`` alone: no ``__new__`` call
+    makes one that skips the checks ``__init__`` runs."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+        ]
+    assert not found, f"__new__ calls in {found}"
+
+
 def _is_pass_through(func):
     """``func`` only forwards its parameters, unchanged, to another callable.
 

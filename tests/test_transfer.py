@@ -64,13 +64,18 @@ D813 = ExtensionDatum(F81, F3)
 DS2 = ExtensionDatum(QS2, Q)
 
 
+def form_of(field, rows):
+    """The form of dense Gram rows, each entry coerced into ``field``."""
+    return QuadraticForm(field, linalg.sparse([map(field.element, row) for row in rows]), len(rows))
+
+
 def random_nondegenerate(field, rng, dim):
     while True:
         g = [[field.random_element(rng) for _ in range(dim)] for _ in range(dim)]
         for i in range(dim):
             for j in range(i):
                 g[i][j] = g[j][i]
-        form = QuadraticForm(field, g)
+        form = form_of(field, g)
         entries, _ = diagonalize(form)
         if all(not e.is_zero() for e in entries):
             return form
@@ -159,7 +164,7 @@ def test_trace_form_is_full_trace_matrix(ext):
             row.append(sum((m.get(k, {}).get(k, zero) for k in range(n)), zero))
         expected.append(row)
     form = trace_form(ext)
-    assert form == QuadraticForm(ext.bottom, expected)
+    assert form == form_of(ext.bottom, expected)
     assert trace_form(ext) is form
     assert form._entries is not None  # nondegeneracy was decided on these
 
@@ -245,13 +250,13 @@ def test_transfer_of_generator_form_is_hyperbolic():
 
 def test_transfer_along_trivial_extension_is_identity():
     ext = ExtensionDatum(F3, F3)
-    q = QuadraticForm(F3, [[1, 2], [2, 2]])
+    q = form_of(F3, [[1, 2], [2, 2]])
     assert scharlau_transfer(ext, q) == q
 
 
 def test_transfer_rejects_degenerate():
     with pytest.raises(DegenerateForm):
-        scharlau_transfer(D93, QuadraticForm(F9, [[1, 1], [1, 1]]))
+        scharlau_transfer(D93, form_of(F9, [[1, 1], [1, 1]]))
     with pytest.raises(FieldMismatch):
         scharlau_transfer(D93, QuadraticForm.diagonal(F3, [1]))
 
@@ -655,7 +660,7 @@ def test_check_report_shape():
 def test_class_summary_surfaces_degenerate_forms():
     assert _class_summary(QuadraticForm.diagonal(F3, [1, 1])) == {"dim": 2, "signed_disc": 2}
     with pytest.raises(DegenerateForm):
-        _class_summary(QuadraticForm(F3, [[1, 1], [1, 1]]))
+        _class_summary(form_of(F3, [[1, 1], [1, 1]]))
 
 
 def test_restrict_form():

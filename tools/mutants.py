@@ -90,9 +90,9 @@ MUTANTS = [
         ("tests/test_transfer.py",),
     ),
     (
-        "_trusted (and the constructor) without the symmetry check of _set",
+        "the form constructor without its symmetry check",
         "quadforms.py",
-        "_set",
+        "QuadraticForm.__init__",
         "if mat != linalg.transpose(mat):",
         "if False:",
         FORM_TESTS,
@@ -199,15 +199,15 @@ MUTANTS = [
     (
         "a complex without its d . d = 0 check",
         "complexes.py",
-        "ChainComplex._set_mats",
-        "if n - 1 in clean and linalg.product(self.ring, clean[n - 1], mat):",
+        "ChainComplex.__init__",
+        "if n - 1 in clean and linalg.product(ring, clean[n - 1], mat):",
         "if False:",
         COMPLEX_TESTS,
     ),
     (
         "a chain map without its commutation check",
         "complexes.py",
-        "ChainMap._set_mats",
+        "ChainMap.__init__",
         "if left != right:",
         "if False:",
         COMPLEX_TESTS,
