@@ -254,8 +254,9 @@ def test_d_squared_caught_in_last_column_only():
     ChainComplex(RXY, terms, _sparse_of(RXY, {1: d1, 2: d2}))
 
 
-def test_shape_mismatch_rejected():
-    # sparse indices outside the shape, of a complex and of a chain map
+def test_trusted_constructors_check_shapes():
+    # sparse indices outside the shape, of a complex and of a chain map:
+    # the sparse constructors (once the unchecked fast path) check them
     one = F5.one()
     for terms, mats in (
         ({0: 1, 1: 1}, {1: {0: {1: one}}}),
@@ -267,6 +268,9 @@ def test_shape_mismatch_rejected():
     a = two_term(F5, [[1]])
     with pytest.raises(NotAChainMap, match="does not fit"):
         ChainMap(a, a, {0: {0: {0: one}}, 1: {0: {2: one}}})
+
+
+def test_shape_mismatch_rejected():
     # dense rows, read from JSON alone: a wrong shape, and a nonzero
     # differential between missing terms
     ring = F5.to_json()
