@@ -1,8 +1,9 @@
 """Bounded chain complexes of finite free modules, with duality.
 
 Complexes use homological indexing (differentials lower the degree) and are
-validated at construction: shapes line up and d . d = 0, exactly.  The sign
-scheme everything else derives from is
+validated at construction: shapes line up, and d . d = 0 and a chain map's
+f . d = d . f hold exactly (:func:`~wittforge.linalg.products_equal`, which
+builds no product).  The sign scheme everything else derives from is
 
     d(a (x) b) = da (x) b + (-1)^{|a|} a (x) db
     (df)(a)    = d(f(a)) - (-1)^{|f|} f(da)
@@ -13,11 +14,11 @@ carries (-1)^{|a| |phi|}, and dual chain maps are plain (unsigned)
 precomposition.  These choices are mutually coherent; the tests pin each one
 so a change anywhere breaks loudly.
 
-A complex is immutable, so what is derived from it is built once, d . d check
-included, and kept in its one ``_memo``: its grading, the one-term line its
-duals map into per twist degree (the twist never enters a matrix), and
-``tensor(a, b)`` and ``hom_complex(a, b)`` per second factor, kept on the
-first factor ``a``; the dual is the Hom into that line.
+A complex is immutable, so what is derived from it is built once and kept in
+its one ``_memo``: its grading, the one-term line its duals map into per twist
+degree (the twist never enters a matrix), and ``tensor(a, b)`` and
+``hom_complex(a, b)`` per second factor, kept on the first factor ``a``; the
+dual is the Hom into that line.
 
 Each matrix of a complex or a chain map is stored once, as a
 :mod:`~wittforge.linalg` sparse matrix ``{row: {col: nonzero entry}}``
@@ -117,7 +118,7 @@ class ChainComplex:
         self._mats = clean
         self._memo = {}
         for n, mat in clean.items():
-            if n - 1 in clean and linalg.product(ring, clean[n - 1], mat):
+            if n - 1 in clean and not linalg.products_equal(ring, clean[n - 1], mat, {}, {}):
                 raise NotAChainComplex(f"d_{n-1} . d_{n} != 0")
 
     @property
@@ -235,9 +236,8 @@ class ChainMap:
         self._degrees = tuple(degrees)
         self._mats = clean
         for n in set(source.terms) | set(target.terms):
-            left = linalg.product(ring, clean.get(n - 1, {}), source._mats.get(n, {}))
-            right = linalg.product(ring, target._mats.get(n, {}), clean.get(n, {}))
-            if left != right:
+            f, d_src, d_tgt = clean.get(n - 1, {}), source._mats.get(n, {}), target._mats.get(n, {})
+            if not linalg.products_equal(ring, f, d_src, d_tgt, clean.get(n, {})):
                 raise NotAChainMap(f"does not commute with d at degree {n}")
 
     def _shape(self, n):

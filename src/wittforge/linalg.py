@@ -3,8 +3,9 @@
 A matrix is a dict ``{row: {column: nonzero entry}}`` with no empty rows, so
 zeros are never stored, multiplied or compared, and two matrices are equal
 exactly when their dicts are.  Entries are field elements or multivariate
-polynomials over a field; :func:`product` runs on that field's kernel payloads
-and boxes only its results.  A dict cannot carry its shape, so the operations
+polynomials over a field; :func:`product` and the identity checks' test
+:func:`products_equal` sum on its kernel payloads: the first boxes only its
+results, the second nothing.  A dict cannot carry its shape, so the operations
 that need one (:func:`identity`, :func:`block_diag`, :func:`kron`,
 :func:`dense`, :func:`fits`) take it explicitly.  :func:`kron` is the one
 layout of a (x) b, placed into a matrix the caller passes.  Dense rows -- lists
@@ -74,42 +75,41 @@ def identity(ring, n):
     return {i: {i: one} for i in range(n)}
 
 
-def product(ring, a, b):
-    """a . b, zeros dropped, on the coefficient field's kernel payloads.
+def _accumulate(acc, kernel, poly, arow, b, raw, negate=False):
+    """``acc`` += arow . b (-= with ``negate``) on payloads keyed by column, or by
+    (column, exponent) over k[x]; ``raw`` keeps the rows of ``b`` read so far."""
+    plus, times, neg = kernel.add, kernel.mul, kernel.neg
+    for k, y in arow.items():
+        r = raw.get(k)
+        if r is None:  # a row that b lacks reads as no tuples
+            r = raw[k] = (
+                [(j, e, c.payload) for j, x in b.get(k, {}).items() for e, c in x.terms.items()]
+                if poly
+                else [(j, x.payload) for j, x in b.get(k, {}).items()]
+            )
+        if poly:
+            for e1, c1 in y.terms.items():
+                c1 = neg(c1.payload) if negate else c1.payload
+                for j, e2, c2 in r:
+                    key = (j, tuple(map(add, e1, e2)))
+                    s = acc.get(key)
+                    acc[key] = times(c1, c2) if s is None else plus(s, times(c1, c2))
+        else:
+            y = neg(y.payload) if negate else y.payload
+            for j, x in r:
+                s = acc.get(j)
+                acc[j] = times(y, x) if s is None else plus(s, times(y, x))
+    return acc
 
-    Each row sums payloads per column, or per (column, monomial) over a
-    polynomial ring, and boxes each nonzero sum once, so a vanishing product
-    (a d . d = 0 check) boxes nothing.  Only the rows of ``b`` that ``a``
-    reaches are read, each once.
-    """
+
+def product(ring, a, b):
+    """a . b, zeros dropped: each row summed by :func:`_accumulate`, each nonzero sum boxed once."""
     poly = isinstance(ring, PolyRing)
     field = ring.field if poly else ring
-    plus, times, is_zero = field._kernel.add, field._kernel.mul, field._kernel.is_zero
-    raw = {}  # the rows of b that a reaches, as (column, [exponent,] payload) tuples
-    out = {}
+    is_zero = field._kernel.is_zero
+    raw, out = {}, {}
     for i, arow in a.items():
-        acc = {}
-        for k, y in arow.items():
-            if k not in raw:
-                if k not in b:
-                    continue
-                raw[k] = (
-                    [(j, e, c.payload) for j, x in b[k].items() for e, c in x.terms.items()]
-                    if poly
-                    else [(j, x.payload) for j, x in b[k].items()]
-                )
-            if poly:
-                for e1, c1 in y.terms.items():
-                    c1 = c1.payload
-                    for j, e2, c2 in raw[k]:
-                        key = (j, tuple(map(add, e1, e2)))
-                        s = acc.get(key)
-                        acc[key] = times(c1, c2) if s is None else plus(s, times(c1, c2))
-            else:
-                y = y.payload
-                for j, x in raw[k]:
-                    s = acc.get(j)
-                    acc[j] = times(y, x) if s is None else plus(s, times(y, x))
+        acc = _accumulate({}, field._kernel, poly, arow, b, raw)
         if poly:
             by_col = defaultdict(dict)
             for (j, e), c in acc.items():
@@ -121,6 +121,20 @@ def product(ring, a, b):
         if row:
             out[i] = row
     return out
+
+
+def products_equal(ring, a, b, c, d):
+    """Whether a . b = c . d, boxing nothing: row by row, a . b - c . d is
+    summed by :func:`_accumulate`, and the first nonzero payload decides."""
+    poly = isinstance(ring, PolyRing)
+    kernel = (ring.field if poly else ring)._kernel
+    raw_b, raw_d = {}, {}
+    for i in a.keys() | c.keys():
+        acc = _accumulate({}, kernel, poly, a.get(i, {}), b, raw_b)
+        _accumulate(acc, kernel, poly, c.get(i, {}), d, raw_d, negate=True)
+        if not all(map(kernel.is_zero, acc.values())):
+            return False
+    return True
 
 
 def transpose(a):

@@ -320,11 +320,10 @@ def _unit_is_E_linear(ext, unit_v, dim_e):
         row = linalg.sparse([ext.coordinates(g)])
         a = linalg.product(field, linalg.kron(n, row, (1, n), {}, (0, 0)), unit_e)
         a_t = linalg.transpose(a)
-        lhs = linalg.product(field, unit_v, linalg.kron(dim_e, a, (n, n), {}, (0, 0)))
-        rhs = linalg.product(field, linalg.kron(dim_e * n, a_t, (n, n), {}, (0, 0)), unit_v)
-        if lhs != rhs or any(
-            linalg.product(field, a, b) != linalg.product(field, b, a) for b in actions
-        ):
+        unit_side = linalg.kron(dim_e, a, (n, n), {}, (0, 0))
+        hom_side = linalg.kron(dim_e * n, a_t, (n, n), {}, (0, 0))
+        pairs = [(unit_v, unit_side, hom_side, unit_v)] + [(a, b, b, a) for b in actions]
+        if not all(linalg.products_equal(field, *pair) for pair in pairs):
             return False
         actions.append(a)
         power = dict(enumerate(words))  # rows, so power . A_g^T is (A_g . power)^T

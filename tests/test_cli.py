@@ -453,6 +453,22 @@ def test_near_miss_complex_json_is_one_line_exit_2(capsys, tmp_path, obj):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("exp", [[1, 5], [-3], [1.5]], ids=["two-for-one-variable", "negative", "non-integer"])
+def test_exponent_the_ring_cannot_have_is_one_line_exit_2(capsys, tmp_path, exp):
+    # over Q[x] an entry's exponent is one natural number; these were read
+    # as they stood and gave graded homology of an entry the ring cannot have
+    entry = {"vars": ["x"], "terms": [{"exp": exp, "coef": "1"}]}
+    ring = {"field": {"kind": "Q"}, "vars": ["x"]}
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"ring": ring, "terms": {"0": 1, "1": 1}, "diffs": {"1": [[entry]]}}))
+    code, out, err = run(capsys, "complex", "homology", "--a", f"@{path}")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: exponent {exp} is not one natural number per variable"
+    entry["terms"][0]["exp"] = [1]
+    path.write_text(json.dumps({"ring": ring, "terms": {"0": 1, "1": 1}, "diffs": {"1": [[entry]]}}))
+    assert run(capsys, "complex", "homology", "--a", f"@{path}")[0] == 0
+
+
 #: Q(sqrt 2), over which only quadratic moduli are decided
 QSQRT2_JSON = {"kind": "ext", "base": {"kind": "Q"}, "modulus": [-2, 0, 1]}
 

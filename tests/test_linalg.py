@@ -8,10 +8,16 @@ at a nonzero corner, and over Q[x, y].  The product over polynomial rings
 is compared with a schoolbook sum of ``MultiPolynomial`` products, including
 draws that cancel.  ``linalg.rank`` takes dense rows or sparse
 ``{column: entry}`` rows; both forms of the same matrix must give sympy's
-rank over GF(p) and QQ, and the inverse must be ``DomainMatrix``'s.
+rank over GF(p) and QQ, and the inverse must be ``DomainMatrix``'s.  The
+zero test ``products_equal(a, b, c, d)`` must agree with comparing the two
+products over Q, F5, F9 and Q[x, y], and build no ring element.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +26,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from wittforge import linalg
-from wittforge.fields import FieldSpec
+from wittforge.fields import FieldElement, FieldSpec
 from wittforge.polynomials import MultiPolynomial, PolyRing
 
 PRIMES = (3, 5, 7, 11)
@@ -333,3 +339,119 @@ def test_polynomial_product_matches_schoolbook(case):
                for row in product.values() for x in row.values())
     if cancel:
         assert all(0 not in row for row in product.values())
+
+
+# ---------------------------------------------------------------------------
+# products_equal: the zero test a . b - c . d, against two products
+# ---------------------------------------------------------------------------
+
+#: the rings of the zero-test draws, each with a random-entry maker
+ZERO_TEST_RINGS = {
+    "Q": (FieldSpec.Q(), lambda rng, f: f.element(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))),
+    "F5": (FieldSpec.Fp(5), lambda rng, f: f.from_int(rng.randint(0, 4))),
+    "F9": (EXTENSIONS["F9"][0], lambda rng, f: f.element([rng.randint(0, 2), rng.randint(0, 2)])),
+    "Q[x,y]": (
+        QXY,
+        lambda rng, r: MultiPolynomial(
+            r, {(rng.randint(0, 2), rng.randint(0, 2)): r.field.from_int(rng.randint(-2, 2))
+                for _ in range(rng.randint(1, 2))},
+        ),
+    ),
+}
+
+
+def _random_sparse(rng, ring, entry, rows, cols, density):
+    """A rows x cols matrix whose entries are drawn with probability ``density``."""
+    return linalg.sparse(
+        [[entry(rng, ring) if rng.random() < density else ring.zero() for _ in range(cols)]
+         for _ in range(rows)]
+    )
+
+
+def _sum(*mats):
+    """The entrywise sum of sparse matrices, zeros dropped."""
+    out = {}
+    for m in mats:
+        for i, row in m.items():
+            for j, x in row.items():
+                out.setdefault(i, {})[j] = out.get(i, {}).get(j, 0) + x
+    rows = {i: {j: x for j, x in row.items() if not x.is_zero()} for i, row in out.items()}
+    return {i: row for i, row in rows.items() if row}
+
+
+def _unipotent_pair(rng, ring, entry, k):
+    """(P, P^-1) for P = 1 + N, N strictly upper triangular: P^-1 = sum (-N)^i."""
+    n = _sum({i: {j: entry(rng, ring) for j in range(i + 1, k) if rng.random() < 0.5} for i in range(k)})
+    minus_n = linalg.scaled(ring.from_int(-1), n)
+    powers = [linalg.identity(ring, k)]
+    for _ in range(k - 1):
+        powers.append(linalg.product(ring, powers[-1], minus_n))
+    p, p_inv = _sum(linalg.identity(ring, k), n), _sum(*powers)
+    assert linalg.product(ring, p, p_inv) == linalg.identity(ring, k)
+    return p, p_inv
+
+
+def _agrees(ring, a, b, c, d):
+    """products_equal against the oracle product(a, b) == product(c, d)."""
+    expected = linalg.product(ring, a, b) == linalg.product(ring, c, d)
+    assert linalg.products_equal(ring, a, b, c, d) is expected
+    return expected
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TEST_RINGS))
+def test_products_equal_agrees_with_two_products(name):
+    ring, entry = ZERO_TEST_RINGS[name]
+    rng = random.Random(name)
+    seen = Counter()
+    for _ in range(150):
+        r, k, k2, c = (rng.randint(1, 5) for _ in range(4))
+        density = rng.choice((0.2, 0.5, 0.9))
+        a = _random_sparse(rng, ring, entry, r, k, density)
+        b = _random_sparse(rng, ring, entry, k, c, density)
+        # independent factors, and a d . d-style test against nothing
+        c_, d_ = (_random_sparse(rng, ring, entry, *shape, density) for shape in ((r, k2), (k2, c)))
+        seen["independent", _agrees(ring, a, b, c_, d_)] += 1
+        seen["against zero", _agrees(ring, a, b, {}, {})] += 1
+        # built to cancel: (a P)(P^-1 b) = a b with other factors
+        p, p_inv = _unipotent_pair(rng, ring, entry, k)
+        ap, pb = linalg.product(ring, a, p), linalg.product(ring, p_inv, b)
+        assert _agrees(ring, a, b, ap, pb)
+        seen["other factors", ap != a or pb != b] += 1
+        # a row only in c: nonzero against a row of d, zero against a missing one
+        extra = r + rng.randint(0, 2)
+        if pb:
+            assert not _agrees(ring, a, b, {**ap, extra: {rng.choice(sorted(pb)): ring.one()}}, pb)
+        missing = [i for i in range(k) if i not in pb]
+        if missing:
+            assert _agrees(ring, a, b, {**ap, extra: {missing[0]: ring.one()}}, pb)
+        # a single entry of the last row differs, against m . 1 = m
+        m, one = linalg.product(ring, a, b), linalg.identity(ring, c)
+        j = rng.randrange(c)
+        changed = _sum(m, {r - 1: {j: ring.one()}})
+        assert _agrees(ring, a, b, m, one)
+        assert not _agrees(ring, a, b, changed, one)
+    # the draws reach both outcomes, and the cancelling factors differ from a and b
+    assert seen["independent", False] and seen["against zero", True] and seen["against zero", False]
+    assert seen["other factors", True] >= 50
+
+
+def test_products_equal_boxes_nothing(monkeypatch):
+    # every operand is built first; then building a field element or a
+    # polynomial fails, and the zero test must still decide
+    cases = []
+    for ring, entry in ZERO_TEST_RINGS.values():
+        rng = random.Random(0)
+        a, b = (_random_sparse(rng, ring, entry, 4, 4, 0.6) for _ in range(2))
+        m, one = linalg.product(ring, a, b), linalg.identity(ring, 4)
+        cases.append((ring, a, b, m, one, m == one))
+
+    def boxed(*args):
+        raise AssertionError("a ring element was built")
+
+    monkeypatch.setattr(FieldElement, "__init__", boxed)
+    monkeypatch.setattr(MultiPolynomial, "__init__", boxed)
+    for ring, a, b, m, one, m_is_one in cases:
+        assert linalg.products_equal(ring, a, b, m, one)
+        assert linalg.products_equal(ring, one, m, a, b)
+        assert linalg.products_equal(ring, a, b, one, one) is m_is_one
+        assert linalg.products_equal(ring, a, b, {}, {}) is (m == {})

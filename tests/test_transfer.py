@@ -462,17 +462,22 @@ def test_unit_reading_b2_as_b1_is_not_E_linear(top):
 )
 def test_triangle_check_makes_two_module_products_per_tower_step(monkeypatch, top, steps):
     # the products whose left factor has more than n rows are the unit-side
-    # and Hom-side products of the E-linearity check; with one per basis
-    # element there were 2n of them
+    # and Hom-side products of the E-linearity check, the two sides of one
+    # products_equal test per step; with one per basis element there were 2n
     ext = ExtensionDatum(top, F3)
-    n, product, large = ext.degree, linalg.product, []
+    n, product, products_equal, large = ext.degree, linalg.product, linalg.products_equal, []
 
     def counting(ring, a, b):
         if len(a) > n:
             large.append(len(a))
         return product(ring, a, b)
 
+    def counting_sides(ring, a, b, c, d):
+        large.extend(len(left) for left in (a, c) if len(left) > n)
+        return products_equal(ring, a, b, c, d)
+
     monkeypatch.setattr(linalg, "product", counting)
+    monkeypatch.setattr(linalg, "products_equal", counting_sides)
     assert triangle_identities_check(ext, 1, 1)
     assert len(large) == 2 * steps
 

@@ -200,7 +200,7 @@ MUTANTS = [
         "a complex without its d . d = 0 check",
         "complexes.py",
         "ChainComplex.__init__",
-        "if n - 1 in clean and linalg.product(ring, clean[n - 1], mat):",
+        "if n - 1 in clean and (not linalg.products_equal(ring, clean[n - 1], mat, {}, {})):",
         "if False:",
         COMPLEX_TESTS,
     ),
@@ -208,7 +208,7 @@ MUTANTS = [
         "a chain map without its commutation check",
         "complexes.py",
         "ChainMap.__init__",
-        "if left != right:",
+        "if not linalg.products_equal(ring, f, d_src, d_tgt, clean.get(n, {})):",
         "if False:",
         COMPLEX_TESTS,
     ),
@@ -259,6 +259,30 @@ MUTANTS = [
         "if not is_zero(c):",
         "if True:",
         COMPLEX_TESTS + ("tests/test_linalg.py",),
+    ),
+    (
+        "the zero test counts a cancelled coefficient as nonzero",
+        "linalg.py",
+        "products_equal",
+        "if not all(map(kernel.is_zero, acc.values())):",
+        "if acc:",
+        COMPLEX_TESTS + ("tests/test_linalg.py",),
+    ),
+    (
+        "the row sums add c . d over k[x] where they subtract it",
+        "linalg.py",
+        "_accumulate",
+        "c1 = neg(c1.payload) if negate else c1.payload",
+        "c1 = c1.payload",
+        COMPLEX_TESTS + ("tests/test_linalg.py",),
+    ),
+    (
+        "products_equal reads only the rows of a",
+        "linalg.py",
+        "products_equal",
+        "for i in a.keys() | c.keys():",
+        "for i in a:",
+        ("tests/test_linalg.py",),
     ),
     (
         "the split kept on a datum ignores the head",
