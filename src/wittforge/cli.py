@@ -32,7 +32,7 @@ from .errors import (
     ParityError,
     WittforgeError,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, prime_power
 from .koszul import (
     DEFAULT_BOUND,
     KoszulDatum,
@@ -64,12 +64,7 @@ from .verify import SUITES, extension_of, field_label, qsqrt, run_all, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-_USAGE_ERRORS = (
-    ValueError,
-    TypeError,
-    KeyError,
-    OSError,
-)
+_USAGE_ERRORS = (ValueError, TypeError, KeyError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +94,10 @@ def parse_field(text):
         q = int(text[1:])
         if q < 3 or q % 2 == 0:
             raise ValueError(f"no odd finite field of order {q}")
-        p = next(d for d in range(3, q + 1) if q % d == 0)
-        k = _exponent(q, p)
-        if k is None:
+        power = prime_power(q)
+        if power is None:
             raise ValueError(f"{q} is not a prime power")
-        return extension_of(FieldSpec.Fp(p), k)
+        return extension_of(FieldSpec.Fp(power[0]), power[1])
     raise ValueError(f"unknown field shorthand {text!r}")
 
 
@@ -231,16 +225,11 @@ def parse_datum(args):
         raise ValueError("--vars needs at least one variable name")
     field = parse_field(args.field)
     ring = PolyRing(field, names)
-    section = [parse_poly(ring, s) for s in _split_top_level(_resolve(args.section))]
+    section = [parse_poly(ring, s) for s in _resolve(args.section).split(",") if s.strip()]
+    if not section:
+        raise ValueError("empty section")
     twist = None if args.twist is None else ring.from_int(args.twist)
     return KoszulDatum(ring, section, twist=twist)
-
-
-def _split_top_level(text):
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty section")
-    return parts
 
 
 def parse_complex(text):
@@ -263,18 +252,14 @@ def parse_complex(text):
 
 def parse_element(field, text):
     text = _resolve(text).strip()
-    if text.startswith("["):
-        return field.element(json.loads(text))
-    return field.element(text)
+    return field.element(json.loads(text) if text.startswith("[") else text)
 
 
 def _effective_bound(args):
     env = os.environ.get("WITTFORGE_BOUND")
     if env is not None:
         return int(env)
-    if getattr(args, "bound", None) is not None:
-        return args.bound
-    return DEFAULT_BOUND
+    return DEFAULT_BOUND if args.bound is None else args.bound
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +552,75 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser():
+def _arg(name, **kwargs):
+    """``(name, add_argument keywords)``; a flag without a default is required."""
+    if name.startswith("-") and "default" not in kwargs:
+        kwargs["required"] = True
+    return name, kwargs
+
+
+_FIELD, _FORM, _EXT, _A, _B = (_arg(f"--{n}") for n in ("field", "form", "ext", "a", "b"))
+_OVER_Q, _R = _arg("--field", default="Q"), _arg("--r", type=int)
+_DATUM = [_arg("--vars", help="comma-separated variable names"),
+          _arg("--section", help="comma-separated polynomials"),
+          _OVER_Q, _arg("--twist", type=int, default=None)]
+
+#: group -> (help, command -> (help, handler, arguments)); verify -> (help, (handler, arguments))
+COMMANDS = {
+    "witt": ("quadratic forms and Witt classes", {
+        "diag": ("diagonalize a Gram matrix", cmd_witt_diag,
+                 [_FIELD, _arg("--form", help="JSON Gram matrix or comma diagonal")]),
+        "decompose": ("split off hyperbolic planes", cmd_witt_decompose, [_FIELD, _FORM]),
+        "equal": ("decide Witt equivalence (exit 1 when inequivalent)", cmd_witt_equal,
+                  [_FIELD, _arg("--left"), _arg("--right")]),
+        "hilbert": ("a local Hilbert symbol over Q", cmd_witt_hilbert, [
+            _arg("-a", type=int), _arg("-b", type=int), _arg("--place", help="'inf' or a prime")]),
+    }),
+    "transfer": ("trace forms and transfers", {
+        "trace": ("field trace of an element", cmd_transfer_trace, [
+            _arg("--ext", help="TOP/BOTTOM, e.g. F9/F3"),
+            _arg("--value", help="int or JSON coefficient list")]),
+        "form": ("the trace form of an extension", cmd_transfer_form, [_EXT]),
+        "push": ("transfer a form along an extension", cmd_transfer_push, [_EXT, _FORM]),
+        "check-compose": ("tower transfer vs composite", cmd_transfer_check_compose, [
+            _arg("--tower", help="TOP/MID/BOTTOM, e.g. F81/F9/F3"),
+            _arg("--form", default=None, help="form over TOP (default <1>)")]),
+        "check-basechange": ("transfer vs extended scalars", cmd_transfer_check_basechange, [
+            _EXT, _arg("--scalars", help="the second field over BOTTOM"),
+            _arg("--form", default=None)]),
+        "check-projection": ("the projection formula", cmd_transfer_check_projection, [
+            _EXT, _arg("--top-form", default=None), _arg("--bottom-form", default=None)]),
+    }),
+    "complex": ("bounded complexes of free modules", {
+        "tensor": ("tensor product of two complexes", cmd_complex_tensor,
+                   [_arg("--a", help="complex JSON (use @file.json)"), _B]),
+        "hom": ("internal hom of two complexes", cmd_complex_hom, [_A, _B]),
+        "dual": ("dual against a twist in a degree", cmd_complex_dual, [
+            _A, _arg("--twist", type=int, default=1), _arg("--degree", type=int, default=0)]),
+        "homology": ("homology dimensions (graded when needed)", cmd_complex_homology, [_A]),
+    }),
+    "koszul": ("Koszul complexes and their pairings", {
+        "build": ("the Koszul complex of a section", cmd_koszul_build, _DATUM),
+        "form": ("the duality pairing as a symmetric space", cmd_koszul_form, _DATUM),
+        "verify-xmap": ("multiplication adjunct vs pairing", cmd_koszul_verify_xmap, _DATUM),
+        "verify-trace": ("exactness of the augmented complex", cmd_koszul_verify_trace, _DATUM),
+        "verify-split": ("factorization along the last entry", cmd_koszul_verify_split, _DATUM),
+    }),
+    "proj": ("line bundles on projective space", {
+        "cohomology": ("h^*(P^r, O(m)) with monomial witnesses", cmd_proj_cohomology,
+                       [_R, _arg("--m", type=int), _OVER_Q]),
+        "phi-r": ("push-forward vanishing of the half-canonical form", cmd_proj_phi_r,
+                  [_R, _OVER_Q]),
+    }),
+    "verify": ("batch verification suites", (cmd_verify, [
+        _arg("suite", help="'all' or one of: " + ", ".join(sorted(SUITES))),
+        _arg("--size", type=int, default=None, help="override sweep sizes")])),
+}
+
+
+def build_parser(group=None):
+    """The parser with every group listed, so top-level help and errors never
+    change, and the commands of ``group`` filled in (of every group if None)."""
     parser = argparse.ArgumentParser(
         prog="wittforge",
         description="Exact quadratic-form transfers, Koszul dualities, and their verifier.",
@@ -582,135 +635,39 @@ def build_parser():
         "the WITTFORGE_BOUND environment variable wins)",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    witt = groups.add_parser("witt", help="quadratic forms and Witt classes").add_subparsers(
-        dest="command", required=True
-    )
-    p = witt.add_parser("diag", help="diagonalize a Gram matrix")
-    p.add_argument("--field", required=True)
-    p.add_argument("--form", required=True, help="JSON Gram matrix or comma diagonal")
-    p.set_defaults(handler=cmd_witt_diag)
-    p = witt.add_parser("decompose", help="split off hyperbolic planes")
-    p.add_argument("--field", required=True)
-    p.add_argument("--form", required=True)
-    p.set_defaults(handler=cmd_witt_decompose)
-    p = witt.add_parser("equal", help="decide Witt equivalence (exit 1 when inequivalent)")
-    p.add_argument("--field", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(handler=cmd_witt_equal)
-    p = witt.add_parser("hilbert", help="a local Hilbert symbol over Q")
-    p.add_argument("-a", type=int, required=True)
-    p.add_argument("-b", type=int, required=True)
-    p.add_argument("--place", required=True, help="'inf' or a prime")
-    p.set_defaults(handler=cmd_witt_hilbert)
-
-    transfer = groups.add_parser("transfer", help="trace forms and transfers").add_subparsers(
-        dest="command", required=True
-    )
-    p = transfer.add_parser("trace", help="field trace of an element")
-    p.add_argument("--ext", required=True, help="TOP/BOTTOM, e.g. F9/F3")
-    p.add_argument("--value", required=True, help="int or JSON coefficient list")
-    p.set_defaults(handler=cmd_transfer_trace)
-    p = transfer.add_parser("form", help="the trace form of an extension")
-    p.add_argument("--ext", required=True)
-    p.set_defaults(handler=cmd_transfer_form)
-    p = transfer.add_parser("push", help="transfer a form along an extension")
-    p.add_argument("--ext", required=True)
-    p.add_argument("--form", required=True)
-    p.set_defaults(handler=cmd_transfer_push)
-    p = transfer.add_parser("check-compose", help="tower transfer vs composite")
-    p.add_argument("--tower", required=True, help="TOP/MID/BOTTOM, e.g. F81/F9/F3")
-    p.add_argument("--form", default=None, help="form over TOP (default <1>)")
-    p.set_defaults(handler=cmd_transfer_check_compose)
-    p = transfer.add_parser("check-basechange", help="transfer vs extended scalars")
-    p.add_argument("--ext", required=True)
-    p.add_argument("--scalars", required=True, help="the second field over BOTTOM")
-    p.add_argument("--form", default=None)
-    p.set_defaults(handler=cmd_transfer_check_basechange)
-    p = transfer.add_parser("check-projection", help="the projection formula")
-    p.add_argument("--ext", required=True)
-    p.add_argument("--top-form", default=None)
-    p.add_argument("--bottom-form", default=None)
-    p.set_defaults(handler=cmd_transfer_check_projection)
-
-    complexes = groups.add_parser("complex", help="bounded complexes of free modules").add_subparsers(
-        dest="command", required=True
-    )
-    p = complexes.add_parser("tensor", help="tensor product of two complexes")
-    p.add_argument("--a", required=True, help="complex JSON (use @file.json)")
-    p.add_argument("--b", required=True)
-    p.set_defaults(handler=cmd_complex_tensor)
-    p = complexes.add_parser("hom", help="internal hom of two complexes")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(handler=cmd_complex_hom)
-    p = complexes.add_parser("dual", help="dual against a twist in a degree")
-    p.add_argument("--a", required=True)
-    p.add_argument("--twist", type=int, default=1)
-    p.add_argument("--degree", type=int, default=0)
-    p.set_defaults(handler=cmd_complex_dual)
-    p = complexes.add_parser("homology", help="homology dimensions (graded when needed)")
-    p.add_argument("--a", required=True)
-    p.set_defaults(handler=cmd_complex_homology)
-
-    koszul = groups.add_parser("koszul", help="Koszul complexes and their pairings").add_subparsers(
-        dest="command", required=True
-    )
-
-    def koszul_datum_flags(p):
-        p.add_argument("--vars", required=True, help="comma-separated variable names")
-        p.add_argument("--section", required=True, help="comma-separated polynomials")
-        p.add_argument("--field", default="Q")
-        p.add_argument("--twist", type=int, default=None)
-
-    p = koszul.add_parser("build", help="the Koszul complex of a section")
-    koszul_datum_flags(p)
-    p.set_defaults(handler=cmd_koszul_build)
-    p = koszul.add_parser("form", help="the duality pairing as a symmetric space")
-    koszul_datum_flags(p)
-    p.set_defaults(handler=cmd_koszul_form)
-    p = koszul.add_parser("verify-xmap", help="multiplication adjunct vs pairing")
-    koszul_datum_flags(p)
-    p.set_defaults(handler=cmd_koszul_verify_xmap)
-    p = koszul.add_parser("verify-trace", help="exactness of the augmented complex")
-    koszul_datum_flags(p)
-    p.set_defaults(handler=cmd_koszul_verify_trace)
-    p = koszul.add_parser("verify-split", help="factorization along the last entry")
-    koszul_datum_flags(p)
-    p.set_defaults(handler=cmd_koszul_verify_split)
-
-    proj = groups.add_parser("proj", help="line bundles on projective space").add_subparsers(
-        dest="command", required=True
-    )
-    p = proj.add_parser("cohomology", help="h^*(P^r, O(m)) with monomial witnesses")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--field", default="Q")
-    p.set_defaults(handler=cmd_proj_cohomology)
-    p = proj.add_parser("phi-r", help="push-forward vanishing of the half-canonical form")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--field", default="Q")
-    p.set_defaults(handler=cmd_proj_phi_r)
-
-    verify = groups.add_parser("verify", help="batch verification suites")
-    verify.add_argument("suite", help="'all' or one of: " + ", ".join(sorted(SUITES)))
-    verify.add_argument("--size", type=int, default=None, help="override sweep sizes")
-    verify.set_defaults(handler=cmd_verify)
-
+    for name, (help_text, body) in COMMANDS.items():
+        sub = groups.add_parser(name, help=help_text)
+        if group not in (None, name):
+            continue
+        if isinstance(body, dict):
+            commands = sub.add_subparsers(dest="command", required=True)
+            for command, (command_help, handler, arguments) in body.items():
+                _fill(commands.add_parser(command, help=command_help), handler, arguments)
+        else:
+            _fill(sub, *body)
     return parser
 
 
+def _fill(parser, handler, arguments):
+    for name, kwargs in arguments:
+        parser.add_argument(name, **kwargs)
+    parser.set_defaults(handler=handler)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # before the first group name come only global flags and their int values
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
         return args.handler(args)
     except (NotRegularSequence, ParityError, Inconclusive) as err:
         payload = {
             "status": "fail",
             "error": type(err).__name__,
-            "witness": _witness_of(err),
+            "witness": {
+                "detail": str(err),
+                **(err.witness_json() if isinstance(err, NotRegularSequence) else {}),
+            },
         }
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
@@ -726,12 +683,6 @@ def main(argv=None):
     except _USAGE_ERRORS as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _witness_of(err):
-    if isinstance(err, NotRegularSequence):
-        return {"detail": str(err), **err.witness_json()}
-    return {"detail": str(err)}
 
 
 if __name__ == "__main__":

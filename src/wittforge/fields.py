@@ -42,8 +42,6 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
-
 from .errors import (
     BoundsExceeded,
     FactorizationUnsupported,
@@ -106,7 +104,7 @@ class FieldSpec:
     def Fp(cls, p):
         if p == 2:
             raise UnsupportedCharacteristic("characteristic 2 is not supported")
-        if not sympy.isprime(p):
+        if not isprime(p):
             raise NotAField(f"{p} is not prime")
         return cls("Fp", p=p)
 
@@ -615,6 +613,8 @@ def _monic_candidates(field, degree):
 
 def rational_roots(coeffs):
     """All rational roots of a polynomial with rational (int or Fraction) coefficients."""
+    import sympy
+
     Q = FieldSpec.Q()
     f = _trim_raw([Q.element(c).payload for c in coeffs], operator.not_)
     if not f:
@@ -987,3 +987,52 @@ def spec_extends(top, bottom):
         if top.kind != "ext":
             return False
         top = top.base
+
+
+# ---------------------------------------------------------------------------
+# primes
+# ---------------------------------------------------------------------------
+
+#: Miller-Rabin on the first thirteen primes as bases decides every n below
+#: ``_MR_BOUND`` (Sorenson and Webster, *Math. Comp.* 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def isprime(n):
+    """Whether the integer n is prime: deterministic Miller-Rabin below
+    3.3e24, sympy's test above."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        import sympy
+        return sympy.isprime(n)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def prime_power(q):
+    """``(p, k)`` with p prime and p**k == q, or None: one integer k-th root per
+    k up to log2(q), each by Newton's descent from a start just above it."""
+    log_q = math.log2(q)
+    for k in range(1, q.bit_length()):
+        e = log_q / k
+        root = 1 << math.ceil(e) + 1 if e >= 1000 else int(2**e * (1 + 1e-9)) + 2
+        while (step := ((k - 1) * root + q // root ** (k - 1)) // k) < root:
+            root = step
+        if root**k == q and isprime(root):
+            return root, k
+    return None

@@ -227,5 +227,5 @@ class MultiPolynomial:
             e = tuple(t["exp"])
             if len(e) != len(ring.vars) or not all(type(k) is int and k >= 0 for k in e):
                 raise ValueError(f"exponent {t['exp']} is not one natural number per variable")
-            terms[e] = ring.field.element(t["coef"])
+            terms[e] = terms.get(e, ring.field.zero()) + ring.field.element(t["coef"])
         return cls(ring, terms)

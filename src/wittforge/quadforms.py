@@ -22,11 +22,9 @@ import itertools
 import math
 from fractions import Fraction
 
-import sympy
-
 from . import linalg
 from .errors import DegenerateForm, FieldMismatch, Inconclusive, UnsupportedField
-from .fields import is_square, rational_sqrt, sqrt
+from .fields import is_square, isprime, rational_sqrt, sqrt
 
 #: cap on brute-force vector searches over Q (number of evaluations)
 SEARCH_CAP = 2 * 10**6
@@ -38,7 +36,7 @@ class Place:
     __slots__ = ("p",)
 
     def __init__(self, p=None):
-        if p is not None and not sympy.isprime(p):
+        if p is not None and not isprime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
@@ -232,6 +230,8 @@ def _square_class(value):
     the primes dividing d; the one place a rational is factored.  Inside this
     module a square class is its squarefree int, whose valuation at a prime
     is 0 or 1."""
+    import sympy
+
     n = _integer_in_class(value)
     primes = [p for p, e in sympy.factorint(abs(n)).items() if e % 2]
     return math.prod(primes) * (-1 if n < 0 else 1), primes

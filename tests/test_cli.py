@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import functools
 import hashlib
 import json
+import time
 
 import pytest
 
 from wittforge import verify
 from wittforge.cli import (
+    COMMANDS,
+    build_parser,
     main,
     parse_extension,
     parse_field,
@@ -142,6 +146,122 @@ def test_transfer_form_rational(capsys):
 
 
 # ---------------------------------------------------------------------------
+# parser text
+# ---------------------------------------------------------------------------
+
+#: sha256 of the ``--help`` output at 80 columns of the top level, of each group
+#: and of each command: help, usage and choice text change only on purpose
+HELP_DIGESTS = {
+    "": "757e797ebf90157aea6fa8f0b78d235ce0953f3a370f910ceb38645192b38b49",
+    "witt": "d0fc776da17aca9c600831d0237101ed7259dc8f6a60eb4f8ddefda451d06a8d",
+    "transfer": "79340f42ea02e08b380a82059add513625831d68bc939e18f60b509dfdbc8699",
+    "complex": "b630f51c0e4a0d895f56fe83b7f42df1f30ec042376a5a088c8d72f0d9224a64",
+    "koszul": "bf5cc37abb895a954784180b089f0631074f0dc1cccf4e4766477c900a066eff",
+    "proj": "4fff6810955e19f05567e822f41ac3d71707bd2d557c7e09a8c4807723164dab",
+    "verify": "2212f0565b3ee94c6428b44c00b329581737b1ea3ce34b42ca6d1a071ea7043a",
+    "witt diag": "3c84965274925ab0b1450d0812d68c733a600806c1435ccc3832476ea15d3cf8",
+    "witt decompose": "534d8a3b50041ba1c7bb64e5fe465fbaa3e90250d6c0a8c8f6342eb1a628c8f7",
+    "witt equal": "d0859e2291ab5bd2753dc14471a08a6316e8bd37a72d922bc75ac364ed31c183",
+    "witt hilbert": "1445b050eebc61f8c0b540ecf6dc69ef33aa66d70c120674795c76a8550a4c7f",
+    "transfer trace": "1e61e0fb9ba5c1105334892046fe170dfc82d23c94ced00f67ebaa93376136ab",
+    "transfer form": "fffc3f8a9616f7e94c4892f7bd2a998a6eee4fe4a309a2d993d75d674796eeca",
+    "transfer push": "9337d9278d548001eb1d114a93d02b207c98ac992f5cfd932a19c21629830061",
+    "transfer check-compose": "6db847bdd3c82ab6f60392816be280f80994d5b5cb84062636453b3527c85aab",
+    "transfer check-basechange": "f3c2e44757cad6fdfe6f8279418267163240a9bb893dd54b2141ac001ff8ee39",
+    "transfer check-projection": "de667fde2eef2126ba2be5e379472a3a6361760861913fc29a623bd94a115724",
+    "complex tensor": "573a22caaa0a57f22f9bd70796449e76a5d4c64fc61bf9ff80c42a8ee0e3676f",
+    "complex hom": "f7fce5232e60d4ad280fb51ac29863db27bd5a0b50204bd7b542d263eace8882",
+    "complex dual": "fd2412173fcc32538f1c3634eb1a4df1bc8e11e03e8fada069402c1d30045a9d",
+    "complex homology": "023cae50a236ac01764fe745c44e0ed97ab0bbbf3b32c1a62e6edbdb802885e0",
+    "koszul build": "2926185e6f85c631d03475601df7269e92aca93dd4db182a08d23b302b0e7284",
+    "koszul form": "8227e66cffef2d9292d7f1a1de2c6ff5c5f1573cf4a2cb063d0ddec3ecf4a37e",
+    "koszul verify-xmap": "0cb50e1f0ec2b2b7b15483c3f4a4b94cf8ad35e51aec2be4bdf95ccda5c67a28",
+    "koszul verify-trace": "d03b86f4fa30f1d28e7cb5ace18f642419741dcf16fa2c3a0e3cbd51a00310ff",
+    "koszul verify-split": "1cc0d5258e9a0552ee3ee3faad9cbd803f62e02b6495f61d1b8b30b4a3972a12",
+    "proj cohomology": "65b562da6e0bf2b0c0e05000fa60a59afe6b92acc983a971ad70fc306623e0a6",
+    "proj phi-r": "a0f1b34f4383db925d9579b6df16d21ba107e2b5352d2af9b6774a0811baa3a0",
+}
+
+
+def _help(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [f"{g} {c}" for g, (_, body) in COMMANDS.items() if isinstance(body, dict) for c in body]
+    assert sorted(HELP_DIGESTS) == sorted(["", *COMMANDS, *commands])
+    got = {
+        name: hashlib.sha256(_help(capsys, name.split()).encode()).hexdigest()
+        for name in HELP_DIGESTS
+    }
+    assert got == HELP_DIGESTS
+
+
+def _subparsers(parser):
+    """name -> parser for the sub-commands ``parser`` dispatches to."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+@pytest.mark.parametrize("group", list(COMMANDS))
+def test_a_group_parser_reads_as_the_full_one(monkeypatch, group):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, part = build_parser(), build_parser(group)
+    assert part.format_help() == full.format_help()
+    full_group, part_group = _subparsers(full)[group], _subparsers(part)[group]
+    assert part_group.format_help() == full_group.format_help()
+    full_commands, part_commands = _subparsers(full_group), _subparsers(part_group)
+    assert list(part_commands) == list(full_commands)
+    for name, command in full_commands.items():
+        assert part_commands[name].format_help() == command.format_help()
+    # the other groups are listed but hold nothing beyond -h
+    filled = [name for name, sub in _subparsers(part).items() if len(sub._actions) > 1]
+    assert filled == [group]
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (
+            ["witt", "diag", "--field", "F5"],
+            "usage: wittforge witt diag [-h] --field FIELD --form FORM\n"
+            "wittforge witt diag: error: the following arguments are required: --form\n",
+        ),
+        (
+            ["--json", "frob", "witt"],
+            "usage: wittforge [-h] [--json] [--seed SEED] [--bound BOUND]\n"
+            "                 {witt,transfer,complex,koszul,proj,verify} ...\n"
+            "wittforge: error: argument group: invalid choice: 'frob' (choose from "
+            "'witt', 'transfer', 'complex', 'koszul', 'proj', 'verify')\n",
+        ),
+        (
+            ["witt", "frob"],
+            "usage: wittforge witt [-h] {diag,decompose,equal,hilbert} ...\n"
+            "wittforge witt: error: argument command: invalid choice: 'frob' (choose from "
+            "'diag', 'decompose', 'equal', 'hilbert')\n",
+        ),
+        (
+            ["--seed", "verify", "witt"],
+            "usage: wittforge [-h] [--json] [--seed SEED] [--bound BOUND]\n"
+            "                 {witt,transfer,complex,koszul,proj,verify} ...\n"
+            "wittforge: error: argument --seed: invalid int value: 'verify'\n",
+        ),
+    ],
+    ids=["missing-flag", "unknown-group", "unknown-command", "group-as-flag-value"],
+)
+def test_argparse_errors_are_pinned(capsys, monkeypatch, argv, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr() == ("", stderr)
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
 
@@ -207,6 +327,21 @@ def test_field_past_the_tower_cap_is_usage(capsys):
     code, _, err = run(capsys, "witt", "diag", "--field", "F129140163", "--form", "1,1")
     assert code == 2
     assert "out of bounds" in err
+
+
+@pytest.mark.parametrize("field", ["F1000000007", "F2305843009213693951"])
+def test_large_prime_fields_parse_in_log_steps(capsys, field):
+    # the characteristic comes from integer roots, not from trial division up to q
+    start = time.perf_counter()
+    for argv in (
+        ("witt", "diag", "--field", field, "--form", "1,2"),
+        ("witt", "decompose", "--field", field, "--form", "1,2,3"),
+        ("witt", "equal", "--field", field, "--left", "1,2", "--right", "3,6"),
+    ):
+        code, _, err = run(capsys, "--json", *argv)
+        assert code == 0, err
+    assert time.perf_counter() - start < 1
+    assert parse_field(field) == FieldSpec.Fp(int(field[1:]))
 
 
 def test_bad_field_is_usage(capsys):
@@ -352,6 +487,20 @@ def test_complex_roundtrip_through_files(capsys, tmp_path):
     code, out, _ = run(capsys, "--json", "complex", "hom", "--a", f"@{path}", "--b", f"@{path}")
     assert code == 0
     assert json.loads(out)["terms"] == {"-1": 2, "0": 5, "1": 2}
+
+
+def test_repeated_exponents_in_complex_json_are_added(capsys, tmp_path):
+    # x - x + x^2 is read as x^2, not as -x + x^2 (which is not homogeneous)
+    def complex_with(*terms):
+        poly = {"vars": ["x"], "terms": [{"exp": [e], "coef": c} for e, c in terms]}
+        ring = {"field": {"kind": "Q"}, "vars": ["x"]}
+        path = tmp_path / f"cx{len(terms)}.json"
+        path.write_text(json.dumps({"ring": ring, "terms": {"0": 1, "1": 1}, "diffs": {"1": [[poly]]}}))
+        return run(capsys, "--json", "complex", "homology", "--a", f"@{path}")
+
+    square = complex_with((2, "1"))
+    assert square[0] == 0 and json.loads(square[1])["dims"]
+    assert complex_with((1, "1"), (1, "-1"), (2, "1")) == square
 
 
 @pytest.mark.parametrize(

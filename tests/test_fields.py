@@ -38,6 +38,8 @@ from wittforge.fields import (
     factor_univariate,
     find_irreducible,
     is_square,
+    isprime,
+    prime_power,
     rational_roots,
     rational_sqrt,
     sqrt,
@@ -1013,3 +1015,51 @@ def test_factor_univariate_matches_sympy(case):
         for f, _ in factors
     )
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# primes
+# ---------------------------------------------------------------------------
+
+
+def test_isprime_matches_sympy_below_200000():
+    assert [n for n in range(-3, 200_000) if isprime(n) != sympy.isprime(n)] == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+@example(2**61 - 1)
+@example(2**64 - 59)  # the largest prime below 2^64
+def test_isprime_matches_sympy_below_2_to_the_64(n):
+    assert isprime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        56052361,  # 211 * 421 * 631, Carmichael: a^(n-1) = 1 is reached from a root of 1 other than -1
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # to every prime base up to 23
+        318665857834031151167461,  # to every prime base up to 37
+        3317044064679887385961981,  # to every prime base up to 41: sympy decides it
+    ],
+)
+def test_isprime_rejects_pseudoprimes(n):
+    assert not isprime(n)
+    assert isprime(2**89 - 1)  # above the Miller-Rabin bound, a Mersenne prime
+
+
+def test_prime_power_matches_factoring():
+    for q in range(1, 20_000):
+        factors = sympy.factorint(q)
+        expected = next(iter(factors.items())) if len(factors) == 1 else None
+        assert prime_power(q) == expected, q
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [(3, 40), (1000000007, 1), (2**61 - 1, 1), (2**61 - 1, 7), (10007, 100), (3, 1000)],
+)
+def test_prime_power_of_large_powers(p, k):
+    assert prime_power(p**k) == (p, k)
+    assert prime_power(p**k + 2 * p) is None  # p times a cofactor prime to p

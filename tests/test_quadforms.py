@@ -205,7 +205,7 @@ def test_hilbert_symbol_factors_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("hilbert_symbol factored an argument")
 
-    monkeypatch.setattr(quadforms.sympy, "factorint", refuse)
+    monkeypatch.setattr(sympy, "factorint", refuse)
     places = {p: Place(p) for p in primes}
     for (a, b, p), symbol in expected.items():
         assert hilbert_symbol(a, b, places[p]) == symbol, (a, b, p)
@@ -278,13 +278,13 @@ def test_witt_equal_over_q_factors_each_entry_once(monkeypatch):
     # the 16-entry difference form is factored once per entry, and the
     # primes come with each class
     calls = []
-    factorint = quadforms.sympy.factorint
+    factorint = sympy.factorint
 
     def counted(n, *args, **kwargs):
         calls.append(n)
         return factorint(n, *args, **kwargs)
 
-    monkeypatch.setattr(quadforms.sympy, "factorint", counted)
+    monkeypatch.setattr(sympy, "factorint", counted)
     a = QuadraticForm.diagonal(Q, [1, 2, 3, 5, 7, 11, 13, 17])
     b = QuadraticForm.diagonal(Q, [2, 3, 5, 7, 11, 13, 17, 1])
     assert witt_equal(a, b)

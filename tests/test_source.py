@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wittforge
@@ -90,6 +93,46 @@ def test_no_private_imports_from_sibling_modules():
             if alias.name.startswith("_")
         ]
     assert not found, f"private names imported from sibling modules: {found}"
+
+
+def _run_at_import(node):
+    """Every node below ``node`` that runs when its module is imported: all
+    but the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_at_import(child)
+
+
+def test_sympy_is_not_imported_at_module_level():
+    """sympy is imported inside the functions that need it, so importing the
+    package and running a command that does not factor never loads it."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in _run_at_import(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "sympy"]
+    assert not found, f"module-level sympy imports at {found}"
+
+
+def test_import_and_a_command_leave_sympy_unloaded():
+    script = (
+        "import sys; import wittforge.cli as cli; loaded = 'sympy' in sys.modules; "
+        "code = cli.main(['--json', 'witt', 'diag', '--field', 'F5', '--form', '1,2']); "
+        "print(loaded, code, 'sympy' in sys.modules, file=sys.stderr)"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert result.stderr.split() == ["False", "0", "False"]
 
 
 def _references(tree):

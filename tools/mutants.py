@@ -407,6 +407,30 @@ MUTANTS = [
         "comb(m + r - 1, r)",
         ("tests/test_projspace.py",),
     ),
+    (
+        "Miller-Rabin passes a 1 reached by squaring (the Carmichael number 211 * 421 * 631 passes)",
+        "fields.py",
+        "isprime",
+        "if x == n - 1:",
+        "if x in (1, n - 1):",
+        ("tests/test_fields.py",),
+    ),
+    (
+        "prime_power never tries k = 1, so no prime is a prime power",
+        "fields.py",
+        "prime_power",
+        "range(1, q.bit_length())",
+        "range(2, q.bit_length())",
+        ("tests/test_fields.py",),
+    ),
+    (
+        "a repeated exponent in polynomial JSON keeps only its last term",
+        "polynomials.py",
+        "MultiPolynomial.from_json",
+        "terms.get(e, ring.field.zero()) + ring.field.element",
+        "ring.field.element",
+        ("tests/test_cli.py",),
+    ),
 ]
 
 
