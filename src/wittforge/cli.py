@@ -32,7 +32,7 @@ from .errors import (
     ParityError,
     WittforgeError,
 )
-from .fields import FieldSpec, prime_power
+from .fields import MR_BOUND, FieldSpec, prime_power
 from .koszul import (
     DEFAULT_BOUND,
     KoszulDatum,
@@ -81,7 +81,7 @@ def _resolve(value):
 
 
 def parse_field(text):
-    """``Q``, ``F<q>`` (q an odd prime power), ``Qsqrt<n>``, ``Qcbrt<n>``."""
+    """``Q``, ``F<q>`` (q an odd prime power below ``MR_BOUND``), ``Qsqrt<n>``, ``Qcbrt<n>``."""
     text = _resolve(text).strip()
     if text == "Q":
         return FieldSpec.Q()
@@ -94,6 +94,8 @@ def parse_field(text):
         q = int(text[1:])
         if q < 3 or q % 2 == 0:
             raise ValueError(f"no odd finite field of order {q}")
+        if q >= MR_BOUND:  # before any primality test: above it, isprime is sympy's and slow
+            raise BoundsExceeded(f"F<q> takes q below {MR_BOUND}, where primality is exact")
         power = prime_power(q)
         if power is None:
             raise ValueError(f"{q} is not a prime power")

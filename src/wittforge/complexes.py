@@ -722,14 +722,8 @@ def infer_grading(a):
 
 def _graded_basis(ring, grading, a, n, t):
     """Basis of the internal-degree-t piece of A_n: (generator, monomial exp)."""
-    out = []
-    for u in range(a.rank(n)):
-        g = grading[(n, u)]
-        if t - g < 0:
-            continue
-        for mono in ring.monomials_of_degree(t - g):
-            out.append((u, mono))
-    return out
+    monomials = ring.monomials_of_degree
+    return [(u, mono) for u in range(a.rank(n)) for mono in monomials(t - grading[(n, u)])]
 
 
 def _graded_rows(columns, src_basis, dst_basis):

@@ -428,14 +428,14 @@ class _Kernel:
 def _rational_kernel():
     """Arithmetic on rational payloads: an ``int`` when integral, else a ``Fraction``.
 
-    The bare ``operator`` builtins keep integral work (every Koszul sign) on
-    machine ints, with no Fraction gcd and no per-operation renormalising.
+    The ``operator`` builtins keep integral work (every Koszul sign) on machine
+    ints, with no Fraction gcd; ``inv`` returns the units 1 and -1 as they are.
     """
     k = _Kernel()
     k.zero, k.one, k.from_int = 0, 1, operator.index  # index: a Fraction raises, never truncates
     k.is_zero = operator.not_
     k.add, k.sub, k.mul, k.neg = operator.add, operator.sub, operator.mul, operator.neg
-    k.inv = lambda a: _rational(Fraction(1, a))
+    k.inv = lambda a: a if a in (1, -1) else _rational(Fraction(1, a))
     return k
 
 
@@ -994,9 +994,9 @@ def spec_extends(top, bottom):
 # ---------------------------------------------------------------------------
 
 #: Miller-Rabin on the first thirteen primes as bases decides every n below
-#: ``_MR_BOUND`` (Sorenson and Webster, *Math. Comp.* 86, 2017).
+#: ``MR_BOUND`` (Sorenson and Webster, *Math. Comp.* 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
+MR_BOUND = 3317044064679887385961981
 
 
 def isprime(n):
@@ -1007,7 +1007,7 @@ def isprime(n):
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    if n >= _MR_BOUND:
+    if n >= MR_BOUND:
         import sympy
         return sympy.isprime(n)
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd

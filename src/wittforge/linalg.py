@@ -3,21 +3,24 @@
 A matrix is a dict ``{row: {column: nonzero entry}}`` with no empty rows, so
 zeros are never stored, multiplied or compared, and two matrices are equal
 exactly when their dicts are.  Entries are field elements or multivariate
-polynomials over a field; :func:`product` and the identity checks' test
-:func:`products_equal` sum on its kernel payloads: the first boxes only its
-results, the second nothing.  A dict cannot carry its shape, so the operations
-that need one (:func:`identity`, :func:`block_diag`, :func:`kron`,
-:func:`dense`, :func:`fits`) take it explicitly.  :func:`kron` is the one
-layout of a (x) b, placed into a matrix the caller passes.  Dense rows -- lists
-or tuples, zeros included -- appear only at the boundary: :func:`sparse` reads
-them, :func:`dense` and :func:`dense_json` write them, and :func:`rank` and
-:func:`inverse` accept them as rows.  The three eliminations, :func:`rank`,
-:func:`inverse` and :func:`congruence`, share one row operation.
+polynomials over a field.  The work runs on the field kernel's raw payloads:
+:func:`product` boxes each nonzero sum once, the identity checks' test
+:func:`products_equal` boxes nothing, and the three eliminations, :func:`rank`,
+:func:`inverse` and :func:`congruence`, share one payload row operation and
+box only their results (in characteristic 0 through ``field.element``, so an
+integral rational comes back an ``int``).  A dict cannot carry its shape, so
+the operations that need one (:func:`identity`, :func:`block_diag`,
+:func:`kron`, :func:`dense`, :func:`fits`) take it explicitly.  :func:`kron` is
+the one layout of a (x) b, placed into a matrix the caller passes.  Dense rows
+-- lists or tuples, zeros included -- appear only at the boundary:
+:func:`sparse` reads them, :func:`dense` and :func:`dense_json` write them,
+and :func:`rank` and :func:`inverse` accept them as rows.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from operator import add
 
 from .fields import FieldElement
@@ -34,16 +37,13 @@ def shape(m):
     return (len(m), len(m[0]) if m else 0)
 
 
-def _row(row):
-    """A fresh ``{column: entry}`` dict of the nonzero entries of a dense or dict row."""
-    if isinstance(row, dict):
-        return dict(row)
-    return {j: x for j, x in enumerate(row) if not x.is_zero()}
-
-
 def sparse(rows):
     """The matrix of dense (or ``{column: entry}``) rows."""
-    return {i: r for i, r in enumerate(map(_row, rows)) if r}
+    rows = (
+        dict(r) if isinstance(r, dict) else {j: x for j, x in enumerate(r) if not x.is_zero()}
+        for r in rows
+    )
+    return {i: r for i, r in enumerate(rows) if r}
 
 
 def dense(ring, mat, shape):
@@ -195,43 +195,51 @@ def kron(a, b, b_shape, out, corner):
     return out
 
 
+def _payloads(row):
+    """A fresh ``{column: payload}`` dict of the nonzero entries of a dense or dict row."""
+    if isinstance(row, dict):
+        return {j: x.payload for j, x in row.items()}
+    return {j: x.payload for j, x in enumerate(row) if not x.is_zero()}
+
+
 def rank(field, a):
     """Rank over a field by sparse Gaussian elimination.
 
-    Rows are dense lists or ``{column: entry}`` dicts of nonzero entries
-    (dense rows become dicts here; dict rows are copied, never changed).
-    Rows are reduced one at a time, sparsest first, by :func:`extend_pivots`.
+    Rows are dense lists or ``{column: entry}`` dicts of nonzero entries, read
+    into fresh payload rows (the rows given are never changed) and reduced
+    one at a time, sparsest first, by :func:`extend_pivots`.
     """
-    pivots = {}
-    for row in sorted(map(_row, a), key=len):
-        extend_pivots(pivots, row)
+    kernel, pivots = field._kernel, {}
+    for row in sorted(map(_payloads, a), key=len):
+        extend_pivots(kernel, pivots, row)
     return len(pivots)
 
 
-def extend_pivots(pivots, row):
-    """Reduce the ``{column: entry}`` row in place against ``pivots``, rows
+def extend_pivots(kernel, pivots, row):
+    """Reduce the ``{column: payload}`` row in place against ``pivots``, rows
     with a leading 1 kept by leading column; a nonzero remainder becomes a
     new pivot, and the result says whether one did."""
     while row:
         col = min(row)
         pivot = pivots.get(col)
         if pivot is None:
-            inv = row[col].inverse()
-            pivots[col] = {j: inv * x for j, x in row.items()}
+            inv, mul = kernel.inv(row[col]), kernel.mul
+            pivots[col] = {j: mul(inv, x) for j, x in row.items()}
             return True
-        _subtract_multiple(row, row[col], pivot)
+        _subtract_multiple(kernel, row, row[col], pivot)
     return False
 
 
-def _subtract_multiple(row, factor, pivot):
-    """row -= factor * pivot on ``{column: entry}`` rows, dropping new zeros."""
+def _subtract_multiple(kernel, row, factor, pivot):
+    """row -= factor * pivot on ``{column: payload}`` rows, dropping new zeros."""
+    sub, mul, is_zero = kernel.sub, kernel.mul, kernel.is_zero
     for j, x in pivot.items():
         y = row.get(j)
         if y is None:
-            row[j] = -(factor * x)
+            row[j] = kernel.neg(mul(factor, x))
         else:
-            y = y - factor * x
-            if y.is_zero():
+            y = sub(y, mul(factor, x))
+            if is_zero(y):
                 del row[j]
             else:
                 row[j] = y
@@ -249,8 +257,10 @@ def congruence(field, mat, n, with_basis):
     degenerate form.  With ``with_basis``, ``vectors`` is the matrix whose
     k-th row is the k-th basis vector, P^T for P^T mat P diagonal; else None.
     """
-    one = field.one()
-    g = {i: dict(mat.get(i, ())) for i in range(n)}
+    kernel = field._kernel
+    one, minus_one = kernel.one, kernel.neg(kernel.one)
+    box = field.element if field.char == 0 else partial(FieldElement, field)
+    g = {i: _payloads(mat.get(i, {})) for i in range(n)}
     vectors = {i: {i: one} for i in range(n)} if with_basis else None
     order, entries = list(range(n)), []
     for k in range(n):
@@ -264,22 +274,24 @@ def congruence(field, mat, n, with_basis):
                 a = order[i]
                 b = next(b for b in order[i + 1 :] if b in g[a])
                 for r, x in g[b].items():  # the rows holding column b, by symmetry
-                    _subtract_multiple(g[r], -one, {a: x})
-                _subtract_multiple(g[a], -one, g[b])  # now g[a][a] = 2 g[a][b] != 0
+                    _subtract_multiple(kernel, g[r], minus_one, {a: x})
+                _subtract_multiple(kernel, g[a], minus_one, g[b])  # now g[a][a] = 2 g[a][b] != 0
                 if with_basis:
-                    _subtract_multiple(vectors[a], -one, vectors[b])
+                    _subtract_multiple(kernel, vectors[a], minus_one, vectors[b])
             order[k], order[i] = order[i], order[k]
         p = order[k]
         entries.append(g[p].pop(p))
-        inv = entries[-1].inverse()
+        inv = kernel.inv(entries[-1])
         for a in order[k + 1 :]:
             if p in g[a]:
-                factor = g[a].pop(p) * inv
-                _subtract_multiple(g[a], factor, g[p])
+                factor = kernel.mul(g[a].pop(p), inv)
+                _subtract_multiple(kernel, g[a], factor, g[p])
                 if with_basis:
-                    _subtract_multiple(vectors[a], factor, vectors[p])
-    entries += [field.zero()] * (n - len(entries))
-    return entries, {k: vectors[p] for k, p in enumerate(order)} if with_basis else None
+                    _subtract_multiple(kernel, vectors[a], factor, vectors[p])
+    entries = [box(x) for x in entries] + [field.zero()] * (n - len(entries))
+    if with_basis:
+        vectors = {k: {j: box(x) for j, x in vectors[p].items()} for k, p in enumerate(order)}
+    return entries, vectors
 
 
 def inverse(field, a):
@@ -288,25 +300,26 @@ def inverse(field, a):
     ``a`` is the n rows of an n x n matrix, each a dense list or a
     ``{column: entry}`` dict as for :func:`rank`; a dense row of another
     length or a column past n makes it non-square, hence not invertible.
-    Gauss-Jordan runs on the augmented rows [a | 1] kept as
-    ``{column: entry}`` dicts of nonzero entries.
+    Gauss-Jordan runs on the augmented payload rows [a | 1] kept as
+    ``{column: payload}`` dicts of nonzero entries.
     """
     n = len(a)
-    rows = [_row(row) for row in a]
     if any(len(r) != n for r in a if not isinstance(r, dict)):
         return None
+    kernel = field._kernel
+    box = field.element if field.char == 0 else partial(FieldElement, field)
+    rows = [_payloads(row) for row in a]
     if any(j >= n for row in rows for j in row):
         return None
-    one = field.one()
-    rows = [row | {n + i: one} for i, row in enumerate(rows)]
+    rows = [row | {n + i: kernel.one} for i, row in enumerate(rows)]
     for col in range(n):
         pivot_row = next((i for i in range(col, n) if col in rows[i]), None)
         if pivot_row is None:
             return None
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        inv = rows[col][col].inverse()
-        pivot = rows[col] = {j: inv * x for j, x in rows[col].items()}
+        inv, mul = kernel.inv(rows[col][col]), kernel.mul
+        pivot = rows[col] = {j: mul(inv, x) for j, x in rows[col].items()}
         for i, row in enumerate(rows):
             if i != col and col in row:
-                _subtract_multiple(row, row[col], pivot)
-    return {i: {j - n: x for j, x in row.items() if j >= n} for i, row in enumerate(rows)}
+                _subtract_multiple(kernel, row, row[col], pivot)
+    return {i: {j - n: box(x) for j, x in row.items() if j >= n} for i, row in enumerate(rows)}

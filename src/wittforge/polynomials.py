@@ -9,6 +9,8 @@ needs ring arithmetic, homogeneity checks, and graded-piece extraction.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import FieldMismatch, RingMismatch
 from .fields import FieldSpec
 
@@ -57,21 +59,8 @@ class PolyRing:
         return self.constant(self.field.element(value))
 
     def monomials_of_degree(self, degree):
-        """All exponent tuples of the given total degree, lex order."""
-        n = len(self.vars)
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append(tuple(prefix) + (remaining,))
-                return
-            for e in range(remaining, -1, -1):
-                rec(prefix + [e], remaining - e, slots - 1)
-
-        if n == 0:
-            return [()] if degree == 0 else []
-        rec([], degree, n)
-        return out
+        """All exponent tuples of the given total degree, lex order (a tuple, cached)."""
+        return _monomials(len(self.vars), degree)
 
     def __eq__(self, other):
         if not isinstance(other, PolyRing):
@@ -170,16 +159,12 @@ class MultiPolynomial:
 
     def total_degree(self):
         """Max total degree, or -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def homogeneous_degree(self):
         """The common total degree of all terms, or None if mixed/zero."""
-        degrees = {sum(e) for e in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
+        degrees = set(map(sum, self.terms))
+        return degrees.pop() if len(degrees) == 1 else None
 
     def constant_value(self):
         """The field value of a constant polynomial (raises otherwise)."""
@@ -198,11 +183,7 @@ class MultiPolynomial:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
-            factors = [
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(self.ring.vars, e)
-                if k
-            ]
+            factors = [v if k == 1 else f"{v}^{k}" for v, k in zip(self.ring.vars, e) if k]
             if factors:
                 head = "" if c == self.ring.field.one() else f"{c}*"
                 parts.append(head + "*".join(factors))
@@ -211,12 +192,8 @@ class MultiPolynomial:
         return " + ".join(parts)
 
     def to_json(self):
-        return {
-            "vars": list(self.ring.vars),
-            "terms": [
-                {"exp": list(e), "coef": c.to_json()} for e, c in self.sorted_terms()
-            ],
-        }
+        terms = [{"exp": list(e), "coef": c.to_json()} for e, c in self.sorted_terms()]
+        return {"vars": list(self.ring.vars), "terms": terms}
 
     @classmethod
     def from_json(cls, ring, obj):
@@ -229,3 +206,14 @@ class MultiPolynomial:
                 raise ValueError(f"exponent {t['exp']} is not one natural number per variable")
             terms[e] = terms.get(e, ring.field.zero()) + ring.field.element(t["coef"])
         return cls(ring, terms)
+
+
+@lru_cache(maxsize=None)
+def _monomials(n, degree):
+    """The exponent tuples of n variables and total degree ``degree`` (none for
+    a negative degree), lex order, as one tuple."""
+    if n == 0:
+        return ((),) if degree == 0 else ()
+    return tuple(
+        (e,) + rest for e in range(degree, -1, -1) for rest in _monomials(n - 1, degree - e)
+    )

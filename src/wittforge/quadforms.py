@@ -640,7 +640,7 @@ def _orthogonal_complement(field, form, v, u):
     coeffs = {k: {k: one, **minus.get(k, {})} for k in range(n)}
     keep, pivots = [], {}
     for c in linalg.product(field, coeffs, {**linalg.identity(field, n), n: v, n + 1: u}).values():
-        if linalg.extend_pivots(pivots, dict(c)):
+        if linalg.extend_pivots(field._kernel, pivots, {j: x.payload for j, x in c.items()}):
             keep.append(c)
     if len(keep) != n - 2:
         raise RuntimeError(f"complement of a hyperbolic pair has rank {len(keep)}, not {n - 2}")

@@ -14,7 +14,6 @@ cases filed so far and adds one failed ``<suite>/raised`` case.  Only
 """
 
 import functools
-import inspect
 import random
 import time
 
@@ -666,7 +665,11 @@ SUITES = {
 def _default_size(name):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return inspect.signature(SUITES[name]).parameters["size"].default
+    suite = SUITES[name]
+    while hasattr(suite, "__wrapped__"):  # through functools.wraps, as inspect.signature goes
+        suite = suite.__wrapped__
+    # every parameter of a suite has a default: (seed, size, bound)
+    return dict(zip(suite.__code__.co_varnames, suite.__defaults__))["size"]
 
 
 def _check_size(name, size):

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from wittforge import verify
+from wittforge import cli, verify
 from wittforge.cli import (
     COMMANDS,
     build_parser,
@@ -18,7 +18,7 @@ from wittforge.cli import (
     parse_poly,
     parse_tower,
 )
-from wittforge.fields import FieldSpec
+from wittforge.fields import MR_BOUND, FieldSpec
 from wittforge.polynomials import MultiPolynomial, PolyRing
 
 Q = FieldSpec.Q()
@@ -342,6 +342,21 @@ def test_large_prime_fields_parse_in_log_steps(capsys, field):
         assert code == 0, err
     assert time.perf_counter() - start < 1
     assert parse_field(field) == FieldSpec.Fp(int(field[1:]))
+
+
+def test_field_orders_past_the_primality_bound_are_refused_first(capsys, monkeypatch):
+    # from MR_BOUND up isprime is sympy's: 10^3999 + 1 (4,000 digits) spent
+    # seconds in it before its usage error; the cap refuses q before any test
+    monkeypatch.setattr(cli, "prime_power", lambda q: pytest.fail(f"prime_power({q}) ran"))
+    start = time.perf_counter()
+    for q in (MR_BOUND, 10**3999 + 1):
+        code, out, err = run(capsys, "--json", "witt", "diag", "--field", f"F{q}", "--form", "1,2")
+        assert (code, out) == (2, "")
+        assert err.startswith("out of bounds:") and "\n" not in err and str(MR_BOUND) in err
+    assert time.perf_counter() - start < 1
+    monkeypatch.undo()
+    argv = ("--json", "witt", "diag", "--field", "F2305843009213693951", "--form", "1,2")
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_bad_field_is_usage(capsys):

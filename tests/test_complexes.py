@@ -15,6 +15,7 @@ constructors take.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -747,6 +748,18 @@ def test_grading_inconsistent():
     cx = ChainComplex(RXY, {1: 2, 0: 2}, _sparse_of(RXY, {1: [[x, y], [y, x * x]]}))
     with pytest.raises(GradingInconsistent):
         infer_grading(cx)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_monomials_of_degree_are_each_exponent_once_in_lex_order(n):
+    # a graded piece's basis: no monomial of a negative degree, and one
+    # cached tuple per (variables, degree)
+    ring = PolyRing(Q, ("x", "y", "z")[:n])
+    for degree in range(-2, 5):
+        every = itertools.product(range(max(degree, 0) + 1), repeat=n)
+        expected = tuple(sorted((e for e in every if sum(e) == degree), reverse=True))
+        assert ring.monomials_of_degree(degree) == expected
+        assert ring.monomials_of_degree(degree) is ring.monomials_of_degree(degree)
 
 
 def test_graded_homology_regular_element():

@@ -887,6 +887,14 @@ def test_rational_kernel_matches_fraction_arithmetic(a, b):
         assert (type(inv) is int) == ((1 / fa).denominator == 1)
 
 
+def test_rational_inverse_returns_the_units_themselves():
+    inv = Q._kernel.inv
+    for unit in (1, -1):
+        assert inv(unit) == unit and type(inv(unit)) is int
+    assert inv(2) == Fraction(1, 2) and type(inv(2)) is Fraction
+    assert inv(Fraction(1, 3)) == 3 and type(inv(Fraction(1, 3))) is int
+
+
 @settings(max_examples=200, deadline=None)
 @given(rationals)
 def test_rational_payload_is_int_exactly_when_integral(x):

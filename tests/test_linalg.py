@@ -8,9 +8,12 @@ at a nonzero corner, and over Q[x, y].  The product over polynomial rings
 is compared with a schoolbook sum of ``MultiPolynomial`` products, including
 draws that cancel.  ``linalg.rank`` takes dense rows or sparse
 ``{column: entry}`` rows; both forms of the same matrix must give sympy's
-rank over GF(p) and QQ, and the inverse must be ``DomainMatrix``'s.  The
-zero test ``products_equal(a, b, c, d)`` must agree with comparing the two
-products over Q, F5, F9 and Q[x, y], and build no ring element.
+rank over GF(p) and QQ, and the inverse must be ``DomainMatrix``'s; over F9
+and Q(sqrt 2) too, read through the regular representation over the prime
+field, with every returned payload canonical (an integral rational an
+``int``).  The zero test ``products_equal(a, b, c, d)`` must agree with
+comparing the two products over Q, F5, F9 and Q[x, y], and build no ring
+element.
 """
 
 import random
@@ -92,9 +95,9 @@ def test_extend_pivots_keeps_exactly_the_rows_outside_the_span(case):
     cols = len(values[0]) if values else 0
     pivots, kept = {}, []
     for k, row in enumerate(values):
-        sparse_row = {j: field.element(x) for j, x in enumerate(row) if x}
+        payload_row = {j: field.element(x).payload for j, x in enumerate(row) if x}
         grows = _sympy_rank(domain, kept + [row], cols) > len(kept)
-        assert linalg.extend_pivots(pivots, sparse_row) == grows
+        assert linalg.extend_pivots(field._kernel, pivots, payload_row) == grows
         if grows:
             kept.append(row)
     assert len(pivots) == len(kept) == _sympy_rank(domain, values, cols)
@@ -250,6 +253,58 @@ def _check_kron(ours, a, c):
     expected[:r, :k] = a
     expected[1 : 1 + 2 * s, k + 1 :] = _kron_oracle(Matrix.eye(2), c)
     assert out == ours(expected)
+
+
+def _over_prime_field(field, rows):
+    """Dense rows over ``field`` as a DomainMatrix over its prime field: over
+    an extension of degree d, entry x becomes the d x d matrix of
+    multiplication by x in the basis 1, a, ..., a^(d-1).  That map is an
+    injective ring homomorphism, so ranks are multiplied by d and inverses
+    are carried to inverses."""
+    ext = field.kind == "ext"
+    base = field.base if ext else field
+    domain = QQ if base.char == 0 else GF(base.p)
+    d = field.degree
+    powers = [field.generator() ** s for s in range(d)] if ext else [field.one()]
+    rows_out = [[None] * (d * len(rows)) for _ in range(d * len(rows))]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            for s, power in enumerate(powers):
+                coords = (x * power).payload if ext else ((x * power).payload,)
+                for r, c in enumerate(coords):
+                    c = Fraction(c)
+                    entry = QQ(c.numerator, c.denominator) if domain == QQ else domain(int(c))
+                    rows_out[d * i + r][d * j + s] = entry
+    return DomainMatrix(rows_out, (d * len(rows),) * 2, domain)
+
+
+def _canonical(payload):
+    """Whether a payload is canonical: an integral rational is an ``int``, in
+    every coordinate of an extension payload too."""
+    if isinstance(payload, tuple):
+        return all(map(_canonical, payload))
+    return type(payload) is int or payload.denominator != 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands())
+def test_payload_eliminations_match_sympy(case):
+    # square corners of the drawn a: over Q and Q(sqrt 2) with non-unit
+    # pivots (Fraction payloads), over F_p and over F9
+    field, (a, _, _) = case
+    n = min(a.shape)
+    rows = [[_element(field, x) for x in row[:n]] for row in a.tolist()[:n]]
+    oracle = _over_prime_field(field, rows)
+    assert linalg.rank(field, rows) * field.degree == oracle.rank()
+    inv = linalg.inverse(field, rows)
+    try:
+        expected = oracle.inv()
+    except DMNonInvertibleMatrixError:
+        assert inv is None
+        return
+    assert inv is not None
+    assert _over_prime_field(field, linalg.dense(field, inv, (n, n))) == expected
+    assert all(_canonical(x.payload) for row in inv.values() for x in row.values())
 
 
 X, Y = Symbol("x"), Symbol("y")

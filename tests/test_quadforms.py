@@ -45,6 +45,7 @@ F3 = FieldSpec.Fp(3)
 F5 = FieldSpec.Fp(5)
 F7 = FieldSpec.Fp(7)
 F9 = FieldSpec.extension(F3, find_irreducible(F3, 2))
+QSQRT2 = FieldSpec.extension(Q, [-2, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +440,18 @@ def _eliminate(form, basis=None):
     return [g[i][i] for i in range(n)]
 
 
-@pytest.mark.parametrize("field", [F3, F9, Q], ids=str)
+def _canonical(payload):
+    """Whether a payload is canonical: an integral rational is an ``int``, in
+    every coordinate of an extension payload too."""
+    if isinstance(payload, tuple):
+        return all(map(_canonical, payload))
+    return type(payload) is int or payload.denominator != 1
+
+
+@pytest.mark.parametrize("field", [F3, F9, Q, QSQRT2], ids=str)
 def test_congruence_matches_the_dense_oracle(field):
+    # the Q draws have non-unit pivots, so the elimination's payloads hold
+    # Fractions; what it returns is boxed canonically all the same
     rng = random.Random(2207)
     for k in range(80):
         form = random_symmetric(field, rng, rng.randint(0, 7), zero_diagonal=k % 3 == 0)
@@ -451,6 +462,8 @@ def test_congruence_matches_the_dense_oracle(field):
         assert entries == expected
         assert got_basis == linalg.sparse(basis)
         assert _diagonal_entries(form) == tuple(_eliminate(form))
+        returned = entries + [x for row in got_basis.values() for x in row.values()]
+        assert all(_canonical(x.payload) for x in returned)
 
 
 a9 = F9.generator()

@@ -119,10 +119,12 @@ def test_sympy_is_not_imported_at_module_level():
 
 
 def test_import_and_a_command_leave_sympy_unloaded():
+    # inspect too (with dis, tokenize and ast): no command reads a signature
     script = (
-        "import sys; import wittforge.cli as cli; loaded = 'sympy' in sys.modules; "
+        "import sys; import wittforge.cli as cli; "
+        "loaded = lambda: [m in sys.modules for m in ('sympy', 'inspect')]; before = loaded(); "
         "code = cli.main(['--json', 'witt', 'diag', '--field', 'F5', '--form', '1,2']); "
-        "print(loaded, code, 'sympy' in sys.modules, file=sys.stderr)"
+        "print(*before, code, *loaded(), file=sys.stderr)"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -132,7 +134,7 @@ def test_import_and_a_command_leave_sympy_unloaded():
         env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
-    assert result.stderr.split() == ["False", "0", "False"]
+    assert result.stderr.split() == ["False", "False", "0", "False", "False"]
 
 
 def _references(tree):

@@ -72,6 +72,14 @@ MUTANTS = [
         FIELD_TESTS,
     ),
     (
+        "the rational inverse returns every a with |a| <= 2 as it is, not only the units",
+        "fields.py",
+        "_rational_kernel",
+        "a if a in (1, -1) else",
+        "a if abs(a) <= 2 else",
+        ("tests/test_fields.py",),
+    ),
+    (
         "rational_roots tries only sign +1",
         "fields.py",
         "rational_roots",
@@ -304,7 +312,7 @@ MUTANTS = [
         "the congruence's zero-diagonal repair updates the row but not the columns",
         "linalg.py",
         "congruence",
-        "_subtract_multiple(g[r], -one, {a: x})",
+        "_subtract_multiple(kernel, g[r], minus_one, {a: x})",
         "pass",
         FORM_TESTS,
     ),
@@ -323,8 +331,8 @@ MUTANTS = [
         "_subtract_multiple adds factor * x where the row had no entry",
         "linalg.py",
         "_subtract_multiple",
-        "row[j] = -(factor * x)",
-        "row[j] = factor * x",
+        "row[j] = kernel.neg(mul(factor, x))",
+        "row[j] = mul(factor, x)",
         FORM_TESTS + ("tests/test_linalg.py",),
     ),
     (
