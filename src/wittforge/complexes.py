@@ -15,8 +15,9 @@ precomposition.  These choices are mutually coherent; the tests pin each one
 so a change anywhere breaks loudly.
 
 A complex is immutable, so what is derived from it is built once and kept in
-its one ``_memo``: its grading, the one-term line its duals map into per twist
-degree (the twist never enters a matrix), and ``tensor(a, b)`` and
+its one ``_memo`` by :func:`~wittforge.fields.kept`, the package's one memo
+rule: its grading, the one-term line its duals map into per twist degree
+(the twist never enters a matrix), and ``tensor(a, b)`` and
 ``hom_complex(a, b)`` per second factor, kept on the first factor ``a``; the
 dual is the Hom into that line.
 
@@ -32,7 +33,6 @@ are read in one place, :meth:`ChainComplex.from_json`; the dense tuples of
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import wraps
 from operator import add
 
 from . import linalg
@@ -45,7 +45,7 @@ from .errors import (
     NotHomogeneous,
     RingMismatch,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, kept
 from .polynomials import MultiPolynomial, PolyRing
 
 #: cap on the total rank of a complex and on the internal degrees of a graded
@@ -298,23 +298,6 @@ def scale_map(f, c):
 # ---------------------------------------------------------------------------
 
 
-def _kept_on_first(build):
-    """``build(a, b)``, kept in ``a._memo`` per operation and second factor.
-
-    ``b`` is stored with its result, so its id is not reused while the entry
-    lives; ``tensor(a, a)`` stores ``None`` instead, which would be a cycle.
-    """
-
-    @wraps(build)
-    def kept(a, b):
-        key = (build, id(b))
-        if key not in a._memo:
-            a._memo[key] = (None if b is a else b, build(a, b))
-        return a._memo[key][1]
-
-    return kept
-
-
 def tensor_layout(a, b, n):
     """Summands of (A (x) B)_n in basis order: (i, j) -> (offset, rank_a, rank_b)."""
     out = {}
@@ -327,7 +310,7 @@ def tensor_layout(a, b, n):
     return out
 
 
-@_kept_on_first
+@kept
 def tensor(a, b):
     """A (x) B with the Koszul sign rule; basis (a_p (x) b_q), p major."""
     _same_ring(a, b)
@@ -366,7 +349,7 @@ def hom_layout(a, b, n):
     return out
 
 
-@_kept_on_first
+@kept
 def hom_complex(a, b):
     """Hom(A, B) with (df)(x) = d(f(x)) - (-1)^{|f|} f(dx)."""
     _same_ring(a, b)
@@ -550,13 +533,11 @@ def _is_unit(ring, x):
     return x.total_degree() == 0  # nonzero constants over the coefficient field
 
 
+@kept
 def dual_line(a, degree):
     """The one-term complex in ``degree`` that the duals of ``a`` map into,
     kept on ``a`` so every Hom from ``a`` into it is one memo entry."""
-    key = ("line", degree)
-    if key not in a._memo:
-        a._memo[key] = single(a.ring, degree)
-    return a._memo[key]
+    return single(a.ring, degree)
 
 
 def dualize(a, datum):
@@ -666,6 +647,7 @@ def homology_dims(a):
 # ---------------------------------------------------------------------------
 
 
+@kept
 def infer_grading(a):
     """Internal degree of each generator, by propagation from degree-0 anchors.
 
@@ -675,8 +657,6 @@ def infer_grading(a):
     homological degree 0 anchors).  The grading is inferred on first use and
     kept on the complex; callers must not modify the returned dict.
     """
-    if "grading" in a._memo:
-        return a._memo["grading"]
     if not isinstance(a.ring, PolyRing):
         raise NotHomogeneous("graded pieces need a polynomial ring")
     edges = {}  # (n, u) -> list of ((n-1, v), entry degree)
@@ -716,7 +696,6 @@ def infer_grading(a):
                 else:
                     grading[neigh] = expected
                     queue.append(neigh)
-    a._memo["grading"] = grading
     return grading
 
 

@@ -8,7 +8,10 @@ degree of a tower is capped at :data:`MAX_TOWER_DEGREE`.
 Elements are immutable :class:`FieldElement` values carrying their spec and
 a raw payload:
 
-* ``Q``    -- an ``int`` when integral, else a ``fractions.Fraction``
+* ``Q``    -- an ``int`` or a ``fractions.Fraction``.  Element construction
+  and the eliminations of :mod:`~wittforge.linalg` box an integral value as
+  an ``int``; sums and products may keep an integral ``Fraction``, which
+  equals, hashes and serializes like the ``int``
 * ``Fp``   -- an ``int`` in ``[0, p)``
 * ``ext``  -- a tuple ``(c0, ..., c_{n-1})`` of the base field's *raw*
   payloads (nested tuples in a tower, never boxed elements), the
@@ -40,7 +43,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import (
     BoundsExceeded,
@@ -78,7 +81,7 @@ class FieldSpec:
         self.p = p
         self.base = base
         self.modulus = modulus
-        self._hash = None
+        self._hash = hash((kind, p, base, modulus))
         if kind == "Q":
             self._kernel = _rational_kernel()
         elif kind == "Fp":
@@ -255,8 +258,6 @@ class FieldSpec:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.kind, self.p, self.base, self.modulus))
         return self._hash
 
     def __repr__(self):
@@ -426,10 +427,13 @@ class _Kernel:
 
 
 def _rational_kernel():
-    """Arithmetic on rational payloads: an ``int`` when integral, else a ``Fraction``.
+    """Arithmetic on rational payloads: ``int`` or ``Fraction``.
 
     The ``operator`` builtins keep integral work (every Koszul sign) on machine
     ints, with no Fraction gcd; ``inv`` returns the units 1 and -1 as they are.
+    They do not normalize: ``Fraction(1, 2) * 2`` stays ``Fraction(1, 1)``,
+    equal to ``1`` with the same hash and JSON; :func:`_rational` is the
+    canonical boxing that element construction and the eliminations apply.
     """
     k = _Kernel()
     k.zero, k.one, k.from_int = 0, 1, operator.index  # index: a Fraction raises, never truncates
@@ -1036,3 +1040,34 @@ def prime_power(q):
         if root**k == q and isprime(root):
             return root, k
     return None
+
+
+# ---------------------------------------------------------------------------
+# the one memo rule for derived data, here because every module imports fields
+# ---------------------------------------------------------------------------
+
+
+def kept(build):
+    """``build(obj, *args)``, computed once per ``args`` and kept in ``obj._memo``.
+
+    The key is ``build`` alone for no arguments; an ``int`` argument enters it
+    by value, any other by its id.  Such an argument is stored with the entry,
+    so its id is not reused while the entry lives; ``obj`` itself never is,
+    which would be a cycle.  A build that raises stores nothing.
+    """
+
+    @wraps(build)
+    def derived(obj, *args):
+        key = build
+        for a in args:
+            key = (key, a if type(a) is int else id(a))
+        entry = obj._memo.get(key)  # one lookup, hit or miss
+        if entry is not None:
+            return entry[0]
+        value = build(obj, *args)
+        if id(obj) in map(id, args):  # never store obj itself: a cycle
+            args = tuple(a for a in args if a is not obj)
+        obj._memo[key] = (value, args)
+        return value
+
+    return derived

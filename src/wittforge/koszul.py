@@ -52,6 +52,7 @@ from .complexes import (
     tensor_map,
 )
 from .errors import BoundsExceeded, NotAChainMap, NotRegularSequence
+from .fields import kept
 
 #: default internal-degree bound for graded exactness certificates
 DEFAULT_BOUND = 6
@@ -64,7 +65,7 @@ class KoszulDatum:
     it never enters a matrix, only the duality bookkeeping.
     """
 
-    __slots__ = ("ring", "rank", "section", "twist", "_complex", "_splits")
+    __slots__ = ("ring", "rank", "section", "twist", "_memo")
 
     def __init__(self, ring, section, twist=None):
         section = tuple(ring.element(s) for s in section)
@@ -77,8 +78,7 @@ class KoszulDatum:
         self.rank = len(section)
         self.section = section
         self.twist = twist
-        self._complex = None
-        self._splits = {}
+        self._memo = {}
         self.duality()  # rejects non-unit twists
 
     def duality(self):
@@ -120,14 +120,13 @@ def _shuffle_sign(s, t):
     return -1 if inversions % 2 else 1
 
 
+@kept
 def koszul_complex(k):
     """Contraction with the section; the term in degree i has rank C(d, i).
 
     Built on first use and kept on the datum, so every construction from
     ``k`` shares one complex.
     """
-    if k._complex is not None:
-        return k._complex
     ring, d = k.ring, k.rank
     terms = {i: comb(d, i) for i in range(d + 1)}
     mats = {}
@@ -140,8 +139,7 @@ def koszul_complex(k):
                 entry = k.section[j - 1]
                 mat[rows[rest]][c] = entry if pos % 2 == 0 else -entry
         mats[i] = mat
-    k._complex = ChainComplex(ring, terms, mats)
-    return k._complex
+    return ChainComplex(ring, terms, mats)
 
 
 class SymmetricSpace:
@@ -152,9 +150,9 @@ class SymmetricSpace:
     -form, refusing anything else.
     """
 
-    __slots__ = ("carrier", "duality", "form", "symmetry_sign", "metadata")
+    __slots__ = ("carrier", "duality", "form", "symmetry_sign")
 
-    def __init__(self, carrier, duality, form, metadata=None):
+    def __init__(self, carrier, duality, form):
         if form.source != carrier or form.target != dualize(carrier, duality):
             raise NotAChainMap("the form must map the carrier to its dual")
         transposed = dualize_map(form, duality).compose(bidual_map(carrier, duality))
@@ -168,7 +166,6 @@ class SymmetricSpace:
         self.duality = duality
         self.form = form
         self.symmetry_sign = sign
-        self.metadata = dict(metadata or {})
 
     def __repr__(self):
         ranks = ", ".join(f"{n}:{r}" for n, r in sorted(self.carrier.terms.items()))
@@ -179,7 +176,7 @@ class SymmetricSpace:
             "ranks": {str(n): r for n, r in sorted(self.carrier.terms.items())},
             "duality": self.duality.to_json(),
             "symmetry_sign": self.symmetry_sign,
-            "metadata": self.metadata,
+            "metadata": {},
         }
 
 
@@ -265,6 +262,7 @@ def x_map(k):
     return hom_post(kos, sigma_map(k).compose(delta_map(k))).compose(adjunction_unit(kos, kos))
 
 
+@kept
 def split_section(k, head):
     """Split the section after position ``head``: the head datum, which keeps
     the twist, the tail datum, and Kos_F -> Kos_head (x) Kos_tail, which
@@ -276,8 +274,6 @@ def split_section(k, head):
     """
     if not 1 <= head < k.rank:
         raise ValueError(f"split position must satisfy 1 <= head < {k.rank}")
-    if head in k._splits:
-        return k._splits[head]
     first = KoszulDatum(k.ring, k.section[:head], twist=k.twist)
     second = KoszulDatum(k.ring, k.section[head:])
     ring, d = k.ring, k.rank
@@ -297,8 +293,7 @@ def split_section(k, head):
             q = _subset_index(d - head, len(high))[high]
             mat[off + p * rb + q] = {u: one}
         mats[n] = mat
-    k._splits[head] = (first, second, ChainMap(kos, tensor(a, b), mats))
-    return k._splits[head]
+    return first, second, ChainMap(kos, tensor(a, b), mats)
 
 
 def theta_multiplicative(k, head):

@@ -27,7 +27,7 @@ class PolyRing:
         self.vars = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable names")
-        self._hash = None
+        self._hash = hash((field, self.vars))
 
     def zero(self):
         return MultiPolynomial(self, {})
@@ -60,7 +60,7 @@ class PolyRing:
 
     def monomials_of_degree(self, degree):
         """All exponent tuples of the given total degree, lex order (a tuple, cached)."""
-        return _monomials(len(self.vars), degree)
+        return exponent_tuples(len(self.vars), degree)
 
     def __eq__(self, other):
         if not isinstance(other, PolyRing):
@@ -68,8 +68,6 @@ class PolyRing:
         return self.field == other.field and self.vars == other.vars
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, self.vars))
         return self._hash
 
     def __repr__(self):
@@ -209,11 +207,11 @@ class MultiPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _monomials(n, degree):
+def exponent_tuples(n, degree):
     """The exponent tuples of n variables and total degree ``degree`` (none for
     a negative degree), lex order, as one tuple."""
     if n == 0:
         return ((),) if degree == 0 else ()
     return tuple(
-        (e,) + rest for e in range(degree, -1, -1) for rest in _monomials(n - 1, degree - e)
+        (e,) + rest for e in range(degree, -1, -1) for rest in exponent_tuples(n - 1, degree - e)
     )

@@ -20,6 +20,7 @@ from math import comb
 
 from . import linalg
 from .errors import BoundsExceeded, ParityError, WittforgeError
+from .polynomials import exponent_tuples
 
 #: dimension cap: monomial enumeration is exponential in r
 MAX_R = 6
@@ -83,18 +84,6 @@ class CohomologyReport:
         }
 
 
-def _compositions(total, parts):
-    """All tuples of ``parts`` nonnegative integers with the given sum."""
-    if total < 0:
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 @lru_cache(maxsize=None)
 def _pattern_cohomology(field, r, negative):
     """Exact cochain homology (h^0, .., h^r) of the Cech summand of one support pattern.
@@ -136,18 +125,12 @@ def _pattern_cohomology(field, r, negative):
 def _pattern_count_and_witnesses(r, m, negative):
     """How many degree-m Laurent monomials have this negative support."""
     n = r + 1
+    # exponent_tuples holds nothing for a negative total
     if not negative:
-        if m < 0:
-            return 0, []
-        monomials = [exps for exps in _compositions(m, n)]
+        monomials = list(reversed(exponent_tuples(n, m)))
         return len(monomials), monomials
     if len(negative) == n:
-        budget = -m - n
-        if budget < 0:
-            return 0, []
-        monomials = [
-            tuple(-1 - b for b in exps) for exps in _compositions(budget, n)
-        ]
+        monomials = [tuple(-1 - b for b in exps) for exps in reversed(exponent_tuples(n, -m - n))]
         return len(monomials), monomials
     # mixed patterns hold infinitely many monomials; their summand is exact,
     # so the count never multiplies a nonzero dimension

@@ -23,8 +23,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .errors import DegenerateForm, FieldMismatch, Inconclusive, UnsupportedField
-from .fields import is_square, isprime, rational_sqrt, sqrt
+from .errors import BoundsExceeded, DegenerateForm, FieldMismatch, Inconclusive, UnsupportedField
+from .fields import MR_BOUND, is_square, isprime, kept, rational_sqrt, sqrt
 
 #: cap on brute-force vector searches over Q (number of evaluations)
 SEARCH_CAP = 2 * 10**6
@@ -53,7 +53,10 @@ class Place:
         text = str(text).strip().lower()
         if text in ("inf", "infinity", "oo", "real"):
             return cls.infinity()
-        return cls(int(text))
+        p = int(text)
+        if p >= MR_BOUND:  # before the primality test: above it, isprime is sympy's and slow
+            raise BoundsExceeded(f"a place is a prime below {MR_BOUND}, where primality is exact")
+        return cls(p)
 
     def __eq__(self, other):
         return isinstance(other, Place) and self.p == other.p
@@ -77,18 +80,18 @@ class QuadraticForm:
     it once (``_mat``); ``to_json`` writes it as dense rows, and the CLI's
     ``parse_form`` is the one reader of dense rows.  The diagonal entries
     of a congruence diagonalization (:func:`diagonalize`) are computed on
-    first use and kept in the private ``_entries`` slot, which takes no
-    part in equality, hashing or JSON.
+    first use and kept in ``_memo`` (:func:`~wittforge.fields.kept`), which
+    takes no part in equality, hashing or JSON.
     """
 
-    __slots__ = ("field", "dim", "_mat", "_entries")
+    __slots__ = ("field", "dim", "_mat", "_memo")
 
     def __init__(self, field, mat, dim):
         if not linalg.fits(mat, (dim, dim)):
             raise ValueError(f"Gram matrix does not fit the shape {(dim, dim)}")
         if mat != linalg.transpose(mat):
             raise ValueError("Gram matrix must be symmetric")
-        self.field, self.dim, self._mat, self._entries = field, dim, mat, None
+        self.field, self.dim, self._mat, self._memo = field, dim, mat, {}
 
     @classmethod
     def diagonal(cls, field, entries):
@@ -158,17 +161,17 @@ def diagonalize(form):
     return entries, linalg.transpose(vectors)
 
 
+@kept
 def _diagonal_entries(form):
     """The entries of :func:`diagonalize`, computed once per form without a basis."""
-    if form._entries is None:
-        form._entries = tuple(linalg.congruence(form.field, form._mat, form.dim, False)[0])
-    return form._entries
+    return tuple(linalg.congruence(form.field, form._mat, form.dim, False)[0])
 
 
-def _check_nondegenerate(form):
-    if form.is_degenerate():
+def _nondegenerate(entries):
+    """``entries`` of a diagonalization, refused when one is zero."""
+    if any(e.is_zero() for e in entries):
         raise DegenerateForm("the Gram matrix is singular")
-    return _diagonal_entries(form)
+    return entries
 
 
 class WittClass:
@@ -217,7 +220,7 @@ def _as_diagonal_entries(x):
     form = _as_form(x)
     if form.dim == 0:
         return form.field, []
-    return form.field, list(_check_nondegenerate(form))
+    return form.field, list(_nondegenerate(_diagonal_entries(form)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +553,7 @@ def witt_decompose(form):
         return WittClass(field, form, 0, certificate={})
     # one diagonalization serves the nondegeneracy check and the first split
     entries, vectors = linalg.congruence(field, form._mat, form.dim, True)
-    if form._entries is None:
-        form._entries = tuple(entries)
-    _check_nondegenerate(form)
+    _nondegenerate(entries)
     if field.kind == "Q":
         def finder(entries):
             vec = _q_isotropic_vector([e.payload for e in entries])

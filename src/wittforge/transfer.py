@@ -25,7 +25,7 @@ from .errors import (
     FieldMismatch,
     UnsupportedField,
 )
-from .fields import FieldElement, FieldSpec, embed, factor_univariate, spec_extends
+from .fields import FieldElement, FieldSpec, embed, factor_univariate, kept, spec_extends
 from .quadforms import QuadraticForm, signed_discriminant, witt_equal
 
 
@@ -36,19 +36,12 @@ class ExtensionDatum:
     over F it is ``{b * y^j}`` with ``b`` running through the basis of K/F
     (inner index fastest), so the coordinates of an element are its nested
     payload flattened.  The multiplication table, the basis traces and the
-    trace form are derived on first use and kept in private slots.
+    trace form are derived on first use and kept in ``_memo``
+    (:func:`~wittforge.fields.kept`), which takes no part in equality or JSON.
     Matrices are :mod:`~wittforge.linalg` sparse matrices.
     """
 
-    __slots__ = (
-        "top",
-        "bottom",
-        "basis",
-        "_one_coords",
-        "_table",
-        "_basis_traces",
-        "_trace_form",
-    )
+    __slots__ = ("top", "bottom", "basis", "_one_coords", "_memo")
 
     def __init__(self, top, bottom):
         if not spec_extends(top, bottom):
@@ -57,7 +50,7 @@ class ExtensionDatum:
         self.bottom = bottom
         self.basis = _flattened_basis(top, bottom)
         self._one_coords = linalg.sparse([self.coordinates(top.one())])[0]
-        self._table = self._basis_traces = self._trace_form = None
+        self._memo = {}
 
     @property
     def degree(self):
@@ -76,27 +69,28 @@ class ExtensionDatum:
         """Matrix of multiplication by e on E as an F-space (columns = images)."""
         return linalg.transpose(linalg.sparse([self.coordinates(e * b) for b in self.basis]))
 
+    @kept
     def _mult_table(self):
         """The multiplication table [M(b_0), ..., M(b_{n-1})], built on first use."""
-        if self._table is None:
-            self._table = [self.mult_matrix(b) for b in self.basis]
-        return self._table
+        return [self.mult_matrix(b) for b in self.basis]
+
+    @kept
+    def _basis_traces(self):
+        """[Tr(b_0), ..., Tr(b_{n-1})]: the diagonal sums of the multiplication table."""
+        zero, n = self.bottom.zero(), self.degree
+        return [
+            sum((m.get(i, {}).get(i, zero) for i in range(n)), zero) for m in self._mult_table()
+        ]
 
     def trace(self, e):
         """Trace of multiplication-by-e: an F-element; conjugate sum if separable.
 
-        By linearity Tr(e) = sum_k coords(e)_k * Tr(b_k); the basis traces
-        are the diagonal sums of the multiplication table.
+        By linearity Tr(e) = sum_k coords(e)_k * Tr(b_k).
         """
         if e.spec != self.top:
             raise FieldMismatch(f"element of {e.spec}, expected {self.top}")
-        zero = self.bottom.zero()
-        if self._basis_traces is None:
-            self._basis_traces = [
-                sum((m.get(i, {}).get(i, zero) for i in range(self.degree)), zero)
-                for m in self._mult_table()
-            ]
-        return sum((c * t for c, t in zip(self.coordinates(e), self._basis_traces)), zero)
+        traces = self._basis_traces()
+        return sum((c * t for c, t in zip(self.coordinates(e), traces)), self.bottom.zero())
 
     def __eq__(self, other):
         if not isinstance(other, ExtensionDatum):
@@ -136,22 +130,21 @@ def _trace_gram(ext):
     return {i: row for i, row in enumerate(rows) if row}
 
 
+@kept
 def trace_form(ext):
     """Gram[i][j] = Tr(b_i * b_j); nondegenerate exactly when E/F is separable.
 
     The Gram is :func:`_trace_gram`, whose symmetry check tests
     Tr(b_i b_j) = Tr(b_j b_i).  The form is built once per datum and kept
     only after its diagonal entries show it nondegenerate, so a degenerate
-    datum raises on every call; the returned form carries those cached entries.
+    datum raises on every call; the returned form keeps those entries.
     """
-    if ext._trace_form is None:
-        form = QuadraticForm(ext.bottom, _trace_gram(ext), ext.degree)
-        if form.is_degenerate():
-            raise DegenerateTraceForm(
-                f"trace form of {ext.top}/{ext.bottom} is degenerate (inseparable?)"
-            )
-        ext._trace_form = form
-    return ext._trace_form
+    form = QuadraticForm(ext.bottom, _trace_gram(ext), ext.degree)
+    if form.is_degenerate():
+        raise DegenerateTraceForm(
+            f"trace form of {ext.top}/{ext.bottom} is degenerate (inseparable?)"
+        )
+    return form
 
 
 def scharlau_transfer(ext, q):

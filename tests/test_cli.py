@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from wittforge import cli, verify
+from wittforge import cli, quadforms, verify
 from wittforge.cli import (
     COMMANDS,
     build_parser,
@@ -357,6 +357,22 @@ def test_field_orders_past_the_primality_bound_are_refused_first(capsys, monkeyp
     monkeypatch.undo()
     argv = ("--json", "witt", "diag", "--field", "F2305843009213693951", "--form", "1,2")
     assert run(capsys, *argv)[0] == 0
+
+
+def test_places_past_the_primality_bound_are_refused_first(capsys, monkeypatch):
+    # from MR_BOUND up isprime is sympy's: --place 10^3999 + 1 spent seconds
+    # in it, and its usage error echoed all 4,000 digits
+    monkeypatch.setattr(quadforms, "isprime", lambda p: pytest.fail(f"isprime({p}) ran"))
+    argv = ("witt", "hilbert", "-a", "3", "-b", "5", "--place")
+    start = time.perf_counter()
+    for p in (MR_BOUND, 10**3999 + 1):
+        code, out, err = run(capsys, *argv, str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("out of bounds:") and "\n" not in err and len(err) < 200
+    assert time.perf_counter() - start < 1
+    monkeypatch.undo()
+    assert run(capsys, *argv, str(MR_BOUND - 2))[0] == 2  # below the bound: tested, not prime
+    assert run(capsys, *argv, "5")[:2] == (0, "-1")
 
 
 def test_bad_field_is_usage(capsys):

@@ -528,7 +528,7 @@ def test_a_square_does_not_keep_its_factor():
     a = kos1(RXY, "x")
     square = tensor(a, a)
     assert tensor(a, a) is square
-    assert not any(part is a for entry in a._memo.values() for part in entry)
+    assert not any(part is a for _, args in a._memo.values() for part in args)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from wittforge.fields import (
     find_irreducible,
     is_square,
     isprime,
+    kept,
     prime_power,
     rational_roots,
     rational_sqrt,
@@ -145,6 +146,65 @@ def test_q_matches_fraction_arithmetic(x, y):
     a, b = Q.element(x), Q.element(y)
     assert (a + b).payload == x + y
     assert (a * b).payload == x * y
+
+
+def test_integral_rational_payloads():
+    # construction and the eliminations box an integral value as an int;
+    # sums and products keep the Fraction, equal to the int in value, hash
+    # and JSON
+    half = Q.element(Fraction(1, 2))
+    assert type(Q.element(Fraction(4, 2)).payload) is int
+    assert type(Q.element("6/3").payload) is int
+    assert type(linalg.inverse(Q, [[half]])[0][0].payload) is int
+    two = {0: {0: Q.from_int(2)}}
+    for value in (half * 2, half + half, linalg.product(Q, {0: {0: half}}, two)[0][0]):
+        assert value.payload == Fraction(1, 1) and type(value.payload) is Fraction
+        assert value == Q.one() and hash(value) == hash(Q.one())
+        assert value.to_json() == Q.one().to_json() == "1"
+
+
+class _Memoed:
+    __slots__ = ("_memo",)
+
+    def __init__(self):
+        self._memo = {}
+
+
+def test_kept_builds_once_per_argument():
+    builds = []
+
+    @kept
+    def derived(obj, *args):
+        builds.append(args)
+        return [len(builds)]
+
+    obj, other = _Memoed(), _Memoed()
+    first = derived(obj)
+    assert derived(obj) is first and derived(other) is not first
+    # an int by value, anything else by its id, and stored with the entry
+    assert derived(obj, 3) is derived(obj, 3) is not first
+    assert derived(obj, other) is derived(obj, other)
+    assert derived(obj, _Memoed()) is not derived(obj, _Memoed())
+    assert builds[:4] == [(), (), (3,), (other,)] and len(builds) == 6
+    assert sum(other in args for _, args in obj._memo.values()) == 1
+    # obj itself is never stored: that would be a cycle
+    derived(obj, obj)
+    assert not any(part is obj for _, args in obj._memo.values() for part in args)
+
+
+def test_kept_stores_nothing_when_the_build_raises():
+    calls = []
+
+    @kept
+    def refused(obj):
+        calls.append(obj)
+        raise ValueError("refused")
+
+    obj = _Memoed()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            refused(obj)
+    assert calls == [obj, obj] and obj._memo == {}
 
 
 def test_division_by_zero():

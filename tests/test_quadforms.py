@@ -83,6 +83,19 @@ def form_of(field, rows):
     return QuadraticForm(field, linalg.sparse([map(field.element, row) for row in rows]), len(rows))
 
 
+def congruences(monkeypatch):
+    """The Gram matrices that ``linalg.congruence`` is called on from now."""
+    calls = []
+    run = linalg.congruence
+
+    def counted(field, mat, n, with_basis):
+        calls.append(mat)
+        return run(field, mat, n, with_basis)
+
+    monkeypatch.setattr(linalg, "congruence", counted)
+    return calls
+
+
 def gram(form):
     """The Gram matrix of ``form`` as dense row tuples, zeros included."""
     return linalg.dense(form.field, form._mat, (form.dim,) * 2)
@@ -516,10 +529,13 @@ def test_diagonalize_pinned(field, gram, entries, basis):
     assert [[x.to_json() for x in row] for row in got_basis] == basis
 
 
-def test_is_degenerate_reads_the_cached_entries():
+def test_is_degenerate_reads_the_cached_entries(monkeypatch):
     singular = form_of(F3, [[1, 1], [1, 1]])
+    calls = congruences(monkeypatch)
     assert singular.is_degenerate()
-    assert singular._entries == (F3.one(), F3.zero())
+    assert _diagonal_entries(singular) == (F3.one(), F3.zero())
+    assert singular.is_degenerate()
+    assert len(calls) == 1
     assert not hyperbolic_plane(F3).is_degenerate()
     assert not QuadraticForm(F3, {}, 0).is_degenerate()
 
@@ -547,25 +563,32 @@ def test_binary_rational_vector_is_one_and_the_root():
         assert quadforms._q_isotropic_vector([a, b]) == expected, (a, b)
 
 
-def test_diagonal_entries_cached_per_form():
+def test_diagonal_entries_cached_per_form(monkeypatch):
     form = form_of(F5, [[1, 2, 0], [2, 0, 1], [0, 1, 3]])
+    calls = congruences(monkeypatch)
     entries = _diagonal_entries(form)
     assert _diagonal_entries(form) is entries
     signed_discriminant(form)
     witt_equal(form, form)
     assert _diagonal_entries(form) is entries
-    # derived forms are new objects with entries of their own
+    assert len(calls) == 1
+    # derived forms are new objects with entries of their own: one
+    # congruence each, on their own Gram matrix
     for derived in (form.perp(hyperbolic_plane(F5)), form.scale(2), form.tensor(form)):
-        assert derived._entries is None
+        del calls[:]
         assert _diagonal_entries(derived) == tuple(diagonalize(derived)[0])
-    # the slot takes no part in equality, hashing or JSON
+        assert [m is derived._mat for m in calls] == [True, True]
+    # the memo takes no part in equality, hashing or JSON: an equal form
+    # shares nothing with ``form``
     other = form_of(F5, gram(form))
-    assert other._entries is None
     assert other == form and hash(other) == hash(form)
     assert other.to_json() == form.to_json()
-    # diagonalize neither reads nor fills the slot
+    # diagonalize neither reads nor fills the memo
+    del calls[:]
     diagonalize(other)
-    assert other._entries is None
+    assert _diagonal_entries(other) == entries
+    assert _diagonal_entries(other) is not entries
+    assert len(calls) == 2
 
 
 def test_degenerate_form_rejected():
@@ -741,15 +764,18 @@ PINNED_DECOMPOSITIONS = [
 
 
 @pytest.mark.parametrize("field, gram, aniso, hyperbolic, certificate", PINNED_DECOMPOSITIONS)
-def test_witt_decompose_pinned(field, gram, aniso, hyperbolic, certificate):
+def test_witt_decompose_pinned(monkeypatch, field, gram, aniso, hyperbolic, certificate):
     form = form_of(field, gram)
+    calls = congruences(monkeypatch)
     wc = witt_decompose(form)
     assert wc.to_json()["anisotropic"]["gram"] == aniso
     assert wc.hyperbolic == hyperbolic
     cert = linalg.dense(field, wc.certificate, (form.dim, form.dim))
     assert [[x.to_json() for x in row] for row in cert] == certificate
-    # the first diagonalization doubles as the nondegeneracy check and is kept
-    assert form._entries == tuple(diagonalize(form)[0])
+    # the first diagonalization doubles as the nondegeneracy check: one
+    # congruence on the input, whose entries are those of its diagonalization
+    assert [m is form._mat for m in calls].count(True) == 1
+    assert _diagonal_entries(form) == tuple(diagonalize(form)[0])
 
 
 def test_hyperbolic_plane_is_trivial():

@@ -38,6 +38,42 @@ def test_one_constructor_per_class():
     assert not found, f"__new__ calls in {found}"
 
 
+def _empty_memos(init):
+    """The ``x._memo`` targets that ``init`` assigns a new empty dict."""
+    for node in ast.walk(init):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            for t, value in pairs:
+                if isinstance(t, ast.Attribute) and t.attr == "_memo":
+                    if isinstance(value, ast.Dict) and not value.keys:
+                        yield t
+
+
+def test_memo_is_written_only_by_kept():
+    """Derived data has one home: a constructor creates ``_memo`` empty, and
+    only :func:`wittforge.fields.kept` reads or fills it."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                allowed.update(map(id, _empty_memos(node)))
+            elif isinstance(node, ast.FunctionDef) and node.name == "kept":
+                if path.name == "fields.py":
+                    allowed.update(map(id, ast.walk(node)))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_memo" and id(node) not in allowed
+        ]
+    assert not found, f"_memo touched outside kept and constructors: {found}"
+
+
 def _is_pass_through(func):
     """``func`` only forwards its parameters, unchanged, to another callable.
 

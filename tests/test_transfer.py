@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from wittforge import linalg
+from wittforge import linalg, transfer
 from wittforge.errors import (
     DegenerateForm,
     DegenerateTraceForm,
@@ -24,6 +24,7 @@ from wittforge.errors import (
 from wittforge.fields import FieldSpec, embed, find_irreducible
 from wittforge.quadforms import (
     QuadraticForm,
+    _diagonal_entries,
     diagonalize,
     hyperbolic_plane,
     witt_decompose,
@@ -151,7 +152,7 @@ def test_trace_form_nondegenerate(ext):
     ],
     ids=["F27/F3", "F81/F9", "Qsqrt2/Q", "F81/F3"],
 )
-def test_trace_form_is_full_trace_matrix(ext):
+def test_trace_form_is_full_trace_matrix(monkeypatch, ext):
     # oracle: every entry Tr(b_i b_j), read off the diagonal of its full
     # multiplication matrix, lower triangle included
     n = ext.degree
@@ -166,7 +167,12 @@ def test_trace_form_is_full_trace_matrix(ext):
     form = trace_form(ext)
     assert form == form_of(ext.bottom, expected)
     assert trace_form(ext) is form
-    assert form._entries is not None  # nondegeneracy was decided on these
+    # nondegeneracy was decided on these entries, kept on the form
+    congruence = linalg.congruence
+    monkeypatch.setattr(linalg, "congruence", lambda *a: pytest.fail("entries rebuilt"))
+    entries = _diagonal_entries(form)
+    assert not form.is_degenerate()
+    assert entries == tuple(congruence(ext.bottom, form._mat, n, False)[0])
 
 
 class _DegenerateTraceDatum(ExtensionDatum):
@@ -178,14 +184,18 @@ class _DegenerateTraceDatum(ExtensionDatum):
         return self.bottom.zero()
 
 
-def test_degenerate_trace_form_raises_on_every_call():
+def test_degenerate_trace_form_raises_on_every_call(monkeypatch):
     ext = _DegenerateTraceDatum(F9, F3)
+    grams = []
+    build = transfer._trace_gram
+    monkeypatch.setattr(transfer, "_trace_gram", lambda e: grams.append(e) or build(e))
     for _ in range(2):
         with pytest.raises(DegenerateTraceForm):
             trace_form(ext)
         with pytest.raises(DegenerateTraceForm):
             scharlau_transfer(ext, QuadraticForm.diagonal(F9, [1]))
-    assert ext._trace_form is None
+    # nothing is kept: each call builds its Gram matrix again
+    assert grams == [ext] * 4
 
 
 class _CountingDatum(ExtensionDatum):
@@ -448,8 +458,8 @@ def test_unit_reading_b2_as_b1_is_not_E_linear(top):
     # F27, and the top generator y of F81/F9/F3: either way the check must
     # see the corrupted action
     ext = ExtensionDatum(top, F3)
-    ext._mult_table()
-    ext._table[2] = ext._table[1]
+    table = ext._mult_table()
+    table[2] = table[1]
     report = triangle_identities_check(ext, 1, 1)
     assert not report.witness["unit_E_linear"] and not report
     assert not _intertwines_every_basis_element(ext, 1)

@@ -237,27 +237,35 @@ MUTANTS = [
         COMPLEX_TESTS + ("tests/test_cli.py",),
     ),
     (
-        "the line a complex's duals map into ignores the degree",
-        "complexes.py",
-        "dual_line",
-        "key = ('line', degree)",
-        "key = ('line', None)",
+        "the memo key without its arguments: one entry per operation",
+        "fields.py",
+        "kept",
+        "key = (key, a if type(a) is int else id(a))",
+        "key = key",
         COMPLEX_TESTS,
     ),
     (
-        "the memo key of a product without the second factor",
-        "complexes.py",
-        "_kept_on_first",
-        "key = (build, id(b))",
-        "key = (build,)",
+        "the memo key without the operation: products, lines and splits share entries",
+        "fields.py",
+        "kept",
+        "key = build",
+        "key = ()",
         COMPLEX_TESTS,
     ),
     (
-        "the memo key of a product without the operation",
-        "complexes.py",
-        "_kept_on_first",
-        "key = (build, id(b))",
-        "key = id(b)",
+        "the memo answers any key with its first entry",
+        "fields.py",
+        "kept",
+        "entry = obj._memo.get(key)",
+        "entry = obj._memo.get(next(iter(obj._memo), key))",
+        COMPLEX_TESTS,
+    ),
+    (
+        "the memo stores the object itself with its own square",
+        "fields.py",
+        "kept",
+        "if id(obj) in map(id, args):",
+        "if False:",
         COMPLEX_TESTS,
     ),
     (
@@ -291,14 +299,6 @@ MUTANTS = [
         "for i in a.keys() | c.keys():",
         "for i in a:",
         ("tests/test_linalg.py",),
-    ),
-    (
-        "the split kept on a datum ignores the head",
-        "koszul.py",
-        "split_section",
-        "if head in k._splits:\n        return k._splits[head]",
-        "if k._splits:\n        return next(iter(k._splits.values()))",
-        COMPLEX_TESTS,
     ),
     (
         "kron's identity branch steps its columns by the row count",
