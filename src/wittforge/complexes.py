@@ -137,9 +137,6 @@ class ChainComplex:
     def rank(self, n):
         return self.terms.get(n, 0)
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
             return NotImplemented
@@ -385,35 +382,24 @@ def left_unitor(a):
 
 
 def associator(a, b, c):
-    """(A (x) B) (x) C -> A (x) (B (x) C), a sign-free basis permutation."""
-    one = a.ring.one()
-    ab = tensor(a, b)
-    bc = tensor(b, c)
+    """(A (x) B) (x) C -> A (x) (B (x) C), a sign-free basis permutation: summand
+    ((i, j), k) is 1_{ra} (x) 1_{rb r_c} at the offset of (j, k) in (B (x) C)_{j+k}."""
+    ab, bc = tensor(a, b), tensor(b, c)
     src = tensor(ab, c)
-    dst = tensor(a, bc)
     mats = {}
     for n in src.terms:
-        mat = defaultdict(dict)
+        mats[n] = mat = {}
         dst_layout = tensor_layout(a, bc, n)
         for (m, k), (off_src, _, r_c) in tensor_layout(ab, c, n).items():
-            # split the (A (x) B)_m factor into its own summands
-            for (i, j), (off_in_ab, ra, rb) in tensor_layout(a, b, m).items():
-                # (i, (j, k)) inside A (x) (B (x) C), and (j, k) inside (B (x) C)_{j+k}
+            for (i, j), (off_ab, ra, rb) in tensor_layout(a, b, m).items():
                 jk_layout = tensor_layout(b, c, j + k)
                 if (i, j + k) not in dst_layout or (j, k) not in jk_layout:
-                    raise RuntimeError(
-                        f"summand ({i}, ({j}, {k})) missing from A (x) (B (x) C)"
-                    )
+                    raise RuntimeError(f"summand ({i}, ({j}, {k})) missing from A (x) (B (x) C)")
                 off_dst, _, r_bc = dst_layout[(i, j + k)]
                 off_jk = jk_layout[(j, k)][0]
-                for p in range(ra):
-                    for q in range(rb):
-                        for s in range(r_c):
-                            col = off_src + (off_in_ab + p * rb + q) * r_c + s
-                            row = off_dst + p * r_bc + off_jk + q * r_c + s
-                            mat[row][col] = one
-        mats[n] = mat
-    return ChainMap(src, dst, mats)
+                block = linalg.identity(a.ring, rb * r_c)
+                linalg.kron(ra, block, (r_bc, rb * r_c), mat, (off_dst + off_jk, off_src + off_ab * r_c))
+    return ChainMap(src, tensor(a, bc), mats)
 
 
 def tensor_map(f, g):
@@ -634,12 +620,12 @@ def homology_dims(a):
     if not getattr(a.ring, "is_field", False):
         raise NotAField("homology over a field only; use graded_homology_dims")
     ranks = {n: linalg.rank(a.ring, list(mat.values())) for n, mat in a._mats.items()}
-    out = {}
-    for n, r in a.terms.items():
-        h = r - ranks.get(n + 1, 0) - ranks.get(n, 0)
-        if h:
-            out[n] = h
-    return out
+    return _homology(a.terms, ranks)
+
+
+def _homology(dims, ranks):
+    """degree -> dims[n] - rank d_n - rank d_{n+1} (rank-nullity), nonzero only."""
+    return {n: h for n, d in dims.items() if (h := d - ranks.get(n, 0) - ranks.get(n + 1, 0))}
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +746,6 @@ def graded_homology_dims(a, degree_bound):
             for n, cols in columns.items()
             if bases[n] and bases[n - 1]
         }
-        for n, basis in bases.items():
-            h = len(basis) - ranks.get(n + 1, 0) - ranks.get(n, 0)
-            if h:
-                out[(n, t)] = h
+        dims = _homology({n: len(basis) for n, basis in bases.items()}, ranks)
+        out.update(((n, t), h) for n, h in dims.items())
     return out

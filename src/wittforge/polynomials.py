@@ -209,9 +209,12 @@ class MultiPolynomial:
 @lru_cache(maxsize=None)
 def exponent_tuples(n, degree):
     """The exponent tuples of n variables and total degree ``degree`` (none for
-    a negative degree), lex order, as one tuple."""
+    a negative degree), lex order, as one tuple.  One variable is a base case,
+    so the work is linear in the number of tuples."""
     if n == 0:
         return ((),) if degree == 0 else ()
+    if n == 1:
+        return ((degree,),) if degree >= 0 else ()
     return tuple(
         (e,) + rest for e in range(degree, -1, -1) for rest in exponent_tuples(n - 1, degree - e)
     )

@@ -46,9 +46,6 @@ class ProjLineBundleQuery:
     def __repr__(self):
         return f"ProjLineBundleQuery(O({self.m}) on P^{self.r} / {self.field})"
 
-    def to_json(self):
-        return {"r": self.r, "m": self.m, "field": self.field.to_json()}
-
 
 class CohomologyReport:
     """Dimensions (h^0, .., h^r) with the contributing Laurent monomials."""
@@ -191,19 +188,17 @@ def pushforward_phi_r(r, field):
     The form lives on O(-(r+1)/2), which only exists for odd r; its
     push-forward lives on the total cohomology of that twist, which sits
     inside the vanishing window, so the certificate is the all-zero
-    cohomology report of the intermediate twist.
+    cohomology report of the intermediate twist.  The query refuses r
+    outside 1..``MAX_R`` before the parity is tested.
     """
-    r = int(r)
-    if not 1 <= r <= MAX_R:
-        raise BoundsExceeded(f"projective dimension r={r} outside 1..{MAX_R}")
-    if r % 2 == 0:
+    q = ProjLineBundleQuery(r, -(int(r) + 1) // 2, field)
+    if q.r % 2 == 0:
         raise ParityError(
-            f"r={r}: the half-canonical twist -(r+1)/2 is not integral for even r"
+            f"r={q.r}: the half-canonical twist -(r+1)/2 is not integral for even r"
         )
-    twist = -(r + 1) // 2
-    report = cohomology(ProjLineBundleQuery(r, twist, field))
+    report = cohomology(q)
     if not report.is_zero():
         raise WittforgeError(
-            f"O({twist}) on P^{r} has nonzero cohomology {report.dims}"
+            f"O({q.m}) on P^{q.r} has nonzero cohomology {report.dims}"
         )
     return report

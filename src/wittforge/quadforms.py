@@ -189,10 +189,6 @@ class WittClass:
         self.hyperbolic = hyperbolic
         self.certificate = certificate
 
-    @property
-    def dim(self):
-        return self.anisotropic.dim + 2 * self.hyperbolic
-
     def is_zero(self):
         return self.anisotropic.dim == 0
 

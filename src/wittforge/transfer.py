@@ -9,7 +9,8 @@ is certified on one generator per tower step: an F-linear map that commutes
 with a generating set of an F-algebra, whose words span it, is linear over
 the algebra), and a second, independently-computed route to the transfer
 that goes through the duality pairing and the explicit change-of-basis
-between functional spaces (the Cartan matrix); ``verify``'s adjunction suite
+between functional spaces (the Cartan matrix, a :class:`LinearMapOverF`:
+a sparse matrix with its shape); ``verify``'s adjunction suite
 checks that the matrix is invertible and that this route equals the Scharlau
 transfer.  The module also packages executable checks of the composition,
 base-change, and projection formulas, each returning a :class:`CheckReport`
@@ -37,7 +38,7 @@ class ExtensionDatum:
     (inner index fastest), so the coordinates of an element are its nested
     payload flattened.  The multiplication table, the basis traces and the
     trace form are derived on first use and kept in ``_memo``
-    (:func:`~wittforge.fields.kept`), which takes no part in equality or JSON.
+    (:func:`~wittforge.fields.kept`), which takes no part in equality.
     Matrices are :mod:`~wittforge.linalg` sparse matrices.
     """
 
@@ -99,13 +100,6 @@ class ExtensionDatum:
 
     def __repr__(self):
         return f"ExtensionDatum({self.top!r} / {self.bottom!r}, degree {self.degree})"
-
-    def to_json(self):
-        return {
-            "top": self.top.to_json(),
-            "bottom": self.bottom.to_json(),
-            "basis": [b.to_json() for b in self.basis],
-        }
 
 
 def _flattened_basis(top, bottom):
@@ -192,43 +186,30 @@ def _mapped(q, target, hom):
 
 
 class LinearMapOverF:
-    """A sparse matrix over F together with descriptors of its domain and codomain.
+    """A sparse matrix over F with its shape (rows, columns), acting on columns.
 
-    Descriptors are dicts with at least ``space`` (a label) and
-    ``dim_over_base``; matrices act on column vectors.  The matrix is stored
-    once, as a :mod:`~wittforge.linalg` sparse matrix (``_mat``) checked
-    against the descriptors; ``matrix`` is a dense view derived on access.
+    The matrix is stored once, as a :mod:`~wittforge.linalg` sparse matrix
+    (``_mat``) checked against ``shape``; ``matrix`` is a dense view derived
+    on access.
     """
 
-    __slots__ = ("field", "_mat", "domain", "codomain")
+    __slots__ = ("field", "_mat", "shape")
 
-    def __init__(self, field, mat, domain, codomain):
-        self.field, self.domain, self.codomain = field, dict(domain), dict(codomain)
-        if not linalg.fits(mat, self._shape()):
-            raise ValueError(f"matrix does not fit the shape {self._shape()}")
-        self._mat = mat
-
-    def _shape(self):
-        return (self.codomain["dim_over_base"], self.domain["dim_over_base"])
+    def __init__(self, field, mat, shape):
+        if not linalg.fits(mat, shape):
+            raise ValueError(f"matrix does not fit the shape {shape}")
+        self.field, self._mat, self.shape = field, mat, shape
 
     @property
     def matrix(self):
         """The matrix as dense row tuples, zeros included."""
-        return linalg.dense(self.field, self._mat, self._shape())
+        return linalg.dense(self.field, self._mat, self.shape)
 
     def __repr__(self):
-        return f"LinearMapOverF({self.domain['space']} -> {self.codomain['space']})"
+        return f"LinearMapOverF({self.shape[0]} x {self.shape[1]} over {self.field!r})"
 
     def to_json(self):
-        return {
-            "domain": self.domain,
-            "codomain": self.codomain,
-            "matrix": linalg.dense_json(self.field, self._mat, self._shape()),
-        }
-
-
-def _space(label, dim):
-    return {"space": label, "dim_over_base": dim}
+        return {"matrix": linalg.dense_json(self.field, self._mat, self.shape)}
 
 
 def _actions(ext, blocks, copies):
@@ -335,12 +316,8 @@ def cartan_isomorphism(ext, dim_e):
     generates Hom_F(E, F) over E: a degenerate trace gives a singular matrix.
     """
     n = ext.degree
-    return LinearMapOverF(
-        ext.bottom,
-        linalg.kron(dim_e, _trace_gram(ext), (n, n), {}, (0, 0)),
-        _space(f"Hom_E(E^{dim_e}, Hom_F(E,F)) over F", dim_e * n),
-        _space(f"Hom_F(E^{dim_e}|_F, F)", dim_e * n),
-    )
+    mat = linalg.kron(dim_e, _trace_gram(ext), (n, n), {}, (0, 0))
+    return LinearMapOverF(ext.bottom, mat, (dim_e * n, dim_e * n))
 
 
 def pushforward_via_cartan(ext, q):

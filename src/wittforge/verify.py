@@ -270,7 +270,7 @@ def _cartan_refuted(ext):
     <generator>; None when the matrix is invertible and both agree."""
     cartan = cartan_isomorphism(ext, 1)
     if linalg.inverse(ext.bottom, cartan.matrix) is None:
-        return {"matrix": cartan.to_json()["matrix"]}
+        return cartan.to_json()
     for a in [1] if ext.degree == 1 else [1, ext.top.generator()]:
         q = QuadraticForm.diagonal(ext.top, [a])
         via_cartan, scharlau = pushforward_via_cartan(ext, q), scharlau_transfer(ext, q)

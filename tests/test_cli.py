@@ -399,6 +399,8 @@ def test_unknown_suite_is_usage(capsys):
     [
         (("verify", "towers", "--size", "-1"), "usage error: size -1 must be >= 0"),
         (("proj", "phi-r", "--r", "0"), "out of bounds: projective dimension r=0 outside 1..6"),
+        # even and past the cap: r is refused before its parity is tested
+        (("proj", "phi-r", "--r", "8"), "out of bounds: projective dimension r=8 outside 1..6"),
         (
             ("witt", "diag", "--field", "Q", "--form", "1/0,1"),
             "usage error: '1/0' has a zero denominator",
@@ -416,7 +418,10 @@ def test_unknown_suite_is_usage(capsys):
             "usage error: a Gram matrix is a list of rows, each a list of entries",
         ),
     ],
-    ids=["negative-size", "phi-r-zero", "q-zero-den", "fp-zero-den", "poly-zero-den", "flat-gram"],
+    ids=[
+        "negative-size", "phi-r-zero", "phi-r-even-past-cap", "q-zero-den", "fp-zero-den",
+        "poly-zero-den", "flat-gram",
+    ],
 )
 def test_bad_bounds_are_one_line_usage_errors(capsys, argv, message):
     # rejected before any work: no stdout, exit 2, one line on stderr
@@ -461,6 +466,18 @@ def test_proj_cohomology_witness(capsys):
     payload = json.loads(out)
     assert payload["dims"] == [0, 0, 1]
     assert payload["witnesses"]["2"] == [[-1, -1, -1]]
+
+
+def test_proj_cohomology_on_the_line_is_linear_in_the_twist(capsys):
+    # on P^1 the count is |m| + 1, inside the monomial cap up to m = 99,999:
+    # the enumeration must cost time linear in it, not in its square
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--json", "proj", "cohomology", "--r", "1", "--m", "20000")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dims"] == [20001, 0]
+    assert payload["witnesses"]["0"][:2] == [[0, 20000], [1, 19999]]
 
 
 def test_transfer_checks_pass(capsys):

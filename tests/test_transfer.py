@@ -397,10 +397,10 @@ def test_adjunction_shapes():
 def test_linear_map_keeps_its_sparse_matrix():
     c = cartan_isomorphism(D93, 3)
     assert c.matrix == linalg.dense(F3, c._mat, (6, 6))
-    assert c.to_json()["matrix"] == [[x.to_json() for x in row] for row in c.matrix]
+    assert c.to_json() == {"matrix": [[x.to_json() for x in row] for row in c.matrix]}
     assert linalg.sparse(c.matrix) == c._mat
     with pytest.raises(ValueError, match="does not fit the shape"):
-        LinearMapOverF(F3, {6: {0: F3.one()}}, c.domain, c.codomain)
+        LinearMapOverF(F3, {6: {0: F3.one()}}, c.shape)
 
 
 def test_triangle_report_pinned():

@@ -363,9 +363,25 @@ MUTANTS = [
         "the associator without the offset of (j, k) inside B (x) C",
         "complexes.py",
         "associator",
-        "off_jk + q * r_c",
-        "q * r_c",
+        "(off_dst + off_jk, off_src + off_ab * r_c)",
+        "(off_dst, off_src + off_ab * r_c)",
         ("tests/test_cli.py",),
+    ),
+    (
+        "the one-variable enumeration accepts a negative degree",
+        "polynomials.py",
+        "exponent_tuples",
+        "if degree >= 0 else ()",
+        "if degree >= -1 else ()",
+        COMPLEX_TESTS,
+    ),
+    (
+        "a linear map without its fit check",
+        "transfer.py",
+        "LinearMapOverF.__init__",
+        "if not linalg.fits(mat, shape):",
+        "if False:",
+        TRANSFER_FIRST,
     ),
     (
         "a refuted claim (NotRegularSequence, ParityError, Inconclusive) exits 0",
