@@ -6,6 +6,11 @@ output — and 2 for usage problems (unparseable input, out-of-bounds
 requests).  ``--json`` switches to machine output, which is byte-for-byte
 reproducible for a fixed ``--seed``; any flag value of the form
 ``@file.json`` is read from that file first.
+
+Each ``cmd_*`` handler maps the parsed ``args`` to its answer
+``(held, payload, human)`` and prints nothing.  :func:`main` alone writes
+stdout: ``payload`` as sorted, indented JSON under ``--json``, ``human``
+otherwise; it exits 0 when the answer holds and 1 when it does not.
 """
 
 import argparse
@@ -265,25 +270,18 @@ def _effective_bound(args):
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# answers
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, payload, human):
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
-
-
-def _emit_check(args, report):
+def _check_answer(report):
+    """The answer of a :class:`CheckReport` claim: it holds when the report passes."""
     payload = report.to_json()
     status = "pass" if report else "fail"
     human = f"{status}: {report.claim}"
     if not report:
         human += f"\n  witness: {json.dumps(payload, sort_keys=True)}"
-    _emit(args, {"status": status, "report": payload}, human)
-    return EXIT_PASS if report else EXIT_FAIL
+    return bool(report), {"status": status, "report": payload}, human
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +298,7 @@ def cmd_witt_diag(args):
         "entries": [e.to_json() for e in entries],
         "basis": linalg.dense_json(field, basis, (form.dim,) * 2),
     }
-    human = "diagonal entries: " + ", ".join(repr(e) for e in entries)
-    _emit(args, payload, human)
-    return EXIT_PASS
+    return True, payload, "diagonal entries: " + ", ".join(repr(e) for e in entries)
 
 
 def cmd_witt_decompose(args):
@@ -313,10 +309,9 @@ def cmd_witt_decompose(args):
     payload["is_zero"] = wc.is_zero()
     human = (
         f"hyperbolic planes: {wc.hyperbolic}, anisotropic dimension: "
-        f"{wc.anisotropic.dim}" + (" (Witt-trivial)" if wc.is_zero() else "")
+        f"{wc.anisotropic.dim}" + (" (Witt-trivial)" if payload["is_zero"] else "")
     )
-    _emit(args, payload, human)
-    return EXIT_PASS
+    return True, payload, human
 
 
 def cmd_witt_equal(args):
@@ -324,21 +319,14 @@ def cmd_witt_equal(args):
     left = parse_form(field, args.left)
     right = parse_form(field, args.right)
     equal = witt_equal(left, right)
-    payload = {
-        "equal": equal,
-        "left": left.to_json()["gram"],
-        "right": right.to_json()["gram"],
-    }
-    _emit(args, payload, "equal in the Witt group" if equal else "NOT equal in the Witt group")
-    return EXIT_PASS if equal else EXIT_FAIL
+    payload = {"equal": equal, "left": left.to_json()["gram"], "right": right.to_json()["gram"]}
+    return equal, payload, "equal in the Witt group" if equal else "NOT equal in the Witt group"
 
 
 def cmd_witt_hilbert(args):
     place = Place.parse(_resolve(args.place))
     symbol = hilbert_symbol(args.a, args.b, place)
-    payload = {"a": args.a, "b": args.b, "place": str(place), "symbol": symbol}
-    _emit(args, payload, str(symbol))
-    return EXIT_PASS
+    return True, {"a": args.a, "b": args.b, "place": str(place), "symbol": symbol}, str(symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -350,51 +338,40 @@ def cmd_transfer_trace(args):
     ext = parse_extension(args.ext)
     value = parse_element(ext.top, args.value)
     out = ext.trace(value)
-    _emit(
-        args,
-        {"ext": args.ext, "value": value.to_json(), "trace": out.to_json()},
-        repr(out),
-    )
-    return EXIT_PASS
+    return True, {"ext": args.ext, "value": value.to_json(), "trace": out.to_json()}, repr(out)
 
 
 def cmd_transfer_form(args):
-    ext = parse_extension(args.ext)
-    gram = trace_form(ext).to_json()["gram"]
-    _emit(args, {"ext": args.ext, "gram": gram}, json.dumps(gram))
-    return EXIT_PASS
+    gram = trace_form(parse_extension(args.ext)).to_json()["gram"]
+    return True, {"ext": args.ext, "gram": gram}, json.dumps(gram)
 
 
 def cmd_transfer_push(args):
     ext = parse_extension(args.ext)
     form = parse_form(ext.top, args.form)
     pushed = scharlau_transfer(ext, form).to_json()["gram"]
-    _emit(
-        args,
-        {"ext": args.ext, "form": form.to_json()["gram"], "pushed": pushed},
-        json.dumps(pushed),
-    )
-    return EXIT_PASS
+    payload = {"ext": args.ext, "form": form.to_json()["gram"], "pushed": pushed}
+    return True, payload, json.dumps(pushed)
 
 
 def cmd_transfer_check_compose(args):
     outer, inner = parse_tower(args.tower)
     form = _form_or_unit(inner.top, args.form)
-    return _emit_check(args, transfer_compose_check(outer, inner, form))
+    return _check_answer(transfer_compose_check(outer, inner, form))
 
 
 def cmd_transfer_check_basechange(args):
     ext = parse_extension(args.ext)
     other = parse_field(args.scalars)
     form = _form_or_unit(ext.top, args.form)
-    return _emit_check(args, base_change_check(ext, other, form))
+    return _check_answer(base_change_check(ext, other, form))
 
 
 def cmd_transfer_check_projection(args):
     ext = parse_extension(args.ext)
     x = _form_or_unit(ext.top, args.top_form)
     y = _form_or_unit(ext.bottom, args.bottom_form)
-    return _emit_check(args, projection_formula_check(ext, x, y))
+    return _check_answer(projection_formula_check(ext, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +381,19 @@ def cmd_transfer_check_projection(args):
 
 def cmd_complex_tensor(args):
     out = tensor(parse_complex(args.a), parse_complex(args.b))
-    _emit(args, out.to_json(), repr(out))
-    return EXIT_PASS
+    return True, out.to_json(), repr(out)
 
 
 def cmd_complex_hom(args):
     out = hom_complex(parse_complex(args.a), parse_complex(args.b))
-    _emit(args, out.to_json(), repr(out))
-    return EXIT_PASS
+    return True, out.to_json(), repr(out)
 
 
 def cmd_complex_dual(args):
     cx = parse_complex(args.a)
     datum = DualityDatum(cx.ring, twist=cx.ring.from_int(args.twist), degree=args.degree)
     out = dualize(cx, datum)
-    _emit(args, out.to_json(), repr(out))
-    return EXIT_PASS
+    return True, out.to_json(), repr(out)
 
 
 def cmd_complex_homology(args):
@@ -427,13 +401,9 @@ def cmd_complex_homology(args):
     if getattr(cx.ring, "is_field", False):
         dims = {str(n): d for n, d in sorted(homology_dims(cx).items())}
     else:
-        bound = _effective_bound(args)
-        dims = {
-            f"{n},{t}": d
-            for (n, t), d in sorted(graded_homology_dims(cx, bound).items())
-        }
-    _emit(args, {"dims": dims}, json.dumps(dims, sort_keys=True) if dims else "exact")
-    return EXIT_PASS
+        graded = graded_homology_dims(cx, _effective_bound(args))
+        dims = {f"{n},{t}": d for (n, t), d in sorted(graded.items())}
+    return True, {"dims": dims}, json.dumps(dims, sort_keys=True) if dims else "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +413,12 @@ def cmd_complex_homology(args):
 
 def cmd_koszul_build(args):
     out = koszul_complex(parse_datum(args))
-    _emit(args, out.to_json(), repr(out))
-    return EXIT_PASS
+    return True, out.to_json(), repr(out)
 
 
 def cmd_koszul_form(args):
     space = koszul_form(parse_datum(args))
-    _emit(args, space.to_json(), repr(space))
-    return EXIT_PASS
+    return True, space.to_json(), repr(space)
 
 
 def cmd_koszul_verify_xmap(args):
@@ -463,27 +431,23 @@ def cmd_koszul_verify_xmap(args):
     }
     if not ok:
         payload["witness"] = {"detail": "components differ", "datum": k.to_json()}
-    _emit(args, payload, payload["status"])
-    return EXIT_PASS if ok else EXIT_FAIL
+    return ok, payload, payload["status"]
 
 
 def cmd_koszul_verify_trace(args):
     k = parse_datum(args)
-    diagram = trace_diagram(k, bound=_effective_bound(args))
-    payload = {"status": "pass", "certificate": diagram.certificate}
+    cert = trace_diagram(k, bound=_effective_bound(args)).certificate
     human = (
-        f"pass: homology concentrated in degree {diagram.certificate['socle_degree']}"
-        f" through internal degree {diagram.certificate['bound']}"
+        f"pass: homology concentrated in degree {cert['socle_degree']}"
+        f" through internal degree {cert['bound']}"
     )
-    _emit(args, payload, human)
-    return EXIT_PASS
+    return True, {"status": "pass", "certificate": cert}, human
 
 
 def cmd_koszul_verify_split(args):
     cert = split_factorization(parse_datum(args))
     payload = {"status": "pass" if cert else "fail", "certificate": cert.to_json()}
-    _emit(args, payload, repr(cert))
-    return EXIT_PASS if cert else EXIT_FAIL
+    return bool(cert), payload, repr(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -493,24 +457,17 @@ def cmd_koszul_verify_split(args):
 
 def cmd_proj_cohomology(args):
     field = parse_field(args.field)
-    report = cohomology(ProjLineBundleQuery(args.r, args.m, field))
-    human = f"h^* = {list(report.dims)}"
-    if report.witnesses:
-        human += f", witnesses: {report.to_json()['witnesses']}"
-    _emit(args, report.to_json(), human)
-    return EXIT_PASS
+    payload = cohomology(ProjLineBundleQuery(args.r, args.m, field)).to_json()
+    human = f"h^* = {payload['dims']}"
+    if payload["witnesses"]:
+        human += f", witnesses: {payload['witnesses']}"
+    return True, payload, human
 
 
 def cmd_proj_phi_r(args):
-    field = parse_field(args.field)
-    report = pushforward_phi_r(args.r, field)
-    payload = {"status": "pass", "certificate": report.to_json()}
-    _emit(
-        args,
-        payload,
-        f"pass: the target twist O({report.m}) on P^{report.r} has no cohomology",
-    )
-    return EXIT_PASS
+    report = pushforward_phi_r(args.r, parse_field(args.field))
+    human = f"pass: the target twist O({report.m}) on P^{report.r} has no cohomology"
+    return True, {"status": "pass", "certificate": report.to_json()}, human
 
 
 # ---------------------------------------------------------------------------
@@ -527,26 +484,24 @@ def cmd_verify(args):
     else:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)} or 'all'")
     all_pass = all(r.passed for r in reports)
-    if args.json:
-        payload = [r.to_json() for r in reports]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        width = max(len(r.suite) for r in reports)
-        for r in reports:
-            s = r.summary()
-            line = (
-                f"{r.suite:<{width}}  pass {s['pass']:4d}  fail {s['fail']:3d}  "
-                f"inconclusive {s['inconclusive']:3d}  ({r.wall_time:.2f}s)"
-            )
-            print(line)
-            for case in r.failures():
-                print(f"  {case['status'].upper()} {case['id']}: {case['law']}")
-                print(f"    inputs:  {json.dumps(case['inputs'], sort_keys=True)}")
-                print(f"    witness: {json.dumps(case.get('witness'), sort_keys=True)}")
-        total = sum(r.summary()["total"] for r in reports)
-        verdict = "all cases pass" if all_pass else "FAILURES PRESENT"
-        print(f"{total} cases across {len(reports)} suites: {verdict}")
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    width = max(len(r.suite) for r in reports)
+    lines = []
+    for r in reports:
+        s = r.summary()
+        lines.append(
+            f"{r.suite:<{width}}  pass {s['pass']:4d}  fail {s['fail']:3d}  "
+            f"inconclusive {s['inconclusive']:3d}  ({r.wall_time:.2f}s)"
+        )
+        for case in r.failures():
+            lines += [
+                f"  {case['status'].upper()} {case['id']}: {case['law']}",
+                f"    inputs:  {json.dumps(case['inputs'], sort_keys=True)}",
+                f"    witness: {json.dumps(case.get('witness'), sort_keys=True)}",
+            ]
+    total = sum(r.summary()["total"] for r in reports)
+    verdict = "all cases pass" if all_pass else "FAILURES PRESENT"
+    lines.append(f"{total} cases across {len(reports)} suites: {verdict}")
+    return all_pass, [r.to_json() for r in reports], "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -661,21 +616,21 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
-        return args.handler(args)
-    except (NotRegularSequence, ParityError, Inconclusive) as err:
-        payload = {
-            "status": "fail",
-            "error": type(err).__name__,
-            "witness": {
-                "detail": str(err),
-                **(err.witness_json() if isinstance(err, NotRegularSequence) else {}),
-            },
-        }
+        try:
+            held, payload, human = args.handler(args)
+        except (NotRegularSequence, ParityError, Inconclusive) as err:
+            # a refuted claim: its witness is the answer under --json, one stderr line otherwise
+            held, human = False, None
+            witness = err.witness_json() if isinstance(err, NotRegularSequence) else {}
+            payload = {"status": "fail", "error": type(err).__name__,
+                       "witness": {"detail": str(err), **witness}}
+            if not args.json:
+                print(f"fail ({type(err).__name__}): {err}", file=sys.stderr)
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(f"fail ({type(err).__name__}): {err}", file=sys.stderr)
-        return EXIT_FAIL
+        elif human is not None:
+            print(human)
+        return EXIT_PASS if held else EXIT_FAIL
     except BoundsExceeded as err:
         print(f"out of bounds: {err}", file=sys.stderr)
         return EXIT_USAGE

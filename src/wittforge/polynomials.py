@@ -215,6 +215,6 @@ def exponent_tuples(n, degree):
         return ((),) if degree == 0 else ()
     if n == 1:
         return ((degree,),) if degree >= 0 else ()
-    return tuple(
-        (e,) + rest for e in range(degree, -1, -1) for rest in exponent_tuples(n - 1, degree - e)
-    )
+    # each one-variable entry is read once, so two variables build theirs uncached
+    inner = exponent_tuples.__wrapped__ if n == 2 else exponent_tuples
+    return tuple((e,) + rest for e in range(degree, -1, -1) for rest in inner(n - 1, degree - e))

@@ -318,8 +318,9 @@ def relevant_places(values):
 class _QInvariants:
     """dim, square class of det, signature, and Hasse symbols of a diagonal form.
 
-    Each entry is factored once, into its square class.  ``classes`` are
-    those classes, ``det`` is the class of their product, and ``hasse`` maps
+    It is built from the entries' square classes, ``(d, primes)`` pairs as
+    :func:`_square_class` gives them, so a caller factors each entry once.
+    ``classes`` are the d, ``det`` is the class of their product, and ``hasse`` maps
     2 and every prime dividing an entry to the Hasse symbol
     prod_{i<j} (d_i, d_j)_p, taken one symbol per entry as the running
     product prod_j (d_1...d_{j-1}, d_j)_p (bimultiplicativity).
@@ -327,8 +328,7 @@ class _QInvariants:
 
     __slots__ = ("n", "classes", "det", "sig", "hasse")
 
-    def __init__(self, entries):
-        squares = [_square_class(e) for e in entries]
+    def __init__(self, squares):
         self.classes = [d for d, _ in squares]
         self.n = len(self.classes)
         self.sig = sum(1 if d > 0 else -1 for d in self.classes)
@@ -451,17 +451,18 @@ def _q_bounded_search(entries):
     return None
 
 
-def _q_isotropic_vector(entries):
+def _q_isotropic_vector(entries, squares):
     """An explicit nonzero zero of the diagonal form, or None when anisotropic.
 
-    ``entries`` are nonzero rationals, made Fractions here so ``/`` is exact.
+    ``entries`` are nonzero rationals, made Fractions here so ``/`` is exact;
+    ``squares`` are their square classes, which every subform reuses.
     The decision is always by invariants; the witness search escalates:
     square-split pairs, isotropic ternary subforms (complete via Legendre
     descent), a locally-filtered common value for the 2 + (n-2) block split,
     and a bounded lattice search as backstop.
     """
     entries = [Fraction(e) for e in entries]
-    inv = _QInvariants(entries)
+    inv = _QInvariants(squares)
     if not inv.is_isotropic():
         return None
     n = len(entries)
@@ -480,7 +481,7 @@ def _q_isotropic_vector(entries):
     # ternary subforms
     for combo in itertools.combinations(range(n), 3):
         sub = [entries[i] for i in combo]
-        if _QInvariants(sub).is_isotropic():
+        if _QInvariants([squares[i] for i in combo]).is_isotropic():
             part = _q_ternary_vector(sub)
             if part is not None:
                 vec = [Fraction(0)] * n
@@ -491,9 +492,11 @@ def _q_isotropic_vector(entries):
         raise Inconclusive("ternary descent failed on an isotropic form")
     # common represented value between the first pair and the rest
     head, tail = entries[:2], entries[2:]
-    for t in _candidate_values():
-        if _QInvariants(head + [-t]).is_isotropic() and _QInvariants(tail + [t]).is_isotropic():
-            head_vec, tail_vec = _q_represent(head, Fraction(t)), _q_represent(tail, Fraction(-t))
+    for t, primes in _candidate_values():
+        if (_QInvariants(squares[:2] + [(-t, primes)]).is_isotropic()
+                and _QInvariants(squares[2:] + [(t, primes)]).is_isotropic()):
+            head_vec = _q_represent(head, squares[:2], t, primes)
+            tail_vec = _q_represent(tail, squares[2:], -t, primes)
             if head_vec is not None and tail_vec is not None:
                 return head_vec + tail_vec
     vec = _q_bounded_search(entries)
@@ -505,17 +508,19 @@ def _q_isotropic_vector(entries):
 
 
 def _candidate_values():
-    """The squarefree integers 0 < |t| < 400, by absolute value, positive first."""
+    """The square classes (t, primes) of the squarefree integers 0 < |t| < 400,
+    by absolute value, positive first; the primes come from trial division."""
     for m in range(1, 400):
-        if _square_class(m)[0] == m:
-            yield m
-            yield -m
+        primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+        if math.prod(primes) == m:  # squarefree
+            yield m, primes
+            yield -m, primes
 
 
-def _q_represent(entries, value):
-    """A rational vector with sum d_i y_i^2 = value, or None."""
-    aug = entries + [-value]
-    vec = _q_isotropic_vector(aug)
+def _q_represent(entries, squares, value, primes):
+    """A rational vector with sum d_i y_i^2 = value, or None, for a squarefree
+    integer value whose prime divisors are ``primes``."""
+    vec = _q_isotropic_vector(entries + [-value], squares + [(-value, primes)])
     if vec is None:
         return None
     if vec[-1] != 0:
@@ -552,7 +557,8 @@ def witt_decompose(form):
     _nondegenerate(entries)
     if field.kind == "Q":
         def finder(entries):
-            vec = _q_isotropic_vector([e.payload for e in entries])
+            rationals = [e.payload for e in entries]
+            vec = _q_isotropic_vector(rationals, [_square_class(x) for x in rationals])
             return None if vec is None else [field.element(x) for x in vec]
     elif field.is_finite:
         def finder(entries):
@@ -702,5 +708,6 @@ def witt_equal(a, b):
     if field.kind == "Q":
         _, ea = _as_diagonal_entries(fa)
         _, eb = _as_diagonal_entries(fb)
-        return _QInvariants([e.payload for e in ea] + [-e.payload for e in eb]).is_witt_trivial()
+        difference = [e.payload for e in ea] + [-e.payload for e in eb]
+        return _QInvariants([_square_class(x) for x in difference]).is_witt_trivial()
     raise UnsupportedField(f"no Witt equality decision over {field}")

@@ -232,7 +232,7 @@ def coordinate_datum(d):
 # ---------------------------------------------------------------------------
 
 
-def verify_scharlau(seed=0, size=None, bound=None):
+def verify_scharlau(seed, size, bound=None):
     F3 = FieldSpec.Fp(3)
     F9 = extension_of(F3, 2)
     ext = ExtensionDatum(F9, F3)
@@ -283,7 +283,7 @@ def _cartan_refuted(ext):
     return None
 
 
-def verify_adjunction(seed=0, size=None, bound=None):
+def verify_adjunction(seed, size, bound=None):
     """Triangle identities, and comparison-map invertibility followed by the
     Cartan route against the Scharlau transfer, degree by degree.  The route
     is compared only once the matrix is invertible, since a degenerate trace
@@ -313,7 +313,7 @@ def verify_adjunction(seed=0, size=None, bound=None):
         )
 
 
-def verify_towers(seed=0, size=50, bound=None):
+def verify_towers(seed, size, bound=None):
     """Transfer along a two-step tower against the composite of the steps."""
     rng = random.Random(seed)
     law = "transfer along a tower equals the composite of the stepwise transfers"
@@ -350,7 +350,7 @@ def verify_towers(seed=0, size=50, bound=None):
         )
 
 
-def verify_base_change(seed=0, size=50, bound=None):
+def verify_base_change(seed, size, bound=None):
     """Transfer commutes with extending scalars, split algebra and all."""
     rng = random.Random(seed)
     law = "transferring then extending scalars matches extending then transferring"
@@ -372,7 +372,7 @@ def verify_base_change(seed=0, size=50, bound=None):
         )
 
 
-def verify_projection(seed=0, size=50, bound=None):
+def verify_projection(seed, size, bound=None):
     """The projection formula in the Witt ring."""
     rng = random.Random(seed)
     law = "transfer(x . restricted y) equals transfer(x) . y up to Witt equivalence"
@@ -393,7 +393,7 @@ def verify_projection(seed=0, size=50, bound=None):
         )
 
 
-def verify_theta(seed=0, size=None, bound=None):
+def verify_theta(seed, size, bound=None):
     """The unit adjunct of the Koszul multiplication against the pairing,
     with the laws it is built from: delta is unital, and up to rank 2 it is
     associative and the tensor-hom adjunction satisfies its triangle
@@ -427,7 +427,7 @@ def verify_theta(seed=0, size=None, bound=None):
             )
 
 
-def verify_trace(seed=0, size=None, bound=DEFAULT_BOUND):
+def verify_trace(seed, size, bound=DEFAULT_BOUND):
     """Exactness of the augmented Koszul complex, and rejection without it.
 
     The rank-1 case comes first: its terms off the socle start at internal
@@ -466,7 +466,7 @@ def verify_trace(seed=0, size=None, bound=DEFAULT_BOUND):
     )
 
 
-def verify_split(seed=0, size=None, bound=None):
+def verify_split(seed, size, bound=None):
     for d in range(1, 4):
         k = coordinate_datum(d)
         yield (
@@ -491,7 +491,7 @@ def _formula_mismatch(r, twists, fields, differs):
     return witness
 
 
-def verify_cohomology(seed=0, size=None, bound=None):
+def verify_cohomology(seed, size, bound=None):
     """Line bundles on projective space: decomposition vs closed formulas."""
     F7 = FieldSpec.Fp(7)
     for r in range(1, 5):
@@ -512,7 +512,7 @@ def verify_cohomology(seed=0, size=None, bound=None):
         )
 
 
-def verify_phi(seed=0, size=None, bound=None):
+def verify_phi(seed, size, bound=None):
     for r in (1, 3):
 
         def pushes_to_zero():
@@ -557,7 +557,7 @@ _WITT_LAWS = (
 )
 
 
-def verify_witt(seed=0, size=6, bound=None):
+def verify_witt(seed, size, bound=None):
     """Ring axioms on random Witt classes, plus the split of <1,1,1,1>."""
     rng = random.Random(seed)
     for p in PRIMES:
@@ -592,7 +592,7 @@ def verify_witt(seed=0, size=6, bound=None):
         )
 
 
-def verify_hilbert(seed=0, size=200, bound=None):
+def verify_hilbert(seed, size, bound=None):
     """The product formula for Hilbert symbols over the rationals."""
     rng = random.Random(seed)
     nonzero = [s for s in range(-30, 31) if s != 0]
@@ -616,7 +616,7 @@ def verify_hilbert(seed=0, size=200, bound=None):
         )
 
 
-def verify_bidual(seed=0, size=100, bound=None):
+def verify_bidual(seed, size, bound=None):
     """The dual of the bidual map inverts the bidual map of the dual."""
     rng = random.Random(seed)
     F5 = FieldSpec.Fp(5)
@@ -645,37 +645,30 @@ def verify_bidual(seed=0, size=100, bound=None):
 # registry
 # ---------------------------------------------------------------------------
 
+#: name -> (suite, default size); a suite without a default size runs a fixed set of cases
 SUITES = {
-    "scharlau": verify_scharlau,
-    "adjunction": verify_adjunction,
-    "towers": verify_towers,
-    "base-change": verify_base_change,
-    "projection": verify_projection,
-    "theta": verify_theta,
-    "trace": verify_trace,
-    "split": verify_split,
-    "cohomology": verify_cohomology,
-    "phi": verify_phi,
-    "witt": verify_witt,
-    "hilbert": verify_hilbert,
-    "bidual": verify_bidual,
+    "scharlau": (verify_scharlau, None),
+    "adjunction": (verify_adjunction, None),
+    "towers": (verify_towers, 50),
+    "base-change": (verify_base_change, 50),
+    "projection": (verify_projection, 50),
+    "theta": (verify_theta, None),
+    "trace": (verify_trace, None),
+    "split": (verify_split, None),
+    "cohomology": (verify_cohomology, None),
+    "phi": (verify_phi, None),
+    "witt": (verify_witt, 6),
+    "hilbert": (verify_hilbert, 200),
+    "bidual": (verify_bidual, 100),
 }
-
-
-def _default_size(name):
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    suite = SUITES[name]
-    while hasattr(suite, "__wrapped__"):  # through functools.wraps, as inspect.signature goes
-        suite = suite.__wrapped__
-    # every parameter of a suite has a default: (seed, size, bound)
-    return dict(zip(suite.__code__.co_varnames, suite.__defaults__))["size"]
 
 
 def _check_size(name, size):
     """A size is given only to a suite with a default one, is at least 0, and
     is at most ten times that default (:class:`BoundsExceeded` above it)."""
-    default = _default_size(name)
+    if name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    default = SUITES[name][1]
     if size is None:
         return
     if default is None:
@@ -719,15 +712,13 @@ def run_suite(name, seed=0, size=None, bound=None):
     case runs.  Each check runs as soon as its case is yielded, before the
     suite builds the next input."""
     _check_size(name, size)
-    kwargs = {"seed": seed}
-    if size is not None:
-        kwargs["size"] = size
+    kwargs = {"seed": seed, "size": SUITES[name][1] if size is None else size}
     if bound is not None:
         kwargs["bound"] = bound
     start = time.perf_counter()
     cases = []
     try:
-        for cid, law, inputs, check in SUITES[name](**kwargs):
+        for cid, law, inputs, check in SUITES[name][0](**kwargs):
             cases.append(_filed(cid, law, inputs, check))
     except BoundsExceeded:
         raise
@@ -744,7 +735,7 @@ def run_all(seed=0, size=None, bound=None):
     that take one.  A size that one of them rejects raises before the first
     suite runs.  The trace suite runs first, so a bound that it refuses raises
     before any other suite's work."""
-    sizes = {name: None if _default_size(name) is None else size for name in sorted(SUITES)}
+    sizes = {name: size if default else None for name, (_, default) in sorted(SUITES.items())}
     for name, n in sizes.items():
         _check_size(name, n)
     reports = {

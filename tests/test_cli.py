@@ -4,7 +4,12 @@ import argparse
 import functools
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +264,104 @@ def test_argparse_errors_are_pinned(capsys, monkeypatch, argv, stderr):
         main(argv)
     assert exit_info.value.code == 2
     assert capsys.readouterr() == ("", stderr)
+
+
+# ---------------------------------------------------------------------------
+# the answer contract
+# ---------------------------------------------------------------------------
+
+#: a README input for every handler in COMMANDS; ``{cx}`` names a complex over F5
+README_INPUTS = {
+    "witt diag": "--field Q --form [[0,1],[1,0]]",
+    "witt decompose": "--field F3 --form 1,1,1,1",
+    "witt equal": "--field Q --left 1,1 --right 1,-1",
+    "witt hilbert": "-a -1 -b -1 --place inf",
+    "transfer trace": "--ext F9/F3 --value [0,1]",
+    "transfer form": "--ext Qsqrt2/Q",
+    "transfer push": "--ext F9/F3 --form [[1]]",
+    "transfer check-compose": "--tower F81/F9/F3",
+    "transfer check-basechange": "--ext F27/F3 --scalars F9",
+    "transfer check-projection": "--ext F9/F3 --top-form 1,2 --bottom-form 2",
+    "complex tensor": "--a @{cx} --b @{cx}",
+    "complex hom": "--a @{cx} --b @{cx}",
+    "complex dual": "--a @{cx} --twist 2 --degree 1",
+    "complex homology": "--a @{cx}",
+    "koszul build": "--vars x,y --section x,y",
+    "koszul form": "--vars x,y --section x,y",
+    "koszul verify-xmap": "--vars x,y --section x,y",
+    "koszul verify-trace": "--vars x,y,z --section x,y,z",
+    "koszul verify-split": "--vars x,y --section x+y,y",
+    "proj cohomology": "--r 2 --m -3",
+    "proj phi-r": "--r 3",
+    "verify": "scharlau",
+}
+
+
+def test_every_handler_has_a_readme_input():
+    commands = [f"{g} {c}" for g, (_, body) in COMMANDS.items() if isinstance(body, dict) for c in body]
+    assert sorted(README_INPUTS) == sorted([*commands, "verify"])
+
+
+@pytest.mark.parametrize("command", sorted(README_INPUTS))
+def test_a_handler_returns_its_answer_and_main_prints_it(capsys, tmp_path, command):
+    # the handler prints nothing; main prints its payload under --json, its
+    # human text otherwise, and exits 0 exactly when the answer holds
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps({"ring": {"kind": "Fp", "p": 5}, "terms": {"0": 1, "1": 2},
+                              "diffs": {"1": [[1, 2]]}}))
+    argv = command.split() + README_INPUTS[command].format(cx=cx).split()
+    args = build_parser().parse_args(argv)
+    held, payload, human = args.handler(args)
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(held, bool) and isinstance(human, str)
+    untimed = functools.partial(re.sub, r"\(\d+\.\d\ds\)", "(t)")
+    for mode, text in (([], human), (["--json"], json.dumps(payload, indent=2, sort_keys=True))):
+        assert main(mode + argv) == (0 if held else 1)
+        out = capsys.readouterr()
+        assert (untimed(out.out), out.err) == (untimed(text) + "\n", "")
+
+
+#: replaces stdout by one whose every write raises, then runs main on argv
+BROKEN_STDOUT = """
+import sys
+import wittforge.cli as cli
+
+class Broken:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+sys.stdout = Broken()
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        ("witt hilbert -a -1 -b -1 --place inf", 2, "usage error: [Errno 32] Broken pipe"),
+        ("--json transfer push --ext F9/F3 --form [[1]]", 2, "usage error: [Errno 32] Broken pipe"),
+        ("proj phi-r --r 2", 1, "fail (ParityError): "),
+        ("--json proj phi-r --r 2", 2, "usage error: [Errno 32] Broken pipe"),
+    ],
+    ids=["query", "json-query", "refuted", "json-refuted"],
+)
+def test_a_broken_stdout_is_one_stderr_line(argv, code, stderr):
+    # a write to stdout that raises maps like any OSError from a command: one
+    # stderr line, a nonzero exit and no traceback; a refuted claim writes its
+    # plain line to stderr only, and its --json witness goes through the same print
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", BROKEN_STDOUT, *argv.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == code
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith(stderr)
+    assert "Traceback" not in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +1004,8 @@ def test_verify_size_is_checked_before_any_suite(capsys, monkeypatch, argv, mess
 
         return suite
 
-    monkeypatch.setattr(verify, "SUITES", {name: counted(fn) for name, fn in verify.SUITES.items()})
+    suites = {name: (counted(fn), size) for name, (fn, size) in verify.SUITES.items()}
+    monkeypatch.setattr(verify, "SUITES", suites)
     assert run(capsys, *argv) == (2, "", message)
     assert entered == []
     # the counted suites still run when the size is in bounds

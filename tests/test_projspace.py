@@ -16,6 +16,7 @@ import pytest
 from wittforge import linalg, projspace, verify
 from wittforge.errors import BoundsExceeded, ParityError
 from wittforge.fields import FieldSpec
+from wittforge.polynomials import exponent_tuples
 from wittforge.projspace import (
     CohomologyReport,
     ProjLineBundleQuery,
@@ -185,3 +186,12 @@ def test_cohomology_suite_ranks_each_summand_once(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "66fdcd0262763a75e1abb27a6f8757e4dba7d5a1df29eec59978708202ff88b0"
     )
+
+
+def test_the_monomials_of_the_line_keep_no_one_variable_entries():
+    # each one-variable enumeration is read once: on P^1 the cache keeps the
+    # two-variable entries of h^0 and of the empty h^1 only, not one per degree
+    exponent_tuples.cache_clear()
+    assert dims(1, 999) == (1000, 0)
+    assert exponent_tuples.cache_info().currsize == 2
+    assert exponent_tuples(2, 3) == ((3, 0), (2, 1), (1, 2), (0, 3))

@@ -53,6 +53,16 @@ QSQRT2 = FieldSpec.extension(Q, [-2, 0, 1])
 # ---------------------------------------------------------------------------
 
 
+def squares(entries):
+    """The square classes of the entries, as the rational witness search takes them."""
+    return [quadforms._square_class(e) for e in entries]
+
+
+def invariants(entries):
+    """The invariants of the diagonal form over Q with these entries."""
+    return quadforms._QInvariants(squares(entries))
+
+
 def hilbert_oracle(a, b, p):
     """(a,b)_p by brute force.
 
@@ -250,7 +260,7 @@ nonzero_rationals = st.fractions(min_value=-60, max_value=60, max_denominator=40
 def test_q_invariants_match_pairwise_hilbert_symbols(scaled):
     # some entries multiplied by squares; the invariants see square classes only
     entries = [e * s * s for e, s in scaled]
-    inv = quadforms._QInvariants(entries)
+    inv = invariants(entries)
     det = _class_oracle(math.prod(entries, start=Fraction(1)))
     assert (inv.n, inv.det) == (len(entries), det)
     assert inv.classes == [_class_oracle(e) for e in entries]
@@ -281,7 +291,7 @@ def test_local_squares_match_residues(p):
 def test_quaternary_with_det_five_mod_eight_is_isotropic(entries, vector):
     # det is 1 mod 4 but 5 mod 8, so no square in Q_2: isotropic at 2
     # although the Hasse symbol there differs from (-1,-1)_2
-    inv = quadforms._QInvariants(entries)
+    inv = invariants(entries)
     assert inv.det % 8 == 5 and inv.hasse[2] != hilbert_symbol(-1, -1, Place(2))
     form = QuadraticForm.diagonal(Q, entries)
     assert bilinear(form, vector, vector) == Q.zero()
@@ -303,6 +313,26 @@ def test_witt_equal_over_q_factors_each_entry_once(monkeypatch):
     b = QuadraticForm.diagonal(Q, [2, 3, 5, 7, 11, 13, 17, 1])
     assert witt_equal(a, b)
     assert len(calls) <= 16
+
+
+def test_rational_witness_search_factors_each_entry_once(monkeypatch):
+    # each diagonal entry of the form and of every complement left after a
+    # hyperbolic plane is factored once; the subforms and the candidate
+    # common values of the search reuse those classes
+    calls = []
+    factorint = sympy.factorint
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return factorint(n, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factorint", counted)
+    for entries, rounds in (([3, 5, -7, 11, -2, 6], [6, 4, 2]), ([1, 1, 1, -3, 5], [5, 3])):
+        calls.clear()
+        form = QuadraticForm.diagonal(Q, entries)
+        wc = witt_decompose(form)
+        assert_certificate(form, wc)
+        assert len(calls) == sum(rounds), entries
 
 
 def test_place_parse_and_json():
@@ -546,7 +576,7 @@ def test_isotropic_vector_without_a_root_is_an_internal_fault(monkeypatch, entri
     # broken invariant, raised as such rather than as bad input
     monkeypatch.setattr(quadforms, "rational_sqrt", lambda f: None)
     with pytest.raises(RuntimeError, match="no square"):
-        quadforms._q_isotropic_vector([Fraction(e) for e in entries])
+        quadforms._q_isotropic_vector(entries, squares(entries))
 
 
 def test_binary_rational_vector_is_one_and_the_root():
@@ -560,7 +590,7 @@ def test_binary_rational_vector_is_one_and_the_root():
             expected = [Fraction(1), Fraction(num, den)]
         else:
             expected = None
-        assert quadforms._q_isotropic_vector([a, b]) == expected, (a, b)
+        assert quadforms._q_isotropic_vector([a, b], squares([a, b])) == expected, (a, b)
 
 
 def test_diagonal_entries_cached_per_form(monkeypatch):
@@ -805,7 +835,7 @@ def test_rational_ternary_isotropy_matches_bounded_search():
     tested = 0
     for a, b, c in coprime_squarefree_triples():
         form = QuadraticForm.diagonal(Q, [a, b, c])
-        isotropic = quadforms._QInvariants([a, b, c]).is_isotropic()
+        isotropic = invariants([a, b, c]).is_isotropic()
         assert isotropic == ternary_search_oracle(a, b, c), (a, b, c)
         tested += 1
     assert tested >= 50
@@ -862,7 +892,7 @@ def test_integral_diagonal_forms_over_q(entries, others):
     assert all(
         isinstance(x.payload, (int, Fraction)) for row in wc.certificate.values() for x in row.values()
     )
-    assert quadforms._QInvariants(entries).is_isotropic() == (wc.hyperbolic > 0)
+    assert invariants(entries).is_isotropic() == (wc.hyperbolic > 0)
     assert witt_equal(form, wc.anisotropic)
     assert witt_equal(form.perp(form.neg()), QuadraticForm(Q, {}, 0))
     assert witt_equal(form.perp(other), other.perp(form))
@@ -876,7 +906,7 @@ def test_isotropic_ternary_found_in_any_coefficient_order(entries):
     form = QuadraticForm.diagonal(Q, entries)
     wc = witt_decompose(form)
     assert_certificate(form, wc)
-    assert wc.hyperbolic == 1 and quadforms._QInvariants(entries).is_isotropic()
+    assert wc.hyperbolic == 1 and invariants(entries).is_isotropic()
 
 
 def test_rational_dense_gram_decomposes():
@@ -897,7 +927,7 @@ def test_definite_forms_are_anisotropic():
     for entries in ([1, 1], [2, 3, 5], [1, 1, 1, 1], [-1, -2, -7]):
         wc = witt_decompose(QuadraticForm.diagonal(Q, entries))
         assert wc.hyperbolic == 0
-        assert not quadforms._QInvariants(entries).is_isotropic()
+        assert not invariants(entries).is_isotropic()
 
 
 # ---------------------------------------------------------------------------
@@ -989,8 +1019,8 @@ def test_signed_discriminant():
 
 def test_signature():
     # the invariants keep positives minus negatives of the square classes
-    assert quadforms._QInvariants([1, 1, 1, 1, -7]).sig == 3
-    assert quadforms._QInvariants([Fraction(-1, 2), 3, Fraction(-5, 7)]).sig == -1
+    assert invariants([1, 1, 1, 1, -7]).sig == 3
+    assert invariants([Fraction(-1, 2), 3, Fraction(-5, 7)]).sig == -1
 
 
 # ---------------------------------------------------------------------------

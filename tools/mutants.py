@@ -387,8 +387,16 @@ MUTANTS = [
         "a refuted claim (NotRegularSequence, ParityError, Inconclusive) exits 0",
         "cli.py",
         "main",
-        "return EXIT_FAIL",
-        "return EXIT_PASS",
+        "held, human = (False, None)",
+        "held, human = (True, None)",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "an answer that does not hold exits 0",
+        "cli.py",
+        "main",
+        "EXIT_PASS if held else EXIT_FAIL",
+        "EXIT_PASS",
         ("tests/test_cli.py",),
     ),
     (
