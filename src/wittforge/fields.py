@@ -500,7 +500,7 @@ def _extension_kernel(spec, modulus):
 
     def inv(a):
         """Extended Euclid against the modulus: s * a = r (mod modulus), then s / r."""
-        r, s = _euclid(base, list(modulus), _trim_raw(list(a), is_zero))
+        r, s = _euclid(base, list(modulus), _trim_raw(list(a), is_zero), True)
         if len(r) != 1:
             raise ZeroDivisionError("not invertible: the modulus is reducible")
         c = base.inv(r[0])
@@ -585,16 +585,16 @@ def _sub_product(k, f, g, h):
     return _trim_raw(out, is_zero)
 
 
-def _euclid(k, r0, r1):
-    """Extended Euclid on trimmed payload lists, until a remainder is constant.
+def _euclid(k, r0, r1, with_cofactor):
+    """Euclid on trimmed payload lists, until a remainder is constant.
 
-    Returns ``(r, s)``: r is a gcd of r0 and r1 up to a unit (a nonzero
-    constant exactly when they are coprime), and s * r1 = r modulo r0.
+    Returns ``(r, s)``: r is a gcd of r0 and r1 up to a unit (a nonzero constant
+    exactly when they are coprime); s * r1 = r modulo r0, or None without ``with_cofactor``.
     """
-    s0, s1 = [], [k.one]
+    s0, s1 = ([], [k.one]) if with_cofactor else (None, None)
     while len(r1) > 1:
         quot, rem = _divmod_raw(k, r0, r1)
-        r0, r1, s0, s1 = r1, rem, s1, _sub_product(k, s0, quot, s1)
+        r0, r1, s0, s1 = r1, rem, s1, None if s1 is None else _sub_product(k, s0, quot, s1)
     return (r1, s1) if r1 else (r0, s0)
 
 
@@ -657,7 +657,7 @@ def _distinct_degree(base, f):
     power, i = x, 1  # then x^(q^i) mod the f given
     while 2 * i <= len(f) - 1:
         power = _power(ring, power, q)
-        g, _ = _euclid(k, f, _trim_raw(list(ring.sub(power, x)), k.is_zero))
+        g = _euclid(k, f, _trim_raw(list(ring.sub(power, x)), k.is_zero), False)[0]
         if len(g) > 1:
             yield i, g
             f = _divmod_raw(k, f, g)[0]
@@ -732,7 +732,7 @@ def factor_univariate(coeffs, field):
     if f[-1] != k.one:
         raise FactorizationUnsupported("polynomial must be monic")
     der = _trim_raw([k.mul(k.from_int(i), c) for i, c in enumerate(f) if i], k.is_zero)
-    if len(_euclid(k, f, der)[0]) != 1:
+    if len(_euclid(k, f, der, False)[0]) != 1:
         raise FactorizationUnsupported("polynomial must be squarefree")
 
     if field.is_finite:

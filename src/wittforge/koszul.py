@@ -29,6 +29,7 @@ from math import comb
 
 from . import linalg
 from .complexes import (
+    RANK_CAP,
     ChainComplex,
     ChainMap,
     DualityDatum,
@@ -258,6 +259,9 @@ def x_map(k):
     twisted dual.  Shares no code with ``koszul_form``, which is the point:
     the two are compared matrix-exactly.
     """
+    for total in (2**k.rank, 4**k.rank, 8**k.rank):  # Kos, Kos (x) Kos, Hom(Kos, Kos (x) Kos)
+        if total > RANK_CAP:  # the cap of each, in build order, before any is built
+            raise BoundsExceeded(f"total rank {total} exceeds cap {RANK_CAP}")
     kos = koszul_complex(k)
     return hom_post(kos, sigma_map(k).compose(delta_map(k))).compose(adjunction_unit(kos, kos))
 

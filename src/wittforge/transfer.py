@@ -2,19 +2,19 @@
 
 A finite extension E/F is presented by an :class:`ExtensionDatum`: the
 flattened power basis of the tower plus the multiplication matrices it
-induces.  On top of that sit the trace, the trace form, the Scharlau
-transfer on Gram matrices, the unit/counit of the restriction / Hom_F(E,-)
-adjunction with machine-checked triangle identities (the unit's E-linearity
-is certified on one generator per tower step: an F-linear map that commutes
-with a generating set of an F-algebra, whose words span it, is linear over
-the algebra), and a second, independently-computed route to the transfer
-that goes through the duality pairing and the explicit change-of-basis
-between functional spaces (the Cartan matrix, a :class:`LinearMapOverF`:
-a sparse matrix with its shape); ``verify``'s adjunction suite
-checks that the matrix is invertible and that this route equals the Scharlau
-transfer.  The module also packages executable checks of the composition,
-base-change, and projection formulas, each returning a :class:`CheckReport`
-{claim, lhs, rhs, equal, witness}.
+induces, both by shift-and-reduce with no product in E.  On top of that sit
+the trace, the trace form, the Scharlau transfer on Gram matrices, the
+unit/counit of the restriction / Hom_F(E,-) adjunction with machine-checked
+triangle identities (the unit's E-linearity is certified on one generator
+per tower step: an F-linear map that commutes with a generating set of an
+F-algebra, whose words span it, is linear over the algebra), and a second,
+independently-computed route to the transfer that goes through the duality
+pairing and the explicit change-of-basis between functional spaces (the
+Cartan matrix, a :class:`LinearMapOverF`: a sparse matrix with its shape);
+``verify``'s adjunction suite checks that the matrix is invertible and that
+this route equals the Scharlau transfer.  The module also packages
+executable checks of the composition, base-change, and projection formulas,
+each returning a :class:`CheckReport` {claim, lhs, rhs, equal, witness}.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ class ExtensionDatum:
     The basis is the flattened power basis of the tower: for E = K[y]/(m)
     over F it is ``{b * y^j}`` with ``b`` running through the basis of K/F
     (inner index fastest), so the coordinates of an element are its nested
-    payload flattened.  The multiplication table, the basis traces and the
-    trace form are derived on first use and kept in ``_memo``
-    (:func:`~wittforge.fields.kept`), which takes no part in equality.
+    payload flattened.  The basis and each M(e) come from :func:`_times_basis`;
+    the table, the basis traces and the trace form are derived on first use
+    and kept in ``_memo`` (:func:`~wittforge.fields.kept`), outside equality.
     Matrices are :mod:`~wittforge.linalg` sparse matrices.
     """
 
@@ -47,9 +47,8 @@ class ExtensionDatum:
     def __init__(self, top, bottom):
         if not spec_extends(top, bottom):
             raise FieldMismatch(f"{top} does not extend {bottom}")
-        self.top = top
-        self.bottom = bottom
-        self.basis = _flattened_basis(top, bottom)
+        self.top, self.bottom = top, bottom
+        self.basis = [FieldElement(top, b) for b in _times_basis(top, bottom, top._kernel.one)]
         self._one_coords = linalg.sparse([self.coordinates(top.one())])[0]
         self._memo = {}
 
@@ -61,14 +60,24 @@ class ExtensionDatum:
         """F-coordinates of x in the datum's basis: its payload flattened level by level."""
         if x.spec != self.top:
             raise FieldMismatch(f"element of {x.spec}, expected {self.top}")
-        spec, payloads = x.spec, [x.payload]
+        return [FieldElement(self.bottom, c) for c in self._flattened([x.payload])]
+
+    def _flattened(self, payloads):
+        """The F payloads of a list of E payloads, each flattened level by level, in turn."""
+        spec = self.top
         while spec != self.bottom:
             spec, payloads = spec.base, [c for p in payloads for c in p]
-        return [FieldElement(self.bottom, c) for c in payloads]
+        return payloads
 
     def mult_matrix(self, e):
         """Matrix of multiplication by e on E as an F-space (columns = images)."""
-        return linalg.transpose(linalg.sparse([self.coordinates(e * b) for b in self.basis]))
+        if e.spec != self.top:
+            raise FieldMismatch(f"element of {e.spec}, expected {self.top}")
+        n, is_zero, mat = self.degree, self.bottom._kernel.is_zero, {}
+        for at, c in enumerate(self._flattened(_times_basis(self.top, self.bottom, e.payload))):
+            if not is_zero(c):
+                mat.setdefault(at % n, {})[at // n] = FieldElement(self.bottom, c)
+        return mat
 
     @kept
     def _mult_table(self):
@@ -88,10 +97,8 @@ class ExtensionDatum:
 
         By linearity Tr(e) = sum_k coords(e)_k * Tr(b_k).
         """
-        if e.spec != self.top:
-            raise FieldMismatch(f"element of {e.spec}, expected {self.top}")
-        traces = self._basis_traces()
-        return sum((c * t for c, t in zip(self.coordinates(e), traces)), self.bottom.zero())
+        coords = self.coordinates(e)  # a FieldMismatch comes before the table is built
+        return sum((c * t for c, t in zip(coords, self._basis_traces())), self.bottom.zero())
 
     def __eq__(self, other):
         if not isinstance(other, ExtensionDatum):
@@ -102,17 +109,20 @@ class ExtensionDatum:
         return f"ExtensionDatum({self.top!r} / {self.bottom!r}, degree {self.degree})"
 
 
-def _flattened_basis(top, bottom):
-    if top == bottom:
-        return [top.one()]
-    inner = _flattened_basis(top.base, bottom)
-    gen = top.generator()
-    out = []
-    power = top.one()
-    for _ in range(top.degree):
-        for b in inner:
-            out.append(embed(b, top) * power)
-        power = power * gen
+def _times_basis(spec, bottom, payload):
+    """Payloads of e * b (e of this payload) for b through the flattened basis of ``spec``
+    over ``bottom``, in order, with no product in ``spec``: e * b_i comes from the step
+    below, and y times a column is a shift plus its top entry times the modulus tail."""
+    if spec == bottom:
+        return [payload]
+    k = spec.base._kernel
+    tail = [(i, k.neg(c.payload)) for i, c in enumerate(spec.modulus[:-1]) if not c.is_zero()]
+    out = list(zip(*[_times_basis(spec.base, bottom, c) for c in payload]))
+    for at in range(len(out) * (spec.degree - 1)):  # y * out[at] = out[at + [base : bottom]]
+        lead, shifted = out[at][-1], [k.zero, *out[at][:-1]]
+        for i, t in tail if not k.is_zero(lead) else ():
+            shifted[i] = k.add(shifted[i], k.mul(lead, t))
+        out.append(tuple(shifted))
     return out
 
 
@@ -327,7 +337,8 @@ def pushforward_via_cartan(ext, q):
     the map v_a -> G[a][c] b_k . Tr, whose coordinates on the basis
     phi_{a,i} of :func:`cartan_isomorphism` are the E-coordinates of
     G[a][c] b_k: no trace is taken here.  The Cartan matrix then carries psi
-    to Hom_F(V|_F, F), where its matrix is the Gram of the transfer.
+    to Hom_F(V|_F, F), where its matrix is the Gram of the transfer.  Its E
+    products are on purpose: the table has none, so the routes share no product code.
     """
     if q.field != ext.top:
         raise FieldMismatch(f"form over {q.field}, expected {ext.top}")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wittforge import cli, quadforms, verify
+from wittforge import cli, koszul, quadforms, verify
 from wittforge.cli import (
     COMMANDS,
     build_parser,
@@ -423,6 +423,16 @@ def test_out_of_bounds_is_usage(capsys):
     code, _, err = run(capsys, "proj", "cohomology", "--r", "9", "--m", "1")
     assert code == 2
     assert "out of bounds" in err
+
+
+def test_xmap_past_the_rank_cap_is_refused_before_any_complex(capsys, monkeypatch):
+    # Kos (x) Kos has total rank 4^9 = 262144 at rank 9: the refusal comes
+    # from the section's length, before the Koszul complex is built
+    monkeypatch.setattr(koszul, "koszul_complex", lambda k: pytest.fail("complex built"))
+    names = ",".join(f"x{i}" for i in range(9))
+    code, out, err = run(capsys, "koszul", "verify-xmap", "--vars", names, "--section", names)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["out of bounds: total rank 262144 exceeds cap 4096"]
 
 
 def test_field_past_the_tower_cap_is_usage(capsys):

@@ -17,7 +17,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wittforge import linalg
+from wittforge import fields, linalg
 from wittforge.errors import (
     BoundsExceeded,
     FactorizationUnsupported,
@@ -416,11 +416,54 @@ def test_extension_inverse_raises_on_inconsistent_arithmetic():
 
 def test_poly_gcd_of_coprime():
     # gcd(x^2+1, x) = 1 over F3, and the cofactor s has s*x = 1 mod x^2+1
-    r, s = _euclid(F3._kernel, [1, 0, 1], [0, 1])
+    r, s = _euclid(F3._kernel, [1, 0, 1], [0, 1], True)
     assert len(r) == 1
     assert (_sympy_mod_p(s, 3) * _sympy_mod_p([0, 1], 3)).rem(
         _sympy_mod_p([1, 0, 1], 3)
     ) == _sympy_mod_p(r, 3)
+
+
+def _poly_product(k, f, g):
+    out = [k.zero] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g, i):
+            out[j] = k.add(out[j], k.mul(x, y))
+    return out
+
+
+@pytest.mark.parametrize("field", [F3, F9, Q], ids=repr)
+def test_gcd_without_cofactor_is_the_extended_gcd(field):
+    # seeded pairs a*c, b*c with a random common factor c, so most gcds are not units
+    rng, k = random.Random(23), field._kernel
+    for _ in range(40):
+        a, b, c = (
+            [field.random_element(rng).payload for _ in range(rng.randint(1, 4))] + [k.one]
+            for _ in range(3)
+        )
+        f, g = _poly_product(k, a, c), _poly_product(k, b, c)
+        r, s = _euclid(k, f, g, False)
+        assert s is None
+        assert r == _euclid(k, f, g, True)[0]
+
+
+def test_gcds_that_read_no_cofactor_build_none(monkeypatch):
+    # Ben-Or's gcds and the squarefree test read only the gcd: with the
+    # cofactor's product refused, the modulus search and factoring still
+    # answer, while the extension inverse, which reads the cofactor, does not
+    F27 = _prime_power_field("F27")
+    element = F27.element([1, 2])
+
+    def refused(*args):
+        raise AssertionError("a cofactor was built")
+
+    monkeypatch.setattr(fields, "_sub_product", refused)
+    modulus = find_irreducible.__wrapped__(F27, 3)  # past the cache
+    assert [c.payload for c in modulus] == [(0, 0, 1), (0, 0, 2), (0, 0, 0), (1, 0, 0)]
+    for name, coeffs, expected in FROZEN_FACTORIZATIONS:
+        if name == "F3":
+            assert [[c.payload for c in f] for f in factor_univariate(coeffs, F3)] == expected
+    with pytest.raises(AssertionError, match="cofactor"):
+        element.inverse()
 
 
 def test_rational_roots_oracle():
@@ -482,7 +525,7 @@ def test_factor_remultiplication_random():
             der = [(spec.from_int(i) * c).payload for i, c in enumerate(coeffs)][1:]
             while der and der[-1] == spec.zero().payload:
                 der.pop()
-            if len(_euclid(spec._kernel, [c.payload for c in coeffs], der)[0]) != 1:
+            if len(_euclid(spec._kernel, [c.payload for c in coeffs], der, False)[0]) != 1:
                 continue  # oracle needs squarefree input
             factors = factor_univariate(coeffs, spec)
             assert all(g[-1] == spec.one() for g in factors)
@@ -678,7 +721,7 @@ def _is_squarefree(field, f):
     der = [k.mul(k.from_int(i), c) for i, c in enumerate(f) if i]
     while der and k.is_zero(der[-1]):
         der.pop()
-    return bool(der) and len(_euclid(k, f, der)[0]) == 1
+    return bool(der) and len(_euclid(k, f, der, False)[0]) == 1
 
 
 @pytest.mark.parametrize("name", ["F3", "F5", "F7", "F9", "F27"])

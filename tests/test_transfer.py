@@ -657,6 +657,55 @@ def test_trace_is_diagonal_sum_of_mult_matrix(ext):
         assert ext.trace(e) == diagonal
 
 
+def _product_basis(top, bottom):
+    """The flattened basis as products in E: embed(b, top) * y^j, b inner."""
+    if top == bottom:
+        return [top.one()]
+    inner, power, out = _product_basis(top.base, bottom), top.one(), []
+    for _ in range(top.degree):
+        out += [embed(b, top) * power for b in inner]
+        power = power * top.generator()
+    return out
+
+
+SHIFT_BUILT = [(F9, F3), (F27, F3), (F81, F9), (F81, F3), (F729, F27), (QS2, Q)]
+SHIFT_IDS = ["F9/F3", "F27/F3", "F81/F9", "F81/F3", "F729/F27", "Qsqrt2/Q"]
+
+
+@pytest.mark.parametrize("top, bottom", SHIFT_BUILT, ids=SHIFT_IDS)
+def test_shift_built_table_matches_products_in_E(top, bottom):
+    # oracle: column k of M(e) is coordinates(e * b_k), with the product taken in E
+    ext = ExtensionDatum(top, bottom)
+    assert ext.basis == _product_basis(top, bottom)
+    rng = random.Random(31)
+    samples = [top.zero(), top.one(), *ext.basis] + [top.random_element(rng) for _ in range(6)]
+    for e in samples:
+        columns = linalg.sparse([ext.coordinates(e * b) for b in ext.basis])
+        assert ext.mult_matrix(e) == linalg.transpose(columns)
+    with pytest.raises(FieldMismatch):
+        ext.mult_matrix(bottom.one())
+
+
+@pytest.mark.parametrize("top, bottom", [(F81, F3), (F729, F27)], ids=["F81/F3", "F729/F27"])
+def test_table_and_basis_take_no_product_in_E(monkeypatch, top, bottom):
+    # the basis and the whole table come from shifts and the modulus tail;
+    # the duality route still multiplies in E, so the two routes share no
+    # multiplication code
+    kernel, calls = top._kernel, []
+    mul = kernel.mul
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(kernel, "mul", counting)
+    ext = ExtensionDatum(top, bottom)
+    ext._mult_table()
+    assert calls == []
+    pushforward_via_cartan(ext, QuadraticForm.diagonal(top, [1]))
+    assert calls
+
+
 def test_bad_basis_rejected():
     # the basis of E/F exists only when E extends F
     with pytest.raises(FieldMismatch):

@@ -64,6 +64,30 @@ MUTANTS = [
         FIELD_TESTS,
     ),
     (
+        "the gcd that no caller reads a cofactor of still builds one",
+        "fields.py",
+        "_euclid",
+        "if with_cofactor else (None, None)",
+        "if with_cofactor else ([], [k.one])",
+        FIELD_TESTS,
+    ),
+    (
+        "the companion tail of the multiplication table not negated: y^n = +(m_0 + ... )",
+        "transfer.py",
+        "_times_basis",
+        "k.neg(c.payload)",
+        "c.payload",
+        TRANSFER_FIRST,
+    ),
+    (
+        "the flattened basis in outer-index-fastest order",
+        "transfer.py",
+        "_times_basis",
+        "return out",
+        "return [out[j * len(out) // spec.degree + i] for i in range(len(out) // spec.degree) for j in range(spec.degree)]",
+        TRANSFER_FIRST,
+    ),
+    (
         "the distinct-degree loop starts at degree 2",
         "fields.py",
         "_distinct_degree",
