@@ -679,13 +679,6 @@ def _is_irreducible(base, coeffs):
         if deg <= 3:
             return True  # no root: degree 2 and 3 cannot factor at all
         raise NotAField("irreducibility over Q is only decided through degree 3")
-    # char-0 extension base: quadratics via the discriminant square test
-    if deg == 2:
-        c0, c1, c2 = (FieldElement(base, c) for c in coeffs)
-        try:
-            return not is_square(c1 * c1 - 4 * c0 * c2)
-        except UnsupportedField:
-            pass
     raise NotAField("irreducibility over this field is undecided")
 
 
@@ -719,12 +712,14 @@ def factor_univariate(coeffs, field):
     fields the factorization is complete: distinct-degree factorization,
     then trial division by the monic polynomials of one degree splits each
     part with more than one factor, while their number stays under
-    :data:`ENUMERATION_CAP`.  In characteristic 0 the
-    supported regime is degree <= 6 with rational coefficients: rational
-    roots are stripped, quadratics are decided by a discriminant square test
-    in ``field``, and cubics that survive root stripping are certified
-    irreducible by degree count.  Anything else raises :class:`FactorizationUnsupported`.
+    :data:`ENUMERATION_CAP`.  Characteristic 0 means Q alone, through degree
+    6: rational roots are stripped, and a residual of degree 2 or 3 has no
+    root, so it is irreducible.  Any other field (Q(sqrt n) and its kin, where
+    no Witt equality is decided anyway) and any other residual raise
+    :class:`FactorizationUnsupported`.
     """
+    if not field.is_finite and field.kind != "Q":
+        raise FactorizationUnsupported(f"characteristic-0 factorization over Q only, not {field}")
     k = field._kernel
     f = _trim_raw([field.element(c).payload for c in coeffs], k.is_zero)
     if len(f) < 2:
@@ -737,7 +732,9 @@ def factor_univariate(coeffs, field):
 
     if field.is_finite:
         return [tuple([FieldElement(field, c) for c in g]) for g in _factor_finite(field, f)]
-    return _factor_char0(field, f)
+    if len(f) > 7:
+        raise FactorizationUnsupported("degree > 6 over Q")
+    return [tuple(field.element(c) for c in g) for g in _factor_rational_poly(f)]
 
 
 def _factor_finite(field, f):
@@ -759,51 +756,6 @@ def _factor_finite(field, f):
                 g = quot
         factors.append(g)
     return factors
-
-
-def _factor_char0(field, f):
-    deg = len(f) - 1
-    if deg > 6:
-        raise FactorizationUnsupported("degree > 6 over characteristic 0")
-    # the rational model must exist: every supported caller factors a modulus
-    # with rational coefficients over Q or over a quadratic extension of Q
-    rational = []
-    for c in f:
-        r = _rational_preimage(field, c)
-        if r is None:
-            raise FactorizationUnsupported(
-                "characteristic-0 factorization needs rational coefficients"
-            )
-        rational.append(r)
-
-    factors = []
-    for g in _factor_rational_poly(rational):
-        g_emb = tuple(field.element(c) for c in g)
-        dg = len(g_emb) - 1
-        if dg == 1 or field.kind == "Q":
-            factors.append(g_emb)
-        elif dg == 2:
-            factors.extend(_split_quadratic(field, g_emb))
-        elif dg == 3:
-            # a cubic irreducible over Q stays irreducible over any field of
-            # degree coprime to 3 over Q; the supported extensions are quadratic
-            if field.absolute_degree() % 3 == 0:
-                raise FactorizationUnsupported("cubic over a degree-divisible extension")
-            factors.append(g_emb)
-        else:
-            raise FactorizationUnsupported(
-                f"degree-{dg} irreducible over Q cannot be refined here"
-            )
-    return factors
-
-
-def _rational_preimage(spec, raw):
-    """The rational under the payload of a tower constant, or None if it is not rational."""
-    while spec.kind == "ext":
-        if raw[1:] != spec._kernel.zero[1:]:
-            return None
-        spec, raw = spec.base, raw[0]
-    return raw if spec.kind == "Q" else None
 
 
 def _factor_rational_poly(f):
@@ -828,19 +780,6 @@ def _factor_rational_poly(f):
     return factors
 
 
-def _split_quadratic(field, g):
-    """Split a monic quadratic over ``field`` if its discriminant is a square."""
-    c0, c1, _ = g
-    disc = c1 * c1 - 4 * c0
-    if not is_square(disc):
-        return [g]
-    s = sqrt(disc)
-    two_inv = field.from_int(2).inverse()
-    r1 = (-c1 + s) * two_inv
-    r2 = (-c1 - s) * two_inv
-    return [(-r1, field.one()), (-r2, field.one())]
-
-
 # ---------------------------------------------------------------------------
 # squares, square roots, embeddings, frobenius
 # ---------------------------------------------------------------------------
@@ -849,17 +788,13 @@ def _split_quadratic(field, g):
 def is_square(x):
     """Decide whether ``x`` is a square in its field (Euler's criterion if finite)."""
     spec = x.spec
-    if x.is_zero():
-        return True
     if spec.is_finite:
-        return x ** ((spec.order() - 1) // 2) == spec.one()
+        return x.is_zero() or x ** ((spec.order() - 1) // 2) == spec.one()
     return _char0_sqrt(x) is not None
 
 
 def sqrt(x):
     """An exact square root, or raise ValueError when ``x`` is not a square."""
-    if x.is_zero():
-        return x
     root = _finite_sqrt(x) if x.spec.is_finite else _char0_sqrt(x)
     if root is None:
         raise ValueError(f"{x!r} is not a square in {x.spec}")
@@ -867,14 +802,11 @@ def sqrt(x):
 
 
 def _char0_sqrt(x):
-    """A square root in Q or in a quadratic extension of Q, or None."""
-    spec = x.spec
-    if spec.kind == "Q":
-        root = rational_sqrt(x.payload)
-        return None if root is None else spec.element(root)
-    if spec.kind == "ext" and spec.base.kind == "Q" and spec.degree == 2:
-        return _quadratic_ext_sqrt(x)
-    raise UnsupportedField(f"no square root over {spec}")
+    """A square root in Q, or None; no other field of characteristic 0 has one here."""
+    if x.spec.kind != "Q":
+        raise UnsupportedField(f"no square root over {x.spec}")
+    root = rational_sqrt(x.payload)
+    return None if root is None else x.spec.element(root)
 
 
 def rational_sqrt(f):
@@ -889,6 +821,8 @@ def _finite_sqrt(x):
     """Tonelli-Shanks with field arithmetic only (any odd prime power), or None."""
     spec = x.spec
     q = spec.order()
+    if x.is_zero():
+        return x
     if (x ** ((q - 1) // 2)) != spec.one():
         return None
     if q % 4 == 3:
@@ -929,48 +863,6 @@ def _first_nonsquare(spec):
         if not is_square(x):
             return x
     raise NotAField("every element is a square?")  # unreachable for odd q
-
-
-def _quadratic_ext_sqrt(x):
-    """Closed-form square root in Q[a]/(a^2 + u*a + v), or None.
-
-    Writing x = p + q*a and y = c + e*a, the equation y^2 = x reduces to a
-    rational quadratic in w = e^2 whose solvability is decided exactly.
-    """
-    spec = x.spec
-    v, u, _ = (c.payload for c in spec.modulus)  # a^2 = -v - u*a
-    p, q = x.payload
-    candidates = []
-    if q == 0:
-        r = rational_sqrt(p)
-        if r is not None:
-            candidates.append((r, Fraction(0)))
-        # p may also be the square of a purely "irrational" element:
-        # (e*a)^2 = e^2 * a^2 only stays rational when u = 0
-        if u == 0:
-            r = rational_sqrt(p / Fraction(-v)) if v != 0 else None
-            if r is not None:
-                candidates.append((Fraction(0), r))
-    if not candidates:
-        # general case: (u^2 - 4v) w^2 + (2uq - 4p) w + q^2 = 0 with w = e^2
-        A = Fraction(u * u - 4 * v)
-        B = 2 * u * q - 4 * p
-        C = q * q
-        disc = B * B - 4 * A * C
-        root = rational_sqrt(disc)
-        if root is not None and A != 0:
-            for sign in (1, -1):
-                w = (-B + sign * root) / (2 * A)
-                e = rational_sqrt(w)
-                if e is None or e == 0:
-                    continue
-                c = (q / e + u * e) / 2
-                candidates.append((c, e))
-    for c, e in candidates:
-        y = spec.element([c, e])
-        if y * y == x:
-            return y
-    return None
 
 
 def embed(x, target):

@@ -26,9 +26,6 @@ from . import linalg
 from .errors import BoundsExceeded, DegenerateForm, FieldMismatch, Inconclusive, UnsupportedField
 from .fields import MR_BOUND, is_square, isprime, kept, rational_sqrt, sqrt
 
-#: cap on brute-force vector searches over Q (number of evaluations)
-SEARCH_CAP = 2 * 10**6
-
 
 class Place:
     """A place of Q: the real place or a finite prime."""
@@ -433,33 +430,18 @@ def _q_ternary_vector(entries):
     return None
 
 
-def _q_bounded_search(entries):
-    n = len(entries)
-    evals = 0
-    for height in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32):
-        rng = range(-height, height + 1)
-        for vec in itertools.product(rng, repeat=n):
-            evals += 1
-            if evals > SEARCH_CAP:
-                return None
-            if all(v == 0 for v in vec):
-                continue
-            if max(abs(v) for v in vec) != height:
-                continue  # only the new shell
-            if sum(f * v * v for f, v in zip(entries, vec)) == 0:
-                return [Fraction(v) for v in vec]
-    return None
-
-
 def _q_isotropic_vector(entries, squares):
     """An explicit nonzero zero of the diagonal form, or None when anisotropic.
 
     ``entries`` are nonzero rationals, made Fractions here so ``/`` is exact;
     ``squares`` are their square classes, which every subform reuses.
     The decision is always by invariants; the witness search escalates:
-    square-split pairs, isotropic ternary subforms (complete via Legendre
-    descent), a locally-filtered common value for the 2 + (n-2) block split,
-    and a bounded lattice search as backstop.
+    square-split pairs, isotropic ternary subforms (Legendre descent), then
+    a 2 + (n-2) block split on a common value t, |t| < 400, that the
+    invariants let both blocks represent.  The head block runs over every
+    pair <d_0, d_j>, j = 1 first, and a t whose sub-descent is inconclusive
+    is passed over.  There is no search past that: a form the split misses
+    raises :class:`~wittforge.errors.Inconclusive`.
     """
     entries = [Fraction(e) for e in entries]
     inv = _QInvariants(squares)
@@ -490,18 +472,22 @@ def _q_isotropic_vector(entries, squares):
                 return vec
     if n == 3:
         raise Inconclusive("ternary descent failed on an isotropic form")
-    # common represented value between the first pair and the rest
-    head, tail = entries[:2], entries[2:]
-    for t, primes in _candidate_values():
-        if (_QInvariants(squares[:2] + [(-t, primes)]).is_isotropic()
-                and _QInvariants(squares[2:] + [(t, primes)]).is_isotropic()):
-            head_vec = _q_represent(head, squares[:2], t, primes)
-            tail_vec = _q_represent(tail, squares[2:], -t, primes)
-            if head_vec is not None and tail_vec is not None:
-                return head_vec + tail_vec
-    vec = _q_bounded_search(entries)
-    if vec is not None:
-        return vec
+    # a value t represented by a head pair <d_0, d_j> and, negated, by the rest
+    for j in range(1, n):
+        head, tail = [0, j], [i for i in range(1, n) if i != j]
+        head_squares, tail_squares = [squares[i] for i in head], [squares[i] for i in tail]
+        for t, primes in _candidate_values():
+            if (_QInvariants(head_squares + [(-t, primes)]).is_isotropic()
+                    and _QInvariants(tail_squares + [(t, primes)]).is_isotropic()):
+                try:
+                    head_vec = _q_represent([entries[i] for i in head], head_squares, t, primes)
+                    tail_vec = _q_represent([entries[i] for i in tail], tail_squares, -t, primes)
+                except Inconclusive:
+                    continue  # this t's sub-descent failed; another t may serve
+                vec = [Fraction(0)] * n
+                for i, v in zip(head + tail, head_vec + tail_vec):
+                    vec[i] = v
+                return vec
     raise Inconclusive(
         "invariants certify isotropy but no witness was found within the caps"
     )
@@ -684,6 +670,13 @@ def signed_discriminant(x):
     return sign * det
 
 
+def require_witt_decision(field):
+    """Refuse a field over which :func:`witt_equal` decides nothing: it
+    decides over finite fields and Q alone."""
+    if not (field.is_finite or field.kind == "Q"):
+        raise UnsupportedField(f"no Witt equality decision over {field}")
+
+
 def witt_equal(a, b):
     """Equality in the Witt group W(F) for F finite or Q.
 
@@ -696,18 +689,14 @@ def witt_equal(a, b):
     fb = _as_form(b)
     if fa.field != fb.field:
         raise FieldMismatch(f"{fa.field} vs {fb.field}")
-    field = fa.field
-    if field.is_finite:
-        _, ea = _as_diagonal_entries(fa)
-        _, eb = _as_diagonal_entries(fb)
+    require_witt_decision(fa.field)
+    _, ea = _as_diagonal_entries(fa)
+    _, eb = _as_diagonal_entries(fb)
+    if fa.field.is_finite:
         if (len(ea) - len(eb)) % 2:
             return False
         da = signed_discriminant(fa)
         db = signed_discriminant(fb)
         return is_square(da * db)  # da/db is a square iff da*db is
-    if field.kind == "Q":
-        _, ea = _as_diagonal_entries(fa)
-        _, eb = _as_diagonal_entries(fb)
-        difference = [e.payload for e in ea] + [-e.payload for e in eb]
-        return _QInvariants([_square_class(x) for x in difference]).is_witt_trivial()
-    raise UnsupportedField(f"no Witt equality decision over {field}")
+    difference = [e.payload for e in ea] + [-e.payload for e in eb]
+    return _QInvariants([_square_class(x) for x in difference]).is_witt_trivial()

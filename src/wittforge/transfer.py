@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import FieldElement, FieldSpec, embed, factor_univariate, kept, spec_extends
-from .quadforms import QuadraticForm, signed_discriminant, witt_equal
+from .quadforms import QuadraticForm, require_witt_decision, signed_discriminant, witt_equal
 
 
 class ExtensionDatum:
@@ -425,7 +425,9 @@ def split_algebra(ext, L):
 
     E must be a one-step extension F[x]/(m); the factors are L[x]/(m_i) for
     the irreducible factors m_i of m over L, each packaged as (field, image
-    of x).  Inseparable (nonreduced) tensor products are rejected by the
+    of x).  L is finite or Q, where :func:`~wittforge.fields.factor_univariate`
+    factors; over any other L it raises ``FactorizationUnsupported``.
+    Inseparable (nonreduced) tensor products are rejected by the
     underlying factorization.
     """
     if ext.top.base != ext.bottom:
@@ -456,9 +458,15 @@ def _evaluate_into(e, target, x_image, bottom):
 
 
 def base_change_check(ext, L, q):
-    """res_L(transfer_{E/F} q) = sum of transfers over the factors of E(x)L."""
+    """res_L(transfer_{E/F} q) = sum of transfers over the factors of E(x)L.
+
+    Scalars L over which :func:`witt_equal` decides nothing (neither finite
+    nor Q) are refused before E's modulus is factored: the two sides could
+    be built but never compared.
+    """
     if q.field != ext.top:
         raise FieldMismatch(f"form over {q.field}, expected {ext.top}")
+    require_witt_decision(L)
     factors = split_algebra(ext, L)
     lhs = restrict_form(scharlau_transfer(ext, q), L)
     rhs = QuadraticForm(L, {}, 0)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wittforge import cli, koszul, quadforms, verify
+from wittforge import cli, fields, koszul, quadforms, transfer, verify
 from wittforge.cli import (
     COMMANDS,
     build_parser,
@@ -499,6 +499,24 @@ def test_reducible_user_modulus_is_usage(capsys):
     code, _, err = run(capsys, "witt", "diag", "--field", "Qcbrt8", "--form", "1,1")
     assert code == 2
     assert "reducible" in err
+
+
+@pytest.mark.parametrize(
+    "ext, scalars, modulus",
+    [("Qsqrt2/Q", "Qsqrt8", "-8"), ("Qsqrt2/Q", "Qsqrt5", "-5"), ("Qcbrt2/Q", "Qsqrt2", "-2")],
+)
+def test_base_change_without_a_witt_decision_is_refused_first(capsys, monkeypatch, ext, scalars, modulus):
+    # witt_equal decides over finite fields and Q alone: the scalars are
+    # refused before E's modulus is factored over them
+    def never(*args):
+        raise AssertionError("the base change factored before its refusal")
+
+    monkeypatch.setattr(transfer, "split_algebra", never)
+    monkeypatch.setattr(transfer, "factor_univariate", never)
+    monkeypatch.setattr(fields, "factor_univariate", never)
+    code, out, err = run(capsys, "transfer", "check-basechange", "--ext", ext, "--scalars", scalars)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: no Witt equality decision over Q[x]/({modulus}+1*x^2)"
 
 
 def test_unknown_suite_is_usage(capsys):

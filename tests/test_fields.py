@@ -24,6 +24,7 @@ from wittforge.errors import (
     FieldMismatch,
     NotAField,
     UnsupportedCharacteristic,
+    UnsupportedField,
 )
 from wittforge.fields import (
     MAX_TOWER_DEGREE,
@@ -339,17 +340,14 @@ def test_rational_sqrt_matches_integer_nthroot(f):
     assert root is None or (type(root) is Fraction and root >= 0 and root * root == f)
 
 
-def test_sqrt2_field_squares():
-    r = QSQRT2.generator()
-    assert is_square(QSQRT2.from_int(2))  # sqrt(2)^2
-    assert sqrt(QSQRT2.from_int(2)) in (r, -r)
-    # 3 + 2*sqrt(2) = (1 + sqrt(2))^2
-    x = QSQRT2.element([3, 2])
-    assert is_square(x)
-    s = sqrt(x)
-    assert s * s == x
-    assert not is_square(QSQRT2.from_int(3))
-    assert not is_square(QSQRT2.from_int(-1))
+def test_char0_extensions_have_no_square_roots():
+    # square roots in characteristic 0 are rational ones: Q(sqrt 2) has no
+    # Witt decision, so nothing needs its squares
+    for x in (QSQRT2.from_int(2), QSQRT2.element([3, 2]), QSQRT2.zero()):
+        with pytest.raises(UnsupportedField):
+            is_square(x)
+        with pytest.raises(UnsupportedField):
+            sqrt(x)
 
 
 # ---------------------------------------------------------------------------
@@ -536,18 +534,13 @@ def test_factor_remultiplication_random():
                     assert brute_force_monic_factors(spec, g, 1) == []
 
 
-def test_factor_x2_minus_2_over_sqrt2():
-    factors = factor_univariate([-2, 0, 1], QSQRT2)
-    assert len(factors) == 2
-    r = QSQRT2.generator()
-    roots = {-g[0] for g in factors}
-    assert roots == {r, -r}
-
-
-def test_factor_x2_minus_2_over_sqrt5():
-    qsqrt5 = FieldSpec.extension(Q, [-5, 0, 1])
-    factors = factor_univariate([-2, 0, 1], qsqrt5)
-    assert len(factors) == 1  # stays irreducible: 2 is not a square in Q(sqrt 5)
+def test_char0_extensions_neither_factor_nor_decide_irreducibility():
+    # characteristic-0 factoring is over Q alone; over Q(sqrt 2), x^2 - 2 is
+    # refused, and so is the modulus of a would-be Q(sqrt 2, sqrt 3)
+    with pytest.raises(FactorizationUnsupported):
+        factor_univariate([-2, 0, 1], QSQRT2)
+    with pytest.raises(NotAField):
+        FieldSpec.extension(QSQRT2, [-3, 0, 1])
 
 
 def test_factor_rejects_non_squarefree():
@@ -675,23 +668,12 @@ FROZEN_FACTORIZATIONS = [
     ("Q", [4, 0, -5, 0, 1], [["-1", "1"], ["1", "1"], ["-2", "1"], ["2", "1"]]),
     ("Q", [0, -2, 0, 1], [["0", "1"], ["-2", "0", "1"]]),
     ("Q", ["-1/3", "1/2", 0, 1], [["-1/3", "1/2", "0", "1"]]),
-    ("Qsqrt2", [-2, 0, 1], [[["0", "-1"], ["1", "0"]], [["0", "1"], ["1", "0"]]]),
-    (
-        "Qsqrt2",
-        [0, -2, 0, 1],
-        [[["0", "0"], ["1", "0"]], [["0", "-1"], ["1", "0"]], [["0", "1"], ["1", "0"]]],
-    ),
-    (
-        "Qsqrt2",
-        [6, -5, -2, 1],
-        [[["-1", "0"], ["1", "0"]], [["2", "0"], ["1", "0"]], [["-3", "0"], ["1", "0"]]],
-    ),
 ]
 
 
 @pytest.mark.parametrize("name,coeffs,expected", FROZEN_FACTORIZATIONS)
 def test_factor_univariate_frozen_order(name, coeffs, expected):
-    fields = {"F3": F3, "Q": Q, "Qsqrt2": QSQRT2}
+    fields = {"F3": F3, "Q": Q}
     field = fields[name] if name in fields else _prime_power_field(name)
     factors = factor_univariate([field.element(c) for c in coeffs], field)
     assert [[c.to_json() for c in g] for g in factors] == expected

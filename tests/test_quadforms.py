@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from sympy.ntheory.factor_ import core
 
 from wittforge import fields, linalg, quadforms
+from wittforge.cli import main
 from wittforge.errors import DegenerateForm, FieldMismatch, UnsupportedField
 from wittforge.fields import FieldSpec, find_irreducible, is_square
 from wittforge.quadforms import (
@@ -854,6 +855,21 @@ def test_witt_decompose_rational_frozen_cases():
         wc = witt_decompose(form)
         assert (wc.anisotropic.dim, wc.hyperbolic) == (aniso_dim, hyper), entries
         assert_certificate(form, wc)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[-26, -5, -21, 17], [-6, 10, 28, 15], [7, 3, -11, -30]],
+    ids=["head-past-d1", "inconclusive-t", "former-lattice-hit"],
+)
+def test_rational_split_tries_every_head_pair(capsys, entries):
+    # no |t| < 400 serves the head <d_0, d_1> of the first and third form,
+    # while <d_0, d_2> or <d_0, d_3> has one at once; on the second, sympy's
+    # ternary descent is inconclusive on a t, and a later t serves
+    assert main(["witt", "decompose", "--field", "Q", "--form=" + ",".join(map(str, entries))]) == 0
+    assert capsys.readouterr().out.startswith("hyperbolic planes: 1, anisotropic dimension: 2")
+    form = QuadraticForm.diagonal(Q, entries)
+    assert_certificate(form, witt_decompose(form))
 
 
 def test_witt_decompose_rational_random():

@@ -178,6 +178,30 @@ MUTANTS = [
         FORM_TESTS,
     ),
     (
+        "the rational split tries only the head pair <d_0, d_1>",
+        "quadforms.py",
+        "_q_isotropic_vector",
+        "for j in range(1, n):",
+        "for j in range(1, 2):",
+        ("tests/test_quadforms.py",),
+    ),
+    (
+        "the rational split gives up on the first t whose sub-descent is inconclusive",
+        "quadforms.py",
+        "_q_isotropic_vector",
+        "except Inconclusive:\n                    continue",
+        "except Inconclusive:\n                    raise",
+        ("tests/test_quadforms.py",),
+    ),
+    (
+        "base change factors E's modulus over scalars it cannot decide on",
+        "transfer.py",
+        "base_change_check",
+        "require_witt_decision(L)",
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    (
         "every row of the trace form reads M(b_0)",
         "transfer.py",
         "_trace_gram",
