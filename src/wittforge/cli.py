@@ -4,8 +4,11 @@ Exit codes: 0 when every requested case passes (or the command is a pure
 query), 1 when a mathematical claim fails — always with a witness in the
 output — and 2 for usage problems (unparseable input, out-of-bounds
 requests).  ``--json`` switches to machine output, which is byte-for-byte
-reproducible for a fixed ``--seed``; any flag value of the form
-``@file.json`` is read from that file first.
+reproducible for a fixed ``--seed``.  argparse reads a text flag's ``@path``
+value from that file (:func:`_text`), inside :func:`main`'s ``try``; an ``@``
+within a value is text.  ``--bound`` alone sets the internal-degree bound, and
+a prime from ``F<q>``, ``--place`` or a JSON ring is refused at or above
+``fields.MR_BOUND`` before any primality test.
 
 Each ``cmd_*`` handler maps the parsed ``args`` to its answer
 ``(held, payload, human)`` and prints nothing.  :func:`main` alone writes
@@ -15,7 +18,6 @@ otherwise; it exits 0 when the answer holds and 1 when it does not.
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -37,7 +39,7 @@ from .errors import (
     ParityError,
     WittforgeError,
 )
-from .fields import MR_BOUND, FieldSpec, prime_power
+from .fields import FieldSpec, prime_power, require_exact_primality
 from .koszul import (
     DEFAULT_BOUND,
     KoszulDatum,
@@ -77,17 +79,17 @@ _USAGE_ERRORS = (ValueError, TypeError, KeyError, OSError)
 # ---------------------------------------------------------------------------
 
 
-def _resolve(value):
-    """``@path`` pulls the actual value from a file."""
-    if isinstance(value, str) and value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
+def _text(value):
+    """A text flag's value; ``@path`` reads it from that file."""
+    if value.startswith("@"):
+        with open(value[1:], encoding="utf-8") as fh:
             return fh.read()
     return value
 
 
 def parse_field(text):
     """``Q``, ``F<q>`` (q an odd prime power below ``MR_BOUND``), ``Qsqrt<n>``, ``Qcbrt<n>``."""
-    text = _resolve(text).strip()
+    text = text.strip()
     if text == "Q":
         return FieldSpec.Q()
     if text.startswith("Qsqrt"):
@@ -99,9 +101,7 @@ def parse_field(text):
         q = int(text[1:])
         if q < 3 or q % 2 == 0:
             raise ValueError(f"no odd finite field of order {q}")
-        if q >= MR_BOUND:  # before any primality test: above it, isprime is sympy's and slow
-            raise BoundsExceeded(f"F<q> takes q below {MR_BOUND}, where primality is exact")
-        power = prime_power(q)
+        power = prime_power(require_exact_primality(q, "F<q> takes q"))
         if power is None:
             raise ValueError(f"{q} is not a prime power")
         return extension_of(FieldSpec.Fp(power[0]), power[1])
@@ -123,7 +123,7 @@ def parse_extension(text):
     deterministic degree-2 step over the bottom, so the pair is always a
     simple extension datum, never a flattened tower.
     """
-    text = _resolve(text).strip()
+    text = text.strip()
     parts = text.split("/")
     if len(parts) != 2:
         raise ValueError(f"extension shorthand must be TOP/BOTTOM, got {text!r}")
@@ -150,7 +150,7 @@ def _step_over(bottom, top_text):
 
 def parse_tower(text):
     """``TOP/MID/BOTTOM`` -> (outer datum MID/BOTTOM, inner datum TOP/MID)."""
-    text = _resolve(text).strip()
+    text = text.strip()
     parts = text.split("/")
     if len(parts) != 3:
         raise ValueError(f"tower shorthand must be TOP/MID/BOTTOM, got {text!r}")
@@ -163,7 +163,7 @@ def parse_tower(text):
 def parse_form(field, text):
     """A Gram matrix as JSON rows, or comma-separated diagonal entries:
     the one reader of dense Gram rows."""
-    text = _resolve(text).strip()
+    text = text.strip()
     if text.startswith("["):
         rows = json.loads(text)
         if not all(isinstance(row, list) for row in rows):
@@ -185,7 +185,7 @@ _FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(\d+))?$")
 
 def parse_poly(ring, text):
     """Sums of integer- or fraction-weighted monomials: ``2*x^2*y - z``."""
-    text = _resolve(text).replace(" ", "")
+    text = text.replace(" ", "")
     if not text:
         raise ValueError("empty polynomial")
     terms, buf = [], ""
@@ -227,12 +227,12 @@ def parse_poly(ring, text):
 
 def parse_datum(args):
     """The ``--vars``/``--section``/``--field``/``--twist`` flag cluster."""
-    names = tuple(v.strip() for v in _resolve(args.vars).split(",") if v.strip())
+    names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not names:
         raise ValueError("--vars needs at least one variable name")
     field = parse_field(args.field)
     ring = PolyRing(field, names)
-    section = [parse_poly(ring, s) for s in _resolve(args.section).split(",") if s.strip()]
+    section = [parse_poly(ring, s) for s in args.section.split(",") if s.strip()]
     if not section:
         raise ValueError("empty section")
     twist = None if args.twist is None else ring.from_int(args.twist)
@@ -240,33 +240,13 @@ def parse_datum(args):
 
 
 def parse_complex(text):
-    """A complex from a JSON object: ``ring`` and ``terms`` objects, optional ``diffs``."""
-    obj = json.loads(_resolve(text))
-    if not isinstance(obj, dict) or any(
-        not isinstance(obj.get(key, {}), dict) for key in ("ring", "terms", "diffs")
-    ):
-        raise ValueError("a complex is a JSON object with 'ring', 'terms' and 'diffs' objects")
-    for degree, rows in obj.get("diffs", {}).items():
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ValueError(
-                f"the differential at degree {degree} must be a list of rows, each a list of entries"
-            )
-    try:
-        return ChainComplex.from_json(obj)
-    except KeyError as err:
-        raise ValueError(f"the complex JSON has no {err.args[0]!r} key") from None
+    """A complex from JSON text, checked by :meth:`ChainComplex.from_json`."""
+    return ChainComplex.from_json(json.loads(text))
 
 
 def parse_element(field, text):
-    text = _resolve(text).strip()
+    text = text.strip()
     return field.element(json.loads(text) if text.startswith("[") else text)
-
-
-def _effective_bound(args):
-    env = os.environ.get("WITTFORGE_BOUND")
-    if env is not None:
-        return int(env)
-    return DEFAULT_BOUND if args.bound is None else args.bound
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +304,7 @@ def cmd_witt_equal(args):
 
 
 def cmd_witt_hilbert(args):
-    place = Place.parse(_resolve(args.place))
+    place = Place.parse(args.place)
     symbol = hilbert_symbol(args.a, args.b, place)
     return True, {"a": args.a, "b": args.b, "place": str(place), "symbol": symbol}, str(symbol)
 
@@ -401,7 +381,7 @@ def cmd_complex_homology(args):
     if getattr(cx.ring, "is_field", False):
         dims = {str(n): d for n, d in sorted(homology_dims(cx).items())}
     else:
-        graded = graded_homology_dims(cx, _effective_bound(args))
+        graded = graded_homology_dims(cx, args.bound)
         dims = {f"{n},{t}": d for (n, t), d in sorted(graded.items())}
     return True, {"dims": dims}, json.dumps(dims, sort_keys=True) if dims else "exact"
 
@@ -436,7 +416,7 @@ def cmd_koszul_verify_xmap(args):
 
 def cmd_koszul_verify_trace(args):
     k = parse_datum(args)
-    cert = trace_diagram(k, bound=_effective_bound(args)).certificate
+    cert = trace_diagram(k, bound=args.bound).certificate
     human = (
         f"pass: homology concentrated in degree {cert['socle_degree']}"
         f" through internal degree {cert['bound']}"
@@ -476,7 +456,7 @@ def cmd_proj_phi_r(args):
 
 
 def cmd_verify(args):
-    kwargs = {"seed": args.seed, "size": args.size, "bound": _effective_bound(args)}
+    kwargs = {"seed": args.seed, "size": args.size, "bound": args.bound}
     if args.suite == "all":
         reports = run_all(**kwargs)
     elif args.suite in SUITES:
@@ -510,9 +490,11 @@ def cmd_verify(args):
 
 
 def _arg(name, **kwargs):
-    """``(name, add_argument keywords)``; a flag without a default is required."""
+    """``(name, add_argument keywords)``; a flag without a default is required,
+    and one without a type is text (:func:`_text`)."""
     if name.startswith("-") and "default" not in kwargs:
         kwargs["required"] = True
+    kwargs.setdefault("type", _text)
     return name, kwargs
 
 
@@ -587,9 +569,8 @@ def build_parser(group=None):
     parser.add_argument(
         "--bound",
         type=int,
-        default=None,
-        help=f"internal-degree bound for graded exactness (default {DEFAULT_BOUND}; "
-        "the WITTFORGE_BOUND environment variable wins)",
+        default=DEFAULT_BOUND,
+        help=f"internal-degree bound for graded exactness (default {DEFAULT_BOUND})",
     )
     groups = parser.add_subparsers(dest="group", required=True)
     for name, (help_text, body) in COMMANDS.items():
@@ -614,8 +595,9 @@ def _fill(parser, handler, arguments):
 def main(argv=None):
     # before the first group name come only global flags and their int values
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
+        # inside the try: reading an @path value is parsing, and may fail
+        args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
         try:
             held, payload, human = args.handler(args)
         except (NotRegularSequence, ParityError, Inconclusive) as err:

@@ -164,15 +164,26 @@ class ChainComplex:
     def from_json(cls, obj):
         """The complex ``to_json`` writes: the one reader of dense differentials.
 
-        The ranks are checked first, then each differential's shape; one
-        between missing terms must be zero, and is dropped.
+        The containers are checked first (``ring``, ``terms`` and optional
+        ``diffs`` objects, each differential a list of rows), then the ranks,
+        then each differential's shape; one between missing terms must be zero.
         """
-        ring = ring_from_json(obj["ring"])
-        terms = {int(n): r for n, r in obj["terms"].items()}
-        diffs = {
-            int(n): [[element_from_ring_json(ring, x) for x in row] for row in mat]
-            for n, mat in obj.get("diffs", {}).items()
-        }
+        if not isinstance(obj, dict) or any(
+            not isinstance(obj.get(key, {}), dict) for key in ("ring", "terms", "diffs")
+        ):
+            raise ValueError("a complex is a JSON object with 'ring', 'terms' and 'diffs' objects")
+        for degree, rows in obj.get("diffs", {}).items():
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise ValueError(f"the differential at degree {degree} must be a list of rows, each a list of entries")
+        try:
+            ring = ring_from_json(obj["ring"])
+            terms = {int(n): r for n, r in obj["terms"].items()}
+            diffs = {
+                int(n): [[element_from_ring_json(ring, x) for x in row] for row in mat]
+                for n, mat in obj.get("diffs", {}).items()
+            }
+        except KeyError as err:
+            raise ValueError(f"the complex JSON has no {err.args[0]!r} key") from None
         terms = _ranks(terms)
         mats = {}
         for n, mat in diffs.items():

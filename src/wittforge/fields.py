@@ -107,7 +107,7 @@ class FieldSpec:
     def Fp(cls, p):
         if p == 2:
             raise UnsupportedCharacteristic("characteristic 2 is not supported")
-        if not isprime(p):
+        if not isprime(require_exact_primality(p, "F_p takes p")):
             raise NotAField(f"{p} is not prime")
         return cls("Fp", p=p)
 
@@ -117,10 +117,10 @@ class FieldSpec:
 
         The modulus must be monic of degree >= 2 and irreducible over
         ``base``.  Irreducibility is decided by Ben-Or's gcd test, the first
-        rung of distinct-degree factorization, over finite fields, by the
-        rational-root test (complete through degree 3) over Q, and by a
-        discriminant square test for quadratics over the supported
-        Q-extensions; outside those regimes the caller must vouch with
+        rung of distinct-degree factorization, over finite fields, and by the
+        rational-root test (complete through degree 3) over Q; outside those
+        regimes (a higher degree over Q, any modulus over an extension of Q)
+        it raises ``NotAField`` unless the caller vouches with
         ``assume_irreducible=True``.
         """
         coeffs = _trim_raw([base.element(c).payload for c in modulus], base._kernel.is_zero)
@@ -781,7 +781,7 @@ def _factor_rational_poly(f):
 
 
 # ---------------------------------------------------------------------------
-# squares, square roots, embeddings, frobenius
+# squares, square roots, embeddings
 # ---------------------------------------------------------------------------
 
 
@@ -895,6 +895,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3317044064679887385961981
 
 
+def require_exact_primality(n, what):
+    """``n`` below ``MR_BOUND``, where :func:`isprime` is exact and fast; else
+    ``BoundsExceeded`` naming ``what``, not n.  Input primes pass here first."""
+    if n >= MR_BOUND:
+        raise BoundsExceeded(f"{what} below {MR_BOUND}, where primality is exact")
+    return n
+
+
 def isprime(n):
     """Whether the integer n is prime: deterministic Miller-Rabin below
     3.3e24, sympy's test above."""
@@ -903,7 +911,9 @@ def isprime(n):
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    if n >= MR_BOUND:
+    try:
+        require_exact_primality(n, "Miller-Rabin takes n")
+    except BoundsExceeded:  # past the exact range: sympy's test
         import sympy
         return sympy.isprime(n)
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd

@@ -3,11 +3,12 @@
 Forms are symmetric Gram matrices over a :class:`~wittforge.fields.FieldSpec`
 of characteristic != 2, stored as :mod:`~wittforge.linalg` sparse matrices
 and diagonalized by :func:`~wittforge.linalg.congruence`.
-The Witt-group machinery is complete over finite fields (exhaustive isotropy
-searches with explicit caps) and over Q (Hasse-Minkowski invariants decide
-isotropy and Witt equality; explicit isotropic vectors come from exact square
-detection, Legendre-style ternary solving, and a locally-filtered
-common-value search).  Over Q each rational is factored once, into its
+The Witt-group machinery is complete over finite fields (an isotropic vector
+comes from a square ratio -d_i/d_j, or else from a ternary scan over the
+field's elements, which Chevalley-Warning makes end at a hit) and over Q
+(Hasse-Minkowski invariants decide isotropy and Witt equality; explicit
+isotropic vectors come from exact square detection, Legendre-style ternary
+solving, and a locally-filtered common-value search).  Over Q each rational is factored once, into its
 square class (a squarefree integer, with the primes dividing it), and the
 Hasse symbols are taken one Hilbert symbol per entry and place.  Anisotropy
 over Q is always certified by invariants, never by a search running out of
@@ -23,8 +24,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .errors import BoundsExceeded, DegenerateForm, FieldMismatch, Inconclusive, UnsupportedField
-from .fields import MR_BOUND, is_square, isprime, kept, rational_sqrt, sqrt
+from .errors import DegenerateForm, FieldMismatch, Inconclusive, UnsupportedField
+from .fields import is_square, isprime, kept, rational_sqrt, require_exact_primality, sqrt
 
 
 class Place:
@@ -50,10 +51,7 @@ class Place:
         text = str(text).strip().lower()
         if text in ("inf", "infinity", "oo", "real"):
             return cls.infinity()
-        p = int(text)
-        if p >= MR_BOUND:  # before the primality test: above it, isprime is sympy's and slow
-            raise BoundsExceeded(f"a place is a prime below {MR_BOUND}, where primality is exact")
-        return cls(p)
+        return cls(require_exact_primality(int(text), "a place is a prime"))
 
     def __eq__(self, other):
         return isinstance(other, Place) and self.p == other.p

@@ -129,7 +129,7 @@ def _times_basis(spec, bottom, payload):
 def _trace_gram(ext):
     """The matrix [Tr(b_i b_k)]: row i is (Tr b_0, ..., Tr b_{n-1}) * M(b_i),
     read off the multiplication table, so no basis pair is multiplied in E."""
-    traces = linalg.sparse([[ext.trace(b) for b in ext.basis]])
+    traces = linalg.sparse([ext._basis_traces()])
     rows = (linalg.product(ext.bottom, traces, m).get(0) for m in ext._mult_table())
     return {i: row for i, row in enumerate(rows) if row}
 

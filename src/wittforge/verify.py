@@ -232,7 +232,7 @@ def coordinate_datum(d):
 # ---------------------------------------------------------------------------
 
 
-def verify_scharlau(seed, size, bound=None):
+def verify_scharlau(seed, size, bound):
     F3 = FieldSpec.Fp(3)
     F9 = extension_of(F3, 2)
     ext = ExtensionDatum(F9, F3)
@@ -283,7 +283,7 @@ def _cartan_refuted(ext):
     return None
 
 
-def verify_adjunction(seed, size, bound=None):
+def verify_adjunction(seed, size, bound):
     """Triangle identities, and comparison-map invertibility followed by the
     Cartan route against the Scharlau transfer, degree by degree.  The route
     is compared only once the matrix is invertible, since a degenerate trace
@@ -313,7 +313,7 @@ def verify_adjunction(seed, size, bound=None):
         )
 
 
-def verify_towers(seed, size, bound=None):
+def verify_towers(seed, size, bound):
     """Transfer along a two-step tower against the composite of the steps."""
     rng = random.Random(seed)
     law = "transfer along a tower equals the composite of the stepwise transfers"
@@ -350,7 +350,7 @@ def verify_towers(seed, size, bound=None):
         )
 
 
-def verify_base_change(seed, size, bound=None):
+def verify_base_change(seed, size, bound):
     """Transfer commutes with extending scalars, split algebra and all."""
     rng = random.Random(seed)
     law = "transferring then extending scalars matches extending then transferring"
@@ -372,7 +372,7 @@ def verify_base_change(seed, size, bound=None):
         )
 
 
-def verify_projection(seed, size, bound=None):
+def verify_projection(seed, size, bound):
     """The projection formula in the Witt ring."""
     rng = random.Random(seed)
     law = "transfer(x . restricted y) equals transfer(x) . y up to Witt equivalence"
@@ -393,7 +393,7 @@ def verify_projection(seed, size, bound=None):
         )
 
 
-def verify_theta(seed, size, bound=None):
+def verify_theta(seed, size, bound):
     """The unit adjunct of the Koszul multiplication against the pairing,
     with the laws it is built from: delta is unital, and up to rank 2 it is
     associative and the tensor-hom adjunction satisfies its triangle
@@ -427,7 +427,7 @@ def verify_theta(seed, size, bound=None):
             )
 
 
-def verify_trace(seed, size, bound=DEFAULT_BOUND):
+def verify_trace(seed, size, bound):
     """Exactness of the augmented Koszul complex, and rejection without it.
 
     The rank-1 case comes first: its terms off the socle start at internal
@@ -466,7 +466,7 @@ def verify_trace(seed, size, bound=DEFAULT_BOUND):
     )
 
 
-def verify_split(seed, size, bound=None):
+def verify_split(seed, size, bound):
     for d in range(1, 4):
         k = coordinate_datum(d)
         yield (
@@ -491,7 +491,7 @@ def _formula_mismatch(r, twists, fields, differs):
     return witness
 
 
-def verify_cohomology(seed, size, bound=None):
+def verify_cohomology(seed, size, bound):
     """Line bundles on projective space: decomposition vs closed formulas."""
     F7 = FieldSpec.Fp(7)
     for r in range(1, 5):
@@ -512,7 +512,7 @@ def verify_cohomology(seed, size, bound=None):
         )
 
 
-def verify_phi(seed, size, bound=None):
+def verify_phi(seed, size, bound):
     for r in (1, 3):
 
         def pushes_to_zero():
@@ -557,7 +557,7 @@ _WITT_LAWS = (
 )
 
 
-def verify_witt(seed, size, bound=None):
+def verify_witt(seed, size, bound):
     """Ring axioms on random Witt classes, plus the split of <1,1,1,1>."""
     rng = random.Random(seed)
     for p in PRIMES:
@@ -592,7 +592,7 @@ def verify_witt(seed, size, bound=None):
         )
 
 
-def verify_hilbert(seed, size, bound=None):
+def verify_hilbert(seed, size, bound):
     """The product formula for Hilbert symbols over the rationals."""
     rng = random.Random(seed)
     nonzero = [s for s in range(-30, 31) if s != 0]
@@ -616,7 +616,7 @@ def verify_hilbert(seed, size, bound=None):
         )
 
 
-def verify_bidual(seed, size, bound=None):
+def verify_bidual(seed, size, bound):
     """The dual of the bidual map inverts the bidual map of the dual."""
     rng = random.Random(seed)
     F5 = FieldSpec.Fp(5)
@@ -707,18 +707,16 @@ def _reraise(err):
     raise err
 
 
-def run_suite(name, seed=0, size=None, bound=None):
+def run_suite(name, seed=0, size=None, bound=DEFAULT_BOUND):
     """One suite's report; ``size`` is checked by :func:`_check_size` before any
     case runs.  Each check runs as soon as its case is yielded, before the
     suite builds the next input."""
     _check_size(name, size)
-    kwargs = {"seed": seed, "size": SUITES[name][1] if size is None else size}
-    if bound is not None:
-        kwargs["bound"] = bound
+    size = SUITES[name][1] if size is None else size
     start = time.perf_counter()
     cases = []
     try:
-        for cid, law, inputs, check in SUITES[name][0](**kwargs):
+        for cid, law, inputs, check in SUITES[name][0](seed=seed, size=size, bound=bound):
             cases.append(_filed(cid, law, inputs, check))
     except BoundsExceeded:
         raise
@@ -730,7 +728,7 @@ def run_suite(name, seed=0, size=None, bound=None):
     return VerificationReport(name, cases, wall_time=time.perf_counter() - start)
 
 
-def run_all(seed=0, size=None, bound=None):
+def run_all(seed=0, size=None, bound=DEFAULT_BOUND):
     """Every suite's report, in name order, with ``size`` given to the suites
     that take one.  A size that one of them rejects raises before the first
     suite runs.  The trace suite runs first, so a bound that it refuses raises

@@ -157,7 +157,7 @@ def test_transfer_form_rational(capsys):
 #: sha256 of the ``--help`` output at 80 columns of the top level, of each group
 #: and of each command: help, usage and choice text change only on purpose
 HELP_DIGESTS = {
-    "": "757e797ebf90157aea6fa8f0b78d235ce0953f3a370f910ceb38645192b38b49",
+    "": "cf8695d6ba6f78c6da4d3bfabdadb6dcadd2681cfb7a397966548701f067c47c",
     "witt": "d0fc776da17aca9c600831d0237101ed7259dc8f6a60eb4f8ddefda451d06a8d",
     "transfer": "79340f42ea02e08b380a82059add513625831d68bc939e18f60b509dfdbc8699",
     "complex": "b630f51c0e4a0d895f56fe83b7f42df1f30ec042376a5a088c8d72f0d9224a64",
@@ -270,7 +270,10 @@ def test_argparse_errors_are_pinned(capsys, monkeypatch, argv, stderr):
 # the answer contract
 # ---------------------------------------------------------------------------
 
-#: a README input for every handler in COMMANDS; ``{cx}`` names a complex over F5
+#: a complex over F5, which ``{cx}`` names in README_INPUTS
+README_CX = {"ring": {"kind": "Fp", "p": 5}, "terms": {"0": 1, "1": 2}, "diffs": {"1": [[1, 2]]}}
+
+#: a README input for every handler in COMMANDS
 README_INPUTS = {
     "witt diag": "--field Q --form [[0,1],[1,0]]",
     "witt decompose": "--field F3 --form 1,1,1,1",
@@ -307,8 +310,7 @@ def test_a_handler_returns_its_answer_and_main_prints_it(capsys, tmp_path, comma
     # the handler prints nothing; main prints its payload under --json, its
     # human text otherwise, and exits 0 exactly when the answer holds
     cx = tmp_path / "cx.json"
-    cx.write_text(json.dumps({"ring": {"kind": "Fp", "p": 5}, "terms": {"0": 1, "1": 2},
-                              "diffs": {"1": [[1, 2]]}}))
+    cx.write_text(json.dumps(README_CX))
     argv = command.split() + README_INPUTS[command].format(cx=cx).split()
     args = build_parser().parse_args(argv)
     held, payload, human = args.handler(args)
@@ -319,6 +321,39 @@ def test_a_handler_returns_its_answer_and_main_prints_it(capsys, tmp_path, comma
         assert main(mode + argv) == (0 if held else 1)
         out = capsys.readouterr()
         assert (untimed(out.out), out.err) == (untimed(text) + "\n", "")
+
+
+def _text_values(command):
+    """The README argv of ``command`` with each ``@{cx}`` inlined, and the
+    positions in it of the values its text flags take."""
+    group, _, name = command.partition(" ")
+    parser = _subparsers(_subparsers(build_parser())[group]).get(name)
+    flags = {o for a in getattr(parser, "_actions", ()) if a.type is cli._text for o in a.option_strings}
+    argv = command.split() + [
+        json.dumps(README_CX) if t == "@{cx}" else t for t in README_INPUTS[command].split()
+    ]
+    return argv, [i + 1 for i, t in enumerate(argv) if t in flags]
+
+
+@pytest.mark.parametrize("command", [c for c in sorted(README_INPUTS) if _text_values(c)[1]])
+def test_every_text_flag_reads_the_same_from_a_file(capsys, tmp_path, command):
+    # argparse reads @path for every flag without a type: each such value,
+    # passed as a file, prints the bytes and exit code it gives inline
+    argv, at = _text_values(command)
+    inline = [run(capsys, *mode, *argv) for mode in ([], ["--json"])]
+    for i in at:
+        path = tmp_path / f"value{i}.txt"
+        path.write_text(argv[i], encoding="utf-8")
+        from_file = [*argv[:i], f"@{path}", *argv[i + 1 :]]
+        assert [run(capsys, *mode, *from_file) for mode in ([], ["--json"])] == inline
+
+
+def test_a_missing_file_is_one_usage_line(capsys, tmp_path):
+    # argparse opens the file inside main's try, so a missing one is one line
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "witt", "diag", "--field", f"@{missing}", "--form", "1,2")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1
 
 
 #: replaces stdout by one whose every write raises, then runs main on argv
@@ -486,6 +521,23 @@ def test_places_past_the_primality_bound_are_refused_first(capsys, monkeypatch):
     monkeypatch.undo()
     assert run(capsys, *argv, str(MR_BOUND - 2))[0] == 2  # below the bound: tested, not prime
     assert run(capsys, *argv, "5")[:2] == (0, "-1")
+
+
+def test_json_primes_past_the_primality_bound_are_refused_first(capsys, tmp_path, monkeypatch):
+    # a JSON ring's p meets the cap of F<q> and --place: 10^999 + 7 went
+    # through sympy's probabilistic test, and complex homology exited 0
+    monkeypatch.setattr(fields, "isprime", lambda p: pytest.fail(f"isprime({p}) ran"))
+    path = tmp_path / "cx.json"
+    start = time.perf_counter()
+    for p in (10**999 + 7, MR_BOUND):
+        path.write_text(json.dumps({"ring": {"kind": "Fp", "p": p}, "terms": {"0": 1}}))
+        code, out, err = run(capsys, "complex", "homology", "--a", f"@{path}")
+        assert (code, out) == (2, "")
+        assert err.startswith("out of bounds:") and "\n" not in err and len(err) < 200
+    assert time.perf_counter() - start < 1
+    monkeypatch.undo()
+    path.write_text(json.dumps({"ring": {"kind": "Fp", "p": 5}, "terms": {"0": 1}}))
+    assert run(capsys, "complex", "homology", "--a", f"@{path}")[:2] == (0, '{"0": 1}')
 
 
 def test_bad_field_is_usage(capsys):
@@ -797,7 +849,7 @@ def test_exponent_the_ring_cannot_have_is_one_line_exit_2(capsys, tmp_path, exp)
     assert run(capsys, "complex", "homology", "--a", f"@{path}")[0] == 0
 
 
-#: Q(sqrt 2), over which only quadratic moduli are decided
+#: Q(sqrt 2), over which no modulus is decided
 QSQRT2_JSON = {"kind": "ext", "base": {"kind": "Q"}, "modulus": [-2, 0, 1]}
 
 
@@ -850,26 +902,16 @@ def test_koszul_verify_split(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the bound flag and environment override
+# the bound flag
 # ---------------------------------------------------------------------------
 
 
-def test_bound_flag(capsys, monkeypatch):
-    monkeypatch.delenv("WITTFORGE_BOUND", raising=False)
+def test_bound_flag(capsys):
     code, out, _ = run(
         capsys, "--json", "--bound", "3", "koszul", "verify-trace", "--vars", "x", "--section", "x"
     )
     assert code == 0
     assert json.loads(out)["certificate"]["bound"] == 3
-
-
-def test_bound_env_wins(capsys, monkeypatch):
-    monkeypatch.setenv("WITTFORGE_BOUND", "4")
-    code, out, _ = run(
-        capsys, "--json", "--bound", "2", "koszul", "verify-trace", "--vars", "x", "--section", "x"
-    )
-    assert code == 0
-    assert json.loads(out)["certificate"]["bound"] == 4
 
 
 XX_TRACE = ("koszul", "verify-trace", "--vars", "x,y", "--section", "x,x")
@@ -880,34 +922,27 @@ XX_OUT_OF_BOUNDS = (
 
 
 @pytest.mark.parametrize(
-    "env, argv, message",
+    "argv, message",
     [
-        (None, ("--bound", "-2", *XX_TRACE), XX_OUT_OF_BOUNDS.format(-2)),
-        (None, ("--bound", "-5", *XX_TRACE), XX_OUT_OF_BOUNDS.format(-5)),
-        ("-5", XX_TRACE, XX_OUT_OF_BOUNDS.format(-5)),
+        (("--bound", "-2", *XX_TRACE), XX_OUT_OF_BOUNDS.format(-2)),
+        (("--bound", "-5", *XX_TRACE), XX_OUT_OF_BOUNDS.format(-5)),
         (
-            None,
             ("--bound", "-3", "verify", "trace"),
             "out of bounds: internal-degree bound -3 is below 0, the lowest at which "
             "homology away from degree -1 can live",
         ),
     ],
-    ids=["xx-bound-2", "xx-bound-5", "xx-env-5", "verify-trace-bound-3"],
+    ids=["xx-bound-2", "xx-bound-5", "verify-trace-bound-3"],
 )
-def test_empty_bound_window_is_one_line_usage(capsys, monkeypatch, env, argv, message):
+def test_empty_bound_window_is_one_line_usage(capsys, argv, message):
     # a window that holds none of the checked homology certifies nothing:
     # exit 2 with one line on stderr, never a pass
-    if env is None:
-        monkeypatch.delenv("WITTFORGE_BOUND", raising=False)
-    else:
-        monkeypatch.setenv("WITTFORGE_BOUND", env)
     assert run(capsys, *argv) == (2, "", message)
 
 
-def test_graded_window_past_the_cap_is_one_line_usage(capsys, monkeypatch):
+def test_graded_window_past_the_cap_is_one_line_usage(capsys):
     # the window -2000000..6 would be walked degree by degree (about 10 s,
     # one socle entry per degree); it is refused before any graded piece
-    monkeypatch.delenv("WITTFORGE_BOUND", raising=False)
     argv = ("--json", "koszul", "verify-trace", "--vars", "x", "--section", "x^2000000")
     assert run(capsys, *argv) == (
         2,
@@ -936,7 +971,6 @@ def test_graded_window_past_the_cap_is_one_line_usage(capsys, monkeypatch):
 def test_verify_all_checks_the_bound_before_any_suite(capsys, monkeypatch, bound, message):
     # the trace suite runs first, so an empty window or one past the cap is
     # refused before any other suite's work
-    monkeypatch.delenv("WITTFORGE_BOUND", raising=False)
     suites = []
     run_suite = verify.run_suite
 

@@ -511,6 +511,30 @@ MUTANTS = [
         "ring.field.element",
         ("tests/test_cli.py",),
     ),
+    (
+        "a flag without a type is not text: argparse leaves @path unread",
+        "cli.py",
+        "_arg",
+        "kwargs.setdefault('type', _text)",
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "the primality cap lets MR_BOUND itself through",
+        "fields.py",
+        "require_exact_primality",
+        "n >= MR_BOUND",
+        "n > MR_BOUND",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "the complex JSON reader skips its container check",
+        "complexes.py",
+        "ChainComplex.from_json",
+        "if not isinstance(obj, dict) or any(",
+        "if False and any(",
+        ("tests/test_cli.py",),
+    ),
 ]
 
 
