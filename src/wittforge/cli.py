@@ -25,7 +25,6 @@ from fractions import Fraction
 from . import linalg
 from .complexes import (
     ChainComplex,
-    DualityDatum,
     dualize,
     graded_homology_dims,
     hom_complex,
@@ -80,10 +79,14 @@ _USAGE_ERRORS = (ValueError, TypeError, KeyError, OSError)
 
 
 def _text(value):
-    """A text flag's value; ``@path`` reads it from that file."""
+    """A text flag's value; ``@path`` reads it from that file.  A file that is
+    not UTF-8 raises ``OSError``, which argparse lets through to :func:`main`."""
     if value.startswith("@"):
         with open(value[1:], encoding="utf-8") as fh:
-            return fh.read()
+            try:
+                return fh.read()
+            except UnicodeDecodeError as err:
+                raise OSError(f"{value[1:]!r} is not UTF-8 text: {err.reason}") from None
     return value
 
 
@@ -370,9 +373,7 @@ def cmd_complex_hom(args):
 
 
 def cmd_complex_dual(args):
-    cx = parse_complex(args.a)
-    datum = DualityDatum(cx.ring, twist=cx.ring.from_int(args.twist), degree=args.degree)
-    out = dualize(cx, datum)
+    out = dualize(parse_complex(args.a), args.degree)
     return True, out.to_json(), repr(out)
 
 
@@ -534,8 +535,8 @@ COMMANDS = {
         "tensor": ("tensor product of two complexes", cmd_complex_tensor,
                    [_arg("--a", help="complex JSON (use @file.json)"), _B]),
         "hom": ("internal hom of two complexes", cmd_complex_hom, [_A, _B]),
-        "dual": ("dual against a twist in a degree", cmd_complex_dual, [
-            _A, _arg("--twist", type=int, default=1), _arg("--degree", type=int, default=0)]),
+        "dual": ("dual into the ring in a degree", cmd_complex_dual,
+                 [_A, _arg("--degree", type=int, default=0)]),
         "homology": ("homology dimensions (graded when needed)", cmd_complex_homology, [_A]),
     }),
     "koszul": ("Koszul complexes and their pairings", {

@@ -11,15 +11,15 @@ builds no product).  The sign scheme everything else derives from is
 Duality against a rank-one twist in a fixed degree is Hom into a one-term
 complex, so its signs are instances of the Hom rule, the bidual morphism
 carries (-1)^{|a| |phi|}, and dual chain maps are plain (unsigned)
-precomposition.  These choices are mutually coherent; the tests pin each one
-so a change anywhere breaks loudly.
+precomposition.  The twist never enters a matrix, so the dual constructions
+take the degree alone.  These choices are mutually coherent; the tests pin
+each one so a change anywhere breaks loudly.
 
 A complex is immutable, so what is derived from it is built once and kept in
 its one ``_memo`` by :func:`~wittforge.fields.kept`, the package's one memo
-rule: its grading, the one-term line its duals map into per twist degree
-(the twist never enters a matrix), and ``tensor(a, b)`` and
-``hom_complex(a, b)`` per second factor, kept on the first factor ``a``; the
-dual is the Hom into that line.
+rule: its grading, the one-term line its duals map into per degree, and
+``tensor(a, b)`` and ``hom_complex(a, b)`` per second factor, kept on the
+first factor ``a``; the dual is the Hom into that line.
 
 Each matrix of a complex or a chain map is stored once, as a
 :mod:`~wittforge.linalg` sparse matrix ``{row: {col: nonzero entry}}``
@@ -505,15 +505,15 @@ def adjunction_triangle_check(a, b, c):
 
 
 class DualityDatum:
-    """A rank-one twist (a unit of the ring) sitting in a fixed degree."""
+    """A rank-one twist (a unit of the ring) sitting in a fixed degree; the
+    dual constructions read only the degree, the twist is bookkeeping."""
 
-    __slots__ = ("ring", "twist", "degree")
+    __slots__ = ("twist", "degree")
 
     def __init__(self, ring, twist=None, degree=0):
         twist = ring.one() if twist is None else ring.element(twist)
         if not _is_unit(ring, twist):
             raise ValueError(f"twist {twist!r} is not a unit")
-        self.ring = ring
         self.twist = twist
         self.degree = int(degree)
 
@@ -537,69 +537,59 @@ def dual_line(a, degree):
     return single(a.ring, degree)
 
 
-def dualize(a, datum):
-    """D_K(A) = Hom(A, K): ranks flip around the twist degree, signed transposes.
-    Only the degree of the datum enters a matrix."""
-    _same_ring(a, datum)
-    return hom_complex(a, dual_line(a, datum.degree))
+def dualize(a, degree):
+    """D(A) = Hom(A, R[degree]): ranks flip around ``degree``, signed transposes."""
+    return hom_complex(a, dual_line(a, degree))
 
 
-def dualize_map(f, datum):
-    """D_K on maps: plain precomposition, component at n is f_{d-n} transposed."""
-    src = dualize(f.target, datum)
-    dst = dualize(f.source, datum)
-    d = datum.degree
-    mats = {n: linalg.transpose(f._mats.get(d - n, {})) for n in src.terms}
+def dualize_map(f, degree):
+    """D on maps: plain precomposition, component at n is f_{degree-n} transposed."""
+    src = dualize(f.target, degree)
+    dst = dualize(f.source, degree)
+    mats = {n: linalg.transpose(f._mats.get(degree - n, {})) for n in src.terms}
     return ChainMap(src, dst, mats)
 
 
-def bidual_map(a, datum):
+def bidual_map(a, degree):
     """bid: A -> DD(A), a -> (phi -> (-1)^{|a||phi|} phi(a)).
 
-    Degreewise it is (-1)^{n (d - n)} times the identity; the constructor
+    Degreewise it is (-1)^{n (degree - n)} times the identity; the constructor
     certifies it commutes with the differentials.
     """
-    dd = dualize(dualize(a, datum), datum)
-    d = datum.degree
+    dd = dualize(dualize(a, degree), degree)
     mats = {}
     for n, r in a.terms.items():
-        s = a.ring.from_int(-1 if (n * (d - n)) % 2 else 1)
+        s = a.ring.from_int(-1 if (n * (degree - n)) % 2 else 1)
         mats[n] = {i: {i: s} for i in range(r)}
     return ChainMap(a, dd, mats)
 
 
-def bidual_involution_check(a, datum):
+def bidual_involution_check(a, degree):
     """D(bid_A) . bid_{DA} = Id_{DA}, matrix-exactly."""
-    da = dualize(a, datum)
-    lhs = dualize_map(bidual_map(a, datum), datum).compose(bidual_map(da, datum))
+    da = dualize(a, degree)
+    lhs = dualize_map(bidual_map(a, degree), degree).compose(bidual_map(da, degree))
     return lhs.is_identity()
 
 
-def combine_duality(da, db):
-    """The duality datum of a tensor product: twists multiply, degrees add."""
-    _same_ring(da, db)
-    return DualityDatum(da.ring, twist=da.twist * db.twist, degree=da.degree + db.degree)
-
-
-def duality_interchange(a, b, da, db):
-    """The lax-monoidal map D(A) (x) D(B) -> D(A (x) B).
+def duality_interchange(a, b, degree_a, degree_b):
+    """The lax-monoidal map D(A) (x) D(B) -> D(A (x) B), each dual in its
+    own degree and that of A (x) B in their sum.
 
     On pure tensors it is (phi (x) psi)(x (x) y) =
     (-1)^{|psi| |x|} phi(x) psi(y); identifying a dual term with the source
     basis in place, the matrix is a signed permutation.
     """
-    dual_a, dual_b = dualize(a, da), dualize(b, db)
+    dual_a, dual_b = dualize(a, degree_a), dualize(b, degree_b)
     src = tensor(dual_a, dual_b)
-    datum = combine_duality(da, db)
-    dst = dualize(tensor(a, b), datum)
+    dst = dualize(tensor(a, b), degree_a + degree_b)
     signs = ({0: {0: a.ring.one()}}, {0: {0: -a.ring.one()}})
     mats = {}
     for n in src.terms:
         mats[n] = mat = {}
-        dst_layout = tensor_layout(a, b, datum.degree - n)
+        dst_layout = tensor_layout(a, b, degree_a + degree_b - n)
         for (i, j), (off, ria, rjb) in tensor_layout(dual_a, dual_b, n).items():
             # onto the summand (p, q) of A (x) B, as (-1)^{jp} times its identity
-            p, q = da.degree - i, db.degree - j
+            p, q = degree_a - i, degree_b - j
             size = ria * rjb
             linalg.kron(signs[j * p % 2], size, (size, size), mat, (dst_layout[(p, q)][0], off))
     return ChainMap(src, dst, mats)

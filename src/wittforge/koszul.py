@@ -36,7 +36,6 @@ from .complexes import (
     adjunction_unit,
     associator,
     bidual_map,
-    combine_duality,
     cone,
     dual_line,
     dualize,
@@ -154,9 +153,10 @@ class SymmetricSpace:
     __slots__ = ("carrier", "duality", "form", "symmetry_sign")
 
     def __init__(self, carrier, duality, form):
-        if form.source != carrier or form.target != dualize(carrier, duality):
+        d = duality.degree
+        if form.source != carrier or form.target != dualize(carrier, d):
             raise NotAChainMap("the form must map the carrier to its dual")
-        transposed = dualize_map(form, duality).compose(bidual_map(carrier, duality))
+        transposed = dualize_map(form, d).compose(bidual_map(carrier, d))
         if transposed == form:
             sign = 1
         elif transposed == scale_map(form, carrier.ring.from_int(-1)):
@@ -199,7 +199,7 @@ def koszul_form(k):
             other = tuple(sorted(everything - set(subset)))
             mat[rows[other]] = {u: ring.from_int(_shuffle_sign(subset, other))}
         mats[i] = mat
-    form = ChainMap(kos, dualize(kos, datum), mats)
+    form = ChainMap(kos, dualize(kos, d), mats)
     return SymmetricSpace(kos, datum, form)
 
 
@@ -304,9 +304,10 @@ def theta_multiplicative(k, head):
     """Whether the pairing of F corresponds to the tensor pairing of a split."""
     first, second, c = split_section(k, head)
     s1, s2 = koszul_form(first), koszul_form(second)
-    lam = duality_interchange(s1.carrier, s2.carrier, s1.duality, s2.duality)
+    d1, d2 = s1.duality.degree, s2.duality.degree
+    lam = duality_interchange(s1.carrier, s2.carrier, d1, d2)
     rhs = (
-        dualize_map(c, combine_duality(s1.duality, s2.duality))
+        dualize_map(c, d1 + d2)
         .compose(lam)
         .compose(tensor_map(s1.form, s2.form))
         .compose(c)

@@ -3,14 +3,16 @@
 Each suite is a generator of named cases.  A case yields its id, the law it
 checks in plain language, the inputs it runs on, and a check: a thunk that
 returns a witness a reader can replay when the law fails, or ``None`` when it
-holds.  :func:`run_suite` runs each check as soon as it is yielded and files
-the case's status.  All randomized sweeps draw from a caller-supplied seed,
-and case ids are stable, so a report is reproducible byte for byte in JSON
-mode.  A check that raises decides its own case only: ``Inconclusive`` files
-it as inconclusive, any other error fails it with the error's type and
-message as the witness.  A raise while a suite builds its inputs keeps the
-cases filed so far and adds one failed ``<suite>/raised`` case.  Only
-``BoundsExceeded`` ends the run as a refused request.
+holds.  :func:`run_suite` passes a suite only the keywords its ``SUITES``
+entry names (a sized sweep its seed and size, the trace suite its bound),
+runs each check as soon as it is yielded and files the case's status.  All
+randomized sweeps draw from a caller-supplied seed, and case ids are stable,
+so a report is reproducible byte for byte in JSON mode.  A check that raises
+decides its own case only: ``Inconclusive`` files it as inconclusive, any
+other error fails it with the error's type and message as the witness.  A
+raise while a suite builds its inputs keeps the cases filed so far and adds
+one failed ``<suite>/raised`` case.  Only ``BoundsExceeded`` ends the run as
+a refused request.
 """
 
 import functools
@@ -232,7 +234,7 @@ def coordinate_datum(d):
 # ---------------------------------------------------------------------------
 
 
-def verify_scharlau(seed, size, bound):
+def verify_scharlau():
     F3 = FieldSpec.Fp(3)
     F9 = extension_of(F3, 2)
     ext = ExtensionDatum(F9, F3)
@@ -283,7 +285,7 @@ def _cartan_refuted(ext):
     return None
 
 
-def verify_adjunction(seed, size, bound):
+def verify_adjunction():
     """Triangle identities, and comparison-map invertibility followed by the
     Cartan route against the Scharlau transfer, degree by degree.  The route
     is compared only once the matrix is invertible, since a degenerate trace
@@ -313,7 +315,7 @@ def verify_adjunction(seed, size, bound):
         )
 
 
-def verify_towers(seed, size, bound):
+def verify_towers(seed, size):
     """Transfer along a two-step tower against the composite of the steps."""
     rng = random.Random(seed)
     law = "transfer along a tower equals the composite of the stepwise transfers"
@@ -350,7 +352,7 @@ def verify_towers(seed, size, bound):
         )
 
 
-def verify_base_change(seed, size, bound):
+def verify_base_change(seed, size):
     """Transfer commutes with extending scalars, split algebra and all."""
     rng = random.Random(seed)
     law = "transferring then extending scalars matches extending then transferring"
@@ -372,7 +374,7 @@ def verify_base_change(seed, size, bound):
         )
 
 
-def verify_projection(seed, size, bound):
+def verify_projection(seed, size):
     """The projection formula in the Witt ring."""
     rng = random.Random(seed)
     law = "transfer(x . restricted y) equals transfer(x) . y up to Witt equivalence"
@@ -393,7 +395,7 @@ def verify_projection(seed, size, bound):
         )
 
 
-def verify_theta(seed, size, bound):
+def verify_theta():
     """The unit adjunct of the Koszul multiplication against the pairing,
     with the laws it is built from: delta is unital, and up to rank 2 it is
     associative and the tensor-hom adjunction satisfies its triangle
@@ -427,7 +429,7 @@ def verify_theta(seed, size, bound):
             )
 
 
-def verify_trace(seed, size, bound):
+def verify_trace(bound):
     """Exactness of the augmented Koszul complex, and rejection without it.
 
     The rank-1 case comes first: its terms off the socle start at internal
@@ -466,7 +468,7 @@ def verify_trace(seed, size, bound):
     )
 
 
-def verify_split(seed, size, bound):
+def verify_split():
     for d in range(1, 4):
         k = coordinate_datum(d)
         yield (
@@ -491,7 +493,7 @@ def _formula_mismatch(r, twists, fields, differs):
     return witness
 
 
-def verify_cohomology(seed, size, bound):
+def verify_cohomology():
     """Line bundles on projective space: decomposition vs closed formulas."""
     F7 = FieldSpec.Fp(7)
     for r in range(1, 5):
@@ -512,7 +514,7 @@ def verify_cohomology(seed, size, bound):
         )
 
 
-def verify_phi(seed, size, bound):
+def verify_phi():
     for r in (1, 3):
 
         def pushes_to_zero():
@@ -535,29 +537,29 @@ def verify_phi(seed, size, bound):
 
 
 _WITT_LAWS = (
-    ("add-commutes", lambda F, a, b, c, one, zero: witt_equal(witt_add(a, b), witt_add(b, a))),
+    ("add-commutes", lambda a, b, c, one, zero: witt_equal(witt_add(a, b), witt_add(b, a))),
     (
         "add-associates",
-        lambda F, a, b, c, one, zero: witt_equal(witt_add(witt_add(a, b), c), witt_add(a, witt_add(b, c))),
+        lambda a, b, c, one, zero: witt_equal(witt_add(witt_add(a, b), c), witt_add(a, witt_add(b, c))),
     ),
-    ("add-unit", lambda F, a, b, c, one, zero: witt_equal(witt_add(a, zero), a)),
-    ("add-inverse", lambda F, a, b, c, one, zero: witt_add(a, witt_neg(a)).is_zero()),
-    ("mul-commutes", lambda F, a, b, c, one, zero: witt_equal(witt_mul(a, b), witt_mul(b, a))),
+    ("add-unit", lambda a, b, c, one, zero: witt_equal(witt_add(a, zero), a)),
+    ("add-inverse", lambda a, b, c, one, zero: witt_add(a, witt_neg(a)).is_zero()),
+    ("mul-commutes", lambda a, b, c, one, zero: witt_equal(witt_mul(a, b), witt_mul(b, a))),
     (
         "mul-associates",
-        lambda F, a, b, c, one, zero: witt_equal(witt_mul(witt_mul(a, b), c), witt_mul(a, witt_mul(b, c))),
+        lambda a, b, c, one, zero: witt_equal(witt_mul(witt_mul(a, b), c), witt_mul(a, witt_mul(b, c))),
     ),
-    ("mul-unit", lambda F, a, b, c, one, zero: witt_equal(witt_mul(one, a), a)),
+    ("mul-unit", lambda a, b, c, one, zero: witt_equal(witt_mul(one, a), a)),
     (
         "distributes",
-        lambda F, a, b, c, one, zero: witt_equal(
+        lambda a, b, c, one, zero: witt_equal(
             witt_mul(a, witt_add(b, c)), witt_add(witt_mul(a, b), witt_mul(a, c))
         ),
     ),
 )
 
 
-def verify_witt(seed, size, bound):
+def verify_witt(seed, size):
     """Ring axioms on random Witt classes, plus the split of <1,1,1,1>."""
     rng = random.Random(seed)
     for p in PRIMES:
@@ -568,7 +570,7 @@ def verify_witt(seed, size, bound):
             a, b, c = (random_nondegenerate(field, rng, rng.randint(1, 2)) for _ in range(3))
 
             def ring_laws():
-                failed = [name for name, law in _WITT_LAWS if not law(field, a, b, c, one, zero)]
+                failed = [name for name, law in _WITT_LAWS if not law(a, b, c, one, zero)]
                 return {"laws": failed, "forms": [f.to_json() for f in (a, b, c)]} if failed else None
 
             yield (
@@ -592,7 +594,7 @@ def verify_witt(seed, size, bound):
         )
 
 
-def verify_hilbert(seed, size, bound):
+def verify_hilbert(seed, size):
     """The product formula for Hilbert symbols over the rationals."""
     rng = random.Random(seed)
     nonzero = [s for s in range(-30, 31) if s != 0]
@@ -616,7 +618,7 @@ def verify_hilbert(seed, size, bound):
         )
 
 
-def verify_bidual(seed, size, bound):
+def verify_bidual(seed, size):
     """The dual of the bidual map inverts the bidual map of the dual."""
     rng = random.Random(seed)
     F5 = FieldSpec.Fp(5)
@@ -636,7 +638,7 @@ def verify_bidual(seed, size, bound):
                 "ranks": {str(n): r for n, r in sorted(cx.terms.items())},
             },
             lambda: None
-            if bidual_involution_check(cx, datum)
+            if bidual_involution_check(cx, datum.degree)
             else {"detail": "composite is not the identity"},
         )
 
@@ -645,21 +647,22 @@ def verify_bidual(seed, size, bound):
 # registry
 # ---------------------------------------------------------------------------
 
-#: name -> (suite, default size); a suite without a default size runs a fixed set of cases
+#: name -> (suite, default size, the keywords run_suite passes it); a suite
+#: without a default size runs a fixed set of cases
 SUITES = {
-    "scharlau": (verify_scharlau, None),
-    "adjunction": (verify_adjunction, None),
-    "towers": (verify_towers, 50),
-    "base-change": (verify_base_change, 50),
-    "projection": (verify_projection, 50),
-    "theta": (verify_theta, None),
-    "trace": (verify_trace, None),
-    "split": (verify_split, None),
-    "cohomology": (verify_cohomology, None),
-    "phi": (verify_phi, None),
-    "witt": (verify_witt, 6),
-    "hilbert": (verify_hilbert, 200),
-    "bidual": (verify_bidual, 100),
+    "scharlau": (verify_scharlau, None, ()),
+    "adjunction": (verify_adjunction, None, ()),
+    "towers": (verify_towers, 50, ("seed", "size")),
+    "base-change": (verify_base_change, 50, ("seed", "size")),
+    "projection": (verify_projection, 50, ("seed", "size")),
+    "theta": (verify_theta, None, ()),
+    "trace": (verify_trace, None, ("bound",)),
+    "split": (verify_split, None, ()),
+    "cohomology": (verify_cohomology, None, ()),
+    "phi": (verify_phi, None, ()),
+    "witt": (verify_witt, 6, ("seed", "size")),
+    "hilbert": (verify_hilbert, 200, ("seed", "size")),
+    "bidual": (verify_bidual, 100, ("seed", "size")),
 }
 
 
@@ -712,11 +715,12 @@ def run_suite(name, seed=0, size=None, bound=DEFAULT_BOUND):
     case runs.  Each check runs as soon as its case is yielded, before the
     suite builds the next input."""
     _check_size(name, size)
-    size = SUITES[name][1] if size is None else size
+    suite, default, keywords = SUITES[name]
+    given = {"seed": seed, "size": default if size is None else size, "bound": bound}
     start = time.perf_counter()
     cases = []
     try:
-        for cid, law, inputs, check in SUITES[name][0](seed=seed, size=size, bound=bound):
+        for cid, law, inputs, check in suite(**{k: given[k] for k in keywords}):
             cases.append(_filed(cid, law, inputs, check))
     except BoundsExceeded:
         raise
@@ -733,7 +737,7 @@ def run_all(seed=0, size=None, bound=DEFAULT_BOUND):
     that take one.  A size that one of them rejects raises before the first
     suite runs.  The trace suite runs first, so a bound that it refuses raises
     before any other suite's work."""
-    sizes = {name: size if default else None for name, (_, default) in sorted(SUITES.items())}
+    sizes = {name: size if default else None for name, (_, default, _) in sorted(SUITES.items())}
     for name, n in sizes.items():
         _check_size(name, n)
     reports = {

@@ -160,7 +160,7 @@ HELP_DIGESTS = {
     "": "cf8695d6ba6f78c6da4d3bfabdadb6dcadd2681cfb7a397966548701f067c47c",
     "witt": "d0fc776da17aca9c600831d0237101ed7259dc8f6a60eb4f8ddefda451d06a8d",
     "transfer": "79340f42ea02e08b380a82059add513625831d68bc939e18f60b509dfdbc8699",
-    "complex": "b630f51c0e4a0d895f56fe83b7f42df1f30ec042376a5a088c8d72f0d9224a64",
+    "complex": "6cdb9de37dc38276b2dd2f6d1d05dd8b6c7c71dc539096920bda93e8ec7aee29",
     "koszul": "bf5cc37abb895a954784180b089f0631074f0dc1cccf4e4766477c900a066eff",
     "proj": "4fff6810955e19f05567e822f41ac3d71707bd2d557c7e09a8c4807723164dab",
     "verify": "2212f0565b3ee94c6428b44c00b329581737b1ea3ce34b42ca6d1a071ea7043a",
@@ -176,7 +176,7 @@ HELP_DIGESTS = {
     "transfer check-projection": "de667fde2eef2126ba2be5e379472a3a6361760861913fc29a623bd94a115724",
     "complex tensor": "573a22caaa0a57f22f9bd70796449e76a5d4c64fc61bf9ff80c42a8ee0e3676f",
     "complex hom": "f7fce5232e60d4ad280fb51ac29863db27bd5a0b50204bd7b542d263eace8882",
-    "complex dual": "fd2412173fcc32538f1c3634eb1a4df1bc8e11e03e8fada069402c1d30045a9d",
+    "complex dual": "d6706fb30dfcf6bcf54db2c59e9bd38a6e4d38dd003bbb7242bc057cdf888cb1",
     "complex homology": "023cae50a236ac01764fe745c44e0ed97ab0bbbf3b32c1a62e6edbdb802885e0",
     "koszul build": "2926185e6f85c631d03475601df7269e92aca93dd4db182a08d23b302b0e7284",
     "koszul form": "8227e66cffef2d9292d7f1a1de2c6ff5c5f1573cf4a2cb063d0ddec3ecf4a37e",
@@ -287,7 +287,7 @@ README_INPUTS = {
     "transfer check-projection": "--ext F9/F3 --top-form 1,2 --bottom-form 2",
     "complex tensor": "--a @{cx} --b @{cx}",
     "complex hom": "--a @{cx} --b @{cx}",
-    "complex dual": "--a @{cx} --twist 2 --degree 1",
+    "complex dual": "--a @{cx} --degree 1",
     "complex homology": "--a @{cx}",
     "koszul build": "--vars x,y --section x,y",
     "koszul form": "--vars x,y --section x,y",
@@ -354,6 +354,28 @@ def test_a_missing_file_is_one_usage_line(capsys, tmp_path):
     code, out, err = run(capsys, "witt", "diag", "--field", f"@{missing}", "--form", "1,2")
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+
+
+def test_a_file_that_is_not_utf8_is_one_usage_line(capsys, tmp_path):
+    # a decode error is raised as OSError, which argparse does not reformat
+    binary = tmp_path / "bin.txt"
+    binary.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "witt", "diag", "--field", f"@{binary}", "--form", "1")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {str(binary)!r} is not UTF-8 text: invalid start byte"
+
+
+def test_complex_dual_prints_what_it_printed_with_a_twist(capsys, tmp_path):
+    # the bytes of the former `--twist 2 --degree 1`: the twist never entered a matrix
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(README_CX))
+    argv = ["complex", "dual", "--a", f"@{cx}", "--degree", "1"]
+    assert run(capsys, *argv) == (0, "ChainComplex({0:2, 1:1})", "")
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(f"{out}\n".encode()).hexdigest() == (
+        "862baf6d9da83ca8f14e551e10916f8ed564ec1b7c635e15eb225fdf4897d783"
+    )
 
 
 #: replaces stdout by one whose every write raises, then runs main on argv
@@ -1066,7 +1088,7 @@ def test_verify_size_is_checked_before_any_suite(capsys, monkeypatch, argv, mess
 
         return suite
 
-    suites = {name: (counted(fn), size) for name, (fn, size) in verify.SUITES.items()}
+    suites = {name: (counted(fn), *rest) for name, (fn, *rest) in verify.SUITES.items()}
     monkeypatch.setattr(verify, "SUITES", suites)
     assert run(capsys, *argv) == (2, "", message)
     assert entered == []

@@ -415,8 +415,8 @@ def test_interchange_is_signed_permutation():
     k1 = coordinates(1)
     ring = RINGS[1]
     kos = koszul_complex(k1)
-    datum = k1.duality()
-    lam = duality_interchange(kos, kos, datum, datum)
+    d = k1.duality().degree
+    lam = duality_interchange(kos, kos, d, d)
     for n in lam.source.terms:
         mat = dense_rows(lam, n)
         for col in range(len(mat[0])):

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -114,6 +115,41 @@ def test_no_pass_through_aliases():
             if isinstance(node, ast.FunctionDef) and _is_pass_through(node)
         ]
     assert not found, f"pass-through aliases: {found}"
+
+
+def test_every_parameter_is_read():
+    """No input without a reader: each parameter of each ``def`` is loaded
+    somewhere in its body (a nested def or lambda counts).  ``self``, ``cls``
+    and ``_`` are exempt, and so are lambdas, which may share a signature."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found += [
+                f"{path.name}:{node.lineno} {node.name}({name})"
+                for name in params
+                if name not in ("self", "cls", "_") and name not in read
+            ]
+    assert not found, f"parameters never read: {found}"
+
+
+def test_each_suite_takes_the_keywords_its_entry_names():
+    """``run_suite`` passes a suite exactly the keywords of its ``SUITES``
+    entry, so those are the suite's parameters, in order."""
+    from wittforge.verify import SUITES
+
+    for name, (suite, _, keywords) in SUITES.items():
+        assert tuple(inspect.signature(suite).parameters) == keywords, name
 
 
 def test_no_private_imports_from_sibling_modules():

@@ -277,6 +277,22 @@ MUTANTS = [
         COMPLEX_TESTS,
     ),
     (
+        "theta dualizes the split map into the head's degree alone",
+        "koszul.py",
+        "theta_multiplicative",
+        "dualize_map(c, d1 + d2)",
+        "dualize_map(c, d1)",
+        COMPLEX_TESTS,
+    ),
+    (
+        "the duality interchange targets the dual in degree da - db",
+        "complexes.py",
+        "duality_interchange",
+        "dualize(tensor(a, b), degree_a + degree_b)",
+        "dualize(tensor(a, b), degree_a - degree_b)",
+        COMPLEX_TESTS,
+    ),
+    (
         "the trace bound also counts the socle degree",
         "koszul.py",
         "trace_diagram",
@@ -462,6 +478,14 @@ MUTANTS = [
         "sorted(sizes, key=lambda name: name != 'trace')",
         "sizes",
         ("tests/test_cli.py",),
+    ),
+    (
+        "run_suite hands a sized suite its default size whatever was asked",
+        "verify.py",
+        "run_suite",
+        "'size': default if size is None else size",
+        "'size': default",
+        ("tests/test_verify.py",),
     ),
     (
         "an expected-raise check accepts a call that returns",

@@ -67,7 +67,7 @@ COMMANDS = (
     "transfer check-projection --ext F9/F3 --top-form 1,2 --bottom-form 2",
     "complex homology --a @{cx}",
     "complex homology --a @{px}",
-    "complex dual --a @{cx} --twist 2 --degree 1",
+    "complex dual --a @{cx} --degree 1",
     "complex tensor --a @{cx} --b @{px}",
     "complex hom --a @{px} --b @{px}",
     "koszul build --vars x,y --section x,y",
