@@ -183,7 +183,8 @@ def _form_or_unit(field, text):
     return QuadraticForm.diagonal(field, [1]) if text is None else parse_form(field, text)
 
 
-_FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(\d+))?$")
+_NAME = re.compile(r"[A-Za-z_]\w*")
+_FACTOR = re.compile(rf"^({_NAME.pattern})(?:\^(\d+))?$")
 
 
 def parse_poly(ring, text):
@@ -229,15 +230,16 @@ def parse_poly(ring, text):
 
 
 def parse_datum(args):
-    """The ``--vars``/``--section``/``--field``/``--twist`` flag cluster."""
-    names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-    if not names:
-        raise ValueError("--vars needs at least one variable name")
-    field = parse_field(args.field)
-    ring = PolyRing(field, names)
-    section = [parse_poly(ring, s) for s in args.section.split(",") if s.strip()]
-    if not section:
-        raise ValueError("empty section")
+    """The ``--vars``/``--section``/``--field``/``--twist`` flag cluster.  An empty
+    entry, or a variable name that :func:`parse_poly` cannot read, is refused."""
+    for flag, text in (("--vars", args.vars), ("--section", args.section)):
+        if not all(entry.strip() for entry in text.split(",")):
+            raise ValueError(f"{flag} {text!r} has an empty entry")
+    names = tuple(v.strip() for v in args.vars.split(","))
+    if unreadable := [n for n in names if not _NAME.fullmatch(n)]:
+        raise ValueError(f"{unreadable[0]!r} is not a variable name: it must match {_NAME.pattern}")
+    ring = PolyRing(parse_field(args.field), names)
+    section = [parse_poly(ring, s) for s in args.section.split(",")]
     twist = None if args.twist is None else ring.from_int(args.twist)
     return KoszulDatum(ring, section, twist=twist)
 
@@ -558,9 +560,16 @@ COMMANDS = {
 }
 
 
-def build_parser(group=None):
-    """The parser with every group listed, so top-level help and errors never
-    change, and the commands of ``group`` filled in (of every group if None)."""
+def _path_parser(listed, **kwargs):
+    """A parser, or ``None`` for a name ``add_parser`` only lists with its help."""
+    return None if listed else argparse.ArgumentParser(**kwargs)
+
+
+def build_parser(argv):
+    """The parser for ``argv``, which lists every group and command but builds only
+    argv's path: its first group name (before it come only global flags and their
+    int values), then the first name of one of that group's commands, as argparse
+    dispatches.  So a command builds 3 parsers, ``verify`` 2 and no group 1."""
     parser = argparse.ArgumentParser(
         prog="wittforge",
         description="Exact quadratic-form transfers, Koszul dualities, and their verifier.",
@@ -573,16 +582,18 @@ def build_parser(group=None):
         default=DEFAULT_BOUND,
         help=f"internal-degree bound for graded exactness (default {DEFAULT_BOUND})",
     )
-    groups = parser.add_subparsers(dest="group", required=True)
+    group = next((a for a in argv if a in COMMANDS), None)
+    groups = parser.add_subparsers(dest="group", required=True, parser_class=_path_parser)
     for name, (help_text, body) in COMMANDS.items():
-        sub = groups.add_parser(name, help=help_text)
-        if group not in (None, name):
-            continue
-        if isinstance(body, dict):
-            commands = sub.add_subparsers(dest="command", required=True)
-            for command, (command_help, handler, arguments) in body.items():
-                _fill(commands.add_parser(command, help=command_help), handler, arguments)
-        else:
+        sub = groups.add_parser(name, help=help_text, listed=name != group)
+        if name == group and isinstance(body, dict):
+            command = next((a for a in argv[argv.index(group) + 1 :] if a in body), None)
+            commands = sub.add_subparsers(dest="command", required=True, parser_class=_path_parser)
+            for key, (command_help, handler, arguments) in body.items():
+                leaf = commands.add_parser(key, help=command_help, listed=key != command)
+                if key == command:
+                    _fill(leaf, handler, arguments)
+        elif name == group:
             _fill(sub, *body)
     return parser
 
@@ -594,11 +605,10 @@ def _fill(parser, handler, arguments):
 
 
 def main(argv=None):
-    # before the first group name come only global flags and their int values
     argv = sys.argv[1:] if argv is None else argv
     try:
         # inside the try: reading an @path value is parsing, and may fail
-        args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         try:
             held, payload, human = args.handler(args)
         except (NotRegularSequence, ParityError, Inconclusive) as err:

@@ -212,22 +212,6 @@ def _subparsers(parser):
     return actions[0].choices if actions else {}
 
 
-@pytest.mark.parametrize("group", list(COMMANDS))
-def test_a_group_parser_reads_as_the_full_one(monkeypatch, group):
-    monkeypatch.setenv("COLUMNS", "80")
-    full, part = build_parser(), build_parser(group)
-    assert part.format_help() == full.format_help()
-    full_group, part_group = _subparsers(full)[group], _subparsers(part)[group]
-    assert part_group.format_help() == full_group.format_help()
-    full_commands, part_commands = _subparsers(full_group), _subparsers(part_group)
-    assert list(part_commands) == list(full_commands)
-    for name, command in full_commands.items():
-        assert part_commands[name].format_help() == command.format_help()
-    # the other groups are listed but hold nothing beyond -h
-    filled = [name for name, sub in _subparsers(part).items() if len(sub._actions) > 1]
-    assert filled == [group]
-
-
 @pytest.mark.parametrize(
     "argv, stderr",
     [
@@ -264,6 +248,79 @@ def test_argparse_errors_are_pinned(capsys, monkeypatch, argv, stderr):
         main(argv)
     assert exit_info.value.code == 2
     assert capsys.readouterr() == ("", stderr)
+
+
+# ---------------------------------------------------------------------------
+# the path rule: build_parser(argv) builds only argv's group and command
+# ---------------------------------------------------------------------------
+
+
+#: a text with verify's per-suite seconds masked
+untimed = functools.partial(re.sub, r"\(\d+\.\d\ds\)", "(t)")
+
+
+def _outcome(capsys, argv):
+    """``(exit code, first 16 hex digits of the sha256 of stdout NUL stderr)``
+    of ``main(argv)``; an argparse exit is its code, verify's seconds are masked."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    out, err = capsys.readouterr()
+    return code, hashlib.sha256(untimed(f"{out}\0{err}").encode()).hexdigest()[:16]
+
+
+def _parsers_built(monkeypatch):
+    """The list each new ``ArgumentParser`` appends its prog to."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+#: argv -> (exit code, parsers built, ``_outcome`` digest), each code and digest
+#: as the full parser gave them: no argv, groups alone, the pinned argparse
+#: errors, flag values that name a group or a command, and ``--`` separators
+PATH_CASES = {
+    "": (2, 1, "f2c0fdb5d2819e7a"),
+    "--json --seed 3": (2, 1, "f2c0fdb5d2819e7a"),
+    "witt": (2, 2, "65242863de050906"),
+    "koszul": (2, 2, "e6342b21817d72c0"),
+    "verify": (2, 2, "c958efbd360eecd6"),
+    "witt diag --field F5": (2, 3, "9c9c69a738511b42"),
+    "--json frob witt": (2, 2, "4678fc4ae41bb1a0"),
+    "witt frob": (2, 2, "91e186664e6a9ab5"),
+    "--seed verify witt": (2, 2, "2b74ec4cd92417e1"),
+    "koszul build --vars witt --section witt": (0, 3, "68b00c7350f7d776"),
+    "--json koszul build --vars witt --section witt": (0, 3, "bd0ce7c31db725ba"),
+    "transfer check-compose --tower F81/F9/F3 --form push": (2, 3, "85d8d6693d3d86ee"),
+    "transfer check-compose --tower F81/F9/F3 --form witt,push": (2, 3, "b15d8a71e6068391"),
+    "witt frob diag": (2, 3, "91e186664e6a9ab5"),
+    "-- witt diag --field F5 --form 1,2": (2, 3, "d786783d8c2bde0c"),
+    "witt diag --field F5 -- --form 1,2": (2, 3, "9c9c69a738511b42"),
+    "verify -- scharlau": (0, 2, "2a0c225c5ae9d203"),
+}
+
+
+@pytest.mark.parametrize("argv", list(PATH_CASES))
+def test_the_path_rule_keeps_every_byte(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = _parsers_built(monkeypatch)
+    code, parsers, digest = PATH_CASES[argv]
+    assert (*_outcome(capsys, argv.split()), len(built)) == (code, digest, parsers)
+
+
+@pytest.mark.parametrize("name", list(HELP_DIGESTS))
+def test_help_builds_only_its_path(capsys, monkeypatch, name):
+    # --help at each level: the bytes of HELP_DIGESTS from one parser per level
+    monkeypatch.setenv("COLUMNS", "80")
+    built = _parsers_built(monkeypatch)
+    assert hashlib.sha256(_help(capsys, name.split()).encode()).hexdigest() == HELP_DIGESTS[name]
+    assert len(built) == 1 + len(name.split())
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +369,63 @@ def test_a_handler_returns_its_answer_and_main_prints_it(capsys, tmp_path, comma
     cx = tmp_path / "cx.json"
     cx.write_text(json.dumps(README_CX))
     argv = command.split() + README_INPUTS[command].format(cx=cx).split()
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     held, payload, human = args.handler(args)
     assert capsys.readouterr() == ("", "")
     assert isinstance(held, bool) and isinstance(human, str)
-    untimed = functools.partial(re.sub, r"\(\d+\.\d\ds\)", "(t)")
     for mode, text in (([], human), (["--json"], json.dumps(payload, indent=2, sort_keys=True))):
         assert main(mode + argv) == (0 if held else 1)
         out = capsys.readouterr()
         assert (untimed(out.out), out.err) == (untimed(text) + "\n", "")
 
 
+#: command -> (exit code, plain and --json ``_outcome`` digests) of its
+#: README input, as the full parser gave them
+README_DIGESTS = {
+    "witt diag": (0, "d4dc3f4dd057d8ff", "9ba99dd0ebad32b4"),
+    "witt decompose": (0, "38d6b6506b487587", "9d597b848f2c7db9"),
+    "witt equal": (1, "082549a6d84243a4", "a265b2560fbe4ea2"),
+    "witt hilbert": (0, "be73955e586d880d", "9eea9c13603d0ae1"),
+    "transfer trace": (0, "07976480d80506ad", "9bf7e140ffbed524"),
+    "transfer form": (0, "b5c1ac80c6bd6de4", "325511383489b9d9"),
+    "transfer push": (0, "129b6a7ebe440899", "65ce1cc4c397ac6d"),
+    "transfer check-compose": (0, "d8121ad8f759afe1", "48f0d759d92d5046"),
+    "transfer check-basechange": (0, "3a2bb3239ce6cc49", "30c0f516df2be0ef"),
+    "transfer check-projection": (0, "8948367ae5775b6a", "592e68c8e4390cf7"),
+    "complex tensor": (0, "29e103197feaf765", "deeb77f748789676"),
+    "complex hom": (0, "ba968426e6200c1c", "58ca68e947fa7815"),
+    "complex dual": (0, "a917b05e30e58c96", "7a67e2db170e51b0"),
+    "complex homology": (0, "53d058aa348b76c7", "b9f6240435c9d5b1"),
+    "koszul build": (0, "4a00617cde2aa3be", "f6c1932fb5f00ef8"),
+    "koszul form": (0, "7ce80499b50c45b3", "fd1bd5a8c4590e3b"),
+    "koszul verify-xmap": (0, "563f33b845b25bba", "3006ebb635def019"),
+    "koszul verify-trace": (0, "e66910f878074931", "36f3d527e1133739"),
+    "koszul verify-split": (0, "5fffc7eabc75ccc9", "d022153eafda6e02"),
+    "proj cohomology": (0, "c4106f871d816805", "a301716e16cce2b7"),
+    "proj phi-r": (0, "8d68158c06b62708", "c7b467521cb23603"),
+    "verify": (0, "2a0c225c5ae9d203", "aa90c40ff2703041"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_INPUTS))
+@pytest.mark.parametrize("mode", ["plain", "json"])
+def test_a_readme_command_builds_only_its_path(capsys, monkeypatch, tmp_path, mode, command):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(README_CX))
+    argv = command.split() + README_INPUTS[command].format(cx=cx).split()
+    built = _parsers_built(monkeypatch)
+    code, *digests = README_DIGESTS[command]
+    assert _outcome(capsys, ["--json"] * (mode == "json") + argv) == (code, digests[mode == "json"])
+    # the top level, the group and the command; verify has no command level
+    words = command.split()
+    assert built == [" ".join(["wittforge", *words[:i]]) for i in range(len(words) + 1)]
+
+
 def _text_values(command):
     """The README argv of ``command`` with each ``@{cx}`` inlined, and the
     positions in it of the values its text flags take."""
     group, _, name = command.partition(" ")
-    parser = _subparsers(_subparsers(build_parser())[group]).get(name)
+    parser = _subparsers(_subparsers(build_parser(command.split()))[group]).get(name)
     flags = {o for a in getattr(parser, "_actions", ()) if a.type is cli._text for o in a.option_strings}
     argv = command.split() + [
         json.dumps(README_CX) if t == "@{cx}" else t for t in README_INPUTS[command].split()
@@ -490,6 +588,27 @@ def test_xmap_past_the_rank_cap_is_refused_before_any_complex(capsys, monkeypatc
     code, out, err = run(capsys, "koszul", "verify-xmap", "--vars", names, "--section", names)
     assert (code, out) == (2, "")
     assert err.splitlines() == ["out of bounds: total rank 262144 exceeds cap 4096"]
+
+
+@pytest.mark.parametrize(
+    "vars_, section, message",
+    [
+        ("x,y", "x,,y", "usage error: --section 'x,,y' has an empty entry"),
+        ("x,y,", "x,y", "usage error: --vars 'x,y,' has an empty entry"),
+        ("x", " ", "usage error: --section ' ' has an empty entry"),
+        ("2", "2", r"usage error: '2' is not a variable name: it must match [A-Za-z_]\w*"),
+        ("x,y^2", "x", r"usage error: 'y^2' is not a variable name: it must match [A-Za-z_]\w*"),
+    ],
+    ids=["empty-section-entry", "empty-vars-entry", "blank-section", "digit-name", "power-name"],
+)
+def test_a_datum_entry_parse_poly_cannot_read_is_refused(capsys, monkeypatch, vars_, section, message):
+    # an empty entry used to be dropped, and a name like '2' made a variable
+    # no polynomial can name: both are refused before the ring is built
+    monkeypatch.setattr(cli, "PolyRing", lambda *a: pytest.fail("ring built"))
+    for command in ("build", "verify-trace"):
+        assert run(capsys, "koszul", command, "--vars", vars_, "--section", section) == (
+            2, "", message
+        )
 
 
 def test_field_past_the_tower_cap_is_usage(capsys):

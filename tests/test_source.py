@@ -3,6 +3,7 @@
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,21 @@ def _run_at_import(node):
         if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             yield child
             yield from _run_at_import(child)
+
+
+def test_no_private_argparse_api():
+    """The CLI builds on ``add_subparsers(parser_class=...)`` and the keywords
+    ``add_parser`` forwards to it: nothing names argparse's private members."""
+    private = re.compile(
+        r"argparse\._|\._(actions|name_parser_map|parser_class|choices_actions)\b"
+    )
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if private.search(line)
+    ]
+    assert not found, f"private argparse names in {found}"
 
 
 def test_sympy_is_not_imported_at_module_level():

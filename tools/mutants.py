@@ -4,9 +4,9 @@ Each mutant rewrites one function of a fresh copy of ``src/`` in a temporary
 directory.  The function is located through ``ast`` and the edit is made on
 its ``ast.unparse`` text, so comments and formatting in the real source do
 not matter; an edit that does not match exactly once is an error, not a
-survivor.  The test modules listed with the mutant then run against the
-copy, with a time limit.  A mutant is killed when they fail or run out of
-time.
+survivor.  The test modules (or test node ids) listed with the mutant then
+run against the copy, with a time limit.  A mutant is killed when they fail
+or run out of time.
 
 Run it from the repository root (stdlib only, nothing is written outside
 the temporary directory)::
@@ -35,9 +35,11 @@ FORM_TESTS = ("tests/test_quadforms.py", "tests/test_transfer.py")
 TRANSFER_FIRST = ("tests/test_transfer.py", "tests/test_fields.py")
 COMPLEX_TESTS = ("tests/test_complexes.py", "tests/test_koszul.py")
 TIMEOUT_S = 300
+#: the path-rule matrix, whose argvs name the tests that kill the parser mutants
+PATH_RULE = "tests/test_cli.py::test_the_path_rule_keeps_every_byte"
 
 #: (description, module under src/wittforge, function name (``Class.method`` for
-#: a method), old text, new text, test modules)
+#: a method), old text, new text, test modules or node ids)
 MUTANTS = [
     (
         "Ben-Or loop one short: the distinct-degree loop stops at i = n // 2 - 1",
@@ -550,6 +552,30 @@ MUTANTS = [
         "n >= MR_BOUND",
         "n > MR_BOUND",
         ("tests/test_cli.py",),
+    ),
+    (
+        "build_parser reads the group as the last group name in argv",
+        "cli.py",
+        "build_parser",
+        "next((a for a in argv if a in COMMANDS), None)",
+        "next((a for a in reversed(argv) if a in COMMANDS), None)",
+        (f"{PATH_RULE}[koszul build --vars witt --section witt]",),
+    ),
+    (
+        "build_parser reads the command as the last command name after the group",
+        "cli.py",
+        "build_parser",
+        "next((a for a in argv[argv.index(group) + 1:] if a in body), None)",
+        "next((a for a in reversed(argv[argv.index(group) + 1:]) if a in body), None)",
+        (f"{PATH_RULE}[transfer check-compose --tower F81/F9/F3 --form push]",),
+    ),
+    (
+        "every listed group and command is built as a real parser",
+        "cli.py",
+        "_path_parser",
+        "None if listed else argparse.ArgumentParser(**kwargs)",
+        "argparse.ArgumentParser(**kwargs)",
+        ("tests/test_cli.py::test_help_builds_only_its_path",),
     ),
     (
         "the complex JSON reader skips its container check",
