@@ -230,7 +230,7 @@ def parse_poly(ring, text):
 
 
 def parse_datum(args):
-    """The ``--vars``/``--section``/``--field``/``--twist`` flag cluster.  An empty
+    """The ``--vars``/``--section``/``--field`` flag cluster.  An empty
     entry, or a variable name that :func:`parse_poly` cannot read, is refused."""
     for flag, text in (("--vars", args.vars), ("--section", args.section)):
         if not all(entry.strip() for entry in text.split(",")):
@@ -239,9 +239,7 @@ def parse_datum(args):
     if unreadable := [n for n in names if not _NAME.fullmatch(n)]:
         raise ValueError(f"{unreadable[0]!r} is not a variable name: it must match {_NAME.pattern}")
     ring = PolyRing(parse_field(args.field), names)
-    section = [parse_poly(ring, s) for s in args.section.split(",")]
-    twist = None if args.twist is None else ring.from_int(args.twist)
-    return KoszulDatum(ring, section, twist=twist)
+    return KoszulDatum(ring, [parse_poly(ring, s) for s in args.section.split(",")])
 
 
 def parse_complex(text):
@@ -505,7 +503,7 @@ _FIELD, _FORM, _EXT, _A, _B = (_arg(f"--{n}") for n in ("field", "form", "ext", 
 _OVER_Q, _R = _arg("--field", default="Q"), _arg("--r", type=int)
 _DATUM = [_arg("--vars", help="comma-separated variable names"),
           _arg("--section", help="comma-separated polynomials"),
-          _OVER_Q, _arg("--twist", type=int, default=None)]
+          _OVER_Q]
 
 #: group -> (help, command -> (help, handler, arguments)); verify -> (help, (handler, arguments))
 COMMANDS = {

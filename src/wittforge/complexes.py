@@ -8,12 +8,12 @@ builds no product).  The sign scheme everything else derives from is
     d(a (x) b) = da (x) b + (-1)^{|a|} a (x) db
     (df)(a)    = d(f(a)) - (-1)^{|f|} f(da)
 
-Duality against a rank-one twist in a fixed degree is Hom into a one-term
-complex, so its signs are instances of the Hom rule, the bidual morphism
-carries (-1)^{|a| |phi|}, and dual chain maps are plain (unsigned)
-precomposition.  The twist never enters a matrix, so the dual constructions
-take the degree alone.  These choices are mutually coherent; the tests pin
-each one so a change anywhere breaks loudly.
+Duality is Hom into the ring placed in a fixed degree, a one-term complex,
+so its signs are instances of the Hom rule, the bidual morphism carries
+(-1)^{|a| |phi|}, and dual chain maps are plain (unsigned) precomposition.
+The degree is the whole duality datum: the dual constructions take it as an
+int.  These choices are mutually coherent; the tests pin each one so a
+change anywhere breaks loudly.
 
 A complex is immutable, so what is derived from it is built once and kept in
 its one ``_memo`` by :func:`~wittforge.fields.kept`, the package's one memo
@@ -177,13 +177,16 @@ class ChainComplex:
                 raise ValueError(f"the differential at degree {degree} must be a list of rows, each a list of entries")
         try:
             ring = ring_from_json(obj["ring"])
-            terms = {int(n): r for n, r in obj["terms"].items()}
+            terms = {_degree(n): r for n, r in obj["terms"].items()}
             diffs = {
-                int(n): [[element_from_ring_json(ring, x) for x in row] for row in mat]
+                _degree(n): [[element_from_ring_json(ring, x) for x in row] for row in mat]
                 for n, mat in obj.get("diffs", {}).items()
             }
         except KeyError as err:
             raise ValueError(f"the complex JSON has no {err.args[0]!r} key") from None
+        for n, r in terms.items():
+            if type(r) is not int:  # a float, a bool or a string is no rank
+                raise ValueError(f"the rank at degree {n} must be an integer, not {r!r}")
         terms = _ranks(terms)
         mats = {}
         for n, mat in diffs.items():
@@ -197,6 +200,14 @@ class ChainComplex:
             else:
                 mats[n] = linalg.sparse(mat)
         return cls(ring, terms, mats)
+
+
+def _degree(key):
+    """A degree key of complex JSON as an int; any other key is refused by name."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"degree key {key!r} is not an integer") from None
 
 
 def ring_from_json(obj):
@@ -502,32 +513,6 @@ def adjunction_triangle_check(a, b, c):
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
-
-
-class DualityDatum:
-    """A rank-one twist (a unit of the ring) sitting in a fixed degree; the
-    dual constructions read only the degree, the twist is bookkeeping."""
-
-    __slots__ = ("twist", "degree")
-
-    def __init__(self, ring, twist=None, degree=0):
-        twist = ring.one() if twist is None else ring.element(twist)
-        if not _is_unit(ring, twist):
-            raise ValueError(f"twist {twist!r} is not a unit")
-        self.twist = twist
-        self.degree = int(degree)
-
-    def __repr__(self):
-        return f"DualityDatum(twist={self.twist!r}, degree={self.degree})"
-
-    def to_json(self):
-        return {"twist": self.twist.to_json(), "degree": self.degree}
-
-
-def _is_unit(ring, x):
-    if getattr(ring, "is_field", False):
-        return not x.is_zero()
-    return x.total_degree() == 0  # nonzero constants over the coefficient field
 
 
 @kept

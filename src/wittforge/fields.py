@@ -202,12 +202,16 @@ class FieldSpec:
             return self.element(self.base.element(value))
         if isinstance(value, str):
             text = value.strip()
-            if "/" in text:
-                num, den = text.split("/")
-                if int(den) == 0:
-                    raise ValueError(f"{text!r} has a zero denominator")
-                return self.element(Fraction(int(num), int(den)))
-            return self.from_int(int(text))
+            num, slash, den = text.partition("/")
+            try:
+                num, den = int(num), int(den) if slash else 1
+            except ValueError:
+                raise ValueError(f"{text!r} is not an integer or a fraction n/d") from None
+            if not slash:
+                return self.from_int(num)
+            if den == 0:
+                raise ValueError(f"{text!r} has a zero denominator")
+            return self.element(Fraction(num, den))
         if isinstance(value, (list, tuple)):
             if self.kind != "ext":
                 raise TypeError(f"coefficient arrays only coerce into extensions, not {self}")

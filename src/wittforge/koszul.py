@@ -32,7 +32,6 @@ from .complexes import (
     RANK_CAP,
     ChainComplex,
     ChainMap,
-    DualityDatum,
     adjunction_unit,
     associator,
     bidual_map,
@@ -59,31 +58,25 @@ DEFAULT_BOUND = 6
 
 
 class KoszulDatum:
-    """A free module of rank d with a section (s_1, .., s_d) and a twist.
+    """A free module of rank d with a section (s_1, .., s_d).
 
-    The twist is a unit of the ring standing in for the determinant line;
-    it never enters a matrix, only the duality bookkeeping.
+    The determinant line of a free module is the ring itself, so the
+    Koszul complex is dual to itself in degree d, its rank: that degree is
+    the whole duality datum.
     """
 
-    __slots__ = ("ring", "rank", "section", "twist", "_memo")
+    __slots__ = ("ring", "rank", "section", "_memo")
 
-    def __init__(self, ring, section, twist=None):
+    def __init__(self, ring, section):
         section = tuple(ring.element(s) for s in section)
         if not section:
             raise ValueError("a Koszul datum needs a section of rank >= 1")
         if any(s.is_zero() for s in section):
             raise ValueError("section entries must be nonzero")
-        twist = ring.one() if twist is None else ring.element(twist)
         self.ring = ring
         self.rank = len(section)
         self.section = section
-        self.twist = twist
         self._memo = {}
-        self.duality()  # rejects non-unit twists
-
-    def duality(self):
-        """Duality against the inverse determinant line, shifted by the rank."""
-        return DualityDatum(self.ring, twist=_unit_inverse(self.ring, self.twist), degree=self.rank)
 
     def __repr__(self):
         return f"KoszulDatum(rank={self.rank}, section={list(self.section)!r})"
@@ -92,14 +85,7 @@ class KoszulDatum:
         return {
             "ring": self.ring.to_json(),
             "section": [s.to_json() for s in self.section],
-            "twist": self.twist.to_json(),
         }
-
-
-def _unit_inverse(ring, x):
-    if getattr(ring, "is_field", False):
-        return x.inverse()
-    return ring.constant(x.constant_value().inverse())
 
 
 @lru_cache(maxsize=None)
@@ -143,20 +129,19 @@ def koszul_complex(k):
 
 
 class SymmetricSpace:
-    """A complex with a chain-map form into its twisted dual.
+    """A complex with a chain-map form into its dual in ``degree``.
 
     The symmetry sign is measured, never asserted: the constructor
     computes dualize(form) . bidual and records whether that is +form or
     -form, refusing anything else.
     """
 
-    __slots__ = ("carrier", "duality", "form", "symmetry_sign")
+    __slots__ = ("carrier", "degree", "form", "symmetry_sign")
 
-    def __init__(self, carrier, duality, form):
-        d = duality.degree
-        if form.source != carrier or form.target != dualize(carrier, d):
+    def __init__(self, carrier, degree, form):
+        if form.source != carrier or form.target != dualize(carrier, degree):
             raise NotAChainMap("the form must map the carrier to its dual")
-        transposed = dualize_map(form, d).compose(bidual_map(carrier, d))
+        transposed = dualize_map(form, degree).compose(bidual_map(carrier, degree))
         if transposed == form:
             sign = 1
         elif transposed == scale_map(form, carrier.ring.from_int(-1)):
@@ -164,7 +149,7 @@ class SymmetricSpace:
         else:
             raise ValueError("the form is neither symmetric nor antisymmetric")
         self.carrier = carrier
-        self.duality = duality
+        self.degree = degree
         self.form = form
         self.symmetry_sign = sign
 
@@ -174,22 +159,20 @@ class SymmetricSpace:
 
     def to_json(self):
         return {
+            "degree": self.degree,
             "ranks": {str(n): r for n, r in sorted(self.carrier.terms.items())},
-            "duality": self.duality.to_json(),
             "symmetry_sign": self.symmetry_sign,
-            "metadata": {},
         }
 
 
 def koszul_form(k):
-    """The pairing Kos -> Hom(Kos, twist[d]): wedge onto the top power.
+    """The pairing Kos -> Hom(Kos, R[d]): wedge onto the top power.
 
     Component i sends the basis vector of a subset S to the functional
     picking out the complementary subset, weighted by the merge sign.
     """
     ring, d = k.ring, k.rank
     kos = koszul_complex(k)
-    datum = k.duality()
     everything = set(range(1, d + 1))
     mats = {}
     for i in range(d + 1):
@@ -200,7 +183,7 @@ def koszul_form(k):
             mat[rows[other]] = {u: ring.from_int(_shuffle_sign(subset, other))}
         mats[i] = mat
     form = ChainMap(kos, dualize(kos, d), mats)
-    return SymmetricSpace(kos, datum, form)
+    return SymmetricSpace(kos, d, form)
 
 
 def delta_map(k):
@@ -256,7 +239,7 @@ def x_map(k):
 
     Built entirely from the tensor-hom adjunction: the unit sends a to the
     map b -> a (x) b, post-composition by delta then sigma lands in the
-    twisted dual.  Shares no code with ``koszul_form``, which is the point:
+    dual in degree d.  Shares no code with ``koszul_form``, which is the point:
     the two are compared matrix-exactly.
     """
     for total in (2**k.rank, 4**k.rank, 8**k.rank):  # Kos, Kos (x) Kos, Hom(Kos, Kos (x) Kos)
@@ -268,9 +251,9 @@ def x_map(k):
 
 @kept
 def split_section(k, head):
-    """Split the section after position ``head``: the head datum, which keeps
-    the twist, the tail datum, and Kos_F -> Kos_head (x) Kos_tail, which
-    splits each subset at ``head``.
+    """Split the section after position ``head``: the head datum, the tail
+    datum, and Kos_F -> Kos_head (x) Kos_tail, which splits each subset at
+    ``head``.
 
     The plain subset split is already a chain map: elements of the head
     block precede the tail block, so no inversions appear.  The split is kept
@@ -278,7 +261,7 @@ def split_section(k, head):
     """
     if not 1 <= head < k.rank:
         raise ValueError(f"split position must satisfy 1 <= head < {k.rank}")
-    first = KoszulDatum(k.ring, k.section[:head], twist=k.twist)
+    first = KoszulDatum(k.ring, k.section[:head])
     second = KoszulDatum(k.ring, k.section[head:])
     ring, d = k.ring, k.rank
     kos = koszul_complex(k)
@@ -304,7 +287,7 @@ def theta_multiplicative(k, head):
     """Whether the pairing of F corresponds to the tensor pairing of a split."""
     first, second, c = split_section(k, head)
     s1, s2 = koszul_form(first), koszul_form(second)
-    d1, d2 = s1.duality.degree, s2.duality.degree
+    d1, d2 = s1.degree, s2.degree
     lam = duality_interchange(s1.carrier, s2.carrier, d1, d2)
     rhs = (
         dualize_map(c, d1 + d2)
@@ -321,7 +304,7 @@ def theta_multiplicative(k, head):
 
 
 class TraceDiagram:
-    """The twisted augmented Koszul complex and its exactness certificate."""
+    """The augmented Koszul complex and its exactness certificate."""
 
     __slots__ = ("middle", "certificate")
 
@@ -438,7 +421,7 @@ def split_factorization(k):
     Certifies three matrix-exact facts: the subset-splitting map is an
     isomorphism, the pairing corresponds to the tensor of the two smaller
     pairings, and the length-one factor is the cone of multiplication by
-    its entry on the twist line.  For rank one the splitting is trivial
+    its entry on the ring.  For rank one the splitting is trivial
     and only the cone identification is in play.
     """
     ring, d = k.ring, k.rank

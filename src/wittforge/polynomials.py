@@ -164,15 +164,6 @@ class MultiPolynomial:
         degrees = set(map(sum, self.terms))
         return degrees.pop() if len(degrees) == 1 else None
 
-    def constant_value(self):
-        """The field value of a constant polynomial (raises otherwise)."""
-        if self.is_zero():
-            return self.ring.field.zero()
-        ((e, c),) = self.terms.items()
-        if any(e):
-            raise ValueError(f"{self!r} is not constant")
-        return c
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0])
 

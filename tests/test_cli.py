@@ -178,11 +178,11 @@ HELP_DIGESTS = {
     "complex hom": "f7fce5232e60d4ad280fb51ac29863db27bd5a0b50204bd7b542d263eace8882",
     "complex dual": "d6706fb30dfcf6bcf54db2c59e9bd38a6e4d38dd003bbb7242bc057cdf888cb1",
     "complex homology": "023cae50a236ac01764fe745c44e0ed97ab0bbbf3b32c1a62e6edbdb802885e0",
-    "koszul build": "2926185e6f85c631d03475601df7269e92aca93dd4db182a08d23b302b0e7284",
-    "koszul form": "8227e66cffef2d9292d7f1a1de2c6ff5c5f1573cf4a2cb063d0ddec3ecf4a37e",
-    "koszul verify-xmap": "0cb50e1f0ec2b2b7b15483c3f4a4b94cf8ad35e51aec2be4bdf95ccda5c67a28",
-    "koszul verify-trace": "d03b86f4fa30f1d28e7cb5ace18f642419741dcf16fa2c3a0e3cbd51a00310ff",
-    "koszul verify-split": "1cc0d5258e9a0552ee3ee3faad9cbd803f62e02b6495f61d1b8b30b4a3972a12",
+    "koszul build": "86639d6bcdadb8ff9ee1f27b47a32966829d3d6afaa4b94fa9416c436f44bd7a",
+    "koszul form": "7841ac0431a3054a4709cf1b68576ea68956bfdfa8f78dce52a6b6149ee28b85",
+    "koszul verify-xmap": "d2178bd232a0b41a6e75758506e12238d441d63ff1e126cf0bbcb0c1e3f00ef1",
+    "koszul verify-trace": "1403eaa8dad81a9d8e5d172b837a0680d777e20007ab05e3cea473ef58968f23",
+    "koszul verify-split": "0dd03f2d372128094a0e9740145a97a57fc4e265015191322ca9573643a44aaf",
     "proj cohomology": "65b562da6e0bf2b0c0e05000fa60a59afe6b92acc983a971ad70fc306623e0a6",
     "proj phi-r": "a0f1b34f4383db925d9579b6df16d21ba107e2b5352d2af9b6774a0811baa3a0",
 }
@@ -297,8 +297,8 @@ PATH_CASES = {
     "--seed verify witt": (2, 2, "2b74ec4cd92417e1"),
     "koszul build --vars witt --section witt": (0, 3, "68b00c7350f7d776"),
     "--json koszul build --vars witt --section witt": (0, 3, "bd0ce7c31db725ba"),
-    "transfer check-compose --tower F81/F9/F3 --form push": (2, 3, "85d8d6693d3d86ee"),
-    "transfer check-compose --tower F81/F9/F3 --form witt,push": (2, 3, "b15d8a71e6068391"),
+    "transfer check-compose --tower F81/F9/F3 --form push": (2, 3, "6874547108c031fb"),
+    "transfer check-compose --tower F81/F9/F3 --form witt,push": (2, 3, "d3869f2c4f0c2dc4"),
     "witt frob diag": (2, 3, "91e186664e6a9ab5"),
     "-- witt diag --field F5 --form 1,2": (2, 3, "d786783d8c2bde0c"),
     "witt diag --field F5 -- --form 1,2": (2, 3, "9c9c69a738511b42"),
@@ -397,7 +397,7 @@ README_DIGESTS = {
     "complex dual": (0, "a917b05e30e58c96", "7a67e2db170e51b0"),
     "complex homology": (0, "53d058aa348b76c7", "b9f6240435c9d5b1"),
     "koszul build": (0, "4a00617cde2aa3be", "f6c1932fb5f00ef8"),
-    "koszul form": (0, "7ce80499b50c45b3", "fd1bd5a8c4590e3b"),
+    "koszul form": (0, "7ce80499b50c45b3", "5655e7b95e78e066"),
     "koszul verify-xmap": (0, "563f33b845b25bba", "3006ebb635def019"),
     "koszul verify-trace": (0, "e66910f878074931", "36f3d527e1133739"),
     "koszul verify-split": (0, "5fffc7eabc75ccc9", "d022153eafda6e02"),
@@ -757,6 +757,20 @@ def test_bad_bounds_are_one_line_usage_errors(capsys, argv, message):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("witt", "diag", "--field", "F5", "--form", "push"), "push"),
+        (("witt", "diag", "--field", "F5", "--form", "1/2/3"), "1/2/3"),
+        (("witt", "diag", "--field", "Q", "--form", "1/,1"), "1/"),
+        (("transfer", "trace", "--ext", "F9/F3", "--value", "1/2/3"), "1/2/3"),
+    ],
+    ids=["word", "two-slashes", "no-denominator", "trace-value"],
+)
+def test_an_entry_that_is_no_number_is_named(capsys, argv, text):
+    assert run(capsys, *argv) == (2, "", f"usage error: {text!r} is not an integer or a fraction n/d")
+
+
 def test_witt_decompose_four_units(capsys):
     code, out, _ = run(capsys, "--json", "witt", "decompose", "--field", "F3", "--form", "1,1,1,1")
     assert code == 0
@@ -901,6 +915,22 @@ def test_malformed_complex_is_one_line_usage(capsys, tmp_path, text, message):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"ring": {"kind": "Q"}, "terms": {"0": 1.5}}', "the rank at degree 0 must be an integer, not 1.5"),
+        ('{"ring": {"kind": "Q"}, "terms": {"0": true}}', "the rank at degree 0 must be an integer, not True"),
+        ('{"ring": {"kind": "Q"}, "terms": {"0": "2"}}', "the rank at degree 0 must be an integer, not '2'"),
+        ('{"ring": {"kind": "Q"}, "terms": {"0.7": 1}}', "degree key '0.7' is not an integer"),
+        ('{"ring": {"kind": "Q"}, "terms": {"0": 1}, "diffs": {"one": []}}', "degree key 'one' is not an integer"),
+    ],
+    ids=["float-rank", "bool-rank", "string-rank", "fractional-term-key", "word-diff-key"],
+)
+def test_a_rank_or_degree_that_is_no_integer_is_named(capsys, text, message):
+    # JSON floats, bools and strings are no ranks, as they are no entries
+    assert run(capsys, "complex", "homology", "--a", text) == (2, "", f"usage error: {message}")
+
+
 # the flat rows [1,2] are pinned with the bad bounds above
 @pytest.mark.parametrize(
     "form, message",
@@ -1029,7 +1059,19 @@ def test_koszul_build_and_form(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["symmetry_sign"] == 1
-    assert payload["duality"]["degree"] == 2
+    assert payload["degree"] == 2
+
+
+@pytest.mark.parametrize("twist", ["0", "2"])
+@pytest.mark.parametrize("command", list(COMMANDS["koszul"][1]))
+def test_koszul_takes_no_twist(capsys, command, twist):
+    # the degree is the whole duality datum: --twist is an unknown flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(["koszul", command, "--vars", "x", "--section", "x", "--twist", twist])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.endswith(f": error: unrecognized arguments: --twist {twist}\n")
+    assert "Traceback" not in err
 
 
 def test_koszul_verify_split(capsys):

@@ -27,7 +27,6 @@ from wittforge.complexes import (
     RANK_CAP,
     ChainComplex,
     ChainMap,
-    DualityDatum,
     adjunction_counit,
     adjunction_triangle_check,
     adjunction_unit,
@@ -533,14 +532,6 @@ def test_a_square_does_not_keep_its_factor():
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
-
-
-def test_duality_datum_requires_unit():
-    with pytest.raises(ValueError):
-        DualityDatum(F5, twist=0)
-    with pytest.raises(ValueError):
-        DualityDatum(RX, twist=RX.variable("x"))
-    DualityDatum(RX, twist=3, degree=2)
 
 
 def test_bidual_of_point_is_identity():

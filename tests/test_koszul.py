@@ -77,16 +77,8 @@ def test_zero_entry_rejected():
         KoszulDatum(ring, [ring.variable("x"), ring.zero()])
 
 
-def test_nonunit_twist_rejected():
-    ring = RINGS[1]
-    with pytest.raises(ValueError):
-        KoszulDatum(ring, [ring.variable("x")], twist=ring.variable("x"))
-
-
 def test_twist_defaults_to_one():
-    k = coordinates(2)
-    assert k.twist == RINGS[2].one()
-    assert k.duality().degree == 2
+    assert koszul_form(coordinates(2)).degree == 2
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +173,7 @@ def test_symmetric_space_rejects_wrong_target():
     kos = koszul_complex(k)
     not_a_form = ChainMap.identity(kos)
     with pytest.raises(NotAChainMap):
-        SymmetricSpace(kos, k.duality(), not_a_form)
+        SymmetricSpace(kos, k.rank, not_a_form)
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +387,6 @@ def test_split_iso_is_permutation():
             assert sum(0 if e.is_zero() else 1 for e in entries) == 1
 
 
-def test_split_keeps_twist_on_head():
-    ring = RINGS[2]
-    k = KoszulDatum(ring, [ring.variable("x"), ring.variable("y")],
-                    twist=ring.constant(Q.element(2)))
-    head, tail, _ = split_section(k, 1)
-    assert head.twist == k.twist
-    assert tail.twist == ring.one()
-
-
 def test_pairing_multiplicative_for_all_splits():
     for d in (2, 3, 4):
         k = coordinates(d)
@@ -415,7 +398,7 @@ def test_interchange_is_signed_permutation():
     k1 = coordinates(1)
     ring = RINGS[1]
     kos = koszul_complex(k1)
-    d = k1.duality().degree
+    d = k1.rank
     lam = duality_interchange(kos, kos, d, d)
     for n in lam.source.terms:
         mat = dense_rows(lam, n)

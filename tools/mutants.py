@@ -287,6 +287,14 @@ MUTANTS = [
         COMPLEX_TESTS,
     ),
     (
+        "the symmetric space measures its sign against the dual in degree 0",
+        "koszul.py",
+        "SymmetricSpace.__init__",
+        "dualize_map(form, degree)",
+        "dualize_map(form, 0)",
+        COMPLEX_TESTS,
+    ),
+    (
         "the duality interchange targets the dual in degree da - db",
         "complexes.py",
         "duality_interchange",
